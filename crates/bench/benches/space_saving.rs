@@ -1,11 +1,11 @@
 //! Criterion micro-benchmark: update throughput and top-k recall of the
-//! frequent-item algorithms (Space-Saving vs Misra-Gries vs Lossy Counting vs
-//! exact counting) on a Zipf-distributed hint-set stream. This is the
-//! ablation behind the paper's choice of Space-Saving (Section 5).
+//! frequent-item algorithms (Space-Saving vs exact counting) on a
+//! Zipf-distributed hint-set stream: what the paper's bounded-space tracker
+//! (Section 5) costs and recalls next to the unbounded one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use stream_stats::{ExactCounter, FrequencyEstimator, LossyCounting, MisraGries, SpaceSaving};
+use stream_stats::{ExactCounter, FrequencyEstimator, SpaceSaving};
 
 /// Deterministic Zipf-ish stream of `n` items over a `domain`-value universe.
 fn zipf_stream(n: usize, domain: u64) -> Vec<u64> {
@@ -41,28 +41,6 @@ fn bench_frequent_items(criterion: &mut Criterion) {
             ss.len()
         })
     });
-    group.bench_with_input(BenchmarkId::new("misra_gries", k), &stream, |b, stream| {
-        b.iter(|| {
-            let mut mg = MisraGries::new(k);
-            for &item in stream {
-                mg.observe(item);
-            }
-            mg.len()
-        })
-    });
-    group.bench_with_input(
-        BenchmarkId::new("lossy_counting", "eps=0.001"),
-        &stream,
-        |b, stream| {
-            b.iter(|| {
-                let mut lc = LossyCounting::new(0.001);
-                for &item in stream {
-                    lc.observe(item);
-                }
-                lc.len()
-            })
-        },
-    );
     group.bench_with_input(
         BenchmarkId::new("exact", "unbounded"),
         &stream,
@@ -82,11 +60,9 @@ fn bench_frequent_items(criterion: &mut Criterion) {
     // the ablation is visible next to the throughput numbers.
     let mut exact: ExactCounter<u64> = ExactCounter::new();
     let mut ss: SpaceSaving<u64> = SpaceSaving::new(k);
-    let mut mg = MisraGries::new(k);
     for &item in &stream {
         exact.observe(item);
         ss.observe(item);
-        mg.observe(item);
     }
     let truth: std::collections::HashSet<u64> =
         exact.top_k(k).into_iter().map(|(item, _)| item).collect();
@@ -98,9 +74,8 @@ fn bench_frequent_items(criterion: &mut Criterion) {
         hits as f64 / truth.len() as f64
     };
     println!(
-        "top-{k} recall: space-saving {:.3}, misra-gries {:.3}",
+        "top-{k} recall: space-saving {:.3}",
         recall(FrequencyEstimator::tracked(&ss)),
-        recall(mg.tracked()),
     );
 }
 

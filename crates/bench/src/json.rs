@@ -47,20 +47,12 @@ impl JsonValue {
     }
 }
 
+/// Renders `s` as a JSON string literal through the workspace's one
+/// escaper, [`clic_obs::json::escape_into`].
 fn escape_into(out: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(out, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(out, "\\\"")?,
-            '\\' => write!(out, "\\\\")?,
-            '\n' => write!(out, "\\n")?,
-            '\r' => write!(out, "\\r")?,
-            '\t' => write!(out, "\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => write!(out, "{c}")?,
-        }
-    }
-    write!(out, "\"")
+    let mut literal = String::with_capacity(s.len() + 2);
+    clic_obs::json::escape_into(&mut literal, s);
+    out.write_str(&literal)
 }
 
 impl fmt::Display for JsonValue {
@@ -116,15 +108,19 @@ mod tests {
             ),
             ("raw", JsonValue::Raw("{\"k\":1}".into())),
         ]);
+        let rendered = value.to_string();
         assert_eq!(
-            value.to_string(),
+            rendered,
             "{\"null\":null,\"flag\":true,\"int\":3,\"float\":0.5,\"nan\":null,\
              \"text\":\"a\\\"b\\\\c\\nd\",\"arr\":[1,\"x\"],\"raw\":{\"k\":1}}"
         );
+        clic_obs::json::validate(&rendered).expect("the writer's output parses");
     }
 
     #[test]
     fn control_characters_are_escaped() {
-        assert_eq!(JsonValue::str("a\u{1}b").to_string(), "\"a\\u0001b\"");
+        let rendered = JsonValue::str("a\u{1}b").to_string();
+        assert_eq!(rendered, "\"a\\u0001b\"");
+        clic_obs::json::validate(&rendered).expect("the writer's output parses");
     }
 }

@@ -7,10 +7,13 @@
 //!   simulation cells (one policy instance each) across worker threads while
 //!   returning results in exact cell order,
 //! * [`sweep_parallel`] — [`sweep`] on top of the executor,
-//! * [`simulate_partitioned`] / [`simulate_partitioned_parallel`] — replay
-//!   of disjoint page partitions (the [`crate::partitioned`]-by-pages analogue
-//!   of a sharded server) merged via [`SimulationResult::merge_from`], with
-//!   the parallel variant bit-identical to the serial one.
+//! * [`simulate_partitioned_parallel`] — replay of disjoint page partitions
+//!   (the [`crate::partitioned`]-by-pages analogue of a sharded server)
+//!   merged via [`SimulationResult::merge_from`], bit-identical at every
+//!   job count,
+//! * [`partition_requests`] / [`partition_capacities`] — the one place a
+//!   trace and a capacity are split the way a sharded deployment splits
+//!   them, shared with the storage replay and the sharded server.
 
 use std::collections::BTreeMap;
 
@@ -222,40 +225,55 @@ pub fn sweep_parallel(
         .collect()
 }
 
-/// Splits `trace` into `partitions` disjoint page partitions (the shared
-/// [`crate::hash::page_partition`] rule, i.e. the same placement a sharded
-/// server produces), replays each partition through its own policy instance
-/// built by `factory` — sequence numbers stay the requests' *global* trace
-/// positions, exactly as a sharded server's global sequencer would hand them
-/// out — and merges the per-partition statistics in partition order via
-/// [`SimulationResult::merge_from`].
-///
-/// `capacity` is the total cache size; it is split across partitions the way
-/// a sharded deployment splits it (`capacity / partitions` each, the first
-/// `capacity % partitions` partitions receiving one extra page).
-///
-/// This is **not** behaviourally identical to [`simulate`] on one
-/// `capacity`-page policy instance — partitions learn and evict
-/// independently, as real shards do — but it is deterministic, and
-/// [`simulate_partitioned_parallel`] is bit-identical to it.
+/// Splits `capacity` pages across `partitions` the way a sharded deployment
+/// does: `capacity / partitions` each, the first `capacity % partitions`
+/// partitions receiving one extra page.
 ///
 /// # Panics
 ///
 /// Panics if `partitions` is zero or exceeds `capacity`.
-pub fn simulate_partitioned(
-    factory: &(dyn PolicyFactory + Sync),
-    trace: &Trace,
-    capacity: usize,
-    partitions: usize,
-) -> SimulationResult {
-    let pool = ThreadPool::new(1);
-    simulate_partitioned_parallel(&pool, factory, trace, capacity, partitions)
+pub fn partition_capacities(capacity: usize, partitions: usize) -> Vec<usize> {
+    assert!(partitions > 0, "at least one partition is required");
+    assert!(
+        capacity >= partitions,
+        "capacity ({capacity}) must be at least one page per partition ({partitions})"
+    );
+    let base = capacity / partitions;
+    let remainder = capacity % partitions;
+    (0..partitions)
+        .map(|i| base + usize::from(i < remainder))
+        .collect()
 }
 
-/// [`simulate_partitioned`] with the partitions replayed concurrently on the
-/// pool's worker threads. Partitions are disjoint by construction and merged
-/// in partition order, so the result is **bit-identical** to the serial
-/// variant (and independent of the pool's job count).
+/// Splits `trace` into `partitions` disjoint page partitions by the shared
+/// [`crate::hash::page_partition`] rule (the placement a sharded server
+/// produces): per partition, the requests plus their *global* trace
+/// positions — partitions see gaps in the sequence, like shards of a server
+/// drawing from one global sequencer.
+///
+/// # Panics
+///
+/// Panics (divide by zero) if `partitions` is zero and the trace is not
+/// empty.
+pub fn partition_requests(trace: &Trace, partitions: usize) -> Vec<Vec<(u64, Request)>> {
+    let mut split: Vec<Vec<(u64, Request)>> = vec![Vec::new(); partitions];
+    for (seq, req) in trace.requests.iter().enumerate() {
+        split[crate::hash::page_partition(req.page, partitions)].push((seq as u64, *req));
+    }
+    split
+}
+
+/// Replays each of `trace`'s page partitions ([`partition_requests`])
+/// through its own policy instance built by `factory`, concurrently on the
+/// pool's worker threads, and merges the per-partition statistics in
+/// partition order via [`SimulationResult::merge_from`]. `capacity` is the
+/// total cache size, split by [`partition_capacities`].
+///
+/// This is **not** behaviourally identical to [`simulate`] on one
+/// `capacity`-page policy instance — partitions learn and evict
+/// independently, as real shards do — but partitions are disjoint by
+/// construction and merged in partition order, so the result is
+/// deterministic and **bit-identical** at every job count.
 ///
 /// # Panics
 ///
@@ -267,24 +285,10 @@ pub fn simulate_partitioned_parallel(
     capacity: usize,
     partitions: usize,
 ) -> SimulationResult {
-    assert!(partitions > 0, "at least one partition is required");
-    assert!(
-        capacity >= partitions,
-        "capacity ({capacity}) must be at least one page per partition ({partitions})"
-    );
-    // Split the trace once: per partition, the requests plus their global
-    // sequence numbers (partitions see gaps in the sequence, like shards of
-    // a server drawing from one global sequencer).
-    let mut split: Vec<Vec<(u64, Request)>> = vec![Vec::new(); partitions];
-    for (seq, req) in trace.requests.iter().enumerate() {
-        split[crate::hash::page_partition(req.page, partitions)].push((seq as u64, *req));
-    }
-    let base = capacity / partitions;
-    let remainder = capacity % partitions;
-    let indexed: Vec<(usize, Vec<(u64, Request)>)> = split.into_iter().enumerate().collect();
-    let partials = pool.par_map(&indexed, |_, (index, requests)| {
-        let partition_capacity = base + usize::from(*index < remainder);
-        let mut policy = factory.build(partition_capacity);
+    let capacities = partition_capacities(capacity, partitions);
+    let split = partition_requests(trace, partitions);
+    let partials = pool.par_map(&split, |index, requests| {
+        let mut policy = factory.build(capacities[index]);
         let mut stats = CacheStats::new();
         let mut per_client: BTreeMap<ClientId, CacheStats> = BTreeMap::new();
         for (seq, req) in requests {
@@ -293,7 +297,7 @@ pub fn simulate_partitioned_parallel(
         }
         SimulationResult {
             policy: policy.name(),
-            capacity: partition_capacity,
+            capacity: capacities[index],
             stats,
             per_client,
         }
@@ -469,20 +473,34 @@ mod tests {
             Box::new(Lru::new(cap)) as BoxedPolicy
         });
         for partitions in [1usize, 2, 3, 7] {
-            let serial = simulate_partitioned(&factory, &trace, 64, partitions);
-            assert_eq!(serial.stats.requests(), trace.len() as u64);
-            for jobs in [1, 2, 4] {
+            let run = |jobs| {
                 let pool = ThreadPool::new(jobs);
-                let parallel =
-                    simulate_partitioned_parallel(&pool, &factory, &trace, 64, partitions);
+                simulate_partitioned_parallel(&pool, &factory, &trace, 64, partitions)
+            };
+            let serial = run(1);
+            assert_eq!(serial.stats.requests(), trace.len() as u64);
+            assert_eq!(serial.capacity, 64);
+            for jobs in [2, 4] {
+                let parallel = run(jobs);
                 assert_eq!(parallel.stats, serial.stats, "p={partitions} jobs={jobs}");
                 assert_eq!(
                     parallel.per_client, serial.per_client,
                     "p={partitions} jobs={jobs}"
                 );
                 assert_eq!(parallel.policy, serial.policy);
-                assert_eq!(parallel.capacity, 64);
             }
+        }
+    }
+
+    #[test]
+    fn partition_capacities_sum_to_the_total_with_the_remainder_first() {
+        assert_eq!(partition_capacities(10, 3), [4, 3, 3]);
+        assert_eq!(partition_capacities(7, 7), [1; 7]);
+        assert_eq!(partition_capacities(1800, 2), [900, 900]);
+        for (capacity, partitions) in [(10, 3), (7, 7), (1800, 2), (65, 8)] {
+            let split = partition_capacities(capacity, partitions);
+            assert_eq!(split.len(), partitions);
+            assert_eq!(split.iter().sum::<usize>(), capacity);
         }
     }
 
@@ -492,7 +510,8 @@ mod tests {
         let factory: (String, fn(usize) -> BoxedPolicy) = ("LRU".to_string(), |cap| {
             Box::new(Lru::new(cap)) as BoxedPolicy
         });
-        let partitioned = simulate_partitioned(&factory, &trace, 8, 1);
+        let partitioned =
+            simulate_partitioned_parallel(&ThreadPool::new(1), &factory, &trace, 8, 1);
         let expected = simulate(&mut Lru::new(8), &trace);
         assert_eq!(partitioned.stats, expected.stats);
         assert_eq!(partitioned.per_client, expected.per_client);
@@ -505,7 +524,7 @@ mod tests {
         let factory: (String, fn(usize) -> BoxedPolicy) = ("LRU".to_string(), |cap| {
             Box::new(Lru::new(cap)) as BoxedPolicy
         });
-        let _ = simulate_partitioned(&factory, &trace, 2, 3);
+        let _ = simulate_partitioned_parallel(&ThreadPool::new(1), &factory, &trace, 2, 3);
     }
 
     #[test]

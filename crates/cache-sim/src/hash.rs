@@ -86,10 +86,9 @@ impl Hasher for FxHasher {
 ///
 /// This is the **one** page-routing rule shared by every page-partitioned
 /// deployment in the workspace — `clic-server`'s `ShardedClic` shard router
-/// and the driver's [`crate::simulate_partitioned`] /
-/// [`crate::simulate_partitioned_parallel`] replays — so the offline
-/// partitioned replay models exactly the placement a sharded server
-/// produces.
+/// and the driver's [`crate::partition_requests`] split behind every
+/// partitioned replay — so the offline partitioned replay models exactly
+/// the placement a sharded server produces.
 ///
 /// # Panics
 ///

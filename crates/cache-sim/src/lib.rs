@@ -13,7 +13,7 @@
 //! * the [`CachePolicy`] trait that every replacement policy implements,
 //! * baseline replacement policies used by the paper's evaluation
 //!   (OPT/Belady-MIN, LRU, ARC, TQ) plus a wider set of classical policies
-//!   (FIFO, CLOCK, LFU, 2Q, MQ, CAR) useful for extended comparisons,
+//!   (LFU, 2Q, MQ, CAR) useful for extended comparisons,
 //! * the trace container ([`Trace`]) and the simulation driver
 //!   ([`simulate`], [`sweep`]) that measure server-cache read hit ratios,
 //! * the parallel replay engine: a dependency-free scoped thread pool
@@ -61,7 +61,7 @@ pub mod sync;
 pub mod trace;
 
 pub use driver::{
-    compare_policies, record_outcome, simulate, simulate_partitioned,
+    compare_policies, partition_capacities, partition_requests, record_outcome, simulate,
     simulate_partitioned_parallel, simulate_with_callback, sweep, sweep_parallel, SimulationResult,
     SweepPoint, REPLAY_CHUNK,
 };

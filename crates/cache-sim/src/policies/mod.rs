@@ -8,14 +8,12 @@
 //! * [`Tq`] — the write-hint-aware second-tier policy of Li et al. (FAST '05).
 //!
 //! Additional classical policies provided for broader comparisons and for the
-//! related-work ablations: [`Fifo`], [`Clock`], [`Lfu`], [`TwoQ`] (Johnson &
-//! Shasha, VLDB '94), [`Mq`] (Zhou et al., second-tier multi-queue), and
-//! [`Car`] (Bansal & Modha, FAST '04).
+//! related-work ablations: [`Lfu`], [`TwoQ`] (Johnson & Shasha, VLDB '94),
+//! [`Mq`] (Zhou et al., second-tier multi-queue), and [`Car`] (Bansal &
+//! Modha, FAST '04).
 
 mod arc;
 mod car;
-mod clock;
-mod fifo;
 mod lfu;
 mod lru;
 mod mq;
@@ -26,8 +24,6 @@ pub mod util;
 
 pub use arc::Arc;
 pub use car::Car;
-pub use clock::Clock;
-pub use fifo::Fifo;
 pub use lfu::Lfu;
 pub use lru::Lru;
 pub use mq::Mq;
@@ -46,10 +42,6 @@ use crate::policy::{BoxedPolicy, PolicyFactory};
 pub enum BaselinePolicy {
     /// Least recently used.
     Lru,
-    /// First in, first out.
-    Fifo,
-    /// CLOCK (second chance).
-    Clock,
     /// Least frequently used.
     Lfu,
     /// 2Q (Johnson & Shasha).
@@ -66,10 +58,8 @@ pub enum BaselinePolicy {
 
 impl BaselinePolicy {
     /// All baseline policies, in a stable order.
-    pub const ALL: [BaselinePolicy; 9] = [
+    pub const ALL: [BaselinePolicy; 7] = [
         BaselinePolicy::Lru,
-        BaselinePolicy::Fifo,
-        BaselinePolicy::Clock,
         BaselinePolicy::Lfu,
         BaselinePolicy::TwoQ,
         BaselinePolicy::Mq,
@@ -82,8 +72,6 @@ impl BaselinePolicy {
     pub fn name(self) -> &'static str {
         match self {
             BaselinePolicy::Lru => "LRU",
-            BaselinePolicy::Fifo => "FIFO",
-            BaselinePolicy::Clock => "CLOCK",
             BaselinePolicy::Lfu => "LFU",
             BaselinePolicy::TwoQ => "2Q",
             BaselinePolicy::Mq => "MQ",
@@ -103,8 +91,6 @@ impl BaselinePolicy {
     pub fn build(self, capacity: usize) -> BoxedPolicy {
         match self {
             BaselinePolicy::Lru => Box::new(Lru::new(capacity)),
-            BaselinePolicy::Fifo => Box::new(Fifo::new(capacity)),
-            BaselinePolicy::Clock => Box::new(Clock::new(capacity)),
             BaselinePolicy::Lfu => Box::new(Lfu::new(capacity)),
             BaselinePolicy::TwoQ => Box::new(TwoQ::new(capacity)),
             BaselinePolicy::Mq => Box::new(Mq::new(capacity)),

@@ -54,14 +54,11 @@ impl LoadConfig {
 /// [`clic_obs::Recorder`], when one is enabled.
 pub const CLIENT_BATCH_HISTOGRAM: &str = "server.client_batch_us";
 
-/// Batch-latency percentiles over one harness run, in microseconds.
-///
-/// Backed by a [`LatencyHistogram`], so the harness keeps O(1) memory per
-/// client thread no matter how many batches a run submits. Percentiles are
-/// integer nearest-rank (`rank = ceil(count * q)`, computed exactly — the
-/// old floating-point `ceil` could land a rank off by one when `count * q`
-/// rounded across an integer) resolved to the sample's bucket upper bound:
-/// exact below 64 µs, within 1/32 (~3%) above, and `max_us` always exact.
+/// Batch-latency percentiles over one harness run, in microseconds: a plain
+/// projection of a [`HistogramSnapshot`] (see it for the nearest-rank
+/// percentile rule — exact below 64 µs, within 1/32 (~3%) above, `max_us`
+/// always exact), so the harness keeps O(1) memory per client thread no
+/// matter how many batches a run submits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatencySummary {
     /// Number of batches measured.
@@ -81,23 +78,9 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarizes a set of batch latencies (nearest-rank percentiles, via a
-    /// [`LatencyHistogram`]). An empty input yields the all-zero default;
-    /// a single sample is every percentile.
-    pub fn from_micros(samples: Vec<u64>) -> Self {
-        let histogram = LatencyHistogram::new();
-        for sample in samples {
-            histogram.record(sample);
-        }
-        LatencySummary::from_histogram(&histogram.snapshot())
-    }
-
-    /// Summarizes a histogram snapshot (see [`HistogramSnapshot`] for the
-    /// percentile rule).
+    /// Summarizes a histogram snapshot: an empty one yields the all-zero
+    /// default, a single sample is every percentile.
     pub fn from_histogram(snapshot: &HistogramSnapshot) -> Self {
-        if snapshot.is_empty() {
-            return LatencySummary::default();
-        }
         LatencySummary {
             batches: snapshot.count(),
             mean_us: snapshot.mean(),
@@ -409,19 +392,27 @@ mod tests {
         }
     }
 
+    fn summarize(samples: impl IntoIterator<Item = u64>) -> LatencySummary {
+        let histogram = LatencyHistogram::new();
+        for sample in samples {
+            histogram.record(sample);
+        }
+        LatencySummary::from_histogram(&histogram.snapshot())
+    }
+
     #[test]
     fn latency_summary_handles_empty_and_singleton_inputs() {
-        let empty = LatencySummary::from_micros(Vec::new());
+        let empty = summarize([]);
         assert_eq!(empty.batches, 0);
         assert_eq!(empty.max_us, 0);
         assert_eq!(empty.p999_us, 0);
-        let one = LatencySummary::from_micros(vec![7]);
+        let one = summarize([7]);
         assert_eq!(one.batches, 1);
         assert_eq!(one.p50_us, 7);
         assert_eq!(one.p99_us, 7);
         assert_eq!(one.p999_us, 7);
         assert_eq!(one.max_us, 7);
-        let spread = LatencySummary::from_micros((1..=100).collect());
+        let spread = summarize(1..=100);
         assert_eq!(spread.p50_us, 50);
         assert_eq!(spread.p95_us, 95);
         assert_eq!(spread.p99_us, 99);
@@ -435,13 +426,13 @@ mod tests {
         // 10 samples: q·N lands exactly on an index for p50 (rank 5). The
         // integer nearest-rank rule must pick the 5th smallest, not drift
         // to rank 6 the way a floating-point ceil of 5.000…1 would.
-        let summary = LatencySummary::from_micros((1..=10).collect());
+        let summary = summarize(1..=10);
         assert_eq!(summary.batches, 10);
         assert_eq!(summary.p50_us, 5);
         assert_eq!(summary.p95_us, 10);
         assert_eq!(summary.max_us, 10);
         // Percentiles stay monotone even when every sample is identical.
-        let flat = LatencySummary::from_micros(vec![42; 1000]);
+        let flat = summarize(vec![42; 1000]);
         assert_eq!(flat.p50_us, 42);
         assert_eq!(flat.p999_us, 42);
         assert_eq!(flat.max_us, 42);

@@ -26,17 +26,22 @@
 //!   ratios in the same shape as [`cache_sim::SimulationResult`].
 //! * An optional **data plane**: attach a disk-backed page store
 //!   ([`ServerConfig::with_store`], built on [`clic_store`]) and the server
-//!   moves real bytes — `Put` payloads are staged write-back through a
+//!   moves real bytes: each shard hands every policy decision to its
+//!   store's single mirror ([`PageStore::mirror`], the one the offline
+//!   replay uses) — `Put` payloads are staged write-back through a
 //!   write-ahead log, `Get` responses carry the page's bytes, the policy's
-//!   evictions flush dirty buffer frames, and [`Server::shutdown`]
+//!   evictions flush dirty buffer frames — and [`Server::shutdown`]
 //!   checkpoints the store (dropping the server instead models a crash, from
 //!   which the WAL recovers every acknowledged write).
 //! * A **network front-end** ([`NetServer`]): one event-loop thread puts
 //!   the server behind real TCP and (on Unix) Unix-domain sockets speaking
 //!   the length-prefixed binary protocol of [`wire`], multiplexed with the
-//!   readiness poller of [`sys`] — no thread per connection, per-connection
-//!   in-flight windows for back-pressure, and per-shard coalescing into
-//!   the same batched worker path `submit` uses. [`openloop`] is the
+//!   readiness poller of [`sys`] — no thread per connection, a 64-operation
+//!   in-flight window per connection for back-pressure, and per-shard
+//!   coalescing into the same tagged enqueue and batched worker path
+//!   `submit` uses. Every receiver — the event loop, [`BlockingClient`],
+//!   the open-loop reader — turns bytes into frames through the one
+//!   cursor-based [`wire::FrameBuf`]. [`openloop`] is the
 //!   matching open-loop Poisson load generator whose latency percentiles
 //!   are free of coordinated omission.
 //! * **Observability**: pass an enabled [`clic_obs::Recorder`]
@@ -169,7 +174,7 @@ pub use net::{BlockingClient, NetOptions, NetServer, RetryPolicy};
 pub use openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 pub use protocol::{ErrorCode, ServerRequest, ServerResponse, StatsSnapshot};
 pub use server::{Server, ServerConfig, ShardOutcome, BATCH_SERVICE_HISTOGRAM, QUEUE_DEPTH_GAUGE};
-pub use sharded::{MergeWeighting, ShardedClic, ShardedClicConfig};
+pub use sharded::{ShardedClic, ShardedClicConfig};
 pub use wire::WireError;
 
 // Re-exported so server embedders can configure the data plane without

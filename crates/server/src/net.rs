@@ -19,8 +19,8 @@
 //!   client's `seq`, hence safely out of order across shards — and writes
 //!   as far as the socket allows, buffering the rest behind `EPOLLOUT`
 //!   interest.
-//! * Each connection has a bounded *in-flight window*
-//!   ([`NetOptions::in_flight_window`]). A connection at its window stops
+//! * Each connection has a bounded *in-flight window* of 64 operations
+//!   decoded but not yet answered. A connection at its window stops
 //!   being read (its `EPOLLIN` interest is dropped) until completions
 //!   drain: per-connection back-pressure that bounds server-side memory no
 //!   matter how fast an open-loop client pushes.
@@ -90,6 +90,10 @@ const TOKEN_BASE: u64 = 2;
 /// Read chunk size for draining a readable socket.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// Maximum decoded-but-unanswered operations per connection before the
+/// loop stops reading from it (back-pressure).
+const IN_FLIGHT_WINDOW: usize = 64;
+
 /// How the front-end listens and how much it buffers per connection.
 #[derive(Debug, Clone)]
 pub struct NetOptions {
@@ -99,9 +103,6 @@ pub struct NetOptions {
     /// Unix-domain socket path, or `None` for no UDS listener. Rejected at
     /// start on non-Unix platforms; the file is removed on shutdown.
     pub uds: Option<PathBuf>,
-    /// Maximum decoded-but-unanswered operations per connection before the
-    /// loop stops reading from it (back-pressure).
-    pub in_flight_window: usize,
     /// When `true`, saturation answers with [`ServerResponse::Error`]
     /// (`Busy`) instead of blocking: a connection at its in-flight window
     /// still has its frames decoded (and shed), and a full shard queue
@@ -121,7 +122,6 @@ impl Default for NetOptions {
         NetOptions {
             tcp: Some("127.0.0.1:0".to_string()),
             uds: None,
-            in_flight_window: 64,
             shed_busy: false,
             fault: FaultInjector::disabled(),
         }
@@ -248,6 +248,24 @@ impl Stream {
             Stream::Unix(s) => raw_fd(s),
         }
     }
+
+    fn set_nonblocking(&self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nonblocking(true),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_nonblocking(true),
+        }
+    }
+
+    /// Disables Nagle on TCP — the protocol is latency-bound
+    /// request/response; a no-op on a Unix-domain stream.
+    fn set_nodelay(&self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nodelay(true),
+            #[cfg(unix)]
+            Stream::Unix(_) => Ok(()),
+        }
+    }
 }
 
 impl Read for Stream {
@@ -286,7 +304,7 @@ struct Conn {
     /// entry carries an older generation belongs to a previous connection
     /// in this slot and is dropped.
     gen: u32,
-    read_buf: Vec<u8>,
+    read_buf: wire::FrameBuf,
     write_buf: Vec<u8>,
     /// Bytes of `write_buf` already written to the socket.
     write_at: usize,
@@ -340,7 +358,6 @@ struct EventLoop {
     /// Per-shard coalescing buffers, flushed at [`REPLAY_CHUNK`] or at the
     /// end of each cycle.
     pending_shard: Vec<Vec<(usize, ServerRequest)>>,
-    window: usize,
     in_flight_total: usize,
     /// Shed saturated operations with `Busy` instead of blocking
     /// ([`NetOptions::shed_busy`]).
@@ -383,7 +400,6 @@ impl EventLoop {
             reply_tx,
             reply_rx,
             pending_shard: (0..shard_count).map(|_| Vec::new()).collect(),
-            window: options.in_flight_window.max(1),
             in_flight_total: 0,
             shed_busy: options.shed_busy,
             fault: options.fault.clone(),
@@ -415,9 +431,7 @@ impl EventLoop {
             self.poller.wait(&mut events, timeout)?;
             for &event in &events {
                 match event.token {
-                    TOKEN_TCP => self.accept_tcp(),
-                    #[cfg(unix)]
-                    TOKEN_UDS => self.accept_uds(),
+                    token @ (TOKEN_TCP | TOKEN_UDS) => self.accept(token),
                     token => {
                         let Some(idx) = token.checked_sub(TOKEN_BASE).map(|t| t as usize) else {
                             continue;
@@ -444,51 +458,37 @@ impl EventLoop {
         Ok(self.server)
     }
 
-    fn accept_tcp(&mut self) {
+    /// Accepts every connection pending on the listener behind `token`.
+    fn accept(&mut self, token: u64) {
         loop {
-            let accepted = match &self.tcp {
-                Some(listener) => listener.accept(),
-                None => return,
+            let accepted = match token {
+                TOKEN_TCP => self
+                    .tcp
+                    .as_ref()
+                    .map(|listener| listener.accept().map(|(stream, _peer)| Stream::Tcp(stream))),
+                #[cfg(unix)]
+                TOKEN_UDS => self.uds.as_ref().map(|listener| {
+                    listener
+                        .accept()
+                        .map(|(stream, _peer)| Stream::Unix(stream))
+                }),
+                _ => None,
             };
-            match accepted {
-                Ok((stream, _peer)) => {
-                    // An injected accept failure drops the connection on
-                    // the floor — the peer sees an immediate reset.
-                    if self.fault.decide(FaultPoint::NetAccept, 0) != InjectedFault::None {
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    self.add_conn(Stream::Tcp(stream));
-                }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
-            }
-        }
-    }
-
-    #[cfg(unix)]
-    fn accept_uds(&mut self) {
-        loop {
-            let accepted = match &self.uds {
-                Some(listener) => listener.accept(),
-                None => return,
+            // `WouldBlock` (the backlog is drained) and hard accept errors
+            // both end this round.
+            let Some(Ok(stream)) = accepted else {
+                return;
             };
-            match accepted {
-                Ok((stream, _peer)) => {
-                    if self.fault.decide(FaultPoint::NetAccept, 0) != InjectedFault::None {
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    self.add_conn(Stream::Unix(stream));
-                }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
+            // An injected accept failure drops the connection on the
+            // floor — the peer sees an immediate reset.
+            if self.fault.decide(FaultPoint::NetAccept, 0) != InjectedFault::None {
+                continue;
             }
+            if stream.set_nonblocking().is_err() {
+                continue;
+            }
+            let _ = stream.set_nodelay();
+            self.add_conn(stream);
         }
     }
 
@@ -514,7 +514,7 @@ impl EventLoop {
         self.conns[idx] = Some(Conn {
             stream,
             gen,
-            read_buf: Vec::new(),
+            read_buf: wire::FrameBuf::new(),
             write_buf: Vec::new(),
             write_at: 0,
             in_flight: 0,
@@ -545,7 +545,7 @@ impl EventLoop {
                     conn.read_closed = true;
                     return;
                 }
-                Ok(n) => conn.read_buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => conn.read_buf.extend(&chunk[..n]),
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -573,12 +573,12 @@ impl EventLoop {
             if conn.dead || conn.read_buf.is_empty() {
                 return;
             }
-            let window_full = conn.in_flight >= self.window;
+            let window_full = conn.in_flight >= IN_FLIGHT_WINDOW;
             if window_full && !self.shed_busy {
                 return;
             }
             let span = self.recorder.span(SpanKind::NetFrame);
-            let (consumed, decoded) = match wire::take_frame(&conn.read_buf) {
+            let (consumed, decoded) = match conn.read_buf.next_frame() {
                 Ok(None) => {
                     span.cancel();
                     return;
@@ -598,7 +598,6 @@ impl EventLoop {
                     return;
                 }
             };
-            conn.read_buf.drain(..consumed);
             span.finish(consumed as u64);
             match op {
                 ServerRequest::Stats => {
@@ -683,7 +682,7 @@ impl EventLoop {
                 Ok(submitted) => self.in_flight_total += submitted,
                 Err((tags, code)) => {
                     for tag in tags {
-                        self.fail_pending(tag, code);
+                        self.complete(tag, Err(code));
                     }
                 }
             }
@@ -694,76 +693,63 @@ impl EventLoop {
         }
     }
 
-    /// Answers a still-pending operation with an error without it ever
-    /// having reached a shard: frees the slab slot, releases the window
-    /// slot, and encodes an [`ServerResponse::Error`] response.
-    fn fail_pending(&mut self, tag: usize, code: ErrorCode) {
-        let Some(pending) = self.slab.get_mut(tag).and_then(|slot| slot.take()) else {
-            return;
-        };
-        self.free_slab.push(tag);
-        let alive = self
-            .conns
-            .get(pending.conn)
-            .and_then(|c| c.as_ref())
-            .is_some_and(|conn| conn.gen == pending.gen);
-        if !alive {
-            return;
-        }
-        if let Some(conn) = self.conns[pending.conn].as_mut() {
-            conn.in_flight -= 1;
-        }
-        if code == ErrorCode::Busy {
-            if let Some(counter) = &self.shed_counter {
-                counter.inc();
-            }
-        }
-        self.respond(pending.conn, pending.seq, &ServerResponse::Error { code });
-    }
-
     fn submit_pending(&mut self) {
         for shard in 0..self.pending_shard.len() {
             self.flush_shard(shard);
         }
     }
 
-    // invariant: every tag on the reply channel was allocated by
-    // `alloc_pending` and is taken exactly once — a double take or an
-    // out-of-range tag is a slab-accounting bug, not a runtime condition.
-    #[cfg_attr(not(test), allow(clippy::expect_used))]
     fn drain_completions(&mut self) {
         while let Ok((tag, result)) = self.reply_rx.try_recv() {
             self.in_flight_total = self.in_flight_total.saturating_sub(1);
-            let pending = self
-                .slab
-                .get_mut(tag)
-                .and_then(|slot| slot.take())
-                .expect("completion for an unallocated slab slot");
-            self.free_slab.push(tag);
-            let alive = self
-                .conns
-                .get(pending.conn)
-                .and_then(|c| c.as_ref())
-                .is_some_and(|conn| conn.gen == pending.gen);
-            if !alive {
-                continue;
-            }
-            if let Some(conn) = self.conns[pending.conn].as_mut() {
-                conn.in_flight -= 1;
-            }
-            let response = match result {
-                // A failed operation answers with a typed error frame
-                // instead of a fabricated miss: the client can tell "the
-                // page is not cached" from "the data plane failed".
-                Err(code) => ServerResponse::Error { code },
-                Ok(ShardOutcome { hit, data }) => match pending.kind {
-                    PendingKind::Get => ServerResponse::Get { hit, data },
-                    PendingKind::Put => ServerResponse::Put { hit },
-                    PendingKind::Delete => ServerResponse::Delete { existed: hit },
-                },
-            };
-            self.respond(pending.conn, pending.seq, &response);
+            self.complete(tag, result);
         }
+    }
+
+    /// Completes the pending operation behind `tag` — answered by a shard
+    /// worker, or refused (`Busy`/`Shutdown`) before it reached one: frees
+    /// the slab slot, releases the connection's window slot, and encodes
+    /// the response. Nothing is sent when the connection is gone (a newer
+    /// generation owns the slot).
+    // invariant: every tag completed here was allocated by `alloc_pending`
+    // and is taken exactly once — a double take or an out-of-range tag is
+    // a slab-accounting bug, not a runtime condition.
+    #[cfg_attr(not(test), allow(clippy::expect_used))]
+    fn complete(&mut self, tag: usize, result: Result<ShardOutcome, ErrorCode>) {
+        let pending = self
+            .slab
+            .get_mut(tag)
+            .and_then(|slot| slot.take())
+            .expect("completion for an unallocated slab slot");
+        self.free_slab.push(tag);
+        let Some(conn) = self
+            .conns
+            .get_mut(pending.conn)
+            .and_then(|c| c.as_mut())
+            .filter(|conn| conn.gen == pending.gen)
+        else {
+            return;
+        };
+        conn.in_flight -= 1;
+        let response = match result {
+            // A failed operation answers with a typed error frame instead
+            // of a fabricated miss: the client can tell "the page is not
+            // cached" from "the data plane failed".
+            Err(code) => {
+                if code == ErrorCode::Busy {
+                    if let Some(counter) = &self.shed_counter {
+                        counter.inc();
+                    }
+                }
+                ServerResponse::Error { code }
+            }
+            Ok(ShardOutcome { hit, data }) => match pending.kind {
+                PendingKind::Get => ServerResponse::Get { hit, data },
+                PendingKind::Put => ServerResponse::Put { hit },
+                PendingKind::Delete => ServerResponse::Delete { existed: hit },
+            },
+        };
+        self.respond(pending.conn, pending.seq, &response);
     }
 
     /// Encodes a response onto the connection's write buffer (recording
@@ -852,7 +838,7 @@ impl EventLoop {
                 continue;
             }
             let mut interest = 0u32;
-            if !conn.read_closed && conn.in_flight < self.window {
+            if !conn.read_closed && conn.in_flight < IN_FLIGHT_WINDOW {
                 interest |= READABLE;
             }
             if conn.pending_write() {
@@ -955,7 +941,7 @@ enum ConnectTarget {
 #[derive(Debug)]
 pub struct BlockingClient {
     stream: Stream,
-    buf: Vec<u8>,
+    buf: wire::FrameBuf,
     target: ConnectTarget,
     connect_timeout: Option<Duration>,
     io_timeout: Option<Duration>,
@@ -965,41 +951,46 @@ impl BlockingClient {
     /// Connects over TCP (Nagle disabled — the protocol is latency-bound
     /// request/response).
     pub fn connect_tcp(addr: SocketAddr) -> io::Result<BlockingClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(BlockingClient {
-            stream: Stream::Tcp(stream),
-            buf: Vec::new(),
-            target: ConnectTarget::Tcp(addr),
-            connect_timeout: None,
-            io_timeout: None,
-        })
+        Self::connect(ConnectTarget::Tcp(addr), None)
     }
 
     /// Connects over TCP, failing if the connection cannot be established
     /// within `timeout`. The timeout is remembered for reconnects.
     pub fn connect_tcp_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<BlockingClient> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_nodelay(true)?;
-        Ok(BlockingClient {
-            stream: Stream::Tcp(stream),
-            buf: Vec::new(),
-            target: ConnectTarget::Tcp(addr),
-            connect_timeout: Some(timeout),
-            io_timeout: None,
-        })
+        Self::connect(ConnectTarget::Tcp(addr), Some(timeout))
     }
 
     /// Connects over a Unix-domain socket.
     #[cfg(unix)]
     pub fn connect_uds(path: &std::path::Path) -> io::Result<BlockingClient> {
+        Self::connect(ConnectTarget::Uds(path.to_path_buf()), None)
+    }
+
+    fn connect(
+        target: ConnectTarget,
+        connect_timeout: Option<Duration>,
+    ) -> io::Result<BlockingClient> {
         Ok(BlockingClient {
-            stream: Stream::Unix(UnixStream::connect(path)?),
-            buf: Vec::new(),
-            target: ConnectTarget::Uds(path.to_path_buf()),
-            connect_timeout: None,
+            stream: Self::dial(&target, connect_timeout)?,
+            buf: wire::FrameBuf::new(),
+            target,
+            connect_timeout,
             io_timeout: None,
         })
+    }
+
+    /// The one dial behind every connect and reconnect.
+    fn dial(target: &ConnectTarget, connect_timeout: Option<Duration>) -> io::Result<Stream> {
+        let stream = match target {
+            ConnectTarget::Tcp(addr) => Stream::Tcp(match connect_timeout {
+                Some(timeout) => TcpStream::connect_timeout(addr, timeout)?,
+                None => TcpStream::connect(*addr)?,
+            }),
+            #[cfg(unix)]
+            ConnectTarget::Uds(path) => Stream::Unix(UnixStream::connect(path)?),
+        };
+        stream.set_nodelay()?;
+        Ok(stream)
     }
 
     /// Bounds every subsequent socket read and write by `timeout` (`None`
@@ -1027,19 +1018,7 @@ impl BlockingClient {
     /// reapplying the configured timeouts and discarding any buffered
     /// partial frame (the old stream's framing is unrecoverable).
     pub fn reconnect(&mut self) -> io::Result<()> {
-        let stream = match &self.target {
-            ConnectTarget::Tcp(addr) => {
-                let stream = match self.connect_timeout {
-                    Some(timeout) => TcpStream::connect_timeout(addr, timeout)?,
-                    None => TcpStream::connect(*addr)?,
-                };
-                stream.set_nodelay(true)?;
-                Stream::Tcp(stream)
-            }
-            #[cfg(unix)]
-            ConnectTarget::Uds(path) => Stream::Unix(UnixStream::connect(path)?),
-        };
-        self.stream = stream;
+        self.stream = Self::dial(&self.target, self.connect_timeout)?;
         self.buf.clear();
         if let Some(timeout) = self.io_timeout {
             self.set_timeouts(Some(timeout))?;
@@ -1097,9 +1076,8 @@ impl BlockingClient {
         let mut received = 0usize;
         let mut chunk = [0u8; READ_CHUNK];
         while received < batch.len() {
-            while let Some((consumed, payload)) = wire::take_frame(&self.buf)? {
+            while let Some((_, payload)) = self.buf.next_frame()? {
                 let (seq, response) = wire::decode_response(payload)?;
-                self.buf.drain(..consumed);
                 let slot = responses.get_mut(seq as usize).ok_or_else(|| {
                     io::Error::new(io::ErrorKind::InvalidData, "response seq out of range")
                 })?;
@@ -1121,7 +1099,7 @@ impl BlockingClient {
                     "server closed the connection mid-batch",
                 ));
             }
-            self.buf.extend_from_slice(&chunk[..n]);
+            self.buf.extend(&chunk[..n]);
         }
         Ok(responses
             .into_iter()

@@ -209,15 +209,15 @@ pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> io::Result<Op
     });
 
     let histogram = LatencyHistogram::new();
-    let mut buf: Vec<u8> = Vec::new();
+    let mut buf = wire::FrameBuf::new();
     let mut chunk = [0u8; 64 * 1024];
     let mut completed = 0u64;
     let mut errored = 0u64;
     let mut shed = 0u64;
     'recv: while completed + errored + shed < total {
         loop {
-            let (consumed, payload) = match wire::take_frame(&buf) {
-                Ok(Some(frame)) => frame,
+            let payload = match buf.next_frame() {
+                Ok(Some((_, payload))) => payload,
                 Ok(None) => break,
                 // Framing desynchronized (e.g. the connection died inside
                 // a frame): nothing further is decodable.
@@ -226,7 +226,6 @@ pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> io::Result<Op
             let Ok((seq, response)) = wire::decode_response(payload) else {
                 break 'recv;
             };
-            buf.drain(..consumed);
             let Some(&scheduled_ns) = schedule.get(seq as usize) else {
                 break 'recv; // corrupt seq; stop attributing latencies
             };
@@ -246,7 +245,7 @@ pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> io::Result<Op
         }
         match reader.read(&mut chunk) {
             Ok(0) => break, // server closed early; report the partial run
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => buf.extend(&chunk[..n]),
             Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break, // reset mid-run; report the partial run
         }

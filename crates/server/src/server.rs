@@ -19,7 +19,7 @@ use clic_obs::{Gauge, MetricsSnapshot, Recorder, SpanKind};
 use clic_store::{Durability, StoreConfig, StoreError};
 
 use crate::protocol::{ErrorCode, ServerRequest, ServerResponse, StatsSnapshot};
-use crate::sharded::{MergeWeighting, ShardedClic, ShardedClicConfig};
+use crate::sharded::{ShardedClic, ShardedClicConfig};
 
 /// Gauge name for the number of sub-batches currently queued (or in
 /// flight) across all shard workers; its peak records the deepest backlog.
@@ -28,6 +28,10 @@ pub const QUEUE_DEPTH_GAUGE: &str = "server.queue_depth";
 /// Histogram name for per-sub-batch shard-worker service time in
 /// microseconds (dequeue to last reply sent).
 pub const BATCH_SERVICE_HISTOGRAM: &str = "server.batch_service_us";
+
+/// How long [`Server::try_shutdown`] waits for the background flusher to
+/// acknowledge its stop before declaring the disk wedged.
+const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Configuration for a [`Server`].
 #[derive(Debug, Clone)]
@@ -43,9 +47,6 @@ pub struct ServerConfig {
     /// acknowledgement/`fsync` trade without rebuilding the
     /// [`StoreConfig`]. `None` keeps whatever the store config says.
     pub durability: Option<Durability>,
-    /// How long [`Server::try_shutdown`] waits for the background flusher
-    /// to acknowledge its stop before declaring the disk wedged.
-    pub shutdown_timeout: Duration,
 }
 
 impl ServerConfig {
@@ -55,7 +56,6 @@ impl ServerConfig {
             cache: ShardedClicConfig::new(capacity),
             queue_depth: 4,
             durability: None,
-            shutdown_timeout: Duration::from_secs(30),
         }
     }
 
@@ -79,12 +79,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets how shards are weighted during cross-shard priority merges.
-    pub fn with_merge_weighting(mut self, weighting: MergeWeighting) -> Self {
-        self.cache = self.cache.with_merge_weighting(weighting);
-        self
-    }
-
     /// Sets the per-worker queue bound (clamped to at least 1).
     pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
         self.queue_depth = queue_depth.max(1);
@@ -105,13 +99,6 @@ impl ServerConfig {
     /// [`ServerConfig::with_store`]. Ignored on a server without a store.
     pub fn with_durability(mut self, durability: Durability) -> Self {
         self.durability = Some(durability);
-        self
-    }
-
-    /// Sets the bounded-shutdown timeout (see
-    /// [`ServerConfig::shutdown_timeout`]).
-    pub fn with_shutdown_timeout(mut self, timeout: Duration) -> Self {
-        self.shutdown_timeout = timeout;
         self
     }
 
@@ -169,9 +156,93 @@ struct ShardJob {
     reply: mpsc::Sender<ShardReply>,
 }
 
-/// The batch routing accumulator of [`Server::submit`]: per shard, the
-/// submitter tags and the decoded operations.
-type RoutedBatch = Vec<(Vec<usize>, Vec<ShardOp>)>;
+/// The shard worker: serves `shard`'s jobs until every sender is gone.
+///
+/// Operations are applied in submission order, one *step* at a time: a
+/// delete, or up to [`REPLAY_CHUNK`] consecutive accesses through
+/// [`ShardedClic::access_shard_batch_data`] — one lock and one batched
+/// policy call per chunk instead of one of each per request. Splitting at
+/// the workspace-wide chunk size keeps an oversized client batch from
+/// monopolizing the shard lock and replays at the granularity of the
+/// offline `simulate()` driver. A storage failure answers the step's
+/// requests with a typed error and the job continues — one bad page does
+/// not poison the rest of the batch; a client that gave up on its batch
+/// only loses the replies, the cache still observes every dispatched
+/// operation.
+fn serve_shard(shard: usize, cache: &ShardedClic, jobs: mpsc::Receiver<ShardJob>) {
+    let recorder = cache.recorder();
+    let queue_depth = recorder.gauge(QUEUE_DEPTH_GAUGE);
+    let service_hist = recorder.histogram(BATCH_SERVICE_HISTOGRAM);
+    let mut reqs: Vec<Request> = Vec::new();
+    let mut payloads: Vec<Option<Vec<u8>>> = Vec::new();
+    let mut outcomes = Vec::new();
+    let mut data = Vec::new();
+    let mut results: Vec<Result<ShardOutcome, ErrorCode>> = Vec::new();
+    for mut job in jobs {
+        if let Some(gauge) = &queue_depth {
+            gauge.dec();
+        }
+        // One ShardBatch span (detail: operations served) and one
+        // service-time sample per dequeued sub-batch.
+        let mut span = recorder.span(SpanKind::ShardBatch);
+        span.set_detail(job.ops.len() as u64);
+        let mut i = 0;
+        while i < job.ops.len() {
+            let step = i;
+            let served = match job.ops[i] {
+                ShardOp::Delete { page } => {
+                    i += 1;
+                    cache.delete(page).map(|existed| {
+                        results.push(Ok(ShardOutcome {
+                            hit: existed,
+                            data: None,
+                        }));
+                    })
+                }
+                ShardOp::Data { .. } => {
+                    reqs.clear();
+                    payloads.clear();
+                    while reqs.len() < REPLAY_CHUNK {
+                        let Some(ShardOp::Data { request, payload }) = job.ops.get_mut(i) else {
+                            break;
+                        };
+                        reqs.push(*request);
+                        payloads.push(payload.take());
+                        i += 1;
+                    }
+                    outcomes.clear();
+                    data.clear();
+                    cache
+                        .access_shard_batch_data(shard, &reqs, &payloads, &mut outcomes, &mut data)
+                        .map(|()| {
+                            // `data` is empty without a store: every Get
+                            // then answers without bytes.
+                            let bytes = data.drain(..).chain(std::iter::repeat(None));
+                            results.extend(outcomes.iter().zip(bytes).map(|(outcome, data)| {
+                                Ok(ShardOutcome {
+                                    hit: outcome.hit,
+                                    data,
+                                })
+                            }));
+                        })
+                }
+            };
+            if let Err(err) = served {
+                let code = ErrorCode::from_io_error(&err);
+                results.clear();
+                results.resize_with(i - step, || Err(code));
+            }
+            for (&tag, result) in job.tags[step..i].iter().zip(results.drain(..)) {
+                let _ = job.reply.send((tag, result));
+            }
+        }
+        if let (Some(hist), Some(start_ns), Some(clock)) =
+            (service_hist.as_deref(), span.start_ns(), recorder.clock())
+        {
+            hist.record(clock.now_nanos().saturating_sub(start_ns) / 1_000);
+        }
+    }
+}
 
 /// A running storage-server cache service.
 ///
@@ -185,7 +256,6 @@ pub struct Server {
     senders: Vec<mpsc::SyncSender<ShardJob>>,
     workers: Vec<JoinHandle<()>>,
     batches_served: AtomicU64,
-    shutdown_timeout: Duration,
     /// Cached [`QUEUE_DEPTH_GAUGE`] handle; `None` on a disabled recorder.
     /// Incremented per sub-batch sent, decremented by the worker after
     /// serving it, so the value counts queued + in-flight sub-batches.
@@ -213,135 +283,15 @@ impl Server {
             store.durability = durability;
         }
         let cache = Arc::new(ShardedClic::try_new(cache_config)?);
-        let recorder = cache.recorder().clone();
-        let queue_depth = recorder.gauge(QUEUE_DEPTH_GAUGE);
-        let service_hist = recorder.histogram(BATCH_SERVICE_HISTOGRAM);
+        let queue_depth = cache.recorder().gauge(QUEUE_DEPTH_GAUGE);
         let mut senders = Vec::with_capacity(cache.shard_count());
         let mut workers = Vec::with_capacity(cache.shard_count());
         for shard in 0..cache.shard_count() {
             let (sender, receiver) = mpsc::sync_channel::<ShardJob>(config.queue_depth.max(1));
             let cache = Arc::clone(&cache);
-            let recorder = recorder.clone();
-            let queue_depth = queue_depth.clone();
-            let service_hist = service_hist.clone();
             let worker = std::thread::Builder::new()
                 .name(format!("clic-shard-{shard}"))
-                .spawn(move || {
-                    let mut outcomes = Vec::new();
-                    let mut data = Vec::new();
-                    let mut run_reqs: Vec<Request> = Vec::new();
-                    let mut run_payloads: Vec<Option<Vec<u8>>> = Vec::new();
-                    for mut job in receiver {
-                        if let Some(gauge) = &queue_depth {
-                            gauge.dec();
-                        }
-                        // One ShardBatch span (detail: operations served) and
-                        // one service-time sample per dequeued sub-batch.
-                        let mut span = recorder.span(SpanKind::ShardBatch);
-                        span.set_detail(job.ops.len() as u64);
-                        // Operations are applied in submission order: deletes
-                        // split the job into contiguous access runs, and each
-                        // run goes through one lock + one batched policy call
-                        // per replay chunk instead of one of each per
-                        // request. Runs are split at the workspace-wide
-                        // REPLAY_CHUNK so an oversized client batch cannot
-                        // monopolize the shard lock, and so the worker
-                        // replays at the same granularity as the offline
-                        // simulate() driver.
-                        let mut i = 0;
-                        while i < job.ops.len() {
-                            if let ShardOp::Delete { page } = job.ops[i] {
-                                // A storage failure answers the request
-                                // with a typed error instead of panicking
-                                // the worker; a client that gave up on its
-                                // batch only loses the reply — the cache
-                                // still observes every dispatched
-                                // operation.
-                                let reply = match cache.delete(page) {
-                                    Ok(existed) => Ok(ShardOutcome {
-                                        hit: existed,
-                                        data: None,
-                                    }),
-                                    Err(err) => Err(ErrorCode::from_io_error(&err)),
-                                };
-                                let _ = job.reply.send((job.tags[i], reply));
-                                i += 1;
-                                continue;
-                            }
-                            let start = i;
-                            run_reqs.clear();
-                            run_payloads.clear();
-                            while let Some(ShardOp::Data { request, payload }) = job.ops.get_mut(i)
-                            {
-                                run_reqs.push(*request);
-                                run_payloads.push(payload.take());
-                                i += 1;
-                            }
-                            if cache.has_store() {
-                                // Chunk by chunk: a failed chunk answers
-                                // its requests with the error and the run
-                                // continues — one bad page does not poison
-                                // the rest of the batch.
-                                let mut at = start;
-                                for (chunk, payloads) in run_reqs
-                                    .chunks(REPLAY_CHUNK)
-                                    .zip(run_payloads.chunks(REPLAY_CHUNK))
-                                {
-                                    outcomes.clear();
-                                    data.clear();
-                                    let tags = &job.tags[at..at + chunk.len()];
-                                    at += chunk.len();
-                                    match cache.access_shard_batch_data(
-                                        shard,
-                                        chunk,
-                                        payloads,
-                                        &mut outcomes,
-                                        &mut data,
-                                    ) {
-                                        Ok(()) => {
-                                            for ((&tag, outcome), bytes) in
-                                                tags.iter().zip(&outcomes).zip(data.drain(..))
-                                            {
-                                                let _ = job.reply.send((
-                                                    tag,
-                                                    Ok(ShardOutcome {
-                                                        hit: outcome.hit,
-                                                        data: bytes,
-                                                    }),
-                                                ));
-                                            }
-                                        }
-                                        Err(err) => {
-                                            let code = ErrorCode::from_io_error(&err);
-                                            for &tag in tags {
-                                                let _ = job.reply.send((tag, Err(code)));
-                                            }
-                                        }
-                                    }
-                                }
-                            } else {
-                                outcomes.clear();
-                                for chunk in run_reqs.chunks(REPLAY_CHUNK) {
-                                    cache.access_shard_batch(shard, chunk, &mut outcomes);
-                                }
-                                for (&tag, outcome) in job.tags[start..i].iter().zip(&outcomes) {
-                                    let _ = job.reply.send((
-                                        tag,
-                                        Ok(ShardOutcome {
-                                            hit: outcome.hit,
-                                            data: None,
-                                        }),
-                                    ));
-                                }
-                            }
-                        }
-                        if let (Some(hist), Some(start_ns), Some(clock)) =
-                            (service_hist.as_deref(), span.start_ns(), recorder.clock())
-                        {
-                            hist.record(clock.now_nanos().saturating_sub(start_ns) / 1_000);
-                        }
-                    }
-                })?;
+                .spawn(move || serve_shard(shard, &cache, receiver))?;
             senders.push(sender);
             workers.push(worker);
         }
@@ -350,7 +300,6 @@ impl Server {
             senders,
             workers,
             batches_served: AtomicU64::new(0),
-            shutdown_timeout: config.shutdown_timeout,
             queue_depth,
         })
     }
@@ -386,23 +335,14 @@ impl Server {
     /// a snapshot taken *before* the batch's own data requests are
     /// dispatched.
     pub fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerResponse> {
-        let shard_count = self.cache.shard_count();
         let (reply_sender, reply_receiver) = mpsc::channel();
-        let mut per_shard: RoutedBatch =
-            (0..shard_count).map(|_| (Vec::new(), Vec::new())).collect();
+        let mut per_shard: Vec<Vec<(usize, ServerRequest)>> =
+            vec![Vec::new(); self.cache.shard_count()];
         let mut responses: Vec<Option<ServerResponse>> = batch.iter().map(|_| None).collect();
-        let mut outstanding = 0usize;
         for (position, operation) in batch.iter().enumerate() {
-            match Self::shard_op(operation.clone()) {
-                Some(op) => {
-                    // invariant: `shard_op` returned `Some`, so this is a
-                    // Get/Put/Delete, and all three carry a page.
-                    #[allow(clippy::expect_used)]
-                    let page = operation.page().expect("every shard op has a page");
-                    let (tags, ops) = &mut per_shard[self.cache.shard_of(page)];
-                    tags.push(position);
-                    ops.push(op);
-                    outstanding += 1;
+            match operation.page() {
+                Some(page) => {
+                    per_shard[self.cache.shard_of(page)].push((position, operation.clone()));
                 }
                 None => {
                     responses[position] = Some(ServerResponse::Stats(Box::new(StatsSnapshot {
@@ -412,23 +352,9 @@ impl Server {
                 }
             }
         }
-        for (shard, (tags, ops)) in per_shard.into_iter().enumerate() {
-            if ops.is_empty() {
-                continue;
-            }
-            if let Some(gauge) = &self.queue_depth {
-                gauge.inc();
-            }
-            // invariant: workers only exit after the senders are dropped
-            // at shutdown, which cannot race a live `submit` borrow.
-            #[allow(clippy::expect_used)]
-            self.senders[shard]
-                .send(ShardJob {
-                    tags,
-                    ops,
-                    reply: reply_sender.clone(),
-                })
-                .expect("shard worker exited while the server was running");
+        let mut outstanding = 0usize;
+        for (shard, ops) in per_shard.into_iter().enumerate() {
+            outstanding += self.submit_shard_tagged(shard, ops, &reply_sender);
         }
         drop(reply_sender);
         for _ in 0..outstanding {
@@ -482,20 +408,13 @@ impl Server {
         ops: Vec<(usize, ServerRequest)>,
         reply: &mpsc::Sender<ShardReply>,
     ) -> usize {
-        let Some(job) = self.shard_job(shard, ops, reply) else {
-            return 0;
-        };
-        let submitted = job.ops.len();
-        if let Some(gauge) = &self.queue_depth {
-            gauge.inc();
-        }
         // invariant: workers only exit after the senders are dropped at
-        // shutdown, which cannot race a live borrow of the server.
+        // shutdown, which cannot race a live borrow of the server, and a
+        // blocking send never reports a full queue.
         #[allow(clippy::expect_used)]
-        self.senders[shard]
-            .send(job)
-            .expect("shard worker exited while the server was running");
-        submitted
+        self.enqueue(shard, ops, reply, true)
+            .map_err(|(_, code)| code)
+            .expect("shard worker exited while the server was running")
     }
 
     /// Non-blocking [`Server::submit_shard_tagged`]: when the shard's
@@ -512,37 +431,26 @@ impl Server {
         ops: Vec<(usize, ServerRequest)>,
         reply: &mpsc::Sender<ShardReply>,
     ) -> Result<usize, (Vec<usize>, ErrorCode)> {
-        let Some(job) = self.shard_job(shard, ops, reply) else {
-            return Ok(0);
-        };
-        let submitted = job.ops.len();
-        if let Some(gauge) = &self.queue_depth {
-            gauge.inc();
-        }
-        match self.senders[shard].try_send(job) {
-            Ok(()) => Ok(submitted),
-            Err(err) => {
-                if let Some(gauge) = &self.queue_depth {
-                    gauge.dec();
-                }
-                match err {
-                    mpsc::TrySendError::Full(job) => Err((job.tags, ErrorCode::Busy)),
-                    mpsc::TrySendError::Disconnected(job) => Err((job.tags, ErrorCode::Shutdown)),
-                }
-            }
-        }
+        self.enqueue(shard, ops, reply, false)
     }
 
-    /// Builds the [`ShardJob`] for a tagged submission; `None` when `ops`
-    /// is empty.
-    fn shard_job(
+    /// The one enqueue behind every submission: builds the [`ShardJob`]
+    /// (nothing is sent for empty `ops`) and hands it to the shard's
+    /// worker — waiting for queue room when `block`, failing with the
+    /// job's tags otherwise.
+    fn enqueue(
         &self,
         shard: usize,
         ops: Vec<(usize, ServerRequest)>,
         reply: &mpsc::Sender<ShardReply>,
-    ) -> Option<ShardJob> {
-        let mut tags = Vec::with_capacity(ops.len());
-        let mut shard_ops = Vec::with_capacity(ops.len());
+        block: bool,
+    ) -> Result<usize, (Vec<usize>, ErrorCode)> {
+        if ops.is_empty() {
+            return Ok(0);
+        }
+        let submitted = ops.len();
+        let mut tags = Vec::with_capacity(submitted);
+        let mut shard_ops = Vec::with_capacity(submitted);
         for (tag, operation) in ops {
             debug_assert_eq!(
                 operation.page().map(|page| self.cache.shard_of(page)),
@@ -557,13 +465,29 @@ impl Server {
             tags.push(tag);
             shard_ops.push(op);
         }
-        if shard_ops.is_empty() {
-            return None;
-        }
-        Some(ShardJob {
+        let job = ShardJob {
             tags,
             ops: shard_ops,
             reply: reply.clone(),
+        };
+        if let Some(gauge) = &self.queue_depth {
+            gauge.inc();
+        }
+        let sent = if block {
+            self.senders[shard]
+                .send(job)
+                .map_err(|mpsc::SendError(job)| mpsc::TrySendError::Disconnected(job))
+        } else {
+            self.senders[shard].try_send(job)
+        };
+        sent.map(|()| submitted).map_err(|err| {
+            if let Some(gauge) = &self.queue_depth {
+                gauge.dec();
+            }
+            match err {
+                mpsc::TrySendError::Full(job) => (job.tags, ErrorCode::Busy),
+                mpsc::TrySendError::Disconnected(job) => (job.tags, ErrorCode::Shutdown),
+            }
         })
     }
 
@@ -608,8 +532,7 @@ impl Server {
     }
 
     /// Stops the workers (draining their queues), stops the background
-    /// flusher within the configured
-    /// [`ServerConfig::shutdown_timeout`], checkpoints every shard store —
+    /// flusher within a bounded wait (30 s), checkpoints every shard store —
     /// the clean-shutdown durability point — and returns the final
     /// statistics. Merely *dropping* the server stops the workers but skips
     /// the checkpoint, modelling a crash: acknowledged writes then recover
@@ -623,9 +546,8 @@ impl Server {
         // The workers are joined, so their Arcs are gone and the cache is
         // uniquely held — unless a caller keeps its own clone, in which
         // case the flusher is stopped by drop (unbounded) instead.
-        let timeout = self.shutdown_timeout;
         if let Some(cache) = Arc::get_mut(&mut self.cache) {
-            cache.stop_flusher_timeout(timeout)?;
+            cache.stop_flusher_timeout(SHUTDOWN_TIMEOUT)?;
         }
         self.cache.checkpoint_store()?;
         Ok(self.cache.snapshot())

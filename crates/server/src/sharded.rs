@@ -27,23 +27,7 @@ use cache_sim::{
 };
 use clic_core::{Clic, ClicConfig};
 use clic_obs::{MetricsSnapshot, Recorder, SpanKind};
-use clic_store::{page_payload, Flusher, PageStore, ReadSource, StoreConfig, StoreResult};
-
-/// How [`ShardedClic::merge_priorities`] weights each shard's contribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergeWeighting {
-    /// Weight a shard by *all* requests it has ever served. Simple, but once
-    /// a shard has amassed history its stale priorities keep dominating the
-    /// merge long after the workload has moved elsewhere.
-    Cumulative,
-    /// Weight a shard by the requests it served *since the previous merge*
-    /// (the default). A shard that went quiet contributes nothing, so the
-    /// merged priorities track workload shifts at the merge cadence instead
-    /// of the lifetime average — see the
-    /// `per_window_merge_tracks_workload_shift_faster` test.
-    #[default]
-    PerWindow,
-}
+use clic_store::{Flusher, PageStore, StoreConfig, StoreResult};
 
 /// Configuration for a [`ShardedClic`].
 #[derive(Debug, Clone)]
@@ -60,8 +44,6 @@ pub struct ShardedClicConfig {
     /// Number of *global* requests between cross-shard priority merges
     /// (0 disables merging; irrelevant with a single shard).
     pub merge_every: u64,
-    /// How shards are weighted when merging priorities.
-    pub merge_weighting: MergeWeighting,
     /// When set, the cache gets a real data plane: **one [`PageStore`] per
     /// shard** (multi-shard deployments place each under a `shard-N`
     /// subdirectory via [`StoreConfig::for_shard`]; a single shard keeps the
@@ -93,7 +75,6 @@ impl ShardedClicConfig {
             capacity,
             merge_every: clic.window,
             clic,
-            merge_weighting: MergeWeighting::default(),
             store: None,
             recorder: Recorder::disabled(),
         }
@@ -124,12 +105,6 @@ impl ShardedClicConfig {
         self
     }
 
-    /// Sets how shards are weighted during cross-shard priority merges.
-    pub fn with_merge_weighting(mut self, weighting: MergeWeighting) -> Self {
-        self.merge_weighting = weighting;
-        self
-    }
-
     /// Attaches a disk-backed [`PageStore`] (see
     /// [`ShardedClicConfig::store`]).
     pub fn with_store(mut self, store: StoreConfig) -> Self {
@@ -151,8 +126,8 @@ struct Shard {
     stats: CacheStats,
     per_client: BTreeMap<ClientId, CacheStats>,
     /// `clic.requests_seen()` captured at the previous priority merge; the
-    /// difference to the current value is the shard's per-window merge
-    /// weight (see [`MergeWeighting::PerWindow`]).
+    /// difference to the current value is the shard's weight in the next
+    /// merge (see [`ShardedClic::merge_priorities`]).
     requests_at_last_merge: u64,
 }
 
@@ -172,7 +147,6 @@ pub struct ShardedClic {
     shards: Vec<Mutex<Shard>>,
     sequencer: AtomicU64,
     merge_every: u64,
-    merge_weighting: MergeWeighting,
     merges_completed: AtomicU64,
     total_capacity: usize,
     /// The data plane, when configured: one store per shard (same indexing
@@ -219,12 +193,11 @@ impl ShardedClic {
         );
         let per_shard_window = (config.clic.window / config.shards as u64).max(1);
         let shard_config = config.clic.with_window(per_shard_window);
-        let base = config.capacity / config.shards;
-        let remainder = config.capacity % config.shards;
+        let capacities = cache_sim::partition_capacities(config.capacity, config.shards);
         let with_store = config.store.is_some();
-        let shards: Vec<Mutex<Shard>> = (0..config.shards)
-            .map(|i| {
-                let capacity = base + usize::from(i < remainder);
+        let shards: Vec<Mutex<Shard>> = capacities
+            .iter()
+            .map(|&capacity| {
                 let mut clic = Clic::new(capacity, shard_config);
                 if with_store {
                     // The data plane needs eviction identities to free (and
@@ -245,8 +218,7 @@ impl ShardedClic {
         let (stores, flusher) = match config.store {
             Some(store_config) => {
                 let mut stores: Vec<Arc<PageStore>> = Vec::with_capacity(config.shards);
-                for i in 0..config.shards {
-                    let shard_capacity = base + usize::from(i < remainder);
+                for (i, &shard_capacity) in capacities.iter().enumerate() {
                     let mut shard_store = store_config.for_shard(i, config.shards);
                     if config.recorder.is_enabled() {
                         // One recorder across the cache and every shard
@@ -265,9 +237,9 @@ impl ShardedClic {
                         .max(1);
                     stores.push(Arc::new(PageStore::open(shard_store)?));
                 }
-                let flusher = store_config.flush_interval.map(|interval| {
-                    Flusher::start(stores.clone(), interval, store_config.flush_batch)
-                });
+                let flusher = store_config
+                    .flush_interval
+                    .map(|interval| Flusher::start(stores.clone(), interval));
                 (stores, flusher)
             }
             None => (Vec::new(), None),
@@ -276,7 +248,6 @@ impl ShardedClic {
             shards,
             sequencer: AtomicU64::new(0),
             merge_every: config.merge_every,
-            merge_weighting: config.merge_weighting,
             merges_completed: AtomicU64::new(0),
             total_capacity: config.capacity,
             stores,
@@ -403,41 +374,32 @@ impl ShardedClic {
         }
     }
 
-    /// [`ShardedClic::access_shard_batch`] with a real data plane: serves a
-    /// batch of requests for shard `shard_idx`, moving each request's bytes
-    /// through the attached [`PageStore`].
+    /// The shard workers' one entry: serves a batch of requests for shard
+    /// `shard_idx`, moving each request's bytes through the shard's
+    /// [`PageStore`] when a data plane is attached.
     ///
-    /// Per request, after the policy decision:
-    ///
-    /// * pages the policy evicted are evicted from the store first (a dirty
-    ///   victim is flushed to disk before its frame is freed);
-    /// * a **read** fetches the page's bytes — buffer frame, disk tier, or
-    ///   zeroes for a never-written page — pushing `Some(bytes)` onto
-    ///   `data_out`, and installs them as a clean frame if the policy
-    ///   admitted the miss;
-    /// * a **write** stores `payloads[i]` (zero-padded or truncated to one
-    ///   page; a deterministic [`page_payload`] when `None`): staged
-    ///   write-back through the WAL when cached, written straight through to
-    ///   disk when bypassed. Writes push `None` onto `data_out`.
+    /// Without a store this *is* [`ShardedClic::access_shard_batch`] — the
+    /// policy's batched fast path — and `data_out` stays empty. With one,
+    /// every policy decision goes through [`PageStore::mirror`] (victims
+    /// evicted first, then the read fetched and admitted, or the write
+    /// staged or written through), with `payloads[i]` as the bytes of write
+    /// `i`; `data_out` receives `Some(bytes)` per read and `None` per write.
     ///
     /// Statistics accounting and merge cadence are identical to
-    /// [`ShardedClic::access_shard_batch`]; sequence numbers are drawn
-    /// per-request under the shard lock exactly as [`ShardedClic::access`]
-    /// draws them, so a single-shard, single-caller run is bit-identical to
-    /// the policy-only path. Store I/O happens under the shard lock against
-    /// the shard's *own* store — pages are shard-partitioned, so this
-    /// serializes exactly the I/O that a correctness race would otherwise
-    /// reorder, and I/O for different shards shares no lock at all.
+    /// [`ShardedClic::access_shard_batch`]; with a store, sequence numbers
+    /// are drawn per-request under the shard lock exactly as
+    /// [`ShardedClic::access`] draws them, so a single-shard, single-caller
+    /// run is bit-identical to the policy-only path. Store I/O happens
+    /// under the shard lock against the shard's *own* store — pages are
+    /// shard-partitioned, so this serializes exactly the I/O that a
+    /// correctness race would otherwise reorder, and I/O for different
+    /// shards shares no lock at all.
     ///
     /// # Panics
     ///
-    /// Panics if no store is attached ([`ShardedClicConfig::with_store`]),
-    /// if `payloads` is shorter than `reqs`, or (in debug builds) if any
-    /// request's page does not belong to `shard_idx`.
-    // invariant: the `expect` below restates the documented panic —
-    // calling the data path without a store is a caller bug, not a
-    // runtime condition.
-    #[cfg_attr(not(test), allow(clippy::expect_used))]
+    /// Panics if a store is attached and `payloads` is shorter than `reqs`,
+    /// or (in debug builds) if any request's page does not belong to
+    /// `shard_idx`.
     pub fn access_shard_batch_data(
         &self,
         shard_idx: usize,
@@ -446,10 +408,10 @@ impl ShardedClic {
         outcomes: &mut Vec<AccessOutcome>,
         data_out: &mut Vec<Option<Vec<u8>>>,
     ) -> io::Result<()> {
-        let store = self
-            .stores
-            .get(shard_idx)
-            .expect("access_shard_batch_data requires an attached page store");
+        let Some(store) = self.stores.get(shard_idx) else {
+            self.access_shard_batch(shard_idx, reqs, outcomes);
+            return Ok(());
+        };
         if reqs.is_empty() {
             return Ok(());
         }
@@ -461,9 +423,8 @@ impl ShardedClic {
             reqs.iter().all(|r| self.shard_of(r.page) == shard_idx),
             "batch contains requests for a different shard"
         );
-        let page_size = store.page_size();
         let mut evicted: Vec<PageId> = Vec::new();
-        let mut buf: Vec<u8> = Vec::with_capacity(page_size);
+        let mut buf: Vec<u8> = Vec::with_capacity(store.page_size());
         let (first_seq, last_seq) = {
             let mut shard = recover_lock(&self.shards[shard_idx]);
             let mut first_seq = 0;
@@ -478,41 +439,9 @@ impl ShardedClic {
                 last_seq = seq;
                 let outcome = shard.clic.access(req, seq);
                 outcomes.push(outcome);
-                // Free the victims' frames before touching the new page,
-                // flushing dirty ones: eviction order is write-back order.
                 shard.clic.drain_evictions(&mut evicted);
-                for victim in evicted.drain(..) {
-                    store.evict(victim)?;
-                }
-                if req.is_read() {
-                    let source = store.read(req.page, &mut buf)?;
-                    debug_assert_eq!(
-                        outcome.hit,
-                        source == ReadSource::Buffer,
-                        "policy hit/miss and buffer residency disagree for {}",
-                        req.page
-                    );
-                    if !outcome.hit && !outcome.bypassed {
-                        store.admit(req.page, &buf)?;
-                    }
-                    data_out.push(Some(buf.clone()));
-                } else {
-                    let data = match &payloads[i] {
-                        Some(bytes) => {
-                            let mut page = vec![0u8; page_size];
-                            let n = bytes.len().min(page_size);
-                            page[..n].copy_from_slice(&bytes[..n]);
-                            page
-                        }
-                        None => page_payload(req.page, page_size),
-                    };
-                    if outcome.bypassed {
-                        store.write_through(req.page, &data)?;
-                    } else {
-                        store.stage(req.page, &data)?;
-                    }
-                    data_out.push(None);
-                }
+                store.mirror(req, outcome, &mut evicted, payloads[i].as_deref(), &mut buf)?;
+                data_out.push(req.is_read().then(|| buf.clone()));
                 let Shard {
                     stats, per_client, ..
                 } = &mut *shard;
@@ -653,12 +582,12 @@ impl ShardedClic {
     }
 
     /// Merges hint-set priorities across shards: exports every shard's
-    /// priorities, averages them weighted per the configured
-    /// [`MergeWeighting`] — by default the shard's request count *since the
-    /// previous merge*, so quiet shards' stale priorities do not dominate
-    /// after a workload shift — and imports the merged snapshot back into
-    /// each shard. A no-op with a single shard, or when no weighted shard
-    /// served any requests.
+    /// priorities, averages them weighted by the shard's request count
+    /// *since the previous merge* — so a shard that went quiet contributes
+    /// nothing and its stale priorities do not dominate after a workload
+    /// shift — and imports the merged snapshot back into each shard. A
+    /// no-op with a single shard, or when no shard served any requests
+    /// since the previous merge.
     ///
     /// Shard locks are taken strictly one at a time (never nested), so this
     /// can run concurrently with the data path without deadlock; accesses
@@ -678,12 +607,7 @@ impl ShardedClic {
             let shard = recover_lock(shard);
             let requests = shard.clic.requests_seen();
             requests_at_export.push(requests);
-            let weight = match self.merge_weighting {
-                MergeWeighting::Cumulative => requests as f64,
-                MergeWeighting::PerWindow => {
-                    requests.saturating_sub(shard.requests_at_last_merge) as f64
-                }
-            };
+            let weight = requests.saturating_sub(shard.requests_at_last_merge) as f64;
             if weight <= 0.0 {
                 continue;
             }
@@ -740,6 +664,7 @@ mod tests {
     use super::*;
     use cache_sim::{simulate, AccessKind, Trace, TraceBuilder};
     use clic_core::suggested_window;
+    use clic_store::page_payload;
     use std::thread;
 
     fn looping_trace(requests: u64, pages: u64) -> Trace {
@@ -796,6 +721,18 @@ mod tests {
 
     #[test]
     fn capacity_split_covers_remainders() {
+        // The shards get exactly the partition helper's capacities — the
+        // split the offline partitioned replays use.
+        for (capacity, shards) in [(10, 3), (7, 7), (1800, 2)] {
+            let sharded = ShardedClic::new(ShardedClicConfig::new(capacity).with_shards(shards));
+            let per_shard: Vec<usize> = sharded
+                .shards
+                .iter()
+                .map(|s| recover_lock(s).clic.capacity())
+                .collect();
+            assert_eq!(per_shard, cache_sim::partition_capacities(capacity, shards));
+            assert_eq!(per_shard.iter().sum::<usize>(), capacity);
+        }
         let sharded = ShardedClic::new(ShardedClicConfig::new(10).with_shards(3));
         assert_eq!(sharded.capacity(), 10);
         assert_eq!(sharded.shard_count(), 3);
@@ -1064,19 +1001,19 @@ mod tests {
         // Phase 1 hammers shard 0 with hint OLD until its priority is high
         // and the shard has a large cumulative request count. Phase 2 shifts
         // the workload entirely to shard 1 with hint NEW. At the next merge,
-        // per-window weighting must let the fresh shard dominate (NEW
-        // outranks OLD everywhere), while cumulative weighting still lets
-        // shard 0's stale history dilute the shift.
+        // per-window weighting must let the fresh shard dominate: NEW
+        // outranks OLD even on shard 0, which never saw a NEW request and
+        // whose 8 000 requests of OLD history would swamp shard 1's 800
+        // under lifetime weighting.
         let config = ClicConfig::default()
             .with_window(500)
             .with_metadata_charging(false);
-        let run = |weighting: MergeWeighting| -> (f64, f64) {
+        let (pw_new, pw_old) = {
             let sharded = ShardedClic::new(
                 ShardedClicConfig::new(64)
                     .with_shards(2)
                     .with_clic(config)
-                    .with_merge_every(0) // merges are triggered manually
-                    .with_merge_weighting(weighting),
+                    .with_merge_every(0), // merges are triggered manually
             );
             let pages_of = |shard: usize, n: usize| -> Vec<u64> {
                 (0u64..)
@@ -1121,22 +1058,11 @@ mod tests {
             )
         };
 
-        let (pw_new, pw_old) = run(MergeWeighting::PerWindow);
-        let (cum_new, cum_old) = run(MergeWeighting::Cumulative);
-        assert!(
-            pw_new > cum_new,
-            "per-window weighting must propagate the shifted workload's hint \
-             faster (per-window NEW {pw_new:.6} vs cumulative NEW {cum_new:.6})"
-        );
+        assert!(pw_new > 0.0, "the merge must carry NEW over to shard 0");
         assert!(
             pw_new > pw_old,
             "after the shift, per-window merging must rank the new hint \
              above the stale one ({pw_new:.6} vs {pw_old:.6})"
-        );
-        assert!(
-            cum_old > cum_new,
-            "sanity: cumulative weighting still favours the stale hint \
-             ({cum_old:.6} vs {cum_new:.6}), which is exactly the problem"
         );
     }
 }

@@ -117,6 +117,66 @@ pub fn take_frame(buf: &[u8]) -> Result<Option<(usize, &[u8])>, WireError> {
     Ok(Some((4 + len, &buf[4..4 + len])))
 }
 
+/// The receive side of a connection: bytes go in as the socket delivers
+/// them, whole frames come out. This is the one place a byte stream turns
+/// into frames — the event loop, [`crate::BlockingClient`] and the
+/// open-loop reader all read through it.
+///
+/// Consumed frames are skipped with a cursor rather than removed, and the
+/// buffer is compacted only when it is empty or more than half consumed, so
+/// decoding a backlog of `n` frames moves O(n) bytes, not O(n²).
+#[derive(Debug, Default)]
+pub struct FrameBuf {
+    buf: Vec<u8>,
+    /// Bytes of `buf` already handed out as frames.
+    at: usize,
+}
+
+impl FrameBuf {
+    /// An empty buffer.
+    pub fn new() -> FrameBuf {
+        FrameBuf::default()
+    }
+
+    /// Appends bytes received from the peer.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        // More than half consumed (fully consumed included, where nothing
+        // is left to move): drop the consumed prefix.
+        if self.at > self.buf.len() / 2 {
+            self.buf.drain(..self.at);
+            self.at = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Splits the next complete frame off the front ([`take_frame`]):
+    /// `Ok(None)` when more bytes are needed, otherwise the frame's total
+    /// size and its payload, which is consumed by this call.
+    pub fn next_frame(&mut self) -> Result<Option<(usize, &[u8])>, WireError> {
+        let frame = take_frame(&self.buf[self.at..])?;
+        if let Some((consumed, _)) = frame {
+            self.at += consumed;
+        }
+        Ok(frame)
+    }
+
+    /// Buffered bytes not yet handed out as frames.
+    pub fn len(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
+    /// Whether every buffered byte has been handed out.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Discards everything buffered (the stream it came from is gone).
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.at = 0;
+    }
+}
+
 // ----- encoding ---------------------------------------------------------
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -583,6 +643,32 @@ mod tests {
             assert_eq!(take_frame(&full[..cut]).unwrap(), None, "cut at {cut}");
         }
         assert!(take_frame(&full).unwrap().is_some());
+    }
+
+    #[test]
+    fn frame_buf_skips_with_a_cursor_and_compacts_past_the_halfway_mark() {
+        let frame = request_frame(&ServerRequest::Stats, 1);
+        let mut buf = FrameBuf::new();
+        for _ in 0..4 {
+            buf.extend(&frame);
+        }
+        // One frame out of four consumed: under half, so appending moves
+        // nothing.
+        assert!(buf.next_frame().unwrap().is_some());
+        buf.extend(&frame[..2]);
+        assert_eq!((buf.at, buf.len()), (frame.len(), 3 * frame.len() + 2));
+        // Three of four consumed: over half, so the next append compacts.
+        assert!(buf.next_frame().unwrap().is_some());
+        assert!(buf.next_frame().unwrap().is_some());
+        buf.extend(&frame[2..]);
+        assert_eq!((buf.at, buf.len()), (0, 2 * frame.len()));
+        assert!(buf.next_frame().unwrap().is_some());
+        assert!(buf.next_frame().unwrap().is_some());
+        assert_eq!(buf.next_frame().unwrap(), None);
+        // Fully consumed: the next append starts from an empty buffer.
+        buf.extend(&frame[..3]);
+        assert_eq!((buf.at, buf.buf.len()), (0, 3));
+        assert_eq!(buf.next_frame().unwrap(), None, "split length prefix");
     }
 
     #[test]

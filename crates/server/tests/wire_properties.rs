@@ -16,7 +16,8 @@ use proptest::prelude::*;
 
 use cache_sim::{ClientId, HintSetId, PageId, WriteHint};
 use clic_server::wire::{
-    self, decode_request, decode_response, encode_request, encode_response, take_frame, WireError,
+    self, decode_request, decode_response, encode_request, encode_response, take_frame, FrameBuf,
+    WireError,
 };
 use clic_server::{ErrorCode, ServerRequest, ServerResponse};
 
@@ -174,6 +175,27 @@ proptest! {
             prop_assert_eq!(*seq, i as u64);
             prop_assert_eq!(request, &requests[i]);
         }
+
+        // The same stream through the connection-side `FrameBuf`, cut
+        // first inside the leading length prefix and then at the same
+        // generated points: identical frames, and every byte consumed.
+        // Draining after each delivery moves the cursor past the halfway
+        // mark, so later deliveries compact the buffer mid-stream.
+        let mut frames = FrameBuf::new();
+        let mut reassembled: Vec<(u64, ServerRequest)> = Vec::new();
+        let mut sizes = std::iter::once(2).chain(cuts.iter().copied().cycle());
+        let mut fed = 0usize;
+        while fed < stream.len() {
+            let take = sizes.next().expect("endless").min(stream.len() - fed);
+            frames.extend(&stream[fed..fed + take]);
+            fed += take;
+            while let Some((consumed, payload)) = frames.next_frame().expect("valid stream") {
+                prop_assert_eq!(consumed, payload.len() + 4);
+                reassembled.push(decode_request(payload).expect("valid frame"));
+            }
+        }
+        prop_assert!(frames.is_empty(), "{} bytes left over", frames.len());
+        prop_assert_eq!(reassembled, decoded);
     }
 
     /// Any data-response batch round-trips.

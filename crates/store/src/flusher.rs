@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use cache_sim::sync::recover_lock;
 
 use crate::error::{StoreError, StoreResult};
-use crate::store::PageStore;
+use crate::store::{PageStore, FLUSH_BATCH};
 
 /// Shared stop/done signalling between the handle and the thread.
 #[derive(Debug, Default)]
@@ -47,17 +47,16 @@ pub struct Flusher {
 }
 
 impl Flusher {
-    /// Spawns a thread that flushes up to `batch` dirty frames from each of
+    /// Spawns a thread that flushes a batch of dirty frames from each of
     /// `stores` every `interval` until the handle is dropped. I/O errors in
     /// the background stop the thread (the next foreground flush or
     /// checkpoint will surface the underlying problem).
-    pub fn start(stores: Vec<Arc<PageStore>>, interval: Duration, batch: usize) -> Flusher {
-        let batch = batch.max(1);
+    pub fn start(stores: Vec<Arc<PageStore>>, interval: Duration) -> Flusher {
         Self::start_with(
             move || {
                 let mut flushed = 0usize;
                 for store in &stores {
-                    flushed += store.flush_some(batch)?;
+                    flushed += store.flush_some(FLUSH_BATCH)?;
                 }
                 Ok(flushed)
             },
@@ -176,7 +175,7 @@ mod tests {
             store.stage(PageId(p), &[p as u8; 32]).unwrap();
         }
         assert_eq!(store.dirty_len(), 8);
-        let mut flusher = Flusher::start(vec![Arc::clone(&store)], Duration::from_millis(1), 4);
+        let mut flusher = Flusher::start(vec![Arc::clone(&store)], Duration::from_millis(1));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while store.dirty_len() > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
@@ -208,7 +207,7 @@ mod tests {
         for (i, store) in stores.iter().enumerate() {
             store.stage(PageId(i as u64), &[i as u8; 32]).unwrap();
         }
-        let mut flusher = Flusher::start(stores.clone(), Duration::from_millis(1), 4);
+        let mut flusher = Flusher::start(stores.clone(), Duration::from_millis(1));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while stores.iter().any(|s| s.dirty_len() > 0) && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
@@ -224,13 +223,20 @@ mod tests {
     #[test]
     fn stop_timeout_surfaces_a_wedged_disk() {
         // Fault injection: a "flush pass" that wedges forever, like a write
-        // stuck in the kernel on a dying disk.
+        // stuck in the kernel on a dying disk. The pass announces itself
+        // first: a stop that wins the race to the worker's first lock would
+        // end the thread before it ever wedged.
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
         let mut flusher = Flusher::start_with(
-            || loop {
-                std::thread::sleep(Duration::from_secs(3600));
+            move || {
+                let _ = entered_tx.send(());
+                loop {
+                    std::thread::sleep(Duration::from_secs(3600));
+                }
             },
             Duration::ZERO,
         );
+        entered_rx.recv().expect("the worker enters its flush pass");
         let started = std::time::Instant::now();
         let err = flusher
             .stop_timeout(Duration::from_millis(50))
@@ -245,8 +251,15 @@ mod tests {
 
     #[test]
     fn stop_timeout_is_clean_when_the_thread_is_healthy() {
-        let mut flusher = Flusher::start_with(|| Ok(0), Duration::from_millis(1));
-        std::thread::sleep(Duration::from_millis(5));
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let mut flusher = Flusher::start_with(
+            move || {
+                let _ = entered_tx.send(());
+                Ok(0)
+            },
+            Duration::from_millis(1),
+        );
+        entered_rx.recv().expect("the worker runs a flush pass");
         flusher
             .stop_timeout(Duration::from_secs(10))
             .expect("healthy thread acknowledges the stop");

@@ -51,19 +51,24 @@
 //!   the OS, or synced per the durability level — then a dirty frame),
 //!   evictions of dirty frames force a flush, and every byte moved is
 //!   counted in shared atomic [`cache_sim::IoStats`] counters.
+//!   [`PageStore::mirror`] is the single place a replacement policy's
+//!   verdict is applied to those frames — evict the victims, then read and
+//!   admit, or stage, or write through — for every driver, offline or
+//!   online.
 //! * [`Flusher`] ([`flusher`]) — a background thread calling
 //!   [`PageStore::flush_some`] on an interval — across *all* of a server's
-//!   shard stores — bounded per pass by a batch size, so dirty pages drain
+//!   shard stores — a fixed batch of frames per pass, so dirty pages drain
 //!   without stalling the request path. [`Flusher::stop_timeout`] bounds
 //!   shutdown against a wedged disk, surfacing
 //!   [`StoreError::ShutdownTimeout`] instead of hanging.
 //! * [`replay_storage`] ([`replay`]) — the offline driver: replays a trace
 //!   through any [`cache_sim::CachePolicy`] while moving real bytes through
-//!   a store, using the policy's eviction-identity log
-//!   ([`cache_sim::CachePolicy::drain_evictions`]) to keep arena residency
-//!   and policy state in lockstep. [`replay_storage_partitioned`] is the
-//!   sharded shape: per-partition policies and per-shard store directories,
-//!   replayed in parallel yet bit-identical to a serial run. This is what
+//!   a store, handing each outcome and the policy's eviction-identity log
+//!   ([`cache_sim::CachePolicy::drain_evictions`]) to the mirror to keep
+//!   arena residency and policy state in lockstep.
+//!   [`replay_storage_partitioned`] is the sharded shape: per-partition
+//!   policies and per-shard store directories, replayed in parallel yet
+//!   bit-identical to a serial run. This is what
 //!   the `storage_io` benchmark uses to measure disk reads avoided by CLIC
 //!   admission vs an LRU baseline, across durability levels and shard
 //!   counts.
@@ -91,8 +96,9 @@
 //! the `chaos_smoke` verification gate.
 //!
 //! The online counterpart lives in `clic-server`: a `ShardedClic` attaches
-//! one store *per shard*, so `Put` carries bytes in and `Get` carries bytes
-//! out of a live server with no cross-shard storage coupling.
+//! one store *per shard* and drives it through the same mirror, so `Put`
+//! carries bytes in and `Get` carries bytes out of a live server with no
+//! cross-shard storage coupling.
 //!
 //! # Locking architecture
 //!

@@ -2,10 +2,11 @@
 //! moving *real bytes* through a [`PageStore`] — the data-plane analogue of
 //! `cache_sim::simulate`.
 //!
-//! The policy stays the source of truth for cache contents: the driver
-//! mirrors every admission into a buffer frame, every policy eviction into
-//! [`PageStore::evict`] (forcing dirty write-back), and every bypass around
-//! the buffer. On top of the usual hit/miss statistics it therefore measures
+//! The policy stays the source of truth for cache contents: the driver hands
+//! every decision to [`PageStore::mirror`], which turns admissions into
+//! buffer frames, policy evictions into frame evictions (forcing dirty
+//! write-back), and bypasses into I/O around the buffer. On top of the
+//! usual hit/miss statistics it therefore measures
 //! what the paper's Section 6 argues actually matters — disk reads — and
 //! verifies end-to-end that every byte read back is the byte that was
 //! written.
@@ -30,7 +31,7 @@ use cache_sim::{
 };
 use clic_obs::HistogramSnapshot;
 
-use crate::store::{PageStore, ReadSource, StoreConfig};
+use crate::store::{PageStore, StoreConfig};
 
 /// Histogram name under which the replay records per-chunk service
 /// latencies (microseconds per [`cache_sim::REPLAY_CHUNK`] requests) into
@@ -120,40 +121,18 @@ fn replay_requests(
     let mut chunk_start_ns = recorder.clock().map(|clock| clock.now_nanos());
     for (seq, req) in requests {
         let outcome = policy.access(&req, seq);
-        // Free the victims' frames before touching the new page, flushing
-        // dirty ones — eviction order is write-back order.
         policy.drain_evictions(&mut evicted);
-        for victim in evicted.drain(..) {
-            store.evict(victim)?;
-        }
-        if req.is_read() {
-            let source = store.read(req.page, &mut buf)?;
-            debug_assert_eq!(
-                outcome.hit,
-                source == ReadSource::Buffer,
-                "policy hit/miss and buffer residency disagree for {}",
-                req.page
-            );
-            if written.contains(&req.page) && buf != page_payload(req.page, page_size) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "read of {} returned bytes that were never written",
-                        req.page
-                    ),
-                ));
-            }
-            if !outcome.hit && !outcome.bypassed {
-                store.admit(req.page, &buf)?;
-            }
-        } else {
-            let data = page_payload(req.page, page_size);
-            if outcome.bypassed {
-                store.write_through(req.page, &data)?;
-            } else {
-                store.stage(req.page, &data)?;
-            }
+        store.mirror(&req, outcome, &mut evicted, None, &mut buf)?;
+        if req.is_write() {
             written.insert(req.page);
+        } else if written.contains(&req.page) && buf != page_payload(req.page, page_size) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "read of {} returned bytes that were never written",
+                    req.page
+                ),
+            ));
         }
         record_outcome(&mut stats, &mut per_client, &req, outcome);
         chunk_len += 1;
@@ -254,25 +233,15 @@ pub fn replay_storage_partitioned(
     partitions: usize,
     store_config: &StoreConfig,
 ) -> io::Result<StorageReplayReport> {
-    assert!(partitions > 0, "at least one partition is required");
-    assert!(
-        capacity >= partitions,
-        "capacity ({capacity}) must be at least one page per partition ({partitions})"
-    );
-    let mut split: Vec<Vec<(u64, Request)>> = vec![Vec::new(); partitions];
-    for (seq, req) in trace.requests.iter().enumerate() {
-        split[cache_sim::page_partition(req.page, partitions)].push((seq as u64, *req));
-    }
-    let base = capacity / partitions;
-    let remainder = capacity % partitions;
-    let indexed: Vec<(usize, Vec<(u64, Request)>)> = split.into_iter().enumerate().collect();
-    let partials = pool.par_map(&indexed, |_, (index, requests)| {
-        let partition_capacity = base + usize::from(*index < remainder);
+    let capacities = cache_sim::partition_capacities(capacity, partitions);
+    let split = cache_sim::partition_requests(trace, partitions);
+    let partials = pool.par_map(&split, |index, requests| {
+        let partition_capacity = capacities[index];
         let mut policy = factory.build(partition_capacity);
         if !policy.record_evictions(true) {
             return Err(unsupported_policy(&policy.name()));
         }
-        let mut config = store_config.for_shard(*index, partitions);
+        let mut config = store_config.for_shard(index, partitions);
         config.frames = config.frames.max(partition_capacity).max(1);
         let store = PageStore::open(config)?;
         let (stats, per_client) =
@@ -311,7 +280,9 @@ mod tests {
     use super::*;
     use crate::store::StoreConfig;
     use cache_sim::policies::Lru;
-    use cache_sim::{simulate, simulate_partitioned, AccessKind, BoxedPolicy, TraceBuilder};
+    use cache_sim::{
+        simulate, simulate_partitioned_parallel, AccessKind, BoxedPolicy, TraceBuilder,
+    };
 
     fn mixed_trace(pages: u64, rounds: usize) -> Trace {
         let mut b = TraceBuilder::new().with_name("mixed");
@@ -455,7 +426,7 @@ mod tests {
             reports[0].io, reports[1].io,
             "I/O counters must not depend on the job count"
         );
-        let pure = simulate_partitioned(&LruFactory, &trace, 12, 3);
+        let pure = simulate_partitioned_parallel(&ThreadPool::new(1), &LruFactory, &trace, 12, 3);
         assert_eq!(reports[0].result.stats, pure.stats);
         assert_eq!(reports[0].result.per_client, pure.per_client);
         let _ = std::fs::remove_dir_all(&base);

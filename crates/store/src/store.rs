@@ -29,18 +29,23 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+use cache_sim::policy::AccessOutcome;
 use cache_sim::sync::{checked_lock, recover_lock};
-use cache_sim::{IoStats, PageId};
+use cache_sim::{IoStats, PageId, Request};
 use clic_obs::{Counter, MetricsRegistry, MetricsSnapshot, Recorder, SpanKind};
 
 use crate::disk::DiskManager;
 use crate::error::StoreError;
 use crate::fault::FaultInjector;
 use crate::frame::FrameArena;
+use crate::replay::page_payload;
 use crate::wal::{Durability, Wal};
 
 /// The paper-typical page size: 4 KiB.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
+
+/// Dirty frames written back per flush pass, inline or background.
+pub(crate) const FLUSH_BATCH: usize = 64;
 
 /// Configuration for a [`PageStore`].
 #[derive(Debug, Clone)]
@@ -65,8 +70,6 @@ pub struct StoreConfig {
     /// the benchmarks. Zero leaves write-back to evictions, checkpoints, and
     /// the background [`crate::Flusher`].
     pub flush_threshold: usize,
-    /// Dirty frames written back per flush pass (inline or background).
-    pub flush_batch: usize,
     /// Background flusher period, when the embedding layer (e.g. the server
     /// cache) is asked to run one. The store itself does not spawn threads;
     /// see [`crate::Flusher`].
@@ -95,7 +98,6 @@ impl StoreConfig {
             wal: true,
             durability: Durability::Buffered,
             flush_threshold: 0,
-            flush_batch: 64,
             flush_interval: None,
             recorder: Recorder::disabled(),
             fault: FaultInjector::disabled(),
@@ -123,12 +125,6 @@ impl StoreConfig {
     /// Sets the inline flush threshold (0 disables inline flushing).
     pub fn with_flush_threshold(mut self, threshold: usize) -> Self {
         self.flush_threshold = threshold;
-        self
-    }
-
-    /// Sets the per-pass flush batch size (clamped to at least 1).
-    pub fn with_flush_batch(mut self, batch: usize) -> Self {
-        self.flush_batch = batch.max(1);
         self
     }
 
@@ -282,7 +278,6 @@ pub struct PageStore {
     /// passes never double-write the same dirty set.
     flush_pass: Mutex<()>,
     flush_threshold: usize,
-    flush_batch: usize,
     page_size: usize,
     durability: Durability,
     flush_interval: Option<Duration>,
@@ -366,7 +361,6 @@ impl PageStore {
             recorder: config.recorder,
             flush_pass: Mutex::new(()),
             flush_threshold: config.flush_threshold,
-            flush_batch: config.flush_batch,
             page_size: config.page_size,
             durability: config.durability,
             flush_interval: config.flush_interval,
@@ -486,7 +480,7 @@ impl PageStore {
             ));
         }
         if self.flush_threshold > 0 && self.arena.dirty_len() >= self.flush_threshold {
-            self.flush_some(self.flush_batch)?;
+            self.flush_some(FLUSH_BATCH)?;
         }
         Ok(())
     }
@@ -522,6 +516,58 @@ impl PageStore {
                 Ok(true)
             }
             _ => Ok(false),
+        }
+    }
+
+    /// The mirror: applies one policy decision to the data plane, so the
+    /// buffer frames always hold exactly the pages the policy caches. This
+    /// is the only place a policy outcome turns into store operations — the
+    /// offline replay and the server's shard path both call it.
+    ///
+    /// `victims` (the policy's drained evictions) are evicted first, in
+    /// order — eviction order is write-back order, and the frames must be
+    /// free before the new page needs one. Then a **read** fetches the page
+    /// into `buf` and installs it as a clean frame iff the policy admitted
+    /// the miss; a **write** stores `payload` (zero-padded or truncated to
+    /// one page; the deterministic [`page_payload`] when `None`) — staged
+    /// write-back through the WAL when cached, written straight through to
+    /// disk when bypassed — using `buf` as scratch.
+    pub fn mirror(
+        &self,
+        req: &Request,
+        outcome: AccessOutcome,
+        victims: &mut Vec<PageId>,
+        payload: Option<&[u8]>,
+        buf: &mut Vec<u8>,
+    ) -> io::Result<()> {
+        for victim in victims.drain(..) {
+            self.evict(victim)?;
+        }
+        if req.is_read() {
+            let source = self.read(req.page, buf)?;
+            debug_assert_eq!(
+                outcome.hit,
+                source == ReadSource::Buffer,
+                "policy hit/miss and buffer residency disagree for {}",
+                req.page
+            );
+            if !outcome.hit && !outcome.bypassed {
+                self.admit(req.page, buf)?;
+            }
+            return Ok(());
+        }
+        match payload {
+            Some(bytes) => {
+                buf.clear();
+                buf.extend_from_slice(&bytes[..bytes.len().min(self.page_size)]);
+                buf.resize(self.page_size, 0);
+            }
+            None => *buf = page_payload(req.page, self.page_size),
+        }
+        if outcome.bypassed {
+            self.write_through(req.page, buf)
+        } else {
+            self.stage(req.page, buf)
         }
     }
 
@@ -735,15 +781,14 @@ mod tests {
         let store = PageStore::open(
             StoreConfig::new(&dir, 8)
                 .with_page_size(32)
-                .with_flush_threshold(3)
-                .with_flush_batch(2),
+                .with_flush_threshold(3),
         )
         .unwrap();
         for p in 0..6u64 {
             store.stage(PageId(p), &payload(p as u8, 32)).unwrap();
         }
-        // Every time the dirty count reaches 3 a batch of 2 is flushed, so
-        // it can never exceed the threshold.
+        // Every time the dirty count reaches 3 a batch is flushed, so it
+        // can never exceed the threshold.
         assert!(store.dirty_len() <= 3);
         assert!(store.io_stats().pages_flushed >= 2);
         let _ = std::fs::remove_dir_all(&dir);

@@ -2,7 +2,9 @@
 # CI-style verification for the CLIC reproduction.
 #
 #   scripts/verify.sh                  # tier-1 + store smoke + examples +
-#                                      # format + clippy
+#                                      # the benchmark package's build + the
+#                                      # single-owner grep gates + format +
+#                                      # clippy
 #   scripts/verify.sh --quick          # tier-1 only
 #   scripts/verify.sh --smoke-server   # additionally crash-check the
 #                                      # clic-server throughput harness (~1 s
@@ -249,6 +251,27 @@ fi
 
 echo "== cargo build --release --examples =="
 cargo build --release --examples
+
+# benchmark/ is a workspace of its own, so nothing above compiles it; build
+# it here so that breaking the surface it calls (see ROADMAP, "frozen by
+# benchmark/") fails verify rather than the benchmark pipeline.
+echo "== cargo build benchmark/ (offline, against the working tree) =="
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
+# Each step of the request path has one owner. The frame reader is
+# wire::FrameBuf, so no receive loop drains a Vec per frame; the policy->store
+# mirror is PageStore::mirror, so the server never applies a policy verdict
+# to the store by hand.
+echo "== single-owner gates (frame reader, policy->store mirror) =="
+if grep -rnF '.drain(..consumed)' crates/server/src; then
+    echo "verify: FAILED (a hand-rolled frame reader is back; use wire::FrameBuf)" >&2
+    exit 1
+fi
+if grep -rnE 'store\.evict\(|store\.admit\(|\.write_through\(' crates/server/src; then
+    echo "verify: FAILED (crates/server applies a policy verdict by hand; use PageStore::mirror)" >&2
+    exit 1
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check

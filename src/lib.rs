@@ -111,10 +111,9 @@ pub use cache_sim::CachePolicy;
 pub mod prelude {
     pub use cache_sim::policies::{Arc, Lru, Opt, Tq};
     pub use cache_sim::{
-        compare_policies, page_partition, simulate, simulate_partitioned,
-        simulate_partitioned_parallel, sweep, sweep_parallel, AccessKind, CachePolicy, CacheStats,
-        ClientId, HintSetId, IoStats, PageId, PartitionedCache, Request, SimulationResult,
-        ThreadPool, Trace, TraceBuilder, WriteHint,
+        compare_policies, page_partition, simulate, simulate_partitioned_parallel, sweep,
+        sweep_parallel, AccessKind, CachePolicy, CacheStats, ClientId, HintSetId, IoStats, PageId,
+        PartitionedCache, Request, SimulationResult, ThreadPool, Trace, TraceBuilder, WriteHint,
     };
     pub use clic_core::{
         analyze_trace, suggested_window, Clic, ClicConfig, HintSetReport, TrackingMode,
@@ -122,9 +121,8 @@ pub mod prelude {
     pub use clic_obs::{Clock, HistogramSnapshot, MetricsSnapshot, Recorder, SpanKind};
     pub use clic_server::{
         merge_client_traces, preset_client_traces, run_load, run_open_loop, BlockingClient,
-        LoadConfig, LoadReport, MergeWeighting, NetOptions, NetServer, OpenLoopConfig,
-        OpenLoopReport, Server, ServerConfig, ServerRequest, ServerResponse, ShardedClic,
-        ShardedClicConfig, StatsSnapshot,
+        LoadConfig, LoadReport, NetOptions, NetServer, OpenLoopConfig, OpenLoopReport, Server,
+        ServerConfig, ServerRequest, ServerResponse, ShardedClic, ShardedClicConfig, StatsSnapshot,
     };
     pub use clic_store::{
         page_payload, replay_storage, replay_storage_partitioned, Durability, PageStore,

@@ -132,9 +132,24 @@ fn one_shard_store_backed_server_matches_simulation() {
         let batch: Vec<ServerRequest> = chunk.iter().map(ServerRequest::from_request).collect();
         server.submit(&batch);
     }
+    // Before shutdown: its checkpoint would add a flush burst.
+    let server_io = server.io_stats().expect("store-backed server");
     let result = server.shutdown();
     assert_eq!(result.stats, reference.stats);
     assert_eq!(result.per_client, reference.per_client);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The offline replay and the online shard path share one mirror
+    // (`PageStore::mirror`), so over the same store setup their byte
+    // counters agree exactly, not just their hit counts.
+    let dir = scratch("one-shard-replay");
+    let store = PageStore::open(StoreConfig::new(&dir, cache_pages).with_page_size(128))
+        .expect("open store");
+    let replayed =
+        replay_storage(&mut Clic::new(cache_pages, config), &store, &trace).expect("replay");
+    assert_eq!(replayed.result.stats, reference.stats);
+    assert_eq!(server_io, replayed.io);
+    drop(store);
     std::fs::remove_dir_all(&dir).ok();
 }
 
