@@ -16,7 +16,12 @@
 //!    ring, the drained dump and the merged metrics snapshot must pass the
 //!    strict [`clic_obs::json::validate`] parser, and the client-batch
 //!    histogram published by the harness must count every batch submitted.
-//! 3. **A mock clock makes dumps reproducible.** The same serial replay
+//! 3. **The event loop is woken, not polling.** The same instrumented
+//!    server behind a [`NetServer`] answers sequential round trips; the
+//!    `net.*` counters in its `Stats` reply must show the loop ran, was
+//!    woken by completions and by sockets, and never ran more often than
+//!    it was woken — a loop spinning on a timeout would.
+//! 4. **A mock clock makes dumps reproducible.** The same serial replay
 //!    against a [`clic_obs::Clock::mock`]-backed recorder twice must render
 //!    byte-identical trace JSON — the property the ROADMAP's interleaving
 //!    studies will lean on.
@@ -31,7 +36,13 @@ use cache_sim::{BoxedPolicy, ThreadPool, REPLAY_CHUNK};
 use clic_bench::{build_policy, json::JsonValue, window_for_trace, ExperimentContext};
 use clic_core::{ClicConfig, TrackingMode};
 use clic_obs::{json::validate, Clock, Recorder, SpanKind, TraceDump};
-use clic_server::{run_load, LoadConfig, ServerConfig, CLIENT_BATCH_HISTOGRAM};
+use clic_server::net::{
+    COMPLETION_WAKEUPS_COUNTER, LOOP_ITERATIONS_COUNTER, SOCKET_WAKEUPS_COUNTER,
+};
+use clic_server::{
+    run_load, BlockingClient, LoadConfig, NetOptions, NetServer, Server, ServerConfig,
+    ServerRequest, CLIENT_BATCH_HISTOGRAM,
+};
 use clic_store::{
     replay_storage, replay_storage_partitioned, PageStore, StorageReplayReport, StoreConfig,
     REPLAY_CHUNK_HISTOGRAM,
@@ -170,7 +181,43 @@ fn main() -> std::io::Result<()> {
         server_trace.events.len()
     );
 
-    // 3. Mock clock: the same serial replay twice renders byte-identical
+    // 3. The same instrumented server on the wire: every round trip is one
+    // socket wake-up (the request) and one completion wake-up per shard
+    // step (the reply), and nothing else runs the loop.
+    let net = NetServer::start(
+        Server::try_start(load_config.server.clone())?,
+        NetOptions::default(),
+    )?;
+    let mut client = BlockingClient::connect_tcp(net.tcp_addr().expect("tcp enabled"))?;
+    let round_trips = 500;
+    for request in client_traces[0].requests.iter().take(round_trips) {
+        client.call(&ServerRequest::from_request(request))?;
+    }
+    let net_metrics = client.stats()?.metrics;
+    drop(client);
+    net.shutdown()?;
+    let iterations = net_metrics.counter(LOOP_ITERATIONS_COUNTER);
+    let completion_wakeups = net_metrics.counter(COMPLETION_WAKEUPS_COUNTER);
+    let socket_wakeups = net_metrics.counter(SOCKET_WAKEUPS_COUNTER);
+    assert!(
+        completion_wakeups > 0 && socket_wakeups > 0,
+        "the loop must be woken by completions ({completion_wakeups}) and sockets ({socket_wakeups})"
+    );
+    assert!(
+        completion_wakeups <= iterations && socket_wakeups <= iterations,
+        "wake-ups are counted once per iteration"
+    );
+    assert!(
+        iterations <= completion_wakeups + socket_wakeups,
+        "{iterations} iterations for {completion_wakeups} + {socket_wakeups} wake-ups: \
+         the loop ran without being woken"
+    );
+    println!(
+        "event loop woken, not polling: {round_trips} round trips, {iterations} iterations, \
+         {completion_wakeups} completion + {socket_wakeups} socket wake-ups"
+    );
+
+    // 4. Mock clock: the same serial replay twice renders byte-identical
     // trace JSON (single-threaded, so thread ids and event order are fixed).
     let mock_run = |tag: &str| -> std::io::Result<String> {
         let recorder = Recorder::with_clock(Clock::mock());
@@ -225,6 +272,12 @@ fn main() -> std::io::Result<()> {
                 JsonValue::num(server_trace.events.len() as f64),
             ),
             ("server_batches", JsonValue::num(total_batches as f64)),
+            ("net_loop_iterations", JsonValue::num(iterations as f64)),
+            (
+                "net_completion_wakeups",
+                JsonValue::num(completion_wakeups as f64),
+            ),
+            ("net_socket_wakeups", JsonValue::num(socket_wakeups as f64)),
         ]),
     )
 }

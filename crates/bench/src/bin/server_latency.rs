@@ -11,6 +11,12 @@
 //! episode the offered load caused, and the curves bend upward exactly
 //! where the offered load approaches the served capacity.
 //!
+//! Per durability the run also reports the *knee* — the highest offered
+//! rate the server still kept up with (achieved ≥ 95 % of offered) — the
+//! peak achieved rate, and how much of that peak survives at the highest
+//! offered rate (2.5× the knee at default scale): a front-end that collapses
+//! under overload instead of saturating shows up as a ratio far below 1.
+//!
 //! Flags: the shared experiment flags (`--scale smoke|default|paper`,
 //! `--quick`, `--out-dir DIR`, `--json PATH`, `--jobs N`). The run is
 //! timing-sensitive, so `run_all` schedules it exclusively and the
@@ -39,7 +45,7 @@ fn main() -> std::io::Result<()> {
     // Offered loads (requests/s) and per-rate run length by scale.
     let (rates, duration_s): (&[f64], f64) = match ctx.scale {
         PresetScale::Smoke => (&[2_000.0, 5_000.0, 10_000.0], 0.3),
-        PresetScale::Default => (&[5_000.0, 20_000.0, 50_000.0], 1.0),
+        PresetScale::Default => (&[5_000.0, 20_000.0, 50_000.0, 100_000.0, 250_000.0], 1.0),
         PresetScale::Paper => (&[10_000.0, 50_000.0, 100_000.0, 200_000.0], 2.0),
     };
     let durabilities = [
@@ -128,6 +134,43 @@ fn main() -> std::io::Result<()> {
     }
     table.emit(&ctx.out_dir, "server_latency")?;
 
+    // Knee, peak, and what is left of the peak at the highest offered rate.
+    let mut overload = Vec::new();
+    for (durability_label, _) in durabilities {
+        let reports = || {
+            curve
+                .iter()
+                .filter(move |point| point.durability == durability_label)
+                .map(|point| &point.report)
+        };
+        let knee_rps = reports()
+            .filter(|r| r.achieved_rps >= 0.95 * r.offered_rps)
+            .map(|r| r.offered_rps)
+            .fold(0.0, f64::max);
+        let peak_rps = reports().map(|r| r.achieved_rps).fold(0.0, f64::max);
+        let Some(last) = reports().next_back() else {
+            continue;
+        };
+        println!(
+            "{durability_label:>12}: knee {knee_rps:.0} req/s, peak {peak_rps:.0} achieved; \
+             at {:.0} offered ({:.1}x the knee) {:.0} achieved = {:.2} of the peak",
+            last.offered_rps,
+            last.offered_rps / knee_rps,
+            last.achieved_rps,
+            last.achieved_rps / peak_rps
+        );
+        overload.push(JsonValue::object([
+            ("durability", JsonValue::str(durability_label)),
+            ("knee_rps", JsonValue::num(knee_rps)),
+            ("peak_achieved_rps", JsonValue::num(peak_rps)),
+            ("highest_offered_rps", JsonValue::num(last.offered_rps)),
+            (
+                "achieved_over_peak_at_highest",
+                JsonValue::num(last.achieved_rps / peak_rps),
+            ),
+        ]));
+    }
+
     let points: Vec<JsonValue> = curve
         .iter()
         .map(|point| {
@@ -156,6 +199,7 @@ fn main() -> std::io::Result<()> {
             ("page_universe", JsonValue::num(pages as f64)),
             ("write_fraction", JsonValue::num(0.25)),
             ("latency_vs_load", JsonValue::Array(points)),
+            ("overload", JsonValue::Array(overload)),
         ]),
     )
 }

@@ -34,12 +34,20 @@
 //!   checkpoints the store (dropping the server instead models a crash, from
 //!   which the WAL recovers every acknowledged write).
 //! * A **network front-end** ([`NetServer`]): one event-loop thread puts
-//!   the server behind real TCP and (on Unix) Unix-domain sockets speaking
-//!   the length-prefixed binary protocol of [`wire`], multiplexed with the
-//!   readiness poller of [`sys`] — no thread per connection, a 64-operation
+//!   the server behind real TCP and Unix-domain sockets speaking the
+//!   length-prefixed binary protocol of [`wire`], multiplexed with the
+//!   `epoll` poller of [`sys`] — no thread per connection, a 64-operation
 //!   in-flight window per connection for back-pressure, and per-shard
 //!   coalescing into the same tagged enqueue and batched worker path
-//!   `submit` uses. Every receiver — the event loop, [`BlockingClient`],
+//!   `submit` uses. The loop never polls on a timer: it sleeps until a
+//!   socket is ready or a shard worker, done with a step, fires the loop's
+//!   `eventfd` waker ([`sys::Waker`], carried in the [`server::ReplySink`]
+//!   the loop submits with), and each iteration visits only the connections
+//!   that wake-up touched. One thing on that path is throttled on purpose:
+//!   over a store that syncs its log on the request path, a shard worker
+//!   spaces its acknowledgements of writes to the loop 1 ms apart (see
+//!   `DURABLE_ACK_SPACING` in `server.rs` for why, and ROADMAP for lifting
+//!   it). Every receiver — the event loop, [`BlockingClient`],
 //!   the open-loop reader — turns bytes into frames through the one
 //!   cursor-based [`wire::FrameBuf`]. [`openloop`] is the
 //!   matching open-loop Poisson load generator whose latency percentiles
@@ -52,7 +60,12 @@
 //!   recorder is shared with every shard store. A [`ServerRequest::Stats`]
 //!   response carries the merged [`clic_obs::MetricsSnapshot`]
 //!   ([`StatsSnapshot`]) alongside the policy statistics; the `store.*`
-//!   I/O counters in it are always on, recorder or not.
+//!   I/O counters in it are always on, recorder or not. The event loop
+//!   adds `net.loop_iterations`, `net.completion_wakeups` and
+//!   `net.socket_wakeups`.
+//!
+//! The crate is **Linux-only**: the front-end is written against `epoll`
+//! and `eventfd` directly, with no portable fallback.
 //!
 //! # Example
 //!
@@ -156,6 +169,9 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(clippy::disallowed_methods)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("clic-server is Linux-only: its event loop is epoll + eventfd (see `sys`)");
 
 pub mod harness;
 pub mod net;

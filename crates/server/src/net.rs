@@ -1,11 +1,16 @@
 //! The event-driven network front-end: CLIC on the wire.
 //!
-//! [`NetServer`] puts a running [`Server`] behind real sockets — TCP and,
-//! on Unix, a Unix-domain listener — speaking the length-prefixed binary
-//! protocol of [`crate::wire`]. One event-loop thread owns every
-//! connection and multiplexes them over the readiness poller of
-//! [`crate::sys`]; *no thread ever blocks on a socket*, and no thread is
-//! spawned per connection:
+//! [`NetServer`] puts a running [`Server`] behind real sockets — TCP and a
+//! Unix-domain listener — speaking the length-prefixed binary protocol of
+//! [`crate::wire`]. One event-loop thread owns every connection and
+//! multiplexes them over the readiness poller of [`crate::sys`]; *no thread
+//! ever blocks on a socket*, and no thread is spawned per connection. The
+//! loop sleeps in `epoll_wait` with no timeout and runs one iteration per
+//! wake-up — a socket became ready, or a shard worker finished a step and
+//! fired the loop's [`Waker`] — so an idle server costs nothing and a
+//! completion leaves for its client when it exists, not at the next tick
+//! (the one exception, acknowledgements of logged writes, is a throttle in
+//! the shard worker and documented there: `DURABLE_ACK_SPACING`):
 //!
 //! * Readable connections are drained into per-connection buffers and
 //!   decoded frame by frame. Decoded operations are *coalesced per shard*
@@ -13,23 +18,32 @@
 //!   handed to the existing shard workers through
 //!   [`Server::submit_shard_tagged`], so a flood of small client frames
 //!   still reaches the policy through the batched access fast path.
-//! * Completions stream back over a channel tagged with slab indices; the
-//!   loop matches them to connections (a generation counter guards against
-//!   slot reuse after disconnects), encodes responses — correlated by the
-//!   client's `seq`, hence safely out of order across shards — and writes
-//!   as far as the socket allows, buffering the rest behind `EPOLLOUT`
-//!   interest.
+//! * Completions stream back over a channel tagged with slab indices, the
+//!   worker firing the waker once per step (the reply sink the loop submits
+//!   with carries it; [`Server::submit`]'s does not, so the in-process path
+//!   pays nothing). The loop matches them to connections (a generation
+//!   counter guards against slot reuse after disconnects), encodes
+//!   responses — correlated by the client's `seq`, hence safely out of
+//!   order across shards — and writes as far as the socket allows,
+//!   buffering the rest behind `EPOLLOUT` interest.
 //! * Each connection has a bounded *in-flight window* of 64 operations
 //!   decoded but not yet answered. A connection at its window stops
 //!   being read (its `EPOLLIN` interest is dropped) until completions
 //!   drain: per-connection back-pressure that bounds server-side memory no
 //!   matter how fast an open-loop client pushes.
+//! * An iteration visits only the connections it *touched* — a socket
+//!   event, a completion answered, a fresh accept — through one reusable
+//!   ready-list; a thousand idle connections add nothing to the cost of
+//!   serving the busy one.
 //! * [`ServerRequest::Stats`] is answered inline by the loop itself, same
 //!   as [`Server::submit`] does, without consuming a window slot.
 //!
 //! With an enabled [`clic_obs::Recorder`], every frame decode and encode
 //! is recorded as a [`SpanKind::NetFrame`] trace span whose detail is the
-//! frame's size in bytes.
+//! frame's size in bytes, and the loop counts its iterations
+//! ([`LOOP_ITERATIONS_COUNTER`]) and what woke them
+//! ([`COMPLETION_WAKEUPS_COUNTER`], [`SOCKET_WAKEUPS_COUNTER`]) — "is the
+//! loop woken or polling?" is answerable from a `Stats` reply.
 //!
 //! A malformed frame — oversized length prefix, unknown opcode, truncated
 //! body — closes that connection immediately; framing is unrecoverable
@@ -60,14 +74,13 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
 
 use cache_sim::{SimulationResult, REPLAY_CHUNK};
 use clic_obs::{Counter, Recorder, SpanKind};
@@ -76,16 +89,26 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::protocol::{ErrorCode, ServerRequest, ServerResponse, StatsSnapshot};
-use crate::server::{Server, ShardOutcome, ShardReply};
-use crate::sys::{raw_fd, Event, Poller, READABLE, WRITABLE};
+use crate::server::{ReplySink, Server, ShardOutcome, ShardReply};
+use crate::sys::{Event, Poller, Waker, READABLE, WRITABLE};
 use crate::wire;
 
 /// Poller token of the TCP listener.
 const TOKEN_TCP: u64 = 0;
 /// Poller token of the Unix-domain listener.
 const TOKEN_UDS: u64 = 1;
+/// Poller token of the completion/stop [`Waker`].
+const TOKEN_WAKER: u64 = 2;
 /// First poller token used for connections (token = base + slot index).
-const TOKEN_BASE: u64 = 2;
+const TOKEN_BASE: u64 = 3;
+
+/// Counter name: event-loop iterations, i.e. returns from `epoll_wait`.
+pub const LOOP_ITERATIONS_COUNTER: &str = "net.loop_iterations";
+/// Counter name: iterations in which the [`Waker`] had fired — a shard
+/// worker finished a step (or the server is stopping).
+pub const COMPLETION_WAKEUPS_COUNTER: &str = "net.completion_wakeups";
+/// Counter name: iterations in which a listener or a connection was ready.
+pub const SOCKET_WAKEUPS_COUNTER: &str = "net.socket_wakeups";
 
 /// Read chunk size for draining a readable socket.
 const READ_CHUNK: usize = 64 * 1024;
@@ -100,8 +123,8 @@ pub struct NetOptions {
     /// TCP listen address (e.g. `"127.0.0.1:0"` for an ephemeral port), or
     /// `None` for no TCP listener.
     pub tcp: Option<String>,
-    /// Unix-domain socket path, or `None` for no UDS listener. Rejected at
-    /// start on non-Unix platforms; the file is removed on shutdown.
+    /// Unix-domain socket path, or `None` for no UDS listener. The file is
+    /// removed on shutdown.
     pub uds: Option<PathBuf>,
     /// When `true`, saturation answers with [`ServerResponse::Error`]
     /// (`Busy`) instead of blocking: a connection at its in-flight window
@@ -134,6 +157,8 @@ impl Default for NetOptions {
 #[derive(Debug)]
 pub struct NetServer {
     stop: Arc<AtomicBool>,
+    /// Ends the loop's `epoll_wait` so that it sees `stop`.
+    waker: Arc<Waker>,
     thread: Option<JoinHandle<io::Result<Server>>>,
     tcp_addr: Option<SocketAddr>,
     uds_path: Option<PathBuf>,
@@ -151,7 +176,6 @@ impl NetServer {
             None => None,
         };
         let tcp_addr = tcp.as_ref().map(|l| l.local_addr()).transpose()?;
-        #[cfg(unix)]
         let uds = match &options.uds {
             Some(path) => {
                 // A previous unclean shutdown may have left the socket
@@ -163,28 +187,23 @@ impl NetServer {
             }
             None => None,
         };
-        #[cfg(not(unix))]
-        if options.uds.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix-domain listeners require a Unix platform",
-            ));
-        }
         let uds_path = options.uds.clone();
         let stop = Arc::new(AtomicBool::new(false));
+        let waker = Arc::new(Waker::new()?);
         let event_loop = EventLoop::new(
             server,
             tcp,
-            #[cfg(unix)]
             uds,
             &options,
             Arc::clone(&stop),
+            Arc::clone(&waker),
         )?;
         let thread = thread::Builder::new()
             .name("clic-net".to_string())
             .spawn(move || event_loop.run())?;
         Ok(NetServer {
             stop,
+            waker,
             thread: Some(thread),
             tcp_addr,
             uds_path,
@@ -203,6 +222,7 @@ impl NetServer {
 
     fn stop_loop(&mut self) -> Option<io::Result<Server>> {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         let result = self.thread.take().map(|t| match t.join() {
             Ok(result) => result,
             Err(_) => Err(io::Error::other("the network event loop panicked")),
@@ -236,23 +256,20 @@ impl Drop for NetServer {
 #[derive(Debug)]
 enum Stream {
     Tcp(TcpStream),
-    #[cfg(unix)]
     Unix(UnixStream),
 }
 
 impl Stream {
     fn fd(&self) -> i32 {
         match self {
-            Stream::Tcp(s) => raw_fd(s),
-            #[cfg(unix)]
-            Stream::Unix(s) => raw_fd(s),
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Unix(s) => s.as_raw_fd(),
         }
     }
 
     fn set_nonblocking(&self) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_nonblocking(true),
-            #[cfg(unix)]
             Stream::Unix(s) => s.set_nonblocking(true),
         }
     }
@@ -262,7 +279,6 @@ impl Stream {
     fn set_nodelay(&self) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_nodelay(true),
-            #[cfg(unix)]
             Stream::Unix(_) => Ok(()),
         }
     }
@@ -272,7 +288,6 @@ impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
             Stream::Unix(s) => s.read(buf),
         }
     }
@@ -282,7 +297,6 @@ impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
             Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
             Stream::Unix(s) => s.write(buf),
         }
     }
@@ -290,7 +304,6 @@ impl Write for Stream {
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
             Stream::Unix(s) => s.flush(),
         }
     }
@@ -316,11 +329,19 @@ struct Conn {
     interest: u32,
     /// Set when the connection must be torn down (I/O or protocol error).
     dead: bool,
+    /// On the loop's ready-list for the current iteration.
+    queued: bool,
 }
 
 impl Conn {
     fn pending_write(&self) -> bool {
         self.write_at < self.write_buf.len()
+    }
+
+    /// Marks the connection as touched this iteration; `true` when it was
+    /// not yet, i.e. when the caller must push it onto the ready-list.
+    fn mark_queued(&mut self) -> bool {
+        !std::mem::replace(&mut self.queued, true)
     }
 }
 
@@ -339,26 +360,40 @@ enum PendingKind {
     Delete,
 }
 
+/// The loop's own counters, present with an enabled recorder.
+struct LoopCounters {
+    iterations: Counter,
+    completion_wakeups: Counter,
+    socket_wakeups: Counter,
+}
+
 struct EventLoop {
     server: Server,
     recorder: Recorder,
     poller: Poller,
+    /// Fired by the shard workers after each step's replies and by
+    /// [`NetServer::stop_loop`]; registered under [`TOKEN_WAKER`].
+    waker: Arc<Waker>,
     tcp: Option<TcpListener>,
-    #[cfg(unix)]
     uds: Option<UnixListener>,
     conns: Vec<Option<Conn>>,
     free_conns: Vec<usize>,
     /// Per slot, the generation the *next* tenant carries (bumped by
     /// [`EventLoop::close_conn`] so stale completions are recognizable).
     slot_next_gen: Vec<u32>,
+    /// The connections touched this iteration — a socket event, a
+    /// completion answered, a fresh accept — each once ([`Conn::queued`]).
+    /// Decoding and settling visit these and no others. Cleared when the
+    /// next iteration starts.
+    ready: Vec<usize>,
     slab: Vec<Option<Pending>>,
     free_slab: Vec<usize>,
-    reply_tx: mpsc::Sender<ShardReply>,
+    /// What the loop submits with: its reply channel plus its waker.
+    reply_sink: ReplySink,
     reply_rx: mpsc::Receiver<ShardReply>,
     /// Per-shard coalescing buffers, flushed at [`REPLAY_CHUNK`] or at the
     /// end of each cycle.
     pending_shard: Vec<Vec<(usize, ServerRequest)>>,
-    in_flight_total: usize,
     /// Shed saturated operations with `Busy` instead of blocking
     /// ([`NetOptions::shed_busy`]).
     shed_busy: bool,
@@ -367,16 +402,19 @@ struct EventLoop {
     /// Operations answered `Busy` (`server.shed_busy`; `None` with a
     /// disabled recorder).
     shed_counter: Option<Counter>,
+    counters: Option<LoopCounters>,
     stop: Arc<AtomicBool>,
 }
 
 impl EventLoop {
+    /// Builds the loop with its listeners and its waker registered.
     fn new(
         server: Server,
         tcp: Option<TcpListener>,
-        #[cfg(unix)] uds: Option<UnixListener>,
+        uds: Option<UnixListener>,
         options: &NetOptions,
         stop: Arc<AtomicBool>,
+        waker: Arc<Waker>,
     ) -> io::Result<EventLoop> {
         let (reply_tx, reply_rx) = mpsc::channel();
         let shard_count = server.cache().shard_count();
@@ -385,77 +423,111 @@ impl EventLoop {
         if let Some(counter) = recorder.counter("server.net_injected_faults") {
             options.fault.attach_counter(counter);
         }
+        let counters = recorder.registry().map(|registry| LoopCounters {
+            iterations: registry.counter(LOOP_ITERATIONS_COUNTER),
+            completion_wakeups: registry.counter(COMPLETION_WAKEUPS_COUNTER),
+            socket_wakeups: registry.counter(SOCKET_WAKEUPS_COUNTER),
+        });
+        let mut poller = Poller::new()?;
+        poller.register(waker.fd(), TOKEN_WAKER, READABLE)?;
+        if let Some(listener) = &tcp {
+            poller.register(listener.as_raw_fd(), TOKEN_TCP, READABLE)?;
+        }
+        if let Some(listener) = &uds {
+            poller.register(listener.as_raw_fd(), TOKEN_UDS, READABLE)?;
+        }
         Ok(EventLoop {
             server,
             recorder,
-            poller: Poller::new()?,
+            poller,
+            reply_sink: ReplySink::with_waker(reply_tx, Arc::clone(&waker)),
+            waker,
             tcp,
-            #[cfg(unix)]
             uds,
             conns: Vec::new(),
             free_conns: Vec::new(),
             slot_next_gen: Vec::new(),
+            ready: Vec::new(),
             slab: Vec::new(),
             free_slab: Vec::new(),
-            reply_tx,
             reply_rx,
             pending_shard: (0..shard_count).map(|_| Vec::new()).collect(),
-            in_flight_total: 0,
             shed_busy: options.shed_busy,
             fault: options.fault.clone(),
             shed_counter,
+            counters,
             stop,
         })
     }
 
     fn run(mut self) -> io::Result<Server> {
-        if let Some(listener) = &self.tcp {
-            self.poller
-                .register(raw_fd(listener), TOKEN_TCP, READABLE)?;
-        }
-        #[cfg(unix)]
-        if let Some(listener) = &self.uds {
-            self.poller
-                .register(raw_fd(listener), TOKEN_UDS, READABLE)?;
-        }
         let mut events: Vec<Event> = Vec::new();
         while !self.stop.load(Ordering::SeqCst) {
-            // Completions arrive on an mpsc channel, which cannot wake the
-            // poller — poll briefly while work is in flight, longer when
-            // the loop is idle.
-            let timeout = if self.in_flight_total > 0 {
-                Duration::from_millis(1)
-            } else {
-                Duration::from_millis(25)
-            };
-            self.poller.wait(&mut events, timeout)?;
-            for &event in &events {
-                match event.token {
-                    token @ (TOKEN_TCP | TOKEN_UDS) => self.accept(token),
-                    token => {
-                        let Some(idx) = token.checked_sub(TOKEN_BASE).map(|t| t as usize) else {
-                            continue;
-                        };
-                        if event.readable() {
-                            self.fill_read_buf(idx);
-                        }
-                        if event.writable() {
-                            self.flush_write_buf(idx);
+            self.turn(&mut events)?;
+        }
+        Ok(self.server)
+    }
+
+    /// One iteration: sleeps until a socket is ready or the waker fired —
+    /// there is no timeout, so a wake-up is the only thing that ends the
+    /// sleep — then serves exactly the connections that wake-up touched.
+    fn turn(&mut self, events: &mut Vec<Event>) -> io::Result<()> {
+        self.poller.wait(events, None)?;
+        self.ready.clear();
+        let (mut woken, mut sockets) = (false, false);
+        for &event in events.iter() {
+            match event.token {
+                // Reset before the channel is drained below: a worker that
+                // finds the waker still notified writes nothing, and relies
+                // on this iteration to see the replies it sent beforehand.
+                TOKEN_WAKER => {
+                    self.waker.reset();
+                    woken = true;
+                }
+                token @ (TOKEN_TCP | TOKEN_UDS) => {
+                    sockets = true;
+                    self.accept(token);
+                }
+                token => {
+                    sockets = true;
+                    let idx = (token - TOKEN_BASE) as usize;
+                    if event.readable() {
+                        self.fill_read_buf(idx);
+                    }
+                    if event.writable() {
+                        self.flush_write_buf(idx);
+                    }
+                    if let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) {
+                        if conn.mark_queued() {
+                            self.ready.push(idx);
                         }
                     }
                 }
             }
-            // Decode everything buffered on connections with window room;
-            // a connection may have buffered frames left over from when
-            // its window was full, so this cannot key off events alone.
-            for idx in 0..self.conns.len() {
-                self.decode_conn(idx);
-            }
-            self.submit_pending();
-            self.drain_completions();
-            self.settle_conns();
         }
-        Ok(self.server)
+        if let Some(counters) = &self.counters {
+            counters.iterations.inc();
+            if woken {
+                counters.completion_wakeups.inc();
+            }
+            if sockets {
+                counters.socket_wakeups.inc();
+            }
+        }
+        // Completions first: they are what gives a connection parked at its
+        // window, frames still buffered, the room to decode again — and
+        // nothing but this iteration would ever come back for it.
+        self.drain_completions();
+        // By index: shedding a full shard queue completes operations, which
+        // can put further connections on the list while it is walked.
+        let mut next = 0;
+        while let Some(&idx) = self.ready.get(next) {
+            self.decode_conn(idx);
+            next += 1;
+        }
+        self.submit_pending();
+        self.settle_ready();
+        Ok(())
     }
 
     /// Accepts every connection pending on the listener behind `token`.
@@ -466,7 +538,6 @@ impl EventLoop {
                     .tcp
                     .as_ref()
                     .map(|listener| listener.accept().map(|(stream, _peer)| Stream::Tcp(stream))),
-                #[cfg(unix)]
                 TOKEN_UDS => self.uds.as_ref().map(|listener| {
                     listener
                         .accept()
@@ -521,7 +592,9 @@ impl EventLoop {
             read_closed: false,
             interest: READABLE,
             dead: false,
+            queued: true,
         });
+        self.ready.push(idx);
     }
 
     /// Reads as much as the socket offers into the connection's buffer.
@@ -675,21 +748,19 @@ impl EventLoop {
             // Shedding mode: a full shard queue answers the whole
             // coalesced sub-batch with `Busy` (or `Shutdown`) instead of
             // blocking the event loop.
-            match self
-                .server
-                .try_submit_shard_tagged(shard, ops, &self.reply_tx)
+            if let Err((tags, code)) =
+                self.server
+                    .try_submit_shard_tagged(shard, ops, &self.reply_sink)
             {
-                Ok(submitted) => self.in_flight_total += submitted,
-                Err((tags, code)) => {
-                    for tag in tags {
-                        self.complete(tag, Err(code));
-                    }
+                for tag in tags {
+                    self.complete(tag, Err(code));
                 }
             }
         } else {
             // Blocks only while the shard's bounded queue is full: worker
             // back-pressure propagating to the event loop, by design.
-            self.in_flight_total += self.server.submit_shard_tagged(shard, ops, &self.reply_tx);
+            self.server
+                .submit_shard_tagged(shard, ops, &self.reply_sink);
         }
     }
 
@@ -701,15 +772,16 @@ impl EventLoop {
 
     fn drain_completions(&mut self) {
         while let Ok((tag, result)) = self.reply_rx.try_recv() {
-            self.in_flight_total = self.in_flight_total.saturating_sub(1);
             self.complete(tag, result);
         }
     }
 
     /// Completes the pending operation behind `tag` — answered by a shard
     /// worker, or refused (`Busy`/`Shutdown`) before it reached one: frees
-    /// the slab slot, releases the connection's window slot, and encodes
-    /// the response. Nothing is sent when the connection is gone (a newer
+    /// the slab slot, releases the connection's window slot, encodes the
+    /// response, and puts the connection on the ready-list (it has output
+    /// to flush and, possibly, window room for frames it had to leave
+    /// buffered). Nothing is sent when the connection is gone (a newer
     /// generation owns the slot).
     // invariant: every tag completed here was allocated by `alloc_pending`
     // and is taken exactly once — a double take or an out-of-range tag is
@@ -731,6 +803,9 @@ impl EventLoop {
             return;
         };
         conn.in_flight -= 1;
+        if conn.mark_queued() {
+            self.ready.push(pending.conn);
+        }
         let response = match result {
             // A failed operation answers with a typed error frame instead
             // of a fabricated miss: the client can tell "the page is not
@@ -814,10 +889,13 @@ impl EventLoop {
         }
     }
 
-    /// End-of-cycle per-connection pass: opportunistic writes, interest
-    /// re-arming, and teardown of finished or errored connections.
-    fn settle_conns(&mut self) {
-        for idx in 0..self.conns.len() {
+    /// End-of-cycle pass over the ready-list: opportunistic writes,
+    /// interest re-arming, and teardown of finished or errored connections.
+    /// A connection this iteration did not touch has nothing to write, no
+    /// new reason to close and an unchanged interest mask.
+    fn settle_ready(&mut self) {
+        for next in 0..self.ready.len() {
+            let idx = self.ready[next];
             if self
                 .conns
                 .get(idx)
@@ -829,6 +907,7 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
                 continue;
             };
+            conn.queued = false;
             let finished = conn.read_closed
                 && conn.in_flight == 0
                 && !conn.pending_write()
@@ -857,8 +936,7 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(idx).and_then(|slot| slot.take()) else {
             return;
         };
-        self.poller
-            .deregister(conn.stream.fd(), TOKEN_BASE + idx as u64);
+        self.poller.deregister(conn.stream.fd());
         // Outstanding completions for this connection are dropped on
         // arrival: the next tenant of the slot carries gen + 1.
         self.slot_next_gen[idx] = conn.gen.wrapping_add(1);
@@ -918,7 +996,6 @@ impl RetryPolicy {
 #[derive(Debug, Clone)]
 enum ConnectTarget {
     Tcp(SocketAddr),
-    #[cfg(unix)]
     Uds(PathBuf),
 }
 
@@ -961,7 +1038,6 @@ impl BlockingClient {
     }
 
     /// Connects over a Unix-domain socket.
-    #[cfg(unix)]
     pub fn connect_uds(path: &std::path::Path) -> io::Result<BlockingClient> {
         Self::connect(ConnectTarget::Uds(path.to_path_buf()), None)
     }
@@ -986,7 +1062,6 @@ impl BlockingClient {
                 Some(timeout) => TcpStream::connect_timeout(addr, timeout)?,
                 None => TcpStream::connect(*addr)?,
             }),
-            #[cfg(unix)]
             ConnectTarget::Uds(path) => Stream::Unix(UnixStream::connect(path)?),
         };
         stream.set_nodelay()?;
@@ -1004,7 +1079,6 @@ impl BlockingClient {
                 s.set_read_timeout(timeout)?;
                 s.set_write_timeout(timeout)?;
             }
-            #[cfg(unix)]
             Stream::Unix(s) => {
                 s.set_read_timeout(timeout)?;
                 s.set_write_timeout(timeout)?;
@@ -1125,5 +1199,139 @@ impl BlockingClient {
                 format!("expected a stats response, got {other:?}"),
             )),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServerConfig;
+    use cache_sim::{ClientId, HintSetId, PageId};
+
+    fn get_frames(pages: std::ops::Range<u64>) -> Vec<u8> {
+        let mut frames = Vec::new();
+        for page in pages {
+            let op = ServerRequest::Get {
+                client: ClientId(0),
+                page: PageId(page),
+                hint: HintSetId(0),
+                prefetch: false,
+            };
+            wire::encode_request(page, &op, &mut frames);
+        }
+        frames
+    }
+
+    /// Blocks until all `want` bytes a client wrote sit in the server-side
+    /// socket, so that the next turn reads them in one go.
+    fn await_bytes(event_loop: &EventLoop, idx: usize, want: usize) {
+        let Some(Conn {
+            stream: Stream::Tcp(socket),
+            ..
+        }) = &event_loop.conns[idx]
+        else {
+            panic!("slot {idx} holds no TCP connection");
+        };
+        let mut buf = vec![0u8; want];
+        while !matches!(socket.peek(&mut buf), Ok(n) if n == want) {
+            thread::yield_now();
+        }
+    }
+
+    /// Reads `count` `Get` replies off a client socket.
+    fn read_replies(client: &mut TcpStream, count: usize) -> Vec<u64> {
+        let mut buf = wire::FrameBuf::new();
+        let mut chunk = [0u8; 4096];
+        let mut seqs = Vec::new();
+        while seqs.len() < count {
+            while let Some((_, payload)) = buf.next_frame().unwrap() {
+                let (seq, response) = wire::decode_response(payload).unwrap();
+                assert_eq!(response.hit(), Some(false));
+                seqs.push(seq);
+            }
+            if seqs.len() < count {
+                let n = client.read(&mut chunk).unwrap();
+                assert_ne!(n, 0, "the server closed the connection");
+                buf.extend(&chunk[..n]);
+            }
+        }
+        seqs
+    }
+
+    /// The loop is driven by hand, one [`EventLoop::turn`] at a time: every
+    /// turn blocks until its wake-up exists, so the test is ordered by the
+    /// wake-ups themselves and a missed one hangs it.
+    #[test]
+    fn a_parked_connection_resumes_on_its_completions_and_an_idle_one_is_not_visited() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        // One shard: a connection's whole window is one job, one step, and
+        // therefore one wake-up.
+        let mut event_loop = EventLoop::new(
+            Server::start(ServerConfig::new(16).with_shards(1)),
+            Some(listener),
+            None,
+            &NetOptions::default(),
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(Waker::new().unwrap()),
+        )
+        .unwrap();
+        let mut events = Vec::new();
+        let conn = |event_loop: &EventLoop, idx: usize| -> (usize, bool, u32) {
+            let conn = event_loop.conns[idx].as_ref().unwrap();
+            (conn.in_flight, conn.read_buf.is_empty(), conn.interest)
+        };
+
+        // Accepted one per turn, so the slots are 0 (idle), 1 (busy) and 2
+        // (parked); a fresh connection is visited once.
+        let mut clients = Vec::new();
+        for idx in 0..3 {
+            clients.push(TcpStream::connect(addr).unwrap());
+            event_loop.turn(&mut events).unwrap();
+            assert_eq!(event_loop.ready, [idx]);
+        }
+        let mut parked = clients.pop().unwrap();
+        let mut busy = clients.pop().unwrap();
+        let _idle = clients.pop().unwrap();
+
+        // 100 frames into a 64-slot window: 64 are submitted, 36 stay
+        // buffered, and the connection is no longer read.
+        let frames = get_frames(0..100);
+        parked.write_all(&frames).unwrap();
+        await_bytes(&event_loop, 2, frames.len());
+        event_loop.turn(&mut events).unwrap();
+        assert_eq!(event_loop.ready, [2]);
+        assert_eq!(conn(&event_loop, 2), (IN_FLIGHT_WINDOW, false, 0));
+
+        // Nothing can end the next wait but the worker's wake-up (the
+        // parked socket is disarmed, the others are silent). Its 64
+        // completions make room, and the same turn decodes the rest.
+        event_loop.turn(&mut events).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, TOKEN_WAKER);
+        assert_eq!(event_loop.ready, [2]);
+        assert_eq!(conn(&event_loop, 2), (36, true, READABLE));
+        event_loop.turn(&mut events).unwrap();
+        assert_eq!(event_loop.ready, [2]);
+        assert_eq!(conn(&event_loop, 2), (0, true, READABLE));
+        let mut seqs = read_replies(&mut parked, 100);
+        seqs.sort_unstable();
+        assert!(seqs.into_iter().eq(0..100));
+
+        // A request on another connection: its socket event, then its
+        // completion, each visit that connection alone.
+        let frame = get_frames(500..501);
+        busy.write_all(&frame).unwrap();
+        await_bytes(&event_loop, 1, frame.len());
+        event_loop.turn(&mut events).unwrap();
+        assert_eq!(event_loop.ready, [1]);
+        assert_eq!(conn(&event_loop, 1), (1, true, READABLE));
+        event_loop.turn(&mut events).unwrap();
+        assert_eq!(event_loop.ready, [1]);
+        assert_eq!(read_replies(&mut busy, 1), [500]);
+
+        // Since its accept, no turn visited the idle connection.
+        assert_eq!(conn(&event_loop, 0), (0, true, READABLE));
     }
 }

@@ -1,15 +1,25 @@
 //! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), used to detect torn disk
 //! frames and torn write-ahead-log records.
 //!
-//! Hand-rolled because the workspace is dependency-free by construction: the
-//! table is built at compile time and the streaming state is four bytes, so
-//! this costs nothing over a crates.io implementation for our frame sizes.
+//! Hand-rolled because the workspace is dependency-free by construction.
+//! The kernel is slicing-by-8: eight tables built at compile time, eight
+//! input bytes folded per step, a byte-wise tail for the last `len % 8`
+//! bytes. It computes the same function as the one-table byte-wise walk it
+//! replaced (kept below as the `#[cfg(test)]` reference), so disk slots and
+//! WAL records written by either verify under the other. Measured on the
+//! 2-core reference box over a 4 KiB page (fastest of seven 20 000-page
+//! loops): 2.7 ns/B byte-wise, 11 µs per page — most of a disk read
+//! (14.4 µs) and of a buffered WAL append (18 µs) — against 0.68 ns/B
+//! sliced, 2.8 µs per page.
 
 /// The reflected CRC-32 polynomial (IEEE 802.3 / zlib / PNG).
 const POLYNOMIAL: u32 = 0xEDB8_8320;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the
+/// checksum state after byte `b` followed by `k` zero bytes, which is what
+/// lets eight bytes be folded with eight independent lookups.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -22,13 +32,24 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = tables[0][i];
+        let mut k = 1;
+        while k < 8 {
+            crc = (crc >> 8) ^ tables[0][(crc & 0xff) as usize];
+            tables[k][i] = crc;
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// Streaming CRC-32 state: feed byte slices with [`Crc32::update`], read the
 /// checksum with [`Crc32::finish`].
@@ -46,8 +67,21 @@ impl Crc32 {
     /// Folds `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
         let mut crc = self.state;
-        for &byte in data {
-            crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xff) as usize];
+        let mut chunks = data.chunks_exact(8);
+        for chunk in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+            crc = TABLES[7][(lo & 0xff) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xff) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xff) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][(hi & 0xff) as usize]
+                ^ TABLES[2][((hi >> 8) & 0xff) as usize]
+                ^ TABLES[1][((hi >> 16) & 0xff) as usize]
+                ^ TABLES[0][(hi >> 24) as usize];
+        }
+        for &byte in chunks.remainder() {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xff) as usize];
         }
         self.state = crc;
     }
@@ -74,6 +108,26 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The kernel every store and WAL on disk was written with: one table,
+    /// one byte per step. `update` must agree with it on every input, which
+    /// is what makes files written by either version verify under the other.
+    fn reference_crc32(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xff) as usize];
+        }
+        !crc
+    }
+
+    /// Deterministic filler with no period that divides 8.
+    fn filler(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u32).wrapping_mul(0x9e37_79b9).to_le_bytes()[3] ^ i as u8)
+            .collect()
+    }
 
     #[test]
     fn matches_known_vectors() {
@@ -84,12 +138,56 @@ mod tests {
     }
 
     #[test]
+    fn every_short_length_and_misalignment_matches_the_reference() {
+        // 8 bytes of slack so that every start offset 0..8 inside the
+        // allocation (hence every alignment of the slice's first byte) is
+        // exercised at every length that straddles the 8-byte step.
+        let data = filler(64 + 8);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    reference_crc32(slice),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn streaming_equals_one_shot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let mut streaming = Crc32::new();
-        streaming.update(&data[..10]);
-        streaming.update(&data[10..]);
-        assert_eq!(streaming.finish(), crc32(data));
+        let data = filler(100);
+        let expected = reference_crc32(&data);
+        for cut in 0..=data.len() {
+            let mut streaming = Crc32::new();
+            streaming.update(&data[..cut]);
+            streaming.update(&data[cut..]);
+            assert_eq!(streaming.finish(), expected, "split at {cut}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random contents at random lengths up to three 4 KiB pages — the
+        /// sizes disk slots and WAL records actually have — cut at a random
+        /// point, against the byte-wise reference.
+        #[test]
+        fn random_buffers_match_the_reference(
+            data in vec(any::<u8>(), 0..3 * 4096 + 1),
+            offset in 0usize..8,
+            cut in 0usize..3 * 4096 + 1,
+        ) {
+            let slice = &data[offset.min(data.len())..];
+            let cut = cut.min(slice.len());
+            let expected = reference_crc32(slice);
+            prop_assert_eq!(crc32(slice), expected);
+            let mut streaming = Crc32::new();
+            streaming.update(&slice[..cut]);
+            streaming.update(&slice[cut..]);
+            prop_assert_eq!(streaming.finish(), expected);
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 #
 #   scripts/verify.sh                  # tier-1 + store smoke + examples +
 #                                      # the benchmark package's build + the
-#                                      # single-owner grep gates + format +
-#                                      # clippy
+#                                      # single-owner and wake-up grep gates
+#                                      # + format + clippy
 #   scripts/verify.sh --quick          # tier-1 only
 #   scripts/verify.sh --smoke-server   # additionally crash-check the
 #                                      # clic-server throughput harness (~1 s
@@ -270,6 +270,19 @@ if grep -rnF '.drain(..consumed)' crates/server/src; then
 fi
 if grep -rnE 'store\.evict\(|store\.admit\(|\.write_through\(' crates/server/src; then
     echo "verify: FAILED (crates/server applies a policy verdict by hand; use PageStore::mirror)" >&2
+    exit 1
+fi
+
+# The event loop sleeps until it is woken (a socket, or a shard worker's
+# eventfd wake-up): no tick inside EventLoop, no sleep in the poller.
+echo "== wake-up gates (no timer in the event loop, no sleep in sys.rs) =="
+if sed -n '/^struct EventLoop/,/^pub struct RetryPolicy/p' crates/server/src/net.rs \
+        | grep -n 'Duration::from_'; then
+    echo "verify: FAILED (a timed wait is back inside net.rs's EventLoop; wake it instead)" >&2
+    exit 1
+fi
+if grep -n 'thread::sleep' crates/server/src/sys.rs; then
+    echo "verify: FAILED (crates/server/src/sys.rs sleeps; the poller must block in epoll_wait)" >&2
     exit 1
 fi
 

@@ -10,6 +10,9 @@
 //!   reports non-empty percentiles.
 //! * Malformed frames (garbage opcode, oversized length prefix) kill only
 //!   the offending connection; the server keeps serving new ones.
+//! * The event loop has no tick to fall back on: sequential depth-1 calls
+//!   (each one wake-up per shard step) and the shutdown of an idle server
+//!   complete only if every wake-up is delivered.
 
 use clic::prelude::*;
 use clic::server::wire;
@@ -234,6 +237,65 @@ fn unix_domain_socket_round_trips() {
     drop(client);
     net.shutdown().expect("clean shutdown");
     assert!(!path.exists(), "the socket file is removed on shutdown");
+}
+
+/// 2 000 strictly sequential round trips against a store-backed 2-shard
+/// server: the loop sleeps untimed between a request's socket event and its
+/// completion's wake-up, so one lost wake-up hangs this test rather than
+/// costing it a tick.
+#[test]
+fn sequential_calls_complete_without_a_tick() {
+    let dir = tempdir();
+    let config = ServerConfig::new(32)
+        .with_shards(2)
+        .with_store(StoreConfig::new(&dir, 32).with_durability(Durability::Buffered));
+    let net =
+        NetServer::start(Server::start(config), NetOptions::default()).expect("front-end starts");
+    let mut client = BlockingClient::connect_tcp(net.tcp_addr().unwrap()).expect("connect");
+    let pages = 100u64; // more than the cache: misses read the disk
+    for i in 0..2_000u64 {
+        let page = PageId(i % pages);
+        let op = if i < pages {
+            ServerRequest::Put {
+                client: ClientId(0),
+                page,
+                hint: HintSetId(0),
+                write_hint: None,
+                data: Some(page_payload(page, DEFAULT_PAGE_SIZE)),
+            }
+        } else {
+            ServerRequest::Get {
+                client: ClientId(0),
+                page,
+                hint: HintSetId(0),
+                prefetch: false,
+            }
+        };
+        let response = client.call(&op).expect("round trip");
+        if i >= pages {
+            assert_eq!(
+                response.data(),
+                Some(&page_payload(page, DEFAULT_PAGE_SIZE)[..])
+            );
+        }
+    }
+    drop(client);
+    let result = net.shutdown().expect("clean shutdown");
+    assert_eq!(result.stats.requests(), 2_000);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An idle server's loop sleeps in an untimed `epoll_wait`; `shutdown`
+/// returns only because it wakes it.
+#[test]
+fn an_idle_server_shuts_down() {
+    let net = NetServer::start(
+        Server::start(ServerConfig::new(64).with_shards(2)),
+        NetOptions::default(),
+    )
+    .expect("front-end starts");
+    let result = net.shutdown().expect("clean shutdown");
+    assert_eq!(result.stats.requests(), 0);
 }
 
 /// Frames assembled by hand must decode to the documented layout — the
