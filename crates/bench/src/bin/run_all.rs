@@ -1,243 +1,118 @@
-//! Runs every experiment binary (the whole evaluation section), optionally
-//! several at a time.
+//! Runs the evaluation section: `run_all [NAME…]` calls the named
+//! experiments of [`clic_bench::experiments::EXPERIMENTS`] (none = all) in
+//! table order, in this process, against one [`Suite`] — so each trace is
+//! generated once, by the first experiment that needs it. `--jobs N` sizes
+//! the thread pool every experiment's grid runs on; results are
+//! bit-identical at any `N`.
 //!
-//! `--jobs N` (default: `CLIC_JOBS` env, else available parallelism) runs
-//! the figure/table experiment binaries as N concurrent child processes
-//! through the same deterministic ordered executor the binaries use
-//! internally — each concurrent child runs its own grid with `--jobs 1` so
-//! the machine is not oversubscribed, and since every grid is deterministic
-//! the results are bit-identical to a serial run. The timing-sensitive
-//! microbenches (`server_throughput`, `server_latency`, `access_hotpath`)
-//! always run exclusively at the end, one at a time, with the full
-//! `--jobs` count forwarded; their CSVs are excluded from the verification
-//! gate's determinism diff (`scripts/verify.sh`), since what they measure
-//! is wall-clock behavior, not a deterministic grid.
-//!
-//! `--json PATH` additionally collects every child's machine-readable report
-//! (each child writes a fragment next to `PATH`) into one combined file —
-//! conventionally `BENCH_results.json` — with per-experiment wall time, so
-//! the perf trajectory is tracked across PRs. Remaining arguments
-//! (`--scale`, `--quick`, `--out-dir`) are forwarded to every child.
-//!
-//! Per-experiment wall-clock timing is always printed in the final summary,
-//! whether or not a JSON report was requested.
+//! `--json PATH` writes the ledger (conventionally `BENCH_results.json`):
+//! every experiment's report and wall time, plus the generation time of
+//! every trace. The wall times are always printed in the final summary.
 
-use std::path::PathBuf;
-use std::process::Command;
 use std::time::Instant;
 
-use cache_sim::ThreadPool;
+use clic_bench::experiments::{self, EXPERIMENTS};
 use clic_bench::json::JsonValue;
+use clic_bench::{ExperimentContext, Suite};
 
-/// Experiments whose grids are deterministic and cheap to interleave: run
-/// concurrently under `--jobs`.
-const PARALLEL_EXPERIMENTS: [&str; 12] = [
-    "table_fig2",
-    "table_fig5",
-    "fig03_hint_priorities",
-    "fig06_tpcc_policies",
-    "fig07_tpch_policies",
-    "fig08_mysql_policies",
-    "fig09_topk",
-    "fig10_noise",
-    "fig11_multiclient",
-    "ablation_params",
-    "ablation_generalization",
-    "storage_io",
-];
-
-/// Timing-sensitive microbenches: always run exclusively, after everything
-/// else, so concurrent siblings cannot pollute their measurements.
-/// `chaos_smoke` rides along because its open-loop phase asserts a bounded
-/// error fraction under offered load — a noisy neighbour could push
-/// scheduling jitter into the latency path it measures.
-const EXCLUSIVE_EXPERIMENTS: [&str; 4] = [
-    "server_throughput",
-    "server_latency",
-    "access_hotpath",
-    "chaos_smoke",
-];
-
-struct ExperimentRun {
-    name: &'static str,
-    ok: bool,
-    wall_time_s: f64,
-    /// The child's `--json` fragment, read back verbatim (valid JSON).
-    report: Option<String>,
-}
-
-fn main() {
-    // Consume --jobs and --json; forward everything else to the children.
-    let mut forwarded: Vec<String> = Vec::new();
-    let mut jobs = cache_sim::default_jobs();
-    let mut json_path: Option<PathBuf> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" => {
-                i += 1;
-                jobs = clic_bench::parse_jobs_arg(args.get(i).expect("--jobs requires a value"));
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(PathBuf::from(args.get(i).expect("--json requires a value")));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: run_all [--scale smoke|default|paper] [--quick] [--out-dir DIR] \
-                     [--jobs N] [--json PATH]"
-                );
-                return;
-            }
-            other => forwarded.push(other.to_string()),
-        }
-        i += 1;
-    }
-
-    let self_path = std::env::current_exe().expect("current executable path");
-    let bin_dir = self_path
-        .parent()
-        .expect("executable directory")
-        .to_path_buf();
-    // Children write their JSON fragments into a sibling directory of the
-    // combined report; run_all embeds them verbatim afterwards. The
-    // directory is recreated from scratch so a fragment left behind by an
-    // interrupted earlier run can never masquerade as a failed child's
-    // report.
-    let fragments_dir = json_path.as_ref().map(|path| {
-        let dir = path.with_extension("fragments");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("fragment directory created");
-        dir
-    });
-    let started = Instant::now();
-
-    // `stream`: when the child runs alone (serial phase 1 or the exclusive
-    // microbenches) its stdio is inherited, so long default/paper-scale runs
-    // show live progress exactly as before. Concurrent children instead have
-    // their output captured and emitted as one block with a single locked
-    // write, so workers cannot interleave inside a block.
-    let launch = |experiment: &'static str, child_jobs: usize, stream: bool| -> ExperimentRun {
-        let mut command = Command::new(bin_dir.join(experiment));
-        command.args(&forwarded);
-        command.args(["--jobs", &child_jobs.to_string()]);
-        let fragment = fragments_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("{experiment}.json")));
-        if let Some(fragment) = &fragment {
-            command.arg("--json").arg(fragment);
-        }
-        let child_started = Instant::now();
-        let ok = if stream {
-            println!("\n===== {experiment} =====");
-            let status = command
-                .status()
-                .unwrap_or_else(|e| panic!("failed to launch {experiment}: {e}"));
-            if !status.success() {
-                eprintln!("{experiment} exited with {status}");
-            }
-            status.success()
-        } else {
-            let output = command
-                .output()
-                .unwrap_or_else(|e| panic!("failed to launch {experiment}: {e}"));
-            let wall_time_s = child_started.elapsed().as_secs_f64();
-            let mut block = format!("\n===== {experiment} ({wall_time_s:.1}s) =====\n");
-            block.push_str(&String::from_utf8_lossy(&output.stdout));
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            if !stderr.is_empty() {
-                block.push_str("--- stderr ---\n");
-                block.push_str(&stderr);
-            }
-            if !output.status.success() {
-                block.push_str(&format!("{experiment} exited with {}\n", output.status));
-            }
-            {
-                use std::io::Write as _;
-                let mut stdout = std::io::stdout().lock();
-                let _ = stdout.write_all(block.as_bytes());
-            }
-            output.status.success()
-        };
-        let report = fragment.and_then(|path| std::fs::read_to_string(path).ok());
-        ExperimentRun {
-            name: experiment,
-            ok,
-            wall_time_s: child_started.elapsed().as_secs_f64(),
-            report,
-        }
-    };
-
-    // Phase 1: the deterministic experiments, up to `jobs` at a time (each
-    // child's own grid pinned to one worker so total load stays ~= jobs).
-    let pool = ThreadPool::new(jobs);
+fn main() -> std::io::Result<()> {
+    let (ctx, selected) = ExperimentContext::from_args("run_all", &experiments::names());
+    let suite = Suite::new(ctx);
+    let ctx = &suite.ctx;
     println!(
-        "running {} experiments with --jobs {jobs}",
-        PARALLEL_EXPERIMENTS.len() + EXCLUSIVE_EXPERIMENTS.len()
+        "scale = {}, jobs = {}, tables under {}",
+        ctx.scale_label(),
+        ctx.jobs,
+        ctx.out_dir.display()
     );
-    let mut runs = pool.par_map(&PARALLEL_EXPERIMENTS, |_, &experiment| {
-        launch(experiment, 1, jobs == 1)
-    });
-    // Phase 2: the microbenches, exclusively.
-    for experiment in EXCLUSIVE_EXPERIMENTS {
-        runs.push(launch(experiment, jobs, true));
+
+    let started = Instant::now();
+    let mut runs = Vec::new();
+    for (name, experiment) in EXPERIMENTS {
+        if !selected.contains(&name) {
+            continue;
+        }
+        println!("\n===== {name} =====");
+        let experiment_started = Instant::now();
+        let outcome = experiment(&suite);
+        let wall_time_s = experiment_started.elapsed().as_secs_f64();
+        if let Err(err) = &outcome {
+            eprintln!("{name} failed: {err}");
+        }
+        runs.push((name, wall_time_s, outcome.ok()));
     }
     let total_wall_time_s = started.elapsed().as_secs_f64();
 
     println!("\n===== per-experiment wall time =====");
-    for run in &runs {
-        println!(
-            "{:<28} {:>8.1}s  {}",
-            run.name,
-            run.wall_time_s,
-            if run.ok { "ok" } else { "FAILED" }
-        );
+    for (name, wall_time_s, metrics) in &runs {
+        let status = if metrics.is_some() { "ok" } else { "FAILED" };
+        println!("{name:<28} {wall_time_s:>8.1}s  {status}");
     }
     println!(
-        "{:<28} {total_wall_time_s:>8.1}s  (total, --jobs {jobs})",
-        "all experiments"
+        "{:<28} {total_wall_time_s:>8.1}s  (total, --jobs {})",
+        "all experiments", ctx.jobs
     );
-
-    if let Some(path) = &json_path {
-        let combined = JsonValue::object([
-            ("suite", JsonValue::str("run_all")),
-            ("jobs", JsonValue::num(jobs as f64)),
-            ("total_wall_time_s", JsonValue::num(total_wall_time_s)),
-            (
-                "experiments",
-                JsonValue::Array(
-                    runs.iter()
-                        .map(|run| {
-                            JsonValue::object([
-                                ("name", JsonValue::str(run.name)),
-                                ("ok", JsonValue::Bool(run.ok)),
-                                ("wall_time_s", JsonValue::num(run.wall_time_s)),
-                                (
-                                    "report",
-                                    run.report
-                                        .as_ref()
-                                        .map(|text| JsonValue::Raw(text.trim().to_string()))
-                                        .unwrap_or(JsonValue::Null),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        std::fs::write(path, format!("{combined}\n")).expect("combined report written");
-        if let Some(dir) = &fragments_dir {
-            std::fs::remove_dir_all(dir).ok();
-        }
-        println!("combined JSON report: {}", path.display());
+    let failed: Vec<&str> = runs
+        .iter()
+        .filter(|(_, _, metrics)| metrics.is_none())
+        .map(|(name, _, _)| *name)
+        .collect();
+    let traces = suite.built_traces();
+    println!("\n===== trace generation (included above) =====");
+    for ((preset, page_offset, seed), build_s) in &traces {
+        println!(
+            "{:<10} offset {page_offset:<10} seed {seed:<3} {build_s:>8.1}s",
+            preset.name()
+        );
     }
 
-    let failures: Vec<&str> = runs.iter().filter(|r| !r.ok).map(|r| r.name).collect();
-    if failures.is_empty() {
+    ctx.write_json(&JsonValue::object([
+        ("suite", JsonValue::str("run_all")),
+        ("jobs", JsonValue::num(ctx.jobs as f64)),
+        ("total_wall_time_s", JsonValue::num(total_wall_time_s)),
+        (
+            "experiments",
+            JsonValue::Array(
+                runs.into_iter()
+                    .map(|(name, wall_time_s, metrics)| {
+                        JsonValue::object([
+                            ("name", JsonValue::str(name)),
+                            ("ok", JsonValue::Bool(metrics.is_some())),
+                            ("wall_time_s", JsonValue::num(wall_time_s)),
+                            (
+                                "report",
+                                metrics.map_or(JsonValue::Null, |metrics| {
+                                    ctx.report(name, wall_time_s, metrics)
+                                }),
+                            ),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "traces",
+            JsonValue::Array(
+                traces
+                    .into_iter()
+                    .map(|((preset, page_offset, seed), build_s)| {
+                        JsonValue::object([
+                            ("preset", JsonValue::str(preset.name())),
+                            ("page_offset", JsonValue::num(page_offset as f64)),
+                            ("seed", JsonValue::num(seed as f64)),
+                            ("build_s", JsonValue::num(build_s)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ]))?;
+
+    if failed.is_empty() {
         println!("\nall experiments completed");
+        Ok(())
     } else {
-        eprintln!("\nexperiments failed: {failures:?}");
+        eprintln!("\nexperiments failed: {failed:?}");
         std::process::exit(1);
     }
 }

@@ -1,11 +1,36 @@
-//! Chaos gate (`scripts/verify.sh --smoke-chaos`, part of the default
-//! full run).
+//! The smoke gate of `scripts/verify.sh --smoke`: `smoke [obs|chaos]` runs
+//! the named phases (none = both). Failures panic, so a nonzero exit is the
+//! gate tripping. Latency *values* are wall-clock and never asserted on;
+//! only counts, structure, and validity are.
 //!
-//! Everything else in the verification suite checks that CLIC works when
-//! the world cooperates; this gate checks that it *degrades* when the
-//! world does not. A seeded [`FaultInjector`] tears WAL appends, fails
-//! fsyncs, drops accepted connections, resets readable ones, and cuts
-//! socket writes short — and the gate asserts the contract that survives:
+//! # `obs` — the instrumented stack observes, never perturbs
+//!
+//! 1. **Counters are job-count invariant.** The partitioned storage replay
+//!    (CLIC over 2 shard stores, WAL on, enabled recorder) runs once on a
+//!    1-worker pool and once on a 2-worker pool; the deterministic counters
+//!    — requests, hits, evictions, WAL records, and in fact the whole
+//!    [`cache_sim::CacheStats`] / [`cache_sim::IoStats`] pair — must be
+//!    bit-identical.
+//! 2. **The trace ring drains to valid JSON.** A recorder-enabled server
+//!    load (2 clients, 2 shards) must leave `shard_batch` spans in the
+//!    ring, the drained dump and the merged metrics snapshot must pass the
+//!    strict [`clic_obs::json::validate`] parser, and the client-batch
+//!    histogram published by the harness must count every batch submitted.
+//! 3. **The event loop is woken, not polling.** The same instrumented
+//!    server behind a [`NetServer`] answers sequential round trips; the
+//!    `net.*` counters in its `Stats` reply must show the loop ran, was
+//!    woken by completions and by sockets, and never ran more often than
+//!    it was woken — a loop spinning on a timeout would.
+//! 4. **A mock clock makes dumps reproducible.** The same serial replay
+//!    against a [`clic_obs::Clock::mock`]-backed recorder twice must render
+//!    byte-identical trace JSON — the property the ROADMAP's interleaving
+//!    studies will lean on.
+//!
+//! # `chaos` — the stack degrades when the world does not cooperate
+//!
+//! A seeded [`FaultInjector`] tears WAL appends, fails fsyncs, drops
+//! accepted connections, resets readable ones, and cuts socket writes short
+//! — and the gate asserts the contract that survives:
 //!
 //! * **Phase A (durability under fire, run twice):** a `Strict` store
 //!   absorbs a write storm while the injector fails ~10% of WAL appends
@@ -33,32 +58,287 @@
 //!   must ride out every injected failure, and the gate requires at
 //!   least one accept drop, one connection reset, and one send fault
 //!   demonstrably fired before shutdown, which again stays clean.
-//!
-//! Failures panic, so a nonzero exit is the gate tripping.
 
 use std::collections::BTreeMap;
+use std::fs;
 use std::io;
 use std::net::SocketAddr;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use cache_sim::PageId;
+use cache_sim::{BoxedPolicy, PageId, ThreadPool, REPLAY_CHUNK};
 use clic_bench::json::JsonValue;
-use clic_bench::{ExperimentContext, ResultTable};
-use clic_server::{
-    run_open_loop, BlockingClient, Durability, ErrorCode, FaultInjector, FaultPoint, NetOptions,
-    NetServer, OpenLoopConfig, RetryPolicy, Server, ServerConfig, ServerRequest, StoreConfig,
+use clic_bench::{build_policy, window_for_trace, ExperimentContext};
+use clic_core::{ClicConfig, TrackingMode};
+use clic_obs::{json::validate, Clock, Recorder, SpanKind, TraceDump};
+use clic_server::net::{
+    COMPLETION_WAKEUPS_COUNTER, LOOP_ITERATIONS_COUNTER, SOCKET_WAKEUPS_COUNTER,
 };
-use clic_store::{page_payload, InjectedFault, PageStore, ReadSource};
-use trace_gen::PresetScale;
+use clic_server::{
+    run_load, run_open_loop, BlockingClient, Durability, ErrorCode, FaultInjector, FaultPoint,
+    LoadConfig, NetOptions, NetServer, OpenLoopConfig, RetryPolicy, Server, ServerConfig,
+    ServerRequest, CLIENT_BATCH_HISTOGRAM,
+};
+use clic_store::{
+    page_payload, replay_storage, replay_storage_partitioned, InjectedFault, PageStore, ReadSource,
+    StorageReplayReport, StoreConfig, REPLAY_CHUNK_HISTOGRAM,
+};
+use trace_gen::{PresetScale, TracePreset};
 
-const PAGE_SIZE: usize = 64;
+/// A phase asserts its gate and returns the counts it observed.
+type Phase = fn(&ExperimentContext) -> io::Result<JsonValue>;
+
+/// The phases by name, in the order they run.
+const PHASES: [(&str, Phase); 2] = [("obs", obs), ("chaos", chaos)];
+
+/// Small pages: the `obs` phase moves real bytes but its counters are
+/// size-independent, so keep the scratch files tiny.
+const OBS_PAGE_SIZE: usize = 256;
+const CHAOS_PAGE_SIZE: usize = 64;
 const CHAOS_SEED: u64 = 0xC0FFEE;
 
 /// Counts in this gate fit `f64` exactly; the JSON writer wants one.
 fn num(value: u64) -> JsonValue {
     JsonValue::num(value as f64)
 }
+
+/// A scratch directory for one store. Anything a killed run left there
+/// would be recovered into this run's counters; start from nothing.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("clic-smoke-{}-{tag}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Dials a front-end, tolerating injected accept drops (the TCP connect
+/// itself succeeds even when the server drops the accepted stream — the
+/// drop surfaces on first use, which the callers handle). Calls on the
+/// returned client time out after ten seconds instead of hanging the gate.
+fn connect(addr: SocketAddr) -> io::Result<BlockingClient> {
+    for _ in 0..1_000 {
+        if let Ok(mut client) = BlockingClient::connect_tcp(addr) {
+            client.set_timeouts(Some(Duration::from_secs(10)))?;
+            return Ok(client);
+        }
+    }
+    panic!("could not connect to {addr} after 1000 attempts");
+}
+
+fn main() -> io::Result<()> {
+    let (ctx, selected) = ExperimentContext::from_args("smoke", &PHASES.map(|(name, _)| name));
+    println!("smoke gate, scale = {}", ctx.scale_label());
+    let mut metrics = Vec::new();
+    for (name, phase) in PHASES {
+        if selected.contains(&name) {
+            println!("\n===== {name} =====");
+            metrics.push((name, phase(&ctx)?));
+            println!("\n{name} smoke: all assertions passed");
+        }
+    }
+    ctx.emit_json("smoke", JsonValue::object(metrics))
+}
+
+// ---- obs ------------------------------------------------------------
+
+/// The partitioned CLIC replay with an enabled recorder, on a `jobs`-worker
+/// pool. Returns the report plus the recorder's drained trace and snapshot.
+fn instrumented_replay(
+    trace: &cache_sim::Trace,
+    cache_pages: usize,
+    window: u64,
+    jobs: usize,
+) -> io::Result<(StorageReplayReport, TraceDump, clic_obs::MetricsSnapshot)> {
+    let recorder = Recorder::enabled();
+    let dir = scratch_dir(&format!("replay-j{jobs}"));
+    let config = StoreConfig::new(&dir, cache_pages)
+        .with_page_size(OBS_PAGE_SIZE)
+        .with_wal(true)
+        .with_flush_threshold((cache_pages / 4).max(1))
+        .with_recorder(recorder.clone());
+    let factory = (
+        "CLIC(k=100)".to_string(),
+        |capacity: usize| -> BoxedPolicy { build_policy("CLIC(k=100)", trace, capacity, window) },
+    );
+    let pool = ThreadPool::new(jobs);
+    let report = replay_storage_partitioned(&pool, &factory, trace, cache_pages, 2, &config)?;
+    fs::remove_dir_all(&dir).ok();
+    Ok((report, recorder.drain_trace(), recorder.snapshot()))
+}
+
+fn obs(ctx: &ExperimentContext) -> io::Result<JsonValue> {
+    let trace = TracePreset::Db2C60.build(ctx.scale);
+    println!("workload: {}", trace.summary());
+    let cache_pages = TracePreset::Db2C60.reference_cache_size(ctx.scale);
+    let window = window_for_trace(&trace);
+
+    // 1. Deterministic counters are identical at --jobs 1 and --jobs 2.
+    let (serial, serial_trace, serial_snap) = instrumented_replay(&trace, cache_pages, window, 1)?;
+    let (parallel, parallel_trace, _) = instrumented_replay(&trace, cache_pages, window, 2)?;
+    assert_eq!(
+        serial.result.stats, parallel.result.stats,
+        "policy counters (requests/hits/evictions) must not depend on the pool size"
+    );
+    assert_eq!(
+        serial.io, parallel.io,
+        "I/O counters (WAL records, disk reads, flushes) must not depend on the pool size"
+    );
+    println!(
+        "replay counters job-count invariant: {} requests, {} read hits, {} evictions, {} wal records",
+        serial.result.stats.requests(),
+        serial.result.stats.read_hits,
+        serial.result.stats.evictions,
+        serial.io.wal_records,
+    );
+
+    // The recorder actually saw the replay: chunk latencies and trace spans.
+    let expected_chunks = (trace.len() as u64).div_ceil(REPLAY_CHUNK as u64);
+    assert_eq!(
+        serial.latency.count(),
+        expected_chunks,
+        "one latency sample per {REPLAY_CHUNK}-request chunk"
+    );
+    assert_eq!(
+        serial_snap.histogram(REPLAY_CHUNK_HISTOGRAM).count(),
+        expected_chunks,
+        "report.latency and the registry histogram are the same data"
+    );
+    for dump in [&serial_trace, &parallel_trace] {
+        assert!(
+            dump.events.iter().any(|e| e.kind == SpanKind::WalAppend),
+            "a WAL-enabled replay must leave wal_append spans in the ring"
+        );
+        validate(&dump.to_json()).expect("trace dump must be valid JSON");
+    }
+    validate(&serial_snap.to_json()).expect("metrics snapshot must be valid JSON");
+    println!(
+        "trace ring drains cleanly: {} events ({} dropped), JSON valid",
+        serial_trace.events.len(),
+        serial_trace.dropped
+    );
+
+    // 2. Recorder-enabled server load: spans from the shard workers, a
+    // batch-latency histogram counting every batch, everything parseable.
+    let recorder = Recorder::enabled();
+    let presets = [TracePreset::Db2C60, TracePreset::Db2C300];
+    let client_traces = clic_server::preset_client_traces(&presets, ctx.scale);
+    let load_config = LoadConfig::new(
+        ServerConfig::new(cache_pages)
+            .with_shards(2)
+            .with_clic(
+                ClicConfig::default()
+                    .with_window(window)
+                    .with_tracking(TrackingMode::TopK(100)),
+            )
+            .with_recorder(recorder.clone()),
+    )
+    .with_batch(REPLAY_CHUNK);
+    let report = run_load(&load_config, &client_traces);
+    let total_batches: u64 = report.clients.iter().map(|c| c.batches).sum();
+    let batch_hist = recorder
+        .histogram(CLIENT_BATCH_HISTOGRAM)
+        .expect("enabled recorder hands out histograms");
+    assert_eq!(
+        batch_hist.count(),
+        total_batches,
+        "the harness must publish every client batch latency into the recorder"
+    );
+    let server_trace = recorder.drain_trace();
+    assert!(
+        server_trace
+            .events
+            .iter()
+            .any(|e| e.kind == SpanKind::ShardBatch),
+        "shard workers must leave shard_batch spans"
+    );
+    validate(&server_trace.to_json()).expect("server trace dump must be valid JSON");
+    validate(&recorder.snapshot().to_json()).expect("server metrics snapshot must be valid JSON");
+    println!(
+        "server load instrumented: {} requests, {} batches in histogram, {} trace events",
+        report.requests(),
+        total_batches,
+        server_trace.events.len()
+    );
+
+    // 3. The same instrumented server on the wire: every round trip is one
+    // socket wake-up (the request) and one completion wake-up per shard
+    // step (the reply), and nothing else runs the loop.
+    let net = NetServer::start(
+        Server::try_start(load_config.server.clone())?,
+        NetOptions::default(),
+    )?;
+    let mut client = connect(net.tcp_addr().expect("tcp enabled"))?;
+    let round_trips = 500;
+    for request in client_traces[0].requests.iter().take(round_trips) {
+        client.call(&ServerRequest::from_request(request))?;
+    }
+    let net_metrics = client.stats()?.metrics;
+    drop(client);
+    net.shutdown()?;
+    let iterations = net_metrics.counter(LOOP_ITERATIONS_COUNTER);
+    let completion_wakeups = net_metrics.counter(COMPLETION_WAKEUPS_COUNTER);
+    let socket_wakeups = net_metrics.counter(SOCKET_WAKEUPS_COUNTER);
+    assert!(
+        completion_wakeups > 0 && socket_wakeups > 0,
+        "the loop must be woken by completions ({completion_wakeups}) and sockets ({socket_wakeups})"
+    );
+    assert!(
+        completion_wakeups <= iterations && socket_wakeups <= iterations,
+        "wake-ups are counted once per iteration"
+    );
+    assert!(
+        iterations <= completion_wakeups + socket_wakeups,
+        "{iterations} iterations for {completion_wakeups} + {socket_wakeups} wake-ups: \
+         the loop ran without being woken"
+    );
+    println!(
+        "event loop woken, not polling: {round_trips} round trips, {iterations} iterations, \
+         {completion_wakeups} completion + {socket_wakeups} socket wake-ups"
+    );
+
+    // 4. Mock clock: the same serial replay twice renders byte-identical
+    // trace JSON (single-threaded, so thread ids and event order are fixed).
+    let mock_run = |tag: &str| -> io::Result<String> {
+        let recorder = Recorder::with_clock(Clock::mock());
+        let dir = scratch_dir(&format!("mock-{tag}"));
+        let config = StoreConfig::new(&dir, cache_pages)
+            .with_page_size(OBS_PAGE_SIZE)
+            .with_wal(true)
+            .with_flush_threshold((cache_pages / 4).max(1))
+            .with_recorder(recorder.clone());
+        let store = PageStore::open(config)?;
+        let mut policy = build_policy("CLIC(k=100)", &trace, cache_pages, window);
+        replay_storage(policy.as_mut(), &store, &trace)?;
+        drop(store);
+        fs::remove_dir_all(&dir).ok();
+        Ok(recorder.drain_trace().to_json())
+    };
+    let first = mock_run("a")?;
+    let second = mock_run("b")?;
+    assert_eq!(
+        first, second,
+        "mock-clock trace dumps must be byte-identical run to run"
+    );
+    validate(&first).expect("mock-clock trace dump must be valid JSON");
+    println!(
+        "mock-clock trace dumps reproducible ({} bytes of JSON)",
+        first.len()
+    );
+
+    Ok(JsonValue::object([
+        ("requests", num(serial.result.stats.requests())),
+        ("read_hits", num(serial.result.stats.read_hits)),
+        ("evictions", num(serial.result.stats.evictions)),
+        ("wal_records", num(serial.io.wal_records)),
+        ("replay_trace_events", num(serial_trace.events.len() as u64)),
+        ("server_trace_events", num(server_trace.events.len() as u64)),
+        ("server_batches", num(total_batches)),
+        ("net_loop_iterations", num(iterations)),
+        ("net_completion_wakeups", num(completion_wakeups)),
+        ("net_socket_wakeups", num(socket_wakeups)),
+    ]))
+}
+
+// ---- chaos ----------------------------------------------------------
 
 /// One Phase A run: what the driver observed and what recovery produced.
 #[derive(Debug, PartialEq, Eq)]
@@ -79,14 +359,14 @@ struct StormOutcome {
 /// store while WAL appends and fsyncs fail at ~10% each, then a kernel
 /// crash (WAL truncated to the synced prefix) and a fault-free recovery.
 fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
-    std::fs::remove_dir_all(dir).ok();
+    fs::remove_dir_all(dir).ok();
     let fault = FaultInjector::seeded(CHAOS_SEED)
         .with_rate(FaultPoint::WalAppend, 0.10)
         .with_rate(FaultPoint::WalSync, 0.10);
     // Frames cover the page universe: no evictions, so recovery is
     // exactly WAL replay.
     let config = StoreConfig::new(dir, 64)
-        .with_page_size(PAGE_SIZE)
+        .with_page_size(CHAOS_PAGE_SIZE)
         .with_durability(Durability::Strict)
         .with_fault_injector(fault.clone());
     let mut acked = Vec::with_capacity(ops.len());
@@ -94,7 +374,7 @@ fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
     let (synced_len, total_len) = {
         let store = PageStore::open(config)?;
         for &(page, tag) in ops {
-            match store.stage(PageId(page), &[tag; PAGE_SIZE]) {
+            match store.stage(PageId(page), &[tag; CHAOS_PAGE_SIZE]) {
                 Ok(()) => {
                     acked.push(true);
                     appended.push((page, tag));
@@ -181,7 +461,7 @@ fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
     }
     let store = PageStore::open(
         StoreConfig::new(dir, 64)
-            .with_page_size(PAGE_SIZE)
+            .with_page_size(CHAOS_PAGE_SIZE)
             .with_durability(Durability::Strict),
     )?;
     assert_eq!(
@@ -205,7 +485,7 @@ fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
             Some(&tag) => {
                 assert_eq!(
                     buf,
-                    vec![tag; PAGE_SIZE],
+                    vec![tag; CHAOS_PAGE_SIZE],
                     "page {page} must recover bit-identical to the model"
                 );
                 recovered.insert(page, buf.clone());
@@ -223,21 +503,7 @@ fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
     })
 }
 
-/// Dials the front-end, tolerating injected accept drops (the TCP connect
-/// itself succeeds even when the server drops the accepted stream — the
-/// drop surfaces on first use, which the callers handle).
-fn connect(addr: SocketAddr) -> BlockingClient {
-    for _ in 0..1_000 {
-        if let Ok(client) = BlockingClient::connect_tcp(addr) {
-            return client;
-        }
-    }
-    panic!("could not connect to the chaos front-end after 1000 attempts");
-}
-
-fn main() -> io::Result<()> {
-    let ctx = ExperimentContext::from_args();
-    println!("Chaos smoke, scale = {}\n", ctx.scale_label());
+fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
     let (rate, seconds) = match ctx.scale {
         PresetScale::Smoke => (4_000.0, 0.4),
         _ => (8_000.0, 1.0),
@@ -248,7 +514,7 @@ fn main() -> io::Result<()> {
     let ops: Vec<(u64, u8)> = (0..400u64)
         .map(|i| (i.wrapping_mul(0x9e3779b9) % 32, (i % 251) as u8))
         .collect();
-    let dir_a = std::env::temp_dir().join(format!("clic-chaos-a-{}", std::process::id()));
+    let dir_a = scratch_dir("chaos-a");
     let first = durability_storm(&dir_a, &ops)?;
     let second = durability_storm(&dir_a, &ops)?;
     assert_eq!(
@@ -256,7 +522,7 @@ fn main() -> io::Result<()> {
         "same seed, same storm: acks, counts, synced prefix, and recovered \
          bytes must all replay identically"
     );
-    std::fs::remove_dir_all(&dir_a).ok();
+    fs::remove_dir_all(&dir_a).ok();
     println!(
         "  deterministic: both runs acked {}/{} writes, synced prefix {} bytes, \
          {} pages recovered bit-identical\n",
@@ -269,14 +535,13 @@ fn main() -> io::Result<()> {
     // ---- Phase B: degradation under store faults, network clean. ------
     println!("phase B: open-loop load over a faulted store, load shedding armed");
     let store_fault = FaultInjector::seeded(CHAOS_SEED ^ 1).with_rate(FaultPoint::WalAppend, 0.02);
-    let dir_b = std::env::temp_dir().join(format!("clic-chaos-b-{}", std::process::id()));
-    std::fs::create_dir_all(&dir_b)?;
+    let dir_b = scratch_dir("chaos-b");
     let config = ServerConfig::new(2_048)
         .with_shards(2)
         .with_recorder(clic_obs::Recorder::enabled())
         .with_store(
             StoreConfig::new(&dir_b, 2_048)
-                .with_page_size(PAGE_SIZE)
+                .with_page_size(CHAOS_PAGE_SIZE)
                 .with_fault_injector(store_fault),
         );
     let net = NetServer::start(
@@ -293,7 +558,7 @@ fn main() -> io::Result<()> {
         rate,
         requests: (rate * seconds) as u64,
         pages: 4_096,
-        payload: Some(PAGE_SIZE),
+        payload: Some(CHAOS_PAGE_SIZE),
         ..OpenLoopConfig::default()
     };
     let report = run_open_loop(addr, &open_loop)?;
@@ -335,15 +600,14 @@ fn main() -> io::Result<()> {
     // one operation, and must shed the rest with typed errors instead of
     // stalling the stream (re-arm a fresh window-1 server would be
     // overkill: the default window is 64, so drive 256 ≫ 64 at once).
-    let mut burst_client = connect(addr);
-    burst_client.set_timeouts(Some(Duration::from_secs(10)))?;
+    let mut burst_client = connect(addr)?;
     let burst: Vec<ServerRequest> = (0..256u64)
         .map(|i| ServerRequest::Put {
             client: cache_sim::ClientId(0),
             page: PageId(i % 512),
             hint: cache_sim::HintSetId(0),
             write_hint: None,
-            data: Some(page_payload(PageId(i % 512), PAGE_SIZE)),
+            data: Some(page_payload(PageId(i % 512), CHAOS_PAGE_SIZE)),
         })
         .collect();
     let responses = burst_client
@@ -362,8 +626,7 @@ fn main() -> io::Result<()> {
 
     // The server-side ledger saw the shedding: the recorder is enabled,
     // so every Busy answer above landed in `server.shed_busy`.
-    let mut stats_client = connect(addr);
-    stats_client.set_timeouts(Some(Duration::from_secs(10)))?;
+    let mut stats_client = connect(addr)?;
     let snapshot = stats_client.stats()?;
     let shed_counter = snapshot.metrics.counter("server.shed_busy");
     println!("  server counters: shed_busy = {shed_counter}");
@@ -379,7 +642,7 @@ fn main() -> io::Result<()> {
         result.stats.requests() > 0,
         "shutdown statistics lost the run"
     );
-    std::fs::remove_dir_all(&dir_b).ok();
+    fs::remove_dir_all(&dir_b).ok();
 
     // ---- Phase C: a hostile network. -----------------------------------
     println!("\nphase C: a retrying client against an armed network front-end");
@@ -406,7 +669,7 @@ fn main() -> io::Result<()> {
     // stats call synchronizes with the event loop either way.
     let mut dials = 0u32;
     while net_fault.injected_at(FaultPoint::NetAccept) < 1 && dials < 1_000 {
-        let mut c = connect(chaos_addr);
+        let mut c = connect(chaos_addr)?;
         let _ = c.set_timeouts(Some(Duration::from_secs(2)));
         let _ = c.call(&ServerRequest::Stats);
         dials += 1;
@@ -422,8 +685,7 @@ fn main() -> io::Result<()> {
         max_delay: Duration::from_millis(20),
         seed: CHAOS_SEED,
     };
-    let mut probe = connect(chaos_addr);
-    probe.set_timeouts(Some(Duration::from_secs(10)))?;
+    let mut probe = connect(chaos_addr)?;
     let mut probes = 0u64;
     while (net_fault.injected_at(FaultPoint::NetRecv) < 1
         || net_fault.injected_at(FaultPoint::NetSend) < 1)
@@ -473,59 +735,28 @@ fn main() -> io::Result<()> {
         "shutdown statistics lost the probes"
     );
 
-    let mut table = ResultTable::new(
-        "chaos smoke (timing-dependent; excluded from determinism diffs)",
-        &["metric", "value"],
-    );
-    table.push_row(vec!["open_loop_sent".into(), report.sent.to_string()]);
-    table.push_row(vec![
-        "open_loop_completed".into(),
-        report.completed.to_string(),
-    ]);
-    table.push_row(vec!["open_loop_errored".into(), report.errored.to_string()]);
-    table.push_row(vec!["open_loop_shed".into(), report.shed.to_string()]);
-    table.push_row(vec!["burst_shed".into(), burst_shed.to_string()]);
-    table.push_row(vec![
-        "accept_drops".into(),
-        net_fault.injected_at(FaultPoint::NetAccept).to_string(),
-    ]);
-    table.push_row(vec![
-        "conn_resets".into(),
-        net_fault.injected_at(FaultPoint::NetRecv).to_string(),
-    ]);
-    table.push_row(vec![
-        "send_faults".into(),
-        net_fault.injected_at(FaultPoint::NetSend).to_string(),
-    ]);
-    table.emit(&ctx.out_dir, "chaos_smoke")?;
-    ctx.emit_json(
-        "chaos_smoke",
-        JsonValue::object([
-            (
-                "storm_acked",
-                num(first.acked.iter().filter(|&&a| a).count() as u64),
-            ),
-            ("storm_writes", num(ops.len() as u64)),
-            ("open_loop_sent", num(report.sent)),
-            ("open_loop_completed", num(report.completed)),
-            ("open_loop_errored", num(report.errored)),
-            ("open_loop_shed", num(report.shed)),
-            ("burst_shed", num(burst_shed as u64)),
-            (
-                "accept_drops",
-                num(net_fault.injected_at(FaultPoint::NetAccept)),
-            ),
-            (
-                "conn_resets",
-                num(net_fault.injected_at(FaultPoint::NetRecv)),
-            ),
-            (
-                "send_faults",
-                num(net_fault.injected_at(FaultPoint::NetSend)),
-            ),
-        ]),
-    )?;
-
-    println!("\nchaos smoke: all assertions passed");
-    Ok(())
+    Ok(JsonValue::object([
+        (
+            "storm_acked",
+            num(first.acked.iter().filter(|&&a| a).count() as u64),
+        ),
+        ("storm_writes", num(ops.len() as u64)),
+        ("open_loop_sent", num(report.sent)),
+        ("open_loop_completed", num(report.completed)),
+        ("open_loop_errored", num(report.errored)),
+        ("open_loop_shed", num(report.shed)),
+        ("burst_shed", num(burst_shed as u64)),
+        (
+            "accept_drops",
+            num(net_fault.injected_at(FaultPoint::NetAccept)),
+        ),
+        (
+            "conn_resets",
+            num(net_fault.injected_at(FaultPoint::NetRecv)),
+        ),
+        (
+            "send_faults",
+            num(net_fault.injected_at(FaultPoint::NetSend)),
+        ),
+    ]))
 }

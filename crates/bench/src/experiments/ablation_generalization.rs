@@ -12,25 +12,21 @@
 //!   grouping (the proposed remedy: the tree learns to ignore the noise
 //!   attributes).
 
+use std::io;
+
 use cache_sim::simulate;
-use clic_bench::{build_policy, json::JsonValue, window_for_trace, ExperimentContext, ResultTable};
 use clic_core::train_grouping_from_prefix;
 use trace_gen::{inject_noise, NoiseConfig, TracePreset};
+
+use crate::{build_policy, json::JsonValue, window_for_trace, ResultTable, Suite};
 
 const NOISE_LEVELS: [u32; 4] = [0, 1, 2, 3];
 const MAX_GROUPS: u32 = 64;
 
-fn main() -> std::io::Result<()> {
-    let ctx = ExperimentContext::from_args();
-    println!(
-        "Ablation: decision-tree hint-set grouping under noise, scale = {}\n",
-        ctx.scale_label()
-    );
-
+pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
     let preset = TracePreset::Db2C300;
-    let base = preset.build(ctx.scale);
-    println!("generated {}", base.summary());
-    let cache = preset.reference_cache_size(ctx.scale);
+    let base = suite.preset(preset);
+    let cache = preset.reference_cache_size(suite.ctx.scale);
 
     let mut table = ResultTable::new(
         format!(
@@ -49,7 +45,7 @@ fn main() -> std::io::Result<()> {
 
     let mut metrics = Vec::new();
     for &t in &NOISE_LEVELS {
-        let noisy = inject_noise(&base, NoiseConfig::new(t));
+        let noisy = inject_noise(base, NoiseConfig::new(t));
         let hint_sets = noisy.summary().distinct_hint_sets;
         let window = window_for_trace(&noisy);
 
@@ -85,6 +81,6 @@ fn main() -> std::io::Result<()> {
             ]),
         ));
     }
-    table.emit(&ctx.out_dir, "ablation_generalization")?;
-    ctx.emit_json("ablation_generalization", JsonValue::Object(metrics))
+    table.emit(&suite.ctx.out_dir, "ablation_generalization")?;
+    Ok(JsonValue::Object(metrics))
 }

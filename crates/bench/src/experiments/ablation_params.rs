@@ -8,31 +8,28 @@
 //! * on-line statistics vs oracle (whole-trace) statistics.
 //!
 //! Every sweep is a grid of independent CLIC configurations over the same
-//! trace, submitted through the parallel executor (`--jobs`).
+//! trace, submitted through the parallel executor.
+
+use std::io;
 
 use cache_sim::compare_policies;
-use clic_bench::{json::JsonValue, window_for_trace, ExperimentContext, ResultTable};
 use clic_core::{analyze_trace, Clic, ClicConfig};
+use trace_gen::TracePreset;
 
-fn main() -> std::io::Result<()> {
-    let ctx = ExperimentContext::from_args();
-    let pool = ctx.pool();
-    println!(
-        "CLIC parameter ablations, scale = {}, jobs = {}\n",
-        ctx.scale_label(),
-        pool.jobs()
-    );
+use crate::{json::JsonValue, window_for_trace, ResultTable, Suite};
 
-    let preset = trace_gen::TracePreset::Db2C300;
-    let trace = preset.build(ctx.scale);
-    println!("generated {}", trace.summary());
-    let cache = preset.reference_cache_size(ctx.scale);
-    let base_window = window_for_trace(&trace);
+pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
+    let pool = suite.ctx.pool();
+    let out_dir = &suite.ctx.out_dir;
+    let preset = TracePreset::Db2C300;
+    let trace = suite.preset(preset);
+    let cache = preset.reference_cache_size(suite.ctx.scale);
+    let base_window = window_for_trace(trace);
 
     // Runs one grid of configurations through the executor, returning the
     // read hit ratio per configuration in input order.
     let run_grid = |configs: &[ClicConfig]| -> Vec<f64> {
-        compare_policies(&pool, &trace, configs, |config| {
+        compare_policies(&pool, trace, configs, |config| {
             Box::new(Clic::new(cache, *config))
         })
         .iter()
@@ -64,7 +61,7 @@ fn main() -> std::io::Result<()> {
         outqueue_table.push_row(vec![format!("{factor}"), format!("{:.1}%", ratio * 100.0)]);
         per_factor.push((format!("{factor}"), JsonValue::num(ratio)));
     }
-    outqueue_table.emit(&ctx.out_dir, "ablation_outqueue")?;
+    outqueue_table.emit(out_dir, "ablation_outqueue")?;
     metrics.push(("outqueue_factor".to_string(), JsonValue::Object(per_factor)));
 
     // Window sweep.
@@ -89,7 +86,7 @@ fn main() -> std::io::Result<()> {
         window_table.push_row(vec![window.to_string(), format!("{:.1}%", ratio * 100.0)]);
         per_window.push((window.to_string(), JsonValue::num(ratio)));
     }
-    window_table.emit(&ctx.out_dir, "ablation_window")?;
+    window_table.emit(out_dir, "ablation_window")?;
     metrics.push(("window".to_string(), JsonValue::Object(per_window)));
 
     // Smoothing sweep.
@@ -115,13 +112,13 @@ fn main() -> std::io::Result<()> {
         smoothing_table.push_row(vec![format!("{r}"), format!("{:.1}%", ratio * 100.0)]);
         per_r.push((format!("{r}"), JsonValue::num(ratio)));
     }
-    smoothing_table.emit(&ctx.out_dir, "ablation_smoothing")?;
+    smoothing_table.emit(out_dir, "ablation_smoothing")?;
     metrics.push(("smoothing".to_string(), JsonValue::Object(per_r)));
 
     // Metadata charging and oracle statistics. The oracle cell preloads
     // whole-trace priorities into its policy, which the executor's builder
     // closure supports like any other construction step.
-    let reports = analyze_trace(&trace);
+    let reports = analyze_trace(trace);
     #[derive(Clone, Copy)]
     enum Variant {
         Charged,
@@ -130,7 +127,7 @@ fn main() -> std::io::Result<()> {
     }
     let cells = [Variant::Charged, Variant::Free, Variant::Oracle];
     let reports_ref = &reports;
-    let results = compare_policies(&pool, &trace, &cells, |variant| match variant {
+    let results = compare_policies(&pool, trace, &cells, |variant| match variant {
         Variant::Charged => Box::new(Clic::new(
             cache,
             ClicConfig::default().with_window(base_window),
@@ -167,8 +164,8 @@ fn main() -> std::io::Result<()> {
         ]);
         per_variant.push((label.to_string(), JsonValue::num(result.read_hit_ratio())));
     }
-    misc_table.emit(&ctx.out_dir, "ablation_misc")?;
+    misc_table.emit(out_dir, "ablation_misc")?;
     metrics.push(("variants".to_string(), JsonValue::Object(per_variant)));
 
-    ctx.emit_json("ablation_params", JsonValue::Object(metrics))
+    Ok(JsonValue::Object(metrics))
 }

@@ -3,20 +3,16 @@
 //! a scatter); the labels let a reader verify the headline observations, e.g.
 //! that STOCK-table replacement writes rank far above ORDER_LINE-table reads.
 
-use clic_bench::{json::JsonValue, ExperimentContext, ResultTable};
+use std::io;
+
 use clic_core::analyze_trace;
 use trace_gen::TracePreset;
 
-fn main() -> std::io::Result<()> {
-    let ctx = ExperimentContext::from_args();
-    println!(
-        "Figure 3 reproduction (hint-set priorities, DB2_C60), scale = {}\n",
-        ctx.scale_label()
-    );
+use crate::{json::JsonValue, ResultTable, Suite};
 
-    let trace = TracePreset::Db2C60.build(ctx.scale);
-    println!("generated {}", trace.summary());
-    let mut reports = analyze_trace(&trace);
+pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
+    let trace = suite.preset(TracePreset::Db2C60);
+    let mut reports = analyze_trace(trace);
     reports.sort_by(|a, b| b.priority.partial_cmp(&a.priority).unwrap());
 
     let mut table = ResultTable::new(
@@ -42,7 +38,7 @@ fn main() -> std::io::Result<()> {
             r.label.clone(),
         ]);
     }
-    table.emit(&ctx.out_dir, "fig03_hint_priorities")?;
+    table.emit(&suite.ctx.out_dir, "fig03_hint_priorities")?;
 
     // Print the paper's two annotated observations explicitly.
     let stock_repl = reports
@@ -61,17 +57,14 @@ fn main() -> std::io::Result<()> {
             stock.priority > ol.priority
         );
     }
-    ctx.emit_json(
-        "fig03_hint_priorities",
-        JsonValue::object([
-            ("hint_sets", JsonValue::num(reports.len() as f64)),
-            (
-                "top_priority",
-                reports
-                    .first()
-                    .map(|r| JsonValue::num(r.priority))
-                    .unwrap_or(JsonValue::Null),
-            ),
-        ]),
-    )
+    Ok(JsonValue::object([
+        ("hint_sets", JsonValue::num(reports.len() as f64)),
+        (
+            "top_priority",
+            reports
+                .first()
+                .map(|r| JsonValue::num(r.priority))
+                .unwrap_or(JsonValue::Null),
+        ),
+    ]))
 }

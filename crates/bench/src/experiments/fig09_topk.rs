@@ -2,12 +2,15 @@
 //! ratio. CLIC is restricted to tracking only the `k` most frequent hint sets
 //! (Space-Saving based), with `k` swept from 1 to 100, on the DB2 TPC-C and
 //! DB2 TPC-H traces with the paper's 180 K-page reference cache. Each
-//! trace's k-sweep is fanned across worker threads (`--jobs`) through the
-//! deterministic parallel executor.
+//! trace's k-sweep is fanned across the pool through the deterministic
+//! parallel executor.
+
+use std::io;
 
 use cache_sim::compare_policies;
-use clic_bench::{build_policy, json::JsonValue, window_for_trace, ExperimentContext, ResultTable};
 use trace_gen::TracePreset;
+
+use crate::{build_policy, json::JsonValue, window_for_trace, ResultTable, Suite};
 
 const K_VALUES: [usize; 8] = [1, 2, 5, 10, 20, 50, 100, usize::MAX];
 
@@ -19,15 +22,8 @@ fn policy_name(k: usize) -> String {
     }
 }
 
-fn main() -> std::io::Result<()> {
-    let ctx = ExperimentContext::from_args();
-    let pool = ctx.pool();
-    println!(
-        "Figure 9 reproduction (top-k hint filtering), scale = {}, jobs = {}\n",
-        ctx.scale_label(),
-        pool.jobs()
-    );
-
+pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
+    let pool = suite.ctx.pool();
     let mut metrics = Vec::new();
     for (group_name, presets, stem) in [
         ("DB2 TPC-C", &TracePreset::TPCC[..], "fig09_tpcc"),
@@ -48,18 +44,16 @@ fn main() -> std::io::Result<()> {
             &header_refs,
         );
         for &preset in presets {
-            let trace = preset.build(ctx.scale);
-            let summary = trace.summary();
-            println!("generated {summary}");
-            let cache = preset.reference_cache_size(ctx.scale);
-            let window = window_for_trace(&trace);
+            let trace = suite.preset(preset);
+            let cache = preset.reference_cache_size(suite.ctx.scale);
+            let window = window_for_trace(trace);
             // One independent simulation per k, submitted as a grid.
-            let results = compare_policies(&pool, &trace, &K_VALUES, |&k| {
-                build_policy(&policy_name(k), &trace, cache, window)
+            let results = compare_policies(&pool, trace, &K_VALUES, |&k| {
+                build_policy(&policy_name(k), trace, cache, window)
             });
             let mut row = vec![
                 preset.name().to_string(),
-                summary.distinct_hint_sets.to_string(),
+                trace.summary().distinct_hint_sets.to_string(),
             ];
             let mut per_k = Vec::new();
             for (&k, result) in K_VALUES.iter().zip(&results) {
@@ -74,7 +68,7 @@ fn main() -> std::io::Result<()> {
             table.push_row(row);
             metrics.push((preset.name().to_string(), JsonValue::Object(per_k)));
         }
-        table.emit(&ctx.out_dir, stem)?;
+        table.emit(&suite.ctx.out_dir, stem)?;
     }
-    ctx.emit_json("fig09_topk", JsonValue::Object(metrics))
+    Ok(JsonValue::Object(metrics))
 }

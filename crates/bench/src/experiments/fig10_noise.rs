@@ -3,24 +3,20 @@
 //! request of the DB2 TPC-C traces; CLIC runs with top-k tracking fixed at
 //! k = 100 and the 180 K-page reference cache, so growing `T` dilutes the
 //! statistics of the genuinely useful hint sets. The noise levels of each
-//! trace are independent cells (each builds its own noisy trace), fanned
-//! across worker threads (`--jobs`) via the pool's ordered `par_map`.
+//! trace are independent cells (each derives its own noisy trace), fanned
+//! across the pool's ordered `par_map`.
+
+use std::io;
 
 use cache_sim::simulate;
-use clic_bench::{build_policy, json::JsonValue, window_for_trace, ExperimentContext, ResultTable};
 use trace_gen::{inject_noise, NoiseConfig, TracePreset};
+
+use crate::{build_policy, json::JsonValue, window_for_trace, ResultTable, Suite};
 
 const NOISE_LEVELS: [u32; 4] = [0, 1, 2, 3];
 
-fn main() -> std::io::Result<()> {
-    let ctx = ExperimentContext::from_args();
-    let pool = ctx.pool();
-    println!(
-        "Figure 10 reproduction (noise hint types), scale = {}, jobs = {}\n",
-        ctx.scale_label(),
-        pool.jobs()
-    );
-
+pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
+    let pool = suite.ctx.pool();
     let mut header = vec!["trace".to_string()];
     for &t in &NOISE_LEVELS {
         header.push(format!("T={t}"));
@@ -34,13 +30,10 @@ fn main() -> std::io::Result<()> {
 
     let mut metrics = Vec::new();
     for preset in TracePreset::TPCC {
-        let base = preset.build(ctx.scale);
-        println!("generated {}", base.summary());
-        let cache = preset.reference_cache_size(ctx.scale);
-        // Each noise level derives its own trace; the cells are independent,
-        // so fan them out and keep the results in NOISE_LEVELS order.
+        let base = suite.preset(preset);
+        let cache = preset.reference_cache_size(suite.ctx.scale);
         let cells = pool.par_map(&NOISE_LEVELS, |_, &t| {
-            let noisy = inject_noise(&base, NoiseConfig::new(t));
+            let noisy = inject_noise(base, NoiseConfig::new(t));
             let window = window_for_trace(&noisy);
             let mut policy = build_policy("CLIC(k=100)", &noisy, cache, window);
             let result = simulate(policy.as_mut(), &noisy);
@@ -57,6 +50,6 @@ fn main() -> std::io::Result<()> {
         table.push_row(row);
         metrics.push((preset.name().to_string(), JsonValue::Object(per_level)));
     }
-    table.emit(&ctx.out_dir, "fig10_noise")?;
-    ctx.emit_json("fig10_noise", JsonValue::Object(metrics))
+    table.emit(&suite.ctx.out_dir, "fig10_noise")?;
+    Ok(JsonValue::Object(metrics))
 }

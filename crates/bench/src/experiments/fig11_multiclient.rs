@@ -2,16 +2,19 @@
 //! TPC-C traces are interleaved round-robin into one multi-client trace; a
 //! shared cache managed by CLIC (top-k, k = 100) is compared against the
 //! baseline of statically partitioning the same space into three private
-//! per-client LRU-like caches (the paper partitions the cache equally and
-//! runs each client's trace against its own partition). The two
-//! configurations are independent simulations over the same interleaved
-//! trace, so they run as two cells of the parallel executor.
+//! per-client caches (the paper partitions the cache equally and runs each
+//! client's trace against its own partition). The two configurations are
+//! independent simulations over the same interleaved trace, so they run as
+//! two cells of the parallel executor.
+
+use std::io;
 
 use cache_sim::policy::PolicyFactory;
 use cache_sim::{compare_policies, BoxedPolicy, PartitionedCache};
-use clic_bench::{json::JsonValue, window_for_trace, ExperimentContext, ResultTable};
 use clic_core::{Clic, ClicConfig, TrackingMode};
-use trace_gen::{interleave, TracePreset};
+use trace_gen::TracePreset;
+
+use crate::{json::JsonValue, window_for_trace, ResultTable, Suite};
 
 struct ClicFactory {
     window: u64,
@@ -31,51 +34,25 @@ impl PolicyFactory for ClicFactory {
     }
 }
 
-fn main() -> std::io::Result<()> {
-    let ctx = ExperimentContext::from_args();
-    let pool = ctx.pool();
-    println!(
-        "Figure 11 reproduction (multiple storage clients), scale = {}, jobs = {}\n",
-        ctx.scale_label(),
-        pool.jobs()
-    );
-
-    // Build the three client traces over disjoint page ranges, as three
-    // independent DB2 instances would.
+pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
     let presets = TracePreset::TPCC;
-    let mut traces = Vec::new();
-    for (i, preset) in presets.iter().enumerate() {
-        let trace = preset.build_with_offset(ctx.scale, (i as u64) * 100_000_000, 42 + i as u64);
-        println!("generated {}", trace.summary());
-        traces.push(trace);
-    }
-    let trace_refs: Vec<&cache_sim::Trace> = traces.iter().collect();
-    let (combined, clients) = interleave(&trace_refs);
-    println!("interleaved: {}", combined.summary());
+    let (combined, clients) = suite.tpcc_mix();
 
-    let shared_cache = presets[0].reference_cache_size(ctx.scale); // 180K pages in the paper
+    let shared_cache = presets[0].reference_cache_size(suite.ctx.scale); // 180K pages in the paper
     let per_client = shared_cache / presets.len();
-    let window = window_for_trace(&combined);
-    let factory = ClicFactory { window };
+    let factory = ClicFactory {
+        window: window_for_trace(&combined),
+    };
 
-    // Two cells: the shared CLIC cache and the statically partitioned
-    // baseline, both over the interleaved trace.
     #[derive(Clone, Copy)]
     enum Mode {
         Shared,
         Partitioned,
     }
     let cells = [Mode::Shared, Mode::Partitioned];
-    let clients_ref = &clients;
-    let factory_ref = &factory;
-    let results = compare_policies(&pool, &combined, &cells, |mode| match mode {
-        Mode::Shared => Box::new(Clic::new(
-            shared_cache,
-            ClicConfig::default()
-                .with_window(window)
-                .with_tracking(TrackingMode::TopK(100)),
-        )),
-        Mode::Partitioned => Box::new(PartitionedCache::new(factory_ref, clients_ref, per_client)),
+    let results = compare_policies(&suite.ctx.pool(), &combined, &cells, |mode| match mode {
+        Mode::Shared => factory.build(shared_cache),
+        Mode::Partitioned => Box::new(PartitionedCache::new(&factory, &clients, per_client)),
     });
     let shared_result = &results[0];
     let partitioned_result = &results[1];
@@ -129,6 +106,6 @@ fn main() -> std::io::Result<()> {
             ),
         ]),
     ));
-    table.emit(&ctx.out_dir, "fig11_multiclient")?;
-    ctx.emit_json("fig11_multiclient", JsonValue::Object(metrics))
+    table.emit(&suite.ctx.out_dir, "fig11_multiclient")?;
+    Ok(JsonValue::Object(metrics))
 }

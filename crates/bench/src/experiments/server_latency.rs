@@ -1,8 +1,8 @@
 //! Server latency under open-loop load: latency-vs-offered-load curves
 //! for the network front-end.
 //!
-//! The closed-loop `server_throughput` experiment measures capacity; this
-//! one measures *queueing*. A seeded open-loop Poisson generator
+//! The benchmark's closed-loop workloads measure capacity; this experiment
+//! measures *queueing*, which they cannot. A seeded open-loop Poisson generator
 //! (`clic_server::openloop`) offers load to a store-backed server behind
 //! the event-driven TCP front-end at several fixed arrival rates, twice
 //! per rate: once with buffered durability and once with group commit.
@@ -17,12 +17,11 @@
 //! offered rate (2.5× the knee at default scale): a front-end that collapses
 //! under overload instead of saturating shows up as a ratio far below 1.
 //!
-//! Flags: the shared experiment flags (`--scale smoke|default|paper`,
-//! `--quick`, `--out-dir DIR`, `--json PATH`, `--jobs N`). The run is
-//! timing-sensitive, so `run_all` schedules it exclusively and the
-//! verification gate excludes its CSV from the determinism diff.
+//! The workload knobs (rates, run length per rate) are derived from the
+//! scale. The run is timing-sensitive, so it is last in the experiment table
+//! and the verification gate excludes its CSV from the determinism diff.
 
-use clic_bench::{json::JsonValue, ExperimentContext, ResultTable};
+use crate::{json::JsonValue, ResultTable, Suite};
 use clic_server::{
     run_open_loop, Durability, NetOptions, NetServer, OpenLoopConfig, OpenLoopReport, Server,
     ServerConfig, StoreConfig, DEFAULT_PAGE_SIZE,
@@ -35,15 +34,9 @@ struct CurvePoint {
     report: OpenLoopReport,
 }
 
-fn main() -> std::io::Result<()> {
-    let ctx = ExperimentContext::from_args();
-    println!(
-        "Server latency vs offered load (open loop), scale = {}\n",
-        ctx.scale_label()
-    );
-
+pub(super) fn run(suite: &Suite) -> std::io::Result<JsonValue> {
     // Offered loads (requests/s) and per-rate run length by scale.
-    let (rates, duration_s): (&[f64], f64) = match ctx.scale {
+    let (rates, duration_s): (&[f64], f64) = match suite.ctx.scale {
         PresetScale::Smoke => (&[2_000.0, 5_000.0, 10_000.0], 0.3),
         PresetScale::Default => (&[5_000.0, 20_000.0, 50_000.0, 100_000.0, 250_000.0], 1.0),
         PresetScale::Paper => (&[10_000.0, 50_000.0, 100_000.0, 200_000.0], 2.0),
@@ -132,7 +125,7 @@ fn main() -> std::io::Result<()> {
             format!("{}", r.latency.max_us),
         ]);
     }
-    table.emit(&ctx.out_dir, "server_latency")?;
+    table.emit(&suite.ctx.out_dir, "server_latency")?;
 
     // Knee, peak, and what is left of the peak at the highest offered rate.
     let mut overload = Vec::new();
@@ -191,15 +184,12 @@ fn main() -> std::io::Result<()> {
             ])
         })
         .collect();
-    ctx.emit_json(
-        "server_latency",
-        JsonValue::object([
-            ("shards", JsonValue::num(shards as f64)),
-            ("cache_pages", JsonValue::num(cache_pages as f64)),
-            ("page_universe", JsonValue::num(pages as f64)),
-            ("write_fraction", JsonValue::num(0.25)),
-            ("latency_vs_load", JsonValue::Array(points)),
-            ("overload", JsonValue::Array(overload)),
-        ]),
-    )
+    Ok(JsonValue::object([
+        ("shards", JsonValue::num(shards as f64)),
+        ("cache_pages", JsonValue::num(cache_pages as f64)),
+        ("page_universe", JsonValue::num(pages as f64)),
+        ("write_fraction", JsonValue::num(0.25)),
+        ("latency_vs_load", JsonValue::Array(points)),
+        ("overload", JsonValue::Array(overload)),
+    ]))
 }

@@ -8,7 +8,9 @@
 //! and once with the LRU baseline. Each policy gets a fresh store in a
 //! temporary directory with the write-ahead log enabled and a deterministic
 //! inline flush threshold (no background flusher thread), so every counter
-//! in the output is bit-identical at any `--jobs` value.
+//! in the output is bit-identical at any `--jobs` value. It stays until the
+//! benchmark gains a policy-quality workload that owns the CLIC-vs-LRU
+//! disk-read comparison (ROADMAP item 1(b)).
 //!
 //! Two sweeps ride on the headline comparison:
 //!
@@ -45,12 +47,13 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use cache_sim::{BoxedPolicy, IoStats};
-use clic_bench::{build_policy, json::JsonValue, window_for_trace, ExperimentContext, ResultTable};
 use clic_store::{
     replay_storage, replay_storage_partitioned, Durability, PageStore, Recorder,
     StorageReplayReport, StoreConfig,
 };
-use trace_gen::{interleave, TracePreset};
+use trace_gen::TracePreset;
+
+use crate::{build_policy, json::JsonValue, window_for_trace, ResultTable, Suite};
 
 /// Small pages keep the scratch files modest at paper scale; see the
 /// module docs for why this does not change the headline metrics.
@@ -179,27 +182,9 @@ fn push_io_row(table: &mut ResultTable, setup: &str, report: &StorageReplayRepor
     ]);
 }
 
-fn main() -> std::io::Result<()> {
-    let ctx = ExperimentContext::from_args();
-    println!(
-        "Storage I/O experiment (disk-backed data plane), scale = {}\n",
-        ctx.scale_label()
-    );
-
-    // The Figure 11 workload: three DB2 TPC-C clients over disjoint page
-    // ranges, interleaved round-robin.
-    let presets = TracePreset::TPCC;
-    let mut traces = Vec::new();
-    for (i, preset) in presets.iter().enumerate() {
-        let trace = preset.build_with_offset(ctx.scale, (i as u64) * 100_000_000, 42 + i as u64);
-        println!("generated {}", trace.summary());
-        traces.push(trace);
-    }
-    let trace_refs: Vec<&cache_sim::Trace> = traces.iter().collect();
-    let (combined, _clients) = interleave(&trace_refs);
-    println!("interleaved: {}", combined.summary());
-
-    let cache_pages = presets[0].reference_cache_size(ctx.scale);
+pub(super) fn run(suite: &Suite) -> std::io::Result<JsonValue> {
+    let (combined, _clients) = suite.tpcc_mix();
+    let cache_pages = TracePreset::TPCC[0].reference_cache_size(suite.ctx.scale);
     let window = window_for_trace(&combined);
     println!(
         "replaying {} requests against a {cache_pages}-frame store ({PAGE_SIZE}-byte pages)\n",
@@ -254,7 +239,7 @@ fn main() -> std::io::Result<()> {
 
     // Shard sweep: CLIC split across per-shard stores, partitions replayed
     // concurrently on the harness's pool and merged in partition order.
-    let pool = ctx.pool();
+    let pool = suite.ctx.pool();
     let mut shard_points: Vec<(usize, StorageReplayReport)> = Vec::new();
     for shards in SHARD_COUNTS {
         let factory = (clic.to_string(), |capacity: usize| -> BoxedPolicy {
@@ -273,7 +258,7 @@ fn main() -> std::io::Result<()> {
         shard_points.push((shards, report));
     }
 
-    table.emit(&ctx.out_dir, "storage_io")?;
+    table.emit(&suite.ctx.out_dir, "storage_io")?;
 
     let clic_reads = reports[0].1.io.disk_reads;
     let lru_reads = reports[1].1.io.disk_reads;
@@ -340,5 +325,5 @@ fn main() -> std::io::Result<()> {
         "group_commit_vs_strict_fsyncs_saved",
         JsonValue::num((strict_fsyncs - group_commit_fsyncs) as f64),
     ));
-    ctx.emit_json("storage_io", JsonValue::object(metrics))
+    Ok(JsonValue::object(metrics))
 }

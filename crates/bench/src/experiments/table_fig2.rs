@@ -1,23 +1,16 @@
 //! Figure 2 (table): the hint types generated by the DB2 and MySQL storage
 //! clients and the cardinalities of their value domains, as observed in the
-//! generated traces. Trace generation and the observed-cardinality scan are
-//! per-preset independent, so the presets run as cells of the pool's
-//! ordered `par_map`.
+//! generated traces. The observed-cardinality scans are per-preset
+//! independent, so the presets run as cells of the pool's ordered `par_map`.
 
 use std::collections::HashSet;
+use std::io;
 
-use clic_bench::{json::JsonValue, ExperimentContext, ResultTable};
 use trace_gen::TracePreset;
 
-fn main() -> std::io::Result<()> {
-    let ctx = ExperimentContext::from_args();
-    let pool = ctx.pool();
-    println!(
-        "Figure 2 reproduction (hint types and domains), scale = {}, jobs = {}\n",
-        ctx.scale_label(),
-        pool.jobs()
-    );
+use crate::{json::JsonValue, ResultTable, Suite};
 
+pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
     let mut table = ResultTable::new(
         "Figure 2: hint types, declared domain cardinality, and observed cardinality",
         &["client", "hint type", "declared domain", "observed values"],
@@ -26,8 +19,8 @@ fn main() -> std::io::Result<()> {
     // paper's table (which lists the TPC-C and TPC-H cardinalities for DB2
     // plus the MySQL hint types).
     let presets = [TracePreset::Db2C60, TracePreset::Db2H80, TracePreset::MyH65];
-    let per_preset = pool.par_map(&presets, |_, preset| {
-        let trace = preset.build(ctx.scale);
+    let per_preset = suite.ctx.pool().par_map(&presets, |_, &preset| {
+        let trace = suite.preset(preset);
         let mut rows = Vec::new();
         for schema in trace.catalog.schemas() {
             for (idx, hint_type) in schema.types.iter().enumerate() {
@@ -53,9 +46,9 @@ fn main() -> std::io::Result<()> {
             table.push_row(row);
         }
     }
-    table.emit(&ctx.out_dir, "table_fig2")?;
-    ctx.emit_json(
-        "table_fig2",
-        JsonValue::object([("hint_types_per_client", JsonValue::Object(metrics))]),
-    )
+    table.emit(&suite.ctx.out_dir, "table_fig2")?;
+    Ok(JsonValue::object([(
+        "hint_types_per_client",
+        JsonValue::Object(metrics),
+    )]))
 }

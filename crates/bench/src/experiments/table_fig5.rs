@@ -1,20 +1,16 @@
 //! Figure 5 (table): the inventory of I/O request traces — database size,
 //! DBMS buffer size, request count, distinct hint sets and distinct pages —
-//! for all eight presets. Building and summarizing the eight traces is the
-//! slow part, so the presets run as cells of the pool's ordered `par_map`.
+//! for all eight presets. On a fresh suite this is where the eight plain
+//! traces get built, as cells of the pool's ordered `par_map`.
 
-use clic_bench::{json::JsonValue, ExperimentContext, ResultTable};
+use std::io;
+
 use trace_gen::TracePreset;
 
-fn main() -> std::io::Result<()> {
-    let ctx = ExperimentContext::from_args();
-    let pool = ctx.pool();
-    println!(
-        "Figure 5 reproduction (trace inventory), scale = {}, jobs = {}\n",
-        ctx.scale_label(),
-        pool.jobs()
-    );
+use crate::{json::JsonValue, ResultTable, Suite};
 
+pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
+    let scale = suite.ctx.scale;
     let mut table = ResultTable::new(
         "Figure 5: I/O request traces",
         &[
@@ -28,23 +24,21 @@ fn main() -> std::io::Result<()> {
             "distinct pages",
         ],
     );
-    let summaries = pool.par_map(&TracePreset::ALL, |_, preset| {
-        let trace = preset.build(ctx.scale);
-        trace.summary()
+    let summaries = suite.ctx.pool().par_map(&TracePreset::ALL, |_, &preset| {
+        suite.preset(preset).summary()
     });
     let mut metrics = Vec::new();
     for (preset, s) in TracePreset::ALL.iter().zip(&summaries) {
         table.push_row(vec![
             preset.name().to_string(),
-            preset.database_pages(ctx.scale).to_string(),
-            preset.buffer_pages(ctx.scale).to_string(),
+            preset.database_pages(scale).to_string(),
+            preset.buffer_pages(scale).to_string(),
             s.requests.to_string(),
             s.reads.to_string(),
             s.writes.to_string(),
             s.distinct_hint_sets.to_string(),
             s.distinct_pages.to_string(),
         ]);
-        println!("built {}", preset.name());
         metrics.push((
             preset.name().to_string(),
             JsonValue::object([
@@ -57,6 +51,6 @@ fn main() -> std::io::Result<()> {
             ]),
         ));
     }
-    table.emit(&ctx.out_dir, "table_fig5")?;
-    ctx.emit_json("table_fig5", JsonValue::Object(metrics))
+    table.emit(&suite.ctx.out_dir, "table_fig5")?;
+    Ok(JsonValue::Object(metrics))
 }

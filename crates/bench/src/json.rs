@@ -2,9 +2,7 @@
 //!
 //! The build environment is offline, so instead of `serde_json` this module
 //! provides just what the harness needs: build a [`JsonValue`] tree and
-//! render it with [`std::fmt::Display`]. There is deliberately no parser —
-//! `run_all` composes its combined report by embedding the per-experiment
-//! fragment files verbatim via [`JsonValue::Raw`].
+//! render it with [`std::fmt::Display`]. There is deliberately no parser.
 
 use std::fmt;
 
@@ -24,10 +22,6 @@ pub enum JsonValue {
     Array(Vec<JsonValue>),
     /// An object with insertion-ordered keys.
     Object(Vec<(String, JsonValue)>),
-    /// Pre-rendered JSON text embedded verbatim. The caller asserts it is
-    /// valid JSON (used to splice per-experiment fragment files into the
-    /// combined report without a parser).
-    Raw(String),
 }
 
 impl JsonValue {
@@ -84,7 +78,6 @@ impl fmt::Display for JsonValue {
                 }
                 write!(f, "}}")
             }
-            JsonValue::Raw(text) => write!(f, "{text}"),
         }
     }
 }
@@ -106,13 +99,12 @@ mod tests {
                 "arr",
                 JsonValue::Array(vec![JsonValue::num(1u32), JsonValue::str("x")]),
             ),
-            ("raw", JsonValue::Raw("{\"k\":1}".into())),
         ]);
         let rendered = value.to_string();
         assert_eq!(
             rendered,
             "{\"null\":null,\"flag\":true,\"int\":3,\"float\":0.5,\"nan\":null,\
-             \"text\":\"a\\\"b\\\\c\\nd\",\"arr\":[1,\"x\"],\"raw\":{\"k\":1}}"
+             \"text\":\"a\\\"b\\\\c\\nd\",\"arr\":[1,\"x\"]}"
         );
         clic_obs::json::validate(&rendered).expect("the writer's output parses");
     }

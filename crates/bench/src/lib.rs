@@ -1,8 +1,15 @@
-//! Experiment harness for the CLIC reproduction.
+//! Experiment harness for the CLIC reproduction: the figure runner.
 //!
-//! Each figure and table of the paper's evaluation (Section 6) has a
-//! dedicated binary in `src/bin/`; this library holds the shared machinery:
+//! Each figure and table of the paper's evaluation (Section 6) is one
+//! function in [`experiments`], listed once in [`experiments::EXPERIMENTS`].
+//! The `run_all` binary runs them in one process against a shared [`Suite`],
+//! which generates every `trace-gen` trace once — the way the paper records
+//! its eight traces once and replays them under every policy, cache size,
+//! `k` and noise level. The second binary, `smoke`, holds the observability
+//! and robustness gates of `scripts/verify.sh`. This library is the shared
+//! machinery:
 //!
+//! * [`Suite`] — the parsed command line plus the memoized traces,
 //! * [`run_policy_comparison`] — simulate OPT/LRU/ARC/TQ/CLIC over a trace at
 //!   several server-cache sizes (Figures 6, 7 and 8), fanned across worker
 //!   threads through [`cache_sim::compare_policies`],
@@ -10,29 +17,32 @@
 //!   name and capacity,
 //! * [`ResultTable`] — plain-text / CSV result formatting, written both to
 //!   stdout and to the `results/` directory,
-//! * [`ExperimentContext`] — common command-line handling shared by every
-//!   experiment binary,
+//! * [`ExperimentContext`] — the command line both binaries share,
 //! * [`json`] — the dependency-free JSON writer behind the machine-readable
 //!   reports.
 //!
-//! # Command-line flags
+//! How fast the system is — nanoseconds per request at every layer,
+//! requests per second end to end — is measured by the repository's
+//! `benchmark/` package and by nothing here.
 //!
-//! Every experiment binary accepts:
+//! # Command line
+//!
+//! `run_all [NAME…]` runs the named experiments (none = all) in table order;
+//! an unknown name is an error that lists the table. `smoke [obs|chaos]`
+//! takes its phases the same way. Both accept:
 //!
 //! | flag | default | meaning |
 //! |------|---------|---------|
 //! | `--scale smoke\|default\|paper` | `default` | workload scale |
 //! | `--quick` | — | alias for `--scale smoke` |
 //! | `--out-dir DIR` | `results/` | where `.txt`/`.csv` tables land |
-//! | `--jobs N` | `CLIC_JOBS` env, else available parallelism | worker threads for the experiment's simulation grid |
-//! | `--json PATH` | off | write the experiment's machine-readable report to `PATH` |
+//! | `--jobs N` | available parallelism | worker threads of the one pool every experiment grid runs on |
+//! | `--json PATH` | off | write the machine-readable report to `PATH` |
 //!
-//! `run_all` accepts the same flags; there `--jobs N` runs whole experiment
-//! *binaries* concurrently (each child grid then runs with `--jobs 1` to
-//! avoid oversubscription) while the timing-sensitive microbenches
-//! (`access_hotpath`, `server_throughput`, `server_latency`) always run
-//! exclusively at the end, and `--json PATH` assembles every child's report
-//! into one combined file (conventionally `BENCH_results.json`).
+//! Parallelism never changes results — grids run through the deterministic
+//! ordered executor, so every `.csv` but `server_latency`'s is bit-identical
+//! at any job count (`scripts/verify.sh --smoke-bench` diffs a `--jobs 1`
+//! run against a `--jobs 2` run).
 //!
 //! # The open-loop latency experiment
 //!
@@ -44,9 +54,7 @@
 //! both buffered and group-commit durability. The generator fixes every
 //! request's *scheduled* send time before the run and measures latency
 //! from that instant, so the reported percentiles are free of coordinated
-//! omission. It takes only the shared flags above; the workload knobs
-//! (rates, run length per rate) are derived from `--scale`. Its `metrics`
-//! fragment carries the full curve:
+//! omission. Its `metrics` carry the full curve:
 //!
 //! ```json
 //! {
@@ -70,46 +78,38 @@
 //!
 //! One point per (durability, offered load) pair, in sweep order;
 //! `achieved_rps` falling below `offered_rps` marks the saturation knee.
-//! Because the experiment measures wall-clock behavior, its CSV is
-//! excluded from the determinism diff of `scripts/verify.sh` and `run_all`
-//! schedules it exclusively.
-//!
-//! # Thread-count environment variable
-//!
-//! `CLIC_JOBS=<n>` overrides the default worker count everywhere a
-//! [`cache_sim::ThreadPool`] is sized implicitly (see
-//! [`cache_sim::default_jobs`]); an explicit `--jobs` flag wins over the
-//! environment. Parallelism never changes results — grids run through the
-//! deterministic ordered executor, so output is bit-identical at any job
-//! count (`scripts/verify.sh --smoke-bench` enforces this by diffing
-//! `--jobs 1` vs `--jobs 2` runs).
 //!
 //! # JSON report schema
 //!
-//! A per-experiment report (written by [`ExperimentContext::emit_json`]):
+//! `run_all --json PATH` writes the ledger (conventionally
+//! `BENCH_results.json`, committed at the repository root):
 //!
 //! ```json
 //! {
-//!   "experiment": "fig06_tpcc_policies",
-//!   "scale": "default",
-//!   "jobs": 4,
-//!   "wall_time_s": 12.3,
-//!   "metrics": { ...experiment-specific headline numbers... }
+//!   "suite": "run_all",
+//!   "jobs": 2,
+//!   "total_wall_time_s": 123.4,
+//!   "experiments": [
+//!     {"name": "table_fig2", "wall_time_s": 1.2, "ok": true, "report": {
+//!       "experiment": "table_fig2", "scale": "default", "jobs": 2,
+//!       "wall_time_s": 1.2, "metrics": { ...headline numbers... }}},
+//!     ...
+//!   ],
+//!   "traces": [
+//!     {"preset": "DB2_C60", "page_offset": 0, "seed": 42, "build_s": 21.7},
+//!     ...
+//!   ]
 //! }
 //! ```
 //!
+//! `traces` lists every generated trace once with its generation time, which
+//! is otherwise part of the wall time of whichever experiment asked first.
 //! `metrics` holds the headline numbers of each experiment: per-figure read
 //! hit ratios (`{"cache_sizes": [...], "policies": {"CLIC": [...], ...}}`
-//! per trace for the comparison figures), per-path
-//! `{"baseline_ns_per_req", "slab_ns_per_req", "speedup"}` objects plus a
-//! `geomean_speedup` for `access_hotpath`, and `throughput_rps` plus a
-//! `latency_us` percentile object
-//! (`{"p50", "p95", "p99", "p999", "max"}`, microseconds, from the load
-//! harness's client-side [`clic_obs::LatencyHistogram`]) for
-//! `server_throughput`. The `storage_io` experiment (the disk-backed data
-//! plane replayed under CLIC and LRU admission) reports `page_size`,
-//! `cache_pages`, `requests`, one object per policy with its byte-level
-//! counters (`bytes_read`, `bytes_written`, `buffer_hit_ratio`,
+//! per trace for the comparison figures). The `storage_io` experiment (the
+//! disk-backed data plane replayed under CLIC and LRU admission) reports
+//! `page_size`, `cache_pages`, `requests`, one object per policy with its
+//! byte-level counters (`bytes_read`, `bytes_written`, `buffer_hit_ratio`,
 //! `disk_reads`, `disk_writes`, `disk_bytes_read`, `disk_bytes_written`,
 //! `disk_reads_per_request`, `pages_flushed`, `eviction_flushes`,
 //! `wal_records`, `wal_bytes`, `data_syncs`, `wal_syncs`, `group_commits`,
@@ -124,27 +124,16 @@
 //! `group_commit_vs_strict_fsyncs_saved`. Latency objects are wall-clock
 //! measurements and are only ever written to the JSON report and stdout,
 //! never to the `.csv` tables the determinism gate byte-compares across
-//! `--jobs` values. The combined `run_all` file wraps those fragments:
-//!
-//! ```json
-//! {
-//!   "suite": "run_all",
-//!   "jobs": 2,
-//!   "total_wall_time_s": 123.4,
-//!   "experiments": [
-//!     {"name": "table_fig2", "wall_time_s": 1.2, "ok": true, "report": {...}},
-//!     ...
-//!   ]
-//! }
-//! ```
-//!
-//! Criterion micro-benchmarks for the data structures themselves (policy
-//! throughput, Space-Saving, CLIC bookkeeping overhead) live in `benches/`.
+//! `--jobs` values.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
+pub mod experiments;
 pub mod json;
+mod suite;
+
+pub use suite::{Suite, TraceKey};
 
 use std::fmt::Write as _;
 use std::fs;
@@ -439,30 +428,15 @@ pub fn comparison_metrics(
     ])
 }
 
-/// Parses a `--jobs` flag value: a positive integer. The single source of
-/// truth for jobs-flag validation, shared by [`ExperimentContext::from_args`]
-/// and `run_all`'s forward-the-rest argument parser.
+/// The command line shared by `run_all` and `smoke`.
 ///
-/// # Panics
-///
-/// Panics with a usage message unless `value` is a positive integer.
-pub fn parse_jobs_arg(value: &str) -> usize {
-    value
-        .parse::<usize>()
-        .ok()
-        .filter(|&jobs| jobs > 0)
-        .unwrap_or_else(|| panic!("--jobs requires a positive integer, got '{value}'"))
-}
-
-/// Common command-line context for the experiment binaries.
-///
-/// Every binary accepts `--scale smoke|default|paper` (default `default`),
+/// Both binaries accept `--scale smoke|default|paper` (default `default`),
 /// `--out-dir <dir>` (default `results/`), `--quick` as an alias for
-/// `--scale smoke`, `--jobs <n>` to size the simulation thread pool (default
-/// [`cache_sim::default_jobs`]: the `CLIC_JOBS` environment variable, else
-/// the machine's available parallelism), and `--json <path>` to write the
-/// experiment's machine-readable report (see the [crate-level
-/// docs](crate#json-report-schema) for the schema).
+/// `--scale smoke`, `--jobs <n>` to size the one thread pool every grid runs
+/// on (default [`cache_sim::default_jobs`]: the machine's available
+/// parallelism), `--json <path>` to write the machine-readable report (see
+/// the [crate-level docs](crate#json-report-schema) for the schema), and
+/// bare words naming what to run.
 #[derive(Debug, Clone)]
 pub struct ExperimentContext {
     /// The workload scale to run at.
@@ -491,49 +465,76 @@ impl Default for ExperimentContext {
 }
 
 impl ExperimentContext {
-    /// Parses the context from `std::env::args`.
+    /// Parses the flags and the bare words of a command line (without the
+    /// program name). Every bare word must be one of `names`; returns the
+    /// context and the selected names in the order of `names` — all of them
+    /// when no bare word was given.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics (with a usage message) on unknown arguments.
-    pub fn from_args() -> Self {
+    /// Returns the message to print: for an unknown flag or a flag without a
+    /// valid value, what was wrong; for an unknown name, the list of `names`.
+    pub fn parse<'n>(args: &[String], names: &[&'n str]) -> Result<(Self, Vec<&'n str>), String> {
         let mut ctx = ExperimentContext::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut chosen = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let mut value = || {
+                args.next()
+                    .ok_or_else(|| format!("{arg} requires a value (try --help)"))
+            };
+            match arg.as_str() {
                 "--scale" => {
-                    i += 1;
-                    let value = args.get(i).expect("--scale requires a value");
+                    let value = value()?;
                     ctx.scale = PresetScale::from_name(value)
-                        .unwrap_or_else(|| panic!("unknown scale '{value}' (smoke|default|paper)"));
+                        .ok_or_else(|| format!("unknown scale '{value}' (smoke|default|paper)"))?;
                 }
                 "--quick" => ctx.scale = PresetScale::Smoke,
-                "--out-dir" => {
-                    i += 1;
-                    ctx.out_dir = PathBuf::from(args.get(i).expect("--out-dir requires a value"));
-                }
+                "--out-dir" => ctx.out_dir = PathBuf::from(value()?),
                 "--jobs" => {
-                    i += 1;
-                    ctx.jobs = parse_jobs_arg(args.get(i).expect("--jobs requires a value"));
+                    let value = value()?;
+                    ctx.jobs = value.parse().ok().filter(|&jobs| jobs > 0).ok_or_else(|| {
+                        format!("--jobs requires a positive integer, got '{value}'")
+                    })?;
                 }
-                "--json" => {
-                    i += 1;
-                    ctx.json_path =
-                        Some(PathBuf::from(args.get(i).expect("--json requires a value")));
+                "--json" => ctx.json_path = Some(PathBuf::from(value()?)),
+                flag if flag.starts_with('-') => {
+                    return Err(format!("unknown argument '{flag}' (try --help)"))
                 }
-                "--help" | "-h" => {
-                    println!(
-                        "usage: <experiment> [--scale smoke|default|paper] [--quick] \
-                         [--out-dir DIR] [--jobs N] [--json PATH]"
-                    );
-                    std::process::exit(0);
+                name if names.contains(&name) => chosen.push(name),
+                other => {
+                    return Err(format!(
+                        "unknown name '{other}'; known names:\n  {}",
+                        names.join("\n  ")
+                    ))
                 }
-                other => panic!("unknown argument '{other}' (try --help)"),
             }
-            i += 1;
         }
-        ctx
+        let selected = names
+            .iter()
+            .copied()
+            .filter(|name| chosen.is_empty() || chosen.contains(name))
+            .collect();
+        Ok((ctx, selected))
+    }
+
+    /// [`ExperimentContext::parse`] over `std::env::args`, for a binary
+    /// called `program`: `--help` prints the usage and the names and exits
+    /// 0, a parse error prints its message and exits 2.
+    pub fn from_args<'n>(program: &str, names: &[&'n str]) -> (Self, Vec<&'n str>) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+            println!(
+                "usage: {program} [NAME...] [--scale smoke|default|paper] [--quick] \
+                 [--out-dir DIR] [--jobs N] [--json PATH]\nnames (none = all):\n  {}",
+                names.join("\n  ")
+            );
+            std::process::exit(0);
+        }
+        Self::parse(&args, names).unwrap_or_else(|message| {
+            eprintln!("{program}: {message}");
+            std::process::exit(2);
+        })
     }
 
     /// A human-readable label for the current scale.
@@ -551,35 +552,47 @@ impl ExperimentContext {
         ThreadPool::new(self.jobs)
     }
 
-    /// Writes the experiment's machine-readable report — experiment name,
-    /// scale, job count, wall time since the context was parsed, and the
-    /// given headline `metrics` — to the `--json` path. A no-op when `--json`
-    /// was not passed.
+    /// The report of one experiment: its name, the scale, the job count, its
+    /// wall time and its headline `metrics`.
+    pub fn report(&self, experiment: &str, wall_time_s: f64, metrics: JsonValue) -> JsonValue {
+        JsonValue::object([
+            ("experiment", JsonValue::str(experiment)),
+            ("scale", JsonValue::str(self.scale_label())),
+            ("jobs", JsonValue::num(self.jobs as f64)),
+            ("wall_time_s", JsonValue::num(wall_time_s)),
+            ("metrics", metrics),
+        ])
+    }
+
+    /// Writes `value` and a newline to the `--json` path. A no-op when
+    /// `--json` was not passed.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from creating the parent directory or writing
     /// the file.
-    pub fn emit_json(&self, experiment: &str, metrics: JsonValue) -> std::io::Result<()> {
+    pub fn write_json(&self, value: &JsonValue) -> std::io::Result<()> {
         let Some(path) = &self.json_path else {
             return Ok(());
         };
-        let report = JsonValue::object([
-            ("experiment", JsonValue::str(experiment)),
-            ("scale", JsonValue::str(self.scale_label())),
-            ("jobs", JsonValue::num(self.jobs as f64)),
-            (
-                "wall_time_s",
-                JsonValue::num(self.started.elapsed().as_secs_f64()),
-            ),
-            ("metrics", metrics),
-        ]);
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 fs::create_dir_all(parent)?;
             }
         }
-        fs::write(path, format!("{report}\n"))
+        fs::write(path, format!("{value}\n"))
+    }
+
+    /// Writes the [`ExperimentContext::report`] of a binary that is one
+    /// experiment — its wall time is the time since the context was parsed —
+    /// to the `--json` path.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExperimentContext::write_json`].
+    pub fn emit_json(&self, experiment: &str, metrics: JsonValue) -> std::io::Result<()> {
+        let wall_time_s = self.started.elapsed().as_secs_f64();
+        self.write_json(&self.report(experiment, wall_time_s, metrics))
     }
 }
 
@@ -714,6 +727,32 @@ mod tests {
         silent
             .emit_json("unit_test", JsonValue::Null)
             .expect("no-op");
+    }
+
+    #[test]
+    fn parse_selects_names_in_table_order_and_rejects_unknown_input() {
+        let names = ["a_one", "b_two", "c_three"];
+        let args = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        let (ctx, selected) =
+            ExperimentContext::parse(&args(&["--quick", "--jobs", "3"]), &names).unwrap();
+        assert_eq!((ctx.scale, ctx.jobs), (PresetScale::Smoke, 3));
+        assert_eq!(selected, names, "no name selects the whole table");
+        let (_, selected) =
+            ExperimentContext::parse(&args(&["c_three", "--quick", "a_one"]), &names).unwrap();
+        assert_eq!(selected, ["a_one", "c_three"]);
+        let unknown = ExperimentContext::parse(&args(&["a_one", "d_four"]), &names).unwrap_err();
+        assert!(unknown.contains("d_four") && names.iter().all(|n| unknown.contains(n)));
+        for bad in [
+            &["--jobs", "0"][..],
+            &["--jobs"],
+            &["--scale", "huge"],
+            &["--frobnicate"],
+        ] {
+            assert!(
+                ExperimentContext::parse(&args(bad), &names).is_err(),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

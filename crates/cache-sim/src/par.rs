@@ -3,7 +3,7 @@
 //!
 //! The build environment is offline, so instead of `rayon` this module
 //! provides exactly the surface the workspace needs (in the same spirit as
-//! the vendored `rand`/`proptest`/`criterion` stubs): fan a slice of
+//! the vendored `rand`/`proptest` stubs): fan a slice of
 //! independent work items across scoped worker threads and return the results
 //! **in input order**, bit-identical to a serial loop. Work distribution uses
 //! an atomic cursor (work stealing at item granularity), which only affects
@@ -12,8 +12,7 @@
 //! parallel path is indistinguishable from the serial one except in
 //! wall-clock time.
 //!
-//! Thread-count selection: [`default_jobs`] honours the `CLIC_JOBS`
-//! environment variable when set (any positive integer) and otherwise uses
+//! Thread-count selection: [`default_jobs`] is
 //! [`std::thread::available_parallelism`]. A pool of one job never spawns a
 //! thread at all: [`ThreadPool::par_map`] degenerates to the plain serial
 //! loop, so `--jobs 1` runs carry zero threading overhead.
@@ -21,19 +20,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-/// Environment variable overriding the default worker-thread count.
-pub const JOBS_ENV: &str = "CLIC_JOBS";
-
-/// The default number of worker threads: `CLIC_JOBS` if set to a positive
-/// integer, otherwise [`std::thread::available_parallelism`] (1 if unknown).
+/// The default number of worker threads:
+/// [`std::thread::available_parallelism`] (1 if unknown).
 pub fn default_jobs() -> usize {
-    if let Ok(value) = std::env::var(JOBS_ENV) {
-        if let Ok(jobs) = value.trim().parse::<usize>() {
-            if jobs > 0 {
-                return jobs;
-            }
-        }
-    }
     thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
@@ -58,8 +47,8 @@ impl ThreadPool {
         ThreadPool { jobs: jobs.max(1) }
     }
 
-    /// A pool sized by [`default_jobs`] (`CLIC_JOBS` or the machine's
-    /// available parallelism).
+    /// A pool sized by [`default_jobs`] (the machine's available
+    /// parallelism).
     pub fn with_default_jobs() -> Self {
         ThreadPool::new(default_jobs())
     }

@@ -30,8 +30,7 @@
 //! per-page state lives in the slab-backed [`page_table::PageTable`] (one
 //! open-addressed lookup per request, intrusive per-hint lists, a shared
 //! cached/outqueue slab); the retained pre-refactor implementation,
-//! [`ReferenceClic`], serves as a differential-testing oracle and
-//! performance baseline.
+//! [`ReferenceClic`], is a differential-testing oracle only.
 //!
 //! # Example
 //!
@@ -81,6 +80,7 @@ pub use outqueue::OutQueue;
 pub use page_table::{PageRecord, PageTable};
 pub use policy::Clic;
 pub use priority::PriorityTable;
+#[doc(hidden)]
 pub use reference::ReferenceClic;
 pub use stats::HintWindowStats;
 pub use tracker::{FullTracker, HintStatsTracker, TopKTracker};

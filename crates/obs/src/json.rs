@@ -2,7 +2,7 @@
 //! and a strict validator for smoke tests.
 //!
 //! The workspace is dependency-free, so there is no serde; the trace dump
-//! and metrics snapshot build their JSON by hand and the `--smoke-obs`
+//! and metrics snapshot build their JSON by hand and the `smoke obs`
 //! gate uses [`validate`] — a tiny recursive-descent checker — to prove the
 //! output actually parses.
 

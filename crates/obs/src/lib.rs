@@ -19,7 +19,8 @@
 //! when you will plot it, a span when you will *read* it to explain an
 //! interleaving. All three are cheap enough for the WAL/flusher/shard
 //! paths they instrument; none belong on the policy's per-access hot path
-//! (which is why the `access_hotpath` benchmark takes no recorder at all).
+//! (which is why the benchmark's `policy_tpcc` workload takes no recorder
+//! at all).
 //!
 //! # Zero when disabled
 //!

@@ -3,9 +3,9 @@
 //! Every instrumented component takes a `Recorder` by value (it is a cheap
 //! `Clone` — one `Option<Arc>`). [`Recorder::disabled`] carries no
 //! allocation at all: every operation on it is a branch on a `None` that
-//! the optimizer folds away, so un-instrumented fast paths (the
-//! `access_hotpath` benchmark drives the policy with no recorder anywhere
-//! near it) pay nothing. An enabled recorder bundles the three primitives
+//! the optimizer folds away, so un-instrumented fast paths (the benchmark's
+//! `policy_tpcc` workload drives the policy with no recorder anywhere near
+//! it) pay nothing. An enabled recorder bundles the three primitives
 //! around one shared [`Clock`]:
 //!
 //! * a [`MetricsRegistry`] for counters/gauges/histograms,

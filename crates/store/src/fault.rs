@@ -5,7 +5,7 @@
 //! returns `EIO`, a write tears halfway through a sector, a read hands
 //! back flipped bits, a peer resets the connection mid-frame. This module
 //! lets the test harness *schedule* those failures deterministically, so
-//! the chaos gate (`chaos_smoke`) and the crash-recovery proptests can
+//! the chaos gate (`smoke chaos`) and the crash-recovery proptests can
 //! assert exact recovery behavior and reproduce any failing schedule from
 //! its seed alone.
 //!

@@ -93,7 +93,7 @@
 //! `store.injected_faults` in the metrics registry. Injected errors carry
 //! the [`INJECTED_FAULT`] marker so tests can tell scheduled failures from
 //! real ones. This is the substrate of the crash-recovery proptests and
-//! the `chaos_smoke` verification gate.
+//! the `smoke chaos` verification gate.
 //!
 //! The online counterpart lives in `clic-server`: a `ShardedClic` attaches
 //! one store *per shard* and drives it through the same mirror, so `Put`

@@ -109,6 +109,13 @@ fn wire_deletes_remove_pages_from_a_store_backed_server() {
     assert_eq!(read.hit(), Some(true));
     assert_eq!(read.data(), Some(&payload[..]));
 
+    // The store's always-on counters ride along in the wire `Stats` reply.
+    let stats = client.stats().expect("stats");
+    assert!(
+        stats.metrics.counter("store.bytes_written") > 0,
+        "the metrics snapshot did not ride along the wire"
+    );
+
     let deleted = client
         .call(&ServerRequest::Delete { page })
         .expect("delete");

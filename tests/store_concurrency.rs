@@ -19,7 +19,7 @@
 //! shutdown and reading written pages back byte-for-byte — the checkpoint
 //! left nothing in any WAL.
 //!
-//! `scripts/verify.sh --smoke-store` runs this file as the concurrent
+//! `scripts/verify.sh --smoke` runs this file as the concurrent
 //! smoke gate.
 
 use std::path::PathBuf;
@@ -172,7 +172,7 @@ fn concurrent_run_matches_serial_replay(
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The `--smoke-store` concurrent smoke: 2 shards × 2 client threads.
+/// The `--smoke` concurrent smoke: 2 shards × 2 client threads.
 #[test]
 fn two_shards_two_clients_match_serial_replay() {
     concurrent_run_matches_serial_replay(
