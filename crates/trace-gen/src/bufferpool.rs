@@ -16,9 +16,29 @@
 //! The pool emits [`PoolEvent`]s describing the storage-level I/O it
 //! performs; the [`crate::client::DbmsSimulator`] turns those into hinted
 //! requests.
+//!
+//! # The cleaner's known-clean fronts
+//!
+//! While the pool is over its dirty watermark the cleaner runs on every
+//! operation and scans up to `cleaner_batch × 8` entries from the eviction
+//! end of the LRU lists. Those fronts are usually clean already, so the pool
+//! remembers how much of each front it knows to be clean and skips it
+//! without looking the pages up. The bookkeeping rests on one invariant:
+//!
+//! * every time a page goes to the back of an LRU list it receives the next
+//!   value of a counter, its *stamp*, so stamps ascend along each list;
+//! * a page becomes dirty only at the moment it goes to the back of a list
+//!   (a hit or a create touches it, a miss installs it);
+//! * each list keeps a `bound` and a `count`: the entries stamped before
+//!   `bound` are its first `count` entries, and all of them are clean.
+//!
+//! Cleaning never breaks the invariant. Removing or moving an entry stamped
+//! before `bound` decrements `count`. After a cleaner pass every entry it
+//! walked is clean, so the pass moves `bound` to one past the last stamp it
+//! walked. The pool therefore writes exactly the pages a full rescan would,
+//! in the same order.
 
-use std::collections::HashMap;
-
+use cache_sim::hash::FastHashMap;
 use cache_sim::policies::util::OrderedPageSet;
 use cache_sim::{PageId, WriteHint};
 
@@ -90,16 +110,39 @@ impl BufferPoolConfig {
 struct Frame {
     dirty: bool,
     priority: u32,
+    /// When the page last went to the back of its LRU list.
+    stamp: u64,
+}
+
+/// The clean front of one LRU list: its entries stamped before `bound` are
+/// its first `count` entries, and all of them are clean.
+#[derive(Debug, Clone, Copy, Default)]
+struct CleanFront {
+    bound: u64,
+    count: usize,
+}
+
+impl CleanFront {
+    /// Accounts for an entry stamped `stamp` leaving its place in the list.
+    fn forget(&mut self, stamp: u64) {
+        if stamp < self.bound {
+            self.count -= 1;
+        }
+    }
 }
 
 /// The simulated buffer pool.
 #[derive(Debug)]
 pub struct BufferPool {
     config: BufferPoolConfig,
-    frames: HashMap<PageId, Frame>,
+    frames: FastHashMap<PageId, Frame>,
     /// One LRU list per priority level; victims are taken from the lowest
     /// non-empty level.
     lru: Vec<OrderedPageSet>,
+    /// What the cleaner knows about the front of each list in `lru`.
+    clean_fronts: Vec<CleanFront>,
+    /// The stamp the next page to reach the back of a list receives.
+    next_stamp: u64,
     /// Dirty pages in the order they first became dirty (checkpoint source).
     dirty_fifo: OrderedPageSet,
     dirty_count: usize,
@@ -117,8 +160,10 @@ impl BufferPool {
         let levels = config.priority_levels.max(1) as usize;
         BufferPool {
             config,
-            frames: HashMap::with_capacity(config.capacity),
+            frames: FastHashMap::with_capacity_and_hasher(config.capacity, Default::default()),
             lru: (0..levels).map(|_| OrderedPageSet::new()).collect(),
+            clean_fronts: vec![CleanFront::default(); levels],
+            next_stamp: 0,
             dirty_fifo: OrderedPageSet::new(),
             dirty_count: 0,
             ops: 0,
@@ -161,7 +206,10 @@ impl BufferPool {
         let priority = priority.min(self.config.priority_levels - 1);
         if let Some(frame) = self.frames.get_mut(&page) {
             let old_priority = frame.priority;
+            self.clean_fronts[old_priority as usize].forget(frame.stamp);
             frame.priority = priority;
+            frame.stamp = self.next_stamp;
+            self.next_stamp += 1;
             if write && !frame.dirty {
                 frame.dirty = true;
                 self.dirty_count += 1;
@@ -194,6 +242,9 @@ impl BufferPool {
                 self.dirty_count += 1;
                 self.dirty_fifo.push_back(page);
             }
+            self.clean_fronts[frame.priority as usize].forget(frame.stamp);
+            frame.stamp = self.next_stamp;
+            self.next_stamp += 1;
             self.lru[frame.priority as usize].touch(page);
         } else {
             self.make_room(events);
@@ -212,7 +263,16 @@ impl BufferPool {
     }
 
     fn install(&mut self, page: PageId, priority: u32, dirty: bool) {
-        self.frames.insert(page, Frame { dirty, priority });
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.frames.insert(
+            page,
+            Frame {
+                dirty,
+                priority,
+                stamp,
+            },
+        );
         self.lru[priority as usize].push_back(page);
         if dirty {
             self.dirty_count += 1;
@@ -237,6 +297,7 @@ impl BufferPool {
                 .expect("pool is full so some queue is non-empty");
             let frame = self.frames.remove(&victim).expect("victim has a frame");
             self.lru[frame.priority as usize].remove(victim);
+            self.clean_fronts[frame.priority as usize].forget(frame.stamp);
             if frame.dirty {
                 // The cleaner did not get to this page in time: the eviction
                 // must wait for a synchronous write.
@@ -254,6 +315,9 @@ impl BufferPool {
     /// dirty pages that are close to the eviction end of the LRU lists
     /// (lowest priority first) as replacement writes. The pages stay cached
     /// but become clean, so their later eviction is silent.
+    ///
+    /// Each list's known-clean front counts as scanned without a lookup
+    /// (module docs), which changes no write.
     fn maybe_clean(&mut self, events: &mut Vec<PoolEvent>) {
         let threshold =
             (self.config.capacity as f64 * self.config.dirty_high_watermark).ceil() as usize;
@@ -264,16 +328,36 @@ impl BufferPool {
         let mut budget = self.config.cleaner_batch;
         let scan_limit = self.config.cleaner_batch * 8;
         let mut scanned = 0usize;
-        'outer: for queue in &self.lru {
-            for page in queue.iter() {
+        for (queue, front) in self.lru.iter().zip(&mut self.clean_fronts) {
+            if budget == 0 || scanned >= scan_limit {
+                break;
+            }
+            let skip = front.count.min(scan_limit - scanned);
+            scanned += skip;
+            if scanned >= scan_limit || skip == queue.len() {
+                continue;
+            }
+            let mut walked = skip;
+            let mut last_stamp = None;
+            for page in queue.iter().skip(skip) {
                 if budget == 0 || scanned >= scan_limit {
-                    break 'outer;
+                    break;
                 }
                 scanned += 1;
-                if self.frames.get(&page).map(|f| f.dirty).unwrap_or(false) {
+                walked += 1;
+                let frame = self.frames[&page];
+                last_stamp = Some(frame.stamp);
+                if frame.dirty {
                     to_clean.push(page);
                     budget -= 1;
                 }
+            }
+            // Every entry walked is clean once `to_clean` is written below.
+            if let Some(stamp) = last_stamp {
+                *front = CleanFront {
+                    bound: stamp + 1,
+                    count: walked,
+                };
             }
         }
         for page in to_clean {
@@ -500,6 +584,245 @@ mod tests {
             let write = i % 3 == 0;
             pool.access(PageId(i % 97), (i % 4) as u32, write, false, &mut events);
             assert!(pool.len() <= 16);
+        }
+    }
+
+    /// The pool as it was before the known-clean fronts: the cleaner
+    /// rescans up to `cleaner_batch × 8` entries on every operation.
+    mod rescan {
+        use std::collections::HashMap;
+
+        use super::super::{BufferPoolConfig, PoolEvent};
+        use cache_sim::policies::util::OrderedPageSet;
+        use cache_sim::{PageId, WriteHint};
+
+        #[derive(Debug, Clone, Copy)]
+        struct Frame {
+            dirty: bool,
+            priority: u32,
+        }
+
+        pub struct RescanPool {
+            config: BufferPoolConfig,
+            frames: HashMap<PageId, Frame>,
+            lru: Vec<OrderedPageSet>,
+            dirty_fifo: OrderedPageSet,
+            dirty_count: usize,
+            ops: u64,
+        }
+
+        impl RescanPool {
+            pub fn new(config: BufferPoolConfig) -> Self {
+                let levels = config.priority_levels.max(1) as usize;
+                RescanPool {
+                    config,
+                    frames: HashMap::new(),
+                    lru: (0..levels).map(|_| OrderedPageSet::new()).collect(),
+                    dirty_fifo: OrderedPageSet::new(),
+                    dirty_count: 0,
+                    ops: 0,
+                }
+            }
+
+            pub fn len(&self) -> usize {
+                self.frames.len()
+            }
+
+            pub fn dirty(&self) -> usize {
+                self.dirty_count
+            }
+
+            pub fn access(
+                &mut self,
+                page: PageId,
+                priority: u32,
+                write: bool,
+                prefetch: bool,
+                events: &mut Vec<PoolEvent>,
+            ) -> bool {
+                self.tick(events);
+                let priority = priority.min(self.config.priority_levels - 1);
+                if let Some(frame) = self.frames.get_mut(&page) {
+                    let old_priority = frame.priority;
+                    frame.priority = priority;
+                    if write && !frame.dirty {
+                        frame.dirty = true;
+                        self.dirty_count += 1;
+                        self.dirty_fifo.push_back(page);
+                    }
+                    if old_priority != priority {
+                        self.lru[old_priority as usize].remove(page);
+                        self.lru[priority as usize].push_back(page);
+                    } else {
+                        self.lru[priority as usize].touch(page);
+                    }
+                    self.maybe_clean(events);
+                    return true;
+                }
+                self.make_room(events);
+                events.push(PoolEvent::Read { page, prefetch });
+                self.install(page, priority, write);
+                self.maybe_clean(events);
+                false
+            }
+
+            pub fn create(&mut self, page: PageId, priority: u32, events: &mut Vec<PoolEvent>) {
+                self.tick(events);
+                let priority = priority.min(self.config.priority_levels - 1);
+                if let Some(frame) = self.frames.get_mut(&page) {
+                    if !frame.dirty {
+                        frame.dirty = true;
+                        self.dirty_count += 1;
+                        self.dirty_fifo.push_back(page);
+                    }
+                    self.lru[frame.priority as usize].touch(page);
+                } else {
+                    self.make_room(events);
+                    self.install(page, priority, true);
+                }
+                self.maybe_clean(events);
+            }
+
+            pub fn flush_all(&mut self, events: &mut Vec<PoolEvent>) {
+                let dirty: Vec<PageId> = self.dirty_fifo.iter().collect();
+                for page in dirty {
+                    self.clean_page(page, WriteHint::Recovery, events);
+                }
+            }
+
+            fn install(&mut self, page: PageId, priority: u32, dirty: bool) {
+                self.frames.insert(page, Frame { dirty, priority });
+                self.lru[priority as usize].push_back(page);
+                if dirty {
+                    self.dirty_count += 1;
+                    self.dirty_fifo.push_back(page);
+                }
+            }
+
+            fn tick(&mut self, events: &mut Vec<PoolEvent>) {
+                self.ops += 1;
+                if self.config.checkpoint_interval > 0
+                    && self.ops.is_multiple_of(self.config.checkpoint_interval)
+                {
+                    self.checkpoint(events);
+                }
+            }
+
+            fn make_room(&mut self, events: &mut Vec<PoolEvent>) {
+                while self.frames.len() >= self.config.capacity {
+                    let victim = self.lru.iter().find_map(|q| q.front()).unwrap();
+                    let frame = self.frames.remove(&victim).unwrap();
+                    self.lru[frame.priority as usize].remove(victim);
+                    if frame.dirty {
+                        self.dirty_fifo.remove(victim);
+                        self.dirty_count -= 1;
+                        events.push(PoolEvent::Write {
+                            page: victim,
+                            hint: WriteHint::Synchronous,
+                        });
+                    }
+                }
+            }
+
+            fn maybe_clean(&mut self, events: &mut Vec<PoolEvent>) {
+                let threshold = (self.config.capacity as f64 * self.config.dirty_high_watermark)
+                    .ceil() as usize;
+                if self.dirty_count <= threshold {
+                    return;
+                }
+                let mut to_clean = Vec::new();
+                let mut budget = self.config.cleaner_batch;
+                let scan_limit = self.config.cleaner_batch * 8;
+                let mut scanned = 0usize;
+                'outer: for queue in &self.lru {
+                    for page in queue.iter() {
+                        if budget == 0 || scanned >= scan_limit {
+                            break 'outer;
+                        }
+                        scanned += 1;
+                        if self.frames.get(&page).map(|f| f.dirty).unwrap_or(false) {
+                            to_clean.push(page);
+                            budget -= 1;
+                        }
+                    }
+                }
+                for page in to_clean {
+                    self.clean_page(page, WriteHint::Replacement, events);
+                }
+            }
+
+            fn checkpoint(&mut self, events: &mut Vec<PoolEvent>) {
+                let batch: Vec<PageId> = self
+                    .dirty_fifo
+                    .iter()
+                    .take(self.config.checkpoint_batch)
+                    .collect();
+                for page in batch {
+                    self.clean_page(page, WriteHint::Recovery, events);
+                }
+            }
+
+            fn clean_page(&mut self, page: PageId, hint: WriteHint, events: &mut Vec<PoolEvent>) {
+                if let Some(frame) = self.frames.get_mut(&page) {
+                    if frame.dirty {
+                        frame.dirty = false;
+                        self.dirty_count -= 1;
+                        self.dirty_fifo.remove(page);
+                        events.push(PoolEvent::Write { page, hint });
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn known_clean_fronts_write_what_a_full_rescan_writes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let capacity = rng.gen_range(4usize..=64);
+            let config = BufferPoolConfig {
+                capacity,
+                dirty_high_watermark: rng.gen_range(0.1..0.9),
+                cleaner_batch: rng.gen_range(1usize..=8),
+                checkpoint_interval: rng.gen_range(0u64..=40),
+                checkpoint_batch: rng.gen_range(1usize..=8),
+                priority_levels: rng.gen_range(1u32..=4),
+            };
+            let mut pool = BufferPool::new(config);
+            let mut reference = rescan::RescanPool::new(config);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let pages = capacity as u64 * 3;
+            for step in 0..2_000 {
+                let page = PageId(rng.gen_range(0..pages));
+                let priority = rng.gen_range(0u32..5);
+                match rng.gen_range(0u32..100) {
+                    0 => {
+                        pool.flush_all(&mut got);
+                        reference.flush_all(&mut want);
+                    }
+                    1..=15 => {
+                        pool.create(page, priority, &mut got);
+                        reference.create(page, priority, &mut want);
+                    }
+                    _ => {
+                        let write = rng.gen_bool(0.4);
+                        let prefetch = rng.gen_bool(0.1);
+                        assert_eq!(
+                            pool.access(page, priority, write, prefetch, &mut got),
+                            reference.access(page, priority, write, prefetch, &mut want),
+                            "seed {seed} step {step}: {config:?}"
+                        );
+                    }
+                }
+                assert_eq!(got, want, "seed {seed} step {step}: {config:?}");
+                assert_eq!(pool.dirty(), reference.dirty(), "seed {seed} step {step}");
+                assert_eq!(pool.len(), reference.len(), "seed {seed} step {step}");
+                got.clear();
+                want.clear();
+            }
         }
     }
 }

@@ -75,13 +75,20 @@ struct Extent {
 }
 
 /// Maps logical objects to global page numbers.
+///
+/// Each growth step allocates a new extent, so a table that grows one page
+/// at a time (TPC-C inserts) owns one extent per page. Both lookups are
+/// binary searches: [`page`](Self::page) costs O(log e) for an object with
+/// e extents, and [`object_of`](Self::object_of) O(log E) over all E
+/// extents of the layout.
 #[derive(Debug, Clone)]
 pub struct DatabaseLayout {
     objects: Vec<ObjectSpec>,
     /// Allocated extents ordered by starting page.
     extents: Vec<Extent>,
-    /// Per-object list of extent indexes, in allocation order.
-    object_extents: Vec<Vec<usize>>,
+    /// Per object, one `(first slot, first page)` pair per extent in
+    /// allocation order; the first slots ascend from 0.
+    object_extents: Vec<Vec<(u64, u64)>>,
     /// Current page count per object (initial + grown).
     object_pages: Vec<u64>,
     base_offset: u64,
@@ -120,7 +127,7 @@ impl DatabaseLayout {
         };
         self.next_free += spec.initial_pages;
         self.object_pages.push(spec.initial_pages);
-        self.object_extents.push(vec![self.extents.len()]);
+        self.object_extents.push(vec![(0, extent.start)]);
         self.extents.push(extent);
         self.objects.push(spec);
         id
@@ -150,16 +157,13 @@ impl DatabaseLayout {
     /// modulo the object's current page count, so callers can address rows
     /// with any non-negative index.
     pub fn page(&self, object: ObjectId, slot: u64) -> PageId {
-        let pages = self.object_pages[object.0];
-        let mut offset = slot % pages;
-        for &ext_idx in &self.object_extents[object.0] {
-            let ext = &self.extents[ext_idx];
-            if offset < ext.pages {
-                return PageId(ext.start + offset);
-            }
-            offset -= ext.pages;
-        }
-        unreachable!("slot {slot} not covered by extents of {:?}", object)
+        let offset = slot % self.object_pages[object.0];
+        let extents = &self.object_extents[object.0];
+        // The first extent starts at slot 0, so at least one pair precedes
+        // every offset.
+        let i = extents.partition_point(|&(first_slot, _)| first_slot <= offset) - 1;
+        let (first_slot, first_page) = extents[i];
+        PageId(first_page + offset - first_slot)
     }
 
     /// Appends `pages` new pages to `object` (database growth), returning the
@@ -177,8 +181,8 @@ impl DatabaseLayout {
         };
         let first = PageId(self.next_free);
         self.next_free += pages;
+        self.object_extents[object.0].push((self.object_pages[object.0], first.0));
         self.object_pages[object.0] += pages;
-        self.object_extents[object.0].push(self.extents.len());
         self.extents.push(extent);
         first
     }
@@ -271,6 +275,46 @@ mod tests {
         assert_eq!(layout.page(a, 4), PageId(6));
         // B's pages are untouched.
         assert_eq!(layout.page(b, 0), PageId(2));
+    }
+
+    /// The page an extent walk from the object's oldest extent finds.
+    fn walk_extents(layout: &DatabaseLayout, object: ObjectId, slot: u64) -> PageId {
+        let mut offset = slot % layout.pages_of(object);
+        for ext in layout.extents.iter().filter(|e| e.object == object) {
+            if offset < ext.pages {
+                return PageId(ext.start + offset);
+            }
+            offset -= ext.pages;
+        }
+        unreachable!("slot {slot} not covered by the extents of {object:?}")
+    }
+
+    #[test]
+    fn binary_search_matches_an_extent_walk_under_interleaved_growth() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut layout = DatabaseLayout::new(rng.gen_range(0u64..1_000));
+            let objects: Vec<ObjectId> = (0..rng.gen_range(3usize..6))
+                .map(|i| {
+                    let pages = rng.gen_range(1u64..8);
+                    layout.add_object(spec("O", ObjectKind::Table, i as u32, pages))
+                })
+                .collect();
+            for _ in 0..60 {
+                let object = objects[rng.gen_range(0..objects.len())];
+                layout.grow(object, rng.gen_range(1u64..4));
+                for &o in &objects {
+                    for slot in 0..layout.pages_of(o) + 2 {
+                        let page = layout.page(o, slot);
+                        assert_eq!(page, walk_extents(&layout, o, slot), "seed {seed}");
+                        assert_eq!(layout.object_of(page), Some(o), "seed {seed}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
