@@ -96,7 +96,7 @@
 //!     ...
 //!   ],
 //!   "traces": [
-//!     {"preset": "DB2_C60", "page_offset": 0, "seed": 42, "build_s": 21.7},
+//!     {"preset": "DB2_C60", "page_offset": 0, "seed": 42, "build_s": 1.9},
 //!     ...
 //!   ]
 //! }

@@ -334,6 +334,7 @@ impl BufferPool {
             }
             let skip = front.count.min(scan_limit - scanned);
             scanned += skip;
+            // Walking to the end of the skipped front would examine nothing.
             if scanned >= scan_limit || skip == queue.len() {
                 continue;
             }
@@ -587,8 +588,9 @@ mod tests {
         }
     }
 
-    /// The pool as it was before the known-clean fronts: the cleaner
-    /// rescans up to `cleaner_batch × 8` entries on every operation.
+    /// The reference the known-clean fronts must agree with: the same pool
+    /// whose cleaner looks up all of its up to `cleaner_batch × 8` entries
+    /// on every operation.
     mod rescan {
         use std::collections::HashMap;
 

@@ -9,7 +9,8 @@
 #   scripts/verify.sh --smoke        # the smoke gates (part of a full run;
 #                                    # the flag adds them to --quick)
 #   scripts/verify.sh --smoke-bench  # additionally every figure at smoke
-#                                    # scale, --jobs 1 against --jobs 2
+#                                    # scale, --jobs 1 against --jobs 2 and
+#                                    # against the committed results/smoke
 #
 # Clippy fails on errors; warnings are reported but allowed.
 set -euo pipefail
@@ -64,6 +65,23 @@ if [ "$smoke_bench" -eq 1 ]; then
         exit 1
     fi
     echo "deterministic: every comparable result file is bit-identical"
+    # results/smoke holds the smoke-scale figures as committed; a change that
+    # moves a figure must regenerate them in the same commit with
+    #   run_all --quick --out-dir results/smoke
+    echo "== smoke: figures against the committed results/smoke CSVs =="
+    for f in target/smoke-results-j1/*.csv results/smoke/*.csv; do
+        base="$(basename "$f")"
+        [ "$base" = server_latency.csv ] && continue
+        if ! cmp -s "target/smoke-results-j1/$base" "results/smoke/$base"; then
+            echo "CHANGED: $base differs from results/smoke/$base (or one is missing)" >&2
+            diverged=1
+        fi
+    done
+    if [ "$diverged" -ne 0 ]; then
+        echo "verify: FAILED (smoke figures differ from the committed results/smoke)" >&2
+        exit 1
+    fi
+    echo "unchanged: every smoke figure matches its committed copy"
 fi
 
 if [ "$smoke" -eq 1 ]; then
