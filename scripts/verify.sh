@@ -49,39 +49,37 @@ if [ "$smoke_bench" -eq 1 ]; then
             --quick --jobs "$jobs" --out-dir "target/smoke-results-j$jobs" \
             --json "target/smoke-results-j$jobs/BENCH_results.json"
     done
-    echo "== smoke: cross-thread determinism (jobs 1 vs jobs 2 outputs) =="
+    # Each --jobs 1 CSV must be bit-identical to its --jobs 2 twin and to its
+    # committed copy in results/smoke; a change that moves a figure
+    # regenerates those in the same commit with
+    #   run_all --quick --out-dir results/smoke
+    echo "== smoke: --jobs 1 against --jobs 2 and against the committed results/smoke =="
     diverged=0
+    compared=0
     for f in target/smoke-results-j1/*.csv; do
         base="$(basename "$f")"
         # Wall-clock latencies legitimately differ between runs.
         [ "$base" = server_latency.csv ] && continue
+        compared=$((compared + 1))
         if ! cmp -s "$f" "target/smoke-results-j2/$base"; then
             echo "DIVERGENCE: $base differs between --jobs 1 and --jobs 2" >&2
             diverged=1
         fi
-    done
-    if [ "$diverged" -ne 0 ]; then
-        echo "verify: FAILED (parallel bench results diverged from serial)" >&2
-        exit 1
-    fi
-    echo "deterministic: every comparable result file is bit-identical"
-    # results/smoke holds the smoke-scale figures as committed; a change that
-    # moves a figure must regenerate them in the same commit with
-    #   run_all --quick --out-dir results/smoke
-    echo "== smoke: figures against the committed results/smoke CSVs =="
-    for f in target/smoke-results-j1/*.csv results/smoke/*.csv; do
-        base="$(basename "$f")"
-        [ "$base" = server_latency.csv ] && continue
-        if ! cmp -s "target/smoke-results-j1/$base" "results/smoke/$base"; then
-            echo "CHANGED: $base differs from results/smoke/$base (or one is missing)" >&2
+        if ! cmp -s "$f" "results/smoke/$base"; then
+            echo "CHANGED: $base differs from results/smoke/$base (or is not committed)" >&2
             diverged=1
         fi
     done
+    committed="$(find results/smoke -name '*.csv' ! -name server_latency.csv | wc -l)"
+    if [ "$committed" -ne "$compared" ]; then
+        echo "CHANGED: results/smoke holds $committed figure CSVs, the run wrote $compared" >&2
+        diverged=1
+    fi
     if [ "$diverged" -ne 0 ]; then
-        echo "verify: FAILED (smoke figures differ from the committed results/smoke)" >&2
+        echo "verify: FAILED (smoke figures diverged between job counts or from results/smoke)" >&2
         exit 1
     fi
-    echo "unchanged: every smoke figure matches its committed copy"
+    echo "deterministic and unchanged: every smoke figure matches --jobs 2 and results/smoke"
 fi
 
 if [ "$smoke" -eq 1 ]; then
