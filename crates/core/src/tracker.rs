@@ -12,8 +12,7 @@
 //! Both implement [`HintStatsTracker`], so the policy and the experiments can
 //! switch between them with a configuration flag.
 
-use std::collections::HashMap;
-
+use cache_sim::hash::{FastBuildHasher, FastHashMap};
 use cache_sim::HintSetId;
 use stream_stats::SpaceSaving;
 
@@ -47,9 +46,14 @@ pub trait HintStatsTracker {
 
 /// The unbounded hint table: one [`HintWindowStats`] entry per distinct hint
 /// set observed during the current window.
+///
+/// The table sits on the per-request path and its keys are trusted hint-set
+/// ids, so it uses the workspace's fast hasher. Its iteration order reaches
+/// `end_window`'s output, which is harmless: each hint set's new priority
+/// depends on its own statistics only.
 #[derive(Debug, Clone, Default)]
 pub struct FullTracker {
-    table: HashMap<HintSetId, HintWindowStats>,
+    table: FastHashMap<HintSetId, HintWindowStats>,
 }
 
 impl FullTracker {
@@ -107,9 +111,11 @@ struct RereferenceAux {
 /// bound), `Nr(H)` and the distance sum are only accumulated while `H` is
 /// being monitored, and hint sets that are not monitored report no
 /// statistics at all (hence priority zero), all as described in the paper.
+/// The summary indexes hint sets with the workspace's fast hasher; its
+/// recycling tie rule does not depend on the hasher.
 #[derive(Debug, Clone)]
 pub struct TopKTracker {
-    summary: SpaceSaving<HintSetId, RereferenceAux>,
+    summary: SpaceSaving<HintSetId, RereferenceAux, FastBuildHasher>,
     k: usize,
 }
 
@@ -121,7 +127,7 @@ impl TopKTracker {
     /// Panics if `k` is zero.
     pub fn new(k: usize) -> Self {
         TopKTracker {
-            summary: SpaceSaving::new(k),
+            summary: SpaceSaving::with_hasher(k, FastBuildHasher::default()),
             k,
         }
     }

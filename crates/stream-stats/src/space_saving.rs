@@ -16,9 +16,38 @@
 //! counter is recycled for a different hint set. [`SpaceSaving`] therefore
 //! carries a generic auxiliary payload `A` per counter that is reset to
 //! `A::default()` on recycling.
+//!
+//! # Layout
+//!
+//! The summary is the paper's own *Stream-Summary*:
+//!
+//! * `slots` — at most `k` counters, each holding its item, error bound,
+//!   payload and bucket; the slots of one bucket form a doubly linked list;
+//! * `buckets` — one per distinct count, doubly linked in ascending count
+//!   order from `min_bucket`; emptied buckets go on a free list for reuse;
+//! * `index` — a hash map from item to slot, built with the summary's
+//!   `BuildHasher` (`RandomState` unless [`SpaceSaving::with_hasher`] says
+//!   otherwise).
+//!
+//! # Cost
+//!
+//! Observing a monitored item is one `index` lookup plus O(1) link updates:
+//! the slot moves into the next bucket when that bucket's count is one
+//! higher, its bucket's count is bumped in place when the slot is alone in
+//! it, and a new bucket is linked in after it otherwise. Recycling a counter
+//! also scans the minimum bucket, O(|minimum bucket|) ≤ k, plus one `index`
+//! removal and insertion.
+//!
+//! # Tie rule
+//!
+//! Among the minimum-count items the *smallest* (by `Ord`) is recycled, so
+//! two summaries fed the same observation stream always evolve identically,
+//! whatever their hashers (the policy's differential and sharded-server
+//! bit-exactness tests rely on this).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::Hash;
+use std::collections::hash_map::{Entry as MapEntry, RandomState};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
 
 use crate::FrequencyEstimator;
 
@@ -40,32 +69,47 @@ impl Estimate {
     }
 }
 
+/// The end of a slot or bucket list.
+const NIL: u32 = u32::MAX;
+
+/// One monitored item; its count is its bucket's.
 #[derive(Debug, Clone)]
-struct Entry<A> {
-    count: u64,
+struct Slot<T, A> {
+    item: T,
     error: u64,
     aux: A,
+    bucket: u32,
+    prev: u32,
+    next: u32,
+}
+
+/// All slots with one count. `next` links the count order while the bucket
+/// is in use and the free list after it is released.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    count: u64,
+    head: u32,
+    prev: u32,
+    next: u32,
 }
 
 /// The Space-Saving summary: monitors at most `k` items together with an
 /// auxiliary payload per monitored item.
 ///
 /// The default payload is `()`; CLIC instantiates `A` with its re-reference
-/// statistics.
+/// statistics. `S` hashes items into the slot index.
 #[derive(Debug, Clone)]
-pub struct SpaceSaving<T, A = ()>
+pub struct SpaceSaving<T, A = (), S = RandomState>
 where
     T: Ord + Hash + Clone,
     A: Default,
 {
     capacity: usize,
-    entries: HashMap<T, Entry<A>>,
-    // count -> set of items with that count; the first key is the minimum.
-    // Ordered sets make victim selection deterministic: among equal-count
-    // candidates the *smallest* item is recycled, so two summaries fed the
-    // same observation stream always evolve identically (the policy's
-    // differential and sharded-server bit-exactness tests rely on this).
-    buckets: BTreeMap<u64, BTreeSet<T>>,
+    slots: Vec<Slot<T, A>>,
+    buckets: Vec<Bucket>,
+    min_bucket: u32,
+    free_bucket: u32,
+    index: HashMap<T, u32, S>,
     observations: u64,
 }
 
@@ -80,11 +124,32 @@ where
     ///
     /// Panics if `k` is zero.
     pub fn new(k: usize) -> Self {
+        SpaceSaving::with_hasher(k, RandomState::new())
+    }
+}
+
+impl<T, A, S> SpaceSaving<T, A, S>
+where
+    T: Ord + Hash + Clone,
+    A: Default,
+    S: BuildHasher,
+{
+    /// Creates a summary monitoring at most `k` items whose slot index
+    /// hashes with `hasher`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero or does not fit a `u32` slot link.
+    pub fn with_hasher(k: usize, hasher: S) -> Self {
         assert!(k > 0, "space-saving capacity must be positive");
+        assert!(k < NIL as usize, "space-saving capacity must fit a u32");
         SpaceSaving {
             capacity: k,
-            entries: HashMap::with_capacity(k),
-            buckets: BTreeMap::new(),
+            slots: Vec::with_capacity(k),
+            buckets: Vec::with_capacity(k),
+            min_bucket: NIL,
+            free_bucket: NIL,
+            index: HashMap::with_capacity_and_hasher(k, hasher),
             observations: 0,
         }
     }
@@ -96,12 +161,12 @@ where
 
     /// Number of items currently monitored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Returns `true` if no items are monitored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Total number of observations since creation or the last [`clear`].
@@ -113,7 +178,7 @@ where
 
     /// Returns `true` if `item` is currently monitored.
     pub fn is_monitored(&self, item: &T) -> bool {
-        self.entries.contains_key(item)
+        self.index.contains_key(item)
     }
 
     /// Records one occurrence of `item`, returning a mutable reference to its
@@ -121,52 +186,29 @@ where
     /// be recycled, the payload starts fresh at `A::default()`.
     pub fn observe_mut(&mut self, item: T) -> &mut A {
         self.observations += 1;
-        if let Some(entry) = self.entries.get(&item) {
-            let old_count = entry.count;
-            self.remove_from_bucket(&item, old_count);
-            self.add_to_bucket(item.clone(), old_count + 1);
-            let entry = self.entries.get_mut(&item).expect("entry exists");
-            entry.count += 1;
-            return &mut self.entries.get_mut(&item).expect("entry exists").aux;
-        }
-        if self.entries.len() < self.capacity {
-            self.add_to_bucket(item.clone(), 1);
-            self.entries.insert(
-                item.clone(),
-                Entry {
-                    count: 1,
+        let slot = match self.index.entry(item) {
+            MapEntry::Occupied(entry) => *entry.get(),
+            MapEntry::Vacant(entry) if self.slots.len() < self.capacity => {
+                let slot = self.slots.len() as u32;
+                self.slots.push(Slot {
+                    item: entry.key().clone(),
                     error: 0,
                     aux: A::default(),
-                },
-            );
-            return &mut self.entries.get_mut(&item).expect("just inserted").aux;
-        }
-        // Recycle the minimum-count entry.
-        let (min_count, victim) = {
-            let (count, set) = self
-                .buckets
-                .iter()
-                .next()
-                .expect("capacity > 0 and entries is full");
-            let victim = set
-                .iter()
-                .next()
-                .expect("bucket sets are non-empty")
-                .clone();
-            (*count, victim)
+                    bucket: NIL,
+                    prev: NIL,
+                    next: NIL,
+                });
+                entry.insert(slot);
+                self.attach_with_count_one(slot);
+                return &mut self.slots[slot as usize].aux;
+            }
+            MapEntry::Vacant(entry) => {
+                let item = entry.into_key();
+                self.recycle(item)
+            }
         };
-        self.remove_from_bucket(&victim, min_count);
-        self.entries.remove(&victim);
-        self.add_to_bucket(item.clone(), min_count + 1);
-        self.entries.insert(
-            item.clone(),
-            Entry {
-                count: min_count + 1,
-                error: min_count,
-                aux: A::default(),
-            },
-        );
-        &mut self.entries.get_mut(&item).expect("just inserted").aux
+        self.increment(slot);
+        &mut self.slots[slot as usize].aux
     }
 
     /// Records one occurrence of `item` (discarding the payload reference).
@@ -176,21 +218,23 @@ where
 
     /// Returns the frequency estimate for `item`, if it is monitored.
     pub fn estimate(&self, item: &T) -> Option<Estimate> {
-        self.entries.get(item).map(|e| Estimate {
-            count: e.count,
-            error: e.error,
-        })
+        self.index
+            .get(item)
+            .map(|&slot| self.estimate_of(&self.slots[slot as usize]))
     }
 
     /// Returns the auxiliary payload for `item`, if monitored.
     pub fn aux(&self, item: &T) -> Option<&A> {
-        self.entries.get(item).map(|e| &e.aux)
+        self.index
+            .get(item)
+            .map(|&slot| &self.slots[slot as usize].aux)
     }
 
     /// Returns a mutable reference to the auxiliary payload for `item`
     /// without recording an observation.
     pub fn aux_mut(&mut self, item: &T) -> Option<&mut A> {
-        self.entries.get_mut(item).map(|e| &mut e.aux)
+        let slot = *self.index.get(item)?;
+        Some(&mut self.slots[slot as usize].aux)
     }
 
     /// Returns all monitored items with their estimates and payloads, sorted
@@ -198,18 +242,9 @@ where
     /// order is deterministic).
     pub fn entries(&self) -> Vec<(T, Estimate, &A)> {
         let mut out: Vec<(T, Estimate, &A)> = self
-            .entries
+            .slots
             .iter()
-            .map(|(item, e)| {
-                (
-                    item.clone(),
-                    Estimate {
-                        count: e.count,
-                        error: e.error,
-                    },
-                    &e.aux,
-                )
-            })
+            .map(|slot| (slot.item.clone(), self.estimate_of(slot), &slot.aux))
             .collect();
         out.sort_by(|a, b| b.1.count.cmp(&a.1.count).then_with(|| a.0.cmp(&b.0)));
         out
@@ -219,39 +254,171 @@ where
     /// top-`len()` items (their guaranteed count exceeds the smallest
     /// estimated count among the others).
     pub fn guaranteed_frequent(&self) -> Vec<T> {
-        let min_count = self.buckets.keys().next().copied().unwrap_or(0);
-        self.entries
+        let min_count = self
+            .buckets
+            .get(self.min_bucket as usize)
+            .map_or(0, |bucket| bucket.count);
+        self.slots
             .iter()
-            .filter(|(_, e)| e.count.saturating_sub(e.error) >= min_count)
-            .map(|(item, _)| item.clone())
+            .filter(|slot| self.estimate_of(slot).guaranteed() >= min_count)
+            .map(|slot| slot.item.clone())
             .collect()
     }
 
     /// Forgets all monitored items and resets the observation count. CLIC
     /// calls this at every window boundary (Section 5).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
         self.buckets.clear();
+        self.min_bucket = NIL;
+        self.free_bucket = NIL;
+        self.index.clear();
         self.observations = 0;
     }
 
-    fn add_to_bucket(&mut self, item: T, count: u64) {
-        self.buckets.entry(count).or_default().insert(item);
+    fn estimate_of(&self, slot: &Slot<T, A>) -> Estimate {
+        Estimate {
+            count: self.buckets[slot.bucket as usize].count,
+            error: slot.error,
+        }
     }
 
-    fn remove_from_bucket(&mut self, item: &T, count: u64) {
-        if let Some(set) = self.buckets.get_mut(&count) {
-            set.remove(item);
-            if set.is_empty() {
-                self.buckets.remove(&count);
+    /// Hands the minimum-count counter to `item`: the smallest item of the
+    /// minimum bucket is the victim, `item` inherits its count as its error
+    /// bound and a fresh payload. The caller then increments the slot.
+    fn recycle(&mut self, item: T) -> u32 {
+        let bucket = &self.buckets[self.min_bucket as usize];
+        let error = bucket.count;
+        let mut victim = bucket.head;
+        let mut cursor = self.slots[victim as usize].next;
+        while cursor != NIL {
+            let candidate = &self.slots[cursor as usize];
+            if candidate.item < self.slots[victim as usize].item {
+                victim = cursor;
             }
+            cursor = candidate.next;
         }
+        let slot = &mut self.slots[victim as usize];
+        self.index.remove(&slot.item);
+        self.index.insert(item.clone(), victim);
+        slot.item = item;
+        slot.error = error;
+        slot.aux = A::default();
+        victim
+    }
+
+    /// Moves `slot` from its bucket (count c) to count c + 1.
+    fn increment(&mut self, slot: u32) {
+        let from = self.slots[slot as usize].bucket;
+        let Bucket { count, next, .. } = self.buckets[from as usize];
+        let count = count + 1;
+        if next != NIL && self.buckets[next as usize].count == count {
+            self.unlink_slot(slot);
+            self.push_slot(next, slot);
+        } else if self.buckets[from as usize].head == slot && self.slots[slot as usize].next == NIL
+        {
+            // Alone in its bucket, and no bucket holds c + 1: bump in place.
+            self.buckets[from as usize].count = count;
+        } else {
+            self.unlink_slot(slot);
+            let to = self.allocate_bucket(count);
+            self.buckets[to as usize].prev = from;
+            self.buckets[to as usize].next = next;
+            self.buckets[from as usize].next = to;
+            if next != NIL {
+                self.buckets[next as usize].prev = to;
+            }
+            self.push_slot(to, slot);
+        }
+    }
+
+    /// Places a fresh slot in the count-1 bucket, creating it at the head
+    /// of the count order when the minimum count is higher.
+    fn attach_with_count_one(&mut self, slot: u32) {
+        let min = self.min_bucket;
+        if min != NIL && self.buckets[min as usize].count == 1 {
+            self.push_slot(min, slot);
+            return;
+        }
+        let bucket = self.allocate_bucket(1);
+        self.buckets[bucket as usize].next = min;
+        if min != NIL {
+            self.buckets[min as usize].prev = bucket;
+        }
+        self.min_bucket = bucket;
+        self.push_slot(bucket, slot);
+    }
+
+    fn push_slot(&mut self, bucket: u32, slot: u32) {
+        let head = self.buckets[bucket as usize].head;
+        let entry = &mut self.slots[slot as usize];
+        entry.bucket = bucket;
+        entry.prev = NIL;
+        entry.next = head;
+        if head != NIL {
+            self.slots[head as usize].prev = slot;
+        }
+        self.buckets[bucket as usize].head = slot;
+    }
+
+    /// Takes `slot` out of its bucket's list, releasing the bucket if that
+    /// leaves it empty.
+    fn unlink_slot(&mut self, slot: u32) {
+        let Slot {
+            bucket, prev, next, ..
+        } = self.slots[slot as usize];
+        if prev == NIL {
+            self.buckets[bucket as usize].head = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
+        }
+        if self.buckets[bucket as usize].head == NIL {
+            self.release_bucket(bucket);
+        }
+    }
+
+    /// A bucket with `count`, no slots and no links, reused from the free
+    /// list when possible.
+    fn allocate_bucket(&mut self, count: u64) -> u32 {
+        let fresh = Bucket {
+            count,
+            head: NIL,
+            prev: NIL,
+            next: NIL,
+        };
+        if self.free_bucket == NIL {
+            self.buckets.push(fresh);
+            return (self.buckets.len() - 1) as u32;
+        }
+        let bucket = self.free_bucket;
+        self.free_bucket = self.buckets[bucket as usize].next;
+        self.buckets[bucket as usize] = fresh;
+        bucket
+    }
+
+    /// Unlinks an empty bucket from the count order onto the free list.
+    fn release_bucket(&mut self, bucket: u32) {
+        let Bucket { prev, next, .. } = self.buckets[bucket as usize];
+        if prev == NIL {
+            self.min_bucket = next;
+        } else {
+            self.buckets[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.buckets[next as usize].prev = prev;
+        }
+        self.buckets[bucket as usize].next = self.free_bucket;
+        self.free_bucket = bucket;
     }
 }
 
-impl<T> FrequencyEstimator<T> for SpaceSaving<T, ()>
+impl<T, S> FrequencyEstimator<T> for SpaceSaving<T, (), S>
 where
     T: Ord + Hash + Clone,
+    S: BuildHasher,
 {
     fn observe(&mut self, item: T) {
         SpaceSaving::observe(self, item);
@@ -435,5 +602,356 @@ mod tests {
         for g in &guaranteed {
             assert!(ss.is_monitored(g));
         }
+    }
+
+    impl<T, A, S> SpaceSaving<T, A, S>
+    where
+        T: Ord + Hash + Clone + std::fmt::Debug,
+        A: Default,
+        S: BuildHasher,
+    {
+        /// Panics unless the Stream-Summary is well formed: bucket counts
+        /// strictly ascend from `min_bucket`, no bucket in use is empty,
+        /// every slot links back to the bucket whose list holds it, released
+        /// buckets are all on the free list, and `index` ↔ `slots` is a
+        /// bijection.
+        fn validate(&self) {
+            let mut listed = 0usize;
+            let mut in_use = 0usize;
+            let (mut prev_bucket, mut bucket, mut prev_count) = (NIL, self.min_bucket, 0u64);
+            while bucket != NIL {
+                let b = self.buckets[bucket as usize];
+                assert_eq!(b.prev, prev_bucket, "bucket {bucket}: back link");
+                assert!(b.count > prev_count, "bucket {bucket}: counts must ascend");
+                assert_ne!(b.head, NIL, "bucket {bucket} is in use but empty");
+                let (mut prev_slot, mut slot) = (NIL, b.head);
+                while slot != NIL {
+                    let s = &self.slots[slot as usize];
+                    assert_eq!(s.bucket, bucket, "slot {slot}: bucket link");
+                    assert_eq!(s.prev, prev_slot, "slot {slot}: back link");
+                    listed += 1;
+                    (prev_slot, slot) = (slot, s.next);
+                }
+                in_use += 1;
+                (prev_bucket, prev_count, bucket) = (bucket, b.count, b.next);
+            }
+            assert_eq!(listed, self.slots.len(), "every slot sits in one bucket");
+            let mut free = 0usize;
+            let mut bucket = self.free_bucket;
+            while bucket != NIL {
+                free += 1;
+                bucket = self.buckets[bucket as usize].next;
+            }
+            assert_eq!(in_use + free, self.buckets.len(), "bucket leak");
+            assert!(
+                self.buckets.len() <= self.capacity,
+                "more buckets than slots"
+            );
+            assert_eq!(self.index.len(), self.slots.len(), "index size");
+            for (item, &slot) in &self.index {
+                assert_eq!(&self.slots[slot as usize].item, item, "index → slot");
+            }
+        }
+    }
+
+    /// The ordered-set implementation the Stream-Summary replaced, kept as
+    /// the differential oracle: `count → BTreeSet` buckets, so the smallest
+    /// minimum-count item is the one recycled.
+    mod btree {
+        use std::collections::{BTreeMap, BTreeSet, HashMap};
+        use std::hash::Hash;
+
+        use super::Estimate;
+
+        struct Entry<A> {
+            count: u64,
+            error: u64,
+            aux: A,
+        }
+
+        pub struct BTreeSpaceSaving<T, A> {
+            capacity: usize,
+            entries: HashMap<T, Entry<A>>,
+            buckets: BTreeMap<u64, BTreeSet<T>>,
+            observations: u64,
+        }
+
+        impl<T: Ord + Hash + Clone, A: Default> BTreeSpaceSaving<T, A> {
+            pub fn new(k: usize) -> Self {
+                BTreeSpaceSaving {
+                    capacity: k,
+                    entries: HashMap::new(),
+                    buckets: BTreeMap::new(),
+                    observations: 0,
+                }
+            }
+
+            pub fn observe_mut(&mut self, item: T) -> &mut A {
+                self.observations += 1;
+                if let Some(entry) = self.entries.get(&item) {
+                    let old_count = entry.count;
+                    self.remove_from_bucket(&item, old_count);
+                    self.add_to_bucket(item.clone(), old_count + 1);
+                    let entry = self.entries.get_mut(&item).expect("entry exists");
+                    entry.count += 1;
+                    return &mut entry.aux;
+                }
+                let (count, error) = if self.entries.len() < self.capacity {
+                    (1, 0)
+                } else {
+                    let (&min_count, set) = self.buckets.iter().next().expect("full");
+                    let victim = set.iter().next().expect("non-empty").clone();
+                    self.remove_from_bucket(&victim, min_count);
+                    self.entries.remove(&victim);
+                    (min_count + 1, min_count)
+                };
+                self.add_to_bucket(item.clone(), count);
+                let entry = Entry {
+                    count,
+                    error,
+                    aux: A::default(),
+                };
+                &mut self.entries.entry(item).or_insert(entry).aux
+            }
+
+            pub fn aux_mut(&mut self, item: &T) -> Option<&mut A> {
+                self.entries.get_mut(item).map(|e| &mut e.aux)
+            }
+
+            pub fn estimate(&self, item: &T) -> Option<Estimate> {
+                self.entries.get(item).map(|e| Estimate {
+                    count: e.count,
+                    error: e.error,
+                })
+            }
+
+            pub fn aux(&self, item: &T) -> Option<&A> {
+                self.entries.get(item).map(|e| &e.aux)
+            }
+
+            pub fn entries(&self) -> Vec<(T, Estimate, &A)> {
+                let mut out: Vec<(T, Estimate, &A)> = self
+                    .entries
+                    .iter()
+                    .map(|(item, e)| {
+                        let estimate = Estimate {
+                            count: e.count,
+                            error: e.error,
+                        };
+                        (item.clone(), estimate, &e.aux)
+                    })
+                    .collect();
+                out.sort_by(|a, b| b.1.count.cmp(&a.1.count).then_with(|| a.0.cmp(&b.0)));
+                out
+            }
+
+            pub fn guaranteed_frequent(&self) -> Vec<T> {
+                let min_count = self.buckets.keys().next().copied().unwrap_or(0);
+                self.entries
+                    .iter()
+                    .filter(|(_, e)| e.count.saturating_sub(e.error) >= min_count)
+                    .map(|(item, _)| item.clone())
+                    .collect()
+            }
+
+            pub fn observations(&self) -> u64 {
+                self.observations
+            }
+
+            pub fn clear(&mut self) {
+                self.entries.clear();
+                self.buckets.clear();
+                self.observations = 0;
+            }
+
+            fn add_to_bucket(&mut self, item: T, count: u64) {
+                self.buckets.entry(count).or_default().insert(item);
+            }
+
+            fn remove_from_bucket(&mut self, item: &T, count: u64) {
+                if let Some(set) = self.buckets.get_mut(&count) {
+                    set.remove(item);
+                    if set.is_empty() {
+                        self.buckets.remove(&count);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A splitmix64 step: the streams below need no more randomness.
+    fn next_random(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// Every item of the alphabet equally likely.
+        Uniform,
+        /// Roughly Zipf: a few items take most of the stream.
+        Skewed,
+        /// Round-robin over slightly more items than counters, so nearly
+        /// every observation recycles from a crowded minimum bucket.
+        TieHeavy,
+    }
+
+    fn draw(shape: Shape, k: usize, step: usize, state: &mut u64) -> u16 {
+        match shape {
+            Shape::Uniform => (next_random(state) % (3 * k as u64 + 2)) as u16,
+            Shape::Skewed => {
+                let r = next_random(state) % 400;
+                (400 / (1 + r)) as u16
+            }
+            Shape::TieHeavy => {
+                // Mostly cycling, with an occasional stray to break cycles.
+                if next_random(state).is_multiple_of(16) {
+                    (next_random(state) % 200) as u16
+                } else {
+                    (step % (k + 2)) as u16
+                }
+            }
+        }
+    }
+
+    fn assert_same(
+        summary: &SpaceSaving<u16, u64>,
+        oracle: &btree::BTreeSpaceSaving<u16, u64>,
+        context: &str,
+    ) {
+        summary.validate();
+        assert_eq!(summary.entries(), oracle.entries(), "{context}: entries");
+        assert_eq!(summary.observations(), oracle.observations(), "{context}");
+        for item in 0..=400u16 {
+            assert_eq!(
+                summary.estimate(&item),
+                oracle.estimate(&item),
+                "{context}: estimate of {item}"
+            );
+            assert_eq!(
+                summary.aux(&item),
+                oracle.aux(&item),
+                "{context}: aux of {item}"
+            );
+        }
+        let mut ours = summary.guaranteed_frequent();
+        let mut theirs = oracle.guaranteed_frequent();
+        ours.sort_unstable();
+        theirs.sort_unstable();
+        assert_eq!(ours, theirs, "{context}: guaranteed_frequent");
+    }
+
+    /// The Stream-Summary and the ordered-set summary it replaced, driven in
+    /// lockstep, agree on every observable after every call: k from 1 to 40,
+    /// three stream shapes, payload writes through both `observe_mut` and
+    /// `aux_mut`, and a `clear()` in the middle of each stream.
+    #[test]
+    fn stream_summary_matches_the_ordered_set_summary_in_lockstep() {
+        for k in 1..=40usize {
+            for shape in [Shape::Uniform, Shape::Skewed, Shape::TieHeavy] {
+                let mut state = ((k as u64) << 8) | shape as u64;
+                let mut summary: SpaceSaving<u16, u64> = SpaceSaving::new(k);
+                let mut oracle = btree::BTreeSpaceSaving::<u16, u64>::new(k);
+                let steps = 600;
+                for step in 0..steps {
+                    let context = format!("k {k}, {shape:?}, step {step}");
+                    if step == steps / 2 {
+                        summary.clear();
+                        oracle.clear();
+                    } else if step % 7 == 3 {
+                        let item = draw(shape, k, step, &mut state);
+                        let ours = summary.aux_mut(&item).map(|aux| {
+                            *aux += 100;
+                            *aux
+                        });
+                        let theirs = oracle.aux_mut(&item).map(|aux| {
+                            *aux += 100;
+                            *aux
+                        });
+                        assert_eq!(ours, theirs, "{context}: aux_mut of {item}");
+                    } else {
+                        let item = draw(shape, k, step, &mut state);
+                        let ours = {
+                            let aux = summary.observe_mut(item);
+                            *aux += 1;
+                            *aux
+                        };
+                        let theirs = {
+                            let aux = oracle.observe_mut(item);
+                            *aux += 1;
+                            *aux
+                        };
+                        assert_eq!(ours, theirs, "{context}: payload of {item}");
+                    }
+                    assert_same(&summary, &oracle, &context);
+                }
+            }
+        }
+    }
+
+    /// Bucket bookkeeping through every increment case — splitting a new
+    /// bucket off a crowded one, bumping a lone slot in place, joining the
+    /// next bucket and releasing the emptied one — then bucket reuse and a
+    /// recycle that must pick the smallest item, not the list head.
+    #[test]
+    fn buckets_follow_every_increment_case() {
+        let mut ss: SpaceSaving<u8> = SpaceSaving::new(3);
+        ss.observe(1);
+        ss.observe(2);
+        ss.observe(1); // split: 1 leaves {1, 2} for a new count-2 bucket
+        ss.validate();
+        assert_eq!(ss.buckets.len(), 2);
+        let bucket_of_1 = ss.slots[0].bucket;
+        ss.observe(1); // alone, and no count-3 bucket: bumped in place
+        ss.validate();
+        assert_eq!(ss.slots[0].bucket, bucket_of_1);
+        assert_eq!(ss.estimate(&1).unwrap().count, 3);
+        ss.observe(2); // alone at count 1: bumped in place to 2
+        ss.observe(2); // joins 1's count-3 bucket; its own is released
+        ss.validate();
+        assert_eq!(ss.buckets[ss.min_bucket as usize].count, 3);
+        assert_ne!(ss.free_bucket, NIL);
+        ss.observe(3); // reuses the released bucket, ahead of the minimum
+        ss.validate();
+        assert_eq!((ss.buckets.len(), ss.free_bucket), (2, NIL));
+        ss.observe(3);
+        ss.observe(3); // 1, 2 and 3 all at count 3, 3 at the list head
+        ss.validate();
+        assert_eq!(ss.buckets[ss.min_bucket as usize].count, 3);
+        // 4 recycles the smallest minimum-count item, 1, not the head, 3.
+        ss.observe(4);
+        ss.validate();
+        assert!(!ss.is_monitored(&1));
+        assert_eq!(ss.estimate(&4), Some(Estimate { count: 4, error: 3 }));
+        assert_eq!(ss.estimate(&3), Some(Estimate { count: 3, error: 0 }));
+        assert_eq!(ss.estimate(&2), Some(Estimate { count: 3, error: 0 }));
+    }
+
+    #[test]
+    fn with_hasher_behaves_like_new() {
+        use std::hash::BuildHasherDefault;
+        let mut seeded: SpaceSaving<u16> = SpaceSaving::new(5);
+        let mut fixed: SpaceSaving<
+            u16,
+            (),
+            BuildHasherDefault<std::collections::hash_map::DefaultHasher>,
+        > = SpaceSaving::with_hasher(5, BuildHasherDefault::default());
+        let mut state = 7u64;
+        for step in 0..2_000 {
+            let item = draw(Shape::Skewed, 5, step, &mut state);
+            seeded.observe(item);
+            fixed.observe(item);
+        }
+        fixed.validate();
+        let project = |entries: Vec<(u16, Estimate, &())>| -> Vec<(u16, Estimate)> {
+            entries
+                .into_iter()
+                .map(|(item, est, _)| (item, est))
+                .collect()
+        };
+        assert_eq!(project(seeded.entries()), project(fixed.entries()));
     }
 }
