@@ -4,9 +4,10 @@
 //!
 //! With per-shard stores, each shard's worker owns its own `PageStore`
 //! outside the shard lock, so concurrent clients exercise the latched
-//! frame arena and the WAL from several threads at once. Thread
-//! scheduling makes the per-shard *interleaving* nondeterministic, so
-//! these tests split their checks in two:
+//! frame arena and the WAL from several threads at once. The clients
+//! submit in rounds of one batch each, but thread scheduling still makes
+//! the per-shard *interleaving* within a round nondeterministic, so these
+//! tests split their checks in two:
 //!
 //! * **Exact** — counters that depend only on the request multiset, not
 //!   on order: total requests and cache-interface bytes moved must equal
@@ -23,6 +24,7 @@
 //! smoke gate.
 
 use std::path::PathBuf;
+use std::sync::Barrier;
 
 use clic::prelude::*;
 
@@ -37,8 +39,8 @@ fn scratch(label: &str) -> PathBuf {
     dir
 }
 
-/// Drives `presets.len()` concurrent client threads against a
-/// `shards`-shard store-backed server, compares the order-insensitive I/O
+/// Drives `presets.len()` concurrent client threads, paced in rounds,
+/// against a `shards`-shard store-backed server, compares the order-insensitive I/O
 /// counters and the hit ratio against the serial partitioned replay of
 /// the interleaved trace, then reopens every shard store and verifies
 /// written pages byte-for-byte.
@@ -56,26 +58,66 @@ fn concurrent_run_matches_serial_replay(
         .with_window(window)
         .with_tracking(TrackingMode::TopK(100));
 
-    // Online: one closed-loop client thread per trace over a real store.
+    // Online: one client thread per trace over a real store. The clients go
+    // in rounds of one 64-request batch each, like the offline round-robin
+    // interleave: unpaced threads drift apart by however far the scheduler
+    // lets one run ahead, and a client that runs ahead has the cache to
+    // itself, which moves the hit ratio by more than the band below allows.
     let dir = scratch(label);
     let store_config = StoreConfig::new(&dir, cache_pages)
         .with_page_size(PAGE_SIZE)
         .with_flush_threshold(64);
-    let report = run_load(
-        &LoadConfig::new(
-            ServerConfig::new(cache_pages)
-                .with_shards(shards)
-                .with_clic(clic_config)
-                .with_merge_every(window)
-                .with_durability(durability)
-                .with_store(store_config.clone()),
-        )
-        .with_batch(64),
-        &traces,
+    let server = Server::start(
+        ServerConfig::new(cache_pages)
+            .with_shards(shards)
+            .with_clic(clic_config)
+            .with_merge_every(window)
+            .with_durability(durability)
+            .with_store(store_config.clone()),
     );
-    assert_eq!(report.requests(), total, "no request may be lost");
-    assert_eq!(report.clients.len(), presets.len());
-    let online_io = report.io.expect("a store-backed run reports I/O");
+    let round = Barrier::new(traces.len());
+    let answered: u64 = std::thread::scope(|scope| {
+        let clients: Vec<_> = traces
+            .iter()
+            .map(|trace| {
+                let (server, round) = (&server, &round);
+                scope.spawn(move || {
+                    let mut answered = 0;
+                    for chunk in trace.requests.chunks(64) {
+                        // Every Put carries its page's payload, so the
+                        // read-back below can check the bytes.
+                        let batch: Vec<ServerRequest> = chunk
+                            .iter()
+                            .map(|req| {
+                                let op = ServerRequest::from_request(req);
+                                if req.is_write() {
+                                    op.with_payload(page_payload(req.page, PAGE_SIZE))
+                                } else {
+                                    op
+                                }
+                            })
+                            .collect();
+                        let responses = server.submit(&batch);
+                        answered += responses.iter().filter(|r| r.hit().is_some()).count() as u64;
+                        round.wait();
+                    }
+                    answered
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|client| client.join().expect("client thread panicked"))
+            .sum()
+    });
+    // Read before shutdown: the shutdown checkpoint's flush burst is not
+    // part of the run.
+    let online_io = server
+        .io_stats()
+        .expect("a store-backed server reports I/O");
+    let online = server.shutdown();
+    assert_eq!(answered, total, "every request gets a data response");
+    assert_eq!(online.stats.requests(), total, "no request may be lost");
 
     // Serial reference: the same requests through the partitioned replay,
     // one partition per shard, on one thread.
@@ -106,7 +148,7 @@ fn concurrent_run_matches_serial_replay(
     // records are *not* on this list: a bypassed write goes write-through
     // without a log record, and bypass decisions depend on policy state,
     // which depends on the scheduling order.)
-    assert_eq!(report.requests(), serial.result.stats.requests());
+    assert_eq!(online.stats.requests(), serial.result.stats.requests());
     assert_eq!(online_io.bytes_read, serial.io.bytes_read);
     assert_eq!(online_io.bytes_written, serial.io.bytes_written);
     let writes: u64 = traces
@@ -133,7 +175,7 @@ fn concurrent_run_matches_serial_replay(
             .with_tracking(TrackingMode::TopK(100)),
     );
     let single = simulate(&mut shared, &combined);
-    let online_ratio = report.read_hit_ratio();
+    let online_ratio = online.read_hit_ratio();
     let single_ratio = single.read_hit_ratio();
     assert!(
         (online_ratio - single_ratio).abs() <= 0.10 * single_ratio,
