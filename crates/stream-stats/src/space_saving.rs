@@ -19,7 +19,7 @@
 //!
 //! # Layout
 //!
-//! The summary is the paper's own *Stream-Summary*:
+//! The summary is Metwally et al.'s own *Stream-Summary*:
 //!
 //! * `slots` — at most `k` counters, each holding its item, error bound,
 //!   payload and bucket; the slots of one bucket form a doubly linked list;
