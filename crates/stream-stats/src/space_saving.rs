@@ -930,6 +930,8 @@ mod tests {
         assert_eq!(ss.estimate(&2), Some(Estimate { count: 3, error: 0 }));
     }
 
+    /// The tie rule does not depend on the hasher: a summary on a fixed
+    /// hasher evolves exactly like one on `RandomState`.
     #[test]
     fn with_hasher_behaves_like_new() {
         use std::hash::BuildHasherDefault;
@@ -946,12 +948,6 @@ mod tests {
             fixed.observe(item);
         }
         fixed.validate();
-        let project = |entries: Vec<(u16, Estimate, &())>| -> Vec<(u16, Estimate)> {
-            entries
-                .into_iter()
-                .map(|(item, est, _)| (item, est))
-                .collect()
-        };
-        assert_eq!(project(seeded.entries()), project(fixed.entries()));
+        assert_eq!(seeded.entries(), fixed.entries());
     }
 }
