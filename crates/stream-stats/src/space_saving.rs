@@ -19,24 +19,24 @@
 //!
 //! # Layout
 //!
-//! The summary is Metwally et al.'s own *Stream-Summary*:
-//!
-//! * `slots` — at most `k` counters, each holding its item, error bound,
-//!   payload and bucket; the slots of one bucket form a doubly linked list;
-//! * `buckets` — one per distinct count, doubly linked in ascending count
-//!   order from `min_bucket`; emptied buckets go on a free list for reuse;
+//! * `slots` — at most `k` counters in a flat vector, each holding its
+//!   item, count, error bound and payload;
 //! * `index` — a hash map from item to slot, built with the summary's
 //!   `BuildHasher` (`RandomState` unless [`SpaceSaving::with_hasher`] says
 //!   otherwise).
 //!
+//! The `S` parameter has one fast production value, the top-k tracker's
+//! hasher in `clic-core`; `new` keeps `RandomState` so that the
+//! `benchmark/` layer ladder, which builds its `stream-stats.topk_offer_ns`
+//! rung with `SpaceSaving::new`, compiles and measures what it always
+//! measured — a SipHash index no production path runs.
+//!
 //! # Cost
 //!
-//! Observing a monitored item is one `index` lookup plus O(1) link updates:
-//! the slot moves into the next bucket when that bucket's count is one
-//! higher, its bucket's count is bumped in place when the slot is alone in
-//! it, and a new bucket is linked in after it otherwise. Recycling a counter
-//! also scans the minimum bucket, O(|minimum bucket|) ≤ k, plus one `index`
-//! removal and insertion.
+//! Observing a monitored item is one `index` lookup and a count increment,
+//! O(1). Recycling a counter scans all `k` slots for the victim, O(k), plus
+//! one `index` removal and insertion. Every caller uses k ≤ 100, and with
+//! fewer distinct items than `k` a summary never recycles.
 //!
 //! # Tie rule
 //!
@@ -69,28 +69,13 @@ impl Estimate {
     }
 }
 
-/// The end of a slot or bucket list.
-const NIL: u32 = u32::MAX;
-
-/// One monitored item; its count is its bucket's.
+/// One monitored item and its counter.
 #[derive(Debug, Clone)]
 struct Slot<T, A> {
     item: T,
+    count: u64,
     error: u64,
     aux: A,
-    bucket: u32,
-    prev: u32,
-    next: u32,
-}
-
-/// All slots with one count. `next` links the count order while the bucket
-/// is in use and the free list after it is released.
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    count: u64,
-    head: u32,
-    prev: u32,
-    next: u32,
 }
 
 /// The Space-Saving summary: monitors at most `k` items together with an
@@ -106,10 +91,7 @@ where
 {
     capacity: usize,
     slots: Vec<Slot<T, A>>,
-    buckets: Vec<Bucket>,
-    min_bucket: u32,
-    free_bucket: u32,
-    index: HashMap<T, u32, S>,
+    index: HashMap<T, usize, S>,
     observations: u64,
 }
 
@@ -139,16 +121,12 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `k` is zero or does not fit a `u32` slot link.
+    /// Panics if `k` is zero.
     pub fn with_hasher(k: usize, hasher: S) -> Self {
         assert!(k > 0, "space-saving capacity must be positive");
-        assert!(k < NIL as usize, "space-saving capacity must fit a u32");
         SpaceSaving {
             capacity: k,
             slots: Vec::with_capacity(k),
-            buckets: Vec::with_capacity(k),
-            min_bucket: NIL,
-            free_bucket: NIL,
             index: HashMap::with_capacity_and_hasher(k, hasher),
             observations: 0,
         }
@@ -187,28 +165,28 @@ where
     pub fn observe_mut(&mut self, item: T) -> &mut A {
         self.observations += 1;
         let slot = match self.index.entry(item) {
-            MapEntry::Occupied(entry) => *entry.get(),
+            MapEntry::Occupied(entry) => {
+                let slot = *entry.get();
+                self.slots[slot].count += 1;
+                slot
+            }
             MapEntry::Vacant(entry) if self.slots.len() < self.capacity => {
-                let slot = self.slots.len() as u32;
+                let slot = self.slots.len();
                 self.slots.push(Slot {
                     item: entry.key().clone(),
+                    count: 1,
                     error: 0,
                     aux: A::default(),
-                    bucket: NIL,
-                    prev: NIL,
-                    next: NIL,
                 });
                 entry.insert(slot);
-                self.attach_with_count_one(slot);
-                return &mut self.slots[slot as usize].aux;
+                slot
             }
             MapEntry::Vacant(entry) => {
                 let item = entry.into_key();
                 self.recycle(item)
             }
         };
-        self.increment(slot);
-        &mut self.slots[slot as usize].aux
+        &mut self.slots[slot].aux
     }
 
     /// Records one occurrence of `item` (discarding the payload reference).
@@ -220,21 +198,19 @@ where
     pub fn estimate(&self, item: &T) -> Option<Estimate> {
         self.index
             .get(item)
-            .map(|&slot| self.estimate_of(&self.slots[slot as usize]))
+            .map(|&slot| Self::estimate_of(&self.slots[slot]))
     }
 
     /// Returns the auxiliary payload for `item`, if monitored.
     pub fn aux(&self, item: &T) -> Option<&A> {
-        self.index
-            .get(item)
-            .map(|&slot| &self.slots[slot as usize].aux)
+        self.index.get(item).map(|&slot| &self.slots[slot].aux)
     }
 
     /// Returns a mutable reference to the auxiliary payload for `item`
     /// without recording an observation.
     pub fn aux_mut(&mut self, item: &T) -> Option<&mut A> {
         let slot = *self.index.get(item)?;
-        Some(&mut self.slots[slot as usize].aux)
+        Some(&mut self.slots[slot].aux)
     }
 
     /// Returns all monitored items with their estimates and payloads, sorted
@@ -244,7 +220,7 @@ where
         let mut out: Vec<(T, Estimate, &A)> = self
             .slots
             .iter()
-            .map(|slot| (slot.item.clone(), self.estimate_of(slot), &slot.aux))
+            .map(|slot| (slot.item.clone(), Self::estimate_of(slot), &slot.aux))
             .collect();
         out.sort_by(|a, b| b.1.count.cmp(&a.1.count).then_with(|| a.0.cmp(&b.0)));
         out
@@ -254,13 +230,10 @@ where
     /// top-`len()` items (their guaranteed count exceeds the smallest
     /// estimated count among the others).
     pub fn guaranteed_frequent(&self) -> Vec<T> {
-        let min_count = self
-            .buckets
-            .get(self.min_bucket as usize)
-            .map_or(0, |bucket| bucket.count);
+        let min_count = self.slots.iter().map(|slot| slot.count).min().unwrap_or(0);
         self.slots
             .iter()
-            .filter(|slot| self.estimate_of(slot).guaranteed() >= min_count)
+            .filter(|slot| Self::estimate_of(slot).guaranteed() >= min_count)
             .map(|slot| slot.item.clone())
             .collect()
     }
@@ -269,149 +242,36 @@ where
     /// calls this at every window boundary (Section 5).
     pub fn clear(&mut self) {
         self.slots.clear();
-        self.buckets.clear();
-        self.min_bucket = NIL;
-        self.free_bucket = NIL;
         self.index.clear();
         self.observations = 0;
     }
 
-    fn estimate_of(&self, slot: &Slot<T, A>) -> Estimate {
+    fn estimate_of(slot: &Slot<T, A>) -> Estimate {
         Estimate {
-            count: self.buckets[slot.bucket as usize].count,
+            count: slot.count,
             error: slot.error,
         }
     }
 
-    /// Hands the minimum-count counter to `item`: the smallest item of the
-    /// minimum bucket is the victim, `item` inherits its count as its error
-    /// bound and a fresh payload. The caller then increments the slot.
-    fn recycle(&mut self, item: T) -> u32 {
-        let bucket = &self.buckets[self.min_bucket as usize];
-        let error = bucket.count;
-        let mut victim = bucket.head;
-        let mut cursor = self.slots[victim as usize].next;
-        while cursor != NIL {
-            let candidate = &self.slots[cursor as usize];
-            if candidate.item < self.slots[victim as usize].item {
-                victim = cursor;
-            }
-            cursor = candidate.next;
-        }
-        let slot = &mut self.slots[victim as usize];
+    /// Hands the minimum-count counter to `item`: the smallest of the
+    /// minimum-count items is the victim, and `item` takes its count as its
+    /// error bound, that count plus one and a fresh payload.
+    fn recycle(&mut self, item: T) -> usize {
+        let victim = self
+            .slots
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, slot)| (slot.count, &slot.item))
+            .map(|(victim, _)| victim)
+            .expect("a full summary has slots");
+        let slot = &mut self.slots[victim];
         self.index.remove(&slot.item);
         self.index.insert(item.clone(), victim);
         slot.item = item;
-        slot.error = error;
+        slot.error = slot.count;
+        slot.count += 1;
         slot.aux = A::default();
         victim
-    }
-
-    /// Moves `slot` from its bucket (count c) to count c + 1.
-    fn increment(&mut self, slot: u32) {
-        let from = self.slots[slot as usize].bucket;
-        let Bucket { count, next, .. } = self.buckets[from as usize];
-        let count = count + 1;
-        if next != NIL && self.buckets[next as usize].count == count {
-            self.unlink_slot(slot);
-            self.push_slot(next, slot);
-        } else if self.buckets[from as usize].head == slot && self.slots[slot as usize].next == NIL
-        {
-            // Alone in its bucket, and no bucket holds c + 1: bump in place.
-            self.buckets[from as usize].count = count;
-        } else {
-            self.unlink_slot(slot);
-            let to = self.allocate_bucket(count);
-            self.buckets[to as usize].prev = from;
-            self.buckets[to as usize].next = next;
-            self.buckets[from as usize].next = to;
-            if next != NIL {
-                self.buckets[next as usize].prev = to;
-            }
-            self.push_slot(to, slot);
-        }
-    }
-
-    /// Places a fresh slot in the count-1 bucket, creating it at the head
-    /// of the count order when the minimum count is higher.
-    fn attach_with_count_one(&mut self, slot: u32) {
-        let min = self.min_bucket;
-        if min != NIL && self.buckets[min as usize].count == 1 {
-            self.push_slot(min, slot);
-            return;
-        }
-        let bucket = self.allocate_bucket(1);
-        self.buckets[bucket as usize].next = min;
-        if min != NIL {
-            self.buckets[min as usize].prev = bucket;
-        }
-        self.min_bucket = bucket;
-        self.push_slot(bucket, slot);
-    }
-
-    fn push_slot(&mut self, bucket: u32, slot: u32) {
-        let head = self.buckets[bucket as usize].head;
-        let entry = &mut self.slots[slot as usize];
-        entry.bucket = bucket;
-        entry.prev = NIL;
-        entry.next = head;
-        if head != NIL {
-            self.slots[head as usize].prev = slot;
-        }
-        self.buckets[bucket as usize].head = slot;
-    }
-
-    /// Takes `slot` out of its bucket's list, releasing the bucket if that
-    /// leaves it empty.
-    fn unlink_slot(&mut self, slot: u32) {
-        let Slot {
-            bucket, prev, next, ..
-        } = self.slots[slot as usize];
-        if prev == NIL {
-            self.buckets[bucket as usize].head = next;
-        } else {
-            self.slots[prev as usize].next = next;
-        }
-        if next != NIL {
-            self.slots[next as usize].prev = prev;
-        }
-        if self.buckets[bucket as usize].head == NIL {
-            self.release_bucket(bucket);
-        }
-    }
-
-    /// A bucket with `count`, no slots and no links, reused from the free
-    /// list when possible.
-    fn allocate_bucket(&mut self, count: u64) -> u32 {
-        let fresh = Bucket {
-            count,
-            head: NIL,
-            prev: NIL,
-            next: NIL,
-        };
-        if self.free_bucket == NIL {
-            self.buckets.push(fresh);
-            return (self.buckets.len() - 1) as u32;
-        }
-        let bucket = self.free_bucket;
-        self.free_bucket = self.buckets[bucket as usize].next;
-        self.buckets[bucket as usize] = fresh;
-        bucket
-    }
-
-    /// Unlinks an empty bucket from the count order onto the free list.
-    fn release_bucket(&mut self, bucket: u32) {
-        let Bucket { prev, next, .. } = self.buckets[bucket as usize];
-        if prev == NIL {
-            self.min_bucket = next;
-        } else {
-            self.buckets[prev as usize].next = next;
-        }
-        if next != NIL {
-            self.buckets[next as usize].prev = prev;
-        }
-        self.buckets[bucket as usize].next = self.free_bucket;
-        self.free_bucket = bucket;
     }
 }
 
@@ -610,51 +470,22 @@ mod tests {
         A: Default,
         S: BuildHasher,
     {
-        /// Panics unless the Stream-Summary is well formed: bucket counts
-        /// strictly ascend from `min_bucket`, no bucket in use is empty,
-        /// every slot links back to the bucket whose list holds it, released
-        /// buckets are all on the free list, and `index` ↔ `slots` is a
+        /// Panics unless the summary is well formed: at most `k` slots,
+        /// every count above its error bound, and `index` ↔ `slots` a
         /// bijection.
         fn validate(&self) {
-            let mut listed = 0usize;
-            let mut in_use = 0usize;
-            let (mut prev_bucket, mut bucket, mut prev_count) = (NIL, self.min_bucket, 0u64);
-            while bucket != NIL {
-                let b = self.buckets[bucket as usize];
-                assert_eq!(b.prev, prev_bucket, "bucket {bucket}: back link");
-                assert!(b.count > prev_count, "bucket {bucket}: counts must ascend");
-                assert_ne!(b.head, NIL, "bucket {bucket} is in use but empty");
-                let (mut prev_slot, mut slot) = (NIL, b.head);
-                while slot != NIL {
-                    let s = &self.slots[slot as usize];
-                    assert_eq!(s.bucket, bucket, "slot {slot}: bucket link");
-                    assert_eq!(s.prev, prev_slot, "slot {slot}: back link");
-                    listed += 1;
-                    (prev_slot, slot) = (slot, s.next);
-                }
-                in_use += 1;
-                (prev_bucket, prev_count, bucket) = (bucket, b.count, b.next);
+            assert!(self.slots.len() <= self.capacity, "more slots than k");
+            for slot in &self.slots {
+                assert!(slot.count > slot.error, "{:?}: count ≤ error", slot.item);
             }
-            assert_eq!(listed, self.slots.len(), "every slot sits in one bucket");
-            let mut free = 0usize;
-            let mut bucket = self.free_bucket;
-            while bucket != NIL {
-                free += 1;
-                bucket = self.buckets[bucket as usize].next;
-            }
-            assert_eq!(in_use + free, self.buckets.len(), "bucket leak");
-            assert!(
-                self.buckets.len() <= self.capacity,
-                "more buckets than slots"
-            );
             assert_eq!(self.index.len(), self.slots.len(), "index size");
             for (item, &slot) in &self.index {
-                assert_eq!(&self.slots[slot as usize].item, item, "index → slot");
+                assert_eq!(&self.slots[slot].item, item, "index → slot");
             }
         }
     }
 
-    /// The ordered-set implementation the Stream-Summary replaced, kept as
+    /// The ordered-set implementation the flat slot scan replaced, kept as
     /// the differential oracle: `count → BTreeSet` buckets, so the smallest
     /// minimum-count item is the one recycled.
     mod btree {
@@ -795,7 +626,7 @@ mod tests {
         /// Roughly Zipf: a few items take most of the stream.
         Skewed,
         /// Round-robin over slightly more items than counters, so nearly
-        /// every observation recycles from a crowded minimum bucket.
+        /// every observation recycles among many minimum-count ties.
         TieHeavy,
     }
 
@@ -844,12 +675,12 @@ mod tests {
         assert_eq!(ours, theirs, "{context}: guaranteed_frequent");
     }
 
-    /// The Stream-Summary and the ordered-set summary it replaced, driven in
+    /// The slot scan and the ordered-set summary it replaced, driven in
     /// lockstep, agree on every observable after every call: k from 1 to 40,
     /// three stream shapes, payload writes through both `observe_mut` and
     /// `aux_mut`, and a `clear()` in the middle of each stream.
     #[test]
-    fn stream_summary_matches_the_ordered_set_summary_in_lockstep() {
+    fn slot_scan_matches_the_ordered_set_summary_in_lockstep() {
         for k in 1..=40usize {
             for shape in [Shape::Uniform, Shape::Skewed, Shape::TieHeavy] {
                 let mut state = ((k as u64) << 8) | shape as u64;
@@ -892,42 +723,33 @@ mod tests {
         }
     }
 
-    /// Bucket bookkeeping through every increment case — splitting a new
-    /// bucket off a crowded one, bumping a lone slot in place, joining the
-    /// next bucket and releasing the emptied one — then bucket reuse and a
-    /// recycle that must pick the smallest item, not the list head.
+    /// A recycle takes the minimum count first and the smallest item among
+    /// those counts second, wherever its slot sits.
     #[test]
-    fn buckets_follow_every_increment_case() {
+    fn recycle_picks_the_smallest_minimum_count_item() {
         let mut ss: SpaceSaving<u8> = SpaceSaving::new(3);
-        ss.observe(1);
-        ss.observe(2);
-        ss.observe(1); // split: 1 leaves {1, 2} for a new count-2 bucket
-        ss.validate();
-        assert_eq!(ss.buckets.len(), 2);
-        let bucket_of_1 = ss.slots[0].bucket;
-        ss.observe(1); // alone, and no count-3 bucket: bumped in place
-        ss.validate();
-        assert_eq!(ss.slots[0].bucket, bucket_of_1);
-        assert_eq!(ss.estimate(&1).unwrap().count, 3);
-        ss.observe(2); // alone at count 1: bumped in place to 2
-        ss.observe(2); // joins 1's count-3 bucket; its own is released
-        ss.validate();
-        assert_eq!(ss.buckets[ss.min_bucket as usize].count, 3);
-        assert_ne!(ss.free_bucket, NIL);
-        ss.observe(3); // reuses the released bucket, ahead of the minimum
-        ss.validate();
-        assert_eq!((ss.buckets.len(), ss.free_bucket), (2, NIL));
-        ss.observe(3);
-        ss.observe(3); // 1, 2 and 3 all at count 3, 3 at the list head
-        ss.validate();
-        assert_eq!(ss.buckets[ss.min_bucket as usize].count, 3);
-        // 4 recycles the smallest minimum-count item, 1, not the head, 3.
+        for x in [3u8, 2, 1] {
+            ss.observe(x);
+        }
+        // All at count 1: 4 recycles 1, in the last slot, not 3 in the first.
         ss.observe(4);
         ss.validate();
         assert!(!ss.is_monitored(&1));
-        assert_eq!(ss.estimate(&4), Some(Estimate { count: 4, error: 3 }));
-        assert_eq!(ss.estimate(&3), Some(Estimate { count: 3, error: 0 }));
-        assert_eq!(ss.estimate(&2), Some(Estimate { count: 3, error: 0 }));
+        assert_eq!(ss.estimate(&4), Some(Estimate { count: 2, error: 1 }));
+        // 3 and 2 remain at count 1; 5 recycles 2, then 6 recycles 3.
+        ss.observe(5);
+        ss.observe(6);
+        ss.validate();
+        assert!(!ss.is_monitored(&2) && !ss.is_monitored(&3));
+        // Counts 2, 2, 2: 4 and 5 grow, so 6 alone holds the minimum and is
+        // recycled even though 4 and 5 are smaller.
+        ss.observe(4);
+        ss.observe(5);
+        ss.observe(0);
+        ss.validate();
+        assert!(!ss.is_monitored(&6));
+        assert_eq!(ss.estimate(&0), Some(Estimate { count: 3, error: 2 }));
+        assert_eq!(ss.estimate(&4), Some(Estimate { count: 3, error: 1 }));
     }
 
     /// The tie rule does not depend on the hasher: a summary on a fixed
