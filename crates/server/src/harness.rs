@@ -390,6 +390,32 @@ mod tests {
             assert_eq!(server_side.read_hits, client_load.stats.read_hits);
             assert_eq!(server_side.writes(), client_load.stats.writes());
         }
+        assert!(report.io.is_none(), "no store, no I/O counters");
+    }
+
+    #[test]
+    fn run_load_over_a_store_sends_payloads_and_reports_io() {
+        let dir = std::env::temp_dir().join(format!("clic-harness-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let traces = merge_client_traces(&[
+            client_trace("a", 0, 200),
+            client_trace("b", 10_000_000, 200),
+        ]);
+        let config = LoadConfig::new(
+            ServerConfig::new(128)
+                .with_shards(2)
+                .with_clic(ClicConfig::default().with_window(500))
+                .with_store(crate::StoreConfig::new(&dir, 128).with_page_size(64)),
+        )
+        .with_batch(32);
+        let report = run_load(&config, &traces);
+        let total: u64 = traces.iter().map(|t| t.len() as u64).sum();
+        assert_eq!(report.requests(), total);
+        let answered: u64 = report.clients.iter().map(|c| c.stats.requests()).sum();
+        assert_eq!(answered, total, "every request gets a data response");
+        let io = report.io.expect("a store-backed run reports I/O");
+        assert!(io.bytes_written > 0, "Puts moved bytes: {io:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn summarize(samples: impl IntoIterator<Item = u64>) -> LatencySummary {

@@ -9,9 +9,10 @@
 //!   aggregate read hit ratio must stay within 10% of the single-cache
 //!   result on the Figure 11 multi-client preset.
 
-use std::sync::Barrier;
+mod common;
 
 use clic::prelude::*;
+use common::submit_in_rounds;
 
 /// Correctness anchor (a): a 1-shard server driven by 1 client produces
 /// statistics identical to `simulate` on the same trace.
@@ -67,11 +68,7 @@ fn sharded_concurrent_run_tracks_single_cache_hit_ratio() {
         .with_tracking(TrackingMode::TopK(100));
 
     // Online: 4 shards, 4 client threads submitting at once, small queues so
-    // back-pressure is actually exercised. The clients go in rounds of one
-    // 64-request batch each, like the offline round-robin interleave: a
-    // client that runs ahead gets the cache to itself, and unpaced threads
-    // on a loaded two-core machine drift far enough to move the ratio by
-    // more than 10%.
+    // back-pressure is actually exercised, paced in rounds.
     let server = Server::start(
         ServerConfig::new(cache_pages)
             .with_shards(4)
@@ -79,30 +76,7 @@ fn sharded_concurrent_run_tracks_single_cache_hit_ratio() {
             .with_merge_every(window)
             .with_queue_depth(2),
     );
-    let round = Barrier::new(traces.len());
-    let answered: u64 = std::thread::scope(|scope| {
-        let clients: Vec<_> = traces
-            .iter()
-            .map(|trace| {
-                let (server, round) = (&server, &round);
-                scope.spawn(move || {
-                    let mut answered = 0;
-                    for chunk in trace.requests.chunks(64) {
-                        let batch: Vec<ServerRequest> =
-                            chunk.iter().map(ServerRequest::from_request).collect();
-                        let responses = server.submit(&batch);
-                        answered += responses.iter().filter(|r| r.hit().is_some()).count() as u64;
-                        round.wait();
-                    }
-                    answered
-                })
-            })
-            .collect();
-        clients
-            .into_iter()
-            .map(|client| client.join().expect("client thread panicked"))
-            .sum()
-    });
+    let answered = submit_in_rounds(&server, &traces, None);
     let merges = server.cache().merges_completed();
     let online = server.shutdown();
     assert_eq!(answered, total, "every request gets a data response");

@@ -23,10 +23,12 @@
 //! `scripts/verify.sh --smoke` runs this file as the concurrent
 //! smoke gate.
 
+mod common;
+
 use std::path::PathBuf;
-use std::sync::Barrier;
 
 use clic::prelude::*;
+use common::submit_in_rounds;
 
 const PAGE_SIZE: usize = 128;
 
@@ -58,11 +60,7 @@ fn concurrent_run_matches_serial_replay(
         .with_window(window)
         .with_tracking(TrackingMode::TopK(100));
 
-    // Online: one client thread per trace over a real store. The clients go
-    // in rounds of one 64-request batch each, like the offline round-robin
-    // interleave: unpaced threads drift apart by however far the scheduler
-    // lets one run ahead, and a client that runs ahead has the cache to
-    // itself, which moves the hit ratio by more than the band below allows.
+    // Online: one client thread per trace over a real store, in rounds.
     let dir = scratch(label);
     let store_config = StoreConfig::new(&dir, cache_pages)
         .with_page_size(PAGE_SIZE)
@@ -75,41 +73,9 @@ fn concurrent_run_matches_serial_replay(
             .with_durability(durability)
             .with_store(store_config.clone()),
     );
-    let round = Barrier::new(traces.len());
-    let answered: u64 = std::thread::scope(|scope| {
-        let clients: Vec<_> = traces
-            .iter()
-            .map(|trace| {
-                let (server, round) = (&server, &round);
-                scope.spawn(move || {
-                    let mut answered = 0;
-                    for chunk in trace.requests.chunks(64) {
-                        // Every Put carries its page's payload, so the
-                        // read-back below can check the bytes.
-                        let batch: Vec<ServerRequest> = chunk
-                            .iter()
-                            .map(|req| {
-                                let op = ServerRequest::from_request(req);
-                                if req.is_write() {
-                                    op.with_payload(page_payload(req.page, PAGE_SIZE))
-                                } else {
-                                    op
-                                }
-                            })
-                            .collect();
-                        let responses = server.submit(&batch);
-                        answered += responses.iter().filter(|r| r.hit().is_some()).count() as u64;
-                        round.wait();
-                    }
-                    answered
-                })
-            })
-            .collect();
-        clients
-            .into_iter()
-            .map(|client| client.join().expect("client thread panicked"))
-            .sum()
-    });
+    // Every Put carries its page's payload, so the read-back below can check
+    // the bytes.
+    let answered = submit_in_rounds(&server, &traces, Some(PAGE_SIZE));
     // Read before shutdown: the shutdown checkpoint's flush burst is not
     // part of the run.
     let online_io = server
