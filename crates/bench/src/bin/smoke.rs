@@ -44,14 +44,13 @@
 //!   decision stream reconciles the injector's own counts and proves the
 //!   schedule contained at least one torn write and one failed fsync.
 //! * **Phase B (degradation under store faults):** the TCP front-end runs
-//!   with load shedding on over a store whose WAL appends occasionally
-//!   fail — the network itself is clean, so *every* scheduled request
-//!   must be answered: mostly successes, at least one typed `Io` error
-//!   (the store fault surfacing end-to-end as an `OP_ERR` frame), and a
-//!   bounded error fraction. A 256-op pipelined burst through the 64-slot
-//!   window must come back with explicit `Busy` errors rather than
-//!   stalling, and the server's `server.shed_busy` counter must account
-//!   for them. Shutdown stays clean.
+//!   over a store whose WAL appends occasionally fail — the network itself
+//!   is clean, so *every* scheduled request must be answered: mostly
+//!   successes, at least one typed `Io` error (the store fault surfacing
+//!   end-to-end as an `OP_ERR` frame), and a bounded error fraction. A
+//!   256-op burst, four times the 64-slot window, must be answered in full
+//!   with a `Put` reply or an `Io` error each: the window blocks, it never
+//!   sheds. Shutdown stays clean.
 //! * **Phase C (a hostile network):** a second front-end runs with
 //!   network faults armed — accepts dropped, readable connections reset,
 //!   socket writes torn or failed. A retrying client ([`RetryPolicy`])
@@ -533,7 +532,7 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
     );
 
     // ---- Phase B: degradation under store faults, network clean. ------
-    println!("phase B: open-loop load over a faulted store, load shedding armed");
+    println!("phase B: open-loop load over a faulted store");
     let store_fault = FaultInjector::seeded(CHAOS_SEED ^ 1).with_rate(FaultPoint::WalAppend, 0.02);
     let dir_b = scratch_dir("chaos-b");
     let config = ServerConfig::new(2_048)
@@ -544,13 +543,7 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
                 .with_page_size(CHAOS_PAGE_SIZE)
                 .with_fault_injector(store_fault),
         );
-    let net = NetServer::start(
-        Server::start(config),
-        NetOptions {
-            shed_busy: true,
-            ..NetOptions::default()
-        },
-    )?;
+    let net = NetServer::start(Server::start(config), NetOptions::default())?;
     let addr = net.tcp_addr().expect("tcp front-end enabled");
     println!("  front-end on {addr}, offering {rate:.0} req/s for {seconds} s");
 
@@ -562,13 +555,12 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
         ..OpenLoopConfig::default()
     };
     let report = run_open_loop(addr, &open_loop)?;
-    let received = report.completed + report.errored + report.shed;
+    let received = report.completed + report.errored;
     println!(
-        "  sent {} / completed {} / errored {} / shed {} in {:.2} s",
+        "  sent {} / completed {} / errored {} in {:.2} s",
         report.sent,
         report.completed,
         report.errored,
-        report.shed,
         report.elapsed.as_secs_f64()
     );
     // The pipe is clean, so the whole schedule must be sent and every
@@ -577,7 +569,7 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
     assert_eq!(report.sent, open_loop.requests, "the pipe is fault-free");
     assert_eq!(
         received, report.sent,
-        "every request must be answered: success, error, or shed"
+        "every request must be answered: success or error"
     );
     assert!(report.completed > 0, "nothing completed under chaos");
     assert!(
@@ -588,18 +580,15 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
     // Bounded degradation: writes are ~25% of the mix and ~2% of those
     // fault, so errors must stay a small minority.
     assert!(
-        report.errored + report.shed <= received / 4 + 8,
-        "error rate under light chaos must stay bounded: {} errored + {} shed of {}",
+        report.errored <= received / 4 + 8,
+        "error rate under light chaos must stay bounded: {} errored of {}",
         report.errored,
-        report.shed,
         received
     );
 
-    // Explicit `Busy` shedding: pipeline a burst through a window-1
-    // connection. The loop decodes the whole burst in one pass, submits
-    // one operation, and must shed the rest with typed errors instead of
-    // stalling the stream (re-arm a fresh window-1 server would be
-    // overkill: the default window is 64, so drive 256 ≫ 64 at once).
+    // A burst four windows long: the loop blocks at the window and resumes
+    // as replies leave, so every write is answered — applied, or failed by
+    // the store with a typed `Io` — and none is turned away.
     let mut burst_client = connect(addr)?;
     let burst: Vec<ServerRequest> = (0..256u64)
         .map(|i| ServerRequest::Put {
@@ -613,28 +602,23 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
     let responses = burst_client
         .call_batch(&burst)
         .expect("the pipe is fault-free; the burst must be fully answered");
-    let burst_shed = responses
+    let burst_applied = responses.iter().filter(|r| r.hit().is_some()).count();
+    let burst_failed = responses
         .iter()
-        .filter(|r| r.error_code() == Some(ErrorCode::Busy))
+        .filter(|r| r.error_code() == Some(ErrorCode::Io))
         .count();
-    println!("  burst: {} of {} answered Busy", burst_shed, burst.len());
-    assert!(
-        burst_shed > 0,
-        "a 256-op burst through a 64-slot window must shed something"
+    println!(
+        "  burst: {} of {} applied, {} failed by the store",
+        burst_applied,
+        burst.len(),
+        burst_failed
+    );
+    assert_eq!(
+        burst_applied + burst_failed,
+        burst.len(),
+        "every burst write must be applied or fail with Io: {responses:?}"
     );
     drop(burst_client);
-
-    // The server-side ledger saw the shedding: the recorder is enabled,
-    // so every Busy answer above landed in `server.shed_busy`.
-    let mut stats_client = connect(addr)?;
-    let snapshot = stats_client.stats()?;
-    let shed_counter = snapshot.metrics.counter("server.shed_busy");
-    println!("  server counters: shed_busy = {shed_counter}");
-    assert!(
-        shed_counter >= (burst_shed as u64) + report.shed,
-        "the shed counter must cover every Busy response"
-    );
-    drop(stats_client);
 
     // Clean shutdown despite the degraded run.
     let result = net.shutdown()?;
@@ -744,8 +728,8 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
         ("open_loop_sent", num(report.sent)),
         ("open_loop_completed", num(report.completed)),
         ("open_loop_errored", num(report.errored)),
-        ("open_loop_shed", num(report.shed)),
-        ("burst_shed", num(burst_shed as u64)),
+        ("burst_applied", num(burst_applied as u64)),
+        ("burst_failed", num(burst_failed as u64)),
         (
             "accept_drops",
             num(net_fault.injected_at(FaultPoint::NetAccept)),

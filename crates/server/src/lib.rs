@@ -36,8 +36,9 @@
 //! * A **network front-end** ([`NetServer`]): one event-loop thread puts
 //!   the server behind real TCP and Unix-domain sockets speaking the
 //!   length-prefixed binary protocol of [`wire`], multiplexed with the
-//!   `epoll` poller of [`sys`] — no thread per connection, a 64-operation
-//!   in-flight window per connection for back-pressure, and per-shard
+//!   `epoll` poller of [`sys`] — no thread per connection, a 64-request
+//!   in-flight window per connection (a request holds its slot until its
+//!   reply is written) as the one back-pressure mechanism, and per-shard
 //!   coalescing into the same tagged enqueue and batched worker path
 //!   `submit` uses. The loop never polls on a timer: it sleeps until a
 //!   socket is ready or a shard worker, done with a step, fires the loop's
@@ -132,16 +133,18 @@
 //! in place of its normal response when the server cannot complete it. Its
 //! body is a single `code: u8`:
 //!
-//! | code | [`ErrorCode`] | meaning | retryable |
-//! |-----:|---------------|---------|-----------|
-//! | 1 | `Io` | the data plane failed an I/O operation (read, write, or fsync) | no |
-//! | 2 | `Corrupt` | a page failed its CRC on read | no |
-//! | 3 | `Busy` | load shed: the connection's in-flight window or a shard queue is full | yes |
-//! | 4 | `Shutdown` | the server is shutting down | no |
-//! | 5 | `Internal` | unexpected server-side failure | no |
+//! | code | [`ErrorCode`] | meaning |
+//! |-----:|---------------|---------|
+//! | 1 | `Io` | the data plane failed an I/O operation (read, write, or fsync) |
+//! | 2 | `Corrupt` | a page failed its CRC on read |
+//! | 4 | `Shutdown` | the server is shutting down |
+//! | 5 | `Internal` | unexpected server-side failure |
 //!
-//! Only `Busy` is worth retrying ([`ErrorCode::is_retryable`]); the client's
-//! [`RetryPolicy`] backs off exponentially with jitter before resending.
+//! Code 3 is unassigned and rejected like any unknown code. The server
+//! never sheds load: saturation blocks (the in-flight window, the bounded
+//! shard queues) instead of answering, so no error response is worth
+//! resending. The client's [`RetryPolicy`] retries transport failures
+//! only, backing off exponentially with jitter before it reconnects.
 //!
 //! # Robustness
 //!
@@ -157,13 +160,11 @@
 //!   [`Recorder`].
 //! * **Error propagation**: store errors flow from the shard workers
 //!   through the completion path into `Error` frames instead of panicking
-//!   the worker; the event loop sheds load with `Busy` when back-pressure
-//!   saturates (opt-in via [`NetOptions`], since a well-provisioned
-//!   deployment prefers blocking back-pressure).
+//!   the worker.
 //! * **Graceful degradation**: [`BlockingClient`] supports connect/read/write
 //!   timeouts, reconnection, and bounded seeded-jitter retries
-//!   ([`RetryPolicy`]); the open-loop generator counts errored and shed
-//!   responses separately from completions instead of aborting the run.
+//!   ([`RetryPolicy`]); the open-loop generator counts error responses
+//!   separately from completions instead of aborting the run.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

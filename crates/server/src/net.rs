@@ -26,17 +26,23 @@
 //!   responses — correlated by the client's `seq`, hence safely out of
 //!   order across shards — and writes as far as the socket allows,
 //!   buffering the rest behind `EPOLLOUT` interest.
-//! * Each connection has a bounded *in-flight window* of 64 operations
-//!   decoded but not yet answered. A connection at its window stops
-//!   being read (its `EPOLLIN` interest is dropped) until completions
-//!   drain: per-connection back-pressure that bounds server-side memory no
-//!   matter how fast an open-loop client pushes.
+//! * Each connection has a bounded *in-flight window* of 64 requests
+//!   decoded whose replies have not yet left for the socket — still at a
+//!   shard, or answered and waiting in the write buffer. A connection at
+//!   its window stops being decoded and read (its `EPOLLIN` interest is
+//!   dropped) until its replies are written: per-connection back-pressure
+//!   that bounds server-side memory however fast a client pushes and
+//!   however slowly it reads. This is the front-end's only answer to
+//!   saturation — it blocks, it never sheds: every decoded request is
+//!   answered, and a full shard queue stalls the loop until the worker
+//!   makes room.
 //! * An iteration visits only the connections it *touched* — a socket
 //!   event, a completion answered, a fresh accept — through one reusable
 //!   ready-list; a thousand idle connections add nothing to the cost of
 //!   serving the busy one.
 //! * [`ServerRequest::Stats`] is answered inline by the loop itself, same
-//!   as [`Server::submit`] does, without consuming a window slot.
+//!   as [`Server::submit`] does; its reply holds a window slot until it is
+//!   written, like any other.
 //!
 //! With an enabled [`clic_obs::Recorder`], every frame decode and encode
 //! is recorded as a [`SpanKind::NetFrame`] trace span whose detail is the
@@ -58,19 +64,13 @@
 //! ([`RetryPolicy`], [`BlockingClient::call_with_retry`]) on top of the
 //! bare codec.
 //!
-//! # Fault injection and load shedding
+//! # Fault injection
 //!
 //! [`NetOptions::fault`] arms a [`FaultInjector`] on the network surface:
 //! accepted connections may be dropped on arrival (`NetAccept`), readable
 //! connections may be reset before the read (`NetRecv`), and socket writes
 //! may be cut short mid-buffer or fail outright (`NetSend`). The schedule
 //! is seeded and deterministic, and a disabled injector costs one branch.
-//!
-//! [`NetOptions::shed_busy`] turns blocking back-pressure into explicit
-//! load shedding: when a connection's in-flight window or a shard's
-//! bounded queue is full, the loop answers the affected operations with
-//! [`ServerResponse::Error`] (`Busy`) instead of stalling. Shed counts are
-//! published to the `server.shed_busy` counter of an enabled recorder.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -113,8 +113,8 @@ pub const SOCKET_WAKEUPS_COUNTER: &str = "net.socket_wakeups";
 /// Read chunk size for draining a readable socket.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Maximum decoded-but-unanswered operations per connection before the
-/// loop stops reading from it (back-pressure).
+/// Maximum requests per connection decoded but not yet answered *and
+/// written* before the loop stops reading from it (back-pressure).
 const IN_FLIGHT_WINDOW: usize = 64;
 
 /// How the front-end listens and how much it buffers per connection.
@@ -126,13 +126,6 @@ pub struct NetOptions {
     /// Unix-domain socket path, or `None` for no UDS listener. The file is
     /// removed on shutdown.
     pub uds: Option<PathBuf>,
-    /// When `true`, saturation answers with [`ServerResponse::Error`]
-    /// (`Busy`) instead of blocking: a connection at its in-flight window
-    /// still has its frames decoded (and shed), and a full shard queue
-    /// sheds the whole coalesced sub-batch. When `false` (the default) the
-    /// loop applies blocking back-pressure, which preserves exact
-    /// completion counts for well-behaved closed-loop clients.
-    pub shed_busy: bool,
     /// Deterministic fault schedule armed on the network surface
     /// (`NetAccept`/`NetRecv`/`NetSend` points). The default
     /// [`FaultInjector::disabled`] injects nothing and costs one branch
@@ -145,7 +138,6 @@ impl Default for NetOptions {
         NetOptions {
             tcp: Some("127.0.0.1:0".to_string()),
             uds: None,
-            shed_busy: false,
             fault: FaultInjector::disabled(),
         }
     }
@@ -321,8 +313,12 @@ struct Conn {
     write_buf: Vec<u8>,
     /// Bytes of `write_buf` already written to the socket.
     write_at: usize,
-    /// Decoded-but-unanswered operations.
+    /// Requests decoded whose replies have not left `write_buf` yet: still
+    /// at a shard, or answered and unsent. At most [`IN_FLIGHT_WINDOW`].
     in_flight: usize,
+    /// Replies in `write_buf` (each also counted in `in_flight`); their
+    /// window slots are released together when the buffer empties.
+    unsent: usize,
     /// The peer half-closed (or errored); no more reads, flush and close.
     read_closed: bool,
     /// The interest mask currently armed in the poller.
@@ -394,14 +390,8 @@ struct EventLoop {
     /// Per-shard coalescing buffers, flushed at [`REPLAY_CHUNK`] or at the
     /// end of each cycle.
     pending_shard: Vec<Vec<(usize, ServerRequest)>>,
-    /// Shed saturated operations with `Busy` instead of blocking
-    /// ([`NetOptions::shed_busy`]).
-    shed_busy: bool,
     /// Network-surface fault schedule ([`NetOptions::fault`]).
     fault: FaultInjector,
-    /// Operations answered `Busy` (`server.shed_busy`; `None` with a
-    /// disabled recorder).
-    shed_counter: Option<Counter>,
     counters: Option<LoopCounters>,
     stop: Arc<AtomicBool>,
 }
@@ -419,7 +409,6 @@ impl EventLoop {
         let (reply_tx, reply_rx) = mpsc::channel();
         let shard_count = server.cache().shard_count();
         let recorder = server.cache().recorder().clone();
-        let shed_counter = recorder.counter("server.shed_busy");
         if let Some(counter) = recorder.counter("server.net_injected_faults") {
             options.fault.attach_counter(counter);
         }
@@ -452,9 +441,7 @@ impl EventLoop {
             free_slab: Vec::new(),
             reply_rx,
             pending_shard: (0..shard_count).map(|_| Vec::new()).collect(),
-            shed_busy: options.shed_busy,
             fault: options.fault.clone(),
-            shed_counter,
             counters,
             stop,
         })
@@ -488,14 +475,13 @@ impl EventLoop {
                     sockets = true;
                     self.accept(token);
                 }
+                // A writable connection needs no work here: settling it
+                // below flushes its write buffer.
                 token => {
                     sockets = true;
                     let idx = (token - TOKEN_BASE) as usize;
                     if event.readable() {
                         self.fill_read_buf(idx);
-                    }
-                    if event.writable() {
-                        self.flush_write_buf(idx);
                     }
                     if let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) {
                         if conn.mark_queued() {
@@ -514,19 +500,20 @@ impl EventLoop {
                 counters.socket_wakeups.inc();
             }
         }
-        // Completions first: they are what gives a connection parked at its
-        // window, frames still buffered, the room to decode again — and
-        // nothing but this iteration would ever come back for it.
+        // Completions first: their replies, once written, are what gives a
+        // connection parked at its window, frames still buffered, the room
+        // to decode again — and nothing but this iteration would ever come
+        // back for it.
         self.drain_completions();
-        // By index: shedding a full shard queue completes operations, which
-        // can put further connections on the list while it is walked.
-        let mut next = 0;
-        while let Some(&idx) = self.ready.get(next) {
-            self.decode_conn(idx);
-            next += 1;
+        for next in 0..self.ready.len() {
+            self.decode_conn(self.ready[next]);
         }
+        // Submitted before any reply is written, so the workers serve the
+        // new requests while the loop writes.
         self.submit_pending();
         self.settle_ready();
+        // What settling decoded into room its writes freed.
+        self.submit_pending();
         Ok(())
     }
 
@@ -589,6 +576,7 @@ impl EventLoop {
             write_buf: Vec::new(),
             write_at: 0,
             in_flight: 0,
+            unsent: 0,
             read_closed: false,
             interest: READABLE,
             dead: false,
@@ -631,23 +619,17 @@ impl EventLoop {
 
     /// Decodes frames from the connection's read buffer while it has
     /// window room, routing data operations into the per-shard coalescing
-    /// buffers and answering stats inline. With [`NetOptions::shed_busy`],
-    /// a connection at its window keeps decoding and answers each data
-    /// operation with `Busy` instead of stalling the stream.
-    // invariant: the two `expect`s below hold by construction — every
-    // non-Stats request variant carries a page, and the connection slot
-    // was checked non-empty at the top of the iteration.
+    /// buffers and answering stats inline. Each decoded request takes a
+    /// window slot.
+    // invariant: the `expect` below holds by construction — every
+    // non-Stats request variant carries a page.
     #[cfg_attr(not(test), allow(clippy::expect_used))]
     fn decode_conn(&mut self, idx: usize) {
         loop {
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
                 return;
             };
-            if conn.dead || conn.read_buf.is_empty() {
-                return;
-            }
-            let window_full = conn.in_flight >= IN_FLIGHT_WINDOW;
-            if window_full && !self.shed_busy {
+            if conn.dead || conn.read_buf.is_empty() || conn.in_flight >= IN_FLIGHT_WINDOW {
                 return;
             }
             let span = self.recorder.span(SpanKind::NetFrame);
@@ -672,31 +654,16 @@ impl EventLoop {
                 }
             };
             span.finish(consumed as u64);
+            conn.in_flight += 1;
+            let gen = conn.gen;
             match op {
                 ServerRequest::Stats => {
-                    // Answered inline, mirroring `Server::submit`; stats
-                    // take no window slot.
+                    // Answered inline, mirroring `Server::submit`.
                     let snapshot = StatsSnapshot {
                         result: self.server.stats(),
                         metrics: self.server.metrics(),
                     };
                     self.respond(idx, seq, &ServerResponse::Stats(Box::new(snapshot)));
-                }
-                op if window_full => {
-                    // Load shed: the window has no room, so this decoded
-                    // operation is answered `Busy` without ever reaching a
-                    // shard. The client is expected to back off and retry.
-                    let _ = op;
-                    if let Some(counter) = &self.shed_counter {
-                        counter.inc();
-                    }
-                    self.respond(
-                        idx,
-                        seq,
-                        &ServerResponse::Error {
-                            code: ErrorCode::Busy,
-                        },
-                    );
                 }
                 op => {
                     let kind = match &op {
@@ -707,9 +674,6 @@ impl EventLoop {
                     };
                     let page = op.page().expect("data operations carry a page");
                     let shard = self.server.cache().shard_of(page);
-                    let conn = self.conns[idx].as_mut().expect("checked above");
-                    conn.in_flight += 1;
-                    let gen = conn.gen;
                     let tag = self.alloc_pending(Pending {
                         conn: idx,
                         gen,
@@ -744,24 +708,10 @@ impl EventLoop {
             return;
         }
         let ops = std::mem::take(&mut self.pending_shard[shard]);
-        if self.shed_busy {
-            // Shedding mode: a full shard queue answers the whole
-            // coalesced sub-batch with `Busy` (or `Shutdown`) instead of
-            // blocking the event loop.
-            if let Err((tags, code)) =
-                self.server
-                    .try_submit_shard_tagged(shard, ops, &self.reply_sink)
-            {
-                for tag in tags {
-                    self.complete(tag, Err(code));
-                }
-            }
-        } else {
-            // Blocks only while the shard's bounded queue is full: worker
-            // back-pressure propagating to the event loop, by design.
-            self.server
-                .submit_shard_tagged(shard, ops, &self.reply_sink);
-        }
+        // Blocks only while the shard's bounded queue is full: worker
+        // back-pressure propagating to the event loop, by design.
+        self.server
+            .submit_shard_tagged(shard, ops, &self.reply_sink);
     }
 
     fn submit_pending(&mut self) {
@@ -776,13 +726,12 @@ impl EventLoop {
         }
     }
 
-    /// Completes the pending operation behind `tag` — answered by a shard
-    /// worker, or refused (`Busy`/`Shutdown`) before it reached one: frees
-    /// the slab slot, releases the connection's window slot, encodes the
-    /// response, and puts the connection on the ready-list (it has output
-    /// to flush and, possibly, window room for frames it had to leave
-    /// buffered). Nothing is sent when the connection is gone (a newer
-    /// generation owns the slot).
+    /// Completes the pending operation behind `tag`, answered by a shard
+    /// worker: frees the slab slot, encodes the response, and puts the
+    /// connection on the ready-list (it has output to flush, and writing
+    /// it frees window room for frames it may have had to leave buffered).
+    /// Nothing is sent when the connection is gone (a newer generation
+    /// owns the slot).
     // invariant: every tag completed here was allocated by `alloc_pending`
     // and is taken exactly once — a double take or an out-of-range tag is
     // a slab-accounting bug, not a runtime condition.
@@ -802,7 +751,6 @@ impl EventLoop {
         else {
             return;
         };
-        conn.in_flight -= 1;
         if conn.mark_queued() {
             self.ready.push(pending.conn);
         }
@@ -810,14 +758,7 @@ impl EventLoop {
             // A failed operation answers with a typed error frame instead
             // of a fabricated miss: the client can tell "the page is not
             // cached" from "the data plane failed".
-            Err(code) => {
-                if code == ErrorCode::Busy {
-                    if let Some(counter) = &self.shed_counter {
-                        counter.inc();
-                    }
-                }
-                ServerResponse::Error { code }
-            }
+            Err(code) => ServerResponse::Error { code },
             Ok(ShardOutcome { hit, data }) => match pending.kind {
                 PendingKind::Get => ServerResponse::Get { hit, data },
                 PendingKind::Put => ServerResponse::Put { hit },
@@ -828,7 +769,8 @@ impl EventLoop {
     }
 
     /// Encodes a response onto the connection's write buffer (recording
-    /// the encode as a [`SpanKind::NetFrame`] span).
+    /// the encode as a [`SpanKind::NetFrame`] span). The request keeps its
+    /// window slot until the buffer is written out.
     fn respond(&mut self, idx: usize, seq: u64, response: &ServerResponse) {
         let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
             return;
@@ -836,16 +778,19 @@ impl EventLoop {
         let span = self.recorder.span(SpanKind::NetFrame);
         let before = conn.write_buf.len();
         wire::encode_response(seq, response, &mut conn.write_buf);
+        conn.unsent += 1;
         span.finish((conn.write_buf.len() - before) as u64);
     }
 
-    /// Writes as much buffered output as the socket accepts.
-    fn flush_write_buf(&mut self, idx: usize) {
+    /// Writes as much buffered output as the socket accepts. Returns
+    /// whether that emptied the buffer and so released the window slots
+    /// of the replies it held.
+    fn flush_write_buf(&mut self, idx: usize) -> bool {
         let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
-            return;
+            return false;
         };
-        if !conn.pending_write() {
-            return;
+        if conn.dead || !conn.pending_write() {
+            return false;
         }
         // An injected send fault either caps this cycle's write to a
         // prefix (a partial socket write — the rest stays buffered behind
@@ -860,49 +805,51 @@ impl EventLoop {
             InjectedFault::Torn(n) => limit = (conn.write_at + n).min(limit),
             _ => {
                 conn.dead = true;
-                return;
+                return false;
             }
         }
         while conn.write_at < limit {
             match conn.stream.write(&conn.write_buf[conn.write_at..]) {
                 Ok(0) => {
                     conn.dead = true;
-                    return;
+                    return false;
                 }
                 Ok(n) => conn.write_at += n,
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.dead = true;
-                    return;
+                    return false;
                 }
             }
         }
         if conn.write_at == conn.write_buf.len() {
             conn.write_buf.clear();
             conn.write_at = 0;
-        } else if conn.write_at > READ_CHUNK {
+            conn.in_flight -= std::mem::take(&mut conn.unsent);
+            return true;
+        }
+        if conn.write_at > READ_CHUNK {
             // Compact a long-lived partially written buffer so it cannot
             // grow without bound across cycles.
             conn.write_buf.drain(..conn.write_at);
             conn.write_at = 0;
         }
+        false
     }
 
-    /// End-of-cycle pass over the ready-list: opportunistic writes,
-    /// interest re-arming, and teardown of finished or errored connections.
-    /// A connection this iteration did not touch has nothing to write, no
-    /// new reason to close and an unchanged interest mask.
+    /// End-of-cycle pass over the ready-list: writes, interest re-arming,
+    /// and teardown of finished or errored connections. A connection this
+    /// iteration did not touch has nothing to write, no new reason to close
+    /// and an unchanged interest mask.
     fn settle_ready(&mut self) {
         for next in 0..self.ready.len() {
             let idx = self.ready[next];
-            if self
-                .conns
-                .get(idx)
-                .and_then(|c| c.as_ref())
-                .is_some_and(|conn| conn.pending_write() && !conn.dead)
-            {
-                self.flush_write_buf(idx);
+            // Emptying the write buffer frees the window slots of the
+            // replies it held, which can admit frames the window had left
+            // buffered: decode those, and write what that answered inline.
+            while self.flush_write_buf(idx) {
+                self.decode_conn(idx);
             }
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
                 continue;
@@ -948,11 +895,11 @@ impl EventLoop {
 /// number of retries with exponential backoff and seeded multiplicative
 /// jitter.
 ///
-/// A retry is attempted after transport errors (the client reconnects
-/// first) and after retryable error responses
-/// ([`ErrorCode::is_retryable`], i.e. `Busy`). Non-retryable error
-/// responses — `Io`, `Corrupt`, `Shutdown`, `Internal` — are returned to
-/// the caller immediately: resending cannot make a failed fsync succeed.
+/// A retry is attempted after transport errors only, and the client
+/// reconnects first. An error *response* is returned to the caller
+/// immediately: the server answers every request it decodes, so a typed
+/// error means the operation itself failed, and resending cannot make a
+/// failed fsync succeed.
 ///
 /// The jitter is drawn from a seeded [`StdRng`], so a retrying client is
 /// as deterministic as the fault schedule that makes it retry: attempt
@@ -1100,12 +1047,10 @@ impl BlockingClient {
         Ok(())
     }
 
-    /// Submits one operation with bounded retries: transport errors
-    /// trigger a reconnect and a retry, a retryable error response
-    /// ([`ErrorCode::is_retryable`], i.e. `Busy`) triggers a retry on the
-    /// same connection, and each retry waits out the policy's jittered
-    /// exponential backoff first. Returns the last error when the budget
-    /// is exhausted.
+    /// Submits one operation with bounded retries: a transport error
+    /// triggers a reconnect and a retry, after the policy's jittered
+    /// exponential backoff. A response, error responses included, ends the
+    /// call. Returns the last error when the budget is exhausted.
     pub fn call_with_retry(
         &mut self,
         op: &ServerRequest,
@@ -1114,21 +1059,16 @@ impl BlockingClient {
         let mut rng = StdRng::seed_from_u64(policy.seed);
         let mut attempt = 0u32;
         loop {
-            let outcome = self.call(op);
-            let retryable = match &outcome {
-                Ok(response) => response.error_code().is_some_and(ErrorCode::is_retryable),
-                Err(_) => true,
-            };
-            if !retryable || attempt >= policy.max_retries {
-                return outcome;
-            }
-            thread::sleep(policy.delay(attempt, &mut rng));
-            attempt += 1;
-            if outcome.is_err() {
-                // The old stream may be mid-frame; only a fresh one can
-                // resynchronize. If the reconnect itself fails, the next
-                // call errors on the dead stream and consumes an attempt.
-                let _ = self.reconnect();
+            match self.call(op) {
+                Err(_) if attempt < policy.max_retries => {
+                    thread::sleep(policy.delay(attempt, &mut rng));
+                    attempt += 1;
+                    // The old stream may be mid-frame; only a fresh one can
+                    // resynchronize. If the reconnect itself fails, the next
+                    // call errors on the dead stream and consumes an attempt.
+                    let _ = self.reconnect();
+                }
+                outcome => return outcome,
             }
         }
     }
@@ -1136,44 +1076,54 @@ impl BlockingClient {
     /// Submits one batch and blocks until every response arrived,
     /// returning them in batch order (the server may answer out of order
     /// across shards; `seq` correlation restores the order).
-    // invariant: the loop below exits only once `received == batch.len()`
-    // with all seqs range-checked and dedup-checked, so every slot is
-    // `Some` at collection time.
+    ///
+    /// The batch goes out one in-flight window (64 requests) at a time, and
+    /// each window's replies are read before the next is written. The
+    /// server stops reading a connection whose replies it cannot write, so
+    /// a client that wrote a whole large batch before reading could block
+    /// in its own write for good.
+    // invariant: the loop below exits only once every window's replies
+    // arrived with all seqs range-checked and dedup-checked, so every slot
+    // is `Some` at collection time.
     #[cfg_attr(not(test), allow(clippy::expect_used))]
     pub fn call_batch(&mut self, batch: &[ServerRequest]) -> io::Result<Vec<ServerResponse>> {
-        let mut frames = Vec::new();
-        for (i, op) in batch.iter().enumerate() {
-            wire::encode_request(i as u64, op, &mut frames);
-        }
-        self.stream.write_all(&frames)?;
         let mut responses: Vec<Option<ServerResponse>> = batch.iter().map(|_| None).collect();
+        let mut frames = Vec::new();
         let mut received = 0usize;
         let mut chunk = [0u8; READ_CHUNK];
-        while received < batch.len() {
-            while let Some((_, payload)) = self.buf.next_frame()? {
-                let (seq, response) = wire::decode_response(payload)?;
-                let slot = responses.get_mut(seq as usize).ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "response seq out of range")
-                })?;
-                if slot.replace(response).is_some() {
+        for window in batch.chunks(IN_FLIGHT_WINDOW) {
+            frames.clear();
+            for (i, op) in window.iter().enumerate() {
+                wire::encode_request((received + i) as u64, op, &mut frames);
+            }
+            self.stream.write_all(&frames)?;
+            let sent = received + window.len();
+            while received < sent {
+                while let Some((_, payload)) = self.buf.next_frame()? {
+                    let (seq, response) = wire::decode_response(payload)?;
+                    let slot = responses[..sent].get_mut(seq as usize).ok_or_else(|| {
+                        io::Error::new(io::ErrorKind::InvalidData, "response seq out of range")
+                    })?;
+                    if slot.replace(response).is_some() {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "duplicate response seq",
+                        ));
+                    }
+                    received += 1;
+                }
+                if received == sent {
+                    break;
+                }
+                let n = self.stream.read(&mut chunk)?;
+                if n == 0 {
                     return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "duplicate response seq",
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed the connection mid-batch",
                     ));
                 }
-                received += 1;
+                self.buf.extend(&chunk[..n]);
             }
-            if received == batch.len() {
-                break;
-            }
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-batch",
-                ));
-            }
-            self.buf.extend(&chunk[..n]);
         }
         Ok(responses
             .into_iter()
@@ -1333,5 +1283,86 @@ mod tests {
 
         // Since its accept, no turn visited the idle connection.
         assert_eq!(conn(&event_loop, 0), (0, true, READABLE));
+    }
+
+    /// A client that writes and does not read: once its socket refuses
+    /// more replies, the loop holds at most a window of them and stops
+    /// reading; once the client reads, every request is answered. Driven
+    /// by hand like the test above, over a Unix-domain socket, whose fixed
+    /// buffer fills after a few hundred replies.
+    #[test]
+    fn a_client_that_does_not_read_is_parked_at_a_window_of_unsent_replies() {
+        let path =
+            std::env::temp_dir().join(format!("clic-net-unsent-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let mut event_loop = EventLoop::new(
+            Server::start(ServerConfig::new(16).with_shards(1)),
+            None,
+            Some(listener),
+            &NetOptions::default(),
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(Waker::new().unwrap()),
+        )
+        .unwrap();
+        let mut events = Vec::new();
+        let mut client = UnixStream::connect(&path).unwrap();
+        event_loop.turn(&mut events).unwrap();
+        assert_eq!(event_loop.ready, [0]);
+
+        // Stats are answered inline, so no worker is involved: keep writing
+        // them until the loop parks the connection.
+        let mut sent = 0u64;
+        let mut frames = Vec::new();
+        while event_loop.conns[0].as_ref().unwrap().interest & READABLE != 0 {
+            assert!(sent < 100_000, "the loop never parked the connection");
+            frames.clear();
+            for seq in sent..sent + 256 {
+                wire::encode_request(seq, &ServerRequest::Stats, &mut frames);
+            }
+            client.write_all(&frames).unwrap();
+            sent += 256;
+            event_loop.turn(&mut events).unwrap();
+        }
+        let mut reply = Vec::new();
+        let snapshot = StatsSnapshot {
+            result: event_loop.server.stats(),
+            metrics: event_loop.server.metrics(),
+        };
+        wire::encode_response(0, &ServerResponse::Stats(Box::new(snapshot)), &mut reply);
+        let conn = event_loop.conns[0].as_ref().unwrap();
+        assert_eq!(
+            (conn.in_flight, conn.interest),
+            (IN_FLIGHT_WINDOW, WRITABLE)
+        );
+        assert!(conn.write_buf.len() - conn.write_at <= IN_FLIGHT_WINDOW * reply.len());
+
+        // Reading makes the socket writable; each turn then writes, frees
+        // the window and decodes what it had left buffered.
+        client.set_nonblocking(true).unwrap();
+        let mut buf = wire::FrameBuf::new();
+        let mut chunk = [0u8; 4096];
+        let mut answered = 0u64;
+        while answered < sent {
+            loop {
+                match client.read(&mut chunk) {
+                    Ok(n) if n > 0 => buf.extend(&chunk[..n]),
+                    Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
+                    other => panic!("the server closed the connection: {other:?}"),
+                }
+            }
+            while let Some((_, payload)) = buf.next_frame().unwrap() {
+                let (seq, response) = wire::decode_response(payload).unwrap();
+                assert!(response.stats().is_some());
+                assert_eq!(seq, answered);
+                answered += 1;
+            }
+            if answered < sent {
+                event_loop.turn(&mut events).unwrap();
+            }
+        }
+        assert_eq!(event_loop.conns[0].as_ref().unwrap().in_flight, 0);
+        let _ = std::fs::remove_file(&path);
     }
 }

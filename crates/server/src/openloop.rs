@@ -100,12 +100,9 @@ pub struct OpenLoopReport {
     /// Successful responses received and decoded. Only these are recorded
     /// into the latency histogram.
     pub completed: u64,
-    /// Error responses with a non-retryable code (`Io`, `Corrupt`,
-    /// `Shutdown`, `Internal`): the data plane failed the operation.
+    /// Error responses (`Io`, `Corrupt`, `Shutdown`, `Internal`): the
+    /// server failed the operation.
     pub errored: u64,
-    /// Error responses with the `Busy` code: the server shed the
-    /// operation under load instead of queueing it.
-    pub shed: u64,
     /// Wall-clock duration from first scheduled send to last response.
     pub elapsed: Duration,
     /// Coordinated-omission-safe latency percentiles, measured from each
@@ -169,11 +166,10 @@ fn operations(config: &OpenLoopConfig, rng: &mut StdRng) -> Vec<ServerRequest> {
 /// tears the connection down cleanly.
 ///
 /// The generator degrades rather than aborts under faults: error
-/// responses are tallied into [`OpenLoopReport::errored`] and
-/// [`OpenLoopReport::shed`] without polluting the latency histogram, and
-/// a connection that dies mid-run (reset, injected fault, early server
-/// close) yields a *partial* report — `sent`/`completed` record how far
-/// the run got. `Err` is reserved for failing to connect at all.
+/// responses are tallied into [`OpenLoopReport::errored`] without
+/// polluting the latency histogram, and a connection that dies mid-run
+/// (reset, injected fault, early server close) yields a *partial* report
+/// — `sent`/`completed` record how far the run got. `Err` is reserved for failing to connect at all.
 pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> io::Result<OpenLoopReport> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let schedule = Arc::new(poisson_schedule(config.rate, config.requests, &mut rng));
@@ -213,8 +209,7 @@ pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> io::Result<Op
     let mut chunk = [0u8; 64 * 1024];
     let mut completed = 0u64;
     let mut errored = 0u64;
-    let mut shed = 0u64;
-    'recv: while completed + errored + shed < total {
+    'recv: while completed + errored < total {
         loop {
             let payload = match buf.next_frame() {
                 Ok(Some((_, payload))) => payload,
@@ -229,18 +224,16 @@ pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> io::Result<Op
             let Some(&scheduled_ns) = schedule.get(seq as usize) else {
                 break 'recv; // corrupt seq; stop attributing latencies
             };
-            match response.error_code() {
-                Some(code) if code.is_retryable() => shed += 1,
-                Some(_) => errored += 1,
-                None => {
-                    let scheduled_us = scheduled_ns / 1_000;
-                    let now_us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                    histogram.record_scheduled(scheduled_us, now_us);
-                    completed += 1;
-                }
+            if response.error_code().is_some() {
+                errored += 1;
+            } else {
+                let scheduled_us = scheduled_ns / 1_000;
+                let now_us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+                histogram.record_scheduled(scheduled_us, now_us);
+                completed += 1;
             }
         }
-        if completed + errored + shed == total {
+        if completed + errored == total {
             break;
         }
         match reader.read(&mut chunk) {
@@ -261,7 +254,6 @@ pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> io::Result<Op
         sent,
         completed,
         errored,
-        shed,
         elapsed,
         latency: LatencySummary::from_histogram(&histogram.snapshot()),
     })

@@ -138,9 +138,9 @@ impl ServerRequest {
 /// Typed error codes carried by [`ServerResponse::Error`] and the
 /// `OP_ERR` wire frame (one byte on the wire).
 ///
-/// The codes classify *what the client should do*, not the failure's
-/// internal details: [`ErrorCode::Busy`] is retryable after backoff, the
-/// rest indicate the request itself failed server-side.
+/// The codes classify the failure, not its internal details: each says the
+/// request itself failed server-side, so none is worth resending as is.
+/// Byte 3 is unassigned; decoders reject it like any unknown code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrorCode {
@@ -150,9 +150,6 @@ pub enum ErrorCode {
     /// Stored data failed integrity verification (a torn frame caught by
     /// CRC); the request could not be served from disk.
     Corrupt = 2,
-    /// The server shed the request under load — the connection's in-flight
-    /// window or the target shard's queue was full. Retry after backoff.
-    Busy = 3,
     /// The server is shutting down; the request was not served.
     Shutdown = 4,
     /// Any other server-side failure.
@@ -166,7 +163,6 @@ impl ErrorCode {
         match code {
             1 => Some(ErrorCode::Io),
             2 => Some(ErrorCode::Corrupt),
-            3 => Some(ErrorCode::Busy),
             4 => Some(ErrorCode::Shutdown),
             5 => Some(ErrorCode::Internal),
             _ => None,
@@ -183,18 +179,11 @@ impl ErrorCode {
         }
     }
 
-    /// Whether a client should retry the request (after backoff) on this
-    /// code.
-    pub fn is_retryable(self) -> bool {
-        matches!(self, ErrorCode::Busy)
-    }
-
     /// Short stable name for logs and reports.
     pub fn label(self) -> &'static str {
         match self {
             ErrorCode::Io => "io",
             ErrorCode::Corrupt => "corrupt",
-            ErrorCode::Busy => "busy",
             ErrorCode::Shutdown => "shutdown",
             ErrorCode::Internal => "internal",
         }
@@ -228,9 +217,8 @@ pub enum ServerResponse {
     /// taken, plus the server's full metrics snapshot (see
     /// [`StatsSnapshot`]).
     Stats(Box<StatsSnapshot>),
-    /// The request failed server-side (or was shed under load); the
-    /// [`ErrorCode`] says why and whether a retry makes sense. Carried on
-    /// the wire as an `OP_ERR` frame.
+    /// The request failed server-side; the [`ErrorCode`] says why. Carried
+    /// on the wire as an `OP_ERR` frame.
     Error {
         /// Why the request failed.
         code: ErrorCode,
@@ -337,9 +325,9 @@ mod tests {
         assert!(get.stats().is_none());
         assert!(get.metrics().is_none());
         let error = ServerResponse::Error {
-            code: ErrorCode::Busy,
+            code: ErrorCode::Io,
         };
-        assert_eq!(error.error_code(), Some(ErrorCode::Busy));
+        assert_eq!(error.error_code(), Some(ErrorCode::Io));
         assert_eq!(error.hit(), None);
         assert_eq!(error.existed(), None);
         assert_eq!(error.data(), None);
@@ -352,16 +340,14 @@ mod tests {
         for code in [
             ErrorCode::Io,
             ErrorCode::Corrupt,
-            ErrorCode::Busy,
             ErrorCode::Shutdown,
             ErrorCode::Internal,
         ] {
             assert_eq!(ErrorCode::from_u8(code as u8), Some(code));
         }
-        assert_eq!(ErrorCode::from_u8(0), None);
-        assert_eq!(ErrorCode::from_u8(6), None);
-        assert!(ErrorCode::Busy.is_retryable());
-        assert!(!ErrorCode::Io.is_retryable());
+        for unassigned in [0, 3, 6] {
+            assert_eq!(ErrorCode::from_u8(unassigned), None);
+        }
         let torn = std::io::Error::new(std::io::ErrorKind::InvalidData, "torn frame");
         assert_eq!(ErrorCode::from_io_error(&torn), ErrorCode::Corrupt);
         let eio = std::io::Error::other("injected fault");

@@ -610,45 +610,8 @@ impl Server {
         ops: Vec<(usize, ServerRequest)>,
         reply: &ReplySink,
     ) -> usize {
-        // invariant: workers only exit after the senders are dropped at
-        // shutdown, which cannot race a live borrow of the server, and a
-        // blocking send never reports a full queue.
-        #[allow(clippy::expect_used)]
-        self.enqueue(shard, ops, reply, true)
-            .map_err(|(_, code)| code)
-            .expect("shard worker exited while the server was running")
-    }
-
-    /// Non-blocking [`Server::submit_shard_tagged`]: when the shard's
-    /// bounded queue has room the job is enqueued and `Ok(submitted)` is
-    /// returned; when it is full (or the workers are gone at shutdown)
-    /// nothing is enqueued and `Err((tags, code))` hands back the
-    /// submitted tags with the [`ErrorCode`] to answer them with
-    /// ([`ErrorCode::Busy`] on a full queue, [`ErrorCode::Shutdown`] after
-    /// the workers exited). This is how the event loop sheds load instead
-    /// of stalling on a saturated shard.
-    pub fn try_submit_shard_tagged(
-        &self,
-        shard: usize,
-        ops: Vec<(usize, ServerRequest)>,
-        reply: &ReplySink,
-    ) -> Result<usize, (Vec<usize>, ErrorCode)> {
-        self.enqueue(shard, ops, reply, false)
-    }
-
-    /// The one enqueue behind every submission: builds the [`ShardJob`]
-    /// (nothing is sent for empty `ops`) and hands it to the shard's
-    /// worker — waiting for queue room when `block`, failing with the
-    /// job's tags otherwise.
-    fn enqueue(
-        &self,
-        shard: usize,
-        ops: Vec<(usize, ServerRequest)>,
-        reply: &ReplySink,
-        block: bool,
-    ) -> Result<usize, (Vec<usize>, ErrorCode)> {
         if ops.is_empty() {
-            return Ok(0);
+            return 0;
         }
         let submitted = ops.len();
         let mut tags = Vec::with_capacity(submitted);
@@ -675,22 +638,13 @@ impl Server {
         if let Some(gauge) = &self.queue_depth {
             gauge.inc();
         }
-        let sent = if block {
-            self.senders[shard]
-                .send(job)
-                .map_err(|mpsc::SendError(job)| mpsc::TrySendError::Disconnected(job))
-        } else {
-            self.senders[shard].try_send(job)
-        };
-        sent.map(|()| submitted).map_err(|err| {
-            if let Some(gauge) = &self.queue_depth {
-                gauge.dec();
-            }
-            match err {
-                mpsc::TrySendError::Full(job) => (job.tags, ErrorCode::Busy),
-                mpsc::TrySendError::Disconnected(job) => (job.tags, ErrorCode::Shutdown),
-            }
-        })
+        // invariant: workers only exit after the senders are dropped at
+        // shutdown, which cannot race a live borrow of the server.
+        #[allow(clippy::expect_used)]
+        self.senders[shard]
+            .send(job)
+            .expect("shard worker exited while the server was running");
+        submitted
     }
 
     /// The sharded cache behind the server.
@@ -890,7 +844,7 @@ mod tests {
         let spacing = Duration::from_millis(20);
         let (tx, rx) = mpsc::channel();
         let sink = ReplySink::new(tx);
-        let reply = |tag| (tag, Err(ErrorCode::Busy));
+        let reply = |tag| (tag, Err(ErrorCode::Io));
         let mut pacer = AckPacer::new(spacing);
         // Nothing sent yet: the first acknowledgement need not wait.
         assert!(!pacer.must_park());

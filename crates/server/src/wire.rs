@@ -800,7 +800,7 @@ mod tests {
             ServerResponse::Put { hit: true },
             ServerResponse::Delete { existed: false },
             ServerResponse::Error {
-                code: ErrorCode::Busy,
+                code: ErrorCode::Shutdown,
             },
             ServerResponse::Error {
                 code: ErrorCode::Corrupt,
@@ -830,7 +830,7 @@ mod tests {
             &mut out,
         );
         let code_at = out.len() - 1;
-        for bad in [0u8, 6, 0xff] {
+        for bad in [0u8, 3, 6, 0xff] {
             out[code_at] = bad;
             let (_, payload) = take_frame(&out).unwrap().unwrap();
             assert!(matches!(

@@ -95,8 +95,9 @@ if [ "$smoke" -eq 1 ]; then
     # trace rings and metrics snapshots drain to valid JSON, the event loop
     # is woken rather than polling, mock-clock dumps are reproducible;
     # `chaos` — strict durability survives a seeded WAL fault storm
-    # replayably, a faulted store degrades to typed OP_ERR/Busy answers with
-    # a bounded error rate, a retrying client rides out accept drops,
+    # replayably, a faulted store degrades to typed OP_ERR answers with a
+    # bounded error rate, a burst four windows long is answered in full
+    # (the front-end blocks, never sheds), a retrying client rides out accept drops,
     # connection resets and torn sends.
     echo "== smoke: observability and robustness gates (smoke obs chaos) =="
     cargo run --release -q -p clic-bench --bin smoke -- --quick
