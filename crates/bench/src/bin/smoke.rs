@@ -57,6 +57,14 @@
 //!   must ride out every injected failure, and the gate requires at
 //!   least one accept drop, one connection reset, and one send fault
 //!   demonstrably fired before shutdown, which again stays clean.
+//! * **Phase D (acknowledged means synced, run twice):** a 2-shard
+//!   `GroupCommit` server behind the TCP front-end takes 256 writes, one
+//!   at a time, while ~10% of its log writers' fsyncs fail. Every write
+//!   must be applied or fail with `Io`, and a shard whose sync failed must
+//!   fail every later write (it fails closed). After a kernel crash (each
+//!   WAL cut to its synced prefix) a fault-free reopen must read back
+//!   every applied write, and the second run must repeat the first's
+//!   outcomes, synced prefixes and injector counts exactly.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -502,6 +510,99 @@ fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
     })
 }
 
+/// One Phase D run: what each write got, and where each WAL was cut.
+#[derive(Debug, PartialEq, Eq)]
+struct ServerStormOutcome {
+    /// Per write (page `i` for write `i`): applied, or failed with `Io`.
+    applied: Vec<bool>,
+    /// Each shard's `wal_synced_len` at crash time.
+    synced_lens: Vec<u64>,
+    /// The injector's (point, ops, injected) triples.
+    counts: Vec<(FaultPoint, u64, u64)>,
+}
+
+/// Phase D: 256 writes to distinct pages, one in flight at a time, so each
+/// log-writer sync covers one write and the k-th sync decision falls on the
+/// same write on every run.
+fn server_storm(dir: &Path) -> io::Result<ServerStormOutcome> {
+    const WRITES: u64 = 256;
+    const SHARDS: usize = 2;
+    fs::remove_dir_all(dir).ok();
+    let fault = FaultInjector::seeded(CHAOS_SEED).with_rate(FaultPoint::WalSync, 0.10);
+    let store = StoreConfig::new(dir, 512)
+        .with_page_size(CHAOS_PAGE_SIZE)
+        .with_durability(Durability::group_commit());
+    let server = Server::try_start(
+        ServerConfig::new(512)
+            .with_shards(SHARDS)
+            .with_store(store.clone().with_fault_injector(fault.clone())),
+    )?;
+    let stores = server.cache().stores().to_vec();
+    let net = NetServer::start(server, NetOptions::default())?;
+    let mut client = connect(net.tcp_addr().expect("tcp front-end enabled"))?;
+    let mut applied = Vec::new();
+    let mut failed_shards = [false; SHARDS];
+    for page in 0..WRITES {
+        let response = client.call(&ServerRequest::Put {
+            client: cache_sim::ClientId(0),
+            page: PageId(page),
+            hint: cache_sim::HintSetId(0),
+            write_hint: None,
+            data: Some(page_payload(PageId(page), CHAOS_PAGE_SIZE)),
+        })?;
+        let ok = response.hit().is_some();
+        assert!(
+            ok || response.error_code() == Some(ErrorCode::Io),
+            "write {page} must be applied or fail with Io: {response:?}"
+        );
+        let shard = cache_sim::hash::page_partition(PageId(page), SHARDS);
+        assert!(
+            !(ok && failed_shards[shard]),
+            "shard {shard} applied write {page} after a failed sync"
+        );
+        failed_shards[shard] |= !ok;
+        applied.push(ok);
+    }
+    let synced_lens: Vec<u64> = stores.iter().map(|s| s.wal_synced_len()).collect();
+    // Kernel crash: no checkpoint, and each log loses its unsynced tail.
+    drop((client, stores, net));
+    for (shard, &len) in synced_lens.iter().enumerate() {
+        let wal = store.for_shard(shard, SHARDS).dir.join("store.wal");
+        fs::OpenOptions::new().write(true).open(wal)?.set_len(len)?;
+    }
+    let server = Server::try_start(ServerConfig::new(512).with_shards(SHARDS).with_store(store))?;
+    let reads: Vec<ServerRequest> = (0..WRITES)
+        .map(|page| ServerRequest::Get {
+            client: cache_sim::ClientId(0),
+            page: PageId(page),
+            hint: cache_sim::HintSetId(0),
+            prefetch: false,
+        })
+        .collect();
+    for (page, response) in server.submit(&reads).iter().enumerate() {
+        if applied[page] {
+            assert_eq!(
+                response.data(),
+                Some(&page_payload(PageId(page as u64), CHAOS_PAGE_SIZE)[..]),
+                "applied write {page} did not survive the crash"
+            );
+        }
+    }
+    server
+        .try_shutdown()
+        .map_err(|err| io::Error::other(err.to_string()))?;
+    let applied_count = applied.iter().filter(|&&a| a).count();
+    assert!(
+        applied_count > 0 && applied_count < applied.len(),
+        "the schedule must both apply and fail writes"
+    );
+    Ok(ServerStormOutcome {
+        applied,
+        synced_lens,
+        counts: fault.counts(),
+    })
+}
+
 fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
     let (rate, seconds) = match ctx.scale {
         PresetScale::Smoke => (4_000.0, 0.4),
@@ -719,6 +820,26 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
         "shutdown statistics lost the probes"
     );
 
+    // ---- Phase D: acknowledged means synced, twice. --------------------
+    println!("\nphase D: a group-commit server under a seeded fsync storm");
+    let dir_d = scratch_dir("chaos-d");
+    let storm = server_storm(&dir_d)?;
+    assert_eq!(
+        storm,
+        server_storm(&dir_d)?,
+        "same seed, same storm: outcomes, synced prefixes and counts must replay"
+    );
+    fs::remove_dir_all(&dir_d).ok();
+    let storm_applied = storm.applied.iter().filter(|&&a| a).count() as u64;
+    println!(
+        "  server storm: {} of {} applied, {} failed closed with Io; synced prefixes {:?} \
+         bytes; every applied write read back; both runs identical",
+        storm_applied,
+        storm.applied.len(),
+        storm.applied.len() as u64 - storm_applied,
+        storm.synced_lens
+    );
+
     Ok(JsonValue::object([
         (
             "storm_acked",
@@ -741,6 +862,11 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
         (
             "send_faults",
             num(net_fault.injected_at(FaultPoint::NetSend)),
+        ),
+        ("server_storm_applied", num(storm_applied)),
+        (
+            "server_storm_failed",
+            num(storm.applied.len() as u64 - storm_applied),
         ),
     ]))
 }

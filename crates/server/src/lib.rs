@@ -44,11 +44,9 @@
 //!   socket is ready or a shard worker, done with a step, fires the loop's
 //!   `eventfd` waker ([`sys::Waker`], carried in the [`server::ReplySink`]
 //!   the loop submits with), and each iteration visits only the connections
-//!   that wake-up touched. One thing on that path is throttled on purpose:
-//!   over a store that syncs its log on the request path, a shard worker
-//!   spaces its acknowledgements of writes to the loop 1 ms apart (see
-//!   `DURABLE_ACK_SPACING` in `server.rs` for why, and ROADMAP for lifting
-//!   it). Every receiver — the event loop, [`BlockingClient`],
+//!   that wake-up touched. Over a store whose log syncs, a write's reply
+//!   leaves once the shard's log writer has synced it ([`server`] module
+//!   docs). Every receiver — the event loop, [`BlockingClient`],
 //!   the open-loop reader — turns bytes into frames through the one
 //!   cursor-based [`wire::FrameBuf`]. [`openloop`] is the
 //!   matching open-loop Poisson load generator whose latency percentiles

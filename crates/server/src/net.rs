@@ -8,9 +8,7 @@
 //! loop sleeps in `epoll_wait` with no timeout and runs one iteration per
 //! wake-up — a socket became ready, or a shard worker finished a step and
 //! fired the loop's [`Waker`] — so an idle server costs nothing and a
-//! completion leaves for its client when it exists, not at the next tick
-//! (the one exception, acknowledgements of logged writes, is a throttle in
-//! the shard worker and documented there: `DURABLE_ACK_SPACING`):
+//! completion leaves for its client when it exists, not at the next tick:
 //!
 //! * Readable connections are drained into per-connection buffers and
 //!   decoded frame by frame. Decoded operations are *coalesced per shard*

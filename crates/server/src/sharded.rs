@@ -545,14 +545,6 @@ impl ShardedClic {
         Ok(flushed)
     }
 
-    /// Stops the background flusher thread, if one is running (also done on
-    /// drop).
-    pub fn stop_flusher(&mut self) {
-        if let Some(flusher) = self.flusher.as_mut() {
-            flusher.stop();
-        }
-    }
-
     /// Stops the background flusher, waiting at most `timeout`: a flush pass
     /// wedged in the kernel (dying disk) surfaces as
     /// [`clic_store::StoreError::ShutdownTimeout`] instead of hanging

@@ -43,7 +43,8 @@
 //!   syncs every append, and [`Durability::GroupCommit`] coalesces up to
 //!   `max_batch` appends (or `max_wait` of wall time) into one sync — the
 //!   classic group-commit trade of bounded staleness for an order of
-//!   magnitude fewer `fsync`s.
+//!   magnitude fewer `fsync`s. A server hands the sync of the last two to a
+//!   log writer and acknowledges only synced writes ([`wal`] module docs).
 //! * [`PageStore`] ([`store`]) — ties the three together with **no
 //!   store-wide lock** (see *Locking architecture* below): reads prefer the
 //!   arena and fall back to the disk, writes are staged *write-back* (WAL
@@ -111,7 +112,7 @@
 //! | `DiskManager` bitmap stripes (8 × `Mutex` inside [`ShardedBitmap`]) | slot allocation bits | single bit set/scan |
 //! | `FrameArena` directory stripes (16 × `RwLock`) | page → frame map | lookup + latch acquisition (so a frame cannot be recycled between the two) |
 //! | Per-frame latch word (`AtomicI32`) | that frame's bytes + dirty bit | the lifetime of a guard — clean-page reads take **only** this and one stripe read-lock |
-//! | WAL mutex (`Mutex<Wal>`) | log file offset, group-commit window | one append (+ optional sync) — this is the only serialization on the write-ack path |
+//! | WAL mutex (`Mutex<Wal>`) | log file offset, group-commit window, synced length | one append (+ optional sync) — this is the only serialization on the write-ack path; a handed-off sync ([`PageStore::sync_wal`]) takes it only to read and publish lengths |
 //! | Flush-pass mutex (`Mutex<()>`) | "one flush pass at a time" | listing + writing back a batch (frames themselves only read-latched) |
 //!
 //! **Lock order:** arena stripe → frame latch; disk directory stripe →

@@ -24,9 +24,10 @@
 //! snapshot with [`PageStore::io_stats`]; the snapshot covers activity
 //! since the store was opened (WAL recovery I/O is not counted).
 
+use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use cache_sim::policy::AccessOutcome;
@@ -39,7 +40,7 @@ use crate::error::StoreError;
 use crate::fault::FaultInjector;
 use crate::frame::FrameArena;
 use crate::replay::page_payload;
-use crate::wal::{Durability, Wal};
+use crate::wal::{sync_log, Durability, Wal};
 
 /// The paper-typical page size: 4 KiB.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
@@ -268,6 +269,10 @@ pub struct PageStore {
     disk: DiskManager,
     arena: FrameArena,
     wal: Option<Mutex<Wal>>,
+    /// The log's own descriptor and fault schedule once its sync is handed
+    /// off ([`PageStore::hand_off_wal_sync`]): [`PageStore::sync_wal`]
+    /// syncs through them outside the WAL mutex.
+    wal_sync: OnceLock<(File, FaultInjector)>,
     /// The store's own metrics registry — always on, backing
     /// [`PageStore::io_stats`] / [`PageStore::metrics`].
     registry: MetricsRegistry,
@@ -280,7 +285,6 @@ pub struct PageStore {
     flush_threshold: usize,
     page_size: usize,
     durability: Durability,
-    flush_interval: Option<Duration>,
     recovered_writes: u64,
 }
 
@@ -356,6 +360,7 @@ impl PageStore {
             arena: FrameArena::new(config.frames, config.page_size)
                 .with_recorder(config.recorder.clone()),
             wal,
+            wal_sync: OnceLock::new(),
             registry,
             io,
             recorder: config.recorder,
@@ -363,7 +368,6 @@ impl PageStore {
             flush_threshold: config.flush_threshold,
             page_size: config.page_size,
             durability: config.durability,
-            flush_interval: config.flush_interval,
             recovered_writes,
         })
     }
@@ -371,16 +375,6 @@ impl PageStore {
     /// Bytes per page.
     pub fn page_size(&self) -> usize {
         self.page_size
-    }
-
-    /// The WAL durability level the store was opened with.
-    pub fn durability(&self) -> Durability {
-        self.durability
-    }
-
-    /// The configured background flusher period, if any.
-    pub fn flush_interval(&self) -> Option<Duration> {
-        self.flush_interval
     }
 
     /// Acknowledged writes replayed from the WAL when the store was opened
@@ -597,6 +591,50 @@ impl PageStore {
         }
         self.io.page_deletes.inc();
         self.disk.free_page(page)
+    }
+
+    /// Hands the sync of a `GroupCommit` or `Strict` log to the caller,
+    /// who then syncs with [`PageStore::sync_wal`] (the server's contract,
+    /// [`crate::wal`] module docs). Returns whether there was such a log.
+    pub fn hand_off_wal_sync(&self) -> io::Result<bool> {
+        match self.wal.as_ref() {
+            Some(wal) if self.durability != Durability::Buffered => {
+                let _ = self.wal_sync.set(wal_guard(wal)?.hand_off_sync()?);
+                Ok(true)
+            }
+            _ => Ok(false),
+        }
+    }
+
+    /// Syncs a handed-off log up to its last append, outside the WAL mutex,
+    /// then publishes [`PageStore::wal_synced_len`]. `acks` counts the
+    /// acknowledgements the sync releases: the detail of its `WalFsync`
+    /// and `GroupCommit` spans, and a group commit when above one. A no-op
+    /// when nothing is unsynced or nothing was handed off. A failed sync
+    /// fails this and every later logged write and sync until the store
+    /// is reopened.
+    pub fn sync_wal(&self, acks: u64) -> io::Result<()> {
+        let (Some(wal), Some((file, fault))) = (self.wal.as_ref(), self.wal_sync.get()) else {
+            return Ok(());
+        };
+        let Some(len) = wal_guard(wal)?.unsynced()? else {
+            return Ok(());
+        };
+        let start_ns = self.recorder.clock().map(|clock| clock.now_nanos());
+        let synced = sync_log(file, fault);
+        wal_guard(wal)?.publish_sync(len, synced)?;
+        self.io.wal_syncs.inc();
+        self.io.group_commits.add(u64::from(acks > 1));
+        if let (Some(start_ns), Some(clock)) = (start_ns, self.recorder.clock()) {
+            let end_ns = clock.now_nanos();
+            self.recorder
+                .event(SpanKind::WalFsync, start_ns, end_ns, acks);
+            if acks > 1 {
+                self.recorder
+                    .event(SpanKind::GroupCommit, start_ns, end_ns, acks);
+            }
+        }
+        Ok(())
     }
 
     /// Writes back up to `max` dirty frames (marking them clean, keeping

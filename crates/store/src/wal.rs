@@ -35,6 +35,16 @@
 //! durability-level crash tests use as the truncation point that models a
 //! kernel crash losing OS-buffered log bytes.
 //!
+//! On a server, a log writer owns the sync of a `GroupCommit` or `Strict`
+//! log ([`crate::PageStore::hand_off_wal_sync`]): no append syncs, and a
+//! logged write is acknowledged only after a sync that started after its
+//! append succeeded, so *an acknowledged write is device-durable*. One sync
+//! in flight covers whatever was appended meanwhile, so `max_batch` and
+//! `max_wait` do not apply there. A failed sync fails the log closed: Linux
+//! may drop the unsynced pages, so a retry proves nothing, and replay keeps
+//! only the longest valid prefix, so one lost record would hide every later
+//! one. Every later append is refused until the store is reopened.
+//!
 //! # Replay
 //!
 //! [`Wal::open`] parses the longest valid prefix: it stops at the first
@@ -72,7 +82,9 @@ pub enum Durability {
     Buffered,
     /// Acknowledge immediately; sync once `max_batch` appends are pending
     /// or `max_wait` has elapsed since the last sync, whichever comes
-    /// first. One sync covers the whole pending group.
+    /// first. One sync covers the whole pending group. On a server, whose
+    /// log writer syncs instead (module docs), neither bound applies: the
+    /// group is whatever arrived during the previous sync.
     GroupCommit {
         /// Pending appends that force a sync.
         max_batch: usize,
@@ -80,7 +92,8 @@ pub enum Durability {
         /// append forces a sync.
         max_wait: Duration,
     },
-    /// Sync after every append.
+    /// Sync after every append. On a server, the log writer's syncs
+    /// (module docs) replace these, as for `GroupCommit`.
     Strict,
 }
 
@@ -156,6 +169,23 @@ pub struct Wal {
     pending: usize,
     last_sync: Instant,
     fault: FaultInjector,
+    /// Whether the sync was handed off: appends then never sync.
+    handed_off: bool,
+    /// Set by a failed handed-off sync: every later append is refused.
+    failed: bool,
+}
+
+/// What appending to, or syncing, a failed log returns.
+fn failed_log() -> io::Error {
+    io::Error::other("the log failed a sync: reopen the store")
+}
+
+/// Syncs `file`, unless `fault` fails the sync.
+pub(crate) fn sync_log(file: &File, fault: &FaultInjector) -> io::Result<()> {
+    if fault.decide(FaultPoint::WalSync, 0) != InjectedFault::None {
+        return Err(FaultInjector::error(FaultPoint::WalSync));
+    }
+    file.sync_data()
 }
 
 impl Wal {
@@ -224,6 +254,8 @@ impl Wal {
             pending: 0,
             last_sync: Instant::now(),
             fault,
+            handed_off: false,
+            failed: false,
         };
         Ok((wal, records))
     }
@@ -243,6 +275,9 @@ impl Wal {
     }
 
     fn append_record(&mut self, kind: u8, page: PageId, data: &[u8]) -> io::Result<AppendOutcome> {
+        if self.failed {
+            return Err(failed_log());
+        }
         let len = PAYLOAD_HEADER + data.len();
         let mut record = Vec::with_capacity(FRAME_LEN + len);
         record.extend_from_slice(&(len as u32).to_le_bytes());
@@ -268,14 +303,15 @@ impl Wal {
         self.len += record.len() as u64;
         self.records += 1;
         self.pending += 1;
-        let sync_now = match self.durability {
-            Durability::Buffered => false,
-            Durability::Strict => true,
-            Durability::GroupCommit {
-                max_batch,
-                max_wait,
-            } => self.pending >= max_batch || self.last_sync.elapsed() >= max_wait,
-        };
+        let sync_now = !self.handed_off
+            && match self.durability {
+                Durability::Buffered => false,
+                Durability::Strict => true,
+                Durability::GroupCommit {
+                    max_batch,
+                    max_wait,
+                } => self.pending >= max_batch || self.last_sync.elapsed() >= max_wait,
+            };
         let mut outcome = AppendOutcome {
             bytes: record.len() as u64,
             synced: false,
@@ -297,26 +333,40 @@ impl Wal {
     /// become durable under a later successful sync) but are *not*
     /// acknowledged as device-durable.
     pub fn sync(&mut self) -> io::Result<()> {
-        if self.fault.decide(FaultPoint::WalSync, 0) != InjectedFault::None {
-            return Err(FaultInjector::error(FaultPoint::WalSync));
-        }
-        self.file.sync_data()?;
+        sync_log(&self.file, &self.fault)?;
         self.synced_len = self.len;
         self.pending = 0;
         self.last_sync = Instant::now();
         Ok(())
     }
 
-    /// Syncs only if acknowledged appends are not yet device-durable.
-    /// Returns whether a sync was issued — checkpoints and shutdown use
-    /// this to close the group-commit window.
-    pub fn sync_pending(&mut self) -> io::Result<bool> {
-        if self.synced_len < self.len {
-            self.sync()?;
-            Ok(true)
-        } else {
-            Ok(false)
+    /// Hands the log's sync to the caller: no later append syncs, and the
+    /// caller syncs on the returned descriptor, between [`Wal::unsynced`]
+    /// and [`Wal::publish_sync`].
+    pub(crate) fn hand_off_sync(&mut self) -> io::Result<(File, FaultInjector)> {
+        let file = self.file.try_clone()?;
+        self.handed_off = true;
+        Ok((file, self.fault.clone()))
+    }
+
+    /// How far a handed-off sync starting now reaches; `None` if nothing
+    /// is unsynced.
+    pub(crate) fn unsynced(&self) -> io::Result<Option<u64>> {
+        if self.failed {
+            return Err(failed_log());
         }
+        Ok((self.synced_len < self.len).then_some(self.len))
+    }
+
+    /// Publishes a handed-off sync that reached `len`: a success advances
+    /// [`Wal::synced_len`] (within the log, should a checkpoint have cut
+    /// it meanwhile), a failure fails the log for good.
+    pub(crate) fn publish_sync(&mut self, len: u64, synced: io::Result<()>) -> io::Result<()> {
+        match synced {
+            Ok(()) => self.synced_len = self.synced_len.max(len).min(self.len),
+            Err(_) => self.failed = true,
+        }
+        synced
     }
 
     /// Empties the log (after a checkpoint has made its records redundant).
@@ -344,11 +394,6 @@ impl Wal {
     /// Records appended since open/truncate plus those recovered at open.
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// The log's durability level.
-    pub fn durability(&self) -> Durability {
-        self.durability
     }
 }
 
@@ -468,9 +513,12 @@ mod tests {
             assert!(!outcome.group_commit);
         }
         assert_eq!(wal.synced_len(), 0);
-        assert!(wal.sync_pending().unwrap(), "checkpoint closes the window");
-        assert_eq!(wal.synced_len(), wal.len_bytes());
-        assert!(!wal.sync_pending().unwrap(), "nothing left to sync");
+        wal.sync().unwrap();
+        assert_eq!(
+            wal.synced_len(),
+            wal.len_bytes(),
+            "an explicit sync closes the window"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

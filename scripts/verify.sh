@@ -155,14 +155,24 @@ run_benchmark --seconds 3 --traced
 # Each step of the request path has one owner. The frame reader is
 # wire::FrameBuf, so no receive loop drains a Vec per frame; the policy->store
 # mirror is PageStore::mirror, so the server never applies a policy verdict
-# to the store by hand.
-echo "== single-owner gates (frame reader, policy->store mirror) =="
+# to the store by hand; the WAL sync is the store's (PageStore::sync_wal, run
+# by each shard's log writer), and an acknowledgement waits for that sync and
+# nothing else.
+echo "== single-owner gates (frame reader, policy->store mirror, WAL sync) =="
 if grep -rnF '.drain(..consumed)' crates/server/src; then
     echo "verify: FAILED (a hand-rolled frame reader is back; use wire::FrameBuf)" >&2
     exit 1
 fi
 if grep -rnE 'store\.evict\(|store\.admit\(|\.write_through\(' crates/server/src; then
     echo "verify: FAILED (crates/server applies a policy verdict by hand; use PageStore::mirror)" >&2
+    exit 1
+fi
+if grep -rnE 'sync_data|sync_all' crates/server/src; then
+    echo "verify: FAILED (crates/server syncs a file itself; the log writer syncs through PageStore::sync_wal)" >&2
+    exit 1
+fi
+if grep -nE 'recv_timeout|AckPacer|DURABLE_ACK_SPACING' crates/server/src/server.rs; then
+    echo "verify: FAILED (a timed wait or the ack pacer is back in server.rs; acks wait only for the log writer's sync)" >&2
     exit 1
 fi
 
