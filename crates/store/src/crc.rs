@@ -51,6 +51,28 @@ const fn build_tables() -> [[u32; 256]; 8] {
 
 static TABLES: [[u32; 256]; 8] = build_tables();
 
+/// Slicing-by-8: folds `data` into the register `crc` eight bytes per step,
+/// then byte by byte for the last `len % 8` bytes.
+fn update_sliced(mut crc: u32, data: &[u8]) -> u32 {
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = TABLES[7][(lo & 0xff) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xff) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xff) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xff) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xff) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xff) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xff) as usize];
+    }
+    crc
+}
+
 /// Streaming CRC-32 state: feed byte slices with [`Crc32::update`], read the
 /// checksum with [`Crc32::finish`].
 #[derive(Debug, Clone, Copy)]
@@ -66,24 +88,7 @@ impl Crc32 {
 
     /// Folds `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        let mut chunks = data.chunks_exact(8);
-        for chunk in &mut chunks {
-            let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-            crc = TABLES[7][(lo & 0xff) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xff) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xff) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][(hi & 0xff) as usize]
-                ^ TABLES[2][((hi >> 8) & 0xff) as usize]
-                ^ TABLES[1][((hi >> 16) & 0xff) as usize]
-                ^ TABLES[0][(hi >> 24) as usize];
-        }
-        for &byte in chunks.remainder() {
-            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xff) as usize];
-        }
-        self.state = crc;
+        self.state = update_sliced(self.state, data);
     }
 
     /// The checksum over everything fed so far.
@@ -137,19 +142,48 @@ mod tests {
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
     }
 
+    /// The slicing-by-8 kernel called directly, so the fallback path is
+    /// covered on a CPU where `update` dispatches to carry-less multiply.
+    fn sliced_crc32(data: &[u8]) -> u32 {
+        !update_sliced(!0, data)
+    }
+
     #[test]
     fn every_short_length_and_misalignment_matches_the_reference() {
-        // 8 bytes of slack so that every start offset 0..8 inside the
-        // allocation (hence every alignment of the slice's first byte) is
-        // exercised at every length that straddles the 8-byte step.
-        let data = filler(64 + 8);
-        for offset in 0..8 {
-            for len in 0..=64 {
+        // 16 bytes of slack so that every start offset 0..16 inside the
+        // allocation (hence every alignment of the first byte against a
+        // 16-byte block) is exercised at every length up to 1 KiB, which
+        // straddles the 8-byte step, the 16-byte block and the 128-byte
+        // dispatch threshold.
+        let data = filler(1024 + 16);
+        for offset in 0..16 {
+            for len in 0..=1024 {
                 let slice = &data[offset..offset + len];
+                let expected = reference_crc32(slice);
+                assert_eq!(crc32(slice), expected, "offset {offset}, length {len}");
                 assert_eq!(
-                    crc32(slice),
-                    reference_crc32(slice),
-                    "offset {offset}, length {len}"
+                    sliced_crc32(slice),
+                    expected,
+                    "sliced: offset {offset}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn on_disk_sizes_match_the_reference() {
+        // A page, a disk slot's checksummed bytes (page id + page) and a WAL
+        // record's payload (kind + page id + page).
+        let data = filler(4105 + 16);
+        for len in [4096, 4104, 4105] {
+            for offset in 0..16 {
+                let slice = &data[offset..offset + len];
+                let expected = reference_crc32(slice);
+                assert_eq!(crc32(slice), expected, "offset {offset}, length {len}");
+                assert_eq!(
+                    sliced_crc32(slice),
+                    expected,
+                    "sliced: offset {offset}, length {len}"
                 );
             }
         }
@@ -157,14 +191,73 @@ mod tests {
 
     #[test]
     fn streaming_equals_one_shot() {
-        let data = filler(100);
+        // 300 bytes: splits on either side of the 128-byte dispatch
+        // threshold, with every tail length below 16.
+        let data = filler(300);
         let expected = reference_crc32(&data);
         for cut in 0..=data.len() {
             let mut streaming = Crc32::new();
             streaming.update(&data[..cut]);
             streaming.update(&data[cut..]);
             assert_eq!(streaming.finish(), expected, "split at {cut}");
+            let sliced = update_sliced(update_sliced(!0, &data[..cut]), &data[cut..]);
+            assert_eq!(!sliced, expected, "sliced: split at {cut}");
         }
+    }
+
+    /// A disk slot and a WAL record checksummed by the reference kernel,
+    /// written byte for byte in the documented formats, verify through the
+    /// store's own readers.
+    #[test]
+    fn files_checksummed_by_the_reference_verify() {
+        use crate::{DiskManager, Durability, FaultInjector, Wal, WalOp, WalRecord};
+        use cache_sim::PageId;
+
+        let page = PageId(0x0123_4567_89ab);
+        let bytes = filler(4096);
+        let dir = std::env::temp_dir();
+        let tag = std::process::id();
+
+        // Disk: file header, then slot 0 = [page id | crc | flags | page].
+        let disk_path = dir.join(format!("clic-crc-compat-{tag}.pages"));
+        let mut file = Vec::new();
+        file.extend_from_slice(b"CLICPGS1");
+        file.extend_from_slice(&4096u32.to_le_bytes());
+        file.extend_from_slice(&0u32.to_le_bytes());
+        let mut covered = page.0.to_le_bytes().to_vec();
+        covered.extend_from_slice(&bytes);
+        file.extend_from_slice(&page.0.to_le_bytes());
+        file.extend_from_slice(&reference_crc32(&covered).to_le_bytes());
+        file.extend_from_slice(&1u32.to_le_bytes());
+        file.extend_from_slice(&bytes);
+        std::fs::write(&disk_path, &file).unwrap();
+        let disk = DiskManager::open(&disk_path, 4096).unwrap();
+        let mut buf = vec![0u8; 4096];
+        assert!(disk.read_page(page, &mut buf).unwrap());
+        assert_eq!(buf, bytes);
+        drop(disk);
+        let _ = std::fs::remove_file(&disk_path);
+
+        // WAL: one record = [len | crc | kind 1 | page id | page].
+        let wal_path = dir.join(format!("clic-crc-compat-{tag}.wal"));
+        let mut payload = vec![1u8];
+        payload.extend_from_slice(&page.0.to_le_bytes());
+        payload.extend_from_slice(&bytes);
+        let mut log = Vec::new();
+        log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        log.extend_from_slice(&reference_crc32(&payload).to_le_bytes());
+        log.extend_from_slice(&payload);
+        std::fs::write(&wal_path, &log).unwrap();
+        let (_, records) =
+            Wal::open_with(&wal_path, Durability::Buffered, FaultInjector::disabled()).unwrap();
+        assert_eq!(
+            records,
+            vec![WalRecord {
+                page,
+                op: WalOp::Write(bytes),
+            }]
+        );
+        let _ = std::fs::remove_file(&wal_path);
     }
 
     proptest! {
