@@ -55,7 +55,8 @@
 //! checkpoint, which is what keeps the log short.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -173,6 +174,8 @@ pub struct Wal {
     handed_off: bool,
     /// Set by a failed handed-off sync: every later append is refused.
     failed: bool,
+    /// Scratch for the record being appended, reused by every append.
+    record: Vec<u8>,
 }
 
 /// What appending to, or syncing, a failed log returns.
@@ -256,6 +259,7 @@ impl Wal {
             fault,
             handed_off: false,
             failed: false,
+            record: Vec::new(),
         };
         Ok((wal, records))
     }
@@ -279,7 +283,8 @@ impl Wal {
             return Err(failed_log());
         }
         let len = PAYLOAD_HEADER + data.len();
-        let mut record = Vec::with_capacity(FRAME_LEN + len);
+        let record = &mut self.record;
+        record.clear();
         record.extend_from_slice(&(len as u32).to_le_bytes());
         record.extend_from_slice(&[0u8; 4]); // CRC patched below
         record.push(kind);
@@ -287,20 +292,22 @@ impl Wal {
         record.extend_from_slice(data);
         let crc = crc32(&record[FRAME_LEN..]);
         record[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.file.seek(SeekFrom::Start(self.len))?;
+        // One positioned write at `len`; it lands there because the log is
+        // not opened `O_APPEND`, which would make Linux ignore the offset.
         match self.fault.decide(FaultPoint::WalAppend, record.len()) {
-            InjectedFault::None => self.file.write_all(&record)?,
+            InjectedFault::None => self.file.write_all_at(record, self.len)?,
             InjectedFault::Torn(n) => {
                 // A torn append persists a garbage prefix but never
                 // advances `len`: the next append overwrites it, and if
                 // the process dies first, replay's longest-valid-prefix
                 // rule discards it — a crash mid-append in miniature.
-                self.file.write_all(&record[..n])?;
+                self.file.write_all_at(&record[..n], self.len)?;
                 return Err(FaultInjector::error(FaultPoint::WalAppend));
             }
             _ => return Err(FaultInjector::error(FaultPoint::WalAppend)),
         }
-        self.len += record.len() as u64;
+        let bytes = record.len() as u64;
+        self.len += bytes;
         self.records += 1;
         self.pending += 1;
         let sync_now = !self.handed_off
@@ -313,7 +320,7 @@ impl Wal {
                 } => self.pending >= max_batch || self.last_sync.elapsed() >= max_wait,
             };
         let mut outcome = AppendOutcome {
-            bytes: record.len() as u64,
+            bytes,
             synced: false,
             group_commit: false,
             batch: 0,
