@@ -876,6 +876,28 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_put_leaves_its_page_uncached() {
+        // The first WAL append fails; every later one succeeds.
+        let dir = std::env::temp_dir().join(format!("clic-server-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::StoreConfig::new(&dir, 16)
+            .with_page_size(128)
+            .with_fault_injector(FaultInjector::seeded(3).fault_at(FaultPoint::WalAppend, 0));
+        let server = Server::start(ServerConfig::new(8).with_store(store));
+        assert_eq!(
+            server.submit(&[put(1)])[0].error_code(),
+            Some(ErrorCode::Io)
+        );
+        assert!(!server.cache().stores()[0].contains_buffered(PageId(1)));
+        // The policy forgot the page too, so the read is a miss, not a hit
+        // on a frame the arena never installed.
+        assert_eq!(server.submit(&[get(1)])[0].hit(), Some(false));
+        assert_eq!(server.submit(&[get(1)])[0].hit(), Some(true));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn concurrent_clients_share_one_server_without_deadlock() {
         // Tiny queue depth to exercise back-pressure: four clients hammer
         // four shards with single-page batches.

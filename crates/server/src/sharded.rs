@@ -440,7 +440,18 @@ impl ShardedClic {
                 let outcome = shard.clic.access(req, seq);
                 outcomes.push(outcome);
                 shard.clic.drain_evictions(&mut evicted);
-                store.mirror(req, outcome, &mut evicted, payloads[i].as_deref(), &mut buf)?;
+                if let Err(err) =
+                    store.mirror(req, outcome, &mut evicted, payloads[i].as_deref(), &mut buf)
+                {
+                    // The store refused the page the policy just cached:
+                    // forget it, so the next access of it is a miss. A
+                    // resident page whose overwrite was refused stays
+                    // cached in both.
+                    if !store.contains_buffered(req.page) {
+                        shard.clic.invalidate(req.page);
+                    }
+                    return Err(err);
+                }
                 data_out.push(req.is_read().then(|| buf.clone()));
                 let Shard {
                     stats, per_client, ..
