@@ -176,6 +176,19 @@ if grep -nE 'recv_timeout|AckPacer|DURABLE_ACK_SPACING' crates/server/src/server
     exit 1
 fi
 
+# Unsafe code in the store lives in two places: the frame arena and the
+# CRC-32 kernel's dispatch, which runs the carry-less-multiply kernel only
+# on a CPU that is detected to support it.
+echo "== unsafe gate (crates/store: frame.rs and crc.rs only; crc.rs detects CPU features) =="
+if grep -rnw 'unsafe' crates/store/src | grep -vE '^crates/store/src/(frame|crc)\.rs:'; then
+    echo "verify: FAILED (unsafe in crates/store/src outside frame.rs and crc.rs)" >&2
+    exit 1
+fi
+if ! grep -q 'is_x86_feature_detected!' crates/store/src/crc.rs; then
+    echo "verify: FAILED (crc.rs lost its is_x86_feature_detected! dispatch)" >&2
+    exit 1
+fi
+
 # The event loop sleeps until it is woken (a socket, or a shard worker's
 # eventfd wake-up): no tick inside EventLoop, no sleep in the poller.
 echo "== wake-up gates (no timer in the event loop, no sleep in sys.rs) =="
