@@ -7,10 +7,10 @@
 //! (top-k, k = 100) adjudicating admission/eviction of the buffer frames
 //! and once with the LRU baseline. Each policy gets a fresh store in a
 //! temporary directory with the write-ahead log enabled and a deterministic
-//! inline flush threshold (no background flusher thread), so every counter
-//! in the output is bit-identical at any `--jobs` value. It stays until the
-//! benchmark gains a policy-quality workload that owns the CLIC-vs-LRU
-//! disk-read comparison (ROADMAP item 1(b)).
+//! inline flush threshold (write-back runs on the replaying thread), so
+//! every counter in the output is bit-identical at any `--jobs` value. It
+//! stays until the benchmark gains a policy-quality workload that owns the
+//! CLIC-vs-LRU disk-read comparison (ROADMAP item 1(b)).
 //!
 //! Two sweeps ride on the headline comparison:
 //!

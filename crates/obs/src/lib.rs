@@ -2,7 +2,7 @@
 //! and event tracing — dependency-free, and free when disabled.
 //!
 //! The policy work decides *what* to cache; the system grown around it
-//! (WAL, group commit, flusher, frame latches, sharded server) wins or
+//! (WAL, group commit, write-back, frame latches, sharded server) wins or
 //! loses on *time*. This crate is the measurement substrate the ROADMAP's
 //! remaining studies need: every runtime layer threads a [`Recorder`]
 //! through, and the benchmarks read percentiles and traces back out.
@@ -13,11 +13,11 @@
 //! |---|---|---|---|
 //! | [`Counter`] / [`Gauge`] | 1–2 relaxed atomic RMWs | 8–16 B | things you *add up*: requests served, WAL syncs, queue depth. Deterministic for a deterministic workload, so they can be asserted on and diffed across `--jobs` counts. |
 //! | [`LatencyHistogram`] | 4 relaxed atomic RMWs | ~15 KiB fixed | things you take *percentiles* of: batch service time, fsync stalls. Log-scaled (≤3% relative error, exact below 64), bounded memory no matter the sample count, exact merge. Timing-dependent, so never part of determinism checks. |
-//! | trace span ([`Recorder::span`]) | 2 clock reads + a push into a per-thread ring | capacity × 40 B per thread | *reconstructing interleavings*: which fsync stalled which shard batch, when the flusher pass ran. Fixed-capacity ring keeps the newest window; drain to JSON or a text timeline. The most expensive primitive — put it around operations that already do I/O or take locks, not in per-access loops. |
+//! | trace span ([`Recorder::span`]) | 2 clock reads + a push into a per-thread ring | capacity × 40 B per thread | *reconstructing interleavings*: which fsync stalled which shard batch, when a flush pass ran. Fixed-capacity ring keeps the newest window; drain to JSON or a text timeline. The most expensive primitive — put it around operations that already do I/O or take locks, not in per-access loops. |
 //!
 //! Rules of thumb: a counter when you will assert or sum it, a histogram
 //! when you will plot it, a span when you will *read* it to explain an
-//! interleaving. All three are cheap enough for the WAL/flusher/shard
+//! interleaving. All three are cheap enough for the WAL/flush/shard
 //! paths they instrument; none belong on the policy's per-access hot path
 //! (which is why the benchmark's `policy_tpcc` workload takes no recorder
 //! at all).

@@ -37,7 +37,8 @@ pub enum SpanKind {
     WalFsync,
     /// A group-commit sync amortizing several appends (detail: batch size).
     GroupCommit,
-    /// One background/inline flush pass (detail: pages written back).
+    /// One flush pass, inline or at a checkpoint (detail: pages written
+    /// back).
     FlushPass,
     /// A contended frame-latch acquisition — only recorded when the pin
     /// loop actually had to spin (detail: spin iterations).

@@ -135,10 +135,8 @@
 //! |-----:|---------------|---------|
 //! | 1 | `Io` | the data plane failed an I/O operation (read, write, or fsync) |
 //! | 2 | `Corrupt` | a page failed its CRC on read |
-//! | 4 | `Shutdown` | the server is shutting down |
-//! | 5 | `Internal` | unexpected server-side failure |
 //!
-//! Code 3 is unassigned and rejected like any unknown code. The server
+//! Codes 3, 4 and 5 are unassigned and rejected like any unknown code. The server
 //! never sheds load: saturation blocks (the in-flight window, the bounded
 //! shard queues) instead of answering, so no error response is worth
 //! resending. The client's [`RetryPolicy`] retries transport failures
@@ -195,7 +193,7 @@ pub use wire::WireError;
 // Re-exported so server embedders can configure the data plane without
 // depending on `clic-store` directly.
 pub use clic_store::{
-    Durability, FaultInjector, FaultPoint, PageStore, StoreConfig, StoreError, DEFAULT_PAGE_SIZE,
+    Durability, FaultInjector, FaultPoint, PageStore, StoreConfig, DEFAULT_PAGE_SIZE,
 };
 
 // Observability types appearing in this crate's public API

@@ -140,7 +140,8 @@ impl ServerRequest {
 ///
 /// The codes classify the failure, not its internal details: each says the
 /// request itself failed server-side, so none is worth resending as is.
-/// Byte 3 is unassigned; decoders reject it like any unknown code.
+/// Bytes 3, 4 and 5 are unassigned; decoders reject them like any
+/// unknown code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrorCode {
@@ -150,10 +151,6 @@ pub enum ErrorCode {
     /// Stored data failed integrity verification (a torn frame caught by
     /// CRC); the request could not be served from disk.
     Corrupt = 2,
-    /// The server is shutting down; the request was not served.
-    Shutdown = 4,
-    /// Any other server-side failure.
-    Internal = 5,
 }
 
 impl ErrorCode {
@@ -163,8 +160,6 @@ impl ErrorCode {
         match code {
             1 => Some(ErrorCode::Io),
             2 => Some(ErrorCode::Corrupt),
-            4 => Some(ErrorCode::Shutdown),
-            5 => Some(ErrorCode::Internal),
             _ => None,
         }
     }
@@ -184,8 +179,6 @@ impl ErrorCode {
         match self {
             ErrorCode::Io => "io",
             ErrorCode::Corrupt => "corrupt",
-            ErrorCode::Shutdown => "shutdown",
-            ErrorCode::Internal => "internal",
         }
     }
 }
@@ -337,15 +330,10 @@ mod tests {
 
     #[test]
     fn error_codes_round_trip_their_wire_byte() {
-        for code in [
-            ErrorCode::Io,
-            ErrorCode::Corrupt,
-            ErrorCode::Shutdown,
-            ErrorCode::Internal,
-        ] {
+        for code in [ErrorCode::Io, ErrorCode::Corrupt] {
             assert_eq!(ErrorCode::from_u8(code as u8), Some(code));
         }
-        for unassigned in [0, 3, 6] {
+        for unassigned in [0, 3, 4, 5, 6] {
             assert_eq!(ErrorCode::from_u8(unassigned), None);
         }
         let torn = std::io::Error::new(std::io::ErrorKind::InvalidData, "torn frame");

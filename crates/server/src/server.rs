@@ -19,12 +19,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 use cache_sim::{IoStats, Request, SimulationResult, REPLAY_CHUNK};
 use clic_core::ClicConfig;
 use clic_obs::{Gauge, MetricsSnapshot, Recorder, SpanKind};
-use clic_store::{Durability, PageStore, StoreConfig, StoreError};
+use clic_store::{Durability, PageStore, StoreConfig};
 
 use crate::protocol::{ErrorCode, ServerRequest, ServerResponse, StatsSnapshot};
 use crate::sharded::{ShardedClic, ShardedClicConfig};
@@ -37,10 +36,6 @@ pub const QUEUE_DEPTH_GAUGE: &str = "server.queue_depth";
 /// Histogram name for per-sub-batch shard-worker service time in
 /// microseconds (dequeue to last reply sent).
 pub const BATCH_SERVICE_HISTOGRAM: &str = "server.batch_service_us";
-
-/// How long [`Server::try_shutdown`] waits for the background flusher to
-/// acknowledge its stop before declaring the disk wedged.
-const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Configuration for a [`Server`].
 #[derive(Debug, Clone)]
@@ -609,24 +604,16 @@ impl Server {
         self.cache.io_stats()
     }
 
-    /// Stops the workers (draining their queues), stops the background
-    /// flusher within a bounded wait (30 s), checkpoints every shard store —
-    /// the clean-shutdown durability point — and returns the final
-    /// statistics. Merely *dropping* the server stops the workers but skips
-    /// the checkpoint, modelling a crash: acknowledged writes then recover
-    /// from the per-shard WALs when the stores are next opened.
+    /// Stops the workers (draining their queues, and with them their log
+    /// writers), checkpoints every shard store — the clean-shutdown
+    /// durability point — and returns the final statistics. Merely
+    /// *dropping* the server stops the workers but skips the checkpoint,
+    /// modelling a crash: acknowledged writes then recover from the
+    /// per-shard WALs when the stores are next opened.
     ///
-    /// Errors surface as [`StoreError`]: a wedged disk shows up as
-    /// [`StoreError::ShutdownTimeout`] instead of hanging the caller
-    /// forever.
-    pub fn try_shutdown(mut self) -> Result<SimulationResult, StoreError> {
+    /// Fails with the checkpoint's I/O error (a failed write-back or sync).
+    pub fn try_shutdown(mut self) -> std::io::Result<SimulationResult> {
         self.stop_workers();
-        // The workers are joined, so their Arcs are gone and the cache is
-        // uniquely held — unless a caller keeps its own clone, in which
-        // case the flusher is stopped by drop (unbounded) instead.
-        if let Some(cache) = Arc::get_mut(&mut self.cache) {
-            cache.stop_flusher_timeout(SHUTDOWN_TIMEOUT)?;
-        }
         self.cache.checkpoint_store()?;
         Ok(self.cache.snapshot())
     }
@@ -893,6 +880,31 @@ mod tests {
         // on a frame the arena never installed.
         assert_eq!(server.submit(&[get(1)])[0].hit(), Some(false));
         assert_eq!(server.submit(&[get(1)])[0].hit(), Some(true));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_delete_keeps_the_last_acknowledged_write() {
+        // The put's WAL append succeeds; the delete's, the second, fails.
+        let dir =
+            std::env::temp_dir().join(format!("clic-server-refused-delete-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::StoreConfig::new(&dir, 16)
+            .with_page_size(128)
+            .with_fault_injector(FaultInjector::seeded(3).fault_at(FaultPoint::WalAppend, 1));
+        let server = Server::start(ServerConfig::new(8).with_shards(1).with_store(store));
+        assert!(server.submit(&[put(1)])[0].hit().is_some());
+        let delete = ServerRequest::Delete { page: PageId(1) };
+        assert_eq!(
+            server.submit(&[delete])[0].error_code(),
+            Some(ErrorCode::Io)
+        );
+        // The dirty frame of the put was never flushed, so only the arena
+        // holds its bytes: the read must hit it, not the empty disk slot.
+        let read = server.submit(&[get(1)]);
+        assert_eq!(read[0].hit(), Some(true));
+        assert_eq!(read[0].data(), Some(&[7u8; 128][..]));
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

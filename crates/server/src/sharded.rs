@@ -17,7 +17,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use cache_sim::policy::AccessOutcome;
 use cache_sim::sync::recover_lock;
@@ -27,7 +26,7 @@ use cache_sim::{
 };
 use clic_core::{Clic, ClicConfig};
 use clic_obs::{MetricsSnapshot, Recorder, SpanKind};
-use clic_store::{Flusher, PageStore, StoreConfig, StoreResult};
+use clic_store::{PageStore, StoreConfig};
 
 /// Configuration for a [`ShardedClic`].
 #[derive(Debug, Clone)]
@@ -150,16 +149,13 @@ pub struct ShardedClic {
     merges_completed: AtomicU64,
     total_capacity: usize,
     /// The data plane, when configured: one store per shard (same indexing
-    /// as `shards`), held *outside* the shard mutexes and shared with an
-    /// optional background [`Flusher`]. Pages are partitioned across shards,
-    /// so operations on a page are serialized by its owning shard's lock;
-    /// the stores' internal latches only mediate between a shard and the
-    /// flusher. Empty when no store is attached.
+    /// as `shards`), held *outside* the shard mutexes and shared with each
+    /// shard's log writer. Pages are partitioned across shards, so
+    /// operations on a page are serialized by its owning shard's lock.
+    /// Dirty frames are written back inline, on evictions, and at
+    /// [`ShardedClic::checkpoint_store`]; a plain drop flushes nothing and
+    /// models a crash. Empty when no store is attached.
     stores: Vec<Arc<PageStore>>,
-    /// Background write-back thread over *all* shard stores; joined on drop
-    /// (without flushing — a plain drop models a crash,
-    /// [`ShardedClic::checkpoint_store`] models a clean shutdown).
-    flusher: Option<Flusher>,
     /// The observability handle ([`ShardedClicConfig::recorder`]); shared
     /// with every shard store when enabled.
     recorder: Recorder,
@@ -215,35 +211,26 @@ impl ShardedClic {
                 })
             })
             .collect();
-        let (stores, flusher) = match config.store {
-            Some(store_config) => {
-                let mut stores: Vec<Arc<PageStore>> = Vec::with_capacity(config.shards);
-                for (i, &shard_capacity) in capacities.iter().enumerate() {
-                    let mut shard_store = store_config.for_shard(i, config.shards);
-                    if config.recorder.is_enabled() {
-                        // One recorder across the cache and every shard
-                        // store: spans land in one trace and metrics in
-                        // one registry.
-                        shard_store.recorder = config.recorder.clone();
-                    }
-                    // Each shard store must hold at least one frame per
-                    // cache page of its shard, or admissions could
-                    // outrun it; a configured frame budget is split
-                    // across the shards.
-                    shard_store.frames = shard_store
-                        .frames
-                        .div_ceil(config.shards)
-                        .max(shard_capacity)
-                        .max(1);
-                    stores.push(Arc::new(PageStore::open(shard_store)?));
+        let mut stores: Vec<Arc<PageStore>> = Vec::new();
+        if let Some(store_config) = config.store {
+            for (i, &shard_capacity) in capacities.iter().enumerate() {
+                let mut shard_store = store_config.for_shard(i, config.shards);
+                if config.recorder.is_enabled() {
+                    // One recorder across the cache and every shard store:
+                    // spans land in one trace and metrics in one registry.
+                    shard_store.recorder = config.recorder.clone();
                 }
-                let flusher = store_config
-                    .flush_interval
-                    .map(|interval| Flusher::start(stores.clone(), interval));
-                (stores, flusher)
+                // Each shard store must hold at least one frame per cache
+                // page of its shard, or admissions could outrun it; a
+                // configured frame budget is split across the shards.
+                shard_store.frames = shard_store
+                    .frames
+                    .div_ceil(config.shards)
+                    .max(shard_capacity)
+                    .max(1);
+                stores.push(Arc::new(PageStore::open(shard_store)?));
             }
-            None => (Vec::new(), None),
-        };
+        }
         Ok(ShardedClic {
             shards,
             sequencer: AtomicU64::new(0),
@@ -251,7 +238,6 @@ impl ShardedClic {
             merges_completed: AtomicU64::new(0),
             total_capacity: config.capacity,
             stores,
-            flusher,
             recorder: config.recorder,
         })
     }
@@ -471,6 +457,8 @@ impl ShardedClic {
     /// data plane attached, the shard store drops the page's bytes — frame
     /// discarded without write-back, WAL delete record, disk slot freed.
     /// Returns whether the server held the page anywhere (cache or disk).
+    /// A delete the store refuses leaves a page it still buffers cached,
+    /// so the last acknowledged write keeps serving reads.
     ///
     /// A delete is not an access: no sequence number is drawn, statistics
     /// and hint learning are untouched, and it never triggers a priority
@@ -479,14 +467,24 @@ impl ShardedClic {
     pub fn delete(&self, page: PageId) -> io::Result<bool> {
         let shard_idx = self.shard_of(page);
         let mut shard = recover_lock(&self.shards[shard_idx]);
-        let cached = shard.clic.invalidate(page);
         let on_disk = match self.stores.get(shard_idx) {
             // The store delete runs under the shard lock like every other
             // per-page store operation, satisfying PageStore's caller
-            // contract that same-page operations are serialized.
-            Some(store) => store.delete(page)?,
+            // contract that same-page operations are serialized. It runs
+            // before the policy forgets the page: as for a refused
+            // `mirror`, the policy keeps what the arena still holds.
+            Some(store) => match store.delete(page) {
+                Ok(on_disk) => on_disk,
+                Err(err) => {
+                    if !store.contains_buffered(page) {
+                        shard.clic.invalidate(page);
+                    }
+                    return Err(err);
+                }
+            },
             None => false,
         };
+        let cached = shard.clic.invalidate(page);
         Ok(cached || on_disk)
     }
 
@@ -554,17 +552,6 @@ impl ShardedClic {
             flushed += store.checkpoint()?;
         }
         Ok(flushed)
-    }
-
-    /// Stops the background flusher, waiting at most `timeout`: a flush pass
-    /// wedged in the kernel (dying disk) surfaces as
-    /// [`clic_store::StoreError::ShutdownTimeout`] instead of hanging
-    /// shutdown forever. A no-op without a flusher.
-    pub fn stop_flusher_timeout(&mut self, timeout: Duration) -> StoreResult<()> {
-        match self.flusher.as_mut() {
-            Some(flusher) => flusher.stop_timeout(timeout),
-            None => Ok(()),
-        }
     }
 
     /// Returns `true` if `page` is currently cached (in its shard).

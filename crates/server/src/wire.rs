@@ -800,7 +800,7 @@ mod tests {
             ServerResponse::Put { hit: true },
             ServerResponse::Delete { existed: false },
             ServerResponse::Error {
-                code: ErrorCode::Shutdown,
+                code: ErrorCode::Io,
             },
             ServerResponse::Error {
                 code: ErrorCode::Corrupt,

@@ -26,7 +26,7 @@
 //!   guard is exclusive (no other guard of either kind); acquiring a guard
 //!   latches the frame and dropping it releases; eviction write-latches the
 //!   frame and unpublishes it from the directory before handing its bytes
-//!   out, and the flusher holds a read latch while writing back.
+//!   out, and a flush pass holds a read latch while writing back.
 //! * [`Wal`] ([`wal`]) — an optional write-ahead log with selectable
 //!   [`Durability`].
 //!
@@ -56,12 +56,12 @@
 //!   verdict is applied to those frames — evict the victims, then read and
 //!   admit, or stage, or write through — for every driver, offline or
 //!   online.
-//! * [`Flusher`] ([`flusher`]) — a background thread calling
-//!   [`PageStore::flush_some`] on an interval — across *all* of a server's
-//!   shard stores — a fixed batch of frames per pass, so dirty pages drain
-//!   without stalling the request path. [`Flusher::stop_timeout`] bounds
-//!   shutdown against a wedged disk, surfacing
-//!   [`StoreError::ShutdownTimeout`] instead of hanging.
+//!
+//!   **Write-back** runs on the caller's thread; the store spawns no
+//!   threads. A staging call runs [`PageStore::flush_some`] inline once
+//!   [`StoreConfig::flush_threshold`] dirty frames accumulate, a dirty
+//!   eviction writes its departing frame back, and a checkpoint flushes
+//!   every dirty frame through the same [`PageStore::flush_some`].
 //! * [`replay_storage`] ([`replay`]) — the offline driver: replays a trace
 //!   through any [`cache_sim::CachePolicy`] while moving real bytes through
 //!   a store, handing each outcome and the policy's eviction-identity log
@@ -80,7 +80,7 @@
 //! [`PageStore::io_stats`] and [`PageStore::metrics`] are two views of the
 //! same atomics. An enabled [`Recorder`] ([`StoreConfig::with_recorder`])
 //! additionally captures trace spans — WAL append/fsync/group-commit
-//! windows, flusher passes, contended frame-latch waits — and the replay's
+//! windows, flush passes, contended frame-latch waits — and the replay's
 //! per-chunk latency histogram ([`REPLAY_CHUNK_HISTOGRAM`]); disabled (the
 //! default) it costs one `Option` check per site.
 //!
@@ -122,8 +122,8 @@
 //! [`PageStore::stage`] and never after them. Poisoned locks are either
 //! recovered ([`cache_sim::recover_lock`] — for counters and signalling
 //! where the invariant is trivially intact) or surfaced as
-//! [`StoreError::LockPoisoned`] ([`cache_sim::checked_lock`] — for the WAL,
-//! whose offset invariant a panicked holder could have broken).
+//! an [`std::io::Error`] ([`cache_sim::checked_lock`] — for the WAL, whose
+//! offset invariant a panicked holder could have broken).
 //!
 //! This crate denies `clippy::disallowed_methods` with a `clippy.toml` that
 //! bans bare `Mutex::lock`/`RwLock::read`/`RwLock::write` — every
@@ -157,9 +157,7 @@
 
 pub mod crc;
 pub mod disk;
-pub mod error;
 pub mod fault;
-pub mod flusher;
 pub mod frame;
 pub mod replay;
 pub mod store;
@@ -167,9 +165,7 @@ pub mod wal;
 
 pub use crc::{crc32, Crc32};
 pub use disk::{AllocationBitmap, DiskManager, ShardedBitmap};
-pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjector, FaultPoint, InjectedFault, FAULT_POINTS, INJECTED_FAULT};
-pub use flusher::Flusher;
 pub use frame::{EvictGuard, FrameArena, PageReadGuard, PageWriteGuard};
 pub use replay::{
     page_payload, replay_storage, replay_storage_partitioned, StorageReplayReport,

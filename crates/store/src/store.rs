@@ -14,8 +14,8 @@
 //!   installed dirty;
 //! * evicting a dirty page writes it back straight from the departing
 //!   frame's [`EvictGuard`](crate::frame::EvictGuard) bytes;
-//! * flush passes serialize on a dedicated flush mutex (so the background
-//!   flusher and inline threshold flushes do not double-write) but take
+//! * flush passes serialize on a dedicated flush mutex (so inline
+//!   threshold flushes on different threads do not double-write) but take
 //!   only per-frame read pins while writing back;
 //! * a checkpoint flushes everything, syncs the data file, and truncates
 //!   the WAL.
@@ -28,7 +28,6 @@ use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
 use cache_sim::policy::AccessOutcome;
 use cache_sim::sync::{checked_lock, recover_lock};
@@ -36,7 +35,6 @@ use cache_sim::{IoStats, PageId, Request};
 use clic_obs::{Counter, MetricsRegistry, MetricsSnapshot, Recorder, SpanKind};
 
 use crate::disk::DiskManager;
-use crate::error::StoreError;
 use crate::fault::FaultInjector;
 use crate::frame::FrameArena;
 use crate::replay::page_payload;
@@ -45,8 +43,8 @@ use crate::wal::{sync_log, Durability, Wal};
 /// The paper-typical page size: 4 KiB.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
-/// Dirty frames written back per flush pass, inline or background.
-pub(crate) const FLUSH_BATCH: usize = 64;
+/// Dirty frames written back per inline flush pass.
+const FLUSH_BATCH: usize = 64;
 
 /// Configuration for a [`PageStore`].
 #[derive(Debug, Clone)]
@@ -68,13 +66,8 @@ pub struct StoreConfig {
     pub durability: Durability,
     /// When non-zero, a staging call that finds at least this many dirty
     /// frames flushes a batch *inline* — deterministic write-back, used by
-    /// the benchmarks. Zero leaves write-back to evictions, checkpoints, and
-    /// the background [`crate::Flusher`].
+    /// the benchmarks. Zero leaves write-back to evictions and checkpoints.
     pub flush_threshold: usize,
-    /// Background flusher period, when the embedding layer (e.g. the server
-    /// cache) is asked to run one. The store itself does not spawn threads;
-    /// see [`crate::Flusher`].
-    pub flush_interval: Option<Duration>,
     /// Observability handle: trace spans (WAL append/fsync, group commit,
     /// flush passes, frame-latch waits) and latency histograms record here
     /// when enabled. Disabled by default, which costs nothing — the
@@ -90,7 +83,7 @@ pub struct StoreConfig {
 impl StoreConfig {
     /// A write-back store with `frames` buffer frames of
     /// [`DEFAULT_PAGE_SIZE`] bytes under `dir`, WAL on at
-    /// [`Durability::Buffered`], no inline or background flushing.
+    /// [`Durability::Buffered`], no inline flushing.
     pub fn new(dir: impl AsRef<Path>, frames: usize) -> Self {
         StoreConfig {
             dir: dir.as_ref().to_path_buf(),
@@ -99,7 +92,6 @@ impl StoreConfig {
             wal: true,
             durability: Durability::Buffered,
             flush_threshold: 0,
-            flush_interval: None,
             recorder: Recorder::disabled(),
             fault: FaultInjector::disabled(),
         }
@@ -126,13 +118,6 @@ impl StoreConfig {
     /// Sets the inline flush threshold (0 disables inline flushing).
     pub fn with_flush_threshold(mut self, threshold: usize) -> Self {
         self.flush_threshold = threshold;
-        self
-    }
-
-    /// Sets the background flusher period (picked up by embedding layers
-    /// that spawn a [`crate::Flusher`]).
-    pub fn with_flush_interval(mut self, interval: Duration) -> Self {
-        self.flush_interval = Some(interval);
         self
     }
 
@@ -262,9 +247,9 @@ impl IoCounters {
 /// write-back with optional WAL, forced flush on dirty eviction.
 ///
 /// `Sync` with no store-wide lock — share it behind an `Arc` between
-/// request threads and a [`crate::Flusher`]. Callers must serialize
-/// operations on the *same* page (the sharded server does: one worker owns
-/// each page's shard); operations on distinct pages run concurrently.
+/// request threads. Callers must serialize operations on the *same* page
+/// (the sharded server does: one worker owns each page's shard);
+/// operations on distinct pages run concurrently.
 pub struct PageStore {
     disk: DiskManager,
     arena: FrameArena,
@@ -279,7 +264,7 @@ pub struct PageStore {
     io: IoCounters,
     /// Trace spans and histograms; zero-cost when disabled.
     recorder: Recorder,
-    /// Serializes flush passes (inline-threshold and background), so two
+    /// Serializes flush passes (inline threshold and checkpoint), so two
     /// passes never double-write the same dirty set.
     flush_pass: Mutex<()>,
     flush_threshold: usize,
@@ -301,7 +286,7 @@ impl std::fmt::Debug for PageStore {
 /// Locks the WAL, surfacing poison as a clean I/O error instead of a
 /// cascading panic.
 fn wal_guard(wal: &Mutex<Wal>) -> io::Result<MutexGuard<'_, Wal>> {
-    checked_lock(wal).map_err(|poisoned| io::Error::from(StoreError::from(poisoned)))
+    checked_lock(wal).map_err(io::Error::other)
 }
 
 impl PageStore {
@@ -565,19 +550,19 @@ impl PageStore {
         }
     }
 
-    /// Deletes `page` from the store: any resident frame is discarded
-    /// *without* write-back (deleted bytes must not resurrect via a flush),
-    /// a WAL delete record is appended when the log is on (so crash
-    /// recovery replays the delete instead of resurrecting the page from an
-    /// earlier staged write), and the page is freed in the backing file.
-    /// Returns whether the backing file held the page.
+    /// Deletes `page` from the store: a WAL delete record is appended when
+    /// the log is on (so crash recovery replays the delete instead of
+    /// resurrecting the page from an earlier staged write), then any
+    /// resident frame is discarded *without* write-back (deleted bytes must
+    /// not resurrect via a flush), and the page is freed in the backing
+    /// file. Returns whether the backing file held the page.
+    ///
+    /// A refused append leaves the page as it was: its frame, dirty or
+    /// not, stays resident, so the last acknowledged write still reads.
     ///
     /// Same caller contract as every other per-page operation: operations
     /// on the same page must be serialized by the caller.
     pub fn delete(&self, page: PageId) -> io::Result<bool> {
-        // Evict first: the guard drains pins, so no concurrent flush pass
-        // can still be holding the frame to write it back after the free.
-        let _ = self.arena.evict(page);
         if let Some(wal) = self.wal.as_ref() {
             let outcome = wal_guard(wal)?.append_delete(page)?;
             self.io.wal_records.inc();
@@ -589,6 +574,10 @@ impl PageStore {
                 self.io.group_commits.inc();
             }
         }
+        // Evict before the free: the guard drains pins, so no concurrent
+        // flush pass can still be holding the frame to write it back after
+        // the slot is freed.
+        let _ = self.arena.evict(page);
         self.io.page_deletes.inc();
         self.disk.free_page(page)
     }
@@ -638,9 +627,10 @@ impl PageStore {
     }
 
     /// Writes back up to `max` dirty frames (marking them clean, keeping
-    /// them resident). Returns how many were flushed. This is the background
-    /// [`crate::Flusher`]'s entry point; passes serialize on the flush
-    /// mutex but hold only per-frame read pins while writing.
+    /// them resident). Returns how many were flushed. The one write-back
+    /// routine: the inline threshold and checkpoints both run it. Passes
+    /// serialize on the flush mutex but hold only per-frame read pins
+    /// while writing.
     pub fn flush_some(&self, max: usize) -> io::Result<usize> {
         let _pass = recover_lock(&self.flush_pass);
         let mut span = self.recorder.span(SpanKind::FlushPass);
@@ -663,7 +653,7 @@ impl PageStore {
             flushed += 1;
         }
         if flushed == 0 {
-            // Idle flusher wake-ups would otherwise flood the trace ring.
+            // Empty passes would otherwise flood the trace ring.
             span.cancel();
         } else {
             span.set_detail(flushed as u64);
@@ -755,6 +745,7 @@ impl PageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -896,6 +887,23 @@ mod tests {
             "replayed delete must not resurrect the staged write"
         );
         assert_eq!(store.read(PageId(1), &mut out).unwrap(), ReadSource::Zero);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_poisoned_wal_fails_writes_with_an_io_error() {
+        let dir = temp_dir("poison");
+        let store = PageStore::open(StoreConfig::new(&dir, 4).with_page_size(32)).unwrap();
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _wal = checked_lock(store.wal.as_ref().unwrap()).unwrap();
+                panic!("poison the WAL mutex");
+            });
+            assert!(holder.join().is_err());
+        });
+        let err = store.stage(PageId(1), &payload(1, 32)).unwrap_err();
+        assert!(err.to_string().contains("poisoned"), "{err}");
+        assert!(!store.contains_buffered(PageId(1)), "nothing was staged");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

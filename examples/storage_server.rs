@@ -4,10 +4,13 @@
 //! Three DB2 TPC-C clients (the Figure 11 mix) drive a sharded CLIC server
 //! concurrently, one closed-loop client thread each — and the server runs
 //! over its real data plane: a disk-backed page store with a write-ahead
-//! log and a background flusher, so every `Put` stages actual page bytes
-//! and every `Get` returns them. The harness reports throughput, batch
-//! latency percentiles, per-client hit ratios, and the byte-level I/O the
-//! store performed; a single-threaded CLIC simulation of the equivalent
+//! log, so every `Put` stages actual page bytes and every `Get` returns
+//! them. Dirty frames are written back inline: a staging call that finds
+//! the flush threshold's worth of dirty frames writes a batch back before
+//! it returns, and evictions write back their own dirty frames. The
+//! harness reports throughput, batch latency percentiles, per-client hit
+//! ratios, and the byte-level I/O the store performed, including the
+//! pages flushed; a single-threaded CLIC simulation of the equivalent
 //! interleaved trace shows how faithfully the sharded online deployment
 //! tracks the offline policy. The example ends by reopening the store to
 //! verify the shutdown checkpoint persisted the written pages, then
@@ -20,13 +23,14 @@
 //! cargo run --release --example storage_server
 //! ```
 
-use std::time::Duration;
-
 use clic::prelude::*;
 
 /// Small pages keep the example's scratch files tiny; the store's default
 /// is 4 KiB.
 const PAGE_SIZE: usize = 512;
+
+/// Dirty frames per shard store that trigger an inline write-back pass.
+const FLUSH_THRESHOLD: usize = 128;
 
 fn main() {
     let scale = PresetScale::Smoke;
@@ -49,13 +53,13 @@ fn main() {
     let window = suggested_window(total);
 
     // The data plane: a disk-backed store whose buffer frames the policy
-    // adjudicates. The WAL makes acknowledged writes crash-safe; a
-    // background flusher trickles dirty frames to disk every 10 ms.
+    // adjudicates. The WAL makes acknowledged writes crash-safe; the
+    // inline flush threshold keeps each shard's dirty frames bounded.
     let store_dir = std::env::temp_dir().join(format!("clic-example-store-{}", std::process::id()));
     std::fs::remove_dir_all(&store_dir).ok();
     let store_config = StoreConfig::new(&store_dir, cache_pages)
         .with_page_size(PAGE_SIZE)
-        .with_flush_interval(Duration::from_millis(10));
+        .with_flush_threshold(FLUSH_THRESHOLD);
 
     let config = LoadConfig::new(
         ServerConfig::new(cache_pages)
@@ -131,7 +135,7 @@ fn main() {
             io.buffer_hit_ratio() * 100.0
         );
         println!(
-            "flusher/WAL: {} pages flushed ({} forced by eviction), {} WAL records",
+            "write-back/WAL: {} pages flushed ({} forced by eviction), {} WAL records",
             io.pages_flushed, io.eviction_flushes, io.wal_records
         );
     }

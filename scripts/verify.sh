@@ -158,7 +158,7 @@ run_benchmark --seconds 3 --traced
 # to the store by hand; the WAL sync is the store's (PageStore::sync_wal, run
 # by each shard's log writer), and an acknowledgement waits for that sync and
 # nothing else.
-echo "== single-owner gates (frame reader, policy->store mirror, WAL sync) =="
+echo "== single-owner gates (frame reader, policy->store mirror, WAL sync, write-back) =="
 if grep -rnF '.drain(..consumed)' crates/server/src; then
     echo "verify: FAILED (a hand-rolled frame reader is back; use wire::FrameBuf)" >&2
     exit 1
@@ -173,6 +173,14 @@ if grep -rnE 'sync_data|sync_all' crates/server/src; then
 fi
 if grep -nE 'recv_timeout|AckPacer|DURABLE_ACK_SPACING' crates/server/src/server.rs; then
     echo "verify: FAILED (a timed wait or the ack pacer is back in server.rs; acks wait only for the log writer's sync)" >&2
+    exit 1
+fi
+# Write-back has one owner too: PageStore::flush_some, run inline by the
+# flush threshold and by checkpoints. The store spawns no threads (its tests
+# use thread::scope), and no background flusher or its stop timeout returns.
+if grep -rnE 'thread::spawn|Flusher|flush_interval|ShutdownTimeout' \
+        crates/store/src crates/server/src/sharded.rs; then
+    echo "verify: FAILED (a background flusher is back; write-back runs inline through PageStore::flush_some)" >&2
     exit 1
 fi
 

@@ -24,7 +24,7 @@
 //!   coordinated-omission-safe latency measurement,
 //! * [`store`] ([`clic_store`]) — the data plane behind the server: a
 //!   disk-backed page store (one per server shard) with latched buffer
-//!   frames, dirty tracking, a background flusher, and a write-ahead log
+//!   frames, dirty tracking, inline write-back, and a write-ahead log
 //!   with selectable durability (buffered, group commit, or strict), so
 //!   `Put`/`Get` move real bytes and acknowledged writes survive a crash,
 //! * [`obs`] ([`clic_obs`]) — the observability layer threaded through the
@@ -126,7 +126,7 @@ pub mod prelude {
     };
     pub use clic_store::{
         page_payload, replay_storage, replay_storage_partitioned, Durability, PageStore,
-        StorageReplayReport, StoreConfig, StoreError, DEFAULT_PAGE_SIZE,
+        StorageReplayReport, StoreConfig, DEFAULT_PAGE_SIZE,
     };
     pub use stream_stats::{FrequencyEstimator, SpaceSaving};
     pub use trace_gen::{
