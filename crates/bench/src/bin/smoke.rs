@@ -159,7 +159,6 @@ fn instrumented_replay(
     let dir = scratch_dir(&format!("replay-j{jobs}"));
     let config = StoreConfig::new(&dir, cache_pages)
         .with_page_size(OBS_PAGE_SIZE)
-        .with_wal(true)
         .with_flush_threshold((cache_pages / 4).max(1))
         .with_recorder(recorder.clone());
     let factory = (
@@ -309,7 +308,6 @@ fn obs(ctx: &ExperimentContext) -> io::Result<JsonValue> {
         let dir = scratch_dir(&format!("mock-{tag}"));
         let config = StoreConfig::new(&dir, cache_pages)
             .with_page_size(OBS_PAGE_SIZE)
-            .with_wal(true)
             .with_flush_threshold((cache_pages / 4).max(1))
             .with_recorder(recorder.clone());
         let store = PageStore::open(config)?;

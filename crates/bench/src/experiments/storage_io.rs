@@ -87,7 +87,6 @@ fn scratch_config(label: &str, cache_pages: usize, durability: Durability) -> St
     fs::remove_dir_all(&dir).ok();
     StoreConfig::new(&dir, cache_pages)
         .with_page_size(PAGE_SIZE)
-        .with_wal(true)
         .with_durability(durability)
         // Deterministic write-back: flush inline once a quarter of the
         // frames are dirty instead of from a background thread.

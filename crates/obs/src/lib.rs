@@ -2,8 +2,8 @@
 //! and event tracing — dependency-free, and free when disabled.
 //!
 //! The policy work decides *what* to cache; the system grown around it
-//! (WAL, group commit, write-back, frame latches, sharded server) wins or
-//! loses on *time*. This crate is the measurement substrate the ROADMAP's
+//! (WAL, group commit, write-back, sharded server) wins or loses on
+//! *time*. This crate is the measurement substrate the ROADMAP's
 //! remaining studies need: every runtime layer threads a [`Recorder`]
 //! through, and the benchmarks read percentiles and traces back out.
 //!

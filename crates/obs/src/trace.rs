@@ -40,9 +40,6 @@ pub enum SpanKind {
     /// One flush pass, inline or at a checkpoint (detail: pages written
     /// back).
     FlushPass,
-    /// A contended frame-latch acquisition — only recorded when the pin
-    /// loop actually had to spin (detail: spin iterations).
-    FrameLatchWait,
     /// One shard worker batch, dequeue to reply (detail: requests in the
     /// batch).
     ShardBatch,
@@ -56,12 +53,11 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in display order.
-    pub const ALL: [SpanKind; 8] = [
+    pub const ALL: [SpanKind; 7] = [
         SpanKind::WalAppend,
         SpanKind::WalFsync,
         SpanKind::GroupCommit,
         SpanKind::FlushPass,
-        SpanKind::FrameLatchWait,
         SpanKind::ShardBatch,
         SpanKind::PriorityMerge,
         SpanKind::NetFrame,
@@ -74,7 +70,6 @@ impl SpanKind {
             SpanKind::WalFsync => "wal_fsync",
             SpanKind::GroupCommit => "group_commit",
             SpanKind::FlushPass => "flush_pass",
-            SpanKind::FrameLatchWait => "frame_latch_wait",
             SpanKind::ShardBatch => "shard_batch",
             SpanKind::PriorityMerge => "priority_merge",
             SpanKind::NetFrame => "net_frame",
@@ -83,7 +78,7 @@ impl SpanKind {
 }
 
 /// One completed span: what, which thread, when, how long, and a
-/// kind-specific detail value (batch size, bytes, spin count, …).
+/// kind-specific detail value (batch size, bytes, …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// What was measured.

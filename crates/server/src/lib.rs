@@ -55,7 +55,7 @@
 //!   ([`ServerConfig::with_recorder`]) and the server reports a queue-depth
 //!   gauge, per-sub-batch service-time and client-observed batch-latency
 //!   histograms, and `ShardBatch`/`PriorityMerge` trace spans — plus, on a
-//!   store-backed server, the store's WAL/flush/latch spans, since the
+//!   store-backed server, the store's WAL/flush spans, since the
 //!   recorder is shared with every shard store. A [`ServerRequest::Stats`]
 //!   response carries the merged [`clic_obs::MetricsSnapshot`]
 //!   ([`StatsSnapshot`]) alongside the policy statistics; the `store.*`

@@ -14,29 +14,20 @@
 //! The CRC covers the page-id bytes followed by the page bytes, so a slot
 //! whose header and data were not written together (a torn frame) fails
 //! verification on read. Page ids are sparse (clients address disjoint
-//! ranges offset by 100 M pages), so slots are assigned through a
-//! [`ShardedBitmap`] — independently locked [`AllocationBitmap`] stripes
-//! interleaved across the slot space — and an in-memory `page → slot`
-//! directory striped the same way; both are rebuilt by scanning the slot
-//! headers when the file is opened. Freeing a page zeroes its slot meta and
-//! returns the slot to its bitmap stripe.
+//! ranges offset by 100 M pages), so slots are assigned first-fit across the
+//! whole file by an [`AllocationBitmap`] and found through an in-memory
+//! `page → slot` map; both are rebuilt by scanning the slot headers when the
+//! file is opened. Freeing a page zeroes its slot meta and returns the slot
+//! to the bitmap.
 //!
 //! # Locking
 //!
-//! The manager is internally synchronized and every method takes `&self`:
-//!
-//! * file I/O uses positioned reads/writes (`pread`/`pwrite`), so no seek
-//!   cursor is shared and distinct slots never contend;
-//! * the `page → slot` directory is striped by page hash; a lookup takes
-//!   one stripe mutex for the map access only, never across an I/O call;
-//! * each bitmap stripe has its own mutex, taken *inside* a directory
-//!   stripe lock when a write allocates (lock order: directory stripe →
-//!   bitmap stripe, never the reverse).
-//!
-//! Races on the *same* page (two concurrent writes, a write and a free) are
-//! excluded by the caller — the buffer pool's per-frame latches admit one
-//! writer per page — so slot assignments observed through the directory are
-//! stable for the duration of an I/O call.
+//! Every method takes `&self`. One mutex guards the map and the bitmap
+//! together, held for the lookup or allocation only, never across file
+//! I/O; the I/O itself is positioned (`pread`/`pwrite`), so no seek cursor
+//! is shared. Operations on the *same* page are serialized by the caller
+//! ([`PageStore`](crate::PageStore)'s contract), so a slot seen in the map
+//! stays that page's slot for the duration of an I/O call.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -45,7 +36,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use cache_sim::sync::recover_lock;
-use cache_sim::{page_partition, FastHashMap, PageId};
+use cache_sim::{FastHashMap, PageId};
 
 use crate::crc::Crc32;
 use crate::fault::{FaultInjector, FaultPoint, InjectedFault};
@@ -58,14 +49,10 @@ const HEADER_LEN: u64 = 16;
 const SLOT_META_LEN: usize = 16;
 /// Slot meta flag: the slot holds a live page.
 const FLAG_ALLOCATED: u32 = 1;
-/// Directory stripes: page lookups hash-partition across this many maps.
-const DIRECTORY_STRIPES: usize = 16;
-/// Bitmap stripes used by [`DiskManager`]'s slot allocator.
-const BITMAP_STRIPES: usize = 8;
 
 /// A slot-granular allocation bitmap: one bit per slot, first-fit
-/// allocation, growing as needed. Single-threaded; [`ShardedBitmap`] wraps
-/// a set of these in stripe locks for concurrent allocation.
+/// allocation, growing as needed. Single-threaded; [`DiskManager`] keeps
+/// one behind its slot mutex.
 #[derive(Debug, Default)]
 pub struct AllocationBitmap {
     words: Vec<u64>,
@@ -134,89 +121,22 @@ impl AllocationBitmap {
     }
 }
 
-/// A sharded slot allocator: `stripes` independently locked
-/// [`AllocationBitmap`]s interleaved across the global slot space.
-///
-/// Stripe `s` owns global slots `s, s + stripes, s + 2·stripes, …`; a
-/// page's allocations always come from stripe `page_partition(page,
-/// stripes)`, so concurrent writers of hash-distinct pages allocate without
-/// contending on one lock. Within a stripe allocation is still first-fit
-/// (lowest interleaved slot), so a single-threaded caller gets a
-/// deterministic slot assignment.
-#[derive(Debug)]
-pub struct ShardedBitmap {
-    stripes: Box<[Mutex<AllocationBitmap>]>,
-}
-
-impl ShardedBitmap {
-    /// A bitmap sharded over `stripes` independently locked stripes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripes` is zero.
-    pub fn new(stripes: usize) -> Self {
-        assert!(stripes > 0, "at least one stripe is required");
-        ShardedBitmap {
-            stripes: (0..stripes)
-                .map(|_| Mutex::new(AllocationBitmap::new()))
-                .collect(),
-        }
-    }
-
-    /// Number of stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// Allocates the first free slot in `page`'s stripe and returns its
-    /// global slot number.
-    pub fn allocate_for(&self, page: PageId) -> usize {
-        let n = self.stripes.len();
-        let stripe = page_partition(page, n);
-        let local = recover_lock(&self.stripes[stripe]).allocate();
-        local * n + stripe
-    }
-
-    /// Marks global `slot` allocated (used when rebuilding from a scan).
-    pub fn set(&self, slot: usize) {
-        let n = self.stripes.len();
-        recover_lock(&self.stripes[slot % n]).set(slot / n);
-    }
-
-    /// Marks global `slot` free.
-    pub fn clear(&self, slot: usize) {
-        let n = self.stripes.len();
-        recover_lock(&self.stripes[slot % n]).clear(slot / n);
-    }
-
-    /// Whether global `slot` is allocated.
-    pub fn is_set(&self, slot: usize) -> bool {
-        let n = self.stripes.len();
-        recover_lock(&self.stripes[slot % n]).is_set(slot / n)
-    }
-
-    /// Number of allocated slots across all stripes.
-    pub fn allocated(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|stripe| recover_lock(stripe).allocated())
-            .sum()
-    }
+/// Which slot holds each live page, and which slots are taken.
+#[derive(Debug, Default)]
+struct Slots {
+    map: FastHashMap<PageId, u32>,
+    bitmap: AllocationBitmap,
 }
 
 /// Reads and writes fixed-size page frames in a single backing file.
 ///
-/// Internally synchronized (see the module docs): positioned I/O plus a
-/// striped directory and a [`ShardedBitmap`] allocator mean concurrent
-/// reads and writes of distinct pages proceed without sharing a lock.
-/// Callers serialize operations on the *same* page (the buffer pool's
-/// frame latches do this above).
+/// Internally synchronized (see the module docs); callers serialize
+/// operations on the *same* page.
 #[derive(Debug)]
 pub struct DiskManager {
     file: File,
     page_size: usize,
-    directory: Box<[Mutex<FastHashMap<PageId, u32>>]>,
-    bitmap: ShardedBitmap,
+    slots: Mutex<Slots>,
     fault: FaultInjector,
 }
 
@@ -275,38 +195,30 @@ impl DiskManager {
                 ));
             }
         }
-        let manager = DiskManager {
-            file,
-            page_size,
-            directory: (0..DIRECTORY_STRIPES)
-                .map(|_| Mutex::new(FastHashMap::default()))
-                .collect(),
-            bitmap: ShardedBitmap::new(BITMAP_STRIPES),
-            fault,
-        };
-        let stride = manager.stride();
-        let slots = file_len.saturating_sub(HEADER_LEN) / stride;
+        let stride = (SLOT_META_LEN + page_size) as u64;
+        let mut slots = Slots::default();
         let mut meta = [0u8; SLOT_META_LEN];
-        for slot in 0..slots {
-            manager
-                .file
-                .read_exact_at(&mut meta, HEADER_LEN + slot * stride)?;
+        for slot in 0..file_len.saturating_sub(HEADER_LEN) / stride {
+            file.read_exact_at(&mut meta, HEADER_LEN + slot * stride)?;
             let flags = u32::from_le_bytes(meta[12..16].try_into().unwrap());
             if flags & FLAG_ALLOCATED == 0 {
                 continue;
             }
             let page = PageId(u64::from_le_bytes(meta[..8].try_into().unwrap()));
-            let mut stripe = recover_lock(manager.stripe_of(page));
-            if stripe.insert(page, slot as u32).is_some() {
+            if slots.map.insert(page, slot as u32).is_some() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("page {} is live in two slots", page.0),
                 ));
             }
-            drop(stripe);
-            manager.bitmap.set(slot as usize);
+            slots.bitmap.set(slot as usize);
         }
-        Ok(manager)
+        Ok(DiskManager {
+            file,
+            page_size,
+            slots: Mutex::new(slots),
+            fault,
+        })
     }
 
     fn stride(&self) -> u64 {
@@ -317,8 +229,8 @@ impl DiskManager {
         HEADER_LEN + u64::from(slot) * self.stride()
     }
 
-    fn stripe_of(&self, page: PageId) -> &Mutex<FastHashMap<PageId, u32>> {
-        &self.directory[page_partition(page, self.directory.len())]
+    fn slots(&self) -> std::sync::MutexGuard<'_, Slots> {
+        recover_lock(&self.slots)
     }
 
     /// The configured page size in bytes.
@@ -328,25 +240,18 @@ impl DiskManager {
 
     /// Number of live pages in the file.
     pub fn allocated_pages(&self) -> usize {
-        self.directory
-            .iter()
-            .map(|stripe| recover_lock(stripe).len())
-            .sum()
+        self.slots().map.len()
     }
 
     /// Whether the file holds a live copy of `page`.
     pub fn contains(&self, page: PageId) -> bool {
-        recover_lock(self.stripe_of(page)).contains_key(&page)
+        self.slots().map.contains_key(&page)
     }
 
     /// Every live page, sorted by id (a deterministic order regardless of
-    /// stripe layout).
+    /// slot layout).
     pub fn pages(&self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self
-            .directory
-            .iter()
-            .flat_map(|stripe| recover_lock(stripe).keys().copied().collect::<Vec<_>>())
-            .collect();
+        let mut pages: Vec<PageId> = self.slots().map.keys().copied().collect();
         pages.sort_unstable();
         pages
     }
@@ -364,9 +269,8 @@ impl DiskManager {
     /// verification (a torn write).
     pub fn read_page(&self, page: PageId, buf: &mut [u8]) -> io::Result<bool> {
         assert_eq!(buf.len(), self.page_size, "buffer must be one page");
-        let slot = match recover_lock(self.stripe_of(page)).get(&page) {
-            Some(&slot) => slot,
-            None => return Ok(false),
+        let Some(&slot) = self.slots().map.get(&page) else {
+            return Ok(false);
         };
         let mut slot_buf = vec![0u8; SLOT_META_LEN + self.page_size];
         self.file
@@ -398,21 +302,15 @@ impl DiskManager {
     }
 
     /// Writes `data` (exactly one page) as the live copy of `page`,
-    /// allocating a slot from the page's bitmap stripe if it has none. Meta
-    /// and page bytes go out as one contiguous positioned write, after the
-    /// directory stripe lock is already released.
+    /// allocating the first free slot if it has none. Meta and page bytes
+    /// go out as one contiguous positioned write, after the slot lock is
+    /// already released.
     pub fn write_page(&self, page: PageId, data: &[u8]) -> io::Result<()> {
         assert_eq!(data.len(), self.page_size, "data must be one page");
         let slot = {
-            let mut stripe = recover_lock(self.stripe_of(page));
-            match stripe.get(&page) {
-                Some(&slot) => slot,
-                None => {
-                    let slot = self.bitmap.allocate_for(page) as u32;
-                    stripe.insert(page, slot);
-                    slot
-                }
-            }
+            let mut slots = self.slots();
+            let Slots { map, bitmap } = &mut *slots;
+            *map.entry(page).or_insert_with(|| bitmap.allocate() as u32)
         };
         let mut slot_buf = vec![0u8; SLOT_META_LEN + self.page_size];
         slot_buf[..8].copy_from_slice(&page.0.to_le_bytes());
@@ -441,21 +339,20 @@ impl DiskManager {
     /// the file, so a concurrent allocation can never be clobbered by this
     /// free's write.
     pub fn free_page(&self, page: PageId) -> io::Result<bool> {
-        let slot = match recover_lock(self.stripe_of(page)).remove(&page) {
-            Some(slot) => slot,
-            None => return Ok(false),
+        let Some(slot) = self.slots().map.remove(&page) else {
+            return Ok(false);
         };
         if let InjectedFault::Fail | InjectedFault::Torn(_) =
             self.fault.decide(FaultPoint::DiskWrite, SLOT_META_LEN)
         {
             // Re-publish the mapping: the zeroed meta never hit the file,
             // so the slot still holds the live page.
-            recover_lock(self.stripe_of(page)).insert(page, slot);
+            self.slots().map.insert(page, slot);
             return Err(FaultInjector::error(FaultPoint::DiskWrite));
         }
         self.file
             .write_all_at(&[0u8; SLOT_META_LEN], self.slot_offset(slot))?;
-        self.bitmap.clear(slot as usize);
+        self.slots().bitmap.clear(slot as usize);
         Ok(true)
     }
 
@@ -480,7 +377,7 @@ mod tests {
     }
 
     /// Byte offset of the live slot holding `page`, found by scanning slot
-    /// metas (slot assignment depends on the bitmap's stripe interleave).
+    /// metas.
     fn slot_offset_of(bytes: &[u8], page: u64, page_size: usize) -> usize {
         let stride = SLOT_META_LEN + page_size;
         let mut offset = HEADER_LEN as usize;
@@ -511,33 +408,6 @@ mod tests {
         assert!(bitmap.is_set(64));
         assert!(!bitmap.is_set(1000));
         assert_eq!(bitmap.allocated(), 70);
-    }
-
-    #[test]
-    fn sharded_bitmap_keeps_stripes_disjoint() {
-        let bitmap = ShardedBitmap::new(4);
-        let mut slots = Vec::new();
-        for p in 0..64u64 {
-            slots.push(bitmap.allocate_for(PageId(p)));
-        }
-        let mut unique = slots.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), slots.len(), "no slot is handed out twice");
-        assert_eq!(bitmap.allocated(), 64);
-        // Each slot lives in the stripe of the page that allocated it.
-        for (i, &slot) in slots.iter().enumerate() {
-            assert!(bitmap.is_set(slot));
-            assert_eq!(slot % 4, page_partition(PageId(i as u64), 4));
-        }
-        let victim = slots[7];
-        bitmap.clear(victim);
-        assert!(!bitmap.is_set(victim));
-        assert_eq!(bitmap.allocated(), 63);
-        // set() rebuilds the same state a scan would.
-        bitmap.set(victim);
-        assert!(bitmap.is_set(victim));
-        assert_eq!(bitmap.allocated(), 64);
     }
 
     #[test]

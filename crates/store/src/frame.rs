@@ -1,93 +1,39 @@
-//! [`FrameArena`]: in-memory buffer frames with atomic pin counts,
-//! per-frame latches, dirty bits, and RAII page guards.
+//! [`FrameArena`]: in-memory buffer frames with dirty bits, owned by one
+//! caller at a time.
 //!
-//! The arena owns one contiguous allocation of `frames × page_size` bytes
-//! plus per-frame metadata (resident page, latch word, dirty bit), a
-//! striped `page → frame` directory, and a free list. Unlike its earlier
-//! single-threaded incarnation the arena is `Sync`: all synchronization is
-//! per-frame (an atomic latch word) or per-directory-stripe (an `RwLock`
-//! around one hash map), so threads reading *distinct* pages never touch a
-//! shared lock and threads reading the *same* clean page share only that
-//! frame's latch word.
+//! The arena holds `frames × page_size` bytes in one allocation, plus per
+//! frame the resident page and a dirty bit, a `page → frame` directory, a
+//! free list and a count of dirty frames. It has no synchronization of its
+//! own: reads take `&self`, everything that changes a frame takes
+//! `&mut self`, and [`PageStore`](crate::PageStore) keeps the arena behind
+//! one mutex, so the borrow checker is the whole concurrency protocol.
 //!
-//! # Latch protocol
-//!
-//! Each frame carries a latch word: `0` = unlatched, `n > 0` = `n` read
-//! pins, `-1` = one write pin.
-//!
-//! * [`FrameArena::read`] looks the page up under its stripe's read lock
-//!   and increments the latch *before* releasing the stripe — eviction
-//!   removes the directory entry under the stripe's write lock, so a frame
-//!   can never be recycled between lookup and pin.
-//! * [`FrameArena::write`] does the same but latches exclusive (`0 → -1`),
-//!   spinning while readers drain.
-//! * [`FrameArena::evict`] removes the directory entry first (no new pins
-//!   can arrive), then latches exclusive and hands back an [`EvictGuard`]
-//!   exposing the frame's bytes for write-back; dropping the guard recycles
-//!   the frame onto the free list.
-//! * [`FrameArena::install`] pops a free frame and fills it *before*
-//!   publishing it in the directory, so the copy races nothing.
-//!
-//! Latch acquisition spins (with exponential backoff to `yield_now`); the
-//! caller must therefore never request a second guard for a page while
-//! holding one with a conflicting mode on the same thread — that is the
-//! classic latch discipline, and the store upholds it by taking at most one
-//! guard per operation.
+//! [`FrameArena::evict`] hands back an [`EvictGuard`] that still borrows the
+//! arena and dereferences to the departing bytes, so a dirty victim is
+//! written back straight from its frame; dropping the guard returns the
+//! frame to the free list.
 
-use std::cell::UnsafeCell;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::ops::Deref;
 
-use cache_sim::sync::{read_lock, recover_lock, write_lock};
-use cache_sim::{page_partition, FastHashMap, PageId};
-use clic_obs::{Recorder, SpanKind};
+use cache_sim::{FastHashMap, PageId};
 
-/// Latch value: one exclusive (write) pin.
-const WRITE_LATCHED: i32 = -1;
-/// Sentinel in a frame's `page` word: the frame holds no page. Page ids
-/// are dense trace offsets, so `u64::MAX` is safely out of band.
-const NO_PAGE: u64 = u64::MAX;
-/// Directory stripes: page lookups hash-partition across this many maps.
-const DIRECTORY_STRIPES: usize = 16;
-
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Frame {
-    /// `0` = unlatched, `> 0` = that many read pins, `-1` = write-latched.
-    latch: AtomicI32,
-    dirty: AtomicBool,
-    /// Resident page id, or [`NO_PAGE`]. Written only while the frame is
-    /// unpublished (install) or write-latched (evict teardown).
-    page: AtomicU64,
+    /// The resident page, or `None` while the frame is free.
+    page: Option<PageId>,
+    dirty: bool,
 }
 
-/// A fixed-capacity arena of page-sized buffer frames, safe to share
-/// across threads (see the module docs for the latch protocol).
+/// A fixed-capacity arena of page-sized buffer frames.
 #[derive(Debug)]
 pub struct FrameArena {
     page_size: usize,
-    /// The frame bytes. `UnsafeCell` per byte (layout-identical to `[u8]`)
-    /// lets guards derive their slices from the shared base pointer without
-    /// ever materializing a reference to the whole buffer, which would alias
-    /// other live guards.
-    buf: Box<[UnsafeCell<u8>]>,
-    frames: Box<[Frame]>,
-    directory: Box<[RwLock<FastHashMap<PageId, u32>>]>,
-    free: Mutex<Vec<u32>>,
-    dirty_count: AtomicUsize,
-    /// Records contended latch acquisitions as
-    /// [`SpanKind::FrameLatchWait`] spans; uncontended pins never touch it
-    /// beyond one `Option` check, and a disabled recorder costs nothing.
-    recorder: Recorder,
+    buf: Vec<u8>,
+    frames: Vec<Frame>,
+    directory: FastHashMap<PageId, u32>,
+    free: Vec<u32>,
+    dirty_count: usize,
 }
-
-// SAFETY: the `UnsafeCell` buffer is the only reason the type is not
-// automatically `Sync`. Access to frame bytes is mediated by the per-frame
-// latch word: shared slices exist only under a read pin (excluding the one
-// writer), exclusive slices only under the write latch (excluding
-// everyone), and unpublished frames (install) are reachable by exactly one
-// thread — the one that popped them off the free list.
-unsafe impl Sync for FrameArena {}
 
 impl FrameArena {
     /// An arena of `frames` frames of `page_size` bytes each.
@@ -101,135 +47,51 @@ impl FrameArena {
         assert!(u32::try_from(frames).is_ok(), "frame count exceeds u32");
         FrameArena {
             page_size,
-            buf: std::iter::repeat_with(|| UnsafeCell::new(0u8))
-                .take(frames * page_size)
-                .collect(),
-            frames: (0..frames)
-                .map(|_| Frame {
-                    latch: AtomicI32::new(0),
-                    dirty: AtomicBool::new(false),
-                    page: AtomicU64::new(NO_PAGE),
-                })
-                .collect(),
-            directory: (0..DIRECTORY_STRIPES)
-                .map(|_| RwLock::new(FastHashMap::default()))
-                .collect(),
+            buf: vec![0; frames * page_size],
+            frames: vec![Frame::default(); frames],
+            directory: FastHashMap::default(),
             // Popped from the back; reversed so frames are first handed out
             // in index order (deterministic, cache-friendly).
-            free: Mutex::new((0..frames as u32).rev().collect()),
-            dirty_count: AtomicUsize::new(0),
-            recorder: Recorder::disabled(),
+            free: (0..frames as u32).rev().collect(),
+            dirty_count: 0,
         }
-    }
-
-    /// Attaches an observability [`Recorder`]; contended latch
-    /// acquisitions then record [`SpanKind::FrameLatchWait`] spans (detail:
-    /// spin iterations).
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Frame capacity.
-    pub fn capacity(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Bytes per frame.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.directory
-            .iter()
-            .map(|stripe| read_lock(stripe).len())
-            .sum()
+        self.directory.len()
     }
 
     /// Whether no page is resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.directory.is_empty()
     }
 
     /// Number of resident dirty frames.
     pub fn dirty_len(&self) -> usize {
-        self.dirty_count.load(Ordering::Acquire)
+        self.dirty_count
     }
 
     /// Whether `page` is resident.
     pub fn contains(&self, page: PageId) -> bool {
-        read_lock(self.stripe_of(page)).contains_key(&page)
+        self.directory.contains_key(&page)
     }
 
-    fn stripe_of(&self, page: PageId) -> &RwLock<FastHashMap<PageId, u32>> {
-        &self.directory[page_partition(page, self.directory.len())]
+    /// Where `frame`'s bytes sit in `buf`.
+    fn range(&self, frame: u32) -> std::ops::Range<usize> {
+        let start = frame as usize * self.page_size;
+        start..start + self.page_size
     }
 
-    /// Raw pointer to frame `frame`'s bytes; callers uphold the latch
-    /// discipline before turning it into a reference.
-    fn frame_ptr(&self, frame: u32) -> *mut u8 {
-        // SAFETY: the offset stays inside the single allocation (frame <
-        // capacity). Taking the base pointer through `&self.buf` is fine —
-        // shared references to `UnsafeCell`s coexist with mutation through
-        // them; dereferencing is guarded by the latch protocol at call
-        // sites.
-        unsafe { (self.buf.as_ptr() as *mut u8).add(frame as usize * self.page_size) }
-    }
-
-    /// Spin-acquires one read pin on `frame` (waits out a write latch).
-    fn pin_read(&self, frame: u32) {
-        let latch = &self.frames[frame as usize].latch;
-        let mut spins = 0u32;
-        let mut wait_start_ns: Option<u64> = None;
-        loop {
-            let state = latch.load(Ordering::Acquire);
-            if state >= 0
-                && latch
-                    .compare_exchange_weak(state, state + 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                self.record_latch_wait(wait_start_ns, spins);
-                return;
+    fn set_dirty(&mut self, frame: u32, dirty: bool) {
+        let meta = &mut self.frames[frame as usize];
+        if meta.dirty != dirty {
+            meta.dirty = dirty;
+            if dirty {
+                self.dirty_count += 1;
+            } else {
+                self.dirty_count -= 1;
             }
-            if wait_start_ns.is_none() {
-                // Contended: stamp the wait's start (only with an enabled
-                // recorder — `clock()` is `None` otherwise).
-                wait_start_ns = self.recorder.clock().map(|clock| clock.now_nanos());
-            }
-            backoff(&mut spins);
-        }
-    }
-
-    /// Spin-acquires the write latch on `frame` (waits for readers to
-    /// drain and any writer to finish).
-    fn pin_write(&self, frame: u32) {
-        let latch = &self.frames[frame as usize].latch;
-        let mut spins = 0u32;
-        let mut wait_start_ns: Option<u64> = None;
-        while latch
-            .compare_exchange_weak(0, WRITE_LATCHED, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            if wait_start_ns.is_none() {
-                wait_start_ns = self.recorder.clock().map(|clock| clock.now_nanos());
-            }
-            backoff(&mut spins);
-        }
-        self.record_latch_wait(wait_start_ns, spins);
-    }
-
-    /// Emits a [`SpanKind::FrameLatchWait`] event for a contended
-    /// acquisition; a no-op for the uncontended fast path (no start stamp).
-    fn record_latch_wait(&self, wait_start_ns: Option<u64>, spins: u32) {
-        if let (Some(start_ns), Some(clock)) = (wait_start_ns, self.recorder.clock()) {
-            self.recorder.event(
-                SpanKind::FrameLatchWait,
-                start_ns,
-                clock.now_nanos(),
-                spins as u64,
-            );
         }
     }
 
@@ -241,252 +103,88 @@ impl FrameArena {
     ///
     /// Panics if `page` is already resident (overwrite through
     /// [`FrameArena::write`] instead) or `data` is not one page.
-    pub fn install(&self, page: PageId, data: &[u8], dirty: bool) -> bool {
+    pub fn install(&mut self, page: PageId, data: &[u8], dirty: bool) -> bool {
         assert_eq!(data.len(), self.page_size, "data must be one page");
-        assert_ne!(page.0, NO_PAGE, "page id {NO_PAGE} is reserved");
-        let Some(frame) = recover_lock(&self.free).pop() else {
+        assert!(!self.contains(page), "page {} is already resident", page.0);
+        let Some(frame) = self.free.pop() else {
             return false;
         };
-        let meta = &self.frames[frame as usize];
-        debug_assert_eq!(
-            meta.latch.load(Ordering::Relaxed),
-            0,
-            "free frame cannot be latched"
-        );
-        // SAFETY: the frame came off the free list and is not yet published
-        // in the directory, so this thread is the only one that can reach
-        // its bytes.
-        unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), self.frame_ptr(frame), self.page_size);
-        }
-        meta.dirty.store(dirty, Ordering::Release);
-        meta.page.store(page.0, Ordering::Release);
-        if dirty {
-            self.dirty_count.fetch_add(1, Ordering::AcqRel);
-        }
-        let previous = write_lock(self.stripe_of(page)).insert(page, frame);
-        assert!(previous.is_none(), "page {} is already resident", page.0);
+        let range = self.range(frame);
+        self.buf[range].copy_from_slice(data);
+        self.frames[frame as usize].page = Some(page);
+        self.set_dirty(frame, dirty);
+        self.directory.insert(page, frame);
         true
     }
 
-    /// Pins `page`'s frame shared and returns a read guard over its bytes,
-    /// or `None` if the page is not resident. Blocks (spinning) while the
-    /// frame is write-latched.
-    pub fn read(&self, page: PageId) -> Option<PageReadGuard<'_>> {
-        let stripe = read_lock(self.stripe_of(page));
-        let &frame = stripe.get(&page)?;
-        // Pin before releasing the stripe lock: eviction removes the entry
-        // under the stripe's write lock, so the frame cannot be recycled
-        // between this lookup and the pin.
-        self.pin_read(frame);
-        drop(stripe);
-        Some(PageReadGuard { arena: self, frame })
+    /// `page`'s resident bytes, or `None` if the page is not resident.
+    pub fn read(&self, page: PageId) -> Option<&[u8]> {
+        let &frame = self.directory.get(&page)?;
+        Some(&self.buf[self.range(frame)])
     }
 
-    /// Latches `page`'s frame exclusive, marks it dirty, and returns a
-    /// write guard over its bytes, or `None` if the page is not resident.
-    /// Blocks (spinning) while other pins drain.
-    pub fn write(&self, page: PageId) -> Option<PageWriteGuard<'_>> {
-        let stripe = read_lock(self.stripe_of(page));
-        let &frame = stripe.get(&page)?;
-        self.pin_write(frame);
-        drop(stripe);
-        if !self.frames[frame as usize]
-            .dirty
-            .swap(true, Ordering::AcqRel)
-        {
-            self.dirty_count.fetch_add(1, Ordering::AcqRel);
-        }
-        Some(PageWriteGuard { arena: self, frame })
-    }
-
-    /// Copies `page`'s resident bytes into `out` (one page long). Returns
-    /// `false` if the page is not resident.
-    pub fn copy_out(&self, page: PageId, out: &mut [u8]) -> bool {
-        match self.read(page) {
-            Some(guard) => {
-                out.copy_from_slice(&guard);
-                true
-            }
-            None => false,
-        }
+    /// Marks `page`'s frame dirty and returns its bytes for overwriting, or
+    /// `None` if the page is not resident.
+    pub fn write(&mut self, page: PageId) -> Option<&mut [u8]> {
+        let &frame = self.directory.get(&page)?;
+        self.set_dirty(frame, true);
+        let range = self.range(frame);
+        Some(&mut self.buf[range])
     }
 
     /// Whether `page`'s resident frame is dirty (`None` if not resident).
     pub fn is_dirty(&self, page: PageId) -> Option<bool> {
-        let stripe = read_lock(self.stripe_of(page));
-        let &frame = stripe.get(&page)?;
-        Some(self.frames[frame as usize].dirty.load(Ordering::Acquire))
+        let &frame = self.directory.get(&page)?;
+        Some(self.frames[frame as usize].dirty)
     }
 
-    /// Clears `page`'s dirty bit after a successful write-back (by taking a
-    /// short read pin — see [`PageReadGuard::mark_clean`] for the flush
-    /// path that already holds one). Returns `false` if the page is not
-    /// resident.
-    pub fn mark_clean(&self, page: PageId) -> bool {
-        match self.read(page) {
-            Some(guard) => {
-                guard.mark_clean();
+    /// Clears `page`'s dirty bit after a successful write-back. Returns
+    /// `false` if the page is not resident.
+    pub fn mark_clean(&mut self, page: PageId) -> bool {
+        match self.directory.get(&page) {
+            Some(&frame) => {
+                self.set_dirty(frame, false);
                 true
             }
             None => false,
         }
     }
 
-    /// Appends up to `max` dirty, unlatched resident pages to `out` in
-    /// frame order (deterministic). Racy by design: a page may be evicted
-    /// or re-latched before the caller flushes it, in which case the flush
-    /// simply skips it.
+    /// Appends up to `max` dirty resident pages to `out` in frame order
+    /// (deterministic).
     pub fn dirty_pages(&self, max: usize, out: &mut Vec<PageId>) {
-        if max == 0 {
-            return;
-        }
-        let mut taken = 0;
-        for meta in self.frames.iter() {
-            let page = meta.page.load(Ordering::Acquire);
-            if page != NO_PAGE
-                && meta.dirty.load(Ordering::Acquire)
-                && meta.latch.load(Ordering::Acquire) == 0
-            {
-                out.push(PageId(page));
-                taken += 1;
-                if taken == max {
-                    return;
-                }
-            }
-        }
+        out.extend(
+            self.frames
+                .iter()
+                .filter(|frame| frame.dirty)
+                .filter_map(|frame| frame.page)
+                .take(max),
+        );
     }
 
-    /// Removes `page` from the arena, write-latching its frame, and
-    /// returns an [`EvictGuard`] exposing the frame's bytes (and whether
-    /// they were dirty) so the caller can write them back without a copy.
-    /// Dropping the guard recycles the frame. Returns `None` if the page
-    /// is not resident.
-    ///
-    /// Blocks (spinning) while existing pins drain; new pins cannot arrive
-    /// because the directory entry is removed first.
-    pub fn evict(&self, page: PageId) -> Option<EvictGuard<'_>> {
-        let frame = write_lock(self.stripe_of(page)).remove(&page)?;
-        self.pin_write(frame);
-        let meta = &self.frames[frame as usize];
-        let dirty = meta.dirty.swap(false, Ordering::AcqRel);
-        if dirty {
-            self.dirty_count.fetch_sub(1, Ordering::AcqRel);
-        }
+    /// Removes `page` from the arena and returns an [`EvictGuard`] exposing
+    /// the frame's bytes (and whether they were dirty) so the caller can
+    /// write them back without a copy. Dropping the guard frees the frame.
+    /// Returns `None` if the page is not resident.
+    pub fn evict(&mut self, page: PageId) -> Option<EvictGuard<'_>> {
+        let frame = self.directory.remove(&page)?;
+        let dirty = self.frames[frame as usize].dirty;
+        self.set_dirty(frame, false);
         Some(EvictGuard {
             arena: self,
             frame,
             dirty,
         })
     }
-
-    /// [`FrameArena::evict`], copying the bytes into `out` when the frame
-    /// was dirty. The returned flag says whether that happened; `None`
-    /// means the page was not resident.
-    pub fn evict_into(&self, page: PageId, out: &mut [u8]) -> Option<bool> {
-        let guard = self.evict(page)?;
-        if guard.dirty() {
-            assert_eq!(out.len(), self.page_size, "out must be one page");
-            out.copy_from_slice(&guard);
-        }
-        Some(guard.dirty())
-    }
 }
 
-fn backoff(spins: &mut u32) {
-    *spins += 1;
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
-
-/// A shared RAII pin on one resident frame; dereferences to the page bytes.
-#[derive(Debug)]
-pub struct PageReadGuard<'a> {
-    arena: &'a FrameArena,
-    frame: u32,
-}
-
-impl PageReadGuard<'_> {
-    /// Clears the frame's dirty bit. Sound while read-pinned: a writer
-    /// needs the latch at `0` to re-dirty the frame, so the clear cannot
-    /// race an in-flight mutation — exactly what the flush path needs after
-    /// writing these bytes back.
-    pub fn mark_clean(&self) {
-        let meta = &self.arena.frames[self.frame as usize];
-        if meta.dirty.swap(false, Ordering::AcqRel) {
-            self.arena.dirty_count.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-}
-
-impl Deref for PageReadGuard<'_> {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        // SAFETY: the frame is read-pinned, so no write guard aliases it;
-        // other read guards only produce shared references.
-        unsafe {
-            std::slice::from_raw_parts(self.arena.frame_ptr(self.frame), self.arena.page_size)
-        }
-    }
-}
-
-impl Drop for PageReadGuard<'_> {
-    fn drop(&mut self) {
-        self.arena.frames[self.frame as usize]
-            .latch
-            .fetch_sub(1, Ordering::Release);
-    }
-}
-
-/// An exclusive RAII pin on one resident frame; dereferences mutably to the
-/// page bytes. Acquiring it marks the frame dirty.
-#[derive(Debug)]
-pub struct PageWriteGuard<'a> {
-    arena: &'a FrameArena,
-    frame: u32,
-}
-
-impl Deref for PageWriteGuard<'_> {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        // SAFETY: the frame is write-latched, so this guard is the only
-        // reference to its bytes.
-        unsafe {
-            std::slice::from_raw_parts(self.arena.frame_ptr(self.frame), self.arena.page_size)
-        }
-    }
-}
-
-impl DerefMut for PageWriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        // SAFETY: as in `deref`; exclusivity is enforced by the latch.
-        unsafe {
-            std::slice::from_raw_parts_mut(self.arena.frame_ptr(self.frame), self.arena.page_size)
-        }
-    }
-}
-
-impl Drop for PageWriteGuard<'_> {
-    fn drop(&mut self) {
-        self.arena.frames[self.frame as usize]
-            .latch
-            .store(0, Ordering::Release);
-    }
-}
-
-/// The result of [`FrameArena::evict`]: an exclusive hold on the evicted
-/// frame, no longer reachable through the directory. Dereferences to the
-/// departing bytes so a dirty victim can be written back straight from the
-/// frame; dropping the guard resets the frame and returns it to the free
-/// list.
+/// The result of [`FrameArena::evict`]: the evicted frame, no longer
+/// reachable through the directory. Dereferences to the departing bytes so
+/// a dirty victim can be written back straight from the frame; dropping the
+/// guard returns the frame to the free list.
 #[derive(Debug)]
 pub struct EvictGuard<'a> {
-    arena: &'a FrameArena,
+    arena: &'a mut FrameArena,
     frame: u32,
     dirty: bool,
 }
@@ -502,20 +200,14 @@ impl Deref for EvictGuard<'_> {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        // SAFETY: the frame is write-latched and unpublished; this guard is
-        // the only reference to its bytes.
-        unsafe {
-            std::slice::from_raw_parts(self.arena.frame_ptr(self.frame), self.arena.page_size)
-        }
+        &self.arena.buf[self.arena.range(self.frame)]
     }
 }
 
 impl Drop for EvictGuard<'_> {
     fn drop(&mut self) {
-        let meta = &self.arena.frames[self.frame as usize];
-        meta.page.store(NO_PAGE, Ordering::Release);
-        meta.latch.store(0, Ordering::Release);
-        recover_lock(&self.arena.free).push(self.frame);
+        self.arena.frames[self.frame as usize].page = None;
+        self.arena.free.push(self.frame);
     }
 }
 
@@ -525,7 +217,7 @@ mod tests {
 
     #[test]
     fn install_read_write_evict_lifecycle() {
-        let arena = FrameArena::new(2, 16);
+        let mut arena = FrameArena::new(2, 16);
         assert!(arena.install(PageId(1), &[1u8; 16], false));
         assert!(arena.install(PageId(2), &[2u8; 16], true));
         assert!(!arena.install(PageId(3), &[3u8; 16], false), "arena full");
@@ -535,28 +227,25 @@ mod tests {
 
         {
             let a = arena.read(PageId(1)).unwrap();
-            let b = arena.read(PageId(1)).unwrap(); // shared pins coexist
+            let b = arena.read(PageId(1)).unwrap(); // shared reads coexist
             assert_eq!(&a[..4], &[1, 1, 1, 1]);
             assert_eq!(a[0], b[0]);
         }
-        {
-            let mut w = arena.write(PageId(1)).unwrap();
-            w[0] = 9;
-        }
+        arena.write(PageId(1)).unwrap()[0] = 9;
         assert_eq!(arena.is_dirty(PageId(1)), Some(true));
         assert_eq!(arena.dirty_len(), 2);
-        let g = arena.read(PageId(1)).unwrap();
-        assert_eq!(g[0], 9);
-        drop(g);
+        assert_eq!(arena.read(PageId(1)).unwrap()[0], 9);
 
         assert!(arena.mark_clean(PageId(1)));
         assert_eq!(arena.dirty_len(), 1);
 
-        let mut out = vec![0u8; 16];
-        assert_eq!(arena.evict_into(PageId(1), &mut out), Some(false));
-        assert_eq!(arena.evict_into(PageId(2), &mut out), Some(true));
-        assert_eq!(out, vec![2u8; 16]);
-        assert_eq!(arena.evict_into(PageId(2), &mut out), None);
+        assert!(!arena.evict(PageId(1)).unwrap().dirty());
+        {
+            let guard = arena.evict(PageId(2)).unwrap();
+            assert!(guard.dirty());
+            assert_eq!(&guard[..], &[2u8; 16]);
+        }
+        assert!(arena.evict(PageId(2)).is_none());
         assert!(arena.is_empty());
         assert_eq!(arena.dirty_len(), 0);
         // Freed frames are reusable.
@@ -565,23 +254,24 @@ mod tests {
 
     #[test]
     fn evict_guard_exposes_bytes_without_a_copy() {
-        let arena = FrameArena::new(1, 8);
+        let mut arena = FrameArena::new(1, 8);
         assert!(arena.install(PageId(7), &[7u8; 8], true));
+        let frame_bytes = arena.read(PageId(7)).unwrap().as_ptr();
         let guard = arena.evict(PageId(7)).unwrap();
         assert!(guard.dirty());
         assert_eq!(&guard[..], &[7u8; 8]);
-        assert!(!arena.contains(PageId(7)));
-        assert!(
-            !arena.install(PageId(8), &[8u8; 8], false),
-            "frame is recycled only when the evict guard drops"
-        );
+        assert_eq!(guard.as_ptr(), frame_bytes, "no copy was made");
+        // The guard borrows the arena, so the frame is recycled only once
+        // it drops.
         drop(guard);
+        assert!(!arena.contains(PageId(7)));
+        assert_eq!(arena.dirty_len(), 0);
         assert!(arena.install(PageId(8), &[8u8; 8], false));
     }
 
     #[test]
     fn dirty_pages_lists_in_frame_order_up_to_max() {
-        let arena = FrameArena::new(4, 8);
+        let mut arena = FrameArena::new(4, 8);
         for p in 1..=4u64 {
             assert!(arena.install(PageId(p), &[p as u8; 8], p % 2 == 0));
         }
@@ -591,8 +281,8 @@ mod tests {
         dirty.clear();
         arena.dirty_pages(1, &mut dirty);
         assert_eq!(dirty, vec![PageId(2)]);
-        // A latched frame is skipped by the flusher's listing.
-        let _guard = arena.write(PageId(2)).unwrap();
+        // A cleaned frame drops out of the listing.
+        assert!(arena.mark_clean(PageId(2)));
         dirty.clear();
         arena.dirty_pages(10, &mut dirty);
         assert_eq!(dirty, vec![PageId(4)]);
@@ -601,72 +291,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "already resident")]
     fn double_install_panics() {
-        let arena = FrameArena::new(2, 8);
+        let mut arena = FrameArena::new(2, 8);
         arena.install(PageId(1), &[0u8; 8], false);
         arena.install(PageId(1), &[0u8; 8], false);
-    }
-
-    #[test]
-    fn write_latch_excludes_readers_until_dropped() {
-        let arena = FrameArena::new(1, 8);
-        assert!(arena.install(PageId(1), &[0u8; 8], false));
-        let mut w = arena.write(PageId(1)).unwrap();
-        w[0] = 42;
-        let observed = std::sync::atomic::AtomicU8::new(0);
-        std::thread::scope(|scope| {
-            let reader = scope.spawn(|| {
-                // Blocks until the writer drops, then sees its byte.
-                let g = arena.read(PageId(1)).unwrap();
-                observed.store(g[0], Ordering::SeqCst);
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            assert_eq!(
-                observed.load(Ordering::SeqCst),
-                0,
-                "reader must wait out the write latch"
-            );
-            w[1] = 7;
-            drop(w);
-            reader.join().unwrap();
-        });
-        assert_eq!(observed.load(Ordering::SeqCst), 42);
-    }
-
-    #[test]
-    fn concurrent_threads_on_disjoint_pages_share_no_lock_state() {
-        const THREADS: u64 = 4;
-        const PAGES_PER_THREAD: u64 = 8;
-        let arena = FrameArena::new((THREADS * PAGES_PER_THREAD) as usize, 16);
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let arena = &arena;
-                scope.spawn(move || {
-                    for round in 0..50u64 {
-                        for i in 0..PAGES_PER_THREAD {
-                            let page = PageId(t * 1_000 + i);
-                            let stamp = (t * PAGES_PER_THREAD + i) as u8;
-                            if round == 0 {
-                                assert!(arena.install(page, &[stamp; 16], false));
-                            } else {
-                                let mut w = arena.write(page).unwrap();
-                                assert_eq!(w[0], stamp);
-                                w[15] = round as u8;
-                            }
-                            let r = arena.read(page).unwrap();
-                            assert_eq!(r[0], stamp);
-                        }
-                    }
-                    // Tear half of this thread's pages back down.
-                    let mut out = vec![0u8; 16];
-                    for i in 0..PAGES_PER_THREAD / 2 {
-                        let page = PageId(t * 1_000 + i);
-                        assert_eq!(arena.evict_into(page, &mut out), Some(true));
-                        assert_eq!(out[0], (t * PAGES_PER_THREAD + i) as u8);
-                    }
-                });
-            }
-        });
-        assert_eq!(arena.len(), (THREADS * PAGES_PER_THREAD / 2) as usize);
-        assert_eq!(arena.dirty_len(), (THREADS * PAGES_PER_THREAD / 2) as usize);
     }
 }

@@ -10,24 +10,20 @@
 //! * [`DiskManager`] ([`disk`]) — fixed-size page slots in one backing file.
 //!   Each slot carries a header (page id, CRC-32 over id + data, allocation
 //!   flag) followed by the page bytes; a slot-granular allocation bitmap
-//!   hands out free slots first-fit. The slot directory is rebuilt by
-//!   scanning headers on open, and the CRC is verified on every read, so a
-//!   torn (partially written) frame is *detected*, never silently returned.
+//!   hands out free slots first-fit across the whole file. The slot
+//!   directory is rebuilt by scanning headers on open, and the CRC is
+//!   verified on every read, so a torn (partially written) frame is
+//!   *detected*, never silently returned.
 //! * [`FrameArena`] ([`frame`]) — a contiguous arena of in-memory buffer
-//!   frames with per-frame latch words and dirty bits, accessed through RAII
-//!   [`PageReadGuard`]/[`PageWriteGuard`]s.
+//!   frames with dirty bits: plain single-owner code, `&self` to read and
+//!   `&mut self` to change a frame.
 //!
 //!   **Frame lifecycle:** free → resident-clean (installed from a disk read)
 //!   or resident-dirty (installed from a staged write) → possibly
 //!   resident-clean again (flushed) → free (evicted; a dirty eviction forces
-//!   a write-back first).
-//!
-//!   **Latch rules:** any number of read guards may share a frame; a write
-//!   guard is exclusive (no other guard of either kind); acquiring a guard
-//!   latches the frame and dropping it releases; eviction write-latches the
-//!   frame and unpublishes it from the directory before handing its bytes
-//!   out, and a flush pass holds a read latch while writing back.
-//! * [`Wal`] ([`wal`]) — an optional write-ahead log with selectable
+//!   a write-back first, straight from the departing frame's
+//!   [`EvictGuard`]).
+//! * [`Wal`] ([`wal`]) — a write-ahead log with selectable
 //!   [`Durability`].
 //!
 //!   **WAL format:** a flat sequence of length-prefixed records
@@ -45,11 +41,11 @@
 //!   classic group-commit trade of bounded staleness for an order of
 //!   magnitude fewer `fsync`s. A server hands the sync of the last two to a
 //!   log writer and acknowledges only synced writes ([`wal`] module docs).
-//! * [`PageStore`] ([`store`]) — ties the three together with **no
-//!   store-wide lock** (see *Locking architecture* below): reads prefer the
-//!   arena and fall back to the disk, writes are staged *write-back* (WAL
-//!   append first — the write is acknowledged once the record is handed to
-//!   the OS, or synced per the durability level — then a dirty frame),
+//! * [`PageStore`] ([`store`]) — ties the three together, one mutex each
+//!   (see *Locking architecture* below): reads prefer the arena and fall
+//!   back to the disk, writes are staged *write-back* (WAL append first —
+//!   the write is acknowledged once the record is handed to the OS, or
+//!   synced per the durability level — then a dirty frame),
 //!   evictions of dirty frames force a flush, and every byte moved is
 //!   counted in shared atomic [`cache_sim::IoStats`] counters.
 //!   [`PageStore::mirror`] is the single place a replacement policy's
@@ -80,9 +76,9 @@
 //! [`PageStore::io_stats`] and [`PageStore::metrics`] are two views of the
 //! same atomics. An enabled [`Recorder`] ([`StoreConfig::with_recorder`])
 //! additionally captures trace spans — WAL append/fsync/group-commit
-//! windows, flush passes, contended frame-latch waits — and the replay's
-//! per-chunk latency histogram ([`REPLAY_CHUNK_HISTOGRAM`]); disabled (the
-//! default) it costs one `Option` check per site.
+//! windows, flush passes — and the replay's per-chunk latency histogram
+//! ([`REPLAY_CHUNK_HISTOGRAM`]); disabled (the default) it costs one
+//! `Option` check per site.
 //!
 //! **Fault injection:** a seeded [`FaultInjector`] ([`fault`],
 //! [`StoreConfig::with_fault_injector`]) can schedule deterministic I/O
@@ -103,27 +99,24 @@
 //!
 //! # Locking architecture
 //!
-//! The store used to hide behind one `Mutex<Inner>`; it is now decomposed
-//! into independently synchronized layers. What each lock protects:
+//! The server calls a shard's store under that shard's lock, and the only
+//! other thread that touches a store is the shard's log writer, which
+//! touches only the WAL. So a `PageStore` synchronizes with three mutexes
+//! (apart from its metrics registry and fault injector):
 //!
 //! | Lock | Protects | Held for |
 //! |---|---|---|
-//! | `DiskManager` directory stripes (16 × `Mutex`) | page → slot map, slot allocation decision | map lookup/insert only — never across file I/O for reads; a write holds its stripe across the positioned write so slot reuse cannot interleave |
-//! | `DiskManager` bitmap stripes (8 × `Mutex` inside [`ShardedBitmap`]) | slot allocation bits | single bit set/scan |
-//! | `FrameArena` directory stripes (16 × `RwLock`) | page → frame map | lookup + latch acquisition (so a frame cannot be recycled between the two) |
-//! | Per-frame latch word (`AtomicI32`) | that frame's bytes + dirty bit | the lifetime of a guard — clean-page reads take **only** this and one stripe read-lock |
-//! | WAL mutex (`Mutex<Wal>`) | log file offset, group-commit window, synced length | one append (+ optional sync) — this is the only serialization on the write-ack path; a handed-off sync ([`PageStore::sync_wal`]) takes it only to read and publish lengths |
-//! | Flush-pass mutex (`Mutex<()>`) | "one flush pass at a time" | listing + writing back a batch (frames themselves only read-latched) |
+//! | frames (`Mutex<FrameArena>`) | frame bytes, resident pages, dirty bits, page → frame map, free list | one read, install, overwrite or eviction; a whole flush pass, including its disk writes |
+//! | WAL (`Mutex<Wal>`) | log file offset, group-commit window, synced length | one append (+ optional sync); a handed-off sync ([`PageStore::sync_wal`]) takes it only to read and publish lengths, so the log writer never waits on frame work |
+//! | disk slots (`Mutex` inside [`DiskManager`]) | page → slot map, [`AllocationBitmap`] | one lookup, allocation or free — never across file I/O |
 //!
-//! **Lock order:** arena stripe → frame latch; disk directory stripe →
-//! bitmap stripe. No code path holds an arena lock and a disk lock at the
-//! same time except via a held frame *latch* (flush/evict write-back), which
-//! is below every map lock; the WAL mutex is taken before arena locks in
-//! [`PageStore::stage`] and never after them. Poisoned locks are either
-//! recovered ([`cache_sim::recover_lock`] — for counters and signalling
-//! where the invariant is trivially intact) or surfaced as
-//! an [`std::io::Error`] ([`cache_sim::checked_lock`] — for the WAL, whose
-//! offset invariant a panicked holder could have broken).
+//! **Lock order:** WAL → frames → disk slots. [`PageStore::stage`] and
+//! [`PageStore::delete`] release the WAL before they take the frames.
+//! Poisoned locks are either recovered ([`cache_sim::recover_lock`] — for
+//! the disk slots and the read-only size accessors) or surfaced as an
+//! [`std::io::Error`] ([`cache_sim::checked_lock`] — for the WAL and the
+//! frames on every I/O path, whose invariants a panicked holder could have
+//! broken).
 //!
 //! This crate denies `clippy::disallowed_methods` with a `clippy.toml` that
 //! bans bare `Mutex::lock`/`RwLock::read`/`RwLock::write` — every
@@ -164,9 +157,9 @@ pub mod store;
 pub mod wal;
 
 pub use crc::{crc32, Crc32};
-pub use disk::{AllocationBitmap, DiskManager, ShardedBitmap};
+pub use disk::{AllocationBitmap, DiskManager};
 pub use fault::{FaultInjector, FaultPoint, InjectedFault, FAULT_POINTS, INJECTED_FAULT};
-pub use frame::{EvictGuard, FrameArena, PageReadGuard, PageWriteGuard};
+pub use frame::{EvictGuard, FrameArena};
 pub use replay::{
     page_payload, replay_storage, replay_storage_partitioned, StorageReplayReport,
     REPLAY_CHUNK_HISTOGRAM,

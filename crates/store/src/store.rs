@@ -1,22 +1,20 @@
-//! [`PageStore`]: the thread-safe façade over [`DiskManager`] +
-//! [`FrameArena`] + [`Wal`], with byte-level I/O accounting.
+//! [`PageStore`]: the façade over [`DiskManager`] + [`FrameArena`] +
+//! [`Wal`], with byte-level I/O accounting.
 //!
-//! There is **no store-wide lock**. Each layer synchronizes itself (see the
-//! crate docs for the full locking architecture):
+//! The store synchronizes with three mutexes (see the crate docs for what
+//! each protects): the frames, the WAL, and the disk manager's slots. The
+//! server calls a shard's store under that shard's lock, so the frames and
+//! slot mutexes are uncontended there; the WAL has its own so a log
+//! writer's [`PageStore::sync_wal`] never waits on frame work.
 //!
-//! * reads prefer the arena — a clean-page buffer hit takes one directory
-//!   stripe read-lock and the frame's latch word, nothing else — and fall
-//!   back to the disk tier through [`DiskManager`]'s striped directory and
-//!   positioned I/O;
-//! * writes are staged write-back: the WAL append under the log's own
-//!   mutex is the acknowledgement point (with [`Durability`] deciding when
-//!   the log also syncs), then the frame is latched and overwritten or
-//!   installed dirty;
+//! * reads prefer the arena and fall back to the disk tier through
+//!   [`DiskManager`]'s positioned I/O;
+//! * writes are staged write-back: the WAL append is the acknowledgement
+//!   point (with [`Durability`] deciding when the log also syncs), then the
+//!   frame is overwritten or installed dirty;
 //! * evicting a dirty page writes it back straight from the departing
 //!   frame's [`EvictGuard`](crate::frame::EvictGuard) bytes;
-//! * flush passes serialize on a dedicated flush mutex (so inline
-//!   threshold flushes on different threads do not double-write) but take
-//!   only per-frame read pins while writing back;
+//! * a flush pass holds the frames lock while it writes a batch back;
 //! * a checkpoint flushes everything, syncs the data file, and truncates
 //!   the WAL.
 //!
@@ -38,7 +36,7 @@ use crate::disk::DiskManager;
 use crate::fault::FaultInjector;
 use crate::frame::FrameArena;
 use crate::replay::page_payload;
-use crate::wal::{sync_log, Durability, Wal};
+use crate::wal::{sync_log, AppendOutcome, Durability, Wal, WalOp};
 
 /// The paper-typical page size: 4 KiB.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
@@ -58,20 +56,17 @@ pub struct StoreConfig {
     /// capacity: the store trusts the policy to evict before admitting, and
     /// staging into a full arena is an error, not an implicit eviction.
     pub frames: usize,
-    /// Whether staged writes go through the write-ahead log (on by
-    /// default). Without it, a crash loses dirty frames.
-    pub wal: bool,
-    /// When the log also reaches the device: see [`Durability`]. Only
-    /// meaningful while `wal` is on.
+    /// When the write-ahead log also reaches the device: see
+    /// [`Durability`].
     pub durability: Durability,
     /// When non-zero, a staging call that finds at least this many dirty
     /// frames flushes a batch *inline* — deterministic write-back, used by
     /// the benchmarks. Zero leaves write-back to evictions and checkpoints.
     pub flush_threshold: usize,
     /// Observability handle: trace spans (WAL append/fsync, group commit,
-    /// flush passes, frame-latch waits) and latency histograms record here
-    /// when enabled. Disabled by default, which costs nothing — the
-    /// always-on [`IoStats`] counters do not depend on it.
+    /// flush passes) and latency histograms record here when enabled.
+    /// Disabled by default, which costs nothing — the always-on [`IoStats`]
+    /// counters do not depend on it.
     pub recorder: Recorder,
     /// Deterministic fault schedule armed at the disk and WAL I/O points
     /// ([`crate::FaultPoint`]). Disabled by default — one `Option` check
@@ -82,14 +77,13 @@ pub struct StoreConfig {
 
 impl StoreConfig {
     /// A write-back store with `frames` buffer frames of
-    /// [`DEFAULT_PAGE_SIZE`] bytes under `dir`, WAL on at
+    /// [`DEFAULT_PAGE_SIZE`] bytes under `dir`, the WAL at
     /// [`Durability::Buffered`], no inline flushing.
     pub fn new(dir: impl AsRef<Path>, frames: usize) -> Self {
         StoreConfig {
             dir: dir.as_ref().to_path_buf(),
             page_size: DEFAULT_PAGE_SIZE,
             frames,
-            wal: true,
             durability: Durability::Buffered,
             flush_threshold: 0,
             recorder: Recorder::disabled(),
@@ -100,12 +94,6 @@ impl StoreConfig {
     /// Sets the page size in bytes.
     pub fn with_page_size(mut self, page_size: usize) -> Self {
         self.page_size = page_size;
-        self
-    }
-
-    /// Enables or disables the write-ahead log.
-    pub fn with_wal(mut self, wal: bool) -> Self {
-        self.wal = wal;
         self
     }
 
@@ -244,16 +232,16 @@ impl IoCounters {
 }
 
 /// The disk-backed page store: buffer frames over a backing file, staged
-/// write-back with optional WAL, forced flush on dirty eviction.
+/// write-back through a WAL, forced flush on dirty eviction.
 ///
-/// `Sync` with no store-wide lock — share it behind an `Arc` between
-/// request threads. Callers must serialize operations on the *same* page
-/// (the sharded server does: one worker owns each page's shard);
-/// operations on distinct pages run concurrently.
+/// `Sync`: share it behind an `Arc`. Callers must serialize operations on
+/// the *same* page, because [`PageStore::mirror`]'s read-then-admit is two
+/// steps (the sharded server does: it calls a shard's store under that
+/// shard's lock).
 pub struct PageStore {
     disk: DiskManager,
-    arena: FrameArena,
-    wal: Option<Mutex<Wal>>,
+    frames: Mutex<FrameArena>,
+    wal: Mutex<Wal>,
     /// The log's own descriptor and fault schedule once its sync is handed
     /// off ([`PageStore::hand_off_wal_sync`]): [`PageStore::sync_wal`]
     /// syncs through them outside the WAL mutex.
@@ -264,9 +252,6 @@ pub struct PageStore {
     io: IoCounters,
     /// Trace spans and histograms; zero-cost when disabled.
     recorder: Recorder,
-    /// Serializes flush passes (inline threshold and checkpoint), so two
-    /// passes never double-write the same dirty set.
-    flush_pass: Mutex<()>,
     flush_threshold: usize,
     page_size: usize,
     durability: Durability,
@@ -283,18 +268,19 @@ impl std::fmt::Debug for PageStore {
     }
 }
 
-/// Locks the WAL, surfacing poison as a clean I/O error instead of a
-/// cascading panic.
-fn wal_guard(wal: &Mutex<Wal>) -> io::Result<MutexGuard<'_, Wal>> {
-    checked_lock(wal).map_err(io::Error::other)
+/// Locks the WAL or the frames, surfacing poison as a clean I/O error
+/// instead of a cascading panic: a panicked holder may have left either
+/// half-updated.
+fn guard<T>(lock: &Mutex<T>) -> io::Result<MutexGuard<'_, T>> {
+    checked_lock(lock).map_err(io::Error::other)
 }
 
 impl PageStore {
     /// Opens the store: creates `config.dir` if needed, opens the backing
-    /// file, and — when the WAL is enabled — replays acknowledged writes
-    /// that never reached the backing file, syncs them, and truncates the
-    /// log. [`PageStore::recovered_writes`] reports how many records that
-    /// replay applied.
+    /// file, replays acknowledged writes that never reached the backing
+    /// file from the WAL, syncs them, and truncates the log.
+    /// [`PageStore::recovered_writes`] reports how many records that replay
+    /// applied.
     pub fn open(config: StoreConfig) -> io::Result<PageStore> {
         assert!(config.frames > 0, "at least one buffer frame is required");
         std::fs::create_dir_all(&config.dir)?;
@@ -307,53 +293,44 @@ impl PageStore {
             config.page_size,
             config.fault.clone(),
         )?;
-        let mut recovered_writes = 0u64;
-        let wal = if config.wal {
-            let (mut wal, records) = Wal::open_with(
-                &config.dir.join("store.wal"),
-                config.durability,
-                config.fault.clone(),
-            )?;
-            for record in &records {
-                match &record.op {
-                    crate::wal::WalOp::Write(data) => {
-                        if data.len() != config.page_size {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                "WAL record page size disagrees with the store page size",
-                            ));
-                        }
-                        disk.write_page(record.page, data)?;
+        let (mut wal, records) = Wal::open_with(
+            &config.dir.join("store.wal"),
+            config.durability,
+            config.fault.clone(),
+        )?;
+        for record in &records {
+            match &record.op {
+                WalOp::Write(data) => {
+                    if data.len() != config.page_size {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "WAL record page size disagrees with the store page size",
+                        ));
                     }
-                    crate::wal::WalOp::Delete => {
-                        disk.free_page(record.page)?;
-                    }
+                    disk.write_page(record.page, data)?;
                 }
-                recovered_writes += 1;
+                WalOp::Delete => {
+                    disk.free_page(record.page)?;
+                }
             }
-            if recovered_writes > 0 {
-                disk.sync()?;
-            }
-            wal.truncate()?;
-            Some(Mutex::new(wal))
-        } else {
-            None
-        };
+        }
+        if !records.is_empty() {
+            disk.sync()?;
+        }
+        wal.truncate()?;
         let io = IoCounters::new(&registry);
         Ok(PageStore {
             disk,
-            arena: FrameArena::new(config.frames, config.page_size)
-                .with_recorder(config.recorder.clone()),
-            wal,
+            frames: Mutex::new(FrameArena::new(config.frames, config.page_size)),
+            wal: Mutex::new(wal),
             wal_sync: OnceLock::new(),
             registry,
             io,
             recorder: config.recorder,
-            flush_pass: Mutex::new(()),
             flush_threshold: config.flush_threshold,
             page_size: config.page_size,
             durability: config.durability,
-            recovered_writes,
+            recovered_writes: records.len() as u64,
         })
     }
 
@@ -373,14 +350,14 @@ impl PageStore {
     /// three outcomes; torn frames surface as
     /// [`io::ErrorKind::InvalidData`].
     ///
-    /// A buffer hit touches one directory stripe and the frame's latch —
-    /// no store-wide or disk-manager lock.
+    /// A buffer hit takes the frames lock only; a miss releases it before
+    /// the disk read.
     pub fn read(&self, page: PageId, out: &mut Vec<u8>) -> io::Result<ReadSource> {
         out.clear();
         out.resize(self.page_size, 0);
         self.io.bytes_read.add(self.page_size as u64);
-        if let Some(frame) = self.arena.read(page) {
-            out.copy_from_slice(&frame);
+        if let Some(bytes) = guard(&self.frames)?.read(page) {
+            out.copy_from_slice(bytes);
             self.io.buffer_hits.inc();
             return Ok(ReadSource::Buffer);
         }
@@ -398,7 +375,7 @@ impl PageStore {
     /// read from disk that the policy decided to admit). Fails if the arena
     /// is full — the policy must have evicted first.
     pub fn admit(&self, page: PageId, data: &[u8]) -> io::Result<()> {
-        if !self.arena.install(page, data, false) {
+        if !guard(&self.frames)?.install(page, data, false) {
             return Err(io::Error::other(
                 "frame arena full: the policy must evict before admitting",
             ));
@@ -417,49 +394,52 @@ impl PageStore {
     pub fn stage(&self, page: PageId, data: &[u8]) -> io::Result<()> {
         assert_eq!(data.len(), self.page_size, "data must be one page");
         self.io.bytes_written.add(self.page_size as u64);
-        if let Some(wal) = self.wal.as_ref() {
-            let start_ns = self.recorder.clock().map(|clock| clock.now_nanos());
-            let outcome = wal_guard(wal)?.append(page, data)?;
-            self.io.wal_records.inc();
-            self.io.wal_bytes.add(outcome.bytes);
-            if outcome.synced {
-                self.io.wal_syncs.inc();
-            }
-            if outcome.group_commit {
-                self.io.group_commits.inc();
-            }
-            if let (Some(start_ns), Some(clock)) = (start_ns, self.recorder.clock()) {
-                // One timed window covers append + (when it happened) the
-                // sync: the fsync dominates, so the same interval is
-                // reported under both kinds rather than re-latching the WAL
-                // to time them separately.
-                let end_ns = clock.now_nanos();
-                self.recorder
-                    .event(SpanKind::WalAppend, start_ns, end_ns, outcome.bytes);
-                if outcome.synced {
-                    self.recorder
-                        .event(SpanKind::WalFsync, start_ns, end_ns, outcome.batch);
-                }
-                if outcome.group_commit {
-                    self.recorder
-                        .event(SpanKind::GroupCommit, start_ns, end_ns, outcome.batch);
-                }
-            }
-        }
-        let staged = match self.arena.write(page) {
-            Some(mut frame) => {
-                frame.copy_from_slice(data);
-                true
-            }
-            None => false,
-        };
-        if !staged && !self.arena.install(page, data, true) {
+        self.log(|wal| wal.append(page, data))?;
+        let mut arena = guard(&self.frames)?;
+        if let Some(frame) = arena.write(page) {
+            frame.copy_from_slice(data);
+        } else if !arena.install(page, data, true) {
             return Err(io::Error::other(
                 "frame arena full: the policy must evict before staging",
             ));
         }
-        if self.flush_threshold > 0 && self.arena.dirty_len() >= self.flush_threshold {
-            self.flush_some(FLUSH_BATCH)?;
+        if self.flush_threshold > 0 && arena.dirty_len() >= self.flush_threshold {
+            self.flush_frames(&mut arena, FLUSH_BATCH)?;
+        }
+        Ok(())
+    }
+
+    /// Appends one WAL record through `append` — the one log-append site,
+    /// shared by [`PageStore::stage`] and [`PageStore::delete`] — and
+    /// accounts it: record, byte, sync and group-commit counters, and the
+    /// `WalAppend`/`WalFsync`/`GroupCommit` spans.
+    fn log(&self, append: impl FnOnce(&mut Wal) -> io::Result<AppendOutcome>) -> io::Result<()> {
+        let start_ns = self.recorder.clock().map(|clock| clock.now_nanos());
+        let outcome = append(&mut *guard(&self.wal)?)?;
+        self.io.wal_records.inc();
+        self.io.wal_bytes.add(outcome.bytes);
+        if outcome.synced {
+            self.io.wal_syncs.inc();
+        }
+        if outcome.group_commit {
+            self.io.group_commits.inc();
+        }
+        if let (Some(start_ns), Some(clock)) = (start_ns, self.recorder.clock()) {
+            // One timed window covers append + (when it happened) the
+            // sync: the fsync dominates, so the same interval is reported
+            // under both kinds rather than re-locking the WAL to time them
+            // separately.
+            let end_ns = clock.now_nanos();
+            self.recorder
+                .event(SpanKind::WalAppend, start_ns, end_ns, outcome.bytes);
+            if outcome.synced {
+                self.recorder
+                    .event(SpanKind::WalFsync, start_ns, end_ns, outcome.batch);
+            }
+            if outcome.group_commit {
+                self.recorder
+                    .event(SpanKind::GroupCommit, start_ns, end_ns, outcome.batch);
+            }
         }
         Ok(())
     }
@@ -470,7 +450,7 @@ impl PageStore {
     pub fn write_through(&self, page: PageId, data: &[u8]) -> io::Result<()> {
         assert_eq!(data.len(), self.page_size, "data must be one page");
         debug_assert!(
-            !self.arena.contains(page),
+            !recover_lock(&self.frames).contains(page),
             "write_through on a resident page"
         );
         self.io.bytes_written.add(self.page_size as u64);
@@ -485,7 +465,7 @@ impl PageStore {
     /// bytes, no intermediate copy — and that is reported as `Ok(true)`.
     /// A no-op returning `Ok(false)` if the page is not resident.
     pub fn evict(&self, page: PageId) -> io::Result<bool> {
-        match self.arena.evict(page) {
+        match guard(&self.frames)?.evict(page) {
             Some(frame) if frame.dirty() => {
                 self.disk.write_page(page, &frame)?;
                 self.io.disk_writes.inc();
@@ -550,12 +530,12 @@ impl PageStore {
         }
     }
 
-    /// Deletes `page` from the store: a WAL delete record is appended when
-    /// the log is on (so crash recovery replays the delete instead of
-    /// resurrecting the page from an earlier staged write), then any
-    /// resident frame is discarded *without* write-back (deleted bytes must
-    /// not resurrect via a flush), and the page is freed in the backing
-    /// file. Returns whether the backing file held the page.
+    /// Deletes `page` from the store: a WAL delete record is appended (so
+    /// crash recovery replays the delete instead of resurrecting the page
+    /// from an earlier staged write), then any resident frame is discarded
+    /// *without* write-back (deleted bytes must not resurrect via a flush),
+    /// and the page is freed in the backing file. Returns whether the
+    /// backing file held the page.
     ///
     /// A refused append leaves the page as it was: its frame, dirty or
     /// not, stays resident, so the last acknowledged write still reads.
@@ -563,21 +543,8 @@ impl PageStore {
     /// Same caller contract as every other per-page operation: operations
     /// on the same page must be serialized by the caller.
     pub fn delete(&self, page: PageId) -> io::Result<bool> {
-        if let Some(wal) = self.wal.as_ref() {
-            let outcome = wal_guard(wal)?.append_delete(page)?;
-            self.io.wal_records.inc();
-            self.io.wal_bytes.add(outcome.bytes);
-            if outcome.synced {
-                self.io.wal_syncs.inc();
-            }
-            if outcome.group_commit {
-                self.io.group_commits.inc();
-            }
-        }
-        // Evict before the free: the guard drains pins, so no concurrent
-        // flush pass can still be holding the frame to write it back after
-        // the slot is freed.
-        let _ = self.arena.evict(page);
+        self.log(|wal| wal.append_delete(page))?;
+        drop(guard(&self.frames)?.evict(page));
         self.io.page_deletes.inc();
         self.disk.free_page(page)
     }
@@ -586,13 +553,11 @@ impl PageStore {
     /// who then syncs with [`PageStore::sync_wal`] (the server's contract,
     /// [`crate::wal`] module docs). Returns whether there was such a log.
     pub fn hand_off_wal_sync(&self) -> io::Result<bool> {
-        match self.wal.as_ref() {
-            Some(wal) if self.durability != Durability::Buffered => {
-                let _ = self.wal_sync.set(wal_guard(wal)?.hand_off_sync()?);
-                Ok(true)
-            }
-            _ => Ok(false),
+        if self.durability == Durability::Buffered {
+            return Ok(false);
         }
+        let _ = self.wal_sync.set(guard(&self.wal)?.hand_off_sync()?);
+        Ok(true)
     }
 
     /// Syncs a handed-off log up to its last append, outside the WAL mutex,
@@ -603,15 +568,15 @@ impl PageStore {
     /// fails this and every later logged write and sync until the store
     /// is reopened.
     pub fn sync_wal(&self, acks: u64) -> io::Result<()> {
-        let (Some(wal), Some((file, fault))) = (self.wal.as_ref(), self.wal_sync.get()) else {
+        let Some((file, fault)) = self.wal_sync.get() else {
             return Ok(());
         };
-        let Some(len) = wal_guard(wal)?.unsynced()? else {
+        let Some(len) = guard(&self.wal)?.unsynced()? else {
             return Ok(());
         };
         let start_ns = self.recorder.clock().map(|clock| clock.now_nanos());
         let synced = sync_log(file, fault);
-        wal_guard(wal)?.publish_sync(len, synced)?;
+        guard(&self.wal)?.publish_sync(len, synced)?;
         self.io.wal_syncs.inc();
         self.io.group_commits.add(u64::from(acks > 1));
         if let (Some(start_ns), Some(clock)) = (start_ns, self.recorder.clock()) {
@@ -626,27 +591,25 @@ impl PageStore {
         Ok(())
     }
 
-    /// Writes back up to `max` dirty frames (marking them clean, keeping
-    /// them resident). Returns how many were flushed. The one write-back
-    /// routine: the inline threshold and checkpoints both run it. Passes
-    /// serialize on the flush mutex but hold only per-frame read pins
-    /// while writing.
+    /// Writes back up to `max` dirty frames in frame order (marking them
+    /// clean, keeping them resident). Returns how many were flushed. The one
+    /// write-back routine: the inline threshold and checkpoints both run it,
+    /// holding the frames lock for the whole pass.
     pub fn flush_some(&self, max: usize) -> io::Result<usize> {
-        let _pass = recover_lock(&self.flush_pass);
+        self.flush_frames(&mut *guard(&self.frames)?, max)
+    }
+
+    fn flush_frames(&self, arena: &mut FrameArena, max: usize) -> io::Result<usize> {
         let mut span = self.recorder.span(SpanKind::FlushPass);
         let mut list = Vec::new();
-        self.arena.dirty_pages(max, &mut list);
+        arena.dirty_pages(max, &mut list);
         let mut flushed = 0usize;
         for &page in &list {
-            // The page may have been evicted (and even re-installed clean)
-            // since the listing; a read pin pins down whatever is resident
-            // now, and writing a clean copy back is harmless.
-            let Some(frame) = self.arena.read(page) else {
+            let Some(bytes) = arena.read(page) else {
                 continue;
             };
-            self.disk.write_page(page, &frame)?;
-            frame.mark_clean();
-            drop(frame);
+            self.disk.write_page(page, bytes)?;
+            arena.mark_clean(page);
             self.io.disk_writes.inc();
             self.io.disk_bytes_written.add(self.page_size as u64);
             self.io.pages_flushed.inc();
@@ -663,7 +626,7 @@ impl PageStore {
 
     /// Writes back every dirty frame. Returns how many were flushed.
     pub fn flush_all(&self) -> io::Result<usize> {
-        self.flush_some(self.arena.capacity())
+        self.flush_some(usize::MAX)
     }
 
     /// Clean shutdown / durability point: flushes every dirty frame, syncs
@@ -673,12 +636,10 @@ impl PageStore {
         let flushed = self.flush_all()?;
         self.disk.sync()?;
         self.io.data_syncs.inc();
-        if let Some(wal) = self.wal.as_ref() {
-            let mut wal = wal_guard(wal)?;
-            wal.truncate()?;
-            wal.sync()?;
-            self.io.wal_syncs.inc();
-        }
+        let mut wal = guard(&self.wal)?;
+        wal.truncate()?;
+        wal.sync()?;
+        self.io.wal_syncs.inc();
         Ok(flushed)
     }
 
@@ -704,17 +665,17 @@ impl PageStore {
 
     /// Number of resident buffer frames.
     pub fn buffered_len(&self) -> usize {
-        self.arena.len()
+        recover_lock(&self.frames).len()
     }
 
     /// Number of resident dirty frames.
     pub fn dirty_len(&self) -> usize {
-        self.arena.dirty_len()
+        recover_lock(&self.frames).dirty_len()
     }
 
     /// Whether `page` is resident in a buffer frame.
     pub fn contains_buffered(&self, page: PageId) -> bool {
-        self.arena.contains(page)
+        recover_lock(&self.frames).contains(page)
     }
 
     /// Number of live pages in the backing file.
@@ -722,23 +683,16 @@ impl PageStore {
         self.disk.allocated_pages()
     }
 
-    /// Bytes of acknowledged WAL (zero when the WAL is off).
+    /// Bytes of acknowledged WAL.
     pub fn wal_len(&self) -> u64 {
-        match self.wal.as_ref() {
-            Some(wal) => recover_lock(wal).len_bytes(),
-            None => 0,
-        }
+        recover_lock(&self.wal).len_bytes()
     }
 
     /// Bytes of WAL known flushed to the device — what survives even a
-    /// kernel crash, always a record boundary (zero when the WAL is off).
-    /// The durability-level crash tests truncate the log here to model
-    /// losing OS-buffered bytes.
+    /// kernel crash, always a record boundary. The durability-level crash
+    /// tests truncate the log here to model losing OS-buffered bytes.
     pub fn wal_synced_len(&self) -> u64 {
-        match self.wal.as_ref() {
-            Some(wal) => recover_lock(wal).synced_len(),
-            None => 0,
-        }
+        recover_lock(&self.wal).synced_len()
     }
 }
 
@@ -891,12 +845,32 @@ mod tests {
     }
 
     #[test]
+    fn a_delete_records_its_wal_append_span() {
+        let dir = temp_dir("delete-span");
+        let recorder = Recorder::with_clock(clic_obs::Clock::mock());
+        let store = PageStore::open(
+            StoreConfig::new(&dir, 4)
+                .with_page_size(32)
+                .with_durability(Durability::Strict)
+                .with_recorder(recorder.clone()),
+        )
+        .unwrap();
+        store.stage(PageId(1), &payload(1, 32)).unwrap();
+        store.delete(PageId(1)).unwrap();
+        let trace = recorder.drain_trace();
+        let count = |kind| trace.events.iter().filter(|e| e.kind == kind).count();
+        assert_eq!(count(SpanKind::WalAppend), 2, "a delete's append is traced");
+        assert_eq!(count(SpanKind::WalFsync), 2, "so is a strict delete's sync");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_poisoned_wal_fails_writes_with_an_io_error() {
         let dir = temp_dir("poison");
         let store = PageStore::open(StoreConfig::new(&dir, 4).with_page_size(32)).unwrap();
         std::thread::scope(|scope| {
             let holder = scope.spawn(|| {
-                let _wal = checked_lock(store.wal.as_ref().unwrap()).unwrap();
+                let _wal = checked_lock(&store.wal).unwrap();
                 panic!("poison the WAL mutex");
             });
             assert!(holder.join().is_err());
@@ -904,22 +878,6 @@ mod tests {
         let err = store.stage(PageId(1), &payload(1, 32)).unwrap_err();
         assert!(err.to_string().contains("poisoned"), "{err}");
         assert!(!store.contains_buffered(PageId(1)), "nothing was staged");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn without_wal_a_crash_loses_staged_writes() {
-        let dir = temp_dir("nowal");
-        {
-            let store =
-                PageStore::open(StoreConfig::new(&dir, 4).with_page_size(32).with_wal(false))
-                    .unwrap();
-            store.stage(PageId(1), &payload(1, 32)).unwrap();
-        }
-        let store =
-            PageStore::open(StoreConfig::new(&dir, 4).with_page_size(32).with_wal(false)).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(store.read(PageId(1), &mut out).unwrap(), ReadSource::Zero);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -994,6 +952,75 @@ mod tests {
         assert_eq!(io.wal_records, 32);
         assert_eq!(store.checkpoint().unwrap(), 32);
         assert_eq!(store.dirty_len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_writer_syncs_beside_a_working_store() {
+        use std::collections::VecDeque;
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// Stops the log writer however the worker leaves its thread.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+
+        const FRAMES: usize = 8;
+        const PAGES: u64 = 20;
+        const ROUNDS: u64 = 5;
+        let dir = temp_dir("log-writer");
+        let config = || {
+            StoreConfig::new(&dir, FRAMES)
+                .with_page_size(32)
+                .with_durability(Durability::group_commit())
+        };
+        let expected = |round: u64, p: u64| payload((round * PAGES + p) as u8, 32);
+        let store = PageStore::open(config()).unwrap();
+        assert!(store.hand_off_wal_sync().unwrap());
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    store.sync_wal(1).unwrap();
+                }
+            });
+            scope.spawn(|| {
+                let _stop = StopOnDrop(&stop);
+                let mut resident = VecDeque::new();
+                let mut out = Vec::new();
+                for round in 0..ROUNDS {
+                    for p in 0..PAGES {
+                        let page = PageId(p);
+                        if !store.contains_buffered(page) {
+                            if resident.len() == FRAMES {
+                                store.evict(resident.pop_front().unwrap()).unwrap();
+                            }
+                            resident.push_back(page);
+                        }
+                        store.stage(page, &expected(round, p)).unwrap();
+                        assert_eq!(store.read(page, &mut out).unwrap(), ReadSource::Buffer);
+                        assert_eq!(out, expected(round, p), "page {p} in round {round}");
+                        if p % 7 == 0 {
+                            store.flush_some(3).unwrap();
+                        }
+                    }
+                }
+            });
+        });
+        store.sync_wal(1).unwrap();
+        assert_eq!(store.wal_synced_len(), store.wal_len());
+        drop(store); // crash: no checkpoint
+
+        let store = PageStore::open(config()).unwrap();
+        assert_eq!(store.recovered_writes(), ROUNDS * PAGES);
+        let mut out = Vec::new();
+        for p in 0..PAGES {
+            assert_eq!(store.read(PageId(p), &mut out).unwrap(), ReadSource::Disk);
+            assert_eq!(out, expected(ROUNDS - 1, p), "page {p} after recovery");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

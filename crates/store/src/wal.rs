@@ -1,4 +1,4 @@
-//! [`Wal`]: the optional write-ahead log that makes staged (write-back)
+//! [`Wal`]: the write-ahead log that makes staged (write-back)
 //! writes crash-consistent, with selectable [`Durability`] levels.
 //!
 //! # Record format

@@ -55,8 +55,8 @@ fn payload(tag: u8) -> Vec<u8> {
 }
 
 /// Byte offset of `page`'s data inside the backing file, found by scanning
-/// slot metadata — the sharded allocation bitmap spreads pages across
-/// stripes, so slot order is not stage order.
+/// slot metadata — flushes, evictions and frees decide the slot order, so
+/// it is not stage order.
 fn slot_data_offset(pages_file: &Path, page: u64, page_size: usize) -> u64 {
     const HEADER: usize = 16;
     const META: usize = 16;

@@ -184,12 +184,12 @@ if grep -rnE 'thread::spawn|Flusher|flush_interval|ShutdownTimeout' \
     exit 1
 fi
 
-# Unsafe code in the store lives in two places: the frame arena and the
-# CRC-32 kernel's dispatch, which runs the carry-less-multiply kernel only
-# on a CPU that is detected to support it.
-echo "== unsafe gate (crates/store: frame.rs and crc.rs only; crc.rs detects CPU features) =="
-if grep -rnw 'unsafe' crates/store/src | grep -vE '^crates/store/src/(frame|crc)\.rs:'; then
-    echo "verify: FAILED (unsafe in crates/store/src outside frame.rs and crc.rs)" >&2
+# Unsafe code in the store lives in one place: the CRC-32 kernel's
+# dispatch, which runs the carry-less-multiply kernel only on a CPU that is
+# detected to support it.
+echo "== unsafe gate (crates/store: crc.rs only; crc.rs detects CPU features) =="
+if grep -rnw 'unsafe' crates/store/src | grep -vE '^crates/store/src/crc\.rs:'; then
+    echo "verify: FAILED (unsafe in crates/store/src outside crc.rs)" >&2
     exit 1
 fi
 if ! grep -q 'is_x86_feature_detected!' crates/store/src/crc.rs; then

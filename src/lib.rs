@@ -23,9 +23,9 @@
 //!   binary protocol, and an open-loop Poisson load generator with
 //!   coordinated-omission-safe latency measurement,
 //! * [`store`] ([`clic_store`]) — the data plane behind the server: a
-//!   disk-backed page store (one per server shard) with latched buffer
-//!   frames, dirty tracking, inline write-back, and a write-ahead log
-//!   with selectable durability (buffered, group commit, or strict), so
+//!   disk-backed page store (one per server shard) with buffer frames,
+//!   dirty tracking, inline write-back, and a write-ahead log with
+//!   selectable durability (buffered, group commit, or strict), so
 //!   `Put`/`Get` move real bytes and acknowledged writes survive a crash,
 //! * [`obs`] ([`clic_obs`]) — the observability layer threaded through the
 //!   store and server: an atomic metrics registry, log-scaled latency

@@ -49,7 +49,6 @@ fn stats_round_trip_is_exact_mid_load_and_at_the_end() {
             .with_store(
                 StoreConfig::new(&dir, cache_pages)
                     .with_page_size(128)
-                    .with_wal(true)
                     .with_flush_threshold(64),
             )
             .with_recorder(Recorder::enabled()),
@@ -147,7 +146,6 @@ fn mid_load_snapshots_are_reproducible() {
                 .with_store(
                     StoreConfig::new(&dir, 256)
                         .with_page_size(128)
-                        .with_wal(true)
                         .with_flush_threshold(32),
                 ),
         );

@@ -2,12 +2,12 @@
 //! threads driving a store-backed sharded server, checked against the
 //! serial partitioned replay of the same requests.
 //!
-//! With per-shard stores, each shard's worker owns its own `PageStore`
-//! outside the shard lock, so concurrent clients exercise the latched
-//! frame arena and the WAL from several threads at once. The clients
-//! submit in rounds of one batch each, but thread scheduling still makes
-//! the per-shard *interleaving* within a round nondeterministic, so these
-//! tests split their checks in two:
+//! With per-shard stores, each shard calls its own `PageStore` under that
+//! shard's lock, so concurrent clients drive several stores at once, and
+//! under group commit each shard's log writer syncs beside its worker. The
+//! clients submit in rounds of one batch each, but thread scheduling still
+//! makes the per-shard *interleaving* within a round nondeterministic, so
+//! these tests split their checks in two:
 //!
 //! * **Exact** — counters that depend only on the request multiset, not
 //!   on order: total requests and cache-interface bytes moved must equal
