@@ -19,6 +19,9 @@
 //!   [`ServerRequest`]s (`Get`/`Put`/`Stats`, carrying the existing opaque
 //!   hint sets) and dispatches them to one worker thread per shard over
 //!   bounded channels, giving back-pressure instead of unbounded queueing.
+//!   A worker answers one *step* at a time (a delete, or up to
+//!   [`cache_sim::REPLAY_CHUNK`] accesses) and sends the step's replies back
+//!   as one channel message, so a blocked submitter wakes once per step.
 //! * [`run_load`] — a closed-loop load harness that spawns one client thread
 //!   per input trace (typically [`trace_gen`] presets over disjoint page
 //!   ranges), drives them against a server concurrently, and reports
@@ -41,10 +44,11 @@
 //!   reply is written) as the one back-pressure mechanism, and per-shard
 //!   coalescing into the same tagged enqueue and batched worker path
 //!   `submit` uses. The loop never polls on a timer: it sleeps until a
-//!   socket is ready or a shard worker, done with a step, fires the loop's
-//!   `eventfd` waker ([`sys::Waker`], carried in the [`server::ReplySink`]
-//!   the loop submits with), and each iteration visits only the connections
-//!   that wake-up touched. Over a store whose log syncs, a write's reply
+//!   socket is ready or a shard worker, done with a step, sends that step's
+//!   replies as one message and fires the loop's `eventfd` waker
+//!   ([`sys::Waker`], carried in the [`server::ReplySink`] the loop submits
+//!   with), and each iteration visits only the connections that wake-up
+//!   touched. Over a store whose log syncs, a write's reply
 //!   leaves once the shard's log writer has synced it ([`server`] module
 //!   docs). Every receiver — the event loop, [`BlockingClient`],
 //!   the open-loop reader — turns bytes into frames through the one

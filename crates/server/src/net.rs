@@ -16,8 +16,9 @@
 //!   handed to the existing shard workers through
 //!   [`Server::submit_shard_tagged`], so a flood of small client frames
 //!   still reaches the policy through the batched access fast path.
-//! * Completions stream back over a channel tagged with slab indices, the
-//!   worker firing the waker once per step (the reply sink the loop submits
+//! * Completions stream back over a channel tagged with slab indices, one
+//!   message per shard step carrying all of that step's replies, the worker
+//!   firing the waker once per message (the reply sink the loop submits
 //!   with carries it; [`Server::submit`]'s does not, so the in-process path
 //!   pays nothing). The loop matches them to connections (a generation
 //!   counter guards against slot reuse after disconnects), encodes
@@ -384,7 +385,9 @@ struct EventLoop {
     free_slab: Vec<usize>,
     /// What the loop submits with: its reply channel plus its waker.
     reply_sink: ReplySink,
-    reply_rx: mpsc::Receiver<ShardReply>,
+    /// Where the shard workers and log writers answer: one message per
+    /// shard step.
+    reply_rx: mpsc::Receiver<Vec<ShardReply>>,
     /// Per-shard coalescing buffers, flushed at [`REPLAY_CHUNK`] or at the
     /// end of each cycle.
     pending_shard: Vec<Vec<(usize, ServerRequest)>>,
@@ -719,8 +722,10 @@ impl EventLoop {
     }
 
     fn drain_completions(&mut self) {
-        while let Ok((tag, result)) = self.reply_rx.try_recv() {
-            self.complete(tag, result);
+        while let Ok(replies) = self.reply_rx.try_recv() {
+            for (tag, result) in replies {
+                self.complete(tag, result);
+            }
         }
     }
 

@@ -8,11 +8,18 @@
 //! the responses in batch order. Requests for the same shard are processed in
 //! submission order; requests for different shards proceed concurrently.
 //!
+//! The unit of delivery is the shard *step* — one delete, or up to
+//! [`REPLAY_CHUNK`] consecutive accesses: a worker sends a step's replies to
+//! the submitter as one channel message and wakes it at most once, so a
+//! submitter blocked on its channel is unparked once per step, not once per
+//! reply.
+//!
 //! Over a store whose log syncs ([`Durability::GroupCommit`],
 //! [`Durability::Strict`]), each worker owns a log writer thread. The worker
 //! appends without syncing and answers reads at once. It hands the
-//! acknowledgements of writes and deletes to the writer, which syncs the log
-//! once for all it holds and only then delivers them, so an acknowledged
+//! acknowledgements of a step's writes and deletes to the writer as one
+//! message; the writer syncs the log once for all it holds and only then
+//! delivers them, still one message per step, so an acknowledged
 //! logged write is device-durable for the network front-end and
 //! [`Server::submit`] alike (the contract in [`clic_store::wal`]).
 
@@ -133,43 +140,46 @@ pub struct ShardOutcome {
 /// (its batch position in [`Server::submit`], a slab index in the
 /// event-driven front-end), and either the successful [`ShardOutcome`] or
 /// the [`ErrorCode`] to answer with — storage failures propagate here
-/// instead of panicking the worker.
+/// instead of panicking the worker. Replies travel in batches, one message
+/// per shard step ([`ReplySink`]).
 pub type ShardReply = (usize, Result<ShardOutcome, ErrorCode>);
 
 /// Where a shard worker answers a submission: the submitter's reply channel
 /// and, for a submitter that sleeps in a [`crate::sys::Poller`] rather than
-/// on the channel, the [`Waker`] that ends that sleep. The worker wakes it
-/// once per step, after the step's replies are on the channel, and a log
-/// writer once per sync.
+/// on the channel, the [`Waker`] that ends that sleep. The channel carries
+/// one message per shard step: a worker sends a step's replies together
+/// and wakes the submitter once, and a log writer sends each step's
+/// acknowledgements it released together and wakes each submitter once
+/// per sync. A message is never empty.
 #[derive(Debug, Clone)]
 pub struct ReplySink {
-    tx: mpsc::Sender<ShardReply>,
+    tx: mpsc::Sender<Vec<ShardReply>>,
     waker: Option<Arc<Waker>>,
 }
 
 impl ReplySink {
     /// A sink for a submitter that blocks on the channel's receiver.
-    pub fn new(tx: mpsc::Sender<ShardReply>) -> ReplySink {
+    pub fn new(tx: mpsc::Sender<Vec<ShardReply>>) -> ReplySink {
         ReplySink { tx, waker: None }
     }
 
     /// A sink for a submitter that must be woken to look at the channel.
-    pub fn with_waker(tx: mpsc::Sender<ShardReply>, waker: Arc<Waker>) -> ReplySink {
+    pub fn with_waker(tx: mpsc::Sender<Vec<ShardReply>>, waker: Arc<Waker>) -> ReplySink {
         ReplySink {
             tx,
             waker: Some(waker),
         }
     }
 
-    /// Puts `replies` on the channel and, if there were any, wakes a
-    /// submitter that has to be woken.
-    fn deliver(&self, replies: impl IntoIterator<Item = ShardReply>) {
-        let mut sent = false;
-        for reply in replies {
-            let _ = self.tx.send(reply);
-            sent = true;
+    /// Puts `replies` on the channel as one message and, if there were
+    /// any and `wake` is set, wakes a submitter that has to be woken. The
+    /// one place replies leave a shard.
+    fn deliver(&self, replies: Vec<ShardReply>, wake: bool) {
+        if replies.is_empty() {
+            return;
         }
-        if let (true, Some(waker)) = (sent, &self.waker) {
+        let _ = self.tx.send(replies);
+        if let (true, Some(waker)) = (wake, &self.waker) {
             waker.wake();
         }
     }
@@ -199,9 +209,9 @@ struct ShardJob {
     reply: ReplySink,
 }
 
-/// One acknowledgement of a logged write or delete on its way through a
-/// log writer ([`write_log`]), with the sink it goes to.
-type Ack = (ReplySink, ShardReply);
+/// One step's acknowledgements of logged writes and deletes on their way
+/// through a log writer ([`write_log`]), with the sink they go to.
+type Ack = (ReplySink, Vec<ShardReply>);
 
 /// The shard worker: serves `shard`'s jobs until every sender is gone.
 ///
@@ -217,9 +227,10 @@ type Ack = (ReplySink, ShardReply);
 /// only loses the replies, the cache still observes every dispatched
 /// operation.
 ///
-/// With a `log` writer, a step's reads are delivered first and the
-/// acknowledgements of its writes and deletes are then handed to the
-/// writer, so a read never waits for a sync.
+/// Each step's replies leave as one message. With a `log` writer, a step's
+/// reads are delivered first and the acknowledgements of its writes and
+/// deletes are then handed to the writer, also as one message, so a read
+/// never waits for a sync.
 fn serve_shard(
     shard: usize,
     cache: &ShardedClic,
@@ -234,7 +245,6 @@ fn serve_shard(
     let mut outcomes = Vec::new();
     let mut data = Vec::new();
     let mut results: Vec<Result<ShardOutcome, ErrorCode>> = Vec::new();
-    let mut acks: Vec<ShardReply> = Vec::new();
     while let Ok(mut job) = jobs.recv() {
         if let Some(gauge) = &queue_depth {
             gauge.dec();
@@ -291,20 +301,22 @@ fn serve_shard(
             }
             let replies = job.tags[step..i].iter().copied().zip(results.drain(..));
             let Some(log) = &log else {
-                job.reply.deliver(replies);
+                job.reply.deliver(replies.collect(), true);
                 continue;
             };
             let is_delete = matches!(job.ops[step], ShardOp::Delete { .. });
-            job.reply
-                .deliver(replies.enumerate().filter_map(|(k, reply)| {
-                    if is_delete || !reqs[k].is_read() {
-                        acks.push(reply);
-                        return None;
-                    }
-                    Some(reply)
-                }));
-            for ack in acks.drain(..) {
-                let _ = log.send((job.reply.clone(), ack));
+            let mut reads = Vec::new();
+            let mut acks = Vec::new();
+            for (k, reply) in replies.enumerate() {
+                if is_delete || !reqs[k].is_read() {
+                    acks.push(reply);
+                } else {
+                    reads.push(reply);
+                }
+            }
+            job.reply.deliver(reads, true);
+            if !acks.is_empty() {
+                let _ = log.send((job.reply.clone(), acks));
             }
         }
         if let (Some(hist), Some(start_ns), Some(clock)) =
@@ -315,29 +327,34 @@ fn serve_shard(
     }
 }
 
-/// A shard's log writer: blocks for the worker's first acknowledgement,
-/// drains the rest, syncs the log once for all of them
-/// ([`PageStore::sync_wal`]), then delivers them, waking each submitter once
-/// per sync. If the sync failed, every one of them is answered with
+/// A shard's log writer: blocks for the worker's first step of
+/// acknowledgements, drains the rest, syncs the log once for all of them
+/// ([`PageStore::sync_wal`], told how many acknowledgements it covers), then
+/// delivers each step's as one message, waking each submitter once per
+/// sync. If the sync failed, every one of them is answered with
 /// [`ErrorCode::Io`] instead, and so is everything after it: the log stays
 /// failed until the store is reopened. Returns when the worker is gone.
 fn write_log(store: &PageStore, acks: mpsc::Receiver<Ack>) {
     let mut held: Vec<Ack> = Vec::new();
-    while let Ok(ack) = acks.recv() {
-        held.push(ack);
+    while let Ok(step) = acks.recv() {
+        held.push(step);
         held.extend(acks.try_iter());
-        let failed = store.sync_wal(held.len() as u64).is_err();
+        let count: usize = held.iter().map(|(_, replies)| replies.len()).sum();
+        let failed = store.sync_wal(count as u64).is_err();
         let mut released = held.drain(..).peekable();
-        while let Some((sink, (tag, outcome))) = released.next() {
-            let outcome = if failed { Err(ErrorCode::Io) } else { outcome };
-            let _ = sink.tx.send((tag, outcome));
-            let Some(waker) = &sink.waker else {
-                continue;
-            };
-            let woken_next = released.peek().and_then(|(next, _)| next.waker.as_ref());
-            if !woken_next.is_some_and(|next| Arc::ptr_eq(next, waker)) {
-                waker.wake();
+        while let Some((sink, mut replies)) = released.next() {
+            if failed {
+                for (_, outcome) in &mut replies {
+                    *outcome = Err(ErrorCode::Io);
+                }
             }
+            // Wake a submitter after the last message of its run only.
+            let woken_next = released.peek().and_then(|(next, _)| next.waker.as_ref());
+            let run_goes_on = match (&sink.waker, woken_next) {
+                (Some(waker), Some(next)) => Arc::ptr_eq(waker, next),
+                _ => false,
+            };
+            sink.deliver(replies, !run_goes_on);
         }
     }
 }
@@ -476,22 +493,28 @@ impl Server {
             outstanding += self.submit_shard_tagged(shard, ops, &reply_sender);
         }
         drop(reply_sender);
-        for _ in 0..outstanding {
+        let mut answered = 0;
+        while answered < outstanding {
             // invariant: the workers answer every submitted tag exactly
             // once (success or typed error) before dropping the sender.
             #[allow(clippy::expect_used)]
-            let (position, outcome) = reply_receiver
+            let replies = reply_receiver
                 .recv()
                 .expect("shard worker dropped a batch reply");
-            responses[position] = Some(match outcome {
-                Err(code) => ServerResponse::Error { code },
-                Ok(ShardOutcome { hit, data }) => match &batch[position] {
-                    ServerRequest::Get { .. } => ServerResponse::Get { hit, data },
-                    ServerRequest::Put { .. } => ServerResponse::Put { hit },
-                    ServerRequest::Delete { .. } => ServerResponse::Delete { existed: hit },
-                    ServerRequest::Stats => unreachable!("stats operations are answered inline"),
-                },
-            });
+            answered += replies.len();
+            for (position, outcome) in replies {
+                responses[position] = Some(match outcome {
+                    Err(code) => ServerResponse::Error { code },
+                    Ok(ShardOutcome { hit, data }) => match &batch[position] {
+                        ServerRequest::Get { .. } => ServerResponse::Get { hit, data },
+                        ServerRequest::Put { .. } => ServerResponse::Put { hit },
+                        ServerRequest::Delete { .. } => ServerResponse::Delete { existed: hit },
+                        ServerRequest::Stats => {
+                            unreachable!("stats operations are answered inline")
+                        }
+                    },
+                });
+            }
         }
         self.batches_served.fetch_add(1, Ordering::Relaxed);
         responses
@@ -507,9 +530,11 @@ impl Server {
 
     /// Submits operations to one shard's worker *without* waiting for the
     /// replies: each `(tag, operation)` pair is answered on `reply` as a
-    /// [`ShardReply`] `(tag, outcome, data)`, where `outcome` is the cache
-    /// hit flag for `Get`/`Put` and the existence flag for `Delete`.
-    /// Returns how many replies to expect (operations submitted).
+    /// [`ShardReply`] `(tag, outcome)`, in the one message that carries its
+    /// step's replies (see [`ReplySink`]); a successful `outcome`'s `hit` is
+    /// the cache hit flag for `Get`/`Put` and the existence flag for
+    /// `Delete`. Returns how many replies to expect (operations submitted),
+    /// not how many messages.
     ///
     /// This is the submission seam of the event-driven network front-end:
     /// the event loop coalesces decoded requests per shard, submits them
@@ -752,12 +777,48 @@ mod tests {
         (Server::start(config), store)
     }
 
-    fn woken_sink() -> (ReplySink, mpsc::Receiver<ShardReply>) {
+    fn woken_sink() -> (ReplySink, mpsc::Receiver<Vec<ShardReply>>) {
         let (tx, rx) = mpsc::channel();
         (
             ReplySink::with_waker(tx, Arc::new(Waker::new().unwrap())),
             rx,
         )
+    }
+
+    /// Receives one message and returns its only reply.
+    fn recv_one(rx: &mpsc::Receiver<Vec<ShardReply>>) -> ShardReply {
+        let mut message = rx.recv().unwrap();
+        assert_eq!(message.len(), 1, "one reply in the message");
+        message.remove(0)
+    }
+
+    #[test]
+    fn a_step_answers_in_one_message() {
+        let server = Server::start(ServerConfig::new(8).with_shards(1));
+        let (sink, rx) = woken_sink();
+        server.submit_shard_tagged(0, vec![(5, get(1)), (3, get(2)), (8, get(1))], &sink);
+        let tags: Vec<usize> = rx.recv().unwrap().iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(tags, [5, 3, 8]);
+        // Dropping the server joins its workers: nothing else was sent.
+        drop(server);
+        assert_eq!(rx.try_iter().count(), 0);
+    }
+
+    #[test]
+    fn a_sync_releases_a_steps_acks_in_one_message() {
+        let (server, store_config) = group_commit_server("one-message", FaultInjector::disabled());
+        let store = Arc::clone(&server.cache().stores()[0]);
+        let group_commits = store.io_stats().group_commits;
+        let (sink, rx) = woken_sink();
+        server.submit_shard_tagged(0, vec![(0, put(1)), (1, put(2)), (2, put(3))], &sink);
+        let message = rx.recv().unwrap();
+        assert_eq!(message.len(), 3);
+        assert!(message.iter().all(|(_, result)| result.is_ok()));
+        assert_eq!(store.wal_synced_len(), store.wal_len());
+        // One sync covered three acknowledgements: a group commit.
+        assert_eq!(store.io_stats().group_commits, group_commits + 1);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&store_config.dir);
     }
 
     #[test]
@@ -776,7 +837,7 @@ mod tests {
         let (sink, rx) = woken_sink();
         for tag in 3..6 {
             server.submit_shard_tagged(0, vec![(tag, put(tag as u64))], &sink);
-            let (got, result) = rx.recv().unwrap();
+            let (got, result) = recv_one(&rx);
             assert_eq!(got, tag);
             assert!(result.is_ok());
             assert!(store.wal_len() > logged, "put {tag} was logged");
@@ -792,11 +853,11 @@ mod tests {
     fn a_read_in_the_same_job_answers_before_the_put() {
         let (server, store_config) = group_commit_server("read-first", FaultInjector::disabled());
         let (sink, rx) = woken_sink();
-        // One step serves both; its read is delivered before the put's
-        // acknowledgement is handed to the writer, which can only deliver
-        // after that.
+        // One step serves both; its read's message is delivered before the
+        // put's acknowledgement is handed to the writer, which can only
+        // deliver after that.
         server.submit_shard_tagged(0, vec![(1, put(1)), (2, get(2))], &sink);
-        let order: Vec<usize> = (0..2).map(|_| rx.recv().unwrap().0).collect();
+        let order: Vec<usize> = (0..2).map(|_| recv_one(&rx).0).collect();
         assert_eq!(order, [2, 1]);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&store_config.dir);
@@ -819,7 +880,11 @@ mod tests {
         let (sink, rx) = woken_sink();
         let ops = (6..12).map(|page| (page as usize, put(page))).collect();
         let acked = server.submit_shard_tagged(0, ops, &sink);
-        assert!((0..acked).all(|_| rx.recv().unwrap().1.is_ok()));
+        assert!(rx
+            .iter()
+            .flatten()
+            .take(acked)
+            .all(|(_, result)| result.is_ok()));
         // A kernel crash: the server dies and the log loses its unsynced
         // tail.
         let synced = store.wal_synced_len();
@@ -855,7 +920,7 @@ mod tests {
             let read = server.submit(&[get(round + 100)]);
             assert!(read[0].hit().is_some(), "reads are still served");
             server.submit_shard_tagged(0, vec![(9, put(round + 20))], &sink);
-            assert_eq!(rx.recv().unwrap().1.unwrap_err(), ErrorCode::Io);
+            assert_eq!(recv_one(&rx).1.unwrap_err(), ErrorCode::Io);
         }
         assert_eq!(server.cache().stores()[0].wal_synced_len(), 0);
         assert!(server.try_shutdown().is_err(), "the checkpoint syncs too");

@@ -157,8 +157,10 @@ run_benchmark --seconds 3 --traced
 # mirror is PageStore::mirror, so the server never applies a policy verdict
 # to the store by hand; the WAL sync is the store's (PageStore::sync_wal, run
 # by each shard's log writer), and an acknowledgement waits for that sync and
-# nothing else.
-echo "== single-owner gates (frame reader, policy->store mirror, WAL sync, write-back) =="
+# nothing else. Replies leave a shard through ReplySink::deliver alone, one
+# channel message per shard step, so neither the worker nor the log writer
+# can drift back to one message per reply.
+echo "== single-owner gates (frame reader, policy->store mirror, WAL sync, reply delivery, write-back) =="
 if grep -rnF '.drain(..consumed)' crates/server/src; then
     echo "verify: FAILED (a hand-rolled frame reader is back; use wire::FrameBuf)" >&2
     exit 1
@@ -173,6 +175,14 @@ if grep -rnE 'sync_data|sync_all' crates/server/src; then
 fi
 if grep -nE 'recv_timeout|AckPacer|DURABLE_ACK_SPACING' crates/server/src/server.rs; then
     echo "verify: FAILED (a timed wait or the ack pacer is back in server.rs; acks wait only for the log writer's sync)" >&2
+    exit 1
+fi
+sends="$(grep -cE '\.tx\.send\(' crates/server/src/server.rs || true)"
+delivered="$(sed -n '/^impl ReplySink {/,/^}/p' crates/server/src/server.rs \
+    | sed -n '/^    fn deliver(/,/^    }$/p' | grep -cE '\.tx\.send\(' || true)"
+if [ "$sends" -ne 1 ] || [ "$delivered" -ne 1 ]; then
+    grep -nE '\.tx\.send\(' crates/server/src/server.rs >&2 || true
+    echo "verify: FAILED (server.rs sends replies outside ReplySink::deliver: $sends .tx.send( in the file, $delivered in deliver; want 1 and 1)" >&2
     exit 1
 fi
 # Write-back has one owner too: PageStore::flush_some, run inline by the
@@ -198,8 +208,9 @@ if ! grep -q 'is_x86_feature_detected!' crates/store/src/crc.rs; then
 fi
 
 # The event loop sleeps until it is woken (a socket, or a shard worker's
-# eventfd wake-up): no tick inside EventLoop, no sleep in the poller.
-echo "== wake-up gates (no timer in the event loop, no sleep in sys.rs) =="
+# eventfd wake-up): no tick inside EventLoop, no sleep in the poller, and no
+# timed wait in sys.rs or its tests (a test that expects nothing polls).
+echo "== wake-up gates (no timer in the event loop, no sleep or timed wait in sys.rs) =="
 if sed -n '/^struct EventLoop/,/^pub struct RetryPolicy/p' crates/server/src/net.rs \
         | grep -n 'Duration::from_'; then
     echo "verify: FAILED (a timed wait is back inside net.rs's EventLoop; wake it instead)" >&2
@@ -207,6 +218,10 @@ if sed -n '/^struct EventLoop/,/^pub struct RetryPolicy/p' crates/server/src/net
 fi
 if grep -n 'thread::sleep' crates/server/src/sys.rs; then
     echo "verify: FAILED (crates/server/src/sys.rs sleeps; the poller must block in epoll_wait)" >&2
+    exit 1
+fi
+if grep -n 'Duration::from_millis' crates/server/src/sys.rs; then
+    echo "verify: FAILED (crates/server/src/sys.rs waits on a clock; its tests poll with Duration::ZERO or block untimed)" >&2
     exit 1
 fi
 
