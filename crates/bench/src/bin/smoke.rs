@@ -34,13 +34,15 @@
 //!
 //! * **Phase A (durability under fire, run twice):** a `Strict` store
 //!   absorbs a write storm while the injector fails ~10% of WAL appends
-//!   and fsyncs. After a simulated kernel crash (the WAL truncated to its
-//!   synced prefix) a fault-free reopen must recover *bit-identical*
-//!   contents for every write the model says survived — in particular
-//!   nothing acknowledged is ever lost. The phase runs twice with the
-//!   same seed and must produce identical acknowledgement sequences,
-//!   injector counts, synced prefixes, and recovered bytes: a chaos
-//!   failure is replayable from its seed alone. A pure replay of the
+//!   and fsyncs, and its log crosses at least two budget checkpoints
+//!   (a checkpoint whose log sync fails closes the store, and every later
+//!   write must be refused). After a simulated kernel crash (the WAL
+//!   truncated to its synced prefix) a fault-free reopen must recover
+//!   *bit-identical* contents for every write the model says survived —
+//!   in particular nothing acknowledged is ever lost. The phase runs
+//!   twice with the same seed and must produce identical acknowledgement
+//!   sequences, injector counts, synced prefixes, and recovered bytes: a
+//!   chaos failure is replayable from its seed alone. A pure replay of the
 //!   decision stream reconciles the injector's own counts and proves the
 //!   schedule contained at least one torn write and one failed fsync.
 //! * **Phase B (degradation under store faults):** the TCP front-end runs
@@ -87,8 +89,8 @@ use clic_server::{
     ServerRequest, CLIENT_BATCH_HISTOGRAM,
 };
 use clic_store::{
-    page_payload, replay_storage, replay_storage_partitioned, InjectedFault, PageStore, ReadSource,
-    StorageReplayReport, StoreConfig, REPLAY_CHUNK_HISTOGRAM,
+    page_payload, page_record_len, replay_storage, replay_storage_partitioned, InjectedFault,
+    PageStore, ReadSource, StorageReplayReport, StoreConfig, REPLAY_CHUNK_HISTOGRAM,
 };
 use trace_gen::{PresetScale, TracePreset};
 
@@ -352,8 +354,13 @@ struct StormOutcome {
     acked: Vec<bool>,
     /// The injector's (point, ops, injected) triples.
     counts: Vec<(FaultPoint, u64, u64)>,
-    /// Records that reached the WAL (appended, even if their sync failed).
+    /// Records in the WAL at crash time: appended since the last
+    /// checkpoint, even if their sync failed.
     appended: Vec<(u64, u8)>,
+    /// Budget checkpoints that reached the data file.
+    checkpoints: u64,
+    /// Whether a checkpoint's log sync failed and closed the store.
+    closed: bool,
     /// WAL bytes known durable at crash time.
     synced_len: u64,
     /// Bytes recovered per page after the kernel-crash cut, fault-free.
@@ -361,73 +368,117 @@ struct StormOutcome {
 }
 
 /// Deterministic write storm: `ops` tagged writes against a `Strict`
-/// store while WAL appends and fsyncs fail at ~10% each, then a kernel
-/// crash (WAL truncated to the synced prefix) and a fault-free recovery.
+/// store while WAL appends and fsyncs fail at ~10% each, crossing budget
+/// checkpoints, then a kernel crash (WAL truncated to the synced prefix)
+/// and a fault-free recovery.
 fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
     fs::remove_dir_all(dir).ok();
     let fault = FaultInjector::seeded(CHAOS_SEED)
         .with_rate(FaultPoint::WalAppend, 0.10)
         .with_rate(FaultPoint::WalSync, 0.10);
-    // Frames cover the page universe: no evictions, so recovery is
-    // exactly WAL replay.
-    let config = StoreConfig::new(dir, 64)
+    // Frames cover the page universe: no evictions, so the data file
+    // changes only at checkpoints, and recovery is the last checkpoint plus
+    // WAL replay. The log budget is 4 × 32 = 128 records.
+    let config = StoreConfig::new(dir, 32)
         .with_page_size(CHAOS_PAGE_SIZE)
         .with_durability(Durability::Strict)
         .with_fault_injector(fault.clone());
+    let record_len = page_record_len(CHAOS_PAGE_SIZE);
     let mut acked = Vec::with_capacity(ops.len());
     let mut appended = Vec::new();
+    // The last acknowledged write per page — the frames' contents — and
+    // what the last checkpoint wrote of it to the data file.
+    let mut resident: BTreeMap<u64, u8> = BTreeMap::new();
+    let mut checkpointed = BTreeMap::new();
+    let (mut checkpoints, mut closed) = (0u64, false);
+    let mut append_attempts = 0u64;
     let (synced_len, total_len) = {
         let store = PageStore::open(config)?;
         for &(page, tag) in ops {
-            match store.stage(PageId(page), &[tag; CHAOS_PAGE_SIZE]) {
+            let syncs_before = fault.ops_at(FaultPoint::WalSync);
+            let checkpoints_before = store.io_stats().data_syncs;
+            let result = store.stage(PageId(page), &[tag; CHAOS_PAGE_SIZE]);
+            // A budget checkpoint ran before the append: it wrote every
+            // frame to the data file and emptied the log.
+            let checkpointed_now = store.io_stats().data_syncs > checkpoints_before;
+            if checkpointed_now {
+                checkpoints += 1;
+                checkpointed = resident.clone();
+                appended.clear();
+            }
+            acked.push(result.is_ok());
+            let err = match result {
                 Ok(()) => {
-                    acked.push(true);
-                    appended.push((page, tag));
-                }
-                Err(err) => {
-                    acked.push(false);
-                    let msg = err.to_string();
                     assert!(
-                        msg.contains(clic_store::INJECTED_FAULT),
-                        "only injected faults may fail the storm: {msg}"
+                        !closed,
+                        "write {page} applied after the store failed closed"
                     );
-                    // A failed fsync still appended its record; a torn or
-                    // failed append never advanced the WAL.
-                    if msg.contains(FaultPoint::WalSync.label()) {
-                        appended.push((page, tag));
-                    }
+                    append_attempts += 1;
+                    appended.push((page, tag));
+                    resident.insert(page, tag);
+                    continue;
                 }
+                Err(err) if closed => {
+                    // Refused before the append: no fault decision either.
+                    assert!(!err.to_string().contains(clic_store::INJECTED_FAULT));
+                    continue;
+                }
+                Err(err) => err.to_string(),
+            };
+            assert!(
+                err.contains(clic_store::INJECTED_FAULT),
+                "only injected faults may fail the storm: {err}"
+            );
+            if !err.contains(FaultPoint::WalSync.label()) {
+                append_attempts += 1; // a torn or failed append
+                continue;
+            }
+            // A failed fsync: either the append's own, which kept its
+            // record, or the checkpoint's log sync — the one sync decision
+            // this write made — which refused the write before its append
+            // and closed the store.
+            if checkpointed_now && fault.ops_at(FaultPoint::WalSync) == syncs_before + 1 {
+                closed = true;
+            } else {
+                append_attempts += 1;
+                appended.push((page, tag));
             }
         }
         (store.wal_synced_len(), store.wal_len())
         // Dropped without checkpoint: the process crash.
     };
-    assert!(!appended.is_empty(), "the storm must append something");
-    let record_len = total_len / appended.len() as u64;
+    assert!(
+        checkpoints >= 2,
+        "the storm must cross two checkpoints, crossed {checkpoints}"
+    );
     assert_eq!(
         total_len,
         record_len * appended.len() as u64,
-        "appended-record accounting must explain the WAL length exactly"
+        "records appended since the last checkpoint must explain the WAL length exactly"
     );
     let synced_records = (synced_len / record_len) as usize;
+    assert_eq!(synced_len, synced_records as u64 * record_len);
 
     // Replay the decision stream on a fresh injector: decisions depend
     // only on (seed, point, index), so the replayed counts must reconcile
     // with the live run's — and the replay exposes the fault *flavors*,
     // which the gate requires to include real torn writes and fsync
-    // failures (otherwise the schedule tested nothing).
+    // failures (otherwise the schedule tested nothing). Every append
+    // attempt made one append decision; every record appended, and every
+    // checkpoint, one sync decision.
     let replay = FaultInjector::seeded(CHAOS_SEED)
         .with_rate(FaultPoint::WalAppend, 0.10)
         .with_rate(FaultPoint::WalSync, 0.10);
     let (mut torn, mut append_failed, mut sync_failed) = (0u64, 0u64, 0u64);
-    for _ in 0..ops.len() {
+    for _ in 0..append_attempts {
         match replay.decide(FaultPoint::WalAppend, record_len as usize) {
             InjectedFault::None => {}
             InjectedFault::Torn(_) => torn += 1,
             _ => append_failed += 1,
         }
     }
-    for _ in 0..appended.len() {
+    let appends_synced = append_attempts - torn - append_failed;
+    for _ in 0..appends_synced + checkpoints {
         if replay.decide(FaultPoint::WalSync, 0) != InjectedFault::None {
             sync_failed += 1;
         }
@@ -442,18 +493,26 @@ fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
         fault.injected_at(FaultPoint::WalSync),
         "replayed sync schedule diverged from the live run"
     );
+    assert_eq!(fault.ops_at(FaultPoint::DataSync), checkpoints);
     assert!(torn >= 1, "the schedule must tear at least one WAL append");
     assert!(
         sync_failed >= 1,
         "the schedule must fail at least one fsync"
     );
     println!(
-        "  storm: {} writes, {} acked, {} torn appends, {} failed appends, {} failed fsyncs",
+        "  storm: {} writes, {} acked, {} torn appends, {} failed appends, {} failed fsyncs, \
+         {} checkpoints{}",
         ops.len(),
         acked.iter().filter(|&&a| a).count(),
         torn,
         append_failed,
-        sync_failed
+        sync_failed,
+        checkpoints,
+        if closed {
+            ", then a failed checkpoint sync closed the store"
+        } else {
+            ""
+        }
     );
 
     // Kernel crash: everything past the synced prefix never hit the
@@ -465,7 +524,7 @@ fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
         file.set_len(synced_len)?;
     }
     let store = PageStore::open(
-        StoreConfig::new(dir, 64)
+        StoreConfig::new(dir, 32)
             .with_page_size(CHAOS_PAGE_SIZE)
             .with_durability(Durability::Strict),
     )?;
@@ -475,10 +534,11 @@ fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
         "recovery must replay exactly the synced prefix"
     );
 
-    // The model: last record inside the synced prefix wins per page. In
-    // Strict mode every *acknowledged* write synced inline, so nothing
-    // acked can be missing — only sync-failed tails may be dropped.
-    let mut expected: BTreeMap<u64, u8> = BTreeMap::new();
+    // The model: the last checkpoint's pages, then the last record inside
+    // the synced prefix wins per page. In Strict mode every
+    // *acknowledged* write synced inline, so nothing acked can be missing
+    // — only sync-failed tails may be dropped.
+    let mut expected = checkpointed;
     for &(page, tag) in &appended[..synced_records] {
         expected.insert(page, tag);
     }
@@ -503,6 +563,8 @@ fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
         acked,
         counts: fault.counts(),
         appended,
+        checkpoints,
+        closed,
         synced_len,
         recovered,
     })

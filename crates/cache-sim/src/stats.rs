@@ -166,8 +166,8 @@ pub struct IoStats {
     pub wal_records: u64,
     /// Bytes appended to the write-ahead log (including record framing).
     pub wal_bytes: u64,
-    /// `fsync` calls issued against the page file (checkpoints and
-    /// recovery-time write-back).
+    /// `fsync` calls issued against the page file: one per checkpoint,
+    /// whether the log reached its budget or the store shut down cleanly.
     pub data_syncs: u64,
     /// `fsync` calls issued against the write-ahead log.
     pub wal_syncs: u64,

@@ -333,7 +333,10 @@ fn serve_shard(
 /// delivers each step's as one message, waking each submitter once per
 /// sync. If the sync failed, every one of them is answered with
 /// [`ErrorCode::Io`] instead, and so is everything after it: the log stays
-/// failed until the store is reopened. Returns when the worker is gone.
+/// failed until the store is reopened. The worker may checkpoint the store
+/// at its log budget while a sync is in flight; that sync then covers
+/// nothing appended after the truncation, so such a write waits for the
+/// next sync. Returns when the worker is gone.
 fn write_log(store: &PageStore, acks: mpsc::Receiver<Ack>) {
     let mut held: Vec<Ack> = Vec::new();
     while let Ok(step) = acks.recv() {
@@ -900,6 +903,57 @@ mod tests {
         for page in 0..12 {
             store.read(PageId(page), &mut buf).unwrap();
             assert_eq!(buf, payload(page), "acknowledged put {page} was lost");
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&store_config.dir);
+    }
+
+    #[test]
+    fn acknowledged_puts_survive_a_cut_after_budget_checkpoints() {
+        const PAGES: u64 = 6;
+        const ROUNDS: u64 = 40;
+        let (server, store_config) = group_commit_server("budget-cut", FaultInjector::disabled());
+        let store = Arc::clone(&server.cache().stores()[0]);
+        let payload = |page: u64, round: u64| vec![(page * ROUNDS + round) as u8; 128];
+        let put = |page: u64, round: u64| ServerRequest::Put {
+            client: ClientId(0),
+            page: PageId(page),
+            hint: HintSetId(0),
+            write_hint: None,
+            data: Some(payload(page, round)),
+        };
+        // 240 puts to 6 pages, which the 8-page cache keeps resident, so
+        // they are staged through 16 frames: a budget of 64 records, crossed
+        // three times while the log writer syncs.
+        for round in 0..ROUNDS {
+            let batch: Vec<ServerRequest> = (0..PAGES).map(|page| put(page, round)).collect();
+            assert!(server.submit(&batch).iter().all(|r| r.hit().is_some()));
+        }
+        assert!(
+            store.io_stats().data_syncs >= 3,
+            "several budget checkpoints"
+        );
+        // A kernel crash: the server dies and the log loses its unsynced
+        // tail.
+        let synced = store.wal_synced_len();
+        drop((server, store));
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(store_config.dir.join("store.wal"))
+            .unwrap()
+            .set_len(synced)
+            .unwrap();
+        let store = crate::PageStore::open(store_config.clone()).unwrap();
+        let budget = (clic_store::LOG_BUDGET_ARENAS * store_config.frames) as u64;
+        assert!(store.recovered_writes() <= budget);
+        let mut buf = Vec::new();
+        for page in 0..PAGES {
+            store.read(PageId(page), &mut buf).unwrap();
+            assert_eq!(
+                buf,
+                payload(page, ROUNDS - 1),
+                "acknowledged put {page} was lost"
+            );
         }
         drop(store);
         let _ = std::fs::remove_dir_all(&store_config.dir);

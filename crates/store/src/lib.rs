@@ -34,6 +34,14 @@
 //!   a crash mid-append). A checkpoint (flush everything, sync the data
 //!   file) truncates the log to zero.
 //!
+//!   **Bounded log:** the store checkpoints at a clean shutdown *and*
+//!   before any append that finds [`LOG_BUDGET_ARENAS`] arena-fulls of
+//!   page records ([`page_record_len`]) already logged. So a reopen
+//!   replays at most `LOG_BUDGET_ARENAS × frames` records, however long
+//!   the run was. A checkpoint whose sync fails fails the store closed:
+//!   the log is never truncated again, and every later write is refused
+//!   until reopen.
+//!
 //!   **Durability levels:** [`Durability::Buffered`] never syncs inline
 //!   (a kernel crash can lose OS-buffered records), [`Durability::Strict`]
 //!   syncs every append, and [`Durability::GroupCommit`] coalesces up to
@@ -56,8 +64,9 @@
 //!   **Write-back** runs on the caller's thread; the store spawns no
 //!   threads. A staging call runs [`PageStore::flush_some`] inline once
 //!   [`StoreConfig::flush_threshold`] dirty frames accumulate, a dirty
-//!   eviction writes its departing frame back, and a checkpoint flushes
-//!   every dirty frame through the same [`PageStore::flush_some`].
+//!   eviction writes its departing frame back, and a checkpoint — at the
+//!   log budget or at shutdown — flushes every dirty frame through the
+//!   same routine.
 //! * [`replay_storage`] ([`replay`]) — the offline driver: replays a trace
 //!   through any [`cache_sim::CachePolicy`] while moving real bytes through
 //!   a store, handing each outcome and the policy's eviction-identity log
@@ -106,12 +115,16 @@
 //!
 //! | Lock | Protects | Held for |
 //! |---|---|---|
-//! | frames (`Mutex<FrameArena>`) | frame bytes, resident pages, dirty bits, page → frame map, free list | one read, install, overwrite or eviction; a whole flush pass, including its disk writes |
-//! | WAL (`Mutex<Wal>`) | log file offset, group-commit window, synced length | one append (+ optional sync); a handed-off sync ([`PageStore::sync_wal`]) takes it only to read and publish lengths, so the log writer never waits on frame work |
+//! | frames (`Mutex<FrameArena>`) | frame bytes, resident pages, dirty bits, page → frame map, free list | one read, install, overwrite or eviction; a whole flush pass, including its disk writes; a stage or delete from before its append until its frame is applied; a whole checkpoint |
+//! | WAL (`Mutex<Wal>`) | log file offset, group-commit window, synced length | one append (+ optional sync); a checkpoint's truncation and log sync; a handed-off sync ([`PageStore::sync_wal`]) takes it only to read and publish lengths, so the log writer never waits on frame work |
 //! | disk slots (`Mutex` inside [`DiskManager`]) | page → slot map, [`AllocationBitmap`] | one lookup, allocation or free — never across file I/O |
 //!
-//! **Lock order:** WAL → frames → disk slots. [`PageStore::stage`] and
-//! [`PageStore::delete`] release the WAL before they take the frames.
+//! **Lock order:** frames → WAL → disk slots. [`PageStore::stage`],
+//! [`PageStore::delete`] and [`PageStore::checkpoint`] all take the frames
+//! before the WAL, and a stage or delete keeps them until its record is
+//! applied to the frames (and a delete's page is freed). A checkpoint holds
+//! the frames from its first write-back to its truncation, so it can never
+//! cut a record whose page is in neither the data file nor the log.
 //! Poisoned locks are either recovered ([`cache_sim::recover_lock`] — for
 //! the disk slots and the read-only size accessors) or surfaced as an
 //! [`std::io::Error`] ([`cache_sim::checked_lock`] — for the WAL and the
@@ -164,8 +177,8 @@ pub use replay::{
     page_payload, replay_storage, replay_storage_partitioned, StorageReplayReport,
     REPLAY_CHUNK_HISTOGRAM,
 };
-pub use store::{PageStore, ReadSource, StoreConfig, DEFAULT_PAGE_SIZE};
-pub use wal::{AppendOutcome, Durability, Wal, WalOp, WalRecord};
+pub use store::{PageStore, ReadSource, StoreConfig, DEFAULT_PAGE_SIZE, LOG_BUDGET_ARENAS};
+pub use wal::{page_record_len, AppendOutcome, Durability, Wal, WalOp, WalRecord};
 
 // Observability types that appear in this crate's public API
 // ([`StoreConfig::with_recorder`], [`PageStore::metrics`],

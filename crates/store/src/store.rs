@@ -2,10 +2,11 @@
 //! [`Wal`], with byte-level I/O accounting.
 //!
 //! The store synchronizes with three mutexes (see the crate docs for what
-//! each protects): the frames, the WAL, and the disk manager's slots. The
-//! server calls a shard's store under that shard's lock, so the frames and
-//! slot mutexes are uncontended there; the WAL has its own so a log
-//! writer's [`PageStore::sync_wal`] never waits on frame work.
+//! each protects, and for their order): the frames, the WAL, and the disk
+//! manager's slots. The server calls a shard's store under that shard's
+//! lock, so the frames and slot mutexes are uncontended there; the WAL has
+//! its own so a log writer's [`PageStore::sync_wal`] never waits on frame
+//! work.
 //!
 //! * reads prefer the arena and fall back to the disk tier through
 //!   [`DiskManager`]'s positioned I/O;
@@ -16,7 +17,9 @@
 //!   frame's [`EvictGuard`](crate::frame::EvictGuard) bytes;
 //! * a flush pass holds the frames lock while it writes a batch back;
 //! * a checkpoint flushes everything, syncs the data file, and truncates
-//!   the WAL.
+//!   the WAL: at a clean shutdown, and before any append that finds
+//!   [`LOG_BUDGET_ARENAS`] arena-fulls of page records already logged, so
+//!   recovery replays at most that many.
 //!
 //! Every operation updates a set of shared atomic counters that callers
 //! snapshot with [`PageStore::io_stats`]; the snapshot covers activity
@@ -36,13 +39,20 @@ use crate::disk::DiskManager;
 use crate::fault::FaultInjector;
 use crate::frame::FrameArena;
 use crate::replay::page_payload;
-use crate::wal::{sync_log, AppendOutcome, Durability, Wal, WalOp};
+use crate::wal::{page_record_len, sync_log, AppendOutcome, Durability, Wal, WalOp};
 
 /// The paper-typical page size: 4 KiB.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
 /// Dirty frames written back per inline flush pass.
 const FLUSH_BATCH: usize = 64;
+
+/// The write-ahead log's budget, in arena-fulls of page records: an append
+/// that finds `LOG_BUDGET_ARENAS × frames` page records' worth of log
+/// already written checkpoints first, so a crash leaves at most that many
+/// records to replay. Each checkpoint writes back at most one arena, so the
+/// budget adds at most one page write per four logged records.
+pub const LOG_BUDGET_ARENAS: usize = 4;
 
 /// Configuration for a [`PageStore`].
 #[derive(Debug, Clone)]
@@ -255,6 +265,9 @@ pub struct PageStore {
     flush_threshold: usize,
     page_size: usize,
     durability: Durability,
+    /// Log bytes that trigger a checkpoint before the next append:
+    /// [`LOG_BUDGET_ARENAS`] arena-fulls of page records.
+    log_budget: u64,
     recovered_writes: u64,
 }
 
@@ -330,6 +343,8 @@ impl PageStore {
             flush_threshold: config.flush_threshold,
             page_size: config.page_size,
             durability: config.durability,
+            log_budget: (LOG_BUDGET_ARENAS * config.frames) as u64
+                * page_record_len(config.page_size),
             recovered_writes: records.len() as u64,
         })
     }
@@ -339,8 +354,10 @@ impl PageStore {
         self.page_size
     }
 
-    /// Acknowledged writes replayed from the WAL when the store was opened
-    /// (zero after a clean shutdown, whose checkpoint empties the log).
+    /// Acknowledged writes replayed from the WAL when the store was opened:
+    /// those since the last checkpoint, so at most [`LOG_BUDGET_ARENAS`]
+    /// arena-fulls (zero after a clean shutdown, whose checkpoint empties
+    /// the log).
     pub fn recovered_writes(&self) -> u64 {
         self.recovered_writes
     }
@@ -388,14 +405,15 @@ impl PageStore {
     /// process crash, and the [`Durability`] level says when it also
     /// reaches the device), then installs or overwrites the page's frame
     /// dirty. When the inline flush threshold is reached, a batch of dirty
-    /// frames is written back before returning.
+    /// frames is written back before returning. When the log holds its
+    /// budget, a checkpoint runs first ([`PageStore::checkpoint`]), and if
+    /// it fails the write is refused before its record exists.
     ///
     /// Fails if the page is not resident and the arena is full.
     pub fn stage(&self, page: PageId, data: &[u8]) -> io::Result<()> {
         assert_eq!(data.len(), self.page_size, "data must be one page");
         self.io.bytes_written.add(self.page_size as u64);
-        self.log(|wal| wal.append(page, data))?;
-        let mut arena = guard(&self.frames)?;
+        let mut arena = self.log(|wal| wal.append(page, data))?;
         if let Some(frame) = arena.write(page) {
             frame.copy_from_slice(data);
         } else if !arena.install(page, data, true) {
@@ -412,10 +430,24 @@ impl PageStore {
     /// Appends one WAL record through `append` — the one log-append site,
     /// shared by [`PageStore::stage`] and [`PageStore::delete`] — and
     /// accounts it: record, byte, sync and group-commit counters, and the
-    /// `WalAppend`/`WalFsync`/`GroupCommit` spans.
-    fn log(&self, append: impl FnOnce(&mut Wal) -> io::Result<AppendOutcome>) -> io::Result<()> {
+    /// `WalAppend`/`WalFsync`/`GroupCommit` spans. A log that holds its
+    /// budget is checkpointed first. Returns the frames, locked before the
+    /// WAL and still locked, so the caller applies the record to them
+    /// before any checkpoint can truncate it (lock order: crate docs).
+    fn log(
+        &self,
+        append: impl FnOnce(&mut Wal) -> io::Result<AppendOutcome>,
+    ) -> io::Result<MutexGuard<'_, FrameArena>> {
+        let mut arena = guard(&self.frames)?;
+        let mut wal = guard(&self.wal)?;
+        if wal.len_bytes() >= self.log_budget {
+            drop(wal);
+            self.checkpoint_frames(&mut arena)?;
+            wal = guard(&self.wal)?;
+        }
         let start_ns = self.recorder.clock().map(|clock| clock.now_nanos());
-        let outcome = append(&mut *guard(&self.wal)?)?;
+        let outcome = append(&mut wal)?;
+        drop(wal);
         self.io.wal_records.inc();
         self.io.wal_bytes.add(outcome.bytes);
         if outcome.synced {
@@ -441,7 +473,7 @@ impl PageStore {
                     .event(SpanKind::GroupCommit, start_ns, end_ns, outcome.batch);
             }
         }
-        Ok(())
+        Ok(arena)
     }
 
     /// Writes `data` straight to the backing file, bypassing the buffer
@@ -543,8 +575,10 @@ impl PageStore {
     /// Same caller contract as every other per-page operation: operations
     /// on the same page must be serialized by the caller.
     pub fn delete(&self, page: PageId) -> io::Result<bool> {
-        self.log(|wal| wal.append_delete(page))?;
-        drop(guard(&self.frames)?.evict(page));
+        // The frames stay locked until the page is freed: a checkpoint
+        // that truncated the delete record before then would resurrect it.
+        let mut arena = self.log(|wal| wal.append_delete(page))?;
+        drop(arena.evict(page));
         self.io.page_deletes.inc();
         self.disk.free_page(page)
     }
@@ -624,23 +658,38 @@ impl PageStore {
         Ok(flushed)
     }
 
-    /// Writes back every dirty frame. Returns how many were flushed.
-    pub fn flush_all(&self) -> io::Result<usize> {
-        self.flush_some(usize::MAX)
+    /// Durability point, run at a clean shutdown and whenever the log
+    /// reaches its budget ([`LOG_BUDGET_ARENAS`]): flushes every dirty
+    /// frame, syncs the backing file, and truncates and syncs the WAL (its
+    /// records are now redundant). Returns how many frames the flush wrote
+    /// back. The frames stay locked throughout, so no record is logged
+    /// between the flush and the truncation.
+    ///
+    /// A failed sync, of the backing file or of the truncated log, fails
+    /// the store closed: the kernel may have dropped the pages it was
+    /// writing, so the log is never truncated again, and every later write
+    /// and checkpoint is refused until the store is reopened.
+    pub fn checkpoint(&self) -> io::Result<usize> {
+        self.checkpoint_frames(&mut *guard(&self.frames)?)
     }
 
-    /// Clean shutdown / durability point: flushes every dirty frame, syncs
-    /// the backing file, and truncates the WAL (its records are now
-    /// redundant). Returns how many frames the flush wrote back.
-    pub fn checkpoint(&self) -> io::Result<usize> {
-        let flushed = self.flush_all()?;
-        self.disk.sync()?;
-        self.io.data_syncs.inc();
+    /// [`PageStore::checkpoint`] under the frames lock its caller holds: a
+    /// staging call's budget checkpoint runs here without letting go of
+    /// the frames between the checkpoint and its own append.
+    fn checkpoint_frames(&self, arena: &mut FrameArena) -> io::Result<usize> {
+        guard(&self.wal)?.check()?;
+        let flushed = self.flush_frames(arena, usize::MAX)?;
+        let mut synced = self.disk.sync();
         let mut wal = guard(&self.wal)?;
-        wal.truncate()?;
-        wal.sync()?;
-        self.io.wal_syncs.inc();
-        Ok(flushed)
+        if synced.is_ok() {
+            self.io.data_syncs.inc();
+            synced = wal.truncate().and_then(|()| wal.sync());
+        }
+        match synced {
+            Ok(()) => self.io.wal_syncs.inc(),
+            Err(_) => wal.fail(),
+        }
+        synced.map(|()| flushed)
     }
 
     /// A snapshot of the byte-level I/O counters (activity since open).
@@ -699,6 +748,7 @@ impl PageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultPoint;
     use std::time::Duration;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -820,7 +870,7 @@ mod tests {
             let store = PageStore::open(StoreConfig::new(&dir, 4).with_page_size(32)).unwrap();
             // Flushed page: delete must free the disk copy.
             store.stage(PageId(1), &payload(1, 32)).unwrap();
-            store.flush_all().unwrap();
+            store.flush_some(usize::MAX).unwrap();
             assert_eq!(store.pages_on_disk(), 1);
             assert!(store.delete(PageId(1)).unwrap());
             assert_eq!(store.pages_on_disk(), 0);
@@ -925,33 +975,105 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Records left in the log after `appended` page records since open:
+    /// those since the last budget checkpoint, which runs before an append
+    /// that finds `budget` records logged.
+    fn records_since_checkpoint(appended: u64, budget: u64) -> u64 {
+        appended - (appended.saturating_sub(1) / budget) * budget
+    }
+
     #[test]
     fn concurrent_readers_and_writers_on_disjoint_pages() {
+        const FRAMES: usize = 64;
+        const ROUNDS: u64 = 32;
         let dir = temp_dir("concurrent");
-        let store = std::sync::Arc::new(
-            PageStore::open(StoreConfig::new(&dir, 64).with_page_size(32)).unwrap(),
-        );
+        let config = || StoreConfig::new(&dir, FRAMES).with_page_size(32);
+        let expected = |t: u64, i: u64, round: u64| payload((t * 8 + i + round * 32) as u8, 32);
+        let store = std::sync::Arc::new(PageStore::open(config()).unwrap());
+        // 4 writers × 8 pages × 32 rounds: 1 024 records against a budget
+        // of 256, so the writers cross three checkpoints, each run by
+        // whichever writer's append found the log full.
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let store = std::sync::Arc::clone(&store);
                 scope.spawn(move || {
                     let mut out = Vec::new();
-                    for i in 0..8u64 {
-                        let page = PageId(t * 1_000 + i);
-                        let data = payload((t * 8 + i) as u8, 32);
-                        store.stage(page, &data).unwrap();
-                        assert_eq!(store.read(page, &mut out).unwrap(), ReadSource::Buffer);
-                        assert_eq!(out, data);
+                    for round in 0..ROUNDS {
+                        for i in 0..8u64 {
+                            let page = PageId(t * 1_000 + i);
+                            let data = expected(t, i, round);
+                            store.stage(page, &data).unwrap();
+                            assert_eq!(store.read(page, &mut out).unwrap(), ReadSource::Buffer);
+                            assert_eq!(out, data);
+                        }
                     }
                 });
             }
         });
         assert_eq!(store.buffered_len(), 32);
         let io = store.io_stats();
-        assert_eq!(io.buffer_hits, 32);
-        assert_eq!(io.wal_records, 32);
-        assert_eq!(store.checkpoint().unwrap(), 32);
-        assert_eq!(store.dirty_len(), 0);
+        let budget = (LOG_BUDGET_ARENAS * FRAMES) as u64;
+        assert_eq!(io.buffer_hits, 4 * 8 * ROUNDS);
+        assert_eq!(io.wal_records, 4 * 8 * ROUNDS);
+        assert_eq!(io.data_syncs, 3, "three budget checkpoints");
+        assert_eq!(
+            store.wal_len(),
+            records_since_checkpoint(io.wal_records, budget) * page_record_len(32)
+        );
+        drop(store); // crash: no checkpoint
+        let store = PageStore::open(config()).unwrap();
+        assert_eq!(
+            store.recovered_writes(),
+            records_since_checkpoint(io.wal_records, budget)
+        );
+        let mut out = Vec::new();
+        for t in 0..4u64 {
+            for i in 0..8u64 {
+                store.read(PageId(t * 1_000 + i), &mut out).unwrap();
+                assert_eq!(
+                    out,
+                    expected(t, i, ROUNDS - 1),
+                    "page {t}/{i} after recovery"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_checkpoint_sync_fails_the_store_closed() {
+        for (point, tag) in [(FaultPoint::DataSync, "data"), (FaultPoint::WalSync, "log")] {
+            let dir = temp_dir(&format!("failed-checkpoint-{tag}"));
+            let config = StoreConfig::new(&dir, 4).with_page_size(32);
+            let fault = FaultInjector::seeded(1).fault_at(point, 0);
+            let store = PageStore::open(config.clone().with_fault_injector(fault)).unwrap();
+            store.stage(PageId(1), &payload(1, 32)).unwrap();
+            assert!(store.checkpoint().is_err(), "{tag}: the first sync fails");
+            assert!(store.stage(PageId(2), &payload(2, 32)).is_err(), "{tag}");
+            assert!(store.delete(PageId(1)).is_err(), "{tag}");
+            assert!(store.checkpoint().is_err(), "{tag}: a later checkpoint");
+            drop(store);
+            let store = PageStore::open(config).unwrap();
+            let mut out = Vec::new();
+            store.read(PageId(1), &mut out).unwrap();
+            assert_eq!(out, payload(1, 32), "{tag}: the acknowledged write");
+            assert_eq!(store.read(PageId(2), &mut out).unwrap(), ReadSource::Zero);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn the_log_checkpoints_at_its_budget() {
+        const FRAMES: usize = 2;
+        let dir = temp_dir("budget");
+        let store = PageStore::open(StoreConfig::new(&dir, FRAMES).with_page_size(32)).unwrap();
+        let budget = (LOG_BUDGET_ARENAS * FRAMES) as u64;
+        for n in 1..=3 * budget + 1 {
+            store.stage(PageId(n % 2), &payload(n as u8, 32)).unwrap();
+            let logged = records_since_checkpoint(n, budget);
+            assert_eq!(store.wal_len(), logged * page_record_len(32), "after {n}");
+            assert_eq!(store.io_stats().data_syncs, (n - 1) / budget, "after {n}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -968,6 +1090,8 @@ mod tests {
             }
         }
 
+        // 100 records against a budget of 32: the writer's syncs straddle
+        // three checkpoints.
         const FRAMES: usize = 8;
         const PAGES: u64 = 20;
         const ROUNDS: u64 = 5;
@@ -1012,10 +1136,15 @@ mod tests {
         });
         store.sync_wal(1).unwrap();
         assert_eq!(store.wal_synced_len(), store.wal_len());
+        assert_eq!(store.io_stats().data_syncs, 3, "three budget checkpoints");
         drop(store); // crash: no checkpoint
 
         let store = PageStore::open(config()).unwrap();
-        assert_eq!(store.recovered_writes(), ROUNDS * PAGES);
+        let budget = (LOG_BUDGET_ARENAS * FRAMES) as u64;
+        assert_eq!(
+            store.recovered_writes(),
+            records_since_checkpoint(ROUNDS * PAGES, budget)
+        );
         let mut out = Vec::new();
         for p in 0..PAGES {
             assert_eq!(store.read(PageId(p), &mut out).unwrap(), ReadSource::Disk);

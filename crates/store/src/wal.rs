@@ -51,8 +51,24 @@
 //! record that is short (a crash truncated the tail mid-append) or whose CRC
 //! disagrees (a torn in-place write), returning every record before it.
 //! After the recovered pages are re-applied to the data file and synced, the
-//! caller truncates the log ([`Wal::truncate`]); the same happens at every
-//! checkpoint, which is what keeps the log short.
+//! caller truncates the log ([`Wal::truncate`]).
+//!
+//! The log is bounded: a [`crate::PageStore`] checkpoints (flushes every
+//! dirty frame, syncs the data file, truncates and syncs the log) before
+//! any append that would find [`crate::LOG_BUDGET_ARENAS`] arena-fulls of
+//! page records ([`page_record_len`]) already logged, as well as at a clean
+//! shutdown. So a replay reads at most that budget, whatever the length of
+//! the run: it re-applies the records since the last checkpoint, and the
+//! data file holds everything before. The records are full-page images, so
+//! replaying one over a page the data file already holds is harmless, and
+//! no page carries a log position. A checkpoint whose sync fails fails the
+//! log closed, like a failed handed-off sync, and a failed log is never
+//! truncated: its records are all a reopen has to go on.
+//!
+//! A handed-off sync that was in flight across a truncation publishes
+//! nothing past it: [`Wal::unsynced`] reports a position that counts every
+//! byte ever truncated away, so a sync that began before the cut reaches
+//! no record appended after it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom};
@@ -74,11 +90,19 @@ const FRAME_LEN: usize = 8;
 /// Bytes of payload header (kind + page id) before the page bytes.
 const PAYLOAD_HEADER: usize = 9;
 
+/// Bytes one full-page write record of `page_size`-byte pages takes in the
+/// log, framing included.
+pub fn page_record_len(page_size: usize) -> u64 {
+    (FRAME_LEN + PAYLOAD_HEADER + page_size) as u64
+}
+
 /// When (relative to an append) the log is flushed to the device. See the
 /// module docs for the exact contract of each level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// Acknowledge on the OS buffered write; sync only at checkpoints.
+    /// Acknowledge on the OS buffered write; sync only at checkpoints,
+    /// which run at a clean shutdown and whenever the log reaches its
+    /// budget (module docs, *Replay*).
     #[default]
     Buffered,
     /// Acknowledge immediately; sync once `max_batch` appends are pending
@@ -163,6 +187,10 @@ pub struct Wal {
     durability: Durability,
     /// Bytes of valid log (append position).
     len: u64,
+    /// Bytes every [`Wal::truncate`] so far has cut: the log position of
+    /// the file's first byte, which keeps a handed-off sync's reach
+    /// comparable across a checkpoint.
+    base: u64,
     records: u64,
     /// Bytes known flushed to the device.
     synced_len: u64,
@@ -252,6 +280,7 @@ impl Wal {
             file,
             durability,
             len: offset as u64,
+            base: 0,
             records: records.len() as u64,
             synced_len: 0,
             pending: 0,
@@ -279,9 +308,7 @@ impl Wal {
     }
 
     fn append_record(&mut self, kind: u8, page: PageId, data: &[u8]) -> io::Result<AppendOutcome> {
-        if self.failed {
-            return Err(failed_log());
-        }
+        self.check()?;
         let len = PAYLOAD_HEADER + data.len();
         let record = &mut self.record;
         record.clear();
@@ -356,29 +383,48 @@ impl Wal {
         Ok((file, self.fault.clone()))
     }
 
-    /// How far a handed-off sync starting now reaches; `None` if nothing
+    /// The log position a handed-off sync starting now reaches, counting
+    /// the bytes truncated away before the file's start; `None` if nothing
     /// is unsynced.
     pub(crate) fn unsynced(&self) -> io::Result<Option<u64>> {
-        if self.failed {
-            return Err(failed_log());
-        }
-        Ok((self.synced_len < self.len).then_some(self.len))
+        self.check()?;
+        Ok((self.synced_len < self.len).then_some(self.base + self.len))
     }
 
-    /// Publishes a handed-off sync that reached `len`: a success advances
-    /// [`Wal::synced_len`] (within the log, should a checkpoint have cut
-    /// it meanwhile), a failure fails the log for good.
-    pub(crate) fn publish_sync(&mut self, len: u64, synced: io::Result<()>) -> io::Result<()> {
+    /// Publishes a handed-off sync that reached log position `end`: a
+    /// success advances [`Wal::synced_len`], but never past a truncation
+    /// made after the sync began; a failure fails the log for good.
+    pub(crate) fn publish_sync(&mut self, end: u64, synced: io::Result<()>) -> io::Result<()> {
         match synced {
-            Ok(()) => self.synced_len = self.synced_len.max(len).min(self.len),
-            Err(_) => self.failed = true,
+            Ok(()) => {
+                let reached = end.saturating_sub(self.base).min(self.len);
+                self.synced_len = self.synced_len.max(reached);
+            }
+            Err(_) => self.fail(),
         }
         synced
     }
 
+    /// Fails the log closed: every later append, handed-off sync and
+    /// truncation is refused until the store is reopened.
+    pub(crate) fn fail(&mut self) {
+        self.failed = true;
+    }
+
+    /// Refuses a failed log.
+    pub(crate) fn check(&self) -> io::Result<()> {
+        if self.failed {
+            return Err(failed_log());
+        }
+        Ok(())
+    }
+
     /// Empties the log (after a checkpoint has made its records redundant).
+    /// Refused on a failed log, whose file is all a reopen has to go on.
     pub fn truncate(&mut self) -> io::Result<()> {
+        self.check()?;
         self.file.set_len(0)?;
+        self.base += self.len;
         self.len = 0;
         self.records = 0;
         self.synced_len = 0;
@@ -507,6 +553,41 @@ mod tests {
         drop(wal);
         let (_, recovered) = Wal::open(&path, Durability::Buffered).unwrap();
         assert!(recovered.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_sync_begun_before_a_truncation_marks_nothing_after_it() {
+        let path = temp_wal("straddle");
+        let (mut wal, _) = Wal::open(&path, Durability::Buffered).unwrap();
+        wal.append(PageId(1), &[1; 8]).unwrap();
+        let reach = wal.unsynced().unwrap().unwrap();
+        // A checkpoint truncates and a new record lands while the sync that
+        // began above is still in flight.
+        wal.truncate().unwrap();
+        wal.append(PageId(2), &[2; 8]).unwrap();
+        wal.publish_sync(reach, Ok(())).unwrap();
+        assert_eq!(wal.synced_len(), 0, "the new record was never synced");
+        let reach = wal.unsynced().unwrap().unwrap();
+        wal.publish_sync(reach, Ok(())).unwrap();
+        assert_eq!(wal.synced_len(), wal.len_bytes());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_log_is_never_truncated() {
+        let path = temp_wal("failed-truncate");
+        let (mut wal, _) = Wal::open(&path, Durability::Buffered).unwrap();
+        wal.append(PageId(1), &[1; 8]).unwrap();
+        let reach = wal.unsynced().unwrap().unwrap();
+        assert!(wal
+            .publish_sync(reach, Err(io::Error::other("eio")))
+            .is_err());
+        assert!(wal.truncate().is_err());
+        assert!(wal.append(PageId(2), &[2; 8]).is_err());
+        drop(wal);
+        let (_, recovered) = Wal::open(&path, Durability::Buffered).unwrap();
+        assert_eq!(recovered.len(), 1, "the record outlives the failure");
         let _ = std::fs::remove_file(&path);
     }
 

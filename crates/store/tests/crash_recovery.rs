@@ -18,6 +18,11 @@
 //! Torn frames (bytes corrupted on disk after the fact) must be detected by
 //! CRC verification, never silently returned, and a torn WAL tail must not
 //! take the earlier acknowledged writes down with it.
+//!
+//! The log is bounded: a store checkpoints before an append that finds
+//! [`LOG_BUDGET_ARENAS`] arena-fulls of records logged, so a reopen
+//! replays only the records since the last checkpoint, never more than
+//! that budget, and the data file holds everything before them.
 
 use std::collections::HashMap;
 use std::fs::OpenOptions;
@@ -31,7 +36,8 @@ use proptest::prelude::*;
 
 use cache_sim::PageId;
 use clic_store::{
-    Durability, FaultInjector, FaultPoint, PageStore, ReadSource, StoreConfig, INJECTED_FAULT,
+    page_record_len, Durability, FaultInjector, FaultPoint, PageStore, ReadSource, StoreConfig,
+    INJECTED_FAULT, LOG_BUDGET_ARENAS,
 };
 
 const PAGE_SIZE: usize = 64;
@@ -52,6 +58,18 @@ fn scratch_dir(label: &str) -> PathBuf {
 
 fn payload(tag: u8) -> Vec<u8> {
     vec![tag; PAGE_SIZE]
+}
+
+/// Page records a store of `frames` frames may log before it checkpoints.
+fn budget(frames: usize) -> u64 {
+    (LOG_BUDGET_ARENAS * frames) as u64
+}
+
+/// Records left in the log after `appended` page records since open:
+/// those since the last budget checkpoint, which runs before an append that
+/// finds `budget` records logged.
+fn records_since_checkpoint(appended: u64, budget: u64) -> u64 {
+    appended - (appended.saturating_sub(1) / budget) * budget
 }
 
 /// Byte offset of `page`'s data inside the backing file, found by scanning
@@ -110,9 +128,10 @@ proptest! {
 
     /// Drop without a checkpoint (a process crash) after an arbitrary write
     /// sequence: the WAL replay restores the last acknowledged value of
-    /// every page, no matter how many overwrites or dirty evictions
-    /// happened in between — at every durability level, since the OS page
-    /// cache survives a process crash.
+    /// every page, no matter how many overwrites, dirty evictions or budget
+    /// checkpoints happened in between — at every durability level, since
+    /// the OS page cache survives a process crash. It replays exactly the
+    /// records since the last checkpoint.
     #[test]
     fn acknowledged_writes_survive_a_process_crash(
         ops in vec((0u64..24, any::<u8>()), 1..120),
@@ -131,12 +150,14 @@ proptest! {
         let expected = {
             let store = PageStore::open(config.clone()).expect("open");
             stage_all(&store, &ops, frames)
-            // The store is dropped here without flush_all/checkpoint: any
+            // The store is dropped here without a flush or checkpoint: any
             // frame still dirty is lost, only disk + WAL remain.
         };
 
         let store = PageStore::open(config).expect("reopen replays the WAL");
-        prop_assert_eq!(store.recovered_writes(), ops.len() as u64);
+        let logged = records_since_checkpoint(ops.len() as u64, budget(frames));
+        prop_assert_eq!(store.recovered_writes(), logged);
+        prop_assert!(logged <= budget(frames));
         let mut buf = Vec::new();
         for (&page, &tag) in &expected {
             let source = store.read(PageId(page), &mut buf).expect("read back");
@@ -401,6 +422,86 @@ proptest! {
         for (&page, &tag) in &expected {
             store.read(PageId(page), &mut buf).expect("read back");
             prop_assert_eq!(&buf, &payload(tag), "page {} content", page);
+        }
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Recovery is bounded by the log budget, not by the run's length: ten
+/// budgets of writes over a page set five times the arena, with evictions,
+/// then a crash — a process crash for `Buffered`, a kernel crash (the log
+/// cut at its synced length) for the synced levels. The reopen replays at
+/// most one budget of records, and every page reads back its last durable
+/// write: every write for `Buffered` and `Strict`, all but the current
+/// unsynced group for `GroupCommit`, whose later writes may also have
+/// reached the data file through an eviction.
+#[test]
+fn recovery_replays_at_most_the_log_budget() {
+    const FRAMES: usize = 4;
+    const MAX_BATCH: usize = 5;
+    let n = 10 * budget(FRAMES) + 7;
+    let ops: Vec<(u64, u8)> = (0..n)
+        .map(|i| ((i * 7 + i / 3) % (5 * FRAMES as u64), (i % 251) as u8))
+        .collect();
+    let record_len = page_record_len(PAGE_SIZE);
+    for durability in [
+        Durability::Buffered,
+        Durability::GroupCommit {
+            max_batch: MAX_BATCH,
+            max_wait: Duration::from_secs(3600),
+        },
+        Durability::Strict,
+    ] {
+        let label = durability.label();
+        let dir = scratch_dir(&format!("bounded-{label}"));
+        let config = StoreConfig::new(&dir, FRAMES)
+            .with_page_size(PAGE_SIZE)
+            .with_durability(durability);
+        let (logged, survives) = {
+            let store = PageStore::open(config.clone()).expect("open");
+            stage_all(&store, &ops, FRAMES);
+            let logged = store.wal_len() / record_len;
+            assert_eq!(store.wal_len(), logged * record_len, "{label}");
+            assert_eq!(
+                logged,
+                records_since_checkpoint(n, budget(FRAMES)),
+                "{label}"
+            );
+            assert_eq!(store.io_stats().data_syncs, 10, "{label}: ten checkpoints");
+            let survives = match durability {
+                Durability::Buffered => store.wal_len(),
+                _ => store.wal_synced_len(),
+            };
+            (logged, survives)
+        };
+        truncate_wal(&dir, survives);
+
+        let store = PageStore::open(config).expect("reopen");
+        let recovered = store.recovered_writes();
+        assert_eq!(recovered, survives / record_len, "{label}");
+        assert!(recovered <= budget(FRAMES), "{label}: {recovered} records");
+        let lost = logged - recovered;
+        match durability {
+            Durability::GroupCommit { .. } => assert!(
+                (1..MAX_BATCH as u64).contains(&lost),
+                "{label}: lost {lost} records"
+            ),
+            _ => assert_eq!(lost, 0, "{label}"),
+        }
+        let durable = &ops[..(n - lost) as usize];
+        let mut buf = Vec::new();
+        for page in 0..5 * FRAMES as u64 {
+            store.read(PageId(page), &mut buf).expect("read back");
+            let last = durable.iter().rposition(|&(p, _)| p == page);
+            let tag = last.map(|at| durable[at].1);
+            let later = &ops[last.map_or(0, |at| at + 1)..];
+            let fits = |tag: u8| buf == payload(tag);
+            assert!(
+                tag.is_some_and(fits)
+                    || later.iter().any(|&(p, t)| p == page && lost > 0 && fits(t)),
+                "{label}: page {page} lost its last durable write"
+            );
         }
         drop(store);
         std::fs::remove_dir_all(&dir).ok();

@@ -194,6 +194,25 @@ if grep -rnE 'thread::spawn|Flusher|flush_interval|ShutdownTimeout' \
     exit 1
 fi
 
+# The log is truncated in two places: PageStore::open, after replay, and the
+# checkpoint (PageStore::checkpoint_frames, the body of PageStore::checkpoint
+# and of a staging call's budget checkpoint), which holds the frames from its
+# first write-back to the truncation, so no record is cut before its page
+# reaches the data file. Test modules (from `#[cfg(test)]` to the end of a
+# file) may truncate a log of their own.
+echo "== one truncation site (the log: PageStore::open and the checkpoint) =="
+truncates="$(find crates/*/src src examples -name '*.rs' | sort | while read -r f; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n '\.truncate()' | sed "s|^|$f:|" || true
+done)"
+total="$(grep -c . <<<"$truncates" || true)"
+allowed="$(sed -n '/^    pub fn open(/,/^    }$/p;/^    fn checkpoint_frames(/,/^    }$/p' \
+    crates/store/src/store.rs | grep -c '\.truncate()' || true)"
+if [ "$total" -ne 2 ] || [ "$allowed" -ne 2 ]; then
+    echo "$truncates" >&2
+    echo "verify: FAILED (the log is truncated outside PageStore::open and PageStore::checkpoint_frames: $total .truncate() calls, $allowed in those two; want 2 and 2)" >&2
+    exit 1
+fi
+
 # Unsafe code in the store lives in one place: the CRC-32 kernel's
 # dispatch, which runs the carry-less-multiply kernel only on a CPU that is
 # detected to support it.
