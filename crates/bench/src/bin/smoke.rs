@@ -89,8 +89,8 @@ use clic_server::{
     ServerRequest, CLIENT_BATCH_HISTOGRAM,
 };
 use clic_store::{
-    page_payload, page_record_len, replay_storage, replay_storage_partitioned, InjectedFault,
-    PageStore, ReadSource, StorageReplayReport, StoreConfig, REPLAY_CHUNK_HISTOGRAM,
+    page_payload, replay_storage, replay_storage_partitioned, InjectedFault, PageStore, ReadSource,
+    StorageReplayReport, StoreConfig, REPLAY_CHUNK_HISTOGRAM,
 };
 use trace_gen::{PresetScale, TracePreset};
 
@@ -383,7 +383,6 @@ fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
         .with_page_size(CHAOS_PAGE_SIZE)
         .with_durability(Durability::Strict)
         .with_fault_injector(fault.clone());
-    let record_len = page_record_len(CHAOS_PAGE_SIZE);
     let mut acked = Vec::with_capacity(ops.len());
     let mut appended = Vec::new();
     // The last acknowledged write per page — the frames' contents — and
@@ -451,6 +450,11 @@ fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
         checkpoints >= 2,
         "the storm must cross two checkpoints, crossed {checkpoints}"
     );
+    assert!(
+        !appended.is_empty(),
+        "the storm must append after its last checkpoint"
+    );
+    let record_len = total_len / appended.len() as u64;
     assert_eq!(
         total_len,
         record_len * appended.len() as u64,

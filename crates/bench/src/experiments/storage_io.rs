@@ -23,8 +23,8 @@
 //!   land well under strict's one-sync-per-append. The group-commit point
 //!   uses a batch-only trigger (the time-based `max_wait` clause is set
 //!   far beyond the run's length) so its counters are deterministic.
-//!   Every store also checkpoints whenever its log holds
-//!   [`clic_store::LOG_BUDGET_ARENAS`] arena-fulls of records, which adds
+//!   Every store also checkpoints whenever its log holds its budget
+//!   ([`clic_store::PageStore::log_budget`] records), which adds
 //!   one WAL and one data-file sync per checkpoint to every row: the only
 //!   syncs of the buffered rows.
 //! * **Shards** — the same CLIC workload split across 2 and 4 per-shard

@@ -944,8 +944,7 @@ mod tests {
             .set_len(synced)
             .unwrap();
         let store = crate::PageStore::open(store_config.clone()).unwrap();
-        let budget = (clic_store::LOG_BUDGET_ARENAS * store_config.frames) as u64;
-        assert!(store.recovered_writes() <= budget);
+        assert!(store.recovered_writes() <= store.log_budget());
         let mut buf = Vec::new();
         for page in 0..PAGES {
             store.read(PageId(page), &mut buf).unwrap();

@@ -35,16 +35,17 @@
 //!   file) truncates the log to zero.
 //!
 //!   **Bounded log:** the store checkpoints at a clean shutdown *and*
-//!   before any append that finds [`LOG_BUDGET_ARENAS`] arena-fulls of
-//!   page records ([`page_record_len`]) already logged. So a reopen
-//!   replays at most `LOG_BUDGET_ARENAS × frames` records, however long
-//!   the run was. A checkpoint whose sync fails fails the store closed:
-//!   the log is never truncated again, and every later write is refused
-//!   until reopen.
+//!   before any append that finds [`PageStore::log_budget`] page records
+//!   (four arena-fulls) already logged. So a reopen replays at most that
+//!   many records, however long the run was. A checkpoint whose sync
+//!   fails fails the store closed: the log is never truncated again, and
+//!   every later write is refused until reopen.
 //!
-//!   **Durability levels:** [`Durability::Buffered`] never syncs inline
-//!   (a kernel crash can lose OS-buffered records), [`Durability::Strict`]
-//!   syncs every append, and [`Durability::GroupCommit`] coalesces up to
+//!   **Durability levels:** [`Durability::Buffered`] never syncs a record
+//!   on its own (a kernel crash can lose OS-buffered records), though an
+//!   append that finds the log at its budget first runs a checkpoint,
+//!   which syncs; [`Durability::Strict`] syncs every append, and
+//!   [`Durability::GroupCommit`] coalesces up to
 //!   `max_batch` appends (or `max_wait` of wall time) into one sync — the
 //!   classic group-commit trade of bounded staleness for an order of
 //!   magnitude fewer `fsync`s. A server hands the sync of the last two to a
@@ -177,8 +178,8 @@ pub use replay::{
     page_payload, replay_storage, replay_storage_partitioned, StorageReplayReport,
     REPLAY_CHUNK_HISTOGRAM,
 };
-pub use store::{PageStore, ReadSource, StoreConfig, DEFAULT_PAGE_SIZE, LOG_BUDGET_ARENAS};
-pub use wal::{page_record_len, AppendOutcome, Durability, Wal, WalOp, WalRecord};
+pub use store::{PageStore, ReadSource, StoreConfig, DEFAULT_PAGE_SIZE};
+pub use wal::{AppendOutcome, Durability, Wal, WalOp, WalRecord};
 
 // Observability types that appear in this crate's public API
 // ([`StoreConfig::with_recorder`], [`PageStore::metrics`],

@@ -18,8 +18,8 @@
 //! * a flush pass holds the frames lock while it writes a batch back;
 //! * a checkpoint flushes everything, syncs the data file, and truncates
 //!   the WAL: at a clean shutdown, and before any append that finds
-//!   [`LOG_BUDGET_ARENAS`] arena-fulls of page records already logged, so
-//!   recovery replays at most that many.
+//!   [`PageStore::log_budget`] page records (four arena-fulls) already
+//!   logged, so recovery replays at most that many.
 //!
 //! Every operation updates a set of shared atomic counters that callers
 //! snapshot with [`PageStore::io_stats`]; the snapshot covers activity
@@ -50,9 +50,10 @@ const FLUSH_BATCH: usize = 64;
 /// The write-ahead log's budget, in arena-fulls of page records: an append
 /// that finds `LOG_BUDGET_ARENAS × frames` page records' worth of log
 /// already written checkpoints first, so a crash leaves at most that many
-/// records to replay. Each checkpoint writes back at most one arena, so the
-/// budget adds at most one page write per four logged records.
-pub const LOG_BUDGET_ARENAS: usize = 4;
+/// records to replay ([`PageStore::log_budget`]). Each checkpoint writes
+/// back at most one arena, so the budget adds at most one page write per
+/// four logged records.
+const LOG_BUDGET_ARENAS: usize = 4;
 
 /// Configuration for a [`PageStore`].
 #[derive(Debug, Clone)]
@@ -265,8 +266,8 @@ pub struct PageStore {
     flush_threshold: usize,
     page_size: usize,
     durability: Durability,
-    /// Log bytes that trigger a checkpoint before the next append:
-    /// [`LOG_BUDGET_ARENAS`] arena-fulls of page records.
+    /// Page records the log holds before an append checkpoints first:
+    /// [`LOG_BUDGET_ARENAS`] arena-fulls.
     log_budget: u64,
     recovered_writes: u64,
 }
@@ -343,8 +344,7 @@ impl PageStore {
             flush_threshold: config.flush_threshold,
             page_size: config.page_size,
             durability: config.durability,
-            log_budget: (LOG_BUDGET_ARENAS * config.frames) as u64
-                * page_record_len(config.page_size),
+            log_budget: (LOG_BUDGET_ARENAS * config.frames) as u64,
             recovered_writes: records.len() as u64,
         })
     }
@@ -355,11 +355,18 @@ impl PageStore {
     }
 
     /// Acknowledged writes replayed from the WAL when the store was opened:
-    /// those since the last checkpoint, so at most [`LOG_BUDGET_ARENAS`]
-    /// arena-fulls (zero after a clean shutdown, whose checkpoint empties
-    /// the log).
+    /// those since the last checkpoint, so at most
+    /// [`PageStore::log_budget`] (zero after a clean shutdown, whose
+    /// checkpoint empties the log).
     pub fn recovered_writes(&self) -> u64 {
         self.recovered_writes
+    }
+
+    /// Page records the log may hold: an append that finds this many
+    /// already logged checkpoints first, so a reopen replays at most this
+    /// many. Four arena-fulls, whatever the durability level.
+    pub fn log_budget(&self) -> u64 {
+        self.log_budget
     }
 
     /// Reads `page` into `out` (resized to one page): from its buffer frame
@@ -440,7 +447,7 @@ impl PageStore {
     ) -> io::Result<MutexGuard<'_, FrameArena>> {
         let mut arena = guard(&self.frames)?;
         let mut wal = guard(&self.wal)?;
-        if wal.len_bytes() >= self.log_budget {
+        if wal.len_bytes() >= self.log_budget * page_record_len(self.page_size) {
             drop(wal);
             self.checkpoint_frames(&mut arena)?;
             wal = guard(&self.wal)?;
@@ -659,7 +666,7 @@ impl PageStore {
     }
 
     /// Durability point, run at a clean shutdown and whenever the log
-    /// reaches its budget ([`LOG_BUDGET_ARENAS`]): flushes every dirty
+    /// reaches its budget ([`PageStore::log_budget`]): flushes every dirty
     /// frame, syncs the backing file, and truncates and syncs the WAL (its
     /// records are now redundant). Returns how many frames the flush wrote
     /// back. The frames stay locked throughout, so no record is logged
@@ -1029,14 +1036,21 @@ mod tests {
         let mut out = Vec::new();
         for t in 0..4u64 {
             for i in 0..8u64 {
-                store.read(PageId(t * 1_000 + i), &mut out).unwrap();
+                let page = PageId(t * 1_000 + i);
+                store.read(page, &mut out).unwrap();
                 assert_eq!(
                     out,
                     expected(t, i, ROUNDS - 1),
                     "page {t}/{i} after recovery"
                 );
+                // Recovery leaves the arena empty: stage the page once more
+                // so the clean checkpoint below has every page to flush.
+                store.stage(page, &out).unwrap();
             }
         }
+        assert_eq!(store.checkpoint().unwrap(), 32);
+        assert_eq!(store.dirty_len(), 0);
+        assert_eq!(store.wal_len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1067,13 +1081,18 @@ mod tests {
         const FRAMES: usize = 2;
         let dir = temp_dir("budget");
         let store = PageStore::open(StoreConfig::new(&dir, FRAMES).with_page_size(32)).unwrap();
-        let budget = (LOG_BUDGET_ARENAS * FRAMES) as u64;
+        let budget = store.log_budget();
+        assert_eq!(budget, (LOG_BUDGET_ARENAS * FRAMES) as u64);
         for n in 1..=3 * budget + 1 {
             store.stage(PageId(n % 2), &payload(n as u8, 32)).unwrap();
             let logged = records_since_checkpoint(n, budget);
             assert_eq!(store.wal_len(), logged * page_record_len(32), "after {n}");
             assert_eq!(store.io_stats().data_syncs, (n - 1) / budget, "after {n}");
         }
+        // The last budget checkpoint flushed both pages; only the write
+        // after it is dirty.
+        assert_eq!(store.checkpoint().unwrap(), 1);
+        assert_eq!(store.dirty_len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

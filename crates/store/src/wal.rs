@@ -22,8 +22,10 @@
 //! exercise). What survives a *kernel* crash is governed by the log's
 //! [`Durability`] level:
 //!
-//! * [`Durability::Buffered`] never syncs on the append path — acknowledged
-//!   writes are only device-durable after an explicit checkpoint;
+//! * [`Durability::Buffered`] never syncs a record on its own —
+//!   acknowledged writes are only device-durable after a checkpoint, which
+//!   a store also runs, syncing, on an append that finds the log at its
+//!   budget;
 //! * [`Durability::Strict`] syncs after every append — one `fsync` per
 //!   acknowledged write, the textbook cost of strict write-ahead logging;
 //! * [`Durability::GroupCommit`] acknowledges immediately but syncs only
@@ -55,8 +57,8 @@
 //!
 //! The log is bounded: a [`crate::PageStore`] checkpoints (flushes every
 //! dirty frame, syncs the data file, truncates and syncs the log) before
-//! any append that would find [`crate::LOG_BUDGET_ARENAS`] arena-fulls of
-//! page records ([`page_record_len`]) already logged, as well as at a clean
+//! any append that would find [`crate::PageStore::log_budget`] page
+//! records (four arena-fulls) already logged, as well as at a clean
 //! shutdown. So a replay reads at most that budget, whatever the length of
 //! the run: it re-applies the records since the last checkpoint, and the
 //! data file holds everything before. The records are full-page images, so
@@ -66,9 +68,9 @@
 //! truncated: its records are all a reopen has to go on.
 //!
 //! A handed-off sync that was in flight across a truncation publishes
-//! nothing past it: [`Wal::unsynced`] reports a position that counts every
-//! byte ever truncated away, so a sync that began before the cut reaches
-//! no record appended after it.
+//! nothing past it: the position a log writer syncs to (`Wal::unsynced`)
+//! counts every byte ever truncated away, so a sync that began before the
+//! cut reaches no record appended after it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom};
@@ -92,7 +94,7 @@ const PAYLOAD_HEADER: usize = 9;
 
 /// Bytes one full-page write record of `page_size`-byte pages takes in the
 /// log, framing included.
-pub fn page_record_len(page_size: usize) -> u64 {
+pub(crate) fn page_record_len(page_size: usize) -> u64 {
     (FRAME_LEN + PAYLOAD_HEADER + page_size) as u64
 }
 

@@ -20,7 +20,7 @@
 //! take the earlier acknowledged writes down with it.
 //!
 //! The log is bounded: a store checkpoints before an append that finds
-//! [`LOG_BUDGET_ARENAS`] arena-fulls of records logged, so a reopen
+//! [`PageStore::log_budget`] records logged, so a reopen
 //! replays only the records since the last checkpoint, never more than
 //! that budget, and the data file holds everything before them.
 
@@ -36,8 +36,7 @@ use proptest::prelude::*;
 
 use cache_sim::PageId;
 use clic_store::{
-    page_record_len, Durability, FaultInjector, FaultPoint, PageStore, ReadSource, StoreConfig,
-    INJECTED_FAULT, LOG_BUDGET_ARENAS,
+    Durability, FaultInjector, FaultPoint, PageStore, ReadSource, StoreConfig, INJECTED_FAULT,
 };
 
 const PAGE_SIZE: usize = 64;
@@ -58,18 +57,6 @@ fn scratch_dir(label: &str) -> PathBuf {
 
 fn payload(tag: u8) -> Vec<u8> {
     vec![tag; PAGE_SIZE]
-}
-
-/// Page records a store of `frames` frames may log before it checkpoints.
-fn budget(frames: usize) -> u64 {
-    (LOG_BUDGET_ARENAS * frames) as u64
-}
-
-/// Records left in the log after `appended` page records since open:
-/// those since the last budget checkpoint, which runs before an append that
-/// finds `budget` records logged.
-fn records_since_checkpoint(appended: u64, budget: u64) -> u64 {
-    appended - (appended.saturating_sub(1) / budget) * budget
 }
 
 /// Byte offset of `page`'s data inside the backing file, found by scanning
@@ -147,17 +134,20 @@ proptest! {
         let config = StoreConfig::new(&dir, frames)
             .with_page_size(PAGE_SIZE)
             .with_durability(durability);
-        let expected = {
+        let (expected, budget, checkpoints) = {
             let store = PageStore::open(config.clone()).expect("open");
-            stage_all(&store, &ops, frames)
+            let expected = stage_all(&store, &ops, frames);
+            (expected, store.log_budget(), store.io_stats().data_syncs)
             // The store is dropped here without a flush or checkpoint: any
             // frame still dirty is lost, only disk + WAL remain.
         };
 
         let store = PageStore::open(config).expect("reopen replays the WAL");
-        let logged = records_since_checkpoint(ops.len() as u64, budget(frames));
+        // Each checkpoint emptied a full log; at least one record follows
+        // the last.
+        let logged = ops.len() as u64 - checkpoints * budget;
+        prop_assert!((1..=budget).contains(&logged), "{} records logged", logged);
         prop_assert_eq!(store.recovered_writes(), logged);
-        prop_assert!(logged <= budget(frames));
         let mut buf = Vec::new();
         for (&page, &tag) in &expected {
             let source = store.read(PageId(page), &mut buf).expect("read back");
@@ -439,12 +429,13 @@ proptest! {
 #[test]
 fn recovery_replays_at_most_the_log_budget() {
     const FRAMES: usize = 4;
+    /// [`PageStore::log_budget`]: four arena-fulls.
+    const BUDGET: u64 = 4 * FRAMES as u64;
     const MAX_BATCH: usize = 5;
-    let n = 10 * budget(FRAMES) + 7;
+    let n = 10 * BUDGET + 7;
     let ops: Vec<(u64, u8)> = (0..n)
         .map(|i| ((i * 7 + i / 3) % (5 * FRAMES as u64), (i % 251) as u8))
         .collect();
-    let record_len = page_record_len(PAGE_SIZE);
     for durability in [
         Durability::Buffered,
         Durability::GroupCommit {
@@ -458,29 +449,28 @@ fn recovery_replays_at_most_the_log_budget() {
         let config = StoreConfig::new(&dir, FRAMES)
             .with_page_size(PAGE_SIZE)
             .with_durability(durability);
-        let (logged, survives) = {
+        // Ten checkpoints each emptied a full log, leaving the last seven
+        // records, which explain the log's length exactly.
+        let logged = n - 10 * BUDGET;
+        let (record_len, survives) = {
             let store = PageStore::open(config.clone()).expect("open");
+            assert_eq!(store.log_budget(), BUDGET);
             stage_all(&store, &ops, FRAMES);
-            let logged = store.wal_len() / record_len;
-            assert_eq!(store.wal_len(), logged * record_len, "{label}");
-            assert_eq!(
-                logged,
-                records_since_checkpoint(n, budget(FRAMES)),
-                "{label}"
-            );
             assert_eq!(store.io_stats().data_syncs, 10, "{label}: ten checkpoints");
+            let record_len = store.wal_len() / logged;
+            assert_eq!(store.wal_len(), logged * record_len, "{label}");
             let survives = match durability {
                 Durability::Buffered => store.wal_len(),
                 _ => store.wal_synced_len(),
             };
-            (logged, survives)
+            (record_len, survives)
         };
         truncate_wal(&dir, survives);
 
         let store = PageStore::open(config).expect("reopen");
         let recovered = store.recovered_writes();
         assert_eq!(recovered, survives / record_len, "{label}");
-        assert!(recovered <= budget(FRAMES), "{label}: {recovered} records");
+        assert!(recovered <= BUDGET, "{label}: {recovered} records");
         let lost = logged - recovered;
         match durability {
             Durability::GroupCommit { .. } => assert!(
