@@ -32,19 +32,22 @@
 //! accepted connections, resets readable ones, and cuts socket writes short
 //! — and the gate asserts the contract that survives:
 //!
-//! * **Phase A (durability under fire, run twice):** a `Strict` store
-//!   absorbs a write storm while the injector fails ~10% of WAL appends
-//!   and fsyncs, and its log crosses at least two budget checkpoints
-//!   (a checkpoint whose log sync fails closes the store, and every later
-//!   write must be refused). After a simulated kernel crash (the WAL
-//!   truncated to its synced prefix) a fault-free reopen must recover
-//!   *bit-identical* contents for every write the model says survived —
-//!   in particular nothing acknowledged is ever lost. The phase runs
-//!   twice with the same seed and must produce identical acknowledgement
-//!   sequences, injector counts, synced prefixes, and recovered bytes: a
-//!   chaos failure is replayable from its seed alone. A pure replay of the
-//!   decision stream reconciles the injector's own counts and proves the
-//!   schedule contained at least one torn write and one failed fsync.
+//! * **Phase A (durability under fire, run twice):** a chain of `Strict`
+//!   store lifetimes over one directory absorbs a write storm while the
+//!   injector fails or tears ~10% of WAL appends and fails the log sync at
+//!   two scheduled points, more than two log budgets apart, so the logs
+//!   cross budget checkpoints. A failed sync fails the store closed: the
+//!   next write must be refused without appending anything, and the
+//!   lifetime ends in a simulated kernel crash (the WAL truncated to its
+//!   synced prefix), after which a fault-free reopen must replay exactly
+//!   that prefix and read back *bit-identical* every acknowledged write.
+//!   The next lifetime reopens the same files; the last ends in a crash
+//!   too. The phase runs twice with the same seed and must produce
+//!   identical acknowledgement sequences, injector counts, synced
+//!   prefixes, and recovered bytes: a chaos failure is replayable from its
+//!   seed alone. A pure replay of the decision stream reconciles the
+//!   injector's own counts and proves the schedule contained at least one
+//!   torn write and that each scheduled fsync failure closed a store.
 //! * **Phase B (degradation under store faults):** the TCP front-end runs
 //!   over a store whose WAL appends occasionally fail — the network itself
 //!   is clean, so *every* scheduled request must be answered: mostly
@@ -347,6 +350,20 @@ fn obs(ctx: &ExperimentContext) -> io::Result<JsonValue> {
 
 // ---- chaos ----------------------------------------------------------
 
+/// Phase A's scheduled `fsync` failures, as indices into the log-sync
+/// decisions: more than two log budgets (2 × 128 records) apart, so every
+/// store lifetime crosses two budget checkpoints before its log fails.
+const STORM_SYNC_FAULTS: [u64; 2] = [300, 600];
+
+/// Phase A's schedule: ~10% of WAL appends fail or tear, and the log sync
+/// fails at [`STORM_SYNC_FAULTS`].
+fn storm_fault() -> FaultInjector {
+    STORM_SYNC_FAULTS.iter().fold(
+        FaultInjector::seeded(CHAOS_SEED).with_rate(FaultPoint::WalAppend, 0.10),
+        |fault, &index| fault.fault_at(FaultPoint::WalSync, index),
+    )
+}
+
 /// One Phase A run: what the driver observed and what recovery produced.
 #[derive(Debug, PartialEq, Eq)]
 struct StormOutcome {
@@ -354,223 +371,228 @@ struct StormOutcome {
     acked: Vec<bool>,
     /// The injector's (point, ops, injected) triples.
     counts: Vec<(FaultPoint, u64, u64)>,
-    /// Records in the WAL at crash time: appended since the last
-    /// checkpoint, even if their sync failed.
-    appended: Vec<(u64, u8)>,
+    /// Per store lifetime, the WAL bytes known durable when it crashed.
+    synced_lens: Vec<u64>,
     /// Budget checkpoints that reached the data file.
     checkpoints: u64,
-    /// Whether a checkpoint's log sync failed and closed the store.
-    closed: bool,
-    /// WAL bytes known durable at crash time.
-    synced_len: u64,
-    /// Bytes recovered per page after the kernel-crash cut, fault-free.
+    /// Bytes read back per page after the last crash, fault-free.
     recovered: BTreeMap<u64, Vec<u8>>,
 }
 
-/// Deterministic write storm: `ops` tagged writes against a `Strict`
-/// store while WAL appends and fsyncs fail at ~10% each, crossing budget
-/// checkpoints, then a kernel crash (WAL truncated to the synced prefix)
-/// and a fault-free recovery.
-fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
-    fs::remove_dir_all(dir).ok();
-    let fault = FaultInjector::seeded(CHAOS_SEED)
-        .with_rate(FaultPoint::WalAppend, 0.10)
-        .with_rate(FaultPoint::WalSync, 0.10);
-    // Frames cover the page universe: no evictions, so the data file
-    // changes only at checkpoints, and recovery is the last checkpoint plus
-    // WAL replay. The log budget is 4 × 32 = 128 records.
-    let config = StoreConfig::new(dir, 32)
-        .with_page_size(CHAOS_PAGE_SIZE)
-        .with_durability(Durability::Strict)
-        .with_fault_injector(fault.clone());
-    let mut acked = Vec::with_capacity(ops.len());
-    let mut appended = Vec::new();
-    // The last acknowledged write per page — the frames' contents — and
-    // what the last checkpoint wrote of it to the data file.
-    let mut resident: BTreeMap<u64, u8> = BTreeMap::new();
-    let mut checkpointed = BTreeMap::new();
-    let (mut checkpoints, mut closed) = (0u64, false);
-    let mut append_attempts = 0u64;
-    let (synced_len, total_len) = {
-        let store = PageStore::open(config)?;
-        for &(page, tag) in ops {
-            let syncs_before = fault.ops_at(FaultPoint::WalSync);
-            let checkpoints_before = store.io_stats().data_syncs;
-            let result = store.stage(PageId(page), &[tag; CHAOS_PAGE_SIZE]);
-            // A budget checkpoint ran before the append: it wrote every
-            // frame to the data file and emptied the log.
-            let checkpointed_now = store.io_stats().data_syncs > checkpoints_before;
-            if checkpointed_now {
-                checkpoints += 1;
-                checkpointed = resident.clone();
-                appended.clear();
-            }
-            acked.push(result.is_ok());
-            let err = match result {
-                Ok(()) => {
-                    assert!(
-                        !closed,
-                        "write {page} applied after the store failed closed"
-                    );
-                    append_attempts += 1;
-                    appended.push((page, tag));
-                    resident.insert(page, tag);
-                    continue;
-                }
-                Err(err) if closed => {
-                    // Refused before the append: no fault decision either.
-                    assert!(!err.to_string().contains(clic_store::INJECTED_FAULT));
-                    continue;
-                }
-                Err(err) => err.to_string(),
-            };
-            assert!(
-                err.contains(clic_store::INJECTED_FAULT),
-                "only injected faults may fail the storm: {err}"
-            );
-            if !err.contains(FaultPoint::WalSync.label()) {
-                append_attempts += 1; // a torn or failed append
-                continue;
-            }
-            // A failed fsync: either the append's own, which kept its
-            // record, or the checkpoint's log sync — the one sync decision
-            // this write made — which refused the write before its append
-            // and closed the store.
-            if checkpointed_now && fault.ops_at(FaultPoint::WalSync) == syncs_before + 1 {
-                closed = true;
-            } else {
-                append_attempts += 1;
-                appended.push((page, tag));
-            }
-        }
-        (store.wal_synced_len(), store.wal_len())
-        // Dropped without checkpoint: the process crash.
-    };
-    assert!(
-        checkpoints >= 2,
-        "the storm must cross two checkpoints, crossed {checkpoints}"
-    );
-    assert!(
-        !appended.is_empty(),
-        "the storm must append after its last checkpoint"
-    );
-    let record_len = total_len / appended.len() as u64;
+/// What a store lifetime left behind at its kernel crash.
+struct Crash {
+    /// WAL bytes known durable: where the log was cut.
+    synced_len: u64,
+    /// Records the store appended since open, even those whose sync failed.
+    records: u64,
+    /// Bytes read back per page after the fault-free reopen.
+    recovered: BTreeMap<u64, Vec<u8>>,
+}
+
+/// Ends a store lifetime with a kernel crash: the process dies and the WAL
+/// loses everything past its synced prefix. The `logged` records the
+/// storm saw appended since the last checkpoint must explain the log's
+/// length exactly. A fault-free reopen (a fresh boot) must replay exactly
+/// the synced prefix, and every acknowledged write — the last per page in
+/// `acked` — must read back bit-identical.
+fn kernel_crash(
+    dir: &Path,
+    store: PageStore,
+    logged: u64,
+    acked: &BTreeMap<u64, u8>,
+) -> io::Result<Crash> {
+    let (synced_len, wal_len, io) = (store.wal_synced_len(), store.wal_len(), store.io_stats());
+    drop(store);
+    // Records are uniform (fixed page size), so byte lengths reconcile the
+    // storm's view with the store's own accounting.
+    let record_len = io.wal_bytes / io.wal_records.max(1);
+    assert_eq!(io.wal_bytes, record_len * io.wal_records);
     assert_eq!(
-        total_len,
-        record_len * appended.len() as u64,
+        wal_len,
+        logged * record_len,
         "records appended since the last checkpoint must explain the WAL length exactly"
     );
-    let synced_records = (synced_len / record_len) as usize;
-    assert_eq!(synced_len, synced_records as u64 * record_len);
-
-    // Replay the decision stream on a fresh injector: decisions depend
-    // only on (seed, point, index), so the replayed counts must reconcile
-    // with the live run's — and the replay exposes the fault *flavors*,
-    // which the gate requires to include real torn writes and fsync
-    // failures (otherwise the schedule tested nothing). Every append
-    // attempt made one append decision; every record appended, and every
-    // checkpoint, one sync decision.
-    let replay = FaultInjector::seeded(CHAOS_SEED)
-        .with_rate(FaultPoint::WalAppend, 0.10)
-        .with_rate(FaultPoint::WalSync, 0.10);
-    let (mut torn, mut append_failed, mut sync_failed) = (0u64, 0u64, 0u64);
-    for _ in 0..append_attempts {
-        match replay.decide(FaultPoint::WalAppend, record_len as usize) {
-            InjectedFault::None => {}
-            InjectedFault::Torn(_) => torn += 1,
-            _ => append_failed += 1,
-        }
-    }
-    let appends_synced = append_attempts - torn - append_failed;
-    for _ in 0..appends_synced + checkpoints {
-        if replay.decide(FaultPoint::WalSync, 0) != InjectedFault::None {
-            sync_failed += 1;
-        }
-    }
-    assert_eq!(
-        replay.injected_at(FaultPoint::WalAppend),
-        fault.injected_at(FaultPoint::WalAppend),
-        "replayed append schedule diverged from the live run"
-    );
-    assert_eq!(
-        replay.injected_at(FaultPoint::WalSync),
-        fault.injected_at(FaultPoint::WalSync),
-        "replayed sync schedule diverged from the live run"
-    );
-    assert_eq!(fault.ops_at(FaultPoint::DataSync), checkpoints);
-    assert!(torn >= 1, "the schedule must tear at least one WAL append");
-    assert!(
-        sync_failed >= 1,
-        "the schedule must fail at least one fsync"
-    );
-    println!(
-        "  storm: {} writes, {} acked, {} torn appends, {} failed appends, {} failed fsyncs, \
-         {} checkpoints{}",
-        ops.len(),
-        acked.iter().filter(|&&a| a).count(),
-        torn,
-        append_failed,
-        sync_failed,
-        checkpoints,
-        if closed {
-            ", then a failed checkpoint sync closed the store"
-        } else {
-            ""
-        }
-    );
-
-    // Kernel crash: everything past the synced prefix never hit the
-    // device. Recovery runs fault-free (it models a fresh boot).
-    {
-        use std::fs::OpenOptions;
-        let wal = dir.join("store.wal");
-        let file = OpenOptions::new().write(true).open(&wal)?;
-        file.set_len(synced_len)?;
-    }
+    fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join("store.wal"))?
+        .set_len(synced_len)?;
     let store = PageStore::open(
         StoreConfig::new(dir, 32)
             .with_page_size(CHAOS_PAGE_SIZE)
             .with_durability(Durability::Strict),
     )?;
     assert_eq!(
-        store.recovered_writes(),
-        synced_records as u64,
+        store.recovered_writes() * record_len,
+        synced_len,
         "recovery must replay exactly the synced prefix"
     );
-
-    // The model: the last checkpoint's pages, then the last record inside
-    // the synced prefix wins per page. In Strict mode every
-    // *acknowledged* write synced inline, so nothing acked can be missing
-    // — only sync-failed tails may be dropped.
-    let mut expected = checkpointed;
-    for &(page, tag) in &appended[..synced_records] {
-        expected.insert(page, tag);
-    }
     let mut recovered = BTreeMap::new();
     let mut buf = Vec::new();
     for page in 0u64..32 {
         let source = store.read(PageId(page), &mut buf)?;
-        match expected.get(&page) {
+        match acked.get(&page) {
             Some(&tag) => {
                 assert_eq!(
                     buf,
                     vec![tag; CHAOS_PAGE_SIZE],
-                    "page {page} must recover bit-identical to the model"
+                    "page {page}: an acknowledged write was lost"
                 );
                 recovered.insert(page, buf.clone());
             }
-            None => assert_eq!(source, ReadSource::Zero, "page {page} was never durable"),
+            None => assert_eq!(source, ReadSource::Zero, "page {page} was never acked"),
         }
     }
-    drop(store);
+    Ok(Crash {
+        synced_len,
+        records: io.wal_records,
+        recovered,
+    })
+}
+
+/// Deterministic write storm against a chain of `Strict` store lifetimes:
+/// WAL appends fail or tear at ~10% and the log sync fails at
+/// [`STORM_SYNC_FAULTS`], while the log crosses budget checkpoints. A
+/// failed sync fails the store closed: the next write must be refused
+/// without appending, and a kernel crash ([`kernel_crash`]) ends the
+/// lifetime; the next one reopens the same files. The last lifetime ends
+/// with a kernel crash too.
+fn durability_storm(dir: &Path, ops: &[(u64, u8)]) -> io::Result<StormOutcome> {
+    fs::remove_dir_all(dir).ok();
+    let fault = storm_fault();
+    // Frames cover the page universe: no evictions, so the data file
+    // changes only at checkpoints and recoveries. The log budget is
+    // 4 × 32 = 128 records.
+    let config = StoreConfig::new(dir, 32)
+        .with_page_size(CHAOS_PAGE_SIZE)
+        .with_durability(Durability::Strict)
+        .with_fault_injector(fault.clone());
+    let mut acked = Vec::with_capacity(ops.len());
+    // The last acknowledged write per page: what every crash must keep.
+    let mut durable: BTreeMap<u64, u8> = BTreeMap::new();
+    let mut synced_lens = Vec::new();
+    let (mut checkpoints, mut closes) = (0u64, 0u64);
+    // Decisions made: one per append attempt at the append point, and one
+    // per record the stores appended and per checkpoint at the sync point.
+    let (mut append_attempts, mut appended) = (0u64, 0u64);
+    // Records in the current log since its last checkpoint.
+    let mut logged = 0u64;
+    let mut closed = false;
+    let mut store = PageStore::open(config.clone())?;
+    for &(page, tag) in ops {
+        if closed {
+            let wal_len = store.wal_len();
+            let err = store
+                .stage(PageId(page), &[tag; CHAOS_PAGE_SIZE])
+                .expect_err("a write applied after the store failed closed");
+            // Refused before the append: no fault decision either.
+            assert!(!err.to_string().contains(clic_store::INJECTED_FAULT));
+            assert_eq!(store.wal_len(), wal_len, "a refused write appended");
+            acked.push(false);
+            let crash = kernel_crash(dir, store, logged, &durable)?;
+            synced_lens.push(crash.synced_len);
+            appended += crash.records;
+            store = PageStore::open(config.clone())?;
+            (logged, closed) = (0, false);
+            continue;
+        }
+        let syncs_before = fault.ops_at(FaultPoint::WalSync);
+        let checkpoints_before = store.io_stats().data_syncs;
+        let result = store.stage(PageId(page), &[tag; CHAOS_PAGE_SIZE]);
+        // A budget checkpoint ran before the append.
+        let checkpointed = store.io_stats().data_syncs > checkpoints_before;
+        if checkpointed {
+            checkpoints += 1;
+            logged = 0;
+        }
+        acked.push(result.is_ok());
+        let err = match result {
+            Ok(()) => {
+                append_attempts += 1;
+                logged += 1;
+                durable.insert(page, tag);
+                continue;
+            }
+            Err(err) => err.to_string(),
+        };
+        assert!(
+            err.contains(clic_store::INJECTED_FAULT),
+            "only injected faults may fail the storm: {err}"
+        );
+        if !err.contains(FaultPoint::WalSync.label()) {
+            append_attempts += 1; // a torn or failed append
+            continue;
+        }
+        // A failed fsync closes the store. It was either the append's own,
+        // which kept its record, or the checkpoint's log sync — the one
+        // sync decision this write made — which refused the write before
+        // its append.
+        closed = true;
+        closes += 1;
+        if !(checkpointed && fault.ops_at(FaultPoint::WalSync) == syncs_before + 1) {
+            append_attempts += 1;
+            logged += 1;
+        }
+    }
+    let crash = kernel_crash(dir, store, logged, &durable)?;
+    synced_lens.push(crash.synced_len);
+    appended += crash.records;
+    assert!(
+        checkpoints >= 2,
+        "the storm must cross two checkpoints, crossed {checkpoints}"
+    );
+    assert_eq!(
+        closes,
+        STORM_SYNC_FAULTS.len() as u64,
+        "every scheduled fsync failure must close a store"
+    );
+
+    // Replay the decision stream on a fresh injector: decisions depend
+    // only on (seed, point, index), so the replayed counts must reconcile
+    // with the live run's — and the replay exposes the fault *flavors*,
+    // which the gate requires to include real torn writes and fsync
+    // failures (otherwise the schedule tested nothing).
+    let replay = storm_fault();
+    let (mut torn, mut append_failed, mut sync_failed) = (0u64, 0u64, 0u64);
+    for _ in 0..append_attempts {
+        match replay.decide(FaultPoint::WalAppend, CHAOS_PAGE_SIZE) {
+            InjectedFault::None => {}
+            InjectedFault::Torn(_) => torn += 1,
+            _ => append_failed += 1,
+        }
+    }
+    for _ in 0..appended + checkpoints {
+        if replay.decide(FaultPoint::WalSync, 0) != InjectedFault::None {
+            sync_failed += 1;
+        }
+    }
+    for point in [FaultPoint::WalAppend, FaultPoint::WalSync] {
+        assert_eq!(
+            (replay.ops_at(point), replay.injected_at(point)),
+            (fault.ops_at(point), fault.injected_at(point)),
+            "replayed {} schedule diverged from the live run",
+            point.label()
+        );
+    }
+    assert_eq!(fault.ops_at(FaultPoint::DataSync), checkpoints);
+    assert!(torn >= 1, "the schedule must tear at least one WAL append");
+    assert_eq!(sync_failed, closes, "each failed fsync closed one store");
+    println!(
+        "  storm: {} writes, {} acked, {} torn appends, {} failed appends, {} failed fsyncs, \
+         {} checkpoints, {} store lifetimes",
+        ops.len(),
+        acked.iter().filter(|&&a| a).count(),
+        torn,
+        append_failed,
+        sync_failed,
+        checkpoints,
+        synced_lens.len()
+    );
     Ok(StormOutcome {
         acked,
         counts: fault.counts(),
-        appended,
+        synced_lens,
         checkpoints,
-        closed,
-        synced_len,
-        recovered,
+        recovered: crash.recovered,
     })
 }
 
@@ -675,7 +697,7 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
 
     // ---- Phase A: durability under injected WAL faults, twice. --------
     println!("phase A: strict durability under a seeded WAL fault storm");
-    let ops: Vec<(u64, u8)> = (0..400u64)
+    let ops: Vec<(u64, u8)> = (0..800u64)
         .map(|i| (i.wrapping_mul(0x9e3779b9) % 32, (i % 251) as u8))
         .collect();
     let dir_a = scratch_dir("chaos-a");
@@ -683,16 +705,16 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
     let second = durability_storm(&dir_a, &ops)?;
     assert_eq!(
         first, second,
-        "same seed, same storm: acks, counts, synced prefix, and recovered \
+        "same seed, same storm: acks, counts, synced prefixes, and recovered \
          bytes must all replay identically"
     );
     fs::remove_dir_all(&dir_a).ok();
     println!(
-        "  deterministic: both runs acked {}/{} writes, synced prefix {} bytes, \
+        "  deterministic: both runs acked {}/{} writes, synced prefixes {:?} bytes, \
          {} pages recovered bit-identical\n",
         first.acked.iter().filter(|&&a| a).count(),
         ops.len(),
-        first.synced_len,
+        first.synced_lens,
         first.recovered.len()
     );
 

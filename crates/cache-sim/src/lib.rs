@@ -73,5 +73,5 @@ pub use partitioned::PartitionedCache;
 pub use policy::{BoxedPolicy, CachePolicy, PolicyFactory};
 pub use request::{AccessKind, ClientId, PageId, Request, WriteHint};
 pub use stats::{CacheStats, IoStats};
-pub use sync::{checked_lock, read_lock, recover_lock, write_lock, LockPoisoned};
+pub use sync::{checked_lock, recover_lock, LockPoisoned};
 pub use trace::{Trace, TraceBuilder, TraceSummary};

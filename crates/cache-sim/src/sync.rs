@@ -7,19 +7,20 @@
 //! right response is almost never to cascade the panic with `.unwrap()`.
 //! Instead callers choose one of two explicit policies:
 //!
-//! * [`recover_lock`] / [`read_lock`] / [`write_lock`] — take the guard
-//!   anyway. Use on paths that only read, or that rewrite the protected
-//!   state wholesale, where a half-finished update by the panicking thread
-//!   cannot be observed as corruption.
+//! * [`recover_lock`] — take the guard anyway. Use on paths that only
+//!   read, or that rewrite the protected state wholesale, where a
+//!   half-finished update by the panicking thread cannot be observed as
+//!   corruption.
 //! * [`checked_lock`] — surface the poisoning as a [`LockPoisoned`] error
 //!   so the caller can return a clean failure instead of panicking.
 //!
-//! The store crate denies bare `Mutex::lock`/`RwLock` calls via clippy's
-//! `disallowed-methods`, funnelling every acquisition through this module.
+//! The store and server crates deny bare `Mutex::lock` calls via clippy's
+//! `disallowed-methods`, funnelling every acquisition through this module,
+//! and use no `RwLock` at all.
 
 use std::error::Error;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// A lock was poisoned by a panicking holder and the caller asked for that
 /// to be an error rather than recovered from.
@@ -45,22 +46,6 @@ pub fn checked_lock<T>(mutex: &Mutex<T>) -> Result<MutexGuard<'_, T>, LockPoison
 /// behind; callers must tolerate (or overwrite) a mid-operation state.
 pub fn recover_lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Read-acquires `rwlock`, recovering from poison like [`recover_lock`].
-pub fn read_lock<T>(rwlock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    match rwlock.read() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Write-acquires `rwlock`, recovering from poison like [`recover_lock`].
-pub fn write_lock<T>(rwlock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    match rwlock.write() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
@@ -100,21 +85,5 @@ mod tests {
             LockPoisoned.to_string(),
             "lock poisoned by a panicked holder"
         );
-    }
-
-    #[test]
-    fn rwlock_helpers_survive_poison() {
-        let rwlock = Arc::new(RwLock::new(vec![1, 2, 3]));
-        {
-            let r = Arc::clone(&rwlock);
-            let _ = std::thread::spawn(move || {
-                let _guard = r.write().unwrap();
-                panic!("poison the rwlock");
-            })
-            .join();
-        }
-        assert_eq!(read_lock(&rwlock).len(), 3);
-        write_lock(&rwlock).push(4);
-        assert_eq!(read_lock(&rwlock).len(), 4);
     }
 }

@@ -173,18 +173,18 @@ mod clmul {
 /// Streaming CRC-32 state: feed byte slices with [`Crc32::update`], read the
 /// checksum with [`Crc32::finish`].
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
 impl Crc32 {
     /// Fresh state (equivalent to a checksum over zero bytes so far).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Crc32 { state: !0 }
     }
 
     /// Folds `data` into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         #[cfg(target_arch = "x86_64")]
         if data.len() >= clmul::MIN_LEN
             && is_x86_feature_detected!("pclmulqdq")
@@ -199,7 +199,7 @@ impl Crc32 {
     }
 
     /// The checksum over everything fed so far.
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         !self.state
     }
 }
@@ -211,7 +211,7 @@ impl Default for Crc32 {
 }
 
 /// One-shot CRC-32 of a byte slice.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut crc = Crc32::new();
     crc.update(data);
     crc.finish()
@@ -300,7 +300,9 @@ mod tests {
     /// store's own readers.
     #[test]
     fn files_checksummed_by_the_reference_verify() {
-        use crate::{DiskManager, Durability, FaultInjector, Wal, WalOp, WalRecord};
+        use crate::disk::DiskManager;
+        use crate::wal::{Wal, WalOp, WalRecord};
+        use crate::{Durability, FaultInjector};
         use cache_sim::PageId;
 
         let page = PageId(0x0123_4567_89ab);
@@ -321,7 +323,7 @@ mod tests {
         file.extend_from_slice(&1u32.to_le_bytes());
         file.extend_from_slice(&bytes);
         std::fs::write(&disk_path, &file).unwrap();
-        let disk = DiskManager::open(&disk_path, 4096).unwrap();
+        let disk = DiskManager::open_with(&disk_path, 4096, FaultInjector::disabled()).unwrap();
         let mut buf = vec![0u8; 4096];
         assert!(disk.read_page(page, &mut buf).unwrap());
         assert_eq!(buf, bytes);

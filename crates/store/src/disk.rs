@@ -54,70 +54,46 @@ const FLAG_ALLOCATED: u32 = 1;
 /// allocation, growing as needed. Single-threaded; [`DiskManager`] keeps
 /// one behind its slot mutex.
 #[derive(Debug, Default)]
-pub struct AllocationBitmap {
+pub(crate) struct AllocationBitmap {
     words: Vec<u64>,
     /// Word index to start the next first-fit scan from (monotone until a
     /// clear rewinds it), so repeated allocation is amortized O(1).
     scan_hint: usize,
-    allocated: usize,
 }
 
 impl AllocationBitmap {
-    /// An empty bitmap.
-    pub fn new() -> Self {
-        AllocationBitmap::default()
-    }
-
     /// Returns the lowest free slot, marking it allocated (growing the
     /// bitmap if every existing slot is taken).
-    pub fn allocate(&mut self) -> usize {
+    pub(crate) fn allocate(&mut self) -> usize {
         for (offset, word) in self.words[self.scan_hint..].iter_mut().enumerate() {
             if *word != u64::MAX {
                 let bit = word.trailing_ones() as usize;
                 *word |= 1 << bit;
                 self.scan_hint += offset;
-                self.allocated += 1;
                 return (self.scan_hint) * 64 + bit;
             }
         }
         self.scan_hint = self.words.len();
         self.words.push(1);
-        self.allocated += 1;
         self.scan_hint * 64
     }
 
     /// Marks `slot` allocated (used when rebuilding from a file scan).
-    pub fn set(&mut self, slot: usize) {
+    pub(crate) fn set(&mut self, slot: usize) {
         let word = slot / 64;
         if word >= self.words.len() {
             self.words.resize(word + 1, 0);
         }
-        if self.words[word] & (1 << (slot % 64)) == 0 {
-            self.words[word] |= 1 << (slot % 64);
-            self.allocated += 1;
-        }
+        self.words[word] |= 1 << (slot % 64);
     }
 
     /// Marks `slot` free.
-    pub fn clear(&mut self, slot: usize) {
+    pub(crate) fn clear(&mut self, slot: usize) {
         let word = slot / 64;
-        if word < self.words.len() && self.words[word] & (1 << (slot % 64)) != 0 {
+        if word < self.words.len() {
             self.words[word] &= !(1 << (slot % 64));
-            self.allocated -= 1;
             self.scan_hint = self.scan_hint.min(word);
         }
-    }
-
-    /// Whether `slot` is allocated.
-    pub fn is_set(&self, slot: usize) -> bool {
-        self.words
-            .get(slot / 64)
-            .is_some_and(|word| word & (1 << (slot % 64)) != 0)
-    }
-
-    /// Number of allocated slots.
-    pub fn allocated(&self) -> usize {
-        self.allocated
     }
 }
 
@@ -133,7 +109,7 @@ struct Slots {
 /// Internally synchronized (see the module docs); callers serialize
 /// operations on the *same* page.
 #[derive(Debug)]
-pub struct DiskManager {
+pub(crate) struct DiskManager {
     file: File,
     page_size: usize,
     slots: Mutex<Slots>,
@@ -143,24 +119,19 @@ pub struct DiskManager {
 impl DiskManager {
     /// Opens (or creates) the backing file at `path` with the given page
     /// size, rebuilding the slot directory and allocation bitmap by scanning
-    /// the slot headers.
-    ///
-    /// Fails with [`io::ErrorKind::InvalidData`] if the file exists but its
-    /// magic or page size disagree, or if two live slots claim the same
-    /// page.
-    pub fn open(path: &Path, page_size: usize) -> io::Result<DiskManager> {
-        DiskManager::open_with(path, page_size, FaultInjector::disabled())
-    }
-
-    /// [`DiskManager::open`] with a [`FaultInjector`] armed at the
+    /// the slot headers, with a [`FaultInjector`] armed at the
     /// [`FaultPoint::DiskRead`], [`FaultPoint::DiskWrite`], and
     /// [`FaultPoint::DataSync`] points. The open-time header scan is not
     /// fault-injected: it models recovery, which runs before the
     /// schedule starts.
+    ///
+    /// Fails with [`io::ErrorKind::InvalidData`] if the file exists but its
+    /// magic or page size disagree, or if two live slots claim the same
+    /// page.
     // invariant: the `try_into().unwrap()`s below convert constant-bound
     // subslices of fixed-size buffers into arrays — they cannot fail.
     #[cfg_attr(not(test), allow(clippy::unwrap_used))]
-    pub fn open_with(
+    pub(crate) fn open_with(
         path: &Path,
         page_size: usize,
         fault: FaultInjector,
@@ -233,27 +204,9 @@ impl DiskManager {
         recover_lock(&self.slots)
     }
 
-    /// The configured page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
     /// Number of live pages in the file.
-    pub fn allocated_pages(&self) -> usize {
+    pub(crate) fn allocated_pages(&self) -> usize {
         self.slots().map.len()
-    }
-
-    /// Whether the file holds a live copy of `page`.
-    pub fn contains(&self, page: PageId) -> bool {
-        self.slots().map.contains_key(&page)
-    }
-
-    /// Every live page, sorted by id (a deterministic order regardless of
-    /// slot layout).
-    pub fn pages(&self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self.slots().map.keys().copied().collect();
-        pages.sort_unstable();
-        pages
     }
 
     fn checksum(page: PageId, data: &[u8]) -> u32 {
@@ -267,7 +220,7 @@ impl DiskManager {
     /// Returns `Ok(false)` if the file holds no copy of the page, and
     /// [`io::ErrorKind::InvalidData`] if the stored frame fails CRC
     /// verification (a torn write).
-    pub fn read_page(&self, page: PageId, buf: &mut [u8]) -> io::Result<bool> {
+    pub(crate) fn read_page(&self, page: PageId, buf: &mut [u8]) -> io::Result<bool> {
         assert_eq!(buf.len(), self.page_size, "buffer must be one page");
         let Some(&slot) = self.slots().map.get(&page) else {
             return Ok(false);
@@ -305,7 +258,7 @@ impl DiskManager {
     /// allocating the first free slot if it has none. Meta and page bytes
     /// go out as one contiguous positioned write, after the slot lock is
     /// already released.
-    pub fn write_page(&self, page: PageId, data: &[u8]) -> io::Result<()> {
+    pub(crate) fn write_page(&self, page: PageId, data: &[u8]) -> io::Result<()> {
         assert_eq!(data.len(), self.page_size, "data must be one page");
         let slot = {
             let mut slots = self.slots();
@@ -338,7 +291,7 @@ impl DiskManager {
     /// The slot is returned to the bitmap only *after* the zeroed meta hits
     /// the file, so a concurrent allocation can never be clobbered by this
     /// free's write.
-    pub fn free_page(&self, page: PageId) -> io::Result<bool> {
+    pub(crate) fn free_page(&self, page: PageId) -> io::Result<bool> {
         let Some(slot) = self.slots().map.remove(&page) else {
             return Ok(false);
         };
@@ -357,7 +310,7 @@ impl DiskManager {
     }
 
     /// Flushes file contents to the device (`fsync`-equivalent).
-    pub fn sync(&self) -> io::Result<()> {
+    pub(crate) fn sync(&self) -> io::Result<()> {
         if self.fault.decide(FaultPoint::DataSync, 0) != InjectedFault::None {
             return Err(FaultInjector::error(FaultPoint::DataSync));
         }
@@ -393,21 +346,27 @@ mod tests {
         panic!("page {page} has no live slot");
     }
 
+    fn open(path: &std::path::Path, page_size: usize) -> io::Result<DiskManager> {
+        DiskManager::open_with(path, page_size, FaultInjector::disabled())
+    }
+
     #[test]
     fn bitmap_first_fit_and_reuse() {
-        let mut bitmap = AllocationBitmap::new();
+        let mut bitmap = AllocationBitmap::default();
         assert_eq!(bitmap.allocate(), 0);
         assert_eq!(bitmap.allocate(), 1);
         assert_eq!(bitmap.allocate(), 2);
         bitmap.clear(1);
-        assert_eq!(bitmap.allocated(), 2);
         assert_eq!(bitmap.allocate(), 1, "freed slot is reused first-fit");
         for expected in 3..70 {
             assert_eq!(bitmap.allocate(), expected);
         }
-        assert!(bitmap.is_set(64));
-        assert!(!bitmap.is_set(1000));
-        assert_eq!(bitmap.allocated(), 70);
+        // Across a word boundary: a freed slot in the second word is found
+        // again, and a set slot is never handed out twice.
+        bitmap.clear(64);
+        assert_eq!(bitmap.allocate(), 64);
+        bitmap.set(70);
+        assert_eq!(bitmap.allocate(), 71);
     }
 
     #[test]
@@ -416,7 +375,7 @@ mod tests {
         let page_size = 256;
         let pattern = |seed: u8| vec![seed; page_size];
         {
-            let disk = DiskManager::open(&path, page_size).unwrap();
+            let disk = open(&path, page_size).unwrap();
             // Sparse page ids land in dense slots.
             disk.write_page(PageId(7), &pattern(1)).unwrap();
             disk.write_page(PageId(100_000_007), &pattern(2)).unwrap();
@@ -432,14 +391,17 @@ mod tests {
             disk.sync().unwrap();
         }
         // Reopen: the directory and bitmap are rebuilt from the headers.
-        let disk = DiskManager::open(&path, page_size).unwrap();
+        let disk = open(&path, page_size).unwrap();
         assert_eq!(disk.allocated_pages(), 2);
         let mut buf = vec![0u8; page_size];
         assert!(disk.read_page(PageId(100_000_007), &mut buf).unwrap());
         assert_eq!(buf, pattern(2));
         assert!(disk.read_page(PageId(42), &mut buf).unwrap());
         assert_eq!(buf, pattern(4));
-        assert!(!disk.contains(PageId(7)), "freed page stays freed");
+        assert!(
+            !disk.read_page(PageId(7), &mut buf).unwrap(),
+            "freed page stays freed"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -447,7 +409,7 @@ mod tests {
     fn concurrent_writers_of_distinct_pages_round_trip() {
         let path = temp_file("concurrent");
         let page_size = 64;
-        let disk = std::sync::Arc::new(DiskManager::open(&path, page_size).unwrap());
+        let disk = std::sync::Arc::new(open(&path, page_size).unwrap());
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let disk = std::sync::Arc::clone(&disk);
@@ -471,7 +433,7 @@ mod tests {
         }
         // A reopen rebuilds the same directory the writers built.
         drop(disk);
-        let disk = DiskManager::open(&path, page_size).unwrap();
+        let disk = open(&path, page_size).unwrap();
         assert_eq!(disk.allocated_pages(), 128);
         let _ = std::fs::remove_file(&path);
     }
@@ -480,7 +442,7 @@ mod tests {
     fn torn_frames_fail_crc_verification() {
         let path = temp_file("torn");
         let page_size = 128;
-        let disk = DiskManager::open(&path, page_size).unwrap();
+        let disk = open(&path, page_size).unwrap();
         disk.write_page(PageId(1), &vec![9u8; page_size]).unwrap();
         drop(disk);
         // Corrupt one byte in the middle of the page's slot bytes.
@@ -488,7 +450,7 @@ mod tests {
         let victim = slot_offset_of(&bytes, 1, page_size) + SLOT_META_LEN + page_size / 2;
         bytes[victim] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let disk = DiskManager::open(&path, page_size).unwrap();
+        let disk = open(&path, page_size).unwrap();
         let mut buf = vec![0u8; page_size];
         let err = disk.read_page(PageId(1), &mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -498,8 +460,8 @@ mod tests {
     #[test]
     fn mismatched_page_size_is_rejected() {
         let path = temp_file("pagesize");
-        drop(DiskManager::open(&path, 256).unwrap());
-        let err = DiskManager::open(&path, 512).unwrap_err();
+        drop(open(&path, 256).unwrap());
+        let err = open(&path, 512).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_file(&path);
     }

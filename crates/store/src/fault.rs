@@ -49,23 +49,26 @@ pub const INJECTED_FAULT: &str = "injected fault";
 /// like.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// `DiskManager::read_page`'s positioned read: fails outright or
+    /// The disk manager's positioned page read: fails outright or
     /// corrupts one byte of the returned buffer (surfacing as a CRC
     /// "torn frame" error).
     DiskRead,
-    /// `DiskManager::write_page`/`free_page`'s positioned write: fails
+    /// The disk manager's positioned page write (or free): fails
     /// outright or tears (writes a prefix, then errors).
     DiskWrite,
-    /// `DiskManager::sync`'s `fsync` of the data file: fails.
+    /// The `fsync` of the data file at a checkpoint: fails.
     DataSync,
-    /// `Wal::append`'s record write: fails or tears. A torn append does
+    /// The WAL's record write: fails or tears. A torn append does
     /// not advance the log's append position, so the garbage tail is
     /// overwritten by the next append and discarded by replay — the same
     /// outcome as a crash mid-append.
     WalAppend,
-    /// `Wal::sync`'s `fsync`: fails. The synced prefix does not advance,
-    /// so a `Strict` append reports the error to its caller instead of
-    /// acknowledging.
+    /// The store's one log `fsync` ([`crate::PageStore::sync_wal`]), run
+    /// after a synced level's append, by a server's log writer, and by a
+    /// checkpoint: fails. The synced prefix does not advance, the write
+    /// waiting on the sync is refused instead of acknowledged, and the log
+    /// fails closed: every later write is refused until the store is
+    /// reopened.
     WalSync,
     /// The event loop's `accept`: the freshly accepted connection is
     /// dropped before the handshake, as if the peer vanished.

@@ -26,7 +26,7 @@ struct Frame {
 
 /// A fixed-capacity arena of page-sized buffer frames.
 #[derive(Debug)]
-pub struct FrameArena {
+pub(crate) struct FrameArena {
     page_size: usize,
     buf: Vec<u8>,
     frames: Vec<Frame>,
@@ -41,7 +41,7 @@ impl FrameArena {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new(frames: usize, page_size: usize) -> Self {
+    pub(crate) fn new(frames: usize, page_size: usize) -> Self {
         assert!(frames > 0, "at least one frame is required");
         assert!(page_size > 0, "page size must be positive");
         assert!(u32::try_from(frames).is_ok(), "frame count exceeds u32");
@@ -58,22 +58,17 @@ impl FrameArena {
     }
 
     /// Number of resident pages.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.directory.len()
     }
 
-    /// Whether no page is resident.
-    pub fn is_empty(&self) -> bool {
-        self.directory.is_empty()
-    }
-
     /// Number of resident dirty frames.
-    pub fn dirty_len(&self) -> usize {
+    pub(crate) fn dirty_len(&self) -> usize {
         self.dirty_count
     }
 
     /// Whether `page` is resident.
-    pub fn contains(&self, page: PageId) -> bool {
+    pub(crate) fn contains(&self, page: PageId) -> bool {
         self.directory.contains_key(&page)
     }
 
@@ -103,7 +98,7 @@ impl FrameArena {
     ///
     /// Panics if `page` is already resident (overwrite through
     /// [`FrameArena::write`] instead) or `data` is not one page.
-    pub fn install(&mut self, page: PageId, data: &[u8], dirty: bool) -> bool {
+    pub(crate) fn install(&mut self, page: PageId, data: &[u8], dirty: bool) -> bool {
         assert_eq!(data.len(), self.page_size, "data must be one page");
         assert!(!self.contains(page), "page {} is already resident", page.0);
         let Some(frame) = self.free.pop() else {
@@ -118,29 +113,23 @@ impl FrameArena {
     }
 
     /// `page`'s resident bytes, or `None` if the page is not resident.
-    pub fn read(&self, page: PageId) -> Option<&[u8]> {
+    pub(crate) fn read(&self, page: PageId) -> Option<&[u8]> {
         let &frame = self.directory.get(&page)?;
         Some(&self.buf[self.range(frame)])
     }
 
     /// Marks `page`'s frame dirty and returns its bytes for overwriting, or
     /// `None` if the page is not resident.
-    pub fn write(&mut self, page: PageId) -> Option<&mut [u8]> {
+    pub(crate) fn write(&mut self, page: PageId) -> Option<&mut [u8]> {
         let &frame = self.directory.get(&page)?;
         self.set_dirty(frame, true);
         let range = self.range(frame);
         Some(&mut self.buf[range])
     }
 
-    /// Whether `page`'s resident frame is dirty (`None` if not resident).
-    pub fn is_dirty(&self, page: PageId) -> Option<bool> {
-        let &frame = self.directory.get(&page)?;
-        Some(self.frames[frame as usize].dirty)
-    }
-
     /// Clears `page`'s dirty bit after a successful write-back. Returns
     /// `false` if the page is not resident.
-    pub fn mark_clean(&mut self, page: PageId) -> bool {
+    pub(crate) fn mark_clean(&mut self, page: PageId) -> bool {
         match self.directory.get(&page) {
             Some(&frame) => {
                 self.set_dirty(frame, false);
@@ -152,7 +141,7 @@ impl FrameArena {
 
     /// Appends up to `max` dirty resident pages to `out` in frame order
     /// (deterministic).
-    pub fn dirty_pages(&self, max: usize, out: &mut Vec<PageId>) {
+    pub(crate) fn dirty_pages(&self, max: usize, out: &mut Vec<PageId>) {
         out.extend(
             self.frames
                 .iter()
@@ -166,7 +155,7 @@ impl FrameArena {
     /// the frame's bytes (and whether they were dirty) so the caller can
     /// write them back without a copy. Dropping the guard frees the frame.
     /// Returns `None` if the page is not resident.
-    pub fn evict(&mut self, page: PageId) -> Option<EvictGuard<'_>> {
+    pub(crate) fn evict(&mut self, page: PageId) -> Option<EvictGuard<'_>> {
         let frame = self.directory.remove(&page)?;
         let dirty = self.frames[frame as usize].dirty;
         self.set_dirty(frame, false);
@@ -183,7 +172,7 @@ impl FrameArena {
 /// a dirty victim can be written back straight from the frame; dropping the
 /// guard returns the frame to the free list.
 #[derive(Debug)]
-pub struct EvictGuard<'a> {
+pub(crate) struct EvictGuard<'a> {
     arena: &'a mut FrameArena,
     frame: u32,
     dirty: bool,
@@ -191,7 +180,7 @@ pub struct EvictGuard<'a> {
 
 impl EvictGuard<'_> {
     /// Whether the frame held un-flushed writes when it was evicted.
-    pub fn dirty(&self) -> bool {
+    pub(crate) fn dirty(&self) -> bool {
         self.dirty
     }
 }
@@ -223,7 +212,9 @@ mod tests {
         assert!(!arena.install(PageId(3), &[3u8; 16], false), "arena full");
         assert_eq!(arena.len(), 2);
         assert_eq!(arena.dirty_len(), 1);
-        assert_eq!(arena.is_dirty(PageId(1)), Some(false));
+        let mut dirty = Vec::new();
+        arena.dirty_pages(usize::MAX, &mut dirty);
+        assert_eq!(dirty, vec![PageId(2)], "page 1 was installed clean");
 
         {
             let a = arena.read(PageId(1)).unwrap();
@@ -232,8 +223,7 @@ mod tests {
             assert_eq!(a[0], b[0]);
         }
         arena.write(PageId(1)).unwrap()[0] = 9;
-        assert_eq!(arena.is_dirty(PageId(1)), Some(true));
-        assert_eq!(arena.dirty_len(), 2);
+        assert_eq!(arena.dirty_len(), 2, "a write dirties page 1");
         assert_eq!(arena.read(PageId(1)).unwrap()[0], 9);
 
         assert!(arena.mark_clean(PageId(1)));
@@ -246,7 +236,7 @@ mod tests {
             assert_eq!(&guard[..], &[2u8; 16]);
         }
         assert!(arena.evict(PageId(2)).is_none());
-        assert!(arena.is_empty());
+        assert_eq!(arena.len(), 0);
         assert_eq!(arena.dirty_len(), 0);
         // Freed frames are reusable.
         assert!(arena.install(PageId(4), &[4u8; 16], false));

@@ -7,24 +7,23 @@
 //! file, dirty-page write-back, and crash consistency. The pieces compose
 //! bottom-up:
 //!
-//! * [`DiskManager`] ([`disk`]) — fixed-size page slots in one backing file.
+//! * The disk manager (`disk.rs`) — fixed-size page slots in one backing
+//!   file.
 //!   Each slot carries a header (page id, CRC-32 over id + data, allocation
 //!   flag) followed by the page bytes; a slot-granular allocation bitmap
 //!   hands out free slots first-fit across the whole file. The slot
 //!   directory is rebuilt by scanning headers on open, and the CRC is
 //!   verified on every read, so a torn (partially written) frame is
 //!   *detected*, never silently returned.
-//! * [`FrameArena`] ([`frame`]) — a contiguous arena of in-memory buffer
+//! * The frame arena (`frame.rs`) — a contiguous arena of in-memory buffer
 //!   frames with dirty bits: plain single-owner code, `&self` to read and
 //!   `&mut self` to change a frame.
 //!
 //!   **Frame lifecycle:** free → resident-clean (installed from a disk read)
 //!   or resident-dirty (installed from a staged write) → possibly
 //!   resident-clean again (flushed) → free (evicted; a dirty eviction forces
-//!   a write-back first, straight from the departing frame's
-//!   [`EvictGuard`]).
-//! * [`Wal`] ([`wal`]) — a write-ahead log with selectable
-//!   [`Durability`].
+//!   a write-back first, straight from the departing frame's bytes).
+//! * The write-ahead log ([`wal`]) — a log with selectable [`Durability`].
 //!
 //!   **WAL format:** a flat sequence of length-prefixed records
 //!   `[len: u32 LE][crc32: u32 LE][payload]` with
@@ -41,15 +40,18 @@
 //!   fails fails the store closed: the log is never truncated again, and
 //!   every later write is refused until reopen.
 //!
-//!   **Durability levels:** [`Durability::Buffered`] never syncs a record
-//!   on its own (a kernel crash can lose OS-buffered records), though an
-//!   append that finds the log at its budget first runs a checkpoint,
-//!   which syncs; [`Durability::Strict`] syncs every append, and
-//!   [`Durability::GroupCommit`] coalesces up to
-//!   `max_batch` appends (or `max_wait` of wall time) into one sync — the
-//!   classic group-commit trade of bounded staleness for an order of
-//!   magnitude fewer `fsync`s. A server hands the sync of the last two to a
-//!   log writer and acknowledges only synced writes ([`wal`] module docs).
+//!   **Durability levels:** no append syncs; the store syncs the log
+//!   through one routine ([`PageStore::sync_wal`]) when the level wants it.
+//!   [`Durability::Buffered`] never wants a sync for a record on its own (a
+//!   kernel crash can lose OS-buffered records), though an append that
+//!   finds the log at its budget first runs a checkpoint, which syncs;
+//!   [`Durability::Strict`] wants one after every append, and
+//!   [`Durability::GroupCommit`] coalesces up to `max_batch` appends (or
+//!   `max_wait` of wall time) into one sync — the classic group-commit
+//!   trade of bounded staleness for an order of magnitude fewer `fsync`s.
+//!   A server hands the sync of the last two to a log writer, which runs
+//!   the same routine, and acknowledges only synced writes. A failed sync
+//!   fails the store closed at every level ([`wal`] module docs).
 //! * [`PageStore`] ([`store`]) — ties the three together, one mutex each
 //!   (see *Locking architecture* below): reads prefer the arena and fall
 //!   back to the disk, writes are staged *write-back* (WAL append first —
@@ -93,7 +95,7 @@
 //! **Fault injection:** a seeded [`FaultInjector`] ([`fault`],
 //! [`StoreConfig::with_fault_injector`]) can schedule deterministic I/O
 //! failures — failed or torn writes, failed `fsync`s, corrupted reads — at
-//! the [`DiskManager`] and [`Wal`] boundaries. Disabled (the default) it
+//! the disk-manager and WAL boundaries. Disabled (the default) it
 //! costs one `Option` check per I/O, exactly like the `Recorder`; enabled,
 //! the k-th operation at each injection point faults identically on every
 //! run with the same seed, and each injected fault bumps
@@ -116,9 +118,9 @@
 //!
 //! | Lock | Protects | Held for |
 //! |---|---|---|
-//! | frames (`Mutex<FrameArena>`) | frame bytes, resident pages, dirty bits, page → frame map, free list | one read, install, overwrite or eviction; a whole flush pass, including its disk writes; a stage or delete from before its append until its frame is applied; a whole checkpoint |
-//! | WAL (`Mutex<Wal>`) | log file offset, group-commit window, synced length | one append (+ optional sync); a checkpoint's truncation and log sync; a handed-off sync ([`PageStore::sync_wal`]) takes it only to read and publish lengths, so the log writer never waits on frame work |
-//! | disk slots (`Mutex` inside [`DiskManager`]) | page → slot map, [`AllocationBitmap`] | one lookup, allocation or free — never across file I/O |
+//! | frames (`Mutex<FrameArena>`) | frame bytes, resident pages, dirty bits, page → frame map, free list | one read, install, overwrite or eviction; a whole flush pass, including its disk writes; a stage or delete from before its append until its frame is applied, its log sync included; a whole checkpoint |
+//! | WAL (`Mutex<Wal>`) | log file offset, group-commit window, synced length | one append; a checkpoint's truncation; a log sync ([`PageStore::sync_wal`]) takes it only to read and publish lengths, never across the `fsync`, so a log writer never waits on frame work |
+//! | disk slots (`Mutex` inside the disk manager) | page → slot map, allocation bitmap | one lookup, allocation or free — never across file I/O |
 //!
 //! **Lock order:** frames → WAL → disk slots. [`PageStore::stage`],
 //! [`PageStore::delete`] and [`PageStore::checkpoint`] all take the frames
@@ -162,24 +164,21 @@
 #![deny(clippy::disallowed_methods)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod crc;
-pub mod disk;
+mod crc;
+mod disk;
 pub mod fault;
-pub mod frame;
+mod frame;
 pub mod replay;
 pub mod store;
 pub mod wal;
 
-pub use crc::{crc32, Crc32};
-pub use disk::{AllocationBitmap, DiskManager};
 pub use fault::{FaultInjector, FaultPoint, InjectedFault, FAULT_POINTS, INJECTED_FAULT};
-pub use frame::{EvictGuard, FrameArena};
 pub use replay::{
     page_payload, replay_storage, replay_storage_partitioned, StorageReplayReport,
     REPLAY_CHUNK_HISTOGRAM,
 };
 pub use store::{PageStore, ReadSource, StoreConfig, DEFAULT_PAGE_SIZE};
-pub use wal::{AppendOutcome, Durability, Wal, WalOp, WalRecord};
+pub use wal::Durability;
 
 // Observability types that appear in this crate's public API
 // ([`StoreConfig::with_recorder`], [`PageStore::metrics`],

@@ -1,5 +1,5 @@
-//! [`PageStore`]: the façade over [`DiskManager`] + [`FrameArena`] +
-//! [`Wal`], with byte-level I/O accounting.
+//! [`PageStore`]: the façade over the disk manager, the frame arena and
+//! the write-ahead log, with byte-level I/O accounting.
 //!
 //! The store synchronizes with three mutexes (see the crate docs for what
 //! each protects, and for their order): the frames, the WAL, and the disk
@@ -9,12 +9,13 @@
 //! work.
 //!
 //! * reads prefer the arena and fall back to the disk tier through
-//!   [`DiskManager`]'s positioned I/O;
+//!   the disk manager's positioned I/O;
 //! * writes are staged write-back: the WAL append is the acknowledgement
-//!   point (with [`Durability`] deciding when the log also syncs), then the
-//!   frame is overwritten or installed dirty;
+//!   point (with [`Durability`] deciding when the store also syncs the
+//!   log, through its one log sync), then the frame is overwritten or
+//!   installed dirty;
 //! * evicting a dirty page writes it back straight from the departing
-//!   frame's [`EvictGuard`](crate::frame::EvictGuard) bytes;
+//!   frame's bytes;
 //! * a flush pass holds the frames lock while it writes a batch back;
 //! * a checkpoint flushes everything, syncs the data file, and truncates
 //!   the WAL: at a clean shutdown, and before any append that finds
@@ -28,7 +29,7 @@
 use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 use cache_sim::policy::AccessOutcome;
 use cache_sim::sync::{checked_lock, recover_lock};
@@ -39,7 +40,7 @@ use crate::disk::DiskManager;
 use crate::fault::FaultInjector;
 use crate::frame::FrameArena;
 use crate::replay::page_payload;
-use crate::wal::{page_record_len, sync_log, AppendOutcome, Durability, Wal, WalOp};
+use crate::wal::{page_record_len, sync_log, Durability, Wal, WalOp};
 
 /// The paper-typical page size: 4 KiB.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
@@ -253,10 +254,11 @@ pub struct PageStore {
     disk: DiskManager,
     frames: Mutex<FrameArena>,
     wal: Mutex<Wal>,
-    /// The log's own descriptor and fault schedule once its sync is handed
-    /// off ([`PageStore::hand_off_wal_sync`]): [`PageStore::sync_wal`]
-    /// syncs through them outside the WAL mutex.
-    wal_sync: OnceLock<(File, FaultInjector)>,
+    /// The log file's descriptor, cloned at open: the store's one log sync
+    /// syncs through it outside the WAL mutex.
+    log_file: File,
+    /// The fault schedule, armed at that sync too.
+    fault: FaultInjector,
     /// The store's own metrics registry — always on, backing
     /// [`PageStore::io_stats`] / [`PageStore::metrics`].
     registry: MetricsRegistry,
@@ -332,12 +334,14 @@ impl PageStore {
             disk.sync()?;
         }
         wal.truncate()?;
+        let log_file = wal.file().try_clone()?;
         let io = IoCounters::new(&registry);
         Ok(PageStore {
             disk,
             frames: Mutex::new(FrameArena::new(config.frames, config.page_size)),
             wal: Mutex::new(wal),
-            wal_sync: OnceLock::new(),
+            log_file,
+            fault: config.fault,
             registry,
             io,
             recorder: config.recorder,
@@ -435,15 +439,15 @@ impl PageStore {
     }
 
     /// Appends one WAL record through `append` — the one log-append site,
-    /// shared by [`PageStore::stage`] and [`PageStore::delete`] — and
-    /// accounts it: record, byte, sync and group-commit counters, and the
-    /// `WalAppend`/`WalFsync`/`GroupCommit` spans. A log that holds its
+    /// shared by [`PageStore::stage`] and [`PageStore::delete`] — accounts
+    /// it (record and byte counters, a `WalAppend` span), then syncs the
+    /// log if its [`Durability`] wants a sync now. A log that holds its
     /// budget is checkpointed first. Returns the frames, locked before the
     /// WAL and still locked, so the caller applies the record to them
     /// before any checkpoint can truncate it (lock order: crate docs).
     fn log(
         &self,
-        append: impl FnOnce(&mut Wal) -> io::Result<AppendOutcome>,
+        append: impl FnOnce(&mut Wal) -> io::Result<u64>,
     ) -> io::Result<MutexGuard<'_, FrameArena>> {
         let mut arena = guard(&self.frames)?;
         let mut wal = guard(&self.wal)?;
@@ -453,32 +457,20 @@ impl PageStore {
             wal = guard(&self.wal)?;
         }
         let start_ns = self.recorder.clock().map(|clock| clock.now_nanos());
-        let outcome = append(&mut wal)?;
+        let bytes = append(&mut wal)?;
+        let due = wal.sync_due();
         drop(wal);
         self.io.wal_records.inc();
-        self.io.wal_bytes.add(outcome.bytes);
-        if outcome.synced {
-            self.io.wal_syncs.inc();
-        }
-        if outcome.group_commit {
-            self.io.group_commits.inc();
-        }
+        self.io.wal_bytes.add(bytes);
         if let (Some(start_ns), Some(clock)) = (start_ns, self.recorder.clock()) {
-            // One timed window covers append + (when it happened) the
-            // sync: the fsync dominates, so the same interval is reported
-            // under both kinds rather than re-locking the WAL to time them
-            // separately.
-            let end_ns = clock.now_nanos();
             self.recorder
-                .event(SpanKind::WalAppend, start_ns, end_ns, outcome.bytes);
-            if outcome.synced {
-                self.recorder
-                    .event(SpanKind::WalFsync, start_ns, end_ns, outcome.batch);
-            }
-            if outcome.group_commit {
-                self.recorder
-                    .event(SpanKind::GroupCommit, start_ns, end_ns, outcome.batch);
-            }
+                .event(SpanKind::WalAppend, start_ns, clock.now_nanos(), bytes);
+        }
+        // The sync runs before the frames are released: no append can land
+        // between its `unsynced` and its publish, so the pending count it
+        // resets is exactly the one it covered.
+        if let Some(pending) = due {
+            self.sync_wal(pending)?;
         }
         Ok(arena)
     }
@@ -592,32 +584,41 @@ impl PageStore {
 
     /// Hands the sync of a `GroupCommit` or `Strict` log to the caller,
     /// who then syncs with [`PageStore::sync_wal`] (the server's contract,
-    /// [`crate::wal`] module docs). Returns whether there was such a log.
+    /// [`crate::wal`] module docs): no staging call syncs the log after it.
+    /// Returns whether there was such a log.
     pub fn hand_off_wal_sync(&self) -> io::Result<bool> {
         if self.durability == Durability::Buffered {
             return Ok(false);
         }
-        let _ = self.wal_sync.set(guard(&self.wal)?.hand_off_sync()?);
+        guard(&self.wal)?.hand_off_sync();
         Ok(true)
     }
 
-    /// Syncs a handed-off log up to its last append, outside the WAL mutex,
-    /// then publishes [`PageStore::wal_synced_len`]. `acks` counts the
-    /// acknowledgements the sync releases: the detail of its `WalFsync`
-    /// and `GroupCommit` spans, and a group commit when above one. A no-op
-    /// when nothing is unsynced or nothing was handed off. A failed sync
-    /// fails this and every later logged write and sync until the store
+    /// Syncs the log up to its last append, then publishes
+    /// [`PageStore::wal_synced_len`]: what a server's log writer runs after
+    /// [`PageStore::hand_off_wal_sync`], and what a staging call runs when
+    /// its [`Durability`] wants a sync. `acks` counts the acknowledgements
+    /// the sync releases: the detail of its `WalFsync` and `GroupCommit`
+    /// spans, and a group commit when above one. A no-op when nothing is
+    /// unsynced. A failed sync fails the store closed: this and every
+    /// later logged write, sync and checkpoint is refused until the store
     /// is reopened.
     pub fn sync_wal(&self, acks: u64) -> io::Result<()> {
-        let Some((file, fault)) = self.wal_sync.get() else {
+        let Some(reach) = guard(&self.wal)?.unsynced()? else {
             return Ok(());
         };
-        let Some(len) = guard(&self.wal)?.unsynced()? else {
-            return Ok(());
-        };
+        self.sync_log_to(reach, acks)
+    }
+
+    /// The store's one log sync: every `fsync` of the log file runs here,
+    /// a staging call's and a log writer's ([`PageStore::sync_wal`]) as
+    /// well as a checkpoint's. Syncs outside the WAL mutex, so a log
+    /// writer never holds it across the `fsync`, then publishes that the
+    /// log is durable up to log position `reach`, or fails it closed.
+    fn sync_log_to(&self, reach: u64, acks: u64) -> io::Result<()> {
         let start_ns = self.recorder.clock().map(|clock| clock.now_nanos());
-        let synced = sync_log(file, fault);
-        guard(&self.wal)?.publish_sync(len, synced)?;
+        let synced = sync_log(&self.log_file, &self.fault);
+        guard(&self.wal)?.publish_sync(reach, synced)?;
         self.io.wal_syncs.inc();
         self.io.group_commits.add(u64::from(acks > 1));
         if let (Some(start_ns), Some(clock)) = (start_ns, self.recorder.clock()) {
@@ -686,17 +687,18 @@ impl PageStore {
     fn checkpoint_frames(&self, arena: &mut FrameArena) -> io::Result<usize> {
         guard(&self.wal)?.check()?;
         let flushed = self.flush_frames(arena, usize::MAX)?;
-        let mut synced = self.disk.sync();
+        let synced = self.disk.sync();
         let mut wal = guard(&self.wal)?;
-        if synced.is_ok() {
+        let reach = synced.and_then(|()| {
             self.io.data_syncs.inc();
-            synced = wal.truncate().and_then(|()| wal.sync());
+            wal.truncate()
+        });
+        if reach.is_err() {
+            wal.fail();
         }
-        match synced {
-            Ok(()) => self.io.wal_syncs.inc(),
-            Err(_) => wal.fail(),
-        }
-        synced.map(|()| flushed)
+        drop(wal);
+        self.sync_log_to(reach?, 0)?;
+        Ok(flushed)
     }
 
     /// A snapshot of the byte-level I/O counters (activity since open).
@@ -1072,6 +1074,78 @@ mod tests {
             store.read(PageId(1), &mut out).unwrap();
             assert_eq!(out, payload(1, 32), "{tag}: the acknowledged write");
             assert_eq!(store.read(PageId(2), &mut out).unwrap(), ReadSource::Zero);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_failed_inline_sync_fails_a_bare_store_closed() {
+        for durability in [Durability::Strict, Durability::group_commit()] {
+            let tag = durability.label();
+            let dir = temp_dir(&format!("failed-inline-{tag}"));
+            let config = StoreConfig::new(&dir, 64)
+                .with_page_size(32)
+                .with_durability(durability);
+            let fault = FaultInjector::seeded(1).fault_at(FaultPoint::WalSync, 1);
+            let store = PageStore::open(config.clone().with_fault_injector(fault)).unwrap();
+            // Write n to page n until the second sync fails: write 2 for
+            // Strict, a later one for group commit, well inside the budget.
+            let mut acked = Vec::new();
+            let failed = (1..=32u64)
+                .find(|&n| match store.stage(PageId(n), &payload(n as u8, 32)) {
+                    Ok(()) => {
+                        acked.push(n);
+                        false
+                    }
+                    Err(err) => {
+                        assert!(err.to_string().contains(FaultPoint::WalSync.label()));
+                        true
+                    }
+                })
+                .expect("the second sync fails");
+            let wal_len = store.wal_len();
+            let next = failed + 1;
+            assert!(
+                store.stage(PageId(next), &payload(1, 32)).is_err(),
+                "{tag}: write {next} after the failed sync"
+            );
+            assert!(store.stage(PageId(1), &payload(2, 32)).is_err(), "{tag}");
+            assert!(store.delete(PageId(1)).is_err(), "{tag}");
+            assert!(store.sync_wal(1).is_err(), "{tag}: a later sync");
+            assert!(store.checkpoint().is_err(), "{tag}: a later checkpoint");
+            assert_eq!(store.wal_len(), wal_len, "{tag}: a refusal appends nothing");
+            assert_eq!(
+                store.io_stats().wal_records * page_record_len(32),
+                wal_len,
+                "{tag}: the record whose sync failed is logged and counted"
+            );
+            let synced = store.wal_synced_len();
+            drop(store);
+
+            // Kernel crash: the log keeps only its synced prefix, which
+            // holds every write the first sync covered — for Strict, every
+            // acknowledged one.
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(dir.join("store.wal"))
+                .unwrap()
+                .set_len(synced)
+                .unwrap();
+            let durable = synced / page_record_len(32);
+            if durability == Durability::Strict {
+                assert_eq!(durable, acked.len() as u64, "{tag}");
+            }
+            let store = PageStore::open(config).unwrap();
+            assert_eq!(store.recovered_writes(), durable, "{tag}");
+            let mut out = Vec::new();
+            for n in 1..=failed {
+                let source = store.read(PageId(n), &mut out).unwrap();
+                if n <= durable {
+                    assert_eq!(out, payload(n as u8, 32), "{tag}: write {n}");
+                } else {
+                    assert_eq!(source, ReadSource::Zero, "{tag}: write {n}");
+                }
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

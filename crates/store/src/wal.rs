@@ -1,5 +1,5 @@
-//! [`Wal`]: the write-ahead log that makes staged (write-back)
-//! writes crash-consistent, with selectable [`Durability`] levels.
+//! The write-ahead log (`Wal`) that makes staged (write-back) writes
+//! crash-consistent, with selectable [`Durability`] levels.
 //!
 //! # Record format
 //!
@@ -16,44 +16,51 @@
 //!
 //! # Durability contract
 //!
-//! [`Wal::append`] hands the record to the OS with an ordinary buffered
-//! write — at that point the write is *acknowledged*: it survives a process
-//! crash (the failure mode this crate models and the crash-recovery tests
-//! exercise). What survives a *kernel* crash is governed by the log's
-//! [`Durability`] level:
+//! No append syncs. `Wal::append` hands the record to the OS with an
+//! ordinary buffered write, and once the store's staging call returns, the
+//! write is *acknowledged*: it survives a process crash (the failure mode
+//! this crate models and the crash-recovery tests exercise). What survives
+//! a *kernel* crash is governed by the store's [`Durability`] level. The
+//! log only decides whether that level wants a sync after the appends so
+//! far (`Wal::sync_due`); the store then runs its one log sync
+//! ([`crate::PageStore::sync_wal`]) before the staging call returns:
 //!
-//! * [`Durability::Buffered`] never syncs a record on its own —
-//!   acknowledged writes are only device-durable after a checkpoint, which
-//!   a store also runs, syncing, on an append that finds the log at its
-//!   budget;
-//! * [`Durability::Strict`] syncs after every append — one `fsync` per
+//! * [`Durability::Buffered`] never wants one — acknowledged writes are
+//!   only device-durable after a checkpoint, which a store also runs,
+//!   syncing, on an append that finds the log at its budget;
+//! * [`Durability::Strict`] wants one after every append — one `fsync` per
 //!   acknowledged write, the textbook cost of strict write-ahead logging;
-//! * [`Durability::GroupCommit`] acknowledges immediately but syncs only
-//!   when `max_batch` appends have accumulated or `max_wait` has elapsed
+//! * [`Durability::GroupCommit`] acknowledges immediately but wants a sync
+//!   only when `max_batch` appends are pending or `max_wait` has elapsed
 //!   since the last sync, so one `fsync` covers the whole pending group —
 //!   bounded staleness at a fraction of `Strict`'s sync count.
 //!
-//! [`Wal::synced_len`] reports the prefix known device-durable, which the
+//! `Wal::synced_len` reports the prefix known device-durable, which the
 //! durability-level crash tests use as the truncation point that models a
 //! kernel crash losing OS-buffered log bytes.
 //!
 //! On a server, a log writer owns the sync of a `GroupCommit` or `Strict`
-//! log ([`crate::PageStore::hand_off_wal_sync`]): no append syncs, and a
-//! logged write is acknowledged only after a sync that started after its
-//! append succeeded, so *an acknowledged write is device-durable*. One sync
-//! in flight covers whatever was appended meanwhile, so `max_batch` and
-//! `max_wait` do not apply there. A failed sync fails the log closed: Linux
-//! may drop the unsynced pages, so a retry proves nothing, and replay keeps
-//! only the longest valid prefix, so one lost record would hide every later
-//! one. Every later append is refused until the store is reopened.
+//! log ([`crate::PageStore::hand_off_wal_sync`]): the log then never wants
+//! a sync after an append, and a logged write is acknowledged only after a
+//! sync that started after its append succeeded, so *an acknowledged write
+//! is device-durable*. One sync in flight covers whatever was appended
+//! meanwhile, so `max_batch` and `max_wait` do not apply there. The log
+//! writer runs the same store sync as a staging call and a checkpoint.
+//!
+//! A failed sync fails the log closed, at every level and whoever ran it:
+//! Linux may drop the unsynced pages, so a retry proves nothing, and replay
+//! keeps only the longest valid prefix, so one lost record would hide every
+//! later one. The write whose sync failed is refused (its record stays in
+//! the log, where a reopen may still find it), and every later append,
+//! sync and truncation is refused until the store is reopened.
 //!
 //! # Replay
 //!
-//! [`Wal::open`] parses the longest valid prefix: it stops at the first
-//! record that is short (a crash truncated the tail mid-append) or whose CRC
-//! disagrees (a torn in-place write), returning every record before it.
-//! After the recovered pages are re-applied to the data file and synced, the
-//! caller truncates the log ([`Wal::truncate`]).
+//! `Wal::open_with` parses the longest valid prefix: it stops at the first
+//! record that is short (a crash truncated the tail mid-append) or whose
+//! CRC disagrees (a torn in-place write), returning every record before it.
+//! After the recovered pages are re-applied to the data file and synced,
+//! the caller truncates the log (`Wal::truncate`).
 //!
 //! The log is bounded: a [`crate::PageStore`] checkpoints (flushes every
 //! dirty frame, syncs the data file, truncates and syncs the log) before
@@ -64,13 +71,13 @@
 //! data file holds everything before. The records are full-page images, so
 //! replaying one over a page the data file already holds is harmless, and
 //! no page carries a log position. A checkpoint whose sync fails fails the
-//! log closed, like a failed handed-off sync, and a failed log is never
+//! log closed like any other failed sync, and a failed log is never
 //! truncated: its records are all a reopen has to go on.
 //!
-//! A handed-off sync that was in flight across a truncation publishes
-//! nothing past it: the position a log writer syncs to (`Wal::unsynced`)
-//! counts every byte ever truncated away, so a sync that began before the
-//! cut reaches no record appended after it.
+//! A sync that was in flight across a truncation publishes nothing past
+//! it: the position a sync reaches (`Wal::unsynced`) counts every byte ever
+//! truncated away, so a sync that began before the cut reaches no record
+//! appended after it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom};
@@ -98,8 +105,10 @@ pub(crate) fn page_record_len(page_size: usize) -> u64 {
     (FRAME_LEN + PAYLOAD_HEADER + page_size) as u64
 }
 
-/// When (relative to an append) the log is flushed to the device. See the
-/// module docs for the exact contract of each level.
+/// When (relative to an append) the log is flushed to the device. No
+/// append syncs: after a synced level's append the store runs its one log
+/// sync ([`crate::PageStore::sync_wal`]), and a failed sync fails the log
+/// closed at every level. See the module docs for the exact contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// Acknowledge on the OS buffered write; sync only at checkpoints,
@@ -107,11 +116,11 @@ pub enum Durability {
     /// budget (module docs, *Replay*).
     #[default]
     Buffered,
-    /// Acknowledge immediately; sync once `max_batch` appends are pending
-    /// or `max_wait` has elapsed since the last sync, whichever comes
-    /// first. One sync covers the whole pending group. On a server, whose
-    /// log writer syncs instead (module docs), neither bound applies: the
-    /// group is whatever arrived during the previous sync.
+    /// Acknowledge immediately; the store syncs once `max_batch` appends
+    /// are pending or `max_wait` has elapsed since the last sync, whichever
+    /// comes first. One sync covers the whole pending group. On a server,
+    /// whose log writer syncs instead (module docs), neither bound applies:
+    /// the group is whatever arrived during the previous sync.
     GroupCommit {
         /// Pending appends that force a sync.
         max_batch: usize,
@@ -119,8 +128,9 @@ pub enum Durability {
         /// append forces a sync.
         max_wait: Duration,
     },
-    /// Sync after every append. On a server, the log writer's syncs
-    /// (module docs) replace these, as for `GroupCommit`.
+    /// The store syncs after every append, before the write is
+    /// acknowledged. On a server, the log writer's syncs (module docs)
+    /// replace these, as for `GroupCommit`.
     Strict,
 }
 
@@ -148,16 +158,16 @@ impl Durability {
 /// One recovered log record: an acknowledged operation that may not have
 /// reached the backing file before the crash.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalRecord {
+pub(crate) struct WalRecord {
     /// The page the record operates on.
-    pub page: PageId,
+    pub(crate) page: PageId,
     /// What the record does to that page on replay.
-    pub op: WalOp,
+    pub(crate) op: WalOp,
 }
 
 /// The operation a recovered [`WalRecord`] replays, in log order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalOp {
+pub(crate) enum WalOp {
     /// A full-page write of these bytes.
     Write(Vec<u8>),
     /// A page delete: the page is freed in the backing file, so a deleted
@@ -166,43 +176,28 @@ pub enum WalOp {
     Delete,
 }
 
-/// What one [`Wal::append`] did, so the caller can account for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AppendOutcome {
-    /// Log bytes appended (framing included).
-    pub bytes: u64,
-    /// Whether this append triggered an `fsync`.
-    pub synced: bool,
-    /// Whether that sync covered more than one pending append (a group
-    /// commit in the narrow sense).
-    pub group_commit: bool,
-    /// Appends covered by the sync (this one included); 0 when the append
-    /// did not sync. This is the group-commit batch size the trace spans
-    /// report.
-    pub batch: u64,
-}
-
-/// An append-only write-ahead log over one file.
+/// An append-only write-ahead log over one file. It never syncs itself:
+/// the store syncs it when [`Wal::sync_due`] says its [`Durability`] wants
+/// a sync, and publishes each sync here ([`Wal::publish_sync`]).
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     file: File,
     durability: Durability,
     /// Bytes of valid log (append position).
     len: u64,
     /// Bytes every [`Wal::truncate`] so far has cut: the log position of
-    /// the file's first byte, which keeps a handed-off sync's reach
-    /// comparable across a checkpoint.
+    /// the file's first byte, which keeps a sync's reach comparable across
+    /// a checkpoint.
     base: u64,
-    records: u64,
     /// Bytes known flushed to the device.
     synced_len: u64,
     /// Appends acknowledged since the last sync.
     pending: usize,
     last_sync: Instant,
     fault: FaultInjector,
-    /// Whether the sync was handed off: appends then never sync.
+    /// Whether the sync was handed off: no append then wants one.
     handed_off: bool,
-    /// Set by a failed handed-off sync: every later append is refused.
+    /// Set by a failed sync: every later append is refused.
     failed: bool,
     /// Scratch for the record being appended, reused by every append.
     record: Vec<u8>,
@@ -222,22 +217,17 @@ pub(crate) fn sync_log(file: &File, fault: &FaultInjector) -> io::Result<()> {
 }
 
 impl Wal {
-    /// Opens (or creates) the log at `path` with the given [`Durability`]
+    /// Opens (or creates) the log at `path` with the given [`Durability`],
+    /// a [`FaultInjector`] armed at the [`FaultPoint::WalAppend`] point,
     /// and replays it: returns the records of the longest valid prefix,
     /// oldest first. A torn tail — short or CRC-corrupt final record, the
     /// signature of a crash mid-append — is silently discarded (subsequent
     /// appends overwrite it).
-    pub fn open(path: &Path, durability: Durability) -> io::Result<(Wal, Vec<WalRecord>)> {
-        Wal::open_with(path, durability, FaultInjector::disabled())
-    }
-
-    /// [`Wal::open`] with a [`FaultInjector`] armed at the
-    /// [`FaultPoint::WalAppend`] and [`FaultPoint::WalSync`] points.
     // invariant: the three `try_into().unwrap()`s below convert slices
     // whose length the replay loop has already checked (>= FRAME_LEN /
     // >= PAYLOAD_HEADER) into fixed-size arrays — they cannot fail.
     #[cfg_attr(not(test), allow(clippy::unwrap_used))]
-    pub fn open_with(
+    pub(crate) fn open_with(
         path: &Path,
         durability: Durability,
         fault: FaultInjector,
@@ -283,7 +273,6 @@ impl Wal {
             durability,
             len: offset as u64,
             base: 0,
-            records: records.len() as u64,
             synced_len: 0,
             pending: 0,
             last_sync: Instant::now(),
@@ -295,21 +284,19 @@ impl Wal {
         Ok((wal, records))
     }
 
-    /// Appends a full-page write record; the write is acknowledged once
-    /// this returns, and the log's [`Durability`] level decides whether the
-    /// append also synced (see [`AppendOutcome`]).
-    pub fn append(&mut self, page: PageId, data: &[u8]) -> io::Result<AppendOutcome> {
+    /// Appends a full-page write record and returns its length in bytes,
+    /// framing included. Never syncs: see [`Wal::sync_due`].
+    pub(crate) fn append(&mut self, page: PageId, data: &[u8]) -> io::Result<u64> {
         self.append_record(KIND_PAGE_WRITE, page, data)
     }
 
-    /// Appends a page-delete record; same acknowledgement and durability
-    /// contract as [`Wal::append`]. On replay the page is freed in the
-    /// backing file instead of written.
-    pub fn append_delete(&mut self, page: PageId) -> io::Result<AppendOutcome> {
+    /// Appends a page-delete record; same contract as [`Wal::append`]. On
+    /// replay the page is freed in the backing file instead of written.
+    pub(crate) fn append_delete(&mut self, page: PageId) -> io::Result<u64> {
         self.append_record(KIND_PAGE_DELETE, page, &[])
     }
 
-    fn append_record(&mut self, kind: u8, page: PageId, data: &[u8]) -> io::Result<AppendOutcome> {
+    fn append_record(&mut self, kind: u8, page: PageId, data: &[u8]) -> io::Result<u64> {
         self.check()?;
         let len = PAYLOAD_HEADER + data.len();
         let record = &mut self.record;
@@ -337,9 +324,17 @@ impl Wal {
         }
         let bytes = record.len() as u64;
         self.len += bytes;
-        self.records += 1;
         self.pending += 1;
-        let sync_now = !self.handed_off
+        Ok(bytes)
+    }
+
+    /// Whether the log's [`Durability`] wants a sync after the appends so
+    /// far: how many appends that sync would cover, or `None`. `Strict`
+    /// wants one after every append, `GroupCommit` once `max_batch` appends
+    /// are pending or `max_wait` has passed since the last sync, and
+    /// neither once the sync is handed off.
+    pub(crate) fn sync_due(&self) -> Option<u64> {
+        let due = !self.handed_off
             && match self.durability {
                 Durability::Buffered => false,
                 Durability::Strict => true,
@@ -348,67 +343,47 @@ impl Wal {
                     max_wait,
                 } => self.pending >= max_batch || self.last_sync.elapsed() >= max_wait,
             };
-        let mut outcome = AppendOutcome {
-            bytes,
-            synced: false,
-            group_commit: false,
-            batch: 0,
-        };
-        if sync_now {
-            outcome.group_commit = self.pending > 1;
-            outcome.batch = self.pending as u64;
-            self.sync()?;
-            outcome.synced = true;
-        }
-        Ok(outcome)
+        due.then_some(self.pending as u64)
     }
 
-    /// Flushes the log to the device and resets the pending group. An
-    /// injected [`FaultPoint::WalSync`] failure leaves [`Wal::synced_len`]
-    /// unchanged: the appended bytes stay OS-buffered (they may still
-    /// become durable under a later successful sync) but are *not*
-    /// acknowledged as device-durable.
-    pub fn sync(&mut self) -> io::Result<()> {
-        sync_log(&self.file, &self.fault)?;
-        self.synced_len = self.len;
-        self.pending = 0;
-        self.last_sync = Instant::now();
-        Ok(())
+    /// The log file, whose descriptor the store clones to sync it outside
+    /// the WAL mutex.
+    pub(crate) fn file(&self) -> &File {
+        &self.file
     }
 
-    /// Hands the log's sync to the caller: no later append syncs, and the
-    /// caller syncs on the returned descriptor, between [`Wal::unsynced`]
-    /// and [`Wal::publish_sync`].
-    pub(crate) fn hand_off_sync(&mut self) -> io::Result<(File, FaultInjector)> {
-        let file = self.file.try_clone()?;
+    /// Hands the log's sync to a log writer: no later append wants one.
+    pub(crate) fn hand_off_sync(&mut self) {
         self.handed_off = true;
-        Ok((file, self.fault.clone()))
     }
 
-    /// The log position a handed-off sync starting now reaches, counting
-    /// the bytes truncated away before the file's start; `None` if nothing
-    /// is unsynced.
+    /// The log position a sync starting now reaches, counting the bytes
+    /// truncated away before the file's start; `None` if nothing is
+    /// unsynced.
     pub(crate) fn unsynced(&self) -> io::Result<Option<u64>> {
         self.check()?;
         Ok((self.synced_len < self.len).then_some(self.base + self.len))
     }
 
-    /// Publishes a handed-off sync that reached log position `end`: a
-    /// success advances [`Wal::synced_len`], but never past a truncation
-    /// made after the sync began; a failure fails the log for good.
+    /// Publishes a sync that reached log position `end`: a success advances
+    /// [`Wal::synced_len`], but never past a truncation made after the sync
+    /// began, and closes the pending group; a failure fails the log for
+    /// good.
     pub(crate) fn publish_sync(&mut self, end: u64, synced: io::Result<()>) -> io::Result<()> {
         match synced {
             Ok(()) => {
                 let reached = end.saturating_sub(self.base).min(self.len);
                 self.synced_len = self.synced_len.max(reached);
+                self.pending = 0;
+                self.last_sync = Instant::now();
             }
             Err(_) => self.fail(),
         }
         synced
     }
 
-    /// Fails the log closed: every later append, handed-off sync and
-    /// truncation is refused until the store is reopened.
+    /// Fails the log closed: every later append, sync and truncation is
+    /// refused until the store is reopened.
     pub(crate) fn fail(&mut self) {
         self.failed = true;
     }
@@ -421,34 +396,29 @@ impl Wal {
         Ok(())
     }
 
-    /// Empties the log (after a checkpoint has made its records redundant).
+    /// Empties the log (after a checkpoint has made its records redundant)
+    /// and returns the log position a sync of the truncation reaches.
     /// Refused on a failed log, whose file is all a reopen has to go on.
-    pub fn truncate(&mut self) -> io::Result<()> {
+    pub(crate) fn truncate(&mut self) -> io::Result<u64> {
         self.check()?;
         self.file.set_len(0)?;
         self.base += self.len;
         self.len = 0;
-        self.records = 0;
         self.synced_len = 0;
         self.pending = 0;
-        Ok(())
+        Ok(self.base)
     }
 
     /// Bytes of valid log.
-    pub fn len_bytes(&self) -> u64 {
+    pub(crate) fn len_bytes(&self) -> u64 {
         self.len
     }
 
     /// Bytes of log known flushed to the device — the prefix that survives
-    /// even a kernel crash. Always a record boundary, because syncs happen
-    /// only between appends.
-    pub fn synced_len(&self) -> u64 {
+    /// even a kernel crash. Always a record boundary, because a sync
+    /// reaches only positions an append left.
+    pub(crate) fn synced_len(&self) -> u64 {
         self.synced_len
-    }
-
-    /// Records appended since open/truncate plus those recovered at open.
-    pub fn records(&self) -> u64 {
-        self.records
     }
 }
 
@@ -463,22 +433,31 @@ mod tests {
         path
     }
 
+    fn open(path: &Path, durability: Durability) -> (Wal, Vec<WalRecord>) {
+        Wal::open_with(path, durability, FaultInjector::disabled()).unwrap()
+    }
+
+    /// Publishes a successful sync of everything appended so far, as the
+    /// store's log sync does.
+    fn sync(wal: &mut Wal) {
+        let reach = wal.unsynced().unwrap().unwrap();
+        wal.publish_sync(reach, Ok(())).unwrap();
+    }
+
     #[test]
     fn append_then_replay_roundtrip() {
         let path = temp_wal("roundtrip");
         {
-            let (mut wal, recovered) = Wal::open(&path, Durability::Buffered).unwrap();
+            let (mut wal, recovered) = open(&path, Durability::Buffered);
             assert!(recovered.is_empty());
             wal.append(PageId(1), &[0xaa; 32]).unwrap();
             wal.append(PageId(2), &[0xbb; 32]).unwrap();
-            assert_eq!(wal.records(), 2);
         } // dropped without sync: buffered writes still reach the OS
-        let (wal, recovered) = Wal::open(&path, Durability::Buffered).unwrap();
+        let (_, recovered) = open(&path, Durability::Buffered);
         assert_eq!(recovered.len(), 2);
         assert_eq!(recovered[0].page, PageId(1));
         assert_eq!(recovered[0].op, WalOp::Write(vec![0xaa; 32]));
         assert_eq!(recovered[1].page, PageId(2));
-        assert_eq!(wal.records(), 2);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -486,14 +465,13 @@ mod tests {
     fn delete_records_replay_in_log_order() {
         let path = temp_wal("delete");
         {
-            let (mut wal, recovered) = Wal::open(&path, Durability::Buffered).unwrap();
+            let (mut wal, recovered) = open(&path, Durability::Buffered);
             assert!(recovered.is_empty());
             wal.append(PageId(7), &[0xcc; 16]).unwrap();
             wal.append_delete(PageId(7)).unwrap();
             wal.append(PageId(8), &[0xdd; 16]).unwrap();
-            assert_eq!(wal.records(), 3);
         }
-        let (_, recovered) = Wal::open(&path, Durability::Buffered).unwrap();
+        let (_, recovered) = open(&path, Durability::Buffered);
         assert_eq!(recovered.len(), 3);
         assert_eq!(recovered[0].op, WalOp::Write(vec![0xcc; 16]));
         assert_eq!(recovered[1].page, PageId(7));
@@ -506,7 +484,7 @@ mod tests {
     fn torn_tail_is_discarded_and_overwritten() {
         let path = temp_wal("torn");
         {
-            let (mut wal, _) = Wal::open(&path, Durability::Buffered).unwrap();
+            let (mut wal, _) = open(&path, Durability::Buffered);
             wal.append(PageId(1), &[1; 16]).unwrap();
             wal.append(PageId(2), &[2; 16]).unwrap();
         }
@@ -514,13 +492,13 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         let record_len = FRAME_LEN + PAYLOAD_HEADER + 16;
         std::fs::write(&path, &full[..record_len + 5]).unwrap();
-        let (mut wal, recovered) = Wal::open(&path, Durability::Buffered).unwrap();
+        let (mut wal, recovered) = open(&path, Durability::Buffered);
         assert_eq!(recovered.len(), 1, "only the intact record replays");
         assert_eq!(recovered[0].page, PageId(1));
         // New appends overwrite the torn tail.
         wal.append(PageId(3), &[3; 16]).unwrap();
         drop(wal);
-        let (_, recovered) = Wal::open(&path, Durability::Buffered).unwrap();
+        let (_, recovered) = open(&path, Durability::Buffered);
         assert_eq!(recovered.len(), 2);
         assert_eq!(recovered[1].page, PageId(3));
         let _ = std::fs::remove_file(&path);
@@ -530,7 +508,7 @@ mod tests {
     fn corrupt_record_stops_replay() {
         let path = temp_wal("corrupt");
         {
-            let (mut wal, _) = Wal::open(&path, Durability::Buffered).unwrap();
+            let (mut wal, _) = open(&path, Durability::Buffered);
             wal.append(PageId(1), &[1; 16]).unwrap();
             wal.append(PageId(2), &[2; 16]).unwrap();
         }
@@ -538,7 +516,7 @@ mod tests {
         let second_payload = FRAME_LEN + PAYLOAD_HEADER + 16 + FRAME_LEN + 3;
         bytes[second_payload] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let (_, recovered) = Wal::open(&path, Durability::Buffered).unwrap();
+        let (_, recovered) = open(&path, Durability::Buffered);
         assert_eq!(recovered.len(), 1);
         let _ = std::fs::remove_file(&path);
     }
@@ -546,14 +524,13 @@ mod tests {
     #[test]
     fn truncate_empties_the_log() {
         let path = temp_wal("truncate");
-        let (mut wal, _) = Wal::open(&path, Durability::Buffered).unwrap();
+        let (mut wal, _) = open(&path, Durability::Buffered);
         wal.append(PageId(1), &[1; 8]).unwrap();
         assert!(wal.len_bytes() > 0);
         wal.truncate().unwrap();
         assert_eq!(wal.len_bytes(), 0);
-        assert_eq!(wal.records(), 0);
         drop(wal);
-        let (_, recovered) = Wal::open(&path, Durability::Buffered).unwrap();
+        let (_, recovered) = open(&path, Durability::Buffered);
         assert!(recovered.is_empty());
         let _ = std::fs::remove_file(&path);
     }
@@ -561,7 +538,7 @@ mod tests {
     #[test]
     fn a_sync_begun_before_a_truncation_marks_nothing_after_it() {
         let path = temp_wal("straddle");
-        let (mut wal, _) = Wal::open(&path, Durability::Buffered).unwrap();
+        let (mut wal, _) = open(&path, Durability::Buffered);
         wal.append(PageId(1), &[1; 8]).unwrap();
         let reach = wal.unsynced().unwrap().unwrap();
         // A checkpoint truncates and a new record lands while the sync that
@@ -570,8 +547,7 @@ mod tests {
         wal.append(PageId(2), &[2; 8]).unwrap();
         wal.publish_sync(reach, Ok(())).unwrap();
         assert_eq!(wal.synced_len(), 0, "the new record was never synced");
-        let reach = wal.unsynced().unwrap().unwrap();
-        wal.publish_sync(reach, Ok(())).unwrap();
+        sync(&mut wal);
         assert_eq!(wal.synced_len(), wal.len_bytes());
         let _ = std::fs::remove_file(&path);
     }
@@ -579,7 +555,7 @@ mod tests {
     #[test]
     fn a_failed_log_is_never_truncated() {
         let path = temp_wal("failed-truncate");
-        let (mut wal, _) = Wal::open(&path, Durability::Buffered).unwrap();
+        let (mut wal, _) = open(&path, Durability::Buffered);
         wal.append(PageId(1), &[1; 8]).unwrap();
         let reach = wal.unsynced().unwrap().unwrap();
         assert!(wal
@@ -588,7 +564,7 @@ mod tests {
         assert!(wal.truncate().is_err());
         assert!(wal.append(PageId(2), &[2; 8]).is_err());
         drop(wal);
-        let (_, recovered) = Wal::open(&path, Durability::Buffered).unwrap();
+        let (_, recovered) = open(&path, Durability::Buffered);
         assert_eq!(recovered.len(), 1, "the record outlives the failure");
         let _ = std::fs::remove_file(&path);
     }
@@ -596,14 +572,13 @@ mod tests {
     #[test]
     fn buffered_appends_never_sync() {
         let path = temp_wal("buffered");
-        let (mut wal, _) = Wal::open(&path, Durability::Buffered).unwrap();
+        let (mut wal, _) = open(&path, Durability::Buffered);
         for p in 0..5u64 {
-            let outcome = wal.append(PageId(p), &[p as u8; 8]).unwrap();
-            assert!(!outcome.synced);
-            assert!(!outcome.group_commit);
+            wal.append(PageId(p), &[p as u8; 8]).unwrap();
+            assert_eq!(wal.sync_due(), None);
         }
         assert_eq!(wal.synced_len(), 0);
-        wal.sync().unwrap();
+        sync(&mut wal);
         assert_eq!(
             wal.synced_len(),
             wal.len_bytes(),
@@ -615,13 +590,16 @@ mod tests {
     #[test]
     fn strict_syncs_every_append() {
         let path = temp_wal("strict");
-        let (mut wal, _) = Wal::open(&path, Durability::Strict).unwrap();
+        let (mut wal, _) = open(&path, Durability::Strict);
         for p in 0..3u64 {
-            let outcome = wal.append(PageId(p), &[p as u8; 8]).unwrap();
-            assert!(outcome.synced);
-            assert!(!outcome.group_commit, "a group of one is not a group");
+            wal.append(PageId(p), &[p as u8; 8]).unwrap();
+            assert_eq!(wal.sync_due(), Some(1), "a group of one is not a group");
+            sync(&mut wal);
             assert_eq!(wal.synced_len(), wal.len_bytes());
         }
+        wal.hand_off_sync();
+        wal.append(PageId(3), &[3; 8]).unwrap();
+        assert_eq!(wal.sync_due(), None, "a log writer syncs a handed-off log");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -632,16 +610,20 @@ mod tests {
             max_batch: 4,
             max_wait: Duration::from_secs(3600), // never trips in this test
         };
-        let (mut wal, _) = Wal::open(&path, durability).unwrap();
+        let (mut wal, _) = open(&path, durability);
         for p in 0..3u64 {
-            let outcome = wal.append(PageId(p), &[p as u8; 8]).unwrap();
-            assert!(!outcome.synced, "append {p} rides the pending group");
+            wal.append(PageId(p), &[p as u8; 8]).unwrap();
+            assert_eq!(wal.sync_due(), None, "append {p} rides the pending group");
         }
-        assert_eq!(wal.synced_len(), 0);
-        let outcome = wal.append(PageId(3), &[3; 8]).unwrap();
-        assert!(outcome.synced, "batch boundary forces the sync");
-        assert!(outcome.group_commit, "the sync covered four appends");
+        wal.append(PageId(3), &[3; 8]).unwrap();
+        assert_eq!(
+            wal.sync_due(),
+            Some(4),
+            "the batch boundary wants one sync for four appends"
+        );
+        sync(&mut wal);
         assert_eq!(wal.synced_len(), wal.len_bytes());
+        assert_eq!(wal.sync_due(), None, "the sync closed the group");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -652,11 +634,9 @@ mod tests {
             max_batch: 1_000_000,
             max_wait: Duration::ZERO, // every append is already stale
         };
-        let (mut wal, _) = Wal::open(&path, durability).unwrap();
-        let outcome = wal.append(PageId(1), &[1; 8]).unwrap();
-        assert!(outcome.synced, "elapsed max_wait forces the sync");
-        assert!(!outcome.group_commit);
-        assert_eq!(wal.synced_len(), wal.len_bytes());
+        let (mut wal, _) = open(&path, durability);
+        wal.append(PageId(1), &[1; 8]).unwrap();
+        assert_eq!(wal.sync_due(), Some(1), "elapsed max_wait wants the sync");
         let _ = std::fs::remove_file(&path);
     }
 }

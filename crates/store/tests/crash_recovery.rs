@@ -41,6 +41,9 @@ use clic_store::{
 
 const PAGE_SIZE: usize = 64;
 
+/// What a store refuses every write with once a log sync has failed.
+const FAILED_LOG: &str = "the log failed a sync";
+
 /// A fresh scratch directory per test case (proptest runs many cases per
 /// process, so the pid alone is not unique).
 fn scratch_dir(label: &str) -> PathBuf {
@@ -255,9 +258,10 @@ proptest! {
     ///
     /// * a torn or failed append does not advance the WAL, so the record
     ///   never counts — the next append overwrites the garbage;
-    /// * a failed fsync leaves the record *appended but unsynced*; a later
-    ///   successful sync (of a later write) makes it durable retroactively,
-    ///   because fsync covers the whole file;
+    /// * a failed fsync leaves the record *appended but unsynced*, refuses
+    ///   its write and fails the store closed: every later write is refused
+    ///   before it appends anything, so no later sync can cover the record
+    ///   and acknowledge a log with a hole in it;
     /// * recovery replays exactly the records inside the synced prefix, in
     ///   order, and nothing after it.
     ///
@@ -287,21 +291,35 @@ proptest! {
         // 32 frames over 16 pages: no evictions, so recovery is exactly
         // WAL replay and the backing file stays out of the picture.
         let mut appended: Vec<(u64, u8)> = Vec::new();
+        let mut closed = false;
         let (synced_len, total_len) = {
             let store = PageStore::open(config.clone()).expect("open");
             for &(page, tag) in &ops {
+                let wal_before = store.wal_len();
                 match store.stage(PageId(page), &payload(tag)) {
-                    Ok(()) => appended.push((page, tag)),
+                    Ok(()) => {
+                        prop_assert!(!closed, "a write applied after a failed sync");
+                        appended.push((page, tag));
+                    }
+                    Err(err) if closed => {
+                        // The failed log refuses the write before its
+                        // append: no record, and no fault decision.
+                        let msg = err.to_string();
+                        prop_assert!(msg.contains(FAILED_LOG), "after a failed sync: {msg}");
+                        prop_assert_eq!(store.wal_len(), wal_before, "a refusal appends nothing");
+                    }
                     Err(err) => {
                         let msg = err.to_string();
                         prop_assert!(
                             msg.contains(INJECTED_FAULT),
                             "only injected faults may fail a stage: {msg}"
                         );
-                        // A failed *sync* still appended the record; a
-                        // failed or torn *append* did not advance the WAL.
+                        // A failed *sync* still appended the record and
+                        // closed the store; a failed or torn *append* did
+                        // not advance the WAL.
                         if msg.contains(FaultPoint::WalSync.label()) {
                             appended.push((page, tag));
+                            closed = true;
                         }
                     }
                 }

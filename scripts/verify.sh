@@ -105,9 +105,10 @@ if [ "$smoke" -eq 1 ]; then
     cargo test --release -q -p clic-server --test wire_properties
     cargo test --release -q -p clic --test net_front_end
     # Lock hygiene: crates/store and crates/server must go through the
-    # poison-tolerant guard helpers (cache_sim::sync), never bare
-    # Mutex::lock / RwLock::read / RwLock::write (each crate's clippy.toml
-    # lists the banned methods; the crates turn the lint into an error).
+    # poison-tolerant guard helpers (cache_sim::sync: checked_lock,
+    # recover_lock), never bare Mutex::lock, and use no RwLock at all (each
+    # crate's clippy.toml bans Mutex::lock, RwLock::read and RwLock::write;
+    # the crates turn the lint into an error).
     echo "== smoke: clippy lock-hygiene gates for crates/store and crates/server =="
     cargo clippy -q -p clic-store --all-targets
     cargo clippy -q -p clic-server --all-targets
@@ -210,6 +211,29 @@ allowed="$(sed -n '/^    pub fn open(/,/^    }$/p;/^    fn checkpoint_frames(/,/
 if [ "$total" -ne 2 ] || [ "$allowed" -ne 2 ]; then
     echo "$truncates" >&2
     echo "verify: FAILED (the log is truncated outside PageStore::open and PageStore::checkpoint_frames: $total .truncate() calls, $allowed in those two; want 2 and 2)" >&2
+    exit 1
+fi
+
+# The log file is synced in one place: the store's one log-sync function
+# (PageStore::sync_log_to), which a staging call whose durability level wants
+# a sync, a log writer (through PageStore::sync_wal) and a checkpoint all
+# run, so a failed sync fails the log closed whoever ran it. Outside test
+# modules, nothing else calls wal::sync_log, and the log itself has no sync
+# method.
+echo "== one log-sync site (the log: PageStore::sync_log_to) =="
+log_syncs="$(find crates/*/src src examples -name '*.rs' | sort | while read -r f; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'sync_log(' | grep -v 'fn sync_log(' | sed "s|^|$f:|" || true
+done)"
+total="$(grep -c . <<<"$log_syncs" || true)"
+allowed="$(sed -n '/^    fn sync_log_to(/,/^    }$/p' crates/store/src/store.rs \
+    | grep 'sync_log(' | grep -vc 'fn sync_log(' || true)"
+if [ "$total" -ne 1 ] || [ "$allowed" -ne 1 ]; then
+    echo "$log_syncs" >&2
+    echo "verify: FAILED (the log is synced outside PageStore::sync_log_to: $total sync_log( calls, $allowed in it; want 1 and 1)" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/store/src/wal.rs | grep -nE 'fn sync\b'; then
+    echo "verify: FAILED (the WAL has a sync method again; the store syncs the log through PageStore::sync_log_to)" >&2
     exit 1
 fi
 
