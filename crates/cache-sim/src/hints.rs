@@ -45,12 +45,6 @@ impl fmt::Display for HintValue {
 pub struct HintSetId(pub u32);
 
 impl HintSetId {
-    /// Returns the raw index.
-    #[inline]
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
-
     /// Returns the raw index as a `usize`, convenient for array indexing.
     #[inline]
     pub fn index(self) -> usize {

@@ -8,12 +8,10 @@
 //! * [`Tq`] — the write-hint-aware second-tier policy of Li et al. (FAST '05).
 //!
 //! Additional classical policies provided for broader comparisons and for the
-//! related-work ablations: [`Lfu`], [`TwoQ`] (Johnson & Shasha, VLDB '94),
-//! [`Mq`] (Zhou et al., second-tier multi-queue), and [`Car`] (Bansal &
-//! Modha, FAST '04).
+//! related-work ablations: [`Lfu`], [`TwoQ`] (Johnson & Shasha, VLDB '94)
+//! and [`Mq`] (Zhou et al., second-tier multi-queue).
 
 mod arc;
-mod car;
 mod lfu;
 mod lru;
 mod mq;
@@ -23,7 +21,6 @@ mod two_q;
 pub mod util;
 
 pub use arc::Arc;
-pub use car::Car;
 pub use lfu::Lfu;
 pub use lru::Lru;
 pub use mq::Mq;
@@ -50,21 +47,18 @@ pub enum BaselinePolicy {
     Mq,
     /// Adaptive replacement cache.
     Arc,
-    /// Clock with adaptive replacement.
-    Car,
     /// Write-hint-aware TQ.
     Tq,
 }
 
 impl BaselinePolicy {
     /// All baseline policies, in a stable order.
-    pub const ALL: [BaselinePolicy; 7] = [
+    pub const ALL: [BaselinePolicy; 6] = [
         BaselinePolicy::Lru,
         BaselinePolicy::Lfu,
         BaselinePolicy::TwoQ,
         BaselinePolicy::Mq,
         BaselinePolicy::Arc,
-        BaselinePolicy::Car,
         BaselinePolicy::Tq,
     ];
 
@@ -76,7 +70,6 @@ impl BaselinePolicy {
             BaselinePolicy::TwoQ => "2Q",
             BaselinePolicy::Mq => "MQ",
             BaselinePolicy::Arc => "ARC",
-            BaselinePolicy::Car => "CAR",
             BaselinePolicy::Tq => "TQ",
         }
     }
@@ -95,7 +88,6 @@ impl BaselinePolicy {
             BaselinePolicy::TwoQ => Box::new(TwoQ::new(capacity)),
             BaselinePolicy::Mq => Box::new(Mq::new(capacity)),
             BaselinePolicy::Arc => Box::new(Arc::new(capacity)),
-            BaselinePolicy::Car => Box::new(Car::new(capacity)),
             BaselinePolicy::Tq => Box::new(Tq::new(capacity)),
         }
     }

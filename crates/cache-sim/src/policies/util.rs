@@ -84,17 +84,6 @@ impl OrderedPageSet {
         true
     }
 
-    /// Inserts `page` at the front. Returns `false` if already present.
-    pub fn push_front(&mut self, page: PageId) -> bool {
-        if self.index.contains_key(&page) {
-            return false;
-        }
-        let idx = self.alloc(page);
-        self.link_front(idx);
-        self.index.insert(page, idx);
-        true
-    }
-
     /// Removes and returns the front (oldest) page.
     pub fn pop_front(&mut self) -> Option<PageId> {
         let idx = self.head?;
@@ -165,17 +154,6 @@ impl OrderedPageSet {
             self.head = Some(idx);
         }
         self.tail = Some(idx);
-    }
-
-    fn link_front(&mut self, idx: usize) {
-        self.nodes[idx].next = self.head.unwrap_or(NIL);
-        self.nodes[idx].prev = NIL;
-        if let Some(h) = self.head {
-            self.nodes[h].prev = idx;
-        } else {
-            self.tail = Some(idx);
-        }
-        self.head = Some(idx);
     }
 
     fn unlink(&mut self, idx: usize) {
@@ -263,16 +241,6 @@ mod tests {
         s.push_back(PageId(5));
         let order: Vec<u64> = s.iter().map(|p| p.0).collect();
         assert_eq!(order, vec![1, 3, 4, 5]);
-    }
-
-    #[test]
-    fn push_front_makes_page_next_victim() {
-        let mut s = OrderedPageSet::new();
-        s.push_back(PageId(1));
-        s.push_front(PageId(2));
-        assert_eq!(s.front(), Some(PageId(2)));
-        assert_eq!(s.pop_front(), Some(PageId(2)));
-        assert_eq!(s.pop_front(), Some(PageId(1)));
     }
 
     #[test]

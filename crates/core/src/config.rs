@@ -40,6 +40,11 @@ pub fn suggested_window(trace_len: u64) -> u64 {
     (trace_len / 80).clamp(1_000, 1_000_000)
 }
 
+/// Fraction of the nominal capacity charged for CLIC's per-page metadata
+/// when [`ClicConfig::charge_metadata`] is set (the paper estimates roughly
+/// 1 %).
+const METADATA_OVERHEAD: f64 = 0.01;
+
 /// Tunable parameters of the CLIC policy.
 ///
 /// The defaults reproduce the configuration used throughout the paper's
@@ -71,13 +76,10 @@ pub struct ClicConfig {
     pub outqueue_factor: f64,
     /// How hint-set statistics are tracked.
     pub tracking: TrackingMode,
-    /// If `true`, CLIC's usable cache capacity is reduced by
-    /// `metadata_overhead` to pay for the sequence number and hint-set id it
-    /// records per tracked page, matching the paper's space accounting.
+    /// If `true`, CLIC's usable cache capacity is reduced by 1 % to pay for
+    /// the sequence number and hint-set id it records per tracked page,
+    /// matching the paper's space accounting.
     pub charge_metadata: bool,
-    /// Fraction of the nominal capacity charged for metadata when
-    /// `charge_metadata` is set (the paper estimates roughly 1 %).
-    pub metadata_overhead: f64,
 }
 
 impl Default for ClicConfig {
@@ -88,7 +90,6 @@ impl Default for ClicConfig {
             outqueue_factor: 5.0,
             tracking: TrackingMode::Full,
             charge_metadata: true,
-            metadata_overhead: 0.01,
         }
     }
 }
@@ -158,24 +159,10 @@ impl ClicConfig {
         self
     }
 
-    /// Sets the metadata overhead fraction used when charging is enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not in `[0, 1)`.
-    pub fn with_metadata_overhead(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&fraction),
-            "metadata overhead must be in [0, 1), got {fraction}"
-        );
-        self.metadata_overhead = fraction;
-        self
-    }
-
     /// The usable cache capacity after the optional metadata charge.
     pub fn effective_capacity(&self, nominal_capacity: usize) -> usize {
         if self.charge_metadata {
-            let charge = (nominal_capacity as f64 * self.metadata_overhead).ceil() as usize;
+            let charge = (nominal_capacity as f64 * METADATA_OVERHEAD).ceil() as usize;
             nominal_capacity.saturating_sub(charge).max(1)
         } else {
             nominal_capacity
@@ -226,12 +213,10 @@ mod tests {
         let c = ClicConfig::new()
             .with_window(5)
             .with_smoothing(0.25)
-            .with_tracking(TrackingMode::TopK(3))
-            .with_metadata_overhead(0.02);
+            .with_tracking(TrackingMode::TopK(3));
         assert_eq!(c.window, 5);
         assert_eq!(c.smoothing, 0.25);
         assert_eq!(c.tracking, TrackingMode::TopK(3));
-        assert_eq!(c.metadata_overhead, 0.02);
         assert_eq!(format!("{}", c.tracking), "top-3");
         assert_eq!(format!("{}", TrackingMode::Full), "full");
     }

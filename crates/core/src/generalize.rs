@@ -351,10 +351,8 @@ mod tests {
                 hints.push((useful, noise, b.intern_hints(c, &[useful, noise])));
             }
         }
-        let mut noise_counter = 0u32;
         for i in 0..20_000u64 {
-            let noise = noise_counter % 8;
-            noise_counter += 1;
+            let noise = (i % 8) as u32;
             // useful=1 pages are written then quickly re-read; useful=0 pages
             // are one-shot.
             let (_, _, hot_hint) = hints[(8 + noise) as usize];

@@ -75,8 +75,8 @@ impl OutQueue {
         if self.capacity == 0 {
             return;
         }
-        if self.records.contains_key(&page) {
-            self.records.insert(page, record);
+        if let Some(existing) = self.records.get_mut(&page) {
+            *existing = record;
             self.order.touch(page);
             return;
         }

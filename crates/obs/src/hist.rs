@@ -242,7 +242,9 @@ impl HistogramSnapshot {
         }
         // Integer ceiling avoids the float-rounding edge cases when
         // count · num / den lands exactly on an index.
-        let rank = ((self.count as u128 * num as u128 + den as u128 - 1) / den as u128).max(1);
+        let rank = (self.count as u128 * num as u128)
+            .div_ceil(den as u128)
+            .max(1);
         let mut cumulative = 0u128;
         for (index, &n) in self.buckets.iter().enumerate() {
             cumulative += n as u128;

@@ -961,7 +961,7 @@ enum ConnectTarget {
 /// needs decoupled writer/reader halves).
 ///
 /// For hostile conditions it degrades gracefully rather than hanging:
-/// [`BlockingClient::set_timeouts`] bounds every socket connect/read/write,
+/// [`BlockingClient::set_timeouts`] bounds every socket read and write,
 /// [`BlockingClient::reconnect`] re-dials the original target after a
 /// transport error, and [`BlockingClient::call_with_retry`] wraps both in
 /// a bounded, jittered retry loop driven by a [`RetryPolicy`].
@@ -970,7 +970,6 @@ pub struct BlockingClient {
     stream: Stream,
     buf: wire::FrameBuf,
     target: ConnectTarget,
-    connect_timeout: Option<Duration>,
     io_timeout: Option<Duration>,
 }
 
@@ -978,40 +977,27 @@ impl BlockingClient {
     /// Connects over TCP (Nagle disabled — the protocol is latency-bound
     /// request/response).
     pub fn connect_tcp(addr: SocketAddr) -> io::Result<BlockingClient> {
-        Self::connect(ConnectTarget::Tcp(addr), None)
-    }
-
-    /// Connects over TCP, failing if the connection cannot be established
-    /// within `timeout`. The timeout is remembered for reconnects.
-    pub fn connect_tcp_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<BlockingClient> {
-        Self::connect(ConnectTarget::Tcp(addr), Some(timeout))
+        Self::connect(ConnectTarget::Tcp(addr))
     }
 
     /// Connects over a Unix-domain socket.
     pub fn connect_uds(path: &std::path::Path) -> io::Result<BlockingClient> {
-        Self::connect(ConnectTarget::Uds(path.to_path_buf()), None)
+        Self::connect(ConnectTarget::Uds(path.to_path_buf()))
     }
 
-    fn connect(
-        target: ConnectTarget,
-        connect_timeout: Option<Duration>,
-    ) -> io::Result<BlockingClient> {
+    fn connect(target: ConnectTarget) -> io::Result<BlockingClient> {
         Ok(BlockingClient {
-            stream: Self::dial(&target, connect_timeout)?,
+            stream: Self::dial(&target)?,
             buf: wire::FrameBuf::new(),
             target,
-            connect_timeout,
             io_timeout: None,
         })
     }
 
     /// The one dial behind every connect and reconnect.
-    fn dial(target: &ConnectTarget, connect_timeout: Option<Duration>) -> io::Result<Stream> {
+    fn dial(target: &ConnectTarget) -> io::Result<Stream> {
         let stream = match target {
-            ConnectTarget::Tcp(addr) => Stream::Tcp(match connect_timeout {
-                Some(timeout) => TcpStream::connect_timeout(addr, timeout)?,
-                None => TcpStream::connect(*addr)?,
-            }),
+            ConnectTarget::Tcp(addr) => Stream::Tcp(TcpStream::connect(*addr)?),
             ConnectTarget::Uds(path) => Stream::Unix(UnixStream::connect(path)?),
         };
         stream.set_nodelay()?;
@@ -1042,7 +1028,7 @@ impl BlockingClient {
     /// reapplying the configured timeouts and discarding any buffered
     /// partial frame (the old stream's framing is unrecoverable).
     pub fn reconnect(&mut self) -> io::Result<()> {
-        self.stream = Self::dial(&self.target, self.connect_timeout)?;
+        self.stream = Self::dial(&self.target)?;
         self.buf.clear();
         if let Some(timeout) = self.io_timeout {
             self.set_timeouts(Some(timeout))?;

@@ -981,6 +981,44 @@ mod tests {
     }
 
     #[test]
+    fn a_sync_that_fails_once_still_fails_the_log_closed() {
+        // Only the third sync fails; a writer that retried would find every
+        // later sync succeeding, although the kernel may have dropped the
+        // pages the failed one covered.
+        let fault = FaultInjector::seeded(7).fault_at(FaultPoint::WalSync, 2);
+        let (server, store_config) = group_commit_server("fails-once", fault);
+        let store = Arc::clone(&server.cache().stores()[0]);
+        for page in 0..2 {
+            assert!(server.submit(&[put(page)])[0].hit().is_some());
+        }
+        assert_eq!(
+            server.submit(&[put(2)])[0].error_code(),
+            Some(ErrorCode::Io)
+        );
+        let (synced, logged) = (store.wal_synced_len(), store.wal_len());
+        for page in 3..6 {
+            assert_eq!(
+                server.submit(&[put(page)])[0].error_code(),
+                Some(ErrorCode::Io)
+            );
+        }
+        assert_eq!(store.wal_synced_len(), synced);
+        assert_eq!(store.wal_len(), logged);
+        drop(store);
+        assert!(server.try_shutdown().is_err(), "the log stays failed");
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(store_config.dir.join("store.wal"))
+            .unwrap()
+            .set_len(synced)
+            .unwrap();
+        let store = crate::PageStore::open(store_config.clone()).unwrap();
+        assert_eq!(store.recovered_writes(), 2);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&store_config.dir);
+    }
+
+    #[test]
     fn a_refused_put_leaves_its_page_uncached() {
         // The first WAL append fails; every later one succeeds.
         let dir = std::env::temp_dir().join(format!("clic-server-refused-{}", std::process::id()));

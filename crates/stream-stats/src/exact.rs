@@ -53,7 +53,7 @@ where
             .iter()
             .map(|(item, &c)| (item.clone(), c))
             .collect();
-        all.sort_by(|a, b| b.1.cmp(&a.1));
+        all.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
         all.truncate(k);
         all
     }

@@ -98,12 +98,6 @@ impl BufferPoolConfig {
         self.priority_levels = levels.max(1);
         self
     }
-
-    /// Sets the checkpoint interval (0 disables checkpoints).
-    pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
-        self.checkpoint_interval = interval;
-        self
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -282,7 +276,9 @@ impl BufferPool {
 
     fn tick(&mut self, events: &mut Vec<PoolEvent>) {
         self.ops += 1;
-        if self.config.checkpoint_interval > 0 && self.ops % self.config.checkpoint_interval == 0 {
+        if self.config.checkpoint_interval > 0
+            && self.ops.is_multiple_of(self.config.checkpoint_interval)
+        {
             self.checkpoint(events);
         }
     }

@@ -165,11 +165,6 @@ impl DbmsSimulator {
         self.operate(object, slot, false, false);
     }
 
-    /// Logical prefetch read of `(object, slot)`.
-    pub fn read_prefetch(&mut self, object: ObjectId, slot: u64) {
-        self.operate(object, slot, false, true);
-    }
-
     /// Logical read-modify-write of `(object, slot)`.
     pub fn update(&mut self, object: ObjectId, slot: u64) {
         self.operate(object, slot, true, false);

@@ -166,7 +166,7 @@ mod tests {
         let trace = base_trace();
         let noisy = inject_noise(&trace, NoiseConfig::new(1));
         // Count how often each noise value appears; value 0 must dominate.
-        let mut counts = vec![0u64; 10];
+        let mut counts = [0u64; 10];
         for req in &noisy.requests {
             let resolved = noisy.catalog.resolve(req.hint);
             counts[resolved.values[1].0 as usize] += 1;

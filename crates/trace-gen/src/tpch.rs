@@ -337,7 +337,7 @@ impl TpchWorkload {
             dbms.scan(s.lineitem, start, pages.max(1), true);
             // Point lookups through the indexes for join probes; odd queries
             // use the primary key, even ones the secondary index.
-            let idx = if query % 2 == 0 {
+            let idx = if query.is_multiple_of(2) {
                 s.lineitem_idx2
             } else {
                 s.lineitem_idx
@@ -350,7 +350,7 @@ impl TpchWorkload {
             let pages = ((ord_pages as f64) * ord_frac) as u64;
             let start = rng.gen_range(0..ord_pages.max(1));
             dbms.scan(s.orders, start, pages.max(1), true);
-            let idx = if query % 3 == 0 {
+            let idx = if query.is_multiple_of(3) {
                 s.orders_idx2
             } else {
                 s.orders_idx

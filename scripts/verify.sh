@@ -12,7 +12,7 @@
 #                                    # scale, --jobs 1 against --jobs 2 and
 #                                    # against the committed results/smoke
 #
-# Clippy fails on errors; warnings are reported but allowed.
+# Clippy fails on any warning (`-- -D warnings`).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -271,7 +271,7 @@ fi
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
-echo "== cargo clippy --workspace --all-targets (errors fail, warnings allowed) =="
-cargo clippy --workspace --all-targets
+echo "== cargo clippy --workspace --all-targets -- -D warnings (any warning fails) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "verify: all checks passed"
