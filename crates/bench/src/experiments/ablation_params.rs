@@ -115,9 +115,11 @@ pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
     smoothing_table.emit(out_dir, "ablation_smoothing")?;
     metrics.push(("smoothing".to_string(), JsonValue::Object(per_r)));
 
-    // Metadata charging and oracle statistics. The oracle cell preloads
+    // Metadata charging and oracle statistics. The oracle cell imports
     // whole-trace priorities into its policy, which the executor's builder
-    // closure supports like any other construction step.
+    // closure supports like any other construction step; its window is
+    // longer than any trace, so no window boundary ever smooths them into
+    // on-line statistics.
     let reports = analyze_trace(trace);
     #[derive(Clone, Copy)]
     enum Variant {
@@ -140,7 +142,7 @@ pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
         )),
         Variant::Oracle => {
             let mut oracle = Clic::new(cache, ClicConfig::default().with_window(u64::MAX / 2));
-            oracle.preload_priorities(reports_ref.iter().map(|r| (r.hint, r.priority)));
+            oracle.import_priorities(reports_ref.iter().map(|r| (r.hint, r.priority)));
             Box::new(oracle)
         }
     });

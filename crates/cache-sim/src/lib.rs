@@ -12,8 +12,8 @@
 //!   [`HintSetId`]) shared by every other crate in the workspace,
 //! * the [`CachePolicy`] trait that every replacement policy implements,
 //! * baseline replacement policies used by the paper's evaluation
-//!   (OPT/Belady-MIN, LRU, ARC, TQ) plus a wider set of classical policies
-//!   (LFU, 2Q, MQ) useful for extended comparisons,
+//!   (OPT/Belady-MIN, LRU, ARC, TQ) plus two more classical policies
+//!   (LFU, 2Q) useful for extended comparisons,
 //! * the trace container ([`Trace`]) and the simulation driver
 //!   ([`simulate`], [`sweep`]) that measure server-cache read hit ratios,
 //! * the parallel replay engine: a dependency-free scoped thread pool

@@ -8,13 +8,11 @@
 //! * [`Tq`] — the write-hint-aware second-tier policy of Li et al. (FAST '05).
 //!
 //! Additional classical policies provided for broader comparisons and for the
-//! related-work ablations: [`Lfu`], [`TwoQ`] (Johnson & Shasha, VLDB '94)
-//! and [`Mq`] (Zhou et al., second-tier multi-queue).
+//! related-work ablations: [`Lfu`] and [`TwoQ`] (Johnson & Shasha, VLDB '94).
 
 mod arc;
 mod lfu;
 mod lru;
-mod mq;
 mod opt;
 mod tq;
 mod two_q;
@@ -23,7 +21,6 @@ pub mod util;
 pub use arc::Arc;
 pub use lfu::Lfu;
 pub use lru::Lru;
-pub use mq::Mq;
 pub use opt::Opt;
 pub use tq::Tq;
 pub use two_q::TwoQ;
@@ -43,8 +40,6 @@ pub enum BaselinePolicy {
     Lfu,
     /// 2Q (Johnson & Shasha).
     TwoQ,
-    /// Multi-queue (Zhou, Chen & Li).
-    Mq,
     /// Adaptive replacement cache.
     Arc,
     /// Write-hint-aware TQ.
@@ -53,11 +48,10 @@ pub enum BaselinePolicy {
 
 impl BaselinePolicy {
     /// All baseline policies, in a stable order.
-    pub const ALL: [BaselinePolicy; 6] = [
+    pub const ALL: [BaselinePolicy; 5] = [
         BaselinePolicy::Lru,
         BaselinePolicy::Lfu,
         BaselinePolicy::TwoQ,
-        BaselinePolicy::Mq,
         BaselinePolicy::Arc,
         BaselinePolicy::Tq,
     ];
@@ -68,7 +62,6 @@ impl BaselinePolicy {
             BaselinePolicy::Lru => "LRU",
             BaselinePolicy::Lfu => "LFU",
             BaselinePolicy::TwoQ => "2Q",
-            BaselinePolicy::Mq => "MQ",
             BaselinePolicy::Arc => "ARC",
             BaselinePolicy::Tq => "TQ",
         }
@@ -86,7 +79,6 @@ impl BaselinePolicy {
             BaselinePolicy::Lru => Box::new(Lru::new(capacity)),
             BaselinePolicy::Lfu => Box::new(Lfu::new(capacity)),
             BaselinePolicy::TwoQ => Box::new(TwoQ::new(capacity)),
-            BaselinePolicy::Mq => Box::new(Mq::new(capacity)),
             BaselinePolicy::Arc => Box::new(Arc::new(capacity)),
             BaselinePolicy::Tq => Box::new(Tq::new(capacity)),
         }

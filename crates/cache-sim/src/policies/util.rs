@@ -4,7 +4,7 @@
 //! membership tests, O(1) removal, and O(1) insertion at the recency end.
 //! [`OrderedPageSet`] provides exactly that: a doubly-linked list of pages
 //! backed by a slab, plus a hash index. LRU queues, FIFO queues, ghost lists,
-//! and the segments of 2Q/MQ/ARC/TQ are all instances of it.
+//! and the segments of 2Q/ARC/TQ are all instances of it.
 
 use std::collections::HashMap;
 

@@ -22,13 +22,6 @@ impl Tracker {
             Tracker::TopK(t) => t,
         }
     }
-
-    fn as_dyn(&self) -> &dyn HintStatsTracker {
-        match self {
-            Tracker::Full(t) => t,
-            Tracker::TopK(t) => t,
-        }
-    }
 }
 
 /// The CLIC storage-server cache policy.
@@ -109,11 +102,6 @@ impl Clic {
         }
     }
 
-    /// Creates a CLIC cache with the paper's default configuration.
-    pub fn with_defaults(capacity: usize) -> Self {
-        Clic::new(capacity, ClicConfig::default())
-    }
-
     /// The configuration this instance was built with.
     pub fn config(&self) -> &ClicConfig {
         &self.config
@@ -134,11 +122,6 @@ impl Clic {
         self.priorities.windows_completed()
     }
 
-    /// Number of hint sets currently being tracked for statistics.
-    pub fn tracked_hint_sets(&self) -> usize {
-        self.tracker.as_dyn().tracked_len()
-    }
-
     /// Number of entries currently held in the outqueue.
     pub fn outqueue_len(&self) -> usize {
         self.table.outqueue_len()
@@ -155,40 +138,6 @@ impl Clic {
     #[doc(hidden)]
     pub fn record_of(&self, page: PageId) -> Option<PageRecord> {
         self.table.find(page).map(|(_, record, _)| record)
-    }
-
-    /// Overrides the current hint-set priorities, for example with priorities
-    /// computed offline by [`crate::analyze_trace`]. Used by the "CLIC with
-    /// oracle statistics" ablation, which isolates the quality of the
-    /// replacement policy from the quality of the on-line statistics.
-    ///
-    /// The preloaded priorities stay in effect until the next window
-    /// boundary; to keep them for an entire run, configure a window larger
-    /// than the trace.
-    pub fn preload_priorities<I>(&mut self, priorities: I)
-    where
-        I: IntoIterator<Item = (HintSetId, f64)>,
-    {
-        let window: Vec<(HintSetId, crate::stats::HintWindowStats)> = priorities
-            .into_iter()
-            .filter(|(_, priority)| *priority > 0.0)
-            .map(|(hint, priority)| {
-                // Encode the desired priority as synthetic statistics with
-                // fhit = 1 and D = 1/priority, which Equation 2 maps back to
-                // the requested value.
-                let distance = (1.0 / priority).max(1.0);
-                (
-                    hint,
-                    crate::stats::HintWindowStats {
-                        requests: 1_000_000,
-                        read_rereferences: 1_000_000,
-                        distance_sum: (distance * 1_000_000.0).min(u64::MAX as f64 / 2.0) as u64,
-                    },
-                )
-            })
-            .collect();
-        self.priorities.apply_window(&window, 1.0);
-        self.rebuild_victim_index();
     }
 
     /// Total number of requests this instance has processed.
@@ -213,9 +162,8 @@ impl Clic {
     ///
     /// Importing a cache's own [`Clic::export_priorities`] snapshot leaves
     /// its behaviour unchanged; see `export_priorities` for the cross-shard
-    /// merge protocol this pair implements. Unlike
-    /// [`Clic::preload_priorities`], imported priorities survive window
-    /// boundaries the same way organically learned ones do — the next
+    /// merge protocol this pair implements. Imported priorities survive
+    /// window boundaries the same way organically learned ones do — the next
     /// re-evaluation folds them into the usual Equation 3 smoothing.
     pub fn import_priorities<I>(&mut self, snapshot: I)
     where

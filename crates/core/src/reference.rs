@@ -47,13 +47,6 @@ impl Tracker {
             Tracker::TopK(t) => t,
         }
     }
-
-    fn as_dyn(&self) -> &dyn HintStatsTracker {
-        match self {
-            Tracker::Full(t) => t,
-            Tracker::TopK(t) => t,
-        }
-    }
 }
 
 /// The pre-refactor CLIC policy (see the module documentation). Behaviour is
@@ -112,11 +105,6 @@ impl ReferenceClic {
         }
     }
 
-    /// Creates a reference CLIC cache with the paper's default configuration.
-    pub fn with_defaults(capacity: usize) -> Self {
-        ReferenceClic::new(capacity, ClicConfig::default())
-    }
-
     /// The usable capacity after the optional metadata charge.
     pub fn effective_capacity(&self) -> usize {
         self.capacity
@@ -130,11 +118,6 @@ impl ReferenceClic {
     /// Number of completed priority-evaluation windows.
     pub fn windows_completed(&self) -> u64 {
         self.priorities.windows_completed()
-    }
-
-    /// Number of hint sets currently being tracked for statistics.
-    pub fn tracked_hint_sets(&self) -> usize {
-        self.tracker.as_dyn().tracked_len()
     }
 
     /// Number of entries currently held in the outqueue.

@@ -58,17 +58,11 @@ impl Recorder {
     /// An enabled recorder on `clock` (inject [`Clock::mock`] for
     /// deterministic trace output) with the default trace capacity.
     pub fn with_clock(clock: Clock) -> Recorder {
-        Recorder::with_clock_and_capacity(clock, DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// An enabled recorder with an explicit per-thread trace-ring
-    /// capacity.
-    pub fn with_clock_and_capacity(clock: Clock, trace_capacity: usize) -> Recorder {
         Recorder {
             inner: Some(Arc::new(RecorderInner {
                 clock: clock.clone(),
                 registry: MetricsRegistry::new(),
-                tracer: TraceCollector::new(clock, trace_capacity),
+                tracer: TraceCollector::new(clock, DEFAULT_TRACE_CAPACITY),
             })),
         }
     }

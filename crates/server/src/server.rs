@@ -23,7 +23,6 @@
 //! logged write is device-durable for the network front-end and
 //! [`Server::submit`] alike (the contract in [`clic_store::wal`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
@@ -44,15 +43,15 @@ pub const QUEUE_DEPTH_GAUGE: &str = "server.queue_depth";
 /// microseconds (dequeue to last reply sent).
 pub const BATCH_SERVICE_HISTOGRAM: &str = "server.batch_service_us";
 
+/// Bound of each shard worker's request queue, in sub-batches: enough to
+/// keep a worker busy while the next batch is being partitioned.
+const QUEUE_DEPTH: usize = 4;
+
 /// Configuration for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The sharded cache the server fronts.
     pub cache: ShardedClicConfig,
-    /// Bound of each shard worker's request queue, in sub-batches. Small
-    /// values give tighter back-pressure; the default of 4 keeps a worker
-    /// busy while the next batch is being partitioned.
-    pub queue_depth: usize,
     /// WAL durability applied to the attached store at start-up, when set,
     /// without rebuilding the [`StoreConfig`]; `None` keeps the store
     /// config's. On a server, `Buffered` acknowledges writes unsynced, and
@@ -65,7 +64,6 @@ impl ServerConfig {
     pub fn new(capacity: usize) -> Self {
         ServerConfig {
             cache: ShardedClicConfig::new(capacity),
-            queue_depth: 4,
             durability: None,
         }
     }
@@ -87,12 +85,6 @@ impl ServerConfig {
     /// Sets the cross-shard priority-merge period in global requests.
     pub fn with_merge_every(mut self, merge_every: u64) -> Self {
         self.cache = self.cache.with_merge_every(merge_every);
-        self
-    }
-
-    /// Sets the per-worker queue bound (clamped to at least 1).
-    pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth.max(1);
         self
     }
 
@@ -373,7 +365,6 @@ pub struct Server {
     cache: Arc<ShardedClic>,
     senders: Vec<mpsc::SyncSender<ShardJob>>,
     workers: Vec<JoinHandle<()>>,
-    batches_served: AtomicU64,
     /// Cached [`QUEUE_DEPTH_GAUGE`] handle; `None` on a disabled recorder.
     /// Incremented per sub-batch sent, decremented by the worker after
     /// serving it, so the value counts queued + in-flight sub-batches.
@@ -405,7 +396,7 @@ impl Server {
         let mut senders = Vec::with_capacity(cache.shard_count());
         let mut workers = Vec::with_capacity(cache.shard_count());
         for shard in 0..cache.shard_count() {
-            let (sender, receiver) = mpsc::sync_channel::<ShardJob>(config.queue_depth.max(1));
+            let (sender, receiver) = mpsc::sync_channel::<ShardJob>(QUEUE_DEPTH);
             // The worker owns its log writer: it drops the writer's channel
             // and joins it (re-raising its panic) on the way out, so stopping
             // the workers stops the writers once their acks are delivered.
@@ -437,7 +428,6 @@ impl Server {
             cache,
             senders,
             workers,
-            batches_served: AtomicU64::new(0),
             queue_depth,
         })
     }
@@ -519,7 +509,6 @@ impl Server {
                 });
             }
         }
-        self.batches_served.fetch_add(1, Ordering::Relaxed);
         responses
             .into_iter()
             .map(|response| {
@@ -595,11 +584,6 @@ impl Server {
     /// The sharded cache behind the server.
     pub fn cache(&self) -> &ShardedClic {
         &self.cache
-    }
-
-    /// Number of batches served so far.
-    pub fn batches_served(&self) -> u64 {
-        self.batches_served.load(Ordering::Relaxed)
     }
 
     /// A point-in-time statistics snapshot (see [`ShardedClic::snapshot`]).
@@ -691,7 +675,6 @@ mod tests {
         // Second touch: all hits (capacity 8 holds all four pages).
         let second = server.submit(&[get(1), get(2), get(3), get(4)]);
         assert!(second.iter().all(|r| r.hit() == Some(true)));
-        assert_eq!(server.batches_served(), 2);
         let result = server.shutdown();
         assert_eq!(result.stats.read_hits, 4);
         assert_eq!(result.stats.read_misses, 4);
@@ -1067,15 +1050,10 @@ mod tests {
 
     #[test]
     fn concurrent_clients_share_one_server_without_deadlock() {
-        // Tiny queue depth to exercise back-pressure: four clients hammer
-        // four shards with single-page batches.
-        let server = Server::start(
-            ServerConfig::new(64)
-                .with_shards(4)
-                .with_queue_depth(1)
-                .with_merge_every(100),
-        );
-        let clients = 4u64;
+        // Twice as many clients as a shard has queue slots, so a shard's
+        // queue fills and blocks its senders.
+        let server = Server::start(ServerConfig::new(64).with_shards(4).with_merge_every(100));
+        let clients = 2 * QUEUE_DEPTH as u64;
         let batches = 200u64;
         thread::scope(|scope| {
             for c in 0..clients {

@@ -1,10 +1,8 @@
-//! Exact frequency counting, used as ground truth for the approximate
-//! frequent-item algorithms and for CLIC's "track every hint set" mode.
+//! Exact frequency counting, the ground truth the property tests check the
+//! approximate Space-Saving summary against.
 
 use std::collections::HashMap;
 use std::hash::Hash;
-
-use crate::FrequencyEstimator;
 
 /// A plain hash-map counter: unbounded space, exact answers.
 #[derive(Debug, Clone, Default)]
@@ -75,36 +73,6 @@ where
     }
 }
 
-impl<T> FrequencyEstimator<T> for ExactCounter<T>
-where
-    T: Eq + Hash + Clone,
-{
-    fn observe(&mut self, item: T) {
-        ExactCounter::observe(self, item);
-    }
-
-    fn estimated_count(&self, item: &T) -> Option<u64> {
-        let c = self.count(item);
-        if c == 0 {
-            None
-        } else {
-            Some(c)
-        }
-    }
-
-    fn tracked(&self) -> Vec<(T, u64)> {
-        self.top_k(self.counts.len())
-    }
-
-    fn observations(&self) -> u64 {
-        ExactCounter::observations(self)
-    }
-
-    fn clear(&mut self) {
-        ExactCounter::clear(self);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,6 +110,6 @@ mod tests {
         c.clear();
         assert_eq!(c.distinct(), 0);
         assert_eq!(c.observations(), 0);
-        assert_eq!(FrequencyEstimator::estimated_count(&c, &1), None);
+        assert_eq!(c.count(&1), 0);
     }
 }

@@ -11,14 +11,13 @@
 //! * [`SpaceSaving`] — the Space-Saving algorithm, generic over the item type
 //!   and over an auxiliary payload attached to each monitored counter (the
 //!   CLIC adaptation),
-//! * [`ExactCounter`] — exact frequency counting, used to verify the
-//!   approximate algorithms in tests and in the accuracy ablation,
-//! * the [`FrequencyEstimator`] trait that both implement.
+//! * [`ExactCounter`] — exact frequency counting, the reference the
+//!   property tests check Space-Saving against.
 //!
 //! # Example
 //!
 //! ```
-//! use stream_stats::{FrequencyEstimator, SpaceSaving};
+//! use stream_stats::SpaceSaving;
 //!
 //! let mut ss: SpaceSaving<&str> = SpaceSaving::new(2);
 //! for item in ["a", "b", "a", "c", "a", "a", "b"] {
@@ -39,29 +38,6 @@ pub mod space_saving;
 pub use exact::ExactCounter;
 pub use space_saving::{Estimate, SpaceSaving};
 
-use std::hash::Hash;
-
-/// Common interface over frequency estimators, used by the accuracy
-/// ablation that compares Space-Saving against exact counting.
-pub trait FrequencyEstimator<T: Eq + Hash + Clone> {
-    /// Records one occurrence of `item`.
-    fn observe(&mut self, item: T);
-
-    /// Returns the estimated number of occurrences of `item`, or `None` if
-    /// the estimator is not currently tracking it.
-    fn estimated_count(&self, item: &T) -> Option<u64>;
-
-    /// Returns the tracked items with their estimated counts, ordered from
-    /// most to least frequent.
-    fn tracked(&self) -> Vec<(T, u64)>;
-
-    /// Total number of observations made so far.
-    fn observations(&self) -> u64;
-
-    /// Forgets all state (used at CLIC window boundaries).
-    fn clear(&mut self);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,10 +54,10 @@ mod tests {
             ss.observe(x);
         }
         for item in 0..7u32 {
-            let truth = exact.estimated_count(&item).unwrap();
+            let truth = exact.count(&item);
             assert_eq!(ss.estimate(&item).unwrap().count, truth, "item {item}");
         }
-        assert_eq!(FrequencyEstimator::observations(&ss), 1000);
+        assert_eq!(ss.observations(), 1000);
         assert_eq!(exact.observations(), 1000);
     }
 }

@@ -49,8 +49,6 @@ use std::collections::hash_map::{Entry as MapEntry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 
-use crate::FrequencyEstimator;
-
 /// Frequency estimate for a monitored item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Estimate {
@@ -272,35 +270,6 @@ where
         slot.count += 1;
         slot.aux = A::default();
         victim
-    }
-}
-
-impl<T, S> FrequencyEstimator<T> for SpaceSaving<T, (), S>
-where
-    T: Ord + Hash + Clone,
-    S: BuildHasher,
-{
-    fn observe(&mut self, item: T) {
-        SpaceSaving::observe(self, item);
-    }
-
-    fn estimated_count(&self, item: &T) -> Option<u64> {
-        self.estimate(item).map(|e| e.count)
-    }
-
-    fn tracked(&self) -> Vec<(T, u64)> {
-        self.entries()
-            .into_iter()
-            .map(|(item, est, _)| (item, est.count))
-            .collect()
-    }
-
-    fn observations(&self) -> u64 {
-        SpaceSaving::observations(self)
-    }
-
-    fn clear(&mut self) {
-        SpaceSaving::clear(self);
     }
 }
 

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use stream_stats::{ExactCounter, FrequencyEstimator, SpaceSaving};
+use stream_stats::{ExactCounter, SpaceSaving};
 
 fn exact_counts(stream: &[u16]) -> HashMap<u16, u64> {
     let mut counts = HashMap::new();
@@ -78,7 +78,7 @@ proptest! {
             exact.observe(x);
         }
         ss.clear();
-        FrequencyEstimator::clear(&mut exact);
+        exact.clear();
         prop_assert!(ss.is_empty());
         prop_assert_eq!(exact.distinct(), 0);
         prop_assert_eq!(ss.observations(), 0);

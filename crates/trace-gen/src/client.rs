@@ -149,11 +149,6 @@ impl DbmsSimulator {
         &self.layout
     }
 
-    /// Number of storage requests recorded so far.
-    pub fn request_count(&self) -> usize {
-        self.builder.len()
-    }
-
     /// Sets the simulated server thread issuing subsequent operations
     /// (only visible through the MySQL thread-ID hint).
     pub fn set_thread(&mut self, thread: u32) {

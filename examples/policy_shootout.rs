@@ -1,5 +1,5 @@
 //! Compare every replacement policy in the workspace — the paper's baselines
-//! plus the extra classical policies (LFU, 2Q, MQ) — on one
+//! plus the extra classical policies (LFU, 2Q) — on one
 //! decision-support (TPC-H-like) trace, including the offline optimum.
 //!
 //! Run with:

@@ -124,10 +124,12 @@ cargo build --release --examples
 
 # benchmark/ is a workspace of its own, so nothing above compiles it; build
 # it here so that breaking the surface it calls (see ROADMAP, "frozen by
-# benchmark/") fails verify rather than the benchmark pipeline.
-echo "== cargo build benchmark/ (offline, against the working tree) =="
+# benchmark/") fails verify rather than the benchmark pipeline. --locked
+# because benchmark/Cargo.lock is frozen with the rest of benchmark/: a new
+# dependency between the path crates would otherwise rewrite it silently.
+echo "== cargo build benchmark/ (offline, locked, against the working tree) =="
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 # A build proves the surface compiles; only a run proves the workloads still
 # pass their own checks: both runs must exit 0 and print four result lines

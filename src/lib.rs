@@ -128,7 +128,7 @@ pub mod prelude {
         page_payload, replay_storage, replay_storage_partitioned, Durability, PageStore,
         StorageReplayReport, StoreConfig, DEFAULT_PAGE_SIZE,
     };
-    pub use stream_stats::{FrequencyEstimator, SpaceSaving};
+    pub use stream_stats::SpaceSaving;
     pub use trace_gen::{
         inject_noise, interleave, NoiseConfig, PresetScale, TpccConfig, TpccWorkload, TpchConfig,
         TpchVariant, TpchWorkload, TracePreset,

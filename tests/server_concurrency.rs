@@ -67,14 +67,13 @@ fn sharded_concurrent_run_tracks_single_cache_hit_ratio() {
         .with_window(window)
         .with_tracking(TrackingMode::TopK(100));
 
-    // Online: 4 shards, 4 client threads submitting at once, small queues so
-    // back-pressure is actually exercised, paced in rounds.
+    // Online: 4 shards, 4 client threads submitting at once, paced in
+    // rounds.
     let server = Server::start(
         ServerConfig::new(cache_pages)
             .with_shards(4)
             .with_clic(clic_config)
-            .with_merge_every(window)
-            .with_queue_depth(2),
+            .with_merge_every(window),
     );
     let answered = submit_in_rounds(&server, &traces, None);
     let merges = server.cache().merges_completed();
