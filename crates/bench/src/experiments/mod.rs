@@ -18,7 +18,6 @@ mod fig09_topk;
 mod fig10_noise;
 mod fig11_multiclient;
 mod policy_figures;
-mod server_latency;
 mod storage_io;
 mod table_fig2;
 mod table_fig5;
@@ -28,8 +27,7 @@ mod table_fig5;
 pub type Experiment = fn(&Suite) -> io::Result<JsonValue>;
 
 /// Every experiment by name, in the order `run_all` runs them.
-/// `server_latency` is last because it alone measures wall-clock behaviour.
-pub const EXPERIMENTS: [(&str, Experiment); 13] = [
+pub const EXPERIMENTS: [(&str, Experiment); 12] = [
     ("table_fig2", table_fig2::run),
     ("table_fig5", table_fig5::run),
     ("fig03_hint_priorities", fig03_hint_priorities::run),
@@ -42,7 +40,6 @@ pub const EXPERIMENTS: [(&str, Experiment); 13] = [
     ("ablation_params", ablation_params::run),
     ("ablation_generalization", ablation_generalization::run),
     ("storage_io", storage_io::run),
-    ("server_latency", server_latency::run),
 ];
 
 /// The names of [`EXPERIMENTS`], in table order.
@@ -60,6 +57,29 @@ mod tests {
     fn experiment_names_are_unique() {
         let unique: HashSet<&str> = names().into_iter().collect();
         assert_eq!(unique.len(), EXPERIMENTS.len());
+    }
+
+    /// The committed ledger lists exactly the experiments of the table, in
+    /// table order, so adding, renaming or deleting an experiment
+    /// regenerates `BENCH_results.json` in the same change.
+    #[test]
+    fn committed_ledger_lists_the_table_in_order() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let ledger = std::fs::read_to_string(root.join("BENCH_results.json"))
+            .expect("BENCH_results.json must be readable");
+        clic_obs::json::validate(&ledger).expect("the ledger parses");
+        // `run_all` renders each experiment entry as `{"name":"…",…}`, and
+        // no other object of the report opens with a `name` key.
+        let listed: Vec<&str> = ledger
+            .split(r#"{"name":""#)
+            .skip(1)
+            .map(|rest| &rest[..rest.find('"').expect("a closed name string")])
+            .collect();
+        assert_eq!(
+            listed,
+            names(),
+            "BENCH_results.json is stale: regenerate it with `run_all --jobs 1 --json BENCH_results.json`"
+        );
     }
 
     /// The experiment names a document passes to `run_all`: on every line,

@@ -40,44 +40,9 @@
 //! | `--json PATH` | off | write the machine-readable report to `PATH` |
 //!
 //! Parallelism never changes results — grids run through the deterministic
-//! ordered executor, so every `.csv` but `server_latency`'s is bit-identical
-//! at any job count (`scripts/verify.sh --smoke-bench` diffs a `--jobs 1`
-//! run against a `--jobs 2` run).
-//!
-//! # The open-loop latency experiment
-//!
-//! `server_latency` is the one experiment that talks to the server over
-//! real sockets: it boots the event-driven TCP front-end
-//! ([`clic_server::NetServer`]) around a store-backed server and offers
-//! load with the seeded open-loop Poisson generator
-//! ([`clic_server::run_open_loop`]) at several fixed arrival rates, under
-//! both buffered and group-commit durability. The generator fixes every
-//! request's *scheduled* send time before the run and measures latency
-//! from that instant, so the reported percentiles are free of coordinated
-//! omission. Its `metrics` carry the full curve:
-//!
-//! ```json
-//! {
-//!   "shards": 4,
-//!   "cache_pages": 4096,
-//!   "page_universe": 32768,
-//!   "write_fraction": 0.25,
-//!   "latency_vs_load": [
-//!     {
-//!       "durability": "buffered",
-//!       "offered_rps": 5000, "achieved_rps": 4980,
-//!       "sent": 5000, "completed": 5000, "elapsed_s": 1.01,
-//!       "mean_us": 310.2,
-//!       "p50_us": 290, "p95_us": 610, "p99_us": 940,
-//!       "p999_us": 1820, "max_us": 2410
-//!     },
-//!     { "durability": "group-commit", "offered_rps": 5000, ... }
-//!   ]
-//! }
-//! ```
-//!
-//! One point per (durability, offered load) pair, in sweep order;
-//! `achieved_rps` falling below `offered_rps` marks the saturation knee.
+//! ordered executor, so every `.csv` is bit-identical at any job count
+//! (`scripts/verify.sh --smoke-bench` diffs a `--jobs 1` run against a
+//! `--jobs 2` run).
 //!
 //! # JSON report schema
 //!
@@ -140,7 +105,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use cache_sim::policies::{Arc, Lru, Opt, Tq};
+use cache_sim::policies::{BaselinePolicy, Opt};
 use cache_sim::{
     compare_policies, BoxedPolicy, NextUseOracle, SimulationResult, ThreadPool, Trace,
 };
@@ -153,20 +118,21 @@ pub const PAPER_POLICIES: [&str; 5] = ["OPT", "TQ", "LRU", "ARC", "CLIC"];
 
 /// Builds a policy by name for a given trace and capacity.
 ///
-/// Supported names: `"OPT"`, `"LRU"`, `"ARC"`, `"TQ"`, `"CLIC"`, and
-/// `"CLIC(k=<n>)"` for the top-k tracking variant. The trace is needed only
-/// by OPT (for its future-knowledge oracle); passing the same trace that will
-/// be simulated is required for OPT to be meaningful.
+/// Supported names: `"OPT"`, the [`BaselinePolicy`] names (`"LRU"`, `"ARC"`,
+/// `"TQ"`), `"CLIC"`, and `"CLIC(k=<n>)"` for the top-k tracking variant.
+/// The trace is needed only by OPT (for its future-knowledge oracle);
+/// passing the same trace that will be simulated is required for OPT to be
+/// meaningful.
 ///
 /// # Panics
 ///
 /// Panics if the policy name is not recognized.
 pub fn build_policy(name: &str, trace: &Trace, capacity: usize, window: u64) -> BoxedPolicy {
+    if let Some(baseline) = BaselinePolicy::from_name(name).map(|p| p.build(capacity)) {
+        return baseline;
+    }
     match name {
         "OPT" => Box::new(Opt::from_trace(trace, capacity)),
-        "LRU" => Box::new(Lru::new(capacity)),
-        "ARC" => Box::new(Arc::new(capacity)),
-        "TQ" => Box::new(Tq::new(capacity)),
         "CLIC" => Box::new(Clic::new(
             capacity,
             ClicConfig::default().with_window(window),

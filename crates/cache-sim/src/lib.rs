@@ -12,8 +12,7 @@
 //!   [`HintSetId`]) shared by every other crate in the workspace,
 //! * the [`CachePolicy`] trait that every replacement policy implements,
 //! * baseline replacement policies used by the paper's evaluation
-//!   (OPT/Belady-MIN, LRU, ARC, TQ) plus two more classical policies
-//!   (LFU, 2Q) useful for extended comparisons,
+//!   (OPT/Belady-MIN, LRU, ARC, TQ),
 //! * the trace container ([`Trace`]) and the simulation driver
 //!   ([`simulate`], [`sweep`]) that measure server-cache read hit ratios,
 //! * the parallel replay engine: a dependency-free scoped thread pool

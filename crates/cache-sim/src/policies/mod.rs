@@ -6,24 +6,17 @@
 //! * [`Lru`] — least recently used,
 //! * [`Arc`] — adaptive replacement cache (Megiddo & Modha, FAST '03),
 //! * [`Tq`] — the write-hint-aware second-tier policy of Li et al. (FAST '05).
-//!
-//! Additional classical policies provided for broader comparisons and for the
-//! related-work ablations: [`Lfu`] and [`TwoQ`] (Johnson & Shasha, VLDB '94).
 
 mod arc;
-mod lfu;
 mod lru;
 mod opt;
 mod tq;
-mod two_q;
 pub mod util;
 
 pub use arc::Arc;
-pub use lfu::Lfu;
 pub use lru::Lru;
 pub use opt::Opt;
 pub use tq::Tq;
-pub use two_q::TwoQ;
 
 use crate::policy::{BoxedPolicy, PolicyFactory};
 
@@ -36,10 +29,6 @@ use crate::policy::{BoxedPolicy, PolicyFactory};
 pub enum BaselinePolicy {
     /// Least recently used.
     Lru,
-    /// Least frequently used.
-    Lfu,
-    /// 2Q (Johnson & Shasha).
-    TwoQ,
     /// Adaptive replacement cache.
     Arc,
     /// Write-hint-aware TQ.
@@ -48,20 +37,13 @@ pub enum BaselinePolicy {
 
 impl BaselinePolicy {
     /// All baseline policies, in a stable order.
-    pub const ALL: [BaselinePolicy; 5] = [
-        BaselinePolicy::Lru,
-        BaselinePolicy::Lfu,
-        BaselinePolicy::TwoQ,
-        BaselinePolicy::Arc,
-        BaselinePolicy::Tq,
-    ];
+    pub const ALL: [BaselinePolicy; 3] =
+        [BaselinePolicy::Lru, BaselinePolicy::Arc, BaselinePolicy::Tq];
 
     /// The policy's display name.
     pub fn name(self) -> &'static str {
         match self {
             BaselinePolicy::Lru => "LRU",
-            BaselinePolicy::Lfu => "LFU",
-            BaselinePolicy::TwoQ => "2Q",
             BaselinePolicy::Arc => "ARC",
             BaselinePolicy::Tq => "TQ",
         }
@@ -77,8 +59,6 @@ impl BaselinePolicy {
     pub fn build(self, capacity: usize) -> BoxedPolicy {
         match self {
             BaselinePolicy::Lru => Box::new(Lru::new(capacity)),
-            BaselinePolicy::Lfu => Box::new(Lfu::new(capacity)),
-            BaselinePolicy::TwoQ => Box::new(TwoQ::new(capacity)),
             BaselinePolicy::Arc => Box::new(Arc::new(capacity)),
             BaselinePolicy::Tq => Box::new(Tq::new(capacity)),
         }

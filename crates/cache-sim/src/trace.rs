@@ -2,8 +2,6 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::path::Path;
 
 use crate::hints::{HintCatalog, HintSetId};
 use crate::request::{AccessKind, ClientId, PageId, Request, WriteHint};
@@ -61,151 +59,6 @@ impl Trace {
             distinct_hint_sets: hint_sets.len() as u64,
             clients: self.catalog.client_count() as u64,
         }
-    }
-
-    /// Saves the trace to a compact binary file.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating or writing the file.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        let mut w = std::io::BufWriter::new(file);
-        self.write_to(&mut w)
-    }
-
-    /// Loads a trace previously written with [`Trace::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the file cannot be read or is malformed.
-    pub fn load(path: impl AsRef<Path>) -> io::Result<Trace> {
-        let file = std::fs::File::open(path)?;
-        let mut r = std::io::BufReader::new(file);
-        Self::read_from(&mut r)
-    }
-
-    /// Serializes the trace to any writer. The format is a small private
-    /// binary encoding; use [`Trace::read_from`] to decode it.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the underlying writer.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(b"CLICTRC1")?;
-        write_str(w, &self.name)?;
-        // Catalog: clients.
-        write_u32(w, self.catalog.client_count() as u32)?;
-        for schema in self.catalog.schemas() {
-            write_str(w, &schema.client_name)?;
-            write_u32(w, schema.types.len() as u32)?;
-            for t in &schema.types {
-                write_str(w, &t.name)?;
-                write_u32(w, t.domain_cardinality)?;
-            }
-        }
-        // Catalog: hint sets.
-        write_u32(w, self.catalog.hint_set_count() as u32)?;
-        for (_, set) in self.catalog.iter() {
-            write_u32(w, u32::from(set.client.0))?;
-            write_u32(w, set.values.len() as u32)?;
-            for v in &set.values {
-                write_u32(w, v.0)?;
-            }
-        }
-        // Requests.
-        write_u64(w, self.requests.len() as u64)?;
-        for r in &self.requests {
-            write_u64(w, r.page.0)?;
-            write_u32(w, u32::from(r.client.0))?;
-            write_u32(w, r.hint.0)?;
-            let kind: u8 = match (r.kind, r.write_hint, r.prefetch) {
-                (AccessKind::Read, _, false) => 0,
-                (AccessKind::Read, _, true) => 1,
-                (AccessKind::Write, None, _) => 2,
-                (AccessKind::Write, Some(WriteHint::Replacement), _) => 3,
-                (AccessKind::Write, Some(WriteHint::Recovery), _) => 4,
-                (AccessKind::Write, Some(WriteHint::Synchronous), _) => 5,
-            };
-            w.write_all(&[kind])?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes a trace written by [`Trace::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` if the stream is not a valid trace encoding.
-    pub fn read_from<R: Read>(r: &mut R) -> io::Result<Trace> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != b"CLICTRC1" {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a CLIC trace file (bad magic)",
-            ));
-        }
-        let name = read_str(r)?;
-        let mut catalog = HintCatalog::new();
-        let client_count = read_u32(r)? as usize;
-        for _ in 0..client_count {
-            let cname = read_str(r)?;
-            let ntypes = read_u32(r)? as usize;
-            let mut types = Vec::with_capacity(ntypes);
-            for _ in 0..ntypes {
-                let tname = read_str(r)?;
-                let card = read_u32(r)?;
-                types.push((tname, card));
-            }
-            let refs: Vec<(&str, u32)> = types.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-            catalog.add_client(cname, &refs);
-        }
-        let set_count = read_u32(r)? as usize;
-        for i in 0..set_count {
-            let client = ClientId(read_u32(r)? as u16);
-            let nvals = read_u32(r)? as usize;
-            let mut values = Vec::with_capacity(nvals);
-            for _ in 0..nvals {
-                values.push(read_u32(r)?);
-            }
-            let id = catalog.intern(client, &values);
-            if id.index() != i {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "duplicate hint set in trace file",
-                ));
-            }
-        }
-        let nreq = read_u64(r)? as usize;
-        let mut requests = Vec::with_capacity(nreq);
-        for _ in 0..nreq {
-            let page = PageId(read_u64(r)?);
-            let client = ClientId(read_u32(r)? as u16);
-            let hint = HintSetId(read_u32(r)?);
-            let mut kind = [0u8; 1];
-            r.read_exact(&mut kind)?;
-            let req = match kind[0] {
-                0 => Request::read(client, page, hint),
-                1 => Request::prefetch(client, page, hint),
-                2 => Request::write(client, page, None, hint),
-                3 => Request::write(client, page, Some(WriteHint::Replacement), hint),
-                4 => Request::write(client, page, Some(WriteHint::Recovery), hint),
-                5 => Request::write(client, page, Some(WriteHint::Synchronous), hint),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("invalid request kind byte {other}"),
-                    ))
-                }
-            };
-            requests.push(req);
-        }
-        Ok(Trace {
-            name,
-            requests,
-            catalog,
-        })
     }
 }
 
@@ -323,44 +176,6 @@ impl TraceBuilder {
     }
 }
 
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    write_u32(w, s.len() as u32)?;
-    w.write_all(s.as_bytes())
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_str<R: Read>(r: &mut R) -> io::Result<String> {
-    let len = read_u32(r)? as usize;
-    if len > 1 << 20 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unreasonably long string in trace file",
-        ));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,40 +210,6 @@ mod tests {
         assert_eq!(s.distinct_hint_sets, 2);
         assert_eq!(s.clients, 1);
         assert!(s.to_string().contains("unit"));
-    }
-
-    #[test]
-    fn binary_roundtrip_preserves_everything() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        let back = Trace::read_from(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.name, t.name);
-        assert_eq!(back.requests, t.requests);
-        assert_eq!(back.catalog.hint_set_count(), t.catalog.hint_set_count());
-        assert_eq!(back.catalog.client_count(), t.catalog.client_count());
-        assert_eq!(
-            back.catalog.describe(HintSetId(0)),
-            t.catalog.describe(HintSetId(0))
-        );
-    }
-
-    #[test]
-    fn read_from_rejects_bad_magic() {
-        let err = Trace::read_from(&mut &b"NOTATRACE......."[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn save_and_load_via_tempfile() {
-        let t = sample_trace();
-        let dir = std::env::temp_dir().join(format!("clic-trace-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.bin");
-        t.save(&path).unwrap();
-        let back = Trace::load(&path).unwrap();
-        assert_eq!(back.requests.len(), t.requests.len());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

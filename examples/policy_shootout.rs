@@ -1,6 +1,6 @@
 //! Compare every replacement policy in the workspace — the paper's baselines
-//! plus the extra classical policies (LFU, 2Q) — on one
-//! decision-support (TPC-H-like) trace, including the offline optimum.
+//! LRU, ARC and TQ, CLIC, and the offline optimum — on one decision-support
+//! (TPC-H-like) trace.
 //!
 //! Run with:
 //!

@@ -58,8 +58,6 @@ if [ "$smoke_bench" -eq 1 ]; then
     compared=0
     for f in target/smoke-results-j1/*.csv; do
         base="$(basename "$f")"
-        # Wall-clock latencies legitimately differ between runs.
-        [ "$base" = server_latency.csv ] && continue
         compared=$((compared + 1))
         if ! cmp -s "$f" "target/smoke-results-j2/$base"; then
             echo "DIVERGENCE: $base differs between --jobs 1 and --jobs 2" >&2
@@ -70,7 +68,7 @@ if [ "$smoke_bench" -eq 1 ]; then
             diverged=1
         fi
     done
-    committed="$(find results/smoke -name '*.csv' ! -name server_latency.csv | wc -l)"
+    committed="$(find results/smoke -name '*.csv' | wc -l)"
     if [ "$committed" -ne "$compared" ]; then
         echo "CHANGED: results/smoke holds $committed figure CSVs, the run wrote $compared" >&2
         diverged=1

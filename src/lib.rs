@@ -9,8 +9,8 @@
 //!   analysis, windowed benefit/cost priorities, the priority-based
 //!   replacement policy, and bounded top-k hint tracking,
 //! * [`sim`] ([`cache_sim`]) — the storage-server cache model, the
-//!   [`CachePolicy`] trait, the baseline policies (OPT, LRU, ARC, TQ, and
-//!   more), the simulation driver, and multi-client partitioned caches,
+//!   [`CachePolicy`] trait, the baseline policies (OPT, LRU, ARC and TQ),
+//!   the simulation driver, and multi-client partitioned caches,
 //! * [`stats`] ([`stream_stats`]) — Space-Saving and other frequent-item
 //!   summaries,
 //! * [`workloads`] ([`trace_gen`]) — the simulated DB2/MySQL storage clients,
@@ -33,8 +33,8 @@
 //!   zero-when-disabled [`prelude::Recorder`].
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper lives in the `clic-bench` crate (`crates/bench`), with one binary
-//! per figure.
+//! paper lives in the `clic-bench` crate (`crates/bench`): one `run_all`
+//! binary runs any or all of them in one process.
 //!
 //! # Quick start
 //!
