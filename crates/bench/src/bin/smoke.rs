@@ -227,7 +227,7 @@ fn obs(ctx: &ExperimentContext) -> io::Result<JsonValue> {
         serial_trace.dropped
     );
 
-    // 2. Recorder-enabled server load: spans from the shard workers, a
+    // 2. Recorder-enabled server load: spans from the shard steps, a
     // batch-latency histogram counting every batch, everything parseable.
     let recorder = Recorder::enabled();
     let presets = [TracePreset::Db2C60, TracePreset::Db2C300];
@@ -259,7 +259,7 @@ fn obs(ctx: &ExperimentContext) -> io::Result<JsonValue> {
             .events
             .iter()
             .any(|e| e.kind == SpanKind::ShardBatch),
-        "shard workers must leave shard_batch spans"
+        "shard steps must leave shard_batch spans"
     );
     validate(&server_trace.to_json()).expect("server trace dump must be valid JSON");
     validate(&recorder.snapshot().to_json()).expect("server metrics snapshot must be valid JSON");

@@ -4,14 +4,15 @@
 //! k = 100 and the 180 K-page reference cache, so growing `T` dilutes the
 //! statistics of the genuinely useful hint sets. The noise levels of each
 //! trace are independent cells (each derives its own noisy trace), fanned
-//! across the pool's ordered `par_map`.
+//! across the pool's ordered `par_map`. Under the table, the text output
+//! lists each cell's victim-search work ([`clic_core::SearchWork`]).
 
 use std::io;
 
 use cache_sim::simulate;
 use trace_gen::{inject_noise, NoiseConfig, TracePreset};
 
-use crate::{build_policy, json::JsonValue, window_for_trace, ResultTable, Suite};
+use crate::{json::JsonValue, top_k_clic, window_for_trace, ResultTable, Suite};
 
 const NOISE_LEVELS: [u32; 4] = [0, 1, 2, 3];
 
@@ -28,6 +29,9 @@ pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
         &header_refs,
     );
 
+    table
+        .notes
+        .push("Victim-search work per cell (clic_core::SearchWork):".to_string());
     let mut metrics = Vec::new();
     for preset in TracePreset::TPCC {
         let base = suite.preset(preset);
@@ -35,17 +39,27 @@ pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
         let cells = pool.par_map(&NOISE_LEVELS, |_, &t| {
             let noisy = inject_noise(base, NoiseConfig::new(t));
             let window = window_for_trace(&noisy);
-            let mut policy = build_policy("CLIC(k=100)", &noisy, cache, window);
-            let result = simulate(policy.as_mut(), &noisy);
-            (result.read_hit_ratio(), noisy.summary().distinct_hint_sets)
+            let mut policy = top_k_clic(100, cache, window);
+            let result = simulate(&mut policy, &noisy);
+            (
+                result.read_hit_ratio(),
+                noisy.summary().distinct_hint_sets,
+                policy.search_work(),
+            )
         });
         let mut row = vec![preset.name().to_string()];
         let mut per_level = Vec::new();
-        for (&t, (ratio, _)) in NOISE_LEVELS.iter().zip(&cells) {
+        for (&t, (ratio, _, work)) in NOISE_LEVELS.iter().zip(&cells) {
             row.push(format!("{:.1}%", ratio * 100.0));
             per_level.push((format!("T={t}"), JsonValue::num(*ratio)));
+            table.notes.push(format!(
+                "{} T={t}: {} lists visited by victim searches, {} scanned by minimum-key rebuilds",
+                preset.name(),
+                work.lists_visited,
+                work.lists_scanned
+            ));
         }
-        let final_hint_sets = cells.last().map(|(_, sets)| *sets).unwrap_or(0);
+        let final_hint_sets = cells.last().map(|(_, sets, _)| *sets).unwrap_or(0);
         row.push(final_hint_sets.to_string());
         table.push_row(row);
         metrics.push((preset.name().to_string(), JsonValue::Object(per_level)));

@@ -143,17 +143,23 @@ pub fn build_policy(name: &str, trace: &Trace, capacity: usize, window: u64) -> 
                 .and_then(|s| s.strip_suffix(')'))
                 .and_then(|s| s.parse::<usize>().ok())
             {
-                Box::new(Clic::new(
-                    capacity,
-                    ClicConfig::default()
-                        .with_window(window)
-                        .with_tracking(TrackingMode::TopK(k)),
-                ))
+                Box::new(top_k_clic(k, capacity, window))
             } else {
                 panic!("unknown policy name: {other}")
             }
         }
     }
+}
+
+/// The `CLIC(k=…)` policy of [`build_policy`]: CLIC tracking the top `k`
+/// hint sets.
+pub fn top_k_clic(k: usize, capacity: usize, window: u64) -> Clic {
+    Clic::new(
+        capacity,
+        ClicConfig::default()
+            .with_window(window)
+            .with_tracking(TrackingMode::TopK(k)),
+    )
 }
 
 /// Picks the CLIC priority-window size for a trace. Delegates to
@@ -230,6 +236,8 @@ pub struct ResultTable {
     pub header: Vec<String>,
     /// Data rows.
     pub rows: Vec<Vec<String>>,
+    /// Lines printed under the text table only, never in the CSV.
+    pub notes: Vec<String>,
 }
 
 impl ResultTable {
@@ -239,6 +247,7 @@ impl ResultTable {
             title: title.into(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -277,6 +286,9 @@ impl ResultTable {
         );
         for row in &self.rows {
             let _ = writeln!(out, "{}", fmt_row(row, &widths));
+        }
+        for note in &self.notes {
+            let _ = writeln!(out, "{note}");
         }
         out
     }

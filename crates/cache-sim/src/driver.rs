@@ -68,28 +68,54 @@ impl SimulationResult {
     }
 }
 
-/// Records one request's [`AccessOutcome`] into aggregate and per-client
-/// statistics — the single hit/miss accounting rule shared by [`simulate`]
-/// and live servers, so every driver measures policies identically.
-pub fn record_outcome(
+/// Records the [`AccessOutcome`]s of `reqs` (index-aligned with
+/// `outcomes`) into aggregate and per-client statistics — the single
+/// hit/miss accounting rule shared by [`simulate`] and live servers, so
+/// every driver measures policies identically. A single request is a slice
+/// of one.
+///
+/// Each run of consecutive same-client requests is counted without
+/// branches, then added to both maps at once: one per-client lookup per
+/// run, not per request.
+///
+/// # Panics
+///
+/// Panics if `reqs` and `outcomes` differ in length.
+pub fn record_outcomes(
     stats: &mut CacheStats,
     per_client: &mut BTreeMap<ClientId, CacheStats>,
-    req: &Request,
-    outcome: AccessOutcome,
+    reqs: &[Request],
+    outcomes: &[AccessOutcome],
 ) {
-    let client_stats = per_client.entry(req.client).or_default();
-    if req.is_read() {
-        stats.record_read(outcome.hit);
-        client_stats.record_read(outcome.hit);
-    } else {
-        stats.record_write(outcome.hit);
-        client_stats.record_write(outcome.hit);
-    }
-    stats.evictions += u64::from(outcome.evicted);
-    client_stats.evictions += u64::from(outcome.evicted);
-    if outcome.bypassed {
-        stats.bypasses += 1;
-        client_stats.bypasses += 1;
+    assert_eq!(reqs.len(), outcomes.len(), "one outcome per request");
+    let mut start = 0;
+    while let Some(first) = reqs.get(start) {
+        let client = first.client;
+        let len = reqs[start..]
+            .iter()
+            .position(|req| req.client != client)
+            .unwrap_or(reqs.len() - start);
+        let (mut reads, mut read_hits, mut write_hits) = (0u64, 0u64, 0u64);
+        let mut run = CacheStats::new();
+        for (req, outcome) in reqs[start..start + len]
+            .iter()
+            .zip(&outcomes[start..start + len])
+        {
+            let read = u64::from(req.is_read());
+            let hit = u64::from(outcome.hit);
+            reads += read;
+            read_hits += read & hit;
+            write_hits += (read ^ 1) & hit;
+            run.evictions += u64::from(outcome.evicted);
+            run.bypasses += u64::from(outcome.bypassed);
+        }
+        run.read_hits = read_hits;
+        run.read_misses = reads - read_hits;
+        run.write_hits = write_hits;
+        run.write_misses = len as u64 - reads - write_hits;
+        *stats += run;
+        *per_client.entry(client).or_default() += run;
+        start += len;
     }
 }
 
@@ -154,8 +180,8 @@ where
             "access_batch of {} broke its outcome-count contract",
             policy.name()
         );
+        record_outcomes(&mut stats, &mut per_client, chunk, &outcomes);
         for (i, (req, outcome)) in chunk.iter().zip(&outcomes).enumerate() {
-            record_outcome(&mut stats, &mut per_client, req, *outcome);
             callback(first_seq + i as u64, req, outcome.hit);
         }
         first_seq += chunk.len() as u64;
@@ -293,7 +319,12 @@ pub fn simulate_partitioned_parallel(
         let mut per_client: BTreeMap<ClientId, CacheStats> = BTreeMap::new();
         for (seq, req) in requests {
             let outcome = policy.access(req, *seq);
-            record_outcome(&mut stats, &mut per_client, req, outcome);
+            record_outcomes(
+                &mut stats,
+                &mut per_client,
+                std::slice::from_ref(req),
+                &[outcome],
+            );
         }
         SimulationResult {
             policy: policy.name(),
@@ -318,7 +349,7 @@ mod tests {
     use super::*;
     use crate::policies::Lru;
     use crate::policy::BoxedPolicy;
-    use crate::request::AccessKind;
+    use crate::request::{AccessKind, PageId};
     use crate::trace::TraceBuilder;
 
     fn cyclic_trace(pages: u64, repeats: usize) -> Trace {
@@ -331,6 +362,55 @@ mod tests {
             }
         }
         b.build()
+    }
+
+    #[test]
+    fn record_outcomes_counts_runs_like_single_requests() {
+        // Clients interleave in runs of one and of several; each outcome
+        // kind appears for reads and writes.
+        let (a, b) = (ClientId(1), ClientId(2));
+        let h = crate::HintSetId(0);
+        let reqs = [
+            Request::read(a, PageId(1), h),
+            Request::write(a, PageId(2), None, h),
+            Request::read(b, PageId(3), h),
+            Request::read(a, PageId(4), h),
+            Request::write(a, PageId(5), None, h),
+            Request::read(a, PageId(6), h),
+        ];
+        let outcomes = [
+            AccessOutcome::hit(),
+            AccessOutcome::miss(1),
+            AccessOutcome::bypass(),
+            AccessOutcome::miss(0),
+            AccessOutcome::hit(),
+            AccessOutcome::miss(2),
+        ];
+        let (mut stats, mut per_client) = (CacheStats::new(), BTreeMap::new());
+        record_outcomes(&mut stats, &mut per_client, &reqs, &outcomes);
+        let (mut one_stats, mut one_per_client) = (CacheStats::new(), BTreeMap::new());
+        for (req, outcome) in reqs.iter().zip(&outcomes) {
+            record_outcomes(
+                &mut one_stats,
+                &mut one_per_client,
+                std::slice::from_ref(req),
+                std::slice::from_ref(outcome),
+            );
+        }
+        assert_eq!(stats, one_stats);
+        assert_eq!(per_client, one_per_client);
+        let expected_a = CacheStats {
+            read_hits: 1,
+            read_misses: 2,
+            write_hits: 1,
+            write_misses: 1,
+            evictions: 3,
+            bypasses: 0,
+        };
+        assert_eq!(per_client[&a], expected_a);
+        assert_eq!(per_client[&b].read_misses, 1);
+        assert_eq!(per_client[&b].bypasses, 1);
+        assert_eq!(stats, expected_a + per_client[&b]);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod sync;
 pub mod trace;
 
 pub use driver::{
-    compare_policies, partition_capacities, partition_requests, record_outcome, simulate,
+    compare_policies, partition_capacities, partition_requests, record_outcomes, simulate,
     simulate_partitioned_parallel, simulate_with_callback, sweep, sweep_parallel, SimulationResult,
     SweepPoint, REPLAY_CHUNK,
 };

@@ -77,7 +77,7 @@ pub use generalize::{
     train_grouping, train_grouping_from_prefix, HintDecisionTree, HintSetGrouping,
 };
 pub use outqueue::OutQueue;
-pub use page_table::{PageRecord, PageTable};
+pub use page_table::{PageRecord, PageTable, SearchWork};
 pub use policy::Clic;
 pub use priority::PriorityTable;
 #[doc(hidden)]

@@ -138,6 +138,18 @@ pub struct Victim {
     pub hint: HintSetId,
 }
 
+/// The victim index's work so far: plain counts, deterministic for a given
+/// request stream, so a test can pin them exactly where wall time cannot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchWork {
+    /// Hint lists visited by victim searches ([`PageTable::find_victim`]):
+    /// every list at the minimum priority key, per search.
+    pub lists_visited: u64,
+    /// Hint lists scanned by rebuilds of the minimum key: every hint list
+    /// the table has seen, per rebuild.
+    pub lists_scanned: u64,
+}
+
 /// The slab-backed page table described in the module documentation.
 #[derive(Debug, Clone)]
 pub struct PageTable {
@@ -161,6 +173,7 @@ pub struct PageTable {
     /// cached), with the dense indices of the lists attaining it.
     min_key: Option<u64>,
     min_lists: Vec<u32>,
+    work: SearchWork,
 }
 
 impl PageTable {
@@ -186,6 +199,7 @@ impl PageTable {
             outq_capacity: outqueue_capacity,
             min_key: None,
             min_lists: Vec::new(),
+            work: SearchWork::default(),
         }
     }
 
@@ -481,9 +495,10 @@ impl PageTable {
     /// (smallest sequence number) among the front pages of the
     /// minimum-priority hint lists. The returned slot handle can be fed to
     /// [`PageTable::evict_slot_to_outqueue`] (valid until the next mutating
-    /// call).
-    pub fn find_victim(&self) -> Option<Victim> {
+    /// call). Counts the lists it visits in [`PageTable::search_work`].
+    pub fn find_victim(&mut self) -> Option<Victim> {
         let min_key = self.min_key?;
+        self.work.lists_visited += self.min_lists.len() as u64;
         debug_assert_eq!(
             Some(min_key),
             self.hint_lists
@@ -521,6 +536,11 @@ impl PageTable {
             }
         }
         self.rebuild_min();
+    }
+
+    /// The victim index's work so far.
+    pub fn search_work(&self) -> SearchWork {
+        self.work
     }
 
     /// Returns, for each hint set with at least one cached page, the number
@@ -922,6 +942,7 @@ impl PageTable {
     /// collect the indices attaining the minimum key in ascending
     /// [`HintSetId`] order (matching the retired ordered index).
     fn rebuild_min(&mut self) {
+        self.work.lists_scanned += self.hint_lists.len() as u64;
         self.min_lists.clear();
         self.min_key = self
             .hint_lists
@@ -966,6 +987,38 @@ mod tests {
         assert_eq!(record, rec(2, 1));
         assert_eq!(t.composition(), vec![(HintSetId(0), 2), (HintSetId(1), 1)]);
         assert_eq!(t.min_key(), Some(5));
+        t.validate();
+    }
+
+    #[test]
+    fn search_work_counts_every_list_visited_and_scanned() {
+        let mut t = PageTable::new(8, 8);
+        t.admit(PageId(1), rec(0, 1), || 5);
+        t.admit(PageId(2), rec(1, 2), || 5);
+        t.admit(PageId(3), rec(2, 3), || 7);
+        assert_eq!(t.search_work(), SearchWork::default());
+        // Lists 1 and 2 sit at the minimum key: a search visits both.
+        let victim = t.find_victim().unwrap();
+        assert_eq!(victim.page, PageId(1));
+        t.evict_slot_to_outqueue(victim.slot);
+        // List 2 is still at the minimum, so emptying list 1 rebuilt
+        // nothing, and the next search visits one list.
+        let victim = t.find_victim().unwrap();
+        assert_eq!(victim.page, PageId(2));
+        assert_eq!(t.search_work().lists_scanned, 0);
+        // Emptying the last list at the minimum rebuilds it over all three
+        // lists; the search after it visits one.
+        t.evict_slot_to_outqueue(victim.slot);
+        assert_eq!(t.find_victim().unwrap().page, PageId(3));
+        // A key refresh rebuilds over all three lists again.
+        t.refresh_keys(|_| 9);
+        assert_eq!(
+            t.search_work(),
+            SearchWork {
+                lists_visited: 2 + 1 + 1,
+                lists_scanned: 3 + 3,
+            }
+        );
         t.validate();
     }
 

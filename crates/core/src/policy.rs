@@ -5,7 +5,7 @@ use cache_sim::policy::{AccessOutcome, CachePolicy};
 use cache_sim::{HintSetId, PageId, Request};
 
 use crate::config::{ClicConfig, TrackingMode};
-use crate::page_table::{PageRecord, PageTable};
+use crate::page_table::{PageRecord, PageTable, SearchWork};
 use crate::priority::PriorityTable;
 use crate::tracker::{FullTracker, HintStatsTracker, TopKTracker};
 
@@ -145,6 +145,12 @@ impl Clic {
         self.requests_seen
     }
 
+    /// The victim index's work so far: hint lists visited by victim
+    /// searches and scanned by minimum-key rebuilds (see [`SearchWork`]).
+    pub fn search_work(&self) -> SearchWork {
+        self.table.search_work()
+    }
+
     /// Exports the current hint-set priorities as a snapshot.
     ///
     /// Together with [`Clic::import_priorities`] this is the building block
@@ -204,7 +210,7 @@ impl Clic {
     /// [`PageTable::find_victim`] directly for its slot handle; this wrapper
     /// serves the unit tests.)
     #[cfg(test)]
-    fn find_victim(&self) -> Option<(f64, PageId, HintSetId)> {
+    fn find_victim(&mut self) -> Option<(f64, PageId, HintSetId)> {
         self.table
             .find_victim()
             .map(|victim| (victim.priority, victim.page, victim.hint))
@@ -285,7 +291,7 @@ impl Clic {
                     _ => {
                         // Lines 19-22: do not cache p; remember it in the
                         // outqueue instead (slot re-used, no second probe:
-                        // find_victim does not mutate).
+                        // find_victim moves no slot).
                         let slot = found.map(|(slot, ..)| slot);
                         self.table.outqueue_insert_resolved(slot, req.page, record);
                         AccessOutcome::bypass()
@@ -639,6 +645,33 @@ mod tests {
         assert!(clic.contains(PageId(1)));
         let victim = clic.find_victim().unwrap();
         assert_eq!(victim.2, b);
+    }
+
+    #[test]
+    fn search_work_is_pinned_on_a_fixed_trace() {
+        // A full cache over one hot and eight cold hint sets: every miss
+        // searches for a victim and every window rebuilds the minimum.
+        // The counts are deterministic; a change to the victim index's
+        // work moves them.
+        let mut clic = Clic::new(16, small_config(64));
+        let hot = HintSetId(0);
+        let mut seq = 0u64;
+        for round in 0..100u64 {
+            clic.access(&read(round % 8, hot), seq);
+            let cold = HintSetId(1 + (round % 8) as u32);
+            clic.access(&read(1_000 + round, cold), seq + 1);
+            seq += 2;
+        }
+        assert_eq!(clic.windows_completed(), 3);
+        // Three window rebuilds over the nine lists, and no other: the
+        // minimum never ran out of lists between windows.
+        assert_eq!(
+            clic.search_work(),
+            SearchWork {
+                lists_visited: 760,
+                lists_scanned: 3 * 9,
+            }
+        );
     }
 
     #[test]

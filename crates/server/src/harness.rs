@@ -307,7 +307,7 @@ pub fn run_load(config: &LoadConfig, traces: &[Trace]) -> LoadReport {
     }
     // Publish the client-observed view into the server's registry (when a
     // recorder is enabled) so a Stats snapshot carries it alongside the
-    // worker-side service times.
+    // server-side service times.
     if let Some(histogram) = server.cache().recorder().histogram(CLIENT_BATCH_HISTOGRAM) {
         histogram.merge_snapshot(&all_latencies);
     }

@@ -17,11 +17,15 @@
 //!   [`clic_core::Clic`] driven by [`cache_sim::simulate`].
 //! * [`Server`] — a long-running front-end that accepts *batches* of
 //!   [`ServerRequest`]s (`Get`/`Put`/`Stats`, carrying the existing opaque
-//!   hint sets) and dispatches them to one worker thread per shard over
-//!   bounded channels, giving back-pressure instead of unbounded queueing.
-//!   A worker answers one *step* at a time (a delete, or up to
-//!   [`cache_sim::REPLAY_CHUNK`] accesses) and sends the step's replies back
-//!   as one channel message, so a blocked submitter wakes once per step.
+//!   hint sets). [`Server::submit`] serves a batch on the caller's thread,
+//!   its shards in shard order, one *step* at a time (a delete, or up to
+//!   [`cache_sim::REPLAY_CHUNK`] accesses under the shard's lock); separate
+//!   submitters run in parallel, and the shard lock is the back-pressure.
+//!   The network front-end, which must never block on a shard, queues its
+//!   sub-batches to one worker thread per shard over bounded channels
+//!   instead; a worker serves them through the same step routine and sends
+//!   each step's replies back as one channel message, so a blocked
+//!   submitter wakes once per step.
 //! * [`run_load`] — a closed-loop load harness that spawns one client thread
 //!   per input trace (typically [`trace_gen`] presets over disjoint page
 //!   ranges), drives them against a server concurrently, and reports
@@ -42,8 +46,9 @@
 //!   `epoll` poller of [`sys`] — no thread per connection, a 64-request
 //!   in-flight window per connection (a request holds its slot until its
 //!   reply is written) as the one back-pressure mechanism, and per-shard
-//!   coalescing into the same tagged enqueue and batched worker path
-//!   `submit` uses. The loop never polls on a timer: it sleeps until a
+//!   coalescing into the tagged enqueue of
+//!   [`Server::submit_shard_tagged`], whose workers serve through the step
+//!   routine `submit` runs inline. The loop never polls on a timer: it sleeps until a
 //!   socket is ready or a shard worker, done with a step, sends that step's
 //!   replies as one message and fires the loop's `eventfd` waker
 //!   ([`sys::Waker`], carried in the [`server::ReplySink`] the loop submits
@@ -142,7 +147,7 @@
 //!
 //! Codes 3, 4 and 5 are unassigned and rejected like any unknown code. The server
 //! never sheds load: saturation blocks (the in-flight window, the bounded
-//! shard queues) instead of answering, so no error response is worth
+//! shard queues, the shard locks) instead of answering, so no error response is worth
 //! resending. The client's [`RetryPolicy`] retries transport failures
 //! only, backing off exponentially with jitter before it reconnects.
 //!
@@ -158,9 +163,10 @@
 //!   socket writes) via [`NetOptions`]. Disabled injectors are a single
 //!   branch on the hot path — the same zero-cost-when-off contract as the
 //!   [`Recorder`].
-//! * **Error propagation**: store errors flow from the shard workers
-//!   through the completion path into `Error` frames instead of panicking
-//!   the worker.
+//! * **Error propagation**: a step turns a store error into a typed
+//!   [`ErrorCode`] for that step's requests — an `Error` response from
+//!   [`Server::submit`], an `Error` frame through the front-end's
+//!   completion path — instead of panicking the serving thread.
 //! * **Graceful degradation**: [`BlockingClient`] supports connect/read/write
 //!   timeouts, reconnection, and bounded seeded-jitter retries
 //!   ([`RetryPolicy`]); the open-loop generator counts error responses

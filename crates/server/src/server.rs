@@ -1,46 +1,57 @@
-//! The long-running server front-end: batched request dispatch to shard
-//! worker threads over bounded channels.
+//! The long-running server front-end: a sharded cache served one shard
+//! *step* at a time, on the caller's thread for [`Server::submit`] and on
+//! one worker thread per shard for the network front-end.
 //!
-//! One worker thread per shard owns that shard's request stream. The
-//! front-end splits every submitted batch by shard, sends the per-shard
-//! sub-batches through *bounded* channels (so a slow shard exerts
-//! back-pressure on clients instead of queueing unboundedly), and reassembles
-//! the responses in batch order. Requests for the same shard are processed in
-//! submission order; requests for different shards proceed concurrently.
+//! [`Server::submit`] splits a batch by shard and serves the shards' parts
+//! in shard order on the calling thread: no queue, no hand-off and no copy
+//! of a request. Separate submitters run in parallel; two that meet on one
+//! shard take turns at its lock, one step at a time, so the shard lock is
+//! the back-pressure. Requests for the same shard are processed in
+//! submission order.
 //!
-//! The unit of delivery is the shard *step* — one delete, or up to
-//! [`REPLAY_CHUNK`] consecutive accesses: a worker sends a step's replies to
-//! the submitter as one channel message and wakes it at most once, so a
-//! submitter blocked on its channel is unparked once per step, not once per
-//! reply.
+//! The event-driven network front-end must never block on a shard, so
+//! [`Server::submit_shard_tagged`] queues a per-shard sub-batch on a
+//! *bounded* channel to that shard's worker thread instead: a slow shard
+//! exerts back-pressure on the front-end instead of queueing unboundedly.
+//!
+//! Both paths serve through the one step routine: a step is one delete, or
+//! up to [`REPLAY_CHUNK`] consecutive accesses under one lock. A worker
+//! sends a step's replies to its submitter as one channel message and wakes
+//! it at most once, so a submitter blocked on its channel is unparked once
+//! per step, not once per reply; an inline step writes its replies straight
+//! into the caller's response vector.
 //!
 //! Over a store whose log syncs ([`Durability::GroupCommit`],
-//! [`Durability::Strict`]), each worker owns a log writer thread. The worker
+//! [`Durability::Strict`]), each shard has a log writer thread. A step
 //! appends without syncing and answers reads at once. It hands the
-//! acknowledgements of a step's writes and deletes to the writer as one
+//! acknowledgements of its writes and deletes to the writer as one
 //! message; the writer syncs the log once for all it holds and only then
 //! delivers them, still one message per step, so an acknowledged
 //! logged write is device-durable for the network front-end and
 //! [`Server::submit`] alike (the contract in [`clic_store::wal`]).
 
+use std::borrow::Borrow;
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
+use cache_sim::policy::AccessOutcome;
 use cache_sim::{IoStats, Request, SimulationResult, REPLAY_CHUNK};
 use clic_core::ClicConfig;
-use clic_obs::{Gauge, MetricsSnapshot, Recorder, SpanKind};
+use clic_obs::{Gauge, LatencyHistogram, MetricsSnapshot, Recorder, SpanKind};
 use clic_store::{Durability, PageStore, StoreConfig};
 
 use crate::protocol::{ErrorCode, ServerRequest, ServerResponse, StatsSnapshot};
 use crate::sharded::{ShardedClic, ShardedClicConfig};
 use crate::sys::Waker;
 
-/// Gauge name for the number of sub-batches currently queued (or in
-/// flight) across all shard workers; its peak records the deepest backlog.
+/// Gauge name for the number of shard sub-batches currently queued or in
+/// service, whichever thread serves them: raised when a sub-batch is queued
+/// for a worker or taken up by a [`Server::submit`] caller, lowered once
+/// it is served. Its peak records the deepest backlog.
 pub const QUEUE_DEPTH_GAUGE: &str = "server.queue_depth";
 
-/// Histogram name for per-sub-batch shard-worker service time in
-/// microseconds (dequeue to last reply sent).
+/// Histogram name for per-sub-batch service time in microseconds (start of
+/// service to last reply handed on).
 pub const BATCH_SERVICE_HISTOGRAM: &str = "server.batch_service_us";
 
 /// Bound of each shard worker's request queue, in sub-batches: enough to
@@ -128,12 +139,12 @@ pub struct ShardOutcome {
     pub data: Option<Vec<u8>>,
 }
 
-/// One reply from a shard worker: the submitter's tag for the operation
+/// One reply from a shard step: the submitter's tag for the operation
 /// (its batch position in [`Server::submit`], a slab index in the
 /// event-driven front-end), and either the successful [`ShardOutcome`] or
 /// the [`ErrorCode`] to answer with — storage failures propagate here
-/// instead of panicking the worker. Replies travel in batches, one message
-/// per shard step ([`ReplySink`]).
+/// instead of panicking the serving thread. Replies that travel on a
+/// channel travel in batches, one message per shard step ([`ReplySink`]).
 pub type ShardReply = (usize, Result<ShardOutcome, ErrorCode>);
 
 /// Where a shard worker answers a submission: the submitter's reply channel
@@ -165,7 +176,7 @@ impl ReplySink {
 
     /// Puts `replies` on the channel as one message and, if there were
     /// any and `wake` is set, wakes a submitter that has to be woken. The
-    /// one place replies leave a shard.
+    /// one place replies leave a shard on a channel.
     fn deliver(&self, replies: Vec<ShardReply>, wake: bool) {
         if replies.is_empty() {
             return;
@@ -177,27 +188,10 @@ impl ReplySink {
     }
 }
 
-/// One operation inside a [`ShardJob`], in submission order.
-enum ShardOp {
-    /// A cache access (`Get`/`Put`), batched through the policy fast path.
-    Data {
-        request: Request,
-        /// The `Put` payload (`None` for `Get`s, and ignored entirely on a
-        /// server without a store).
-        payload: Option<Vec<u8>>,
-    },
-    /// A page invalidation, applied between the surrounding access batches
-    /// so intra-shard submission order is preserved.
-    Delete { page: cache_sim::PageId },
-}
-
-/// A per-shard unit of work: the operations routed to one shard (with the
-/// submitter's tags, index-aligned), plus the sink the worker answers
-/// on. Tags and operations are kept in separate vectors so the worker can
-/// hand contiguous access runs to the cache's batched access path.
+/// A per-shard unit of queued work: the operations routed to one shard,
+/// each with the submitter's tag, plus the sink the worker answers on.
 struct ShardJob {
-    tags: Vec<usize>,
-    ops: Vec<ShardOp>,
+    ops: Vec<(usize, ServerRequest)>,
     reply: ReplySink,
 }
 
@@ -205,130 +199,301 @@ struct ShardJob {
 /// through a log writer ([`write_log`]), with the sink they go to.
 type Ack = (ReplySink, Vec<ShardReply>);
 
-/// The shard worker: serves `shard`'s jobs until every sender is gone.
-///
-/// Operations are applied in submission order, one *step* at a time: a
-/// delete, or up to [`REPLAY_CHUNK`] consecutive accesses through
-/// [`ShardedClic::access_shard_batch_data`] — one lock and one batched
-/// policy call per chunk instead of one of each per request. Splitting at
-/// the workspace-wide chunk size keeps an oversized client batch from
-/// monopolizing the shard lock and replays at the granularity of the
-/// offline `simulate()` driver. A storage failure answers the step's
-/// requests with a typed error and the job continues — one bad page does
-/// not poison the rest of the batch; a client that gave up on its batch
-/// only loses the replies, the cache still observes every dispatched
-/// operation.
-///
-/// Each step's replies leave as one message. With a `log` writer, a step's
-/// reads are delivered first and the acknowledgements of its writes and
-/// deletes are then handed to the writer, also as one message, so a read
-/// never waits for a sync.
-fn serve_shard(
-    shard: usize,
-    cache: &ShardedClic,
-    jobs: mpsc::Receiver<ShardJob>,
-    log: Option<mpsc::Sender<Ack>>,
-) {
-    let recorder = cache.recorder();
-    let queue_depth = recorder.gauge(QUEUE_DEPTH_GAUGE);
-    let service_hist = recorder.histogram(BATCH_SERVICE_HISTOGRAM);
-    let mut reqs: Vec<Request> = Vec::new();
-    let mut payloads: Vec<Option<Vec<u8>>> = Vec::new();
-    let mut outcomes = Vec::new();
-    let mut data = Vec::new();
-    let mut results: Vec<Result<ShardOutcome, ErrorCode>> = Vec::new();
-    while let Ok(mut job) = jobs.recv() {
-        if let Some(gauge) = &queue_depth {
-            gauge.dec();
-        }
-        // One ShardBatch span (detail: operations served) and one
-        // service-time sample per dequeued sub-batch.
-        let mut span = recorder.span(SpanKind::ShardBatch);
-        span.set_detail(job.ops.len() as u64);
-        let mut i = 0;
-        while i < job.ops.len() {
-            let step = i;
-            let served = match job.ops[i] {
-                ShardOp::Delete { page } => {
-                    i += 1;
-                    cache.delete(page).map(|existed| {
-                        results.push(Ok(ShardOutcome {
-                            hit: existed,
-                            data: None,
-                        }));
-                    })
-                }
-                ShardOp::Data { .. } => {
-                    reqs.clear();
-                    payloads.clear();
-                    while reqs.len() < REPLAY_CHUNK {
-                        let Some(ShardOp::Data { request, payload }) = job.ops.get_mut(i) else {
-                            break;
-                        };
-                        reqs.push(*request);
-                        payloads.push(payload.take());
-                        i += 1;
-                    }
-                    outcomes.clear();
-                    data.clear();
-                    cache
-                        .access_shard_batch_data(shard, &reqs, &payloads, &mut outcomes, &mut data)
-                        .map(|()| {
-                            // `data` is empty without a store: every Get
-                            // then answers without bytes.
-                            let bytes = data.drain(..).chain(std::iter::repeat(None));
-                            results.extend(outcomes.iter().zip(bytes).map(|(outcome, data)| {
-                                Ok(ShardOutcome {
-                                    hit: outcome.hit,
-                                    data,
-                                })
-                            }));
-                        })
-                }
-            };
-            if let Err(err) = served {
-                let code = ErrorCode::from_io_error(&err);
-                results.clear();
-                results.resize_with(i - step, || Err(code));
-            }
-            let replies = job.tags[step..i].iter().copied().zip(results.drain(..));
-            let Some(log) = &log else {
-                job.reply.deliver(replies.collect(), true);
-                continue;
-            };
-            let is_delete = matches!(job.ops[step], ShardOp::Delete { .. });
-            let mut reads = Vec::new();
-            let mut acks = Vec::new();
-            for (k, reply) in replies.enumerate() {
-                if is_delete || !reqs[k].is_read() {
-                    acks.push(reply);
-                } else {
-                    reads.push(reply);
-                }
-            }
-            job.reply.deliver(reads, true);
-            if !acks.is_empty() {
-                let _ = log.send((job.reply.clone(), acks));
+/// Where a served step's replies go. Reads, and everything on a shard
+/// without a log writer, are answered at once; the acknowledgements of
+/// logged writes and deletes go through the shard's log writer to
+/// [`Answers::ack_sink`].
+trait Answers {
+    /// Takes one reply that is answered at once.
+    fn answer(&mut self, reply: ShardReply);
+    /// Ends a step's immediate replies.
+    fn end_step(&mut self) {}
+    /// The sink the log writer delivers this submitter's acknowledgements
+    /// to; asked for only when a step has some.
+    fn ack_sink(&mut self) -> ReplySink;
+}
+
+/// A queued job's answers: each step's immediate replies leave as one
+/// message on the job's sink.
+struct QueuedAnswers<'a> {
+    sink: &'a ReplySink,
+    replies: Vec<ShardReply>,
+}
+
+impl Answers for QueuedAnswers<'_> {
+    fn answer(&mut self, reply: ShardReply) {
+        self.replies.push(reply);
+    }
+
+    fn end_step(&mut self) {
+        self.sink.deliver(std::mem::take(&mut self.replies), true);
+    }
+
+    fn ack_sink(&mut self) -> ReplySink {
+        self.sink.clone()
+    }
+}
+
+/// [`Server::submit`]'s answers: every reply lands in its response slot.
+/// Acknowledgements of logged writes come back on a channel made for the
+/// first of them.
+struct InlineAnswers<'a> {
+    batch: &'a [ServerRequest],
+    responses: Vec<Option<ServerResponse>>,
+    acks: Option<(ReplySink, mpsc::Receiver<Vec<ShardReply>>)>,
+}
+
+impl Answers for InlineAnswers<'_> {
+    fn answer(&mut self, (position, outcome): ShardReply) {
+        self.responses[position] = Some(match outcome {
+            Err(code) => ServerResponse::Error { code },
+            Ok(ShardOutcome { hit, data }) => match &self.batch[position] {
+                ServerRequest::Get { .. } => ServerResponse::Get { hit, data },
+                ServerRequest::Put { .. } => ServerResponse::Put { hit },
+                ServerRequest::Delete { .. } => ServerResponse::Delete { existed: hit },
+                ServerRequest::Stats => unreachable!("stats operations are answered inline"),
+            },
+        });
+    }
+
+    fn ack_sink(&mut self) -> ReplySink {
+        let (sink, _) = self.acks.get_or_insert_with(|| {
+            let (tx, rx) = mpsc::channel();
+            (ReplySink::new(tx), rx)
+        });
+        sink.clone()
+    }
+}
+
+impl InlineAnswers<'_> {
+    /// Waits for the log writers' acknowledgements, if any step handed them
+    /// some, and returns the responses in batch order. No shard lock is
+    /// held here.
+    fn finish(mut self) -> Vec<ServerResponse> {
+        if let Some((sink, acks)) = self.acks.take() {
+            // A writer drops its clone of the sink once it has delivered
+            // that step's acknowledgements, so the channel ends with the
+            // last of them.
+            drop(sink);
+            for reply in acks.into_iter().flatten() {
+                self.answer(reply);
             }
         }
-        if let (Some(hist), Some(start_ns), Some(clock)) =
-            (service_hist.as_deref(), span.start_ns(), recorder.clock())
-        {
-            hist.record(clock.now_nanos().saturating_sub(start_ns) / 1_000);
+        self.responses
+            .into_iter()
+            .map(|response| {
+                // invariant: every batch slot was filled inline (Stats), by
+                // a step, or by a log writer's acknowledgement.
+                #[allow(clippy::expect_used)]
+                response.expect("every batch slot is answered")
+            })
+            .collect()
+    }
+}
+
+/// The server's cached instrument handles; `None` on a disabled recorder.
+#[derive(Debug, Clone)]
+struct Instruments {
+    /// [`QUEUE_DEPTH_GAUGE`].
+    queue_depth: Option<Gauge>,
+    /// [`BATCH_SERVICE_HISTOGRAM`].
+    service: Option<Arc<LatencyHistogram>>,
+}
+
+impl Instruments {
+    /// Counts a sub-batch in [`QUEUE_DEPTH_GAUGE`] until it is served.
+    fn enqueue(&self) {
+        if let Some(gauge) = &self.queue_depth {
+            gauge.inc();
         }
     }
 }
 
-/// A shard's log writer: blocks for the worker's first step of
-/// acknowledgements, drains the rest, syncs the log once for all of them
+/// The step routine and its scratch buffers, held by whichever thread
+/// serves a shard: its worker for queued jobs, a [`Server::submit`] caller
+/// for its own batch.
+struct Steps<'a> {
+    cache: &'a ShardedClic,
+    instruments: &'a Instruments,
+    reqs: Vec<Request>,
+    outcomes: Vec<AccessOutcome>,
+    data: Vec<Option<Vec<u8>>>,
+    results: Vec<Result<ShardOutcome, ErrorCode>>,
+}
+
+impl<'a> Steps<'a> {
+    fn new(cache: &'a ShardedClic, instruments: &'a Instruments) -> Self {
+        Steps {
+            cache,
+            instruments,
+            reqs: Vec::with_capacity(REPLAY_CHUNK),
+            outcomes: Vec::with_capacity(REPLAY_CHUNK),
+            data: Vec::new(),
+            results: Vec::with_capacity(REPLAY_CHUNK),
+        }
+    }
+
+    /// Serves one shard sub-batch — `ops`, all routed to `shard`, none a
+    /// [`ServerRequest::Stats`] — one step at a time, in order, under one
+    /// `ShardBatch` span (detail: operations served) and one service-time
+    /// sample, then lowers [`QUEUE_DEPTH_GAUGE`] for it.
+    fn serve<R: Borrow<ServerRequest>>(
+        &mut self,
+        shard: usize,
+        log: Option<&mpsc::Sender<Ack>>,
+        ops: &[(usize, R)],
+        answers: &mut impl Answers,
+    ) {
+        let recorder = self.cache.recorder();
+        let mut span = recorder.span(SpanKind::ShardBatch);
+        span.set_detail(ops.len() as u64);
+        let mut rest = ops;
+        while !rest.is_empty() {
+            let served = self.step(shard, log, rest, answers);
+            rest = &rest[served..];
+        }
+        if let (Some(hist), Some(start_ns), Some(clock)) = (
+            self.instruments.service.as_deref(),
+            span.start_ns(),
+            recorder.clock(),
+        ) {
+            hist.record(clock.now_nanos().saturating_sub(start_ns) / 1_000);
+        }
+        if let Some(gauge) = &self.instruments.queue_depth {
+            gauge.dec();
+        }
+    }
+
+    /// The step routine: serves the step at the front of `ops` — a delete,
+    /// or up to [`REPLAY_CHUNK`] consecutive accesses through
+    /// [`ShardedClic::access_shard_batch_data`], one lock and one batched
+    /// policy call per step instead of one of each per request — and
+    /// returns how many operations it served. Splitting at the
+    /// workspace-wide chunk size keeps an oversized batch from monopolizing
+    /// the shard lock and replays at the granularity of the offline
+    /// `simulate()` driver.
+    ///
+    /// A storage failure answers the step's requests with a typed error and
+    /// the sub-batch continues — one bad page does not poison the rest; a
+    /// client that gave up on its batch only loses the replies, the cache
+    /// still observes every dispatched operation. With a `log` writer, the
+    /// step's reads are answered first and the acknowledgements of its
+    /// writes and deletes are then handed to the writer as one message, so
+    /// a read never waits for a sync.
+    fn step<R: Borrow<ServerRequest>>(
+        &mut self,
+        shard: usize,
+        log: Option<&mpsc::Sender<Ack>>,
+        ops: &[(usize, R)],
+        answers: &mut impl Answers,
+    ) -> usize {
+        let Steps {
+            cache,
+            reqs,
+            outcomes,
+            data,
+            results,
+            ..
+        } = self;
+        let (count, served) = match *ops[0].1.borrow() {
+            ServerRequest::Delete { page } => (
+                1,
+                cache.delete(page).map(|existed| {
+                    results.push(Ok(ShardOutcome {
+                        hit: existed,
+                        data: None,
+                    }));
+                }),
+            ),
+            _ => {
+                reqs.clear();
+                reqs.extend(
+                    ops.iter()
+                        .take(REPLAY_CHUNK)
+                        .map_while(|(_, op)| op.borrow().to_request()),
+                );
+                debug_assert!(!reqs.is_empty(), "a stats operation reached a shard");
+                // Payloads are borrowed from the operations, and only a
+                // store reads them.
+                let payloads: Vec<Option<&[u8]>> = match cache.shard_store(shard) {
+                    Some(_) => ops[..reqs.len()]
+                        .iter()
+                        .map(|(_, op)| match op.borrow() {
+                            ServerRequest::Put { data, .. } => data.as_deref(),
+                            _ => None,
+                        })
+                        .collect(),
+                    None => Vec::new(),
+                };
+                outcomes.clear();
+                data.clear();
+                let served = cache
+                    .access_shard_batch_data(shard, reqs, &payloads, outcomes, data)
+                    .map(|()| {
+                        // `data` is empty without a store: every Get then
+                        // answers without bytes.
+                        let bytes = data.drain(..).chain(std::iter::repeat(None));
+                        results.extend(outcomes.iter().zip(bytes).map(|(outcome, data)| {
+                            Ok(ShardOutcome {
+                                hit: outcome.hit,
+                                data,
+                            })
+                        }));
+                    });
+                (reqs.len(), served)
+            }
+        };
+        if let Err(err) = served {
+            let code = ErrorCode::from_io_error(&err);
+            results.clear();
+            results.resize_with(count, || Err(code));
+        }
+        let mut acks = Vec::new();
+        for ((tag, op), result) in ops[..count].iter().zip(results.drain(..)) {
+            let logged = log.is_some() && !matches!(op.borrow(), ServerRequest::Get { .. });
+            if logged {
+                acks.push((*tag, result));
+            } else {
+                answers.answer((*tag, result));
+            }
+        }
+        answers.end_step();
+        if let (Some(log), false) = (log, acks.is_empty()) {
+            let _ = log.send((answers.ack_sink(), acks));
+        }
+        count
+    }
+}
+
+/// The shard worker: serves `shard`'s queued jobs until every sender is
+/// gone, answering each step's replies as one message on the job's sink.
+fn serve_queued(
+    shard: usize,
+    cache: &ShardedClic,
+    instruments: &Instruments,
+    jobs: mpsc::Receiver<ShardJob>,
+    log: Option<mpsc::Sender<Ack>>,
+) {
+    let mut steps = Steps::new(cache, instruments);
+    while let Ok(job) = jobs.recv() {
+        let mut answers = QueuedAnswers {
+            sink: &job.reply,
+            replies: Vec::new(),
+        };
+        steps.serve(shard, log.as_ref(), &job.ops, &mut answers);
+    }
+}
+
+/// A shard's log writer: blocks for the first step of acknowledgements,
+/// drains the rest, syncs the log once for all of them
 /// ([`PageStore::sync_wal`], told how many acknowledgements it covers), then
 /// delivers each step's as one message, waking each submitter once per
 /// sync. If the sync failed, every one of them is answered with
 /// [`ErrorCode::Io`] instead, and so is everything after it: the log stays
-/// failed until the store is reopened. The worker may checkpoint the store
-/// at its log budget while a sync is in flight; that sync then covers
+/// failed until the store is reopened. A step may checkpoint the store at
+/// its log budget while a sync is in flight; that sync then covers
 /// nothing appended after the truncation, so such a write waits for the
-/// next sync. Returns when the worker is gone.
+/// next sync. Returns when the worker and the server are gone.
 fn write_log(store: &PageStore, acks: mpsc::Receiver<Ack>) {
     let mut held: Vec<Ack> = Vec::new();
     while let Ok(step) = acks.recv() {
@@ -364,11 +529,11 @@ fn write_log(store: &PageStore, acks: mpsc::Receiver<Ack>) {
 pub struct Server {
     cache: Arc<ShardedClic>,
     senders: Vec<mpsc::SyncSender<ShardJob>>,
+    /// Each shard's log writer, shared with its worker; `None` where the
+    /// shard has no store or its store syncs inline.
+    logs: Vec<Option<mpsc::Sender<Ack>>>,
     workers: Vec<JoinHandle<()>>,
-    /// Cached [`QUEUE_DEPTH_GAUGE`] handle; `None` on a disabled recorder.
-    /// Incremented per sub-batch sent, decremented by the worker after
-    /// serving it, so the value counts queued + in-flight sub-batches.
-    queue_depth: Option<Gauge>,
+    instruments: Instruments,
 }
 
 impl Server {
@@ -392,13 +557,17 @@ impl Server {
             store.durability = durability;
         }
         let cache = Arc::new(ShardedClic::try_new(cache_config)?);
-        let queue_depth = cache.recorder().gauge(QUEUE_DEPTH_GAUGE);
+        let instruments = Instruments {
+            queue_depth: cache.recorder().gauge(QUEUE_DEPTH_GAUGE),
+            service: cache.recorder().histogram(BATCH_SERVICE_HISTOGRAM),
+        };
         let mut senders = Vec::with_capacity(cache.shard_count());
+        let mut logs = Vec::with_capacity(cache.shard_count());
         let mut workers = Vec::with_capacity(cache.shard_count());
         for shard in 0..cache.shard_count() {
             let (sender, receiver) = mpsc::sync_channel::<ShardJob>(QUEUE_DEPTH);
-            // The worker owns its log writer: it drops the writer's channel
-            // and joins it (re-raising its panic) on the way out, so stopping
+            // The worker owns its log writer: it drops its sender and joins
+            // the writer (re-raising its panic) on the way out, so stopping
             // the workers stops the writers once their acks are delivered.
             let writer = match cache.stores().get(shard) {
                 Some(store) if store.hand_off_wal_sync()? => {
@@ -411,12 +580,14 @@ impl Server {
                 }
                 _ => None,
             };
+            logs.push(writer.as_ref().map(|(log, _)| log.clone()));
             let cache = Arc::clone(&cache);
+            let instruments = instruments.clone();
             let worker = thread::Builder::new()
                 .name(format!("clic-shard-{shard}"))
                 .spawn(move || {
                     let (log, writer) = writer.unzip();
-                    serve_shard(shard, &cache, receiver, log);
+                    serve_queued(shard, &cache, &instruments, receiver, log);
                     if let Some(Err(panic)) = writer.map(JoinHandle::join) {
                         std::panic::resume_unwind(panic);
                     }
@@ -427,100 +598,56 @@ impl Server {
         Ok(Server {
             cache,
             senders,
+            logs,
             workers,
-            queue_depth,
+            instruments,
         })
     }
 
-    /// Decodes a protocol operation into the worker representation, or
-    /// `None` for [`ServerRequest::Stats`] (answered by the front-end).
-    fn shard_op(operation: ServerRequest) -> Option<ShardOp> {
-        let request = operation.to_request();
-        // invariant: `to_request` is `Some` for every Get/Put by
-        // construction — only Delete and Stats map to `None`.
-        #[allow(clippy::expect_used)]
-        match operation {
-            ServerRequest::Stats => None,
-            ServerRequest::Delete { page } => Some(ShardOp::Delete { page }),
-            ServerRequest::Put { data, .. } => Some(ShardOp::Data {
-                request: request.expect("a Put is a cache access"),
-                payload: data,
-            }),
-            ServerRequest::Get { .. } => Some(ShardOp::Data {
-                request: request.expect("a Get is a cache access"),
-                payload: None,
-            }),
-        }
-    }
-
-    /// Submits one batch and blocks until every response is available.
-    /// Responses are returned in batch order.
+    /// Submits one batch, serves it on the calling thread and returns the
+    /// responses in batch order.
     ///
-    /// `Get`/`Put`/`Delete` operations are routed to their page's shard
-    /// worker; operations for the same shard are served in batch order,
-    /// operations for different shards concurrently. A
-    /// [`ServerRequest::Stats`] operation is answered by the front-end with
-    /// a snapshot taken *before* the batch's own data requests are
-    /// dispatched.
+    /// `Get`/`Put`/`Delete` operations are split by their page's shard, and
+    /// the shards' parts are served in shard order, each in batch order,
+    /// one step at a time under the shard's lock. Separate submitters run
+    /// in parallel; one that finds a shard busy waits for its lock, which
+    /// is the back-pressure. A logged write's response waits until the
+    /// shard's log writer has synced it, after the whole batch is served. A
+    /// [`ServerRequest::Stats`] operation is answered with a snapshot taken
+    /// *before* the batch's own data requests are served.
     pub fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerResponse> {
-        let (reply_sender, reply_receiver) = mpsc::channel();
-        let reply_sender = ReplySink::new(reply_sender);
-        let mut per_shard: Vec<Vec<(usize, ServerRequest)>> =
-            vec![Vec::new(); self.cache.shard_count()];
-        let mut responses: Vec<Option<ServerResponse>> = batch.iter().map(|_| None).collect();
+        let mut answers = InlineAnswers {
+            batch,
+            responses: batch.iter().map(|_| None).collect(),
+            acks: None,
+        };
+        let mut per_shard: Vec<Vec<(usize, &ServerRequest)>> = (0..self.cache.shard_count())
+            .map(|_| Vec::with_capacity(batch.len()))
+            .collect();
         for (position, operation) in batch.iter().enumerate() {
             match operation.page() {
-                Some(page) => {
-                    per_shard[self.cache.shard_of(page)].push((position, operation.clone()));
-                }
+                Some(page) => per_shard[self.cache.shard_of(page)].push((position, operation)),
                 None => {
-                    responses[position] = Some(ServerResponse::Stats(Box::new(StatsSnapshot {
-                        result: self.stats(),
-                        metrics: self.metrics(),
-                    })));
+                    answers.responses[position] =
+                        Some(ServerResponse::Stats(Box::new(StatsSnapshot {
+                            result: self.stats(),
+                            metrics: self.metrics(),
+                        })));
                 }
             }
         }
-        let mut outstanding = 0usize;
-        for (shard, ops) in per_shard.into_iter().enumerate() {
-            outstanding += self.submit_shard_tagged(shard, ops, &reply_sender);
-        }
-        drop(reply_sender);
-        let mut answered = 0;
-        while answered < outstanding {
-            // invariant: the workers answer every submitted tag exactly
-            // once (success or typed error) before dropping the sender.
-            #[allow(clippy::expect_used)]
-            let replies = reply_receiver
-                .recv()
-                .expect("shard worker dropped a batch reply");
-            answered += replies.len();
-            for (position, outcome) in replies {
-                responses[position] = Some(match outcome {
-                    Err(code) => ServerResponse::Error { code },
-                    Ok(ShardOutcome { hit, data }) => match &batch[position] {
-                        ServerRequest::Get { .. } => ServerResponse::Get { hit, data },
-                        ServerRequest::Put { .. } => ServerResponse::Put { hit },
-                        ServerRequest::Delete { .. } => ServerResponse::Delete { existed: hit },
-                        ServerRequest::Stats => {
-                            unreachable!("stats operations are answered inline")
-                        }
-                    },
-                });
+        let mut steps = Steps::new(&self.cache, &self.instruments);
+        for (shard, ops) in per_shard.iter().enumerate() {
+            if ops.is_empty() {
+                continue;
             }
+            self.instruments.enqueue();
+            steps.serve(shard, self.logs[shard].as_ref(), ops, &mut answers);
         }
-        responses
-            .into_iter()
-            .map(|response| {
-                // invariant: every batch slot was filled inline (Stats) or
-                // by the reply loop above.
-                #[allow(clippy::expect_used)]
-                response.expect("every batch slot is answered")
-            })
-            .collect()
+        answers.finish()
     }
 
-    /// Submits operations to one shard's worker *without* waiting for the
+    /// Queues operations for one shard's worker *without* waiting for the
     /// replies: each `(tag, operation)` pair is answered on `reply` as a
     /// [`ShardReply`] `(tag, outcome)`, in the one message that carries its
     /// step's replies (see [`ReplySink`]); a successful `outcome`'s `hit` is
@@ -535,9 +662,12 @@ impl Server {
     /// itself blocks only while the shard's bounded queue is full, which is
     /// the worker back-pressure propagating to the submitter.
     ///
-    /// Every operation must route to `shard` (debug-asserted) and must not
-    /// be [`ServerRequest::Stats`] — stats carry no page, so the caller
-    /// answers them inline with [`Server::stats`]/[`Server::metrics`].
+    /// # Panics
+    ///
+    /// Panics if an operation is a [`ServerRequest::Stats`] — stats carry no
+    /// page, so the caller answers them inline with
+    /// [`Server::stats`]/[`Server::metrics`] — and, in debug builds, if an
+    /// operation does not route to `shard`.
     pub fn submit_shard_tagged(
         &self,
         shard: usize,
@@ -547,31 +677,24 @@ impl Server {
         if ops.is_empty() {
             return 0;
         }
-        let submitted = ops.len();
-        let mut tags = Vec::with_capacity(submitted);
-        let mut shard_ops = Vec::with_capacity(submitted);
-        for (tag, operation) in ops {
+        for (_, operation) in &ops {
+            let page = operation.page();
+            assert!(
+                page.is_some(),
+                "stats operations cannot be submitted to a shard"
+            );
             debug_assert_eq!(
-                operation.page().map(|page| self.cache.shard_of(page)),
+                page.map(|page| self.cache.shard_of(page)),
                 Some(shard),
                 "operation routed to the wrong shard"
             );
-            // invariant: the front-end answers Stats inline; only paged
-            // operations reach a shard submission.
-            #[allow(clippy::expect_used)]
-            let op =
-                Self::shard_op(operation).expect("stats operations cannot be submitted to a shard");
-            tags.push(tag);
-            shard_ops.push(op);
         }
+        let submitted = ops.len();
+        self.instruments.enqueue();
         let job = ShardJob {
-            tags,
-            ops: shard_ops,
+            ops,
             reply: reply.clone(),
         };
-        if let Some(gauge) = &self.queue_depth {
-            gauge.inc();
-        }
         // invariant: workers only exit after the senders are dropped at
         // shutdown, which cannot race a live borrow of the server.
         #[allow(clippy::expect_used)]
@@ -603,8 +726,11 @@ impl Server {
         self.cache.merge_priorities();
     }
 
+    /// Stops the workers and, with them, the log writers. The server's own
+    /// log senders go first, or a writer would never see its channel close.
     fn stop_workers(&mut self) {
         self.senders.clear();
+        self.logs.clear();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -1048,10 +1174,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Queues `batch` on the shard workers, split by shard and tagged with
+    /// batch positions, and waits for every reply.
+    fn submit_queued(server: &Server, batch: &[ServerRequest]) -> Vec<ShardReply> {
+        let (tx, rx) = mpsc::channel();
+        let sink = ReplySink::new(tx);
+        let mut per_shard = vec![Vec::new(); server.cache().shard_count()];
+        for (tag, op) in batch.iter().enumerate() {
+            let shard = server.cache().shard_of(op.page().unwrap());
+            per_shard[shard].push((tag, op.clone()));
+        }
+        let expected: usize = per_shard
+            .into_iter()
+            .enumerate()
+            .map(|(shard, ops)| server.submit_shard_tagged(shard, ops, &sink))
+            .sum();
+        drop(sink);
+        let replies: Vec<ShardReply> = rx.iter().flatten().collect();
+        assert_eq!(replies.len(), expected, "every queued reply arrives");
+        replies
+    }
+
     #[test]
     fn concurrent_clients_share_one_server_without_deadlock() {
-        // Twice as many clients as a shard has queue slots, so a shard's
-        // queue fills and blocks its senders.
+        // Twice as many queued submitters as a shard has queue slots, so a
+        // shard's queue fills and blocks its senders.
         let server = Server::start(ServerConfig::new(64).with_shards(4).with_merge_every(100));
         let clients = 2 * QUEUE_DEPTH as u64;
         let batches = 200u64;
@@ -1062,13 +1209,60 @@ mod tests {
                     for i in 0..batches {
                         let batch: Vec<ServerRequest> =
                             (0..8).map(|p| get(c * 1_000 + (i + p) % 40)).collect();
-                        let responses = server.submit(&batch);
-                        assert_eq!(responses.len(), 8);
+                        let replies = submit_queued(server, &batch);
+                        assert_eq!(replies.len(), 8);
+                        assert!(replies.iter().all(|(_, result)| result.is_ok()));
                     }
                 });
             }
         });
         let result = server.shutdown();
         assert_eq!(result.stats.requests(), clients * batches * 8);
+    }
+
+    #[test]
+    fn inline_and_queued_submitters_share_a_logged_shard() {
+        // Both paths append to one group-commit store and hand their acks
+        // to its one log writer.
+        let (server, store_config) = group_commit_server("mixed", FaultInjector::disabled());
+        let (threads, batches) = (2u64, 30u64);
+        let batch = |t: u64, i: u64| -> Vec<ServerRequest> {
+            (0..4)
+                .map(|p| {
+                    let page = t * 100 + (i + p) % 12;
+                    if p % 2 == 0 {
+                        put(page)
+                    } else {
+                        get(page)
+                    }
+                })
+                .collect()
+        };
+        thread::scope(|scope| {
+            for t in 0..threads {
+                let server = &server;
+                scope.spawn(move || {
+                    for i in 0..batches {
+                        let responses = server.submit(&batch(t, i));
+                        assert_eq!(responses.len(), 4);
+                        assert!(responses.iter().all(|r| r.hit().is_some()));
+                    }
+                });
+                scope.spawn(move || {
+                    for i in 0..batches {
+                        let replies = submit_queued(server, &batch(threads + t, i));
+                        assert!(replies.iter().all(|(_, result)| result.is_ok()));
+                    }
+                });
+            }
+        });
+        let stats = server.stats().stats;
+        assert_eq!(stats.requests(), 2 * threads * batches * 4);
+        assert_eq!(stats.writes(), stats.reads());
+        let store = &server.cache().stores()[0];
+        assert_eq!(store.wal_synced_len(), store.wal_len());
+        let result = server.try_shutdown().expect("a clean shutdown");
+        assert_eq!(result.stats, stats);
+        let _ = std::fs::remove_dir_all(&store_config.dir);
     }
 }

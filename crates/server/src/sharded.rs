@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use cache_sim::policy::AccessOutcome;
 use cache_sim::sync::recover_lock;
 use cache_sim::{
-    record_outcome, CachePolicy, CacheStats, ClientId, HintSetId, IoStats, PageId, Request,
+    record_outcomes, CachePolicy, CacheStats, ClientId, HintSetId, IoStats, PageId, Request,
     SimulationResult,
 };
 use clic_core::{Clic, ClicConfig};
@@ -133,10 +133,10 @@ struct Shard {
 /// A thread-safe CLIC cache partitioned across N independently locked shards.
 ///
 /// All methods take `&self`; the struct is `Sync` and is meant to be shared
-/// across threads (the [`crate::Server`] workers all hold one behind an
-/// `Arc`). Sequence numbers are drawn from a global atomic counter so that
-/// re-reference distances are measured in global requests, exactly as a
-/// single cache would measure them.
+/// across threads (a [`crate::Server`]'s submitters and workers all reach
+/// one behind an `Arc`). Sequence numbers are drawn from a global atomic
+/// counter so that re-reference distances are measured in global requests,
+/// exactly as a single cache would measure them.
 ///
 /// With `shards == 1` and a single caller, the access path is identical to
 /// driving a [`Clic`] through [`cache_sim::simulate`] — the correctness
@@ -291,7 +291,7 @@ impl ShardedClic {
             let Shard {
                 stats, per_client, ..
             } = &mut *shard;
-            record_outcome(stats, per_client, req, outcome);
+            record_outcomes(stats, per_client, std::slice::from_ref(req), &[outcome]);
             (seq, outcome)
         };
         if self.merge_every > 0 && (seq + 1).is_multiple_of(self.merge_every) {
@@ -346,9 +346,7 @@ impl ShardedClic {
             let Shard {
                 stats, per_client, ..
             } = &mut *shard;
-            for (req, outcome) in reqs.iter().zip(&outcomes[start..]) {
-                record_outcome(stats, per_client, req, *outcome);
-            }
+            record_outcomes(stats, per_client, reqs, &outcomes[start..]);
             first_seq
         };
         // Merge once if any request in the block crossed a multiple of
@@ -360,9 +358,9 @@ impl ShardedClic {
         }
     }
 
-    /// The shard workers' one entry: serves a batch of requests for shard
-    /// `shard_idx`, moving each request's bytes through the shard's
-    /// [`PageStore`] when a data plane is attached.
+    /// The server's one entry to a shard step: serves a batch of requests
+    /// for shard `shard_idx`, moving each request's bytes through the
+    /// shard's [`PageStore`] when a data plane is attached.
     ///
     /// Without a store this *is* [`ShardedClic::access_shard_batch`] — the
     /// policy's batched fast path — and `data_out` stays empty. With one,
@@ -390,7 +388,7 @@ impl ShardedClic {
         &self,
         shard_idx: usize,
         reqs: &[Request],
-        payloads: &[Option<Vec<u8>>],
+        payloads: &[Option<&[u8]>],
         outcomes: &mut Vec<AccessOutcome>,
         data_out: &mut Vec<Option<Vec<u8>>>,
     ) -> io::Result<()> {
@@ -413,8 +411,10 @@ impl ShardedClic {
         let mut buf: Vec<u8> = Vec::with_capacity(store.page_size());
         let (first_seq, last_seq) = {
             let mut shard = recover_lock(&self.shards[shard_idx]);
+            let start = outcomes.len();
             let mut first_seq = 0;
             let mut last_seq = 0;
+            let mut refused = None;
             for (i, req) in reqs.iter().enumerate() {
                 // As in `access`: drawn under the shard lock, so sequence
                 // numbers stay monotone within the shard.
@@ -426,9 +426,7 @@ impl ShardedClic {
                 let outcome = shard.clic.access(req, seq);
                 outcomes.push(outcome);
                 shard.clic.drain_evictions(&mut evicted);
-                if let Err(err) =
-                    store.mirror(req, outcome, &mut evicted, payloads[i].as_deref(), &mut buf)
-                {
+                if let Err(err) = store.mirror(req, outcome, &mut evicted, payloads[i], &mut buf) {
                     // The store refused the page the policy just cached:
                     // forget it, so the next access of it is a miss. A
                     // resident page whose overwrite was refused stays
@@ -436,13 +434,24 @@ impl ShardedClic {
                     if !store.contains_buffered(req.page) {
                         shard.clic.invalidate(req.page);
                     }
-                    return Err(err);
+                    refused = Some((i, err));
+                    break;
                 }
                 data_out.push(req.is_read().then(|| buf.clone()));
-                let Shard {
-                    stats, per_client, ..
-                } = &mut *shard;
-                record_outcome(stats, per_client, req, outcome);
+            }
+            // A refused request is not counted, nor anything after it.
+            let served = refused.as_ref().map_or(reqs.len(), |(i, _)| *i);
+            let Shard {
+                stats, per_client, ..
+            } = &mut *shard;
+            record_outcomes(
+                stats,
+                per_client,
+                &reqs[..served],
+                &outcomes[start..start + served],
+            );
+            if let Some((_, err)) = refused {
+                return Err(err);
             }
             (first_seq, last_seq)
         };

@@ -26,8 +26,8 @@ use std::collections::BTreeMap;
 use std::io;
 
 use cache_sim::{
-    record_outcome, CachePolicy, CacheStats, ClientId, FastHashSet, IoStats, PageId, PolicyFactory,
-    Request, SimulationResult, ThreadPool, Trace, REPLAY_CHUNK,
+    record_outcomes, CachePolicy, CacheStats, ClientId, FastHashSet, IoStats, PageId,
+    PolicyFactory, Request, SimulationResult, ThreadPool, Trace, REPLAY_CHUNK,
 };
 use clic_obs::HistogramSnapshot;
 
@@ -134,7 +134,12 @@ fn replay_requests(
                 ),
             ));
         }
-        record_outcome(&mut stats, &mut per_client, &req, outcome);
+        record_outcomes(
+            &mut stats,
+            &mut per_client,
+            std::slice::from_ref(&req),
+            &[outcome],
+        );
         chunk_len += 1;
         if chunk_len == REPLAY_CHUNK {
             if let (Some(hist), Some(start_ns), Some(clock)) =

@@ -158,10 +158,14 @@ run_benchmark --seconds 3 --traced
 # mirror is PageStore::mirror, so the server never applies a policy verdict
 # to the store by hand; the WAL sync is the store's (PageStore::sync_wal, run
 # by each shard's log writer), and an acknowledgement waits for that sync and
-# nothing else. Replies leave a shard through ReplySink::deliver alone, one
-# channel message per shard step, so neither the worker nor the log writer
-# can drift back to one message per reply.
-echo "== single-owner gates (frame reader, policy->store mirror, WAL sync, reply delivery, write-back) =="
+# nothing else. A reply that travels on a channel leaves a shard through
+# ReplySink::deliver alone, one message per shard step, so neither the worker
+# nor the log writer can drift back to one message per reply; an inline
+# step of Server::submit writes its reads into the caller's response vector,
+# and its logged acknowledgements still leave through ReplySink::deliver.
+# Server::submit serves on the caller's thread, so its body names no worker
+# queue (`senders[`) and does not go through submit_shard_tagged.
+echo "== single-owner gates (frame reader, policy->store mirror, WAL sync, reply delivery, inline submit, write-back) =="
 if grep -rnF '.drain(..consumed)' crates/server/src; then
     echo "verify: FAILED (a hand-rolled frame reader is back; use wire::FrameBuf)" >&2
     exit 1
@@ -184,6 +188,15 @@ delivered="$(sed -n '/^impl ReplySink {/,/^}/p' crates/server/src/server.rs \
 if [ "$sends" -ne 1 ] || [ "$delivered" -ne 1 ]; then
     grep -nE '\.tx\.send\(' crates/server/src/server.rs >&2 || true
     echo "verify: FAILED (server.rs sends replies outside ReplySink::deliver: $sends .tx.send( in the file, $delivered in deliver; want 1 and 1)" >&2
+    exit 1
+fi
+submit_body="$(sed -n '/^    pub fn submit(/,/^    }$/p' crates/server/src/server.rs)"
+if [ -z "$submit_body" ]; then
+    echo "verify: FAILED (pub fn submit( not found in crates/server/src/server.rs)" >&2
+    exit 1
+fi
+if grep -nE 'senders\[|submit_shard_tagged' <<<"$submit_body"; then
+    echo "verify: FAILED (Server::submit hands its batch to a shard worker again; serve it on the caller's thread)" >&2
     exit 1
 fi
 # Write-back has one owner too: PageStore::flush_some, run inline by the
