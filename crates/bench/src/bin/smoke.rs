@@ -739,7 +739,6 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
         requests: (rate * seconds) as u64,
         pages: 4_096,
         payload: Some(CHAOS_PAGE_SIZE),
-        ..OpenLoopConfig::default()
     };
     let report = run_open_loop(addr, &open_loop)?;
     let received = report.completed + report.errored;

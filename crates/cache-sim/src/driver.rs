@@ -1,19 +1,19 @@
 //! The simulation driver: feeds a trace through a policy and collects stats.
 //!
-//! Besides the serial [`simulate`]/[`sweep`] pair, this module hosts the
-//! parallel replay engine built on [`crate::par::ThreadPool`]:
+//! One serial replay and one fan-out:
 //!
-//! * [`compare_policies`] — the generic executor fanning independent
-//!   simulation cells (one policy instance each) across worker threads while
-//!   returning results in exact cell order,
-//! * [`sweep_parallel`] — [`sweep`] on top of the executor,
-//! * [`simulate_partitioned_parallel`] — replay of disjoint page partitions
-//!   (the [`crate::partitioned`]-by-pages analogue of a sharded server)
-//!   merged via [`SimulationResult::merge_from`], bit-identical at every
-//!   job count,
-//! * [`partition_requests`] / [`partition_capacities`] — the one place a
-//!   trace and a capacity are split the way a sharded deployment splits
-//!   them, shared with the storage replay and the sharded server.
+//! * [`simulate`] — replays a trace through one policy in
+//!   [`REPLAY_CHUNK`]-sized batches and counts hits and misses with
+//!   [`record_outcomes`], the accounting rule live servers share,
+//! * [`compare_policies`] — fans independent simulation cells (one policy
+//!   instance each) across a [`crate::par::ThreadPool`] and returns the
+//!   results in exact cell order, bit-identical at every job count.
+//!
+//! Beside them sit the partition helpers a sharded deployment shares:
+//! [`partition_requests`] / [`partition_capacities`] split a trace and a
+//! capacity the way a sharded server splits them, and
+//! [`simulate_partitioned_parallel`] replays those page partitions
+//! concurrently and merges them via [`SimulationResult::merge_from`].
 
 use std::collections::BTreeMap;
 
@@ -119,51 +119,33 @@ pub fn record_outcomes(
     }
 }
 
-/// One point of a cache-size sweep: the capacity and the simulation result.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Cache capacity in pages for this point.
-    pub capacity: usize,
-    /// The simulation result at this capacity.
-    pub result: SimulationResult,
-}
-
-/// Runs `policy` over `trace` and returns aggregate and per-client statistics.
-///
-/// The driver — not the policy — is responsible for classifying hits and
-/// misses, so every policy is measured identically: a request is a hit iff
-/// the page was cached when the request arrived.
-pub fn simulate(policy: &mut dyn CachePolicy, trace: &Trace) -> SimulationResult {
-    simulate_with_callback(policy, trace, |_, _, _| {})
-}
-
 /// Number of requests replayed per [`CachePolicy::access_batch`] call by the
 /// drivers in this workspace. Large enough to amortize per-batch dispatch,
 /// lock acquisition, and accounting setup; small enough to keep the outcome
 /// scratch buffer (and a prefetch-batched policy's working set) in cache.
 ///
 /// This is the *one* shared replay granularity: [`simulate`] chunks traces by
-/// it, the `clic-server` shard workers split over-long sub-batches by it, and
+/// it, a `clic-server` shard step serves at most this many accesses under
+/// its lock and the network front-end coalesces sub-batches up to it, and
 /// the load harness defaults its client batch size to it — so batching
 /// effects are comparable across the offline and online drivers instead of
 /// each picking its own magic number.
 pub const REPLAY_CHUNK: usize = 256;
 
-/// Like [`simulate`], but invokes `callback(seq, request, hit)` after every
-/// request. Used by experiments that need time-resolved output (for example
-/// warm-up exclusion or convergence plots).
+/// Runs `policy` over `trace` and returns aggregate and per-client statistics.
 ///
-/// The trace is replayed in chunks through [`CachePolicy::access_batch`]
-/// (whose contract guarantees behaviour identical to per-request `access`
-/// calls); the callback still observes every request, in trace order.
-pub fn simulate_with_callback<F>(
-    policy: &mut dyn CachePolicy,
-    trace: &Trace,
-    mut callback: F,
-) -> SimulationResult
-where
-    F: FnMut(u64, &crate::Request, bool),
-{
+/// The driver — not the policy — is responsible for classifying hits and
+/// misses, so every policy is measured identically: a request is a hit iff
+/// the page was cached when the request arrived. The trace is replayed in
+/// [`REPLAY_CHUNK`]-sized batches through [`CachePolicy::access_batch`],
+/// whose contract guarantees behaviour identical to per-request `access`
+/// calls.
+///
+/// # Panics
+///
+/// Panics if the policy's `access_batch` breaks its one-outcome-per-request
+/// contract.
+pub fn simulate(policy: &mut dyn CachePolicy, trace: &Trace) -> SimulationResult {
     let mut stats = CacheStats::new();
     let mut per_client: BTreeMap<ClientId, CacheStats> = BTreeMap::new();
     let mut outcomes = Vec::with_capacity(REPLAY_CHUNK);
@@ -171,9 +153,9 @@ where
     for chunk in trace.requests.chunks(REPLAY_CHUNK) {
         outcomes.clear();
         policy.access_batch(chunk, first_seq, &mut outcomes);
-        // A policy violating the one-outcome-per-request contract must fail
-        // loudly here, not silently truncate the statistics via `zip` below
-        // (one compare per chunk is free next to the replay itself).
+        // A policy violating the one-outcome-per-request contract fails
+        // here, by name; `record_outcomes` would fail without naming it (one
+        // compare per chunk is free next to the replay itself).
         assert_eq!(
             outcomes.len(),
             chunk.len(),
@@ -181,9 +163,6 @@ where
             policy.name()
         );
         record_outcomes(&mut stats, &mut per_client, chunk, &outcomes);
-        for (i, (req, outcome)) in chunk.iter().zip(&outcomes).enumerate() {
-            callback(first_seq + i as u64, req, outcome.hit);
-        }
         first_seq += chunk.len() as u64;
     }
     SimulationResult {
@@ -192,19 +171,6 @@ where
         stats,
         per_client,
     }
-}
-
-/// Runs the same policy (via its factory) at several cache capacities over
-/// the same trace — the cache-size sweeps of Figures 6-8.
-pub fn sweep(factory: &dyn PolicyFactory, trace: &Trace, capacities: &[usize]) -> Vec<SweepPoint> {
-    capacities
-        .iter()
-        .map(|&capacity| {
-            let mut policy = factory.build(capacity);
-            let result = simulate(policy.as_mut(), trace);
-            SweepPoint { capacity, result }
-        })
-        .collect()
 }
 
 /// The parallel simulation executor: builds one policy per cell of `cells`
@@ -232,23 +198,6 @@ where
         let mut policy = build(cell);
         simulate(policy.as_mut(), trace)
     })
-}
-
-/// [`sweep`] on the parallel executor: same capacities, same trace, same
-/// results in the same order, with the independent capacities simulated
-/// concurrently on the pool's workers.
-pub fn sweep_parallel(
-    pool: &ThreadPool,
-    factory: &(dyn PolicyFactory + Sync),
-    trace: &Trace,
-    capacities: &[usize],
-) -> Vec<SweepPoint> {
-    let results = compare_policies(pool, trace, capacities, |&capacity| factory.build(capacity));
-    capacities
-        .iter()
-        .zip(results)
-        .map(|(&capacity, result)| SweepPoint { capacity, result })
-        .collect()
 }
 
 /// Splits `capacity` pages across `partitions` the way a sharded deployment
@@ -433,6 +382,38 @@ mod tests {
         assert_eq!(res.stats.read_hits, 0, "classic LRU cyclic-thrash case");
     }
 
+    /// A policy whose batch path answers one request too few.
+    struct ShortBatch(Lru);
+
+    impl CachePolicy for ShortBatch {
+        fn name(&self) -> String {
+            "ShortBatch".to_string()
+        }
+        fn capacity(&self) -> usize {
+            self.0.capacity()
+        }
+        fn access(&mut self, req: &Request, seq: u64) -> AccessOutcome {
+            self.0.access(req, seq)
+        }
+        fn access_batch(&mut self, reqs: &[Request], first_seq: u64, out: &mut Vec<AccessOutcome>) {
+            self.0.access_batch(reqs, first_seq, out);
+            out.pop();
+        }
+        fn contains(&self, page: PageId) -> bool {
+            self.0.contains(page)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "access_batch of ShortBatch broke its outcome-count contract")]
+    fn simulate_rejects_a_batch_with_a_missing_outcome() {
+        let trace = cyclic_trace(4, 2);
+        let _ = simulate(&mut ShortBatch(Lru::new(4)), &trace);
+    }
+
     #[test]
     fn per_client_stats_are_split() {
         let mut b = TraceBuilder::new();
@@ -451,21 +432,6 @@ mod tests {
         assert_eq!(res.client_read_hit_ratio(c1), 0.5);
         assert_eq!(res.client_read_hit_ratio(c2), 0.0);
         assert_eq!(res.client_read_hit_ratio(ClientId(9)), 0.0);
-    }
-
-    #[test]
-    fn sweep_runs_every_capacity() {
-        let trace = cyclic_trace(6, 3);
-        let factory: (String, fn(usize) -> BoxedPolicy) = ("LRU".to_string(), |cap| {
-            Box::new(Lru::new(cap)) as BoxedPolicy
-        });
-        let points = sweep(&factory, &trace, &[2, 4, 6, 8]);
-        assert_eq!(points.len(), 4);
-        assert_eq!(points[0].capacity, 2);
-        // Hit ratio is monotone in capacity for LRU on this trace family.
-        assert!(points[3].result.read_hit_ratio() >= points[0].result.read_hit_ratio());
-        // A cache that fits the whole loop hits after the first pass.
-        assert!(points[2].result.stats.read_hits > 0);
     }
 
     #[test]
@@ -497,27 +463,6 @@ mod tests {
         let before = merged.stats;
         merged.merge_from(&SimulationResult::default());
         assert_eq!(merged.stats, before);
-    }
-
-    #[test]
-    fn sweep_parallel_is_bit_identical_to_sweep() {
-        let trace = cyclic_trace(12, 5);
-        let factory: (String, fn(usize) -> BoxedPolicy) = ("LRU".to_string(), |cap| {
-            Box::new(Lru::new(cap)) as BoxedPolicy
-        });
-        let capacities = [2usize, 4, 6, 8, 12, 16];
-        let serial = sweep(&factory, &trace, &capacities);
-        for jobs in [1, 2, 4] {
-            let pool = ThreadPool::new(jobs);
-            let parallel = sweep_parallel(&pool, &factory, &trace, &capacities);
-            assert_eq!(parallel.len(), serial.len());
-            for (p, s) in parallel.iter().zip(&serial) {
-                assert_eq!(p.capacity, s.capacity, "jobs = {jobs}");
-                assert_eq!(p.result.stats, s.result.stats, "jobs = {jobs}");
-                assert_eq!(p.result.per_client, s.result.per_client, "jobs = {jobs}");
-                assert_eq!(p.result.policy, s.result.policy, "jobs = {jobs}");
-            }
-        }
     }
 
     #[test]
@@ -605,17 +550,5 @@ mod tests {
             Box::new(Lru::new(cap)) as BoxedPolicy
         });
         let _ = simulate_partitioned_parallel(&ThreadPool::new(1), &factory, &trace, 2, 3);
-    }
-
-    #[test]
-    fn callback_sees_every_request() {
-        let trace = cyclic_trace(3, 2);
-        let mut lru = Lru::new(3);
-        let mut count = 0u64;
-        simulate_with_callback(&mut lru, &trace, |seq, _req, _hit| {
-            assert_eq!(seq, count);
-            count += 1;
-        });
-        assert_eq!(count, 6);
     }
 }

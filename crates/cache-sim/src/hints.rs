@@ -228,22 +228,9 @@ impl HintCatalog {
         &self.sets[id.index()]
     }
 
-    /// Returns the client that owns the hint set `id`.
-    pub fn client_of(&self, id: HintSetId) -> ClientId {
-        self.sets[id.index()].client
-    }
-
     /// Total number of distinct hint sets interned so far.
     pub fn hint_set_count(&self) -> usize {
         self.sets.len()
-    }
-
-    /// Iterates over all interned hint sets as `(id, resolved)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (HintSetId, &ResolvedHintSet)> {
-        self.sets
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (HintSetId(i as u32), s))
     }
 
     /// Produces a human-readable label for a hint set by pairing each value
@@ -355,8 +342,8 @@ mod tests {
             a, b,
             "same values from different clients must stay distinct"
         );
-        assert_eq!(cat.client_of(a), c1);
-        assert_eq!(cat.client_of(b), c2);
+        assert_eq!(cat.resolve(a).client, c1);
+        assert_eq!(cat.resolve(b).client, c2);
     }
 
     #[test]
@@ -387,14 +374,5 @@ mod tests {
         assert_eq!(a.resolve(set_map[idb0.index()]).client, new_client);
         assert_eq!(a.resolve(set_map[idb1.index()]).values[0], HintValue(4));
         assert_eq!(a.hint_set_count(), 3);
-    }
-
-    #[test]
-    fn iter_yields_all_sets_in_id_order() {
-        let (mut cat, c) = sample_catalog();
-        let i0 = cat.intern(c, &[0, 0, 0, 0, 0]);
-        let i1 = cat.intern(c, &[1, 1, 1, 1, 1]);
-        let ids: Vec<HintSetId> = cat.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![i0, i1]);
     }
 }

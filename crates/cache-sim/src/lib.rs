@@ -13,13 +13,14 @@
 //! * the [`CachePolicy`] trait that every replacement policy implements,
 //! * baseline replacement policies used by the paper's evaluation
 //!   (OPT/Belady-MIN, LRU, ARC, TQ),
-//! * the trace container ([`Trace`]) and the simulation driver
-//!   ([`simulate`], [`sweep`]) that measure server-cache read hit ratios,
+//! * the trace container ([`Trace`]) and the one serial replay,
+//!   [`simulate`], that measures server-cache read hit ratios,
 //! * the parallel replay engine: a dependency-free scoped thread pool
 //!   ([`par::ThreadPool`]) with a deterministic ordered `par_map`, the
-//!   [`compare_policies`] executor and [`sweep_parallel`] that fan
-//!   independent simulation cells across cores in exact serial order, and
-//!   the page-partitioned [`simulate_partitioned_parallel`] replay, and
+//!   [`compare_policies`] fan-out that runs independent simulation cells
+//!   across cores in exact serial order, and the page-partitioned
+//!   [`simulate_partitioned_parallel`] replay with its partition helpers
+//!   ([`partition_requests`], [`partition_capacities`]), and
 //! * a [`PartitionedCache`] that statically partitions a cache
 //!   among clients (the baseline of the paper's multi-client experiment).
 //!
@@ -61,8 +62,7 @@ pub mod trace;
 
 pub use driver::{
     compare_policies, partition_capacities, partition_requests, record_outcomes, simulate,
-    simulate_partitioned_parallel, simulate_with_callback, sweep, sweep_parallel, SimulationResult,
-    SweepPoint, REPLAY_CHUNK,
+    simulate_partitioned_parallel, SimulationResult, REPLAY_CHUNK,
 };
 pub use hash::{page_partition, FastBuildHasher, FastHashMap, FastHashSet};
 pub use hints::{HintCatalog, HintSchema, HintSetId, HintTypeDescriptor, HintValue};

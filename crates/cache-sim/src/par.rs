@@ -47,12 +47,6 @@ impl ThreadPool {
         ThreadPool { jobs: jobs.max(1) }
     }
 
-    /// A pool sized by [`default_jobs`] (the machine's available
-    /// parallelism).
-    pub fn with_default_jobs() -> Self {
-        ThreadPool::new(default_jobs())
-    }
-
     /// The configured number of jobs.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -153,7 +147,6 @@ mod tests {
     fn jobs_are_clamped_to_at_least_one() {
         assert_eq!(ThreadPool::new(0).jobs(), 1);
         assert_eq!(ThreadPool::new(5).jobs(), 5);
-        assert!(ThreadPool::with_default_jobs().jobs() >= 1);
     }
 
     #[test]

@@ -41,21 +41,6 @@ impl PartitionedCache {
         }
     }
 
-    /// Creates a partitioned cache with explicit per-client capacities.
-    pub fn with_capacities(factory: &dyn PolicyFactory, allocations: &[(ClientId, usize)]) -> Self {
-        let mut partitions = HashMap::new();
-        let mut total = 0;
-        for &(c, cap) in allocations {
-            partitions.insert(c, factory.build(cap));
-            total += cap;
-        }
-        PartitionedCache {
-            name: format!("Partitioned<{}>", factory.name()),
-            total_capacity: total,
-            partitions,
-        }
-    }
-
     /// Returns the partition serving `client`, if one was configured.
     pub fn partition(&self, client: ClientId) -> Option<&dyn CachePolicy> {
         self.partitions.get(&client).map(|p| p.as_ref())
@@ -135,15 +120,6 @@ mod tests {
         assert!(out.bypassed);
         assert!(!out.hit);
         assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
-    fn with_capacities_allows_asymmetric_split() {
-        let factory = lru_factory();
-        let cache =
-            PartitionedCache::with_capacities(&factory, &[(ClientId(0), 1), (ClientId(1), 3)]);
-        assert_eq!(cache.capacity(), 4);
-        assert_eq!(cache.partition(ClientId(1)).unwrap().capacity(), 3);
     }
 
     #[test]

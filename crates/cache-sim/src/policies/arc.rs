@@ -42,11 +42,6 @@ impl Arc {
         }
     }
 
-    /// Current value of the adaptation parameter `p` (target size of `T1`).
-    pub fn adaptation(&self) -> usize {
-        self.p
-    }
-
     /// Moves a page out of the cache into the appropriate ghost list.
     /// Returns 1 if a page was evicted (always, unless both lists are empty).
     fn replace(&mut self, requested_in_b2: bool) -> u32 {
@@ -203,9 +198,9 @@ mod tests {
         arc.access(&read(2), 1);
         arc.access(&read(3), 2); // evicts 1 into B1
         assert!(!arc.contains(PageId(1)));
-        let p_before = arc.adaptation();
+        let p_before = arc.p;
         arc.access(&read(1), 3); // ghost hit in B1
-        assert!(arc.adaptation() >= p_before);
+        assert!(arc.p >= p_before);
         assert!(arc.contains(PageId(1)));
     }
 

@@ -143,8 +143,9 @@ pub type BoxedPolicy = Box<dyn CachePolicy>;
 
 /// A factory that builds a policy for a given cache capacity.
 ///
-/// Used by [`crate::sweep`] to run the same policy at several cache sizes and
-/// by the benchmark harness to enumerate policies by name.
+/// Used by [`crate::PartitionedCache`] and the partitioned replays to build
+/// one policy per partition, and by the benchmark harness to enumerate
+/// policies by name.
 pub trait PolicyFactory {
     /// Name of the policies produced by this factory.
     fn name(&self) -> String;

@@ -23,14 +23,6 @@ use crate::hints::HintSetId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageId(pub u64);
 
-impl PageId {
-    /// Returns the raw page number.
-    #[inline]
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 impl From<u64> for PageId {
     #[inline]
     fn from(v: u64) -> Self {
@@ -51,14 +43,6 @@ impl fmt::Display for PageId {
 /// `ClientId` in [`crate::HintCatalog`] enforces exactly that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub u16);
-
-impl ClientId {
-    /// Returns the raw client number.
-    #[inline]
-    pub fn as_u16(self) -> u16 {
-        self.0
-    }
-}
 
 impl From<u16> for ClientId {
     #[inline]
@@ -234,14 +218,14 @@ mod tests {
     #[test]
     fn page_id_roundtrip() {
         let p = PageId::from(42u64);
-        assert_eq!(p.as_u64(), 42);
+        assert_eq!(p, PageId(42));
         assert_eq!(p.to_string(), "p42");
     }
 
     #[test]
     fn client_id_roundtrip() {
         let c = ClientId::from(3u16);
-        assert_eq!(c.as_u16(), 3);
+        assert_eq!(c, ClientId(3));
         assert_eq!(c.to_string(), "c3");
     }
 

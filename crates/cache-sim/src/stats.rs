@@ -59,18 +59,6 @@ impl CacheStats {
         }
     }
 
-    /// The overall hit ratio across reads and writes.
-    ///
-    /// Returns 0.0 when the trace is empty.
-    pub fn overall_hit_ratio(&self) -> f64 {
-        let total = self.requests();
-        if total == 0 {
-            0.0
-        } else {
-            (self.read_hits + self.write_hits) as f64 / total as f64
-        }
-    }
-
     /// Records a read outcome.
     pub fn record_read(&mut self, hit: bool) {
         if hit {
@@ -264,7 +252,6 @@ mod tests {
     fn ratios_handle_empty_traces() {
         let s = CacheStats::new();
         assert_eq!(s.read_hit_ratio(), 0.0);
-        assert_eq!(s.overall_hit_ratio(), 0.0);
         assert_eq!(s.requests(), 0);
     }
 
@@ -279,7 +266,6 @@ mod tests {
         assert!((s.read_hit_ratio() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.reads(), 3);
         assert_eq!(s.writes(), 2);
-        assert!((s.overall_hit_ratio() - 2.0 / 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -215,12 +215,6 @@ impl PageTable {
         self.outq_len
     }
 
-    /// Maximum number of outqueue entries.
-    #[inline]
-    pub fn outqueue_capacity(&self) -> usize {
-        self.outq_capacity
-    }
-
     /// Returns `true` if `page` is currently cached (outqueue membership does
     /// not count).
     #[inline]

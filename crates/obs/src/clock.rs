@@ -4,8 +4,8 @@
 //! histogram recordings made by callers, trace-event timestamps) read time
 //! from a [`Clock`] rather than calling [`Instant::now`] directly. That
 //! indirection buys determinism: tests inject [`Clock::mock`] and drive it
-//! with [`Clock::advance`], so a trace dump or a timeline summary compares
-//! byte-for-byte across runs.
+//! with [`Clock::advance`], so a trace dump compares byte-for-byte across
+//! runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,11 +69,6 @@ impl Clock {
             }
         }
     }
-
-    /// Whether this is a mock clock.
-    pub fn is_mock(&self) -> bool {
-        matches!(self.kind, ClockKind::Mock { .. })
-    }
 }
 
 impl Default for Clock {
@@ -95,7 +90,6 @@ mod tests {
         assert_eq!(clone.now_nanos(), 250, "clones share the time base");
         assert!(clone.advance(50));
         assert_eq!(clock.now_nanos(), 300);
-        assert!(clock.is_mock());
     }
 
     #[test]
@@ -105,6 +99,5 @@ mod tests {
         assert!(!clock.advance(1_000_000), "real time cannot be pushed");
         let b = clock.now_nanos();
         assert!(b >= a);
-        assert!(!clock.is_mock());
     }
 }

@@ -13,7 +13,7 @@
 //! |---|---|---|---|
 //! | [`Counter`] / [`Gauge`] | 1–2 relaxed atomic RMWs | 8–16 B | things you *add up*: requests served, WAL syncs, queue depth. Deterministic for a deterministic workload, so they can be asserted on and diffed across `--jobs` counts. |
 //! | [`LatencyHistogram`] | 4 relaxed atomic RMWs | ~15 KiB fixed | things you take *percentiles* of: batch service time, fsync stalls. Log-scaled (≤3% relative error, exact below 64), bounded memory no matter the sample count, exact merge. Timing-dependent, so never part of determinism checks. |
-//! | trace span ([`Recorder::span`]) | 2 clock reads + a push into a per-thread ring | capacity × 40 B per thread | *reconstructing interleavings*: which fsync stalled which shard batch, when a flush pass ran. Fixed-capacity ring keeps the newest window; drain to JSON or a text timeline. The most expensive primitive — put it around operations that already do I/O or take locks, not in per-access loops. |
+//! | trace span ([`Recorder::span`]) | 2 clock reads + a push into a per-thread ring | capacity × 40 B per thread | *reconstructing interleavings*: which fsync stalled which shard batch, when a flush pass ran. Fixed-capacity ring keeps the newest window; drain to JSON. The most expensive primitive — put it around operations that already do I/O or take locks, not in per-access loops. |
 //!
 //! Rules of thumb: a counter when you will assert or sum it, a histogram
 //! when you will plot it, a span when you will *read* it to explain an
@@ -33,8 +33,7 @@
 //!
 //! All timestamps flow through [`Clock`]: monotonic nanoseconds in
 //! production, an atomic counter under [`Clock::mock`] in tests — so trace
-//! dumps and timelines are byte-for-byte deterministic where tests need
-//! them to be.
+//! dumps are byte-for-byte deterministic where tests need them to be.
 //!
 //! # Example
 //!

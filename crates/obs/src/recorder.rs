@@ -158,11 +158,6 @@ pub struct Span<'a> {
 }
 
 impl Span<'_> {
-    /// Whether this span will record anything.
-    pub fn is_recording(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Sets the kind-specific detail value reported with the event.
     pub fn set_detail(&mut self, detail: u64) {
         if let Some(state) = self.state.as_mut() {
@@ -212,7 +207,7 @@ mod tests {
         assert!(recorder.counter("x").is_none());
         assert!(recorder.histogram("x").is_none());
         let span = recorder.span(SpanKind::WalAppend);
-        assert!(!span.is_recording());
+        assert!(span.start_ns().is_none());
         drop(span);
         assert_eq!(recorder.snapshot(), MetricsSnapshot::default());
         assert!(recorder.drain_trace().events.is_empty());

@@ -12,9 +12,8 @@
 //! the most recent window of activity instead of growing without bound.
 //!
 //! [`TraceCollector::drain`] empties every ring into one [`TraceDump`],
-//! globally ordered by start timestamp, which renders either as a JSON
-//! array ([`TraceDump::to_json`]) or as a human-readable per-kind summary
-//! plus chronological timeline ([`TraceDump::timeline`]). Timestamps come
+//! globally ordered by start timestamp, which renders as a JSON array
+//! ([`TraceDump::to_json`]). Timestamps come
 //! from the collector's [`Clock`], so a mock clock makes dumps
 //! deterministic.
 
@@ -47,23 +46,12 @@ pub enum SpanKind {
     PriorityMerge,
     /// One wire frame decoded from or encoded onto a network connection by
     /// the event-driven front-end (detail: frame bytes). With this kind a
-    /// timeline spans client → wire → shard batch → WAL fsync.
+    /// trace spans client → wire → shard batch → WAL fsync.
     NetFrame,
 }
 
 impl SpanKind {
-    /// Every kind, in display order.
-    pub const ALL: [SpanKind; 7] = [
-        SpanKind::WalAppend,
-        SpanKind::WalFsync,
-        SpanKind::GroupCommit,
-        SpanKind::FlushPass,
-        SpanKind::ShardBatch,
-        SpanKind::PriorityMerge,
-        SpanKind::NetFrame,
-    ];
-
-    /// Stable snake_case label used in JSON and timelines.
+    /// Stable snake_case label used in JSON.
     pub fn label(self) -> &'static str {
         match self {
             SpanKind::WalAppend => "wal_append",
@@ -256,54 +244,6 @@ impl TraceDump {
         out.push_str("]}");
         out
     }
-
-    /// Renders a human-readable summary: per-kind counts and durations,
-    /// then the first `max_lines` events chronologically.
-    pub fn timeline(&self, max_lines: usize) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "trace: {} events ({} dropped)\n",
-            self.events.len(),
-            self.dropped
-        ));
-        for kind in SpanKind::ALL {
-            let mut count = 0u64;
-            let mut total_ns = 0u64;
-            let mut max_ns = 0u64;
-            for event in self.events.iter().filter(|e| e.kind == kind) {
-                count += 1;
-                total_ns += event.duration_ns();
-                max_ns = max_ns.max(event.duration_ns());
-            }
-            if count > 0 {
-                out.push_str(&format!(
-                    "  {:<16} x{:<6} total {:>10} ns  mean {:>8} ns  max {:>8} ns\n",
-                    kind.label(),
-                    count,
-                    total_ns,
-                    total_ns / count,
-                    max_ns
-                ));
-            }
-        }
-        for event in self.events.iter().take(max_lines) {
-            out.push_str(&format!(
-                "  [{:>12} ns] t{:<3} {:<16} {:>8} ns  detail={}\n",
-                event.start_ns,
-                event.thread,
-                event.kind.label(),
-                event.duration_ns(),
-                event.detail
-            ));
-        }
-        if self.events.len() > max_lines {
-            out.push_str(&format!(
-                "  … {} more events\n",
-                self.events.len() - max_lines
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -362,15 +302,13 @@ mod tests {
             clock.advance(50);
             collector.record(SpanKind::FlushPass, 100, clock.now_nanos(), 3);
             let dump = collector.drain();
-            (dump.to_json(), dump.timeline(10))
+            dump.to_json()
         };
-        let (json_a, text_a) = render();
-        let (json_b, text_b) = render();
+        let (json_a, json_b) = (render(), render());
         assert_eq!(json_a, json_b);
-        assert_eq!(text_a, text_b);
         crate::json::validate(&json_a).expect("trace dump must be valid JSON");
-        assert!(text_a.contains("wal_fsync"));
-        assert!(text_a.contains("flush_pass"));
+        assert!(json_a.contains("wal_fsync"));
+        assert!(json_a.contains("flush_pass"));
     }
 
     #[test]

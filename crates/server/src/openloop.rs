@@ -13,8 +13,8 @@
 //!
 //! * **Deterministic schedules.** The arrival offsets and the operation
 //!   mix are both drawn from a seeded [`rand::rngs::StdRng`] before the
-//!   first byte is sent, so two runs at the same (seed, rate, count)
-//!   offer the identical workload and differ only in what the server
+//!   first byte is sent, so two runs at the same rate and count offer
+//!   the identical workload and differ only in what the server
 //!   makes of it.
 //! * **No coordinated omission.** Latency is measured from each request's
 //!   *scheduled* send time, not the instant it actually left the socket
@@ -52,18 +52,8 @@ pub struct OpenLoopConfig {
     pub rate: f64,
     /// Total requests to schedule.
     pub requests: u64,
-    /// Seed for both the arrival schedule and the operation mix.
-    pub seed: u64,
-    /// Number of distinct clients to attribute requests to (round-robin
-    /// of the low bits of a per-request draw).
-    pub clients: u16,
     /// Page universe: pages are drawn uniformly from `0..pages`.
     pub pages: u64,
-    /// Distinct hint sets; each page's hint is `page % hint_sets`, so a
-    /// page keeps a stable hint across the run (hints describe pages).
-    pub hint_sets: u32,
-    /// Fraction of requests that are writes, in `[0, 1]`.
-    pub write_fraction: f64,
     /// `Some(page_size)` attaches deterministic page payloads to writes
     /// (for store-backed servers); `None` sends policy-only writes.
     pub payload: Option<usize>,
@@ -74,15 +64,21 @@ impl Default for OpenLoopConfig {
         OpenLoopConfig {
             rate: 10_000.0,
             requests: 10_000,
-            seed: 42,
-            clients: 4,
             pages: 1 << 16,
-            hint_sets: 16,
-            write_fraction: 0.25,
             payload: None,
         }
     }
 }
+
+/// Seed for both the arrival schedule and the operation mix.
+const SEED: u64 = 42;
+/// Distinct clients requests are attributed to, drawn uniformly.
+const CLIENTS: u16 = 4;
+/// Distinct hint sets; each page's hint is `page % HINT_SETS`, so a page
+/// keeps a stable hint across the run (hints describe pages).
+const HINT_SETS: u64 = 16;
+/// Fraction of requests that are writes.
+const WRITE_FRACTION: f64 = 0.25;
 
 /// What an open-loop run measured.
 #[derive(Debug, Clone)]
@@ -128,14 +124,12 @@ fn poisson_schedule(rate: f64, requests: u64, rng: &mut StdRng) -> Vec<u64> {
 
 /// Draws the operation mix for one run.
 fn operations(config: &OpenLoopConfig, rng: &mut StdRng) -> Vec<ServerRequest> {
-    let clients = config.clients.max(1);
-    let hint_sets = config.hint_sets.max(1);
     (0..config.requests)
         .map(|_| {
             let page = PageId(rng.gen_range(0..config.pages.max(1)));
-            let client = ClientId(rng.gen_range(0..clients));
-            let hint = HintSetId((page.0 % u64::from(hint_sets)) as u32);
-            if rng.gen_bool(config.write_fraction.clamp(0.0, 1.0)) {
+            let client = ClientId(rng.gen_range(0..CLIENTS));
+            let hint = HintSetId((page.0 % HINT_SETS) as u32);
+            if rng.gen_bool(WRITE_FRACTION) {
                 ServerRequest::Put {
                     client,
                     page,
@@ -171,7 +165,7 @@ fn operations(config: &OpenLoopConfig, rng: &mut StdRng) -> Vec<ServerRequest> {
 /// (reset, injected fault, early server close) yields a *partial* report
 /// — `sent`/`completed` record how far the run got. `Err` is reserved for failing to connect at all.
 pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> io::Result<OpenLoopReport> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
     let schedule = Arc::new(poisson_schedule(config.rate, config.requests, &mut rng));
     let ops = operations(config, &mut rng);
     let total = ops.len() as u64;
@@ -288,9 +282,6 @@ mod tests {
         let config = OpenLoopConfig {
             requests: 5_000,
             pages: 100,
-            clients: 3,
-            hint_sets: 7,
-            write_fraction: 0.5,
             ..OpenLoopConfig::default()
         };
         let mut a = StdRng::seed_from_u64(9);
@@ -302,10 +293,13 @@ mod tests {
             .iter()
             .filter(|op| matches!(op, ServerRequest::Put { .. }))
             .count();
-        assert!((1_500..3_500).contains(&writes), "writes {writes}");
+        // A quarter of 5 000 is 1 250; the band is about eight deviations.
+        assert!((1_000..1_500).contains(&writes), "writes {writes}");
         for op in &ops_a {
-            let page = op.page().expect("only data ops are generated");
-            assert!(page.0 < 100);
+            let req = op.to_request().expect("only data ops are generated");
+            assert!(req.page.0 < 100);
+            assert!(req.client.0 < CLIENTS);
+            assert_eq!(u64::from(req.hint.0), req.page.0 % HINT_SETS);
         }
     }
 }

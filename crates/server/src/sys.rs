@@ -38,11 +38,6 @@ impl Event {
     pub fn readable(&self) -> bool {
         self.ready & READABLE != 0
     }
-
-    /// `true` if the fd is writable.
-    pub fn writable(&self) -> bool {
-        self.ready & WRITABLE != 0
-    }
 }
 
 // epoll's event struct is packed on x86-64 (a 12-byte layout the kernel ABI

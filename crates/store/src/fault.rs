@@ -158,7 +158,6 @@ struct PointState {
 struct Inner {
     seed: u64,
     points: [PointState; N_POINTS],
-    total: AtomicU64,
     /// Optional metrics counter bumped once per injected fault
     /// (`store.injected_faults` when attached by the store).
     counter: OnceLock<Counter>,
@@ -197,7 +196,6 @@ impl FaultInjector {
             inner: Some(Arc::new(Inner {
                 seed,
                 points: Default::default(),
-                total: AtomicU64::new(0),
                 counter: OnceLock::new(),
             })),
         }
@@ -273,7 +271,6 @@ impl FaultInjector {
             return InjectedFault::None;
         }
         state.injected.fetch_add(1, Ordering::Relaxed);
-        inner.total.fetch_add(1, Ordering::Relaxed);
         if let Some(counter) = inner.counter.get() {
             counter.inc();
         }
@@ -315,14 +312,6 @@ impl FaultInjector {
             .unwrap_or(0)
     }
 
-    /// Total faults injected across all points.
-    pub fn total_injected(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.total.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
     /// Per-point `(point, ops, injected)` counts — the full observable
     /// fault history, used by the chaos gate's determinism assertion.
     pub fn counts(&self) -> Vec<(FaultPoint, u64, u64)> {
@@ -350,7 +339,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(fi.decide(FaultPoint::WalSync, 0), InjectedFault::None);
         }
-        assert_eq!(fi.total_injected(), 0);
         assert_eq!(fi.ops_at(FaultPoint::WalSync), 0);
         assert!(!fi.is_enabled());
     }
@@ -369,7 +357,6 @@ mod tests {
         );
         assert_eq!(fi.injected_at(FaultPoint::WalSync), 2);
         assert_eq!(fi.ops_at(FaultPoint::WalSync), 8);
-        assert_eq!(fi.total_injected(), 2);
     }
 
     #[test]

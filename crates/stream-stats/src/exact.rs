@@ -42,20 +42,6 @@ where
         self.counts.len()
     }
 
-    /// The `k` most frequent items with their counts, most frequent first.
-    /// Ties are broken arbitrarily but deterministically for a given map
-    /// iteration order after sorting by count.
-    pub fn top_k(&self, k: usize) -> Vec<(T, u64)> {
-        let mut all: Vec<(T, u64)> = self
-            .counts
-            .iter()
-            .map(|(item, &c)| (item.clone(), c))
-            .collect();
-        all.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
-        all.truncate(k);
-        all
-    }
-
     /// Total observations so far.
     pub fn observations(&self) -> u64 {
         self.observations
@@ -88,19 +74,6 @@ mod tests {
         assert_eq!(c.count(&"z"), 0);
         assert_eq!(c.distinct(), 2);
         assert_eq!(c.observations(), 4);
-    }
-
-    #[test]
-    fn top_k_orders_by_count() {
-        let mut c: ExactCounter<u8> = ExactCounter::new();
-        for x in [1u8, 2, 2, 3, 3, 3, 4] {
-            c.observe(x);
-        }
-        let top = c.top_k(2);
-        assert_eq!(top[0], (3, 3));
-        assert_eq!(top[1], (2, 2));
-        assert_eq!(c.top_k(0).len(), 0);
-        assert_eq!(c.top_k(100).len(), 4);
     }
 
     #[test]

@@ -224,18 +224,6 @@ where
         out
     }
 
-    /// Returns the monitored items that are *guaranteed* to be among the true
-    /// top-`len()` items (their guaranteed count exceeds the smallest
-    /// estimated count among the others).
-    pub fn guaranteed_frequent(&self) -> Vec<T> {
-        let min_count = self.slots.iter().map(|slot| slot.count).min().unwrap_or(0);
-        self.slots
-            .iter()
-            .filter(|slot| Self::estimate_of(slot).guaranteed() >= min_count)
-            .map(|slot| slot.item.clone())
-            .collect()
-    }
-
     /// Forgets all monitored items and resets the observation count. CLIC
     /// calls this at every window boundary (Section 5).
     pub fn clear(&mut self) {
@@ -420,19 +408,6 @@ mod tests {
         let _: SpaceSaving<u8> = SpaceSaving::new(0);
     }
 
-    #[test]
-    fn guaranteed_frequent_subset_of_monitored() {
-        let mut ss: SpaceSaving<u8> = SpaceSaving::new(3);
-        for x in [1u8, 1, 1, 1, 2, 2, 3, 4, 5] {
-            ss.observe(x);
-        }
-        let guaranteed = ss.guaranteed_frequent();
-        assert!(guaranteed.contains(&1));
-        for g in &guaranteed {
-            assert!(ss.is_monitored(g));
-        }
-    }
-
     impl<T, A, S> SpaceSaving<T, A, S>
     where
         T: Ord + Hash + Clone + std::fmt::Debug,
@@ -545,15 +520,6 @@ mod tests {
                 out
             }
 
-            pub fn guaranteed_frequent(&self) -> Vec<T> {
-                let min_count = self.buckets.keys().next().copied().unwrap_or(0);
-                self.entries
-                    .iter()
-                    .filter(|(_, e)| e.count.saturating_sub(e.error) >= min_count)
-                    .map(|(item, _)| item.clone())
-                    .collect()
-            }
-
             pub fn observations(&self) -> u64 {
                 self.observations
             }
@@ -637,11 +603,6 @@ mod tests {
                 "{context}: aux of {item}"
             );
         }
-        let mut ours = summary.guaranteed_frequent();
-        let mut theirs = oracle.guaranteed_frequent();
-        ours.sort_unstable();
-        theirs.sort_unstable();
-        assert_eq!(ours, theirs, "{context}: guaranteed_frequent");
     }
 
     /// The slot scan and the ordered-set summary it replaced, driven in

@@ -148,11 +148,6 @@ impl DatabaseLayout {
         self.object_pages[object.0]
     }
 
-    /// Total pages allocated across all objects (the database size).
-    pub fn total_pages(&self) -> u64 {
-        self.next_free - self.base_offset
-    }
-
     /// Translates `(object, slot)` into a global page id. `slot` is taken
     /// modulo the object's current page count, so callers can address rows
     /// with any non-negative index.
@@ -240,7 +235,6 @@ mod tests {
         assert_eq!(layout.page(a, 0), PageId(1000));
         assert_eq!(layout.page(a, 9), PageId(1009));
         assert_eq!(layout.page(b, 0), PageId(1010));
-        assert_eq!(layout.total_pages(), 15);
         assert_eq!(layout.pages_of(a), 10);
         // Slots wrap modulo the object's size.
         assert_eq!(layout.page(a, 10), layout.page(a, 0));
@@ -266,7 +260,6 @@ mod tests {
         let first_new = layout.grow(a, 3);
         assert_eq!(first_new, PageId(4));
         assert_eq!(layout.pages_of(a), 5);
-        assert_eq!(layout.total_pages(), 7);
         // New pages resolve back to object A.
         assert_eq!(layout.object_of(PageId(5)), Some(a));
         assert_eq!(layout.object_of(PageId(3)), Some(b));

@@ -39,12 +39,6 @@ impl NoiseConfig {
         }
     }
 
-    /// Sets the domain size `D`.
-    pub fn with_domain(mut self, domain: u32) -> Self {
-        self.domain = domain.max(1);
-        self
-    }
-
     /// Sets the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -144,7 +138,13 @@ mod tests {
     #[test]
     fn schema_gains_noise_hint_types() {
         let trace = base_trace();
-        let noisy = inject_noise(&trace, NoiseConfig::new(3).with_domain(7));
+        let noisy = inject_noise(
+            &trace,
+            NoiseConfig {
+                domain: 7,
+                ..NoiseConfig::new(3)
+            },
+        );
         let schema = noisy.catalog.schema(cache_sim::ClientId(0));
         assert_eq!(schema.arity(), 1 + 3);
         assert_eq!(schema.types[1].name, "noise hint 0");

@@ -102,11 +102,10 @@ fn main() -> std::io::Result<()> {
         requests: 10_000,
         pages: 4_096,
         payload: Some(PAGE_SIZE),
-        ..OpenLoopConfig::default()
     };
     println!(
-        "\noffering {:.0} req/s open loop ({} requests, seed {}) ...",
-        open_loop.rate, open_loop.requests, open_loop.seed
+        "\noffering {:.0} req/s open loop ({} requests) ...",
+        open_loop.rate, open_loop.requests
     );
     let report = run_open_loop(addr, &open_loop)?;
     println!(

@@ -12,6 +12,8 @@
 #                                    # scale, --jobs 1 against --jobs 2 and
 #                                    # against the committed results/smoke
 #
+# Every mode prints the tracked line count (`lines: N`) after tier-1.
+#
 # Clippy fails on any warning (`-- -D warnings`).
 set -euo pipefail
 
@@ -37,6 +39,14 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+# The size ROADMAP's line budget counts: tracked Rust and shell outside
+# vendor/. This step only reports; no size fails verify.
+if lines="$(git ls-files '*.rs' '*.sh' | grep -v '^vendor/' | xargs cat | wc -l)"; then
+    echo "lines: $lines (budget 34 000)"
+else
+    echo "lines: not counted (not a git checkout)"
+fi
 
 if [ "$smoke_bench" -eq 1 ]; then
     # Fresh output dirs: stale CSVs from earlier commits must not leak into

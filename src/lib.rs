@@ -10,7 +10,9 @@
 //!   replacement policy, and bounded top-k hint tracking,
 //! * [`sim`] ([`cache_sim`]) — the storage-server cache model, the
 //!   [`CachePolicy`] trait, the baseline policies (OPT, LRU, ARC and TQ),
-//!   the simulation driver, and multi-client partitioned caches,
+//!   the simulation driver (one serial replay, [`prelude::simulate`], and
+//!   one fan-out across cores, [`prelude::compare_policies`]), and
+//!   multi-client partitioned caches,
 //! * [`stats`] ([`stream_stats`]) — Space-Saving and other frequent-item
 //!   summaries,
 //! * [`workloads`] ([`trace_gen`]) — the simulated DB2/MySQL storage clients,
@@ -111,9 +113,9 @@ pub use cache_sim::CachePolicy;
 pub mod prelude {
     pub use cache_sim::policies::{Arc, Lru, Opt, Tq};
     pub use cache_sim::{
-        compare_policies, page_partition, simulate, simulate_partitioned_parallel, sweep,
-        sweep_parallel, AccessKind, CachePolicy, CacheStats, ClientId, HintSetId, IoStats, PageId,
-        PartitionedCache, Request, SimulationResult, ThreadPool, Trace, TraceBuilder, WriteHint,
+        compare_policies, page_partition, simulate, simulate_partitioned_parallel, AccessKind,
+        CachePolicy, CacheStats, ClientId, HintSetId, IoStats, PageId, PartitionedCache, Request,
+        SimulationResult, ThreadPool, Trace, TraceBuilder, WriteHint,
     };
     pub use clic_core::{
         analyze_trace, suggested_window, Clic, ClicConfig, HintSetReport, TrackingMode,
@@ -150,20 +152,5 @@ mod tests {
         let clic_result = simulate(&mut clic, &trace);
         assert!(lru_result.stats.requests() == trace.len() as u64);
         assert!(clic_result.stats.requests() == trace.len() as u64);
-    }
-
-    #[test]
-    fn facade_parallel_sweep_matches_serial_sweep() {
-        let trace = TracePreset::MyH65.build(PresetScale::Smoke);
-        let factory: (String, fn(usize) -> cache_sim::BoxedPolicy) = ("LRU".to_string(), |cap| {
-            Box::new(Lru::new(cap)) as cache_sim::BoxedPolicy
-        });
-        let capacities = [100usize, 300, 500];
-        let serial = sweep(&factory, &trace, &capacities);
-        let parallel = sweep_parallel(&ThreadPool::new(2), &factory, &trace, &capacities);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.capacity, p.capacity);
-            assert_eq!(s.result.stats, p.result.stats);
-        }
     }
 }
