@@ -13,6 +13,7 @@ use crate::Suite;
 
 mod ablation_generalization;
 mod ablation_params;
+mod claims_seeds;
 mod fig03_hint_priorities;
 mod fig09_topk;
 mod fig10_noise;
@@ -27,13 +28,14 @@ mod table_fig5;
 pub type Experiment = fn(&Suite) -> io::Result<JsonValue>;
 
 /// Every experiment by name, in the order `run_all` runs them.
-pub const EXPERIMENTS: [(&str, Experiment); 12] = [
+pub const EXPERIMENTS: [(&str, Experiment); 13] = [
     ("table_fig2", table_fig2::run),
     ("table_fig5", table_fig5::run),
     ("fig03_hint_priorities", fig03_hint_priorities::run),
     ("fig06_tpcc_policies", policy_figures::fig06_tpcc),
     ("fig07_tpch_policies", policy_figures::fig07_tpch),
     ("fig08_mysql_policies", policy_figures::fig08_mysql),
+    ("claims_seeds", claims_seeds::run),
     ("fig09_topk", fig09_topk::run),
     ("fig10_noise", fig10_noise::run),
     ("fig11_multiclient", fig11_multiclient::run),

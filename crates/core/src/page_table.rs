@@ -437,18 +437,9 @@ impl PageTable {
     /// the young end; inserting into a full FIFO drops the oldest entry
     /// first. A zero-capacity outqueue makes this a no-op.
     ///
-    /// The page must not be cached.
-    pub fn outqueue_insert(&mut self, page: PageId, record: PageRecord) {
-        let found = self.find(page).map(|(slot, _, cached)| {
-            debug_assert!(!cached, "outqueue_insert of a cached page");
-            slot
-        });
-        self.outqueue_insert_resolved(found, page, record);
-    }
-
-    /// Like [`PageTable::outqueue_insert`], but takes the result of a
-    /// [`PageTable::find`]`(page)` performed by the caller *with no mutating
-    /// call in between*, skipping the second probe of the bypass hot path.
+    /// `found` is the slot of a [`PageTable::find`]`(page)` performed by the
+    /// caller *with no mutating call in between*, so the bypass hot path
+    /// probes the table once. The page must not be cached.
     pub fn outqueue_insert_resolved(
         &mut self,
         found: Option<SlotRef>,
@@ -1072,10 +1063,13 @@ mod tests {
     #[test]
     fn outqueue_insert_refreshes_and_rotates() {
         let mut t = PageTable::new(4, 2);
-        t.outqueue_insert(PageId(1), rec(1, 0));
-        t.outqueue_insert(PageId(2), rec(2, 0));
-        t.outqueue_insert(PageId(1), rec(9, 1)); // refresh: now youngest
-        t.outqueue_insert(PageId(3), rec(3, 0)); // drops page 2
+        let slot = |t: &PageTable, page| t.find(page).map(|(s, ..)| s);
+        t.outqueue_insert_resolved(slot(&t, PageId(1)), PageId(1), rec(1, 0));
+        t.outqueue_insert_resolved(slot(&t, PageId(2)), PageId(2), rec(2, 0));
+        // Refresh: now youngest.
+        t.outqueue_insert_resolved(slot(&t, PageId(1)), PageId(1), rec(9, 1));
+        // Drops page 2.
+        t.outqueue_insert_resolved(slot(&t, PageId(3)), PageId(3), rec(3, 0));
         assert!(t.find(PageId(2)).is_none());
         assert_eq!(t.find(PageId(1)).unwrap().1, rec(9, 1));
         assert_eq!(t.outqueue_len(), 2);
@@ -1085,7 +1079,7 @@ mod tests {
     #[test]
     fn zero_capacity_outqueue_forgets_everything() {
         let mut t = PageTable::new(2, 0);
-        t.outqueue_insert(PageId(1), rec(1, 0));
+        t.outqueue_insert_resolved(t.find(PageId(1)).map(|(s, ..)| s), PageId(1), rec(1, 0));
         assert_eq!(t.outqueue_len(), 0);
         t.admit(PageId(2), rec(2, 0), || 1);
         t.evict_to_outqueue(PageId(2));
@@ -1122,7 +1116,11 @@ mod tests {
                         t.evict_slot_to_outqueue(victim.slot);
                         t.admit(page, rec(round, 0), || 1);
                     } else {
-                        t.outqueue_insert(page, rec(round, 0));
+                        t.outqueue_insert_resolved(
+                            t.find(page).map(|(s, ..)| s),
+                            page,
+                            rec(round, 0),
+                        );
                     }
                 }
             }

@@ -17,15 +17,19 @@
 //!   [`clic_core::Clic`] driven by [`cache_sim::simulate`].
 //! * [`Server`] — a long-running front-end that accepts *batches* of
 //!   [`ServerRequest`]s (`Get`/`Put`/`Stats`, carrying the existing opaque
-//!   hint sets). [`Server::submit`] serves a batch on the caller's thread,
-//!   its shards in shard order, one *step* at a time (a delete, or up to
-//!   [`cache_sim::REPLAY_CHUNK`] accesses under the shard's lock); separate
-//!   submitters run in parallel, and the shard lock is the back-pressure.
-//!   The network front-end, which must never block on a shard, queues its
-//!   sub-batches to one worker thread per shard over bounded channels
-//!   instead; a worker serves them through the same step routine and sends
-//!   each step's replies back as one channel message, so a blocked
-//!   submitter wakes once per step.
+//!   hint sets). [`Server::submit`] serves a batch on the caller's thread:
+//!   one routing pass gives each shard its batch positions and requests,
+//!   then its shards are served in shard order, one *step* at a time (a
+//!   delete, or up to [`cache_sim::REPLAY_CHUNK`] accesses under the shard's
+//!   lock), and the responses are built once, in batch order, at the end;
+//!   separate submitters run in parallel, and the shard lock is the
+//!   back-pressure. A step reports one result for all its operations and
+//!   leaves their outcomes in place for its caller to read. The network
+//!   front-end, which must never block on a shard, queues its sub-batches to
+//!   one worker thread per shard over bounded channels instead; a worker
+//!   serves them through the same step routine and sends each step's replies
+//!   back as one channel message, so a blocked submitter wakes once per
+//!   step.
 //! * [`run_load`] — a closed-loop load harness that spawns one client thread
 //!   per input trace (typically [`trace_gen`] presets over disjoint page
 //!   ranges), drives them against a server concurrently, and reports
@@ -196,7 +200,7 @@ pub use harness::{
 pub use net::{BlockingClient, NetOptions, NetServer, RetryPolicy};
 pub use openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 pub use protocol::{ErrorCode, ServerRequest, ServerResponse, StatsSnapshot};
-pub use server::{Server, ServerConfig, ShardOutcome, BATCH_SERVICE_HISTOGRAM, QUEUE_DEPTH_GAUGE};
+pub use server::{Server, ServerConfig, BATCH_SERVICE_HISTOGRAM, QUEUE_DEPTH_GAUGE};
 pub use sharded::{ShardedClic, ShardedClicConfig};
 pub use wire::WireError;
 

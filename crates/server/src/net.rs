@@ -88,7 +88,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::protocol::{ErrorCode, ServerRequest, ServerResponse, StatsSnapshot};
-use crate::server::{ReplySink, Server, ShardOutcome, ShardReply};
+use crate::server::{to_response, ReplySink, Server, ShardReply};
 use crate::sys::{Event, Poller, Waker, READABLE, WRITABLE};
 use crate::wire;
 
@@ -345,14 +345,6 @@ struct Pending {
     conn: usize,
     gen: u32,
     seq: u64,
-    kind: PendingKind,
-}
-
-/// Which response variant a completion maps to.
-enum PendingKind {
-    Get,
-    Put,
-    Delete,
 }
 
 /// The loop's own counters, present with an enabled recorder.
@@ -667,19 +659,12 @@ impl EventLoop {
                     self.respond(idx, seq, &ServerResponse::Stats(Box::new(snapshot)));
                 }
                 op => {
-                    let kind = match &op {
-                        ServerRequest::Get { .. } => PendingKind::Get,
-                        ServerRequest::Put { .. } => PendingKind::Put,
-                        ServerRequest::Delete { .. } => PendingKind::Delete,
-                        ServerRequest::Stats => unreachable!("matched above"),
-                    };
                     let page = op.page().expect("data operations carry a page");
                     let shard = self.server.cache().shard_of(page);
                     let tag = self.alloc_pending(Pending {
                         conn: idx,
                         gen,
                         seq,
-                        kind,
                     });
                     self.pending_shard[shard].push((tag, op));
                     if self.pending_shard[shard].len() >= REPLAY_CHUNK {
@@ -739,7 +724,7 @@ impl EventLoop {
     // and is taken exactly once — a double take or an out-of-range tag is
     // a slab-accounting bug, not a runtime condition.
     #[cfg_attr(not(test), allow(clippy::expect_used))]
-    fn complete(&mut self, tag: usize, result: Result<ShardOutcome, ErrorCode>) {
+    fn complete(&mut self, tag: usize, reply: Result<ServerResponse, ErrorCode>) {
         let pending = self
             .slab
             .get_mut(tag)
@@ -757,18 +742,10 @@ impl EventLoop {
         if conn.mark_queued() {
             self.ready.push(pending.conn);
         }
-        let response = match result {
-            // A failed operation answers with a typed error frame instead
-            // of a fabricated miss: the client can tell "the page is not
-            // cached" from "the data plane failed".
-            Err(code) => ServerResponse::Error { code },
-            Ok(ShardOutcome { hit, data }) => match pending.kind {
-                PendingKind::Get => ServerResponse::Get { hit, data },
-                PendingKind::Put => ServerResponse::Put { hit },
-                PendingKind::Delete => ServerResponse::Delete { existed: hit },
-            },
-        };
-        self.respond(pending.conn, pending.seq, &response);
+        // A failed operation answers with a typed error frame instead of a
+        // fabricated miss: the client can tell "the page is not cached"
+        // from "the data plane failed".
+        self.respond(pending.conn, pending.seq, &to_response(reply));
     }
 
     /// Encodes a response onto the connection's write buffer (recording

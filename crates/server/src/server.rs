@@ -2,12 +2,15 @@
 //! *step* at a time, on the caller's thread for [`Server::submit`] and on
 //! one worker thread per shard for the network front-end.
 //!
-//! [`Server::submit`] splits a batch by shard and serves the shards' parts
-//! in shard order on the calling thread: no queue, no hand-off and no copy
-//! of a request. Separate submitters run in parallel; two that meet on one
-//! shard take turns at its lock, one step at a time, so the shard lock is
-//! the back-pressure. Requests for the same shard are processed in
-//! submission order.
+//! [`Server::submit`] routes its batch in one pass: each shard gets the
+//! batch positions of its operations, as a `u32` list, and the [`Request`]s
+//! of its accesses, and a [`ServerRequest::Stats`] is answered there, before
+//! any of the batch is served. The shards' parts are then served in shard
+//! order on the calling thread: no queue, no hand-off and no copy of a
+//! request. Separate submitters run in parallel; two that meet on one shard
+//! take turns at its lock, one step at a time, so the shard lock is the
+//! back-pressure. Requests for the same shard are processed in submission
+//! order.
 //!
 //! The event-driven network front-end must never block on a shard, so
 //! [`Server::submit_shard_tagged`] queues a per-shard sub-batch on a
@@ -15,11 +18,16 @@
 //! exerts back-pressure on the front-end instead of queueing unboundedly.
 //!
 //! Both paths serve through the one step routine: a step is one delete, or
-//! up to [`REPLAY_CHUNK`] consecutive accesses under one lock. A worker
-//! sends a step's replies to its submitter as one channel message and wakes
-//! it at most once, so a submitter blocked on its channel is unparked once
-//! per step, not once per reply; an inline step writes its replies straight
-//! into the caller's response vector.
+//! up to [`REPLAY_CHUNK`] consecutive accesses under one lock. It leaves its
+//! outcomes in place, with one result for the whole step: every operation's
+//! hit flag (a delete's existence flag) and a store-backed `Get`'s bytes, or
+//! the one error code a storage failure answers the step with. Each caller
+//! reads them where they lie. A worker builds the step's replies and sends
+//! them to its submitter as one channel message, waking it at most once, so
+//! a submitter blocked on its channel is unparked once per step, not once
+//! per reply. [`Server::submit`] writes each hit flag at its batch position
+//! and, once the whole batch is served, builds its response vector in one
+//! pass in batch order.
 //!
 //! Over a store whose log syncs ([`Durability::GroupCommit`],
 //! [`Durability::Strict`]), each shard has a log writer thread. A step
@@ -28,9 +36,9 @@
 //! message; the writer syncs the log once for all it holds and only then
 //! delivers them, still one message per step, so an acknowledged
 //! logged write is device-durable for the network front-end and
-//! [`Server::submit`] alike (the contract in [`clic_store::wal`]).
+//! [`Server::submit`] alike (the contract in [`clic_store::wal`]): its
+//! response vector is built only after every acknowledgement has arrived.
 
-use std::borrow::Borrow;
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
@@ -129,23 +137,13 @@ impl ServerConfig {
     }
 }
 
-/// The successful outcome of one shard operation.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// The boolean outcome: cache hit for `Get`/`Put`, existence for
-    /// `Delete`.
-    pub hit: bool,
-    /// The page bytes of a store-backed `Get` (`None` otherwise).
-    pub data: Option<Vec<u8>>,
-}
-
-/// One reply from a shard step: the submitter's tag for the operation
-/// (its batch position in [`Server::submit`], a slab index in the
-/// event-driven front-end), and either the successful [`ShardOutcome`] or
-/// the [`ErrorCode`] to answer with — storage failures propagate here
-/// instead of panicking the serving thread. Replies that travel on a
-/// channel travel in batches, one message per shard step ([`ReplySink`]).
-pub type ShardReply = (usize, Result<ShardOutcome, ErrorCode>);
+/// One reply from a shard step: the submitter's tag for the operation (a
+/// slab index in the event-driven front-end, a batch position in
+/// [`Server::submit`]) and either its response or the [`ErrorCode`] to
+/// answer with — storage failures propagate here instead of panicking the
+/// serving thread. Replies travel in batches, one message per shard step
+/// ([`ReplySink`]).
+pub type ShardReply = (usize, Result<ServerResponse, ErrorCode>);
 
 /// Where a shard worker answers a submission: the submitter's reply channel
 /// and, for a submitter that sleeps in a [`crate::sys::Poller`] rather than
@@ -199,18 +197,57 @@ struct ShardJob {
 /// through a log writer ([`write_log`]), with the sink they go to.
 type Ack = (ReplySink, Vec<ShardReply>);
 
+/// The response a [`ShardReply`]'s outcome answers with.
+pub(crate) fn to_response(reply: Result<ServerResponse, ErrorCode>) -> ServerResponse {
+    reply.unwrap_or_else(|code| ServerResponse::Error { code })
+}
+
+/// A served step as its caller reads it, in place: operation `i`'s boolean
+/// outcome is `outcomes[i].hit` (a delete's is whether the page existed)
+/// and a store-backed `Get`'s bytes are `data[i]` (`data` is empty without
+/// a store), unless the step failed: then `result`'s code answers all of
+/// its operations.
+struct Served<'s> {
+    result: Result<(), ErrorCode>,
+    outcomes: &'s [AccessOutcome],
+    data: &'s mut [Option<Vec<u8>>],
+    /// Whether the step was a delete.
+    delete: bool,
+}
+
+impl Served<'_> {
+    /// Operation `i`'s boolean outcome, or the step's error code.
+    fn hit(&self, i: usize) -> Result<bool, ErrorCode> {
+        self.result.map(|()| self.outcomes[i].hit)
+    }
+
+    /// Builds the reply to operation `i`, whose request is `op`, taking a
+    /// store-backed `Get`'s bytes.
+    fn reply(&mut self, i: usize, op: &ServerRequest) -> Result<ServerResponse, ErrorCode> {
+        let data = self.data.get_mut(i).and_then(Option::take);
+        let hit = self.hit(i)?;
+        Ok(match op {
+            ServerRequest::Get { .. } => ServerResponse::Get { hit, data },
+            ServerRequest::Put { .. } => ServerResponse::Put { hit },
+            ServerRequest::Delete { .. } => ServerResponse::Delete { existed: hit },
+            ServerRequest::Stats => unreachable!("stats operations are answered inline"),
+        })
+    }
+}
+
 /// Where a served step's replies go. Reads, and everything on a shard
 /// without a log writer, are answered at once; the acknowledgements of
 /// logged writes and deletes go through the shard's log writer to
 /// [`Answers::ack_sink`].
 trait Answers {
-    /// Takes one reply that is answered at once.
-    fn answer(&mut self, reply: ShardReply);
+    /// Answers operation `i` of a served step at once; `tag` and `op` are
+    /// its tag and its request.
+    fn answer(&mut self, tag: usize, op: &ServerRequest, served: &mut Served<'_>, i: usize);
     /// Ends a step's immediate replies.
     fn end_step(&mut self) {}
     /// The sink the log writer delivers this submitter's acknowledgements
-    /// to; asked for only when a step has some.
-    fn ack_sink(&mut self) -> ReplySink;
+    /// to; asked for only when a step has some, which are `acks`.
+    fn ack_sink(&mut self, acks: &[ShardReply]) -> ReplySink;
 }
 
 /// A queued job's answers: each step's immediate replies leave as one
@@ -221,42 +258,53 @@ struct QueuedAnswers<'a> {
 }
 
 impl Answers for QueuedAnswers<'_> {
-    fn answer(&mut self, reply: ShardReply) {
-        self.replies.push(reply);
+    fn answer(&mut self, tag: usize, op: &ServerRequest, served: &mut Served<'_>, i: usize) {
+        self.replies.push((tag, served.reply(i, op)));
     }
 
     fn end_step(&mut self) {
         self.sink.deliver(std::mem::take(&mut self.replies), true);
     }
 
-    fn ack_sink(&mut self) -> ReplySink {
+    fn ack_sink(&mut self, _: &[ShardReply]) -> ReplySink {
         self.sink.clone()
     }
 }
 
-/// [`Server::submit`]'s answers: every reply lands in its response slot.
+/// [`Server::submit`]'s answers, by batch position. Most operations are a
+/// `Get` or `Put` answered by its hit flag alone, in `hits`; every other
+/// answer — a delete's, an error, a store-backed `Get`'s bytes, a stats
+/// snapshot, a logged write's acknowledgement — is a whole response in
+/// `others`, where a later entry for a position overrides an earlier one.
 /// Acknowledgements of logged writes come back on a channel made for the
 /// first of them.
-struct InlineAnswers<'a> {
-    batch: &'a [ServerRequest],
-    responses: Vec<Option<ServerResponse>>,
+struct InlineAnswers {
+    hits: Vec<bool>,
+    others: Vec<(usize, ServerResponse)>,
     acks: Option<(ReplySink, mpsc::Receiver<Vec<ShardReply>>)>,
 }
 
-impl Answers for InlineAnswers<'_> {
-    fn answer(&mut self, (position, outcome): ShardReply) {
-        self.responses[position] = Some(match outcome {
-            Err(code) => ServerResponse::Error { code },
-            Ok(ShardOutcome { hit, data }) => match &self.batch[position] {
-                ServerRequest::Get { .. } => ServerResponse::Get { hit, data },
-                ServerRequest::Put { .. } => ServerResponse::Put { hit },
-                ServerRequest::Delete { .. } => ServerResponse::Delete { existed: hit },
-                ServerRequest::Stats => unreachable!("stats operations are answered inline"),
-            },
-        });
+impl Answers for InlineAnswers {
+    fn answer(&mut self, position: usize, op: &ServerRequest, served: &mut Served<'_>, i: usize) {
+        // An access served without a store is answered by its hit flag
+        // alone.
+        match served.hit(i) {
+            Ok(hit) if !served.delete && served.data.is_empty() => self.hits[position] = hit,
+            _ => {
+                let reply = served.reply(i, op);
+                self.others.push((position, to_response(reply)));
+            }
+        }
     }
 
-    fn ack_sink(&mut self) -> ReplySink {
+    fn ack_sink(&mut self, acks: &[ShardReply]) -> ReplySink {
+        // A logged write answers Io until its acknowledgement overrides
+        // that, so a write whose log writer died fails closed.
+        let failed = ServerResponse::Error {
+            code: ErrorCode::Io,
+        };
+        self.others
+            .extend(acks.iter().map(|(position, _)| (*position, failed.clone())));
         let (sink, _) = self.acks.get_or_insert_with(|| {
             let (tx, rx) = mpsc::channel();
             (ReplySink::new(tx), rx)
@@ -265,29 +313,38 @@ impl Answers for InlineAnswers<'_> {
     }
 }
 
-impl InlineAnswers<'_> {
+impl InlineAnswers {
     /// Waits for the log writers' acknowledgements, if any step handed them
-    /// some, and returns the responses in batch order. No shard lock is
-    /// held here.
-    fn finish(mut self) -> Vec<ServerResponse> {
+    /// some, and builds `batch`'s responses: one pass in batch order builds
+    /// each position's `Get` or `Put` from its hit flag, and `others` then
+    /// replaces the positions it answers. No shard lock is held here.
+    fn finish(mut self, batch: &[ServerRequest]) -> Vec<ServerResponse> {
         if let Some((sink, acks)) = self.acks.take() {
             // A writer drops its clone of the sink once it has delivered
             // that step's acknowledgements, so the channel ends with the
             // last of them.
             drop(sink);
-            for reply in acks.into_iter().flatten() {
-                self.answer(reply);
-            }
+            self.others.extend(
+                acks.into_iter()
+                    .flatten()
+                    .map(|(position, ack)| (position, to_response(ack))),
+            );
         }
-        self.responses
-            .into_iter()
-            .map(|response| {
-                // invariant: every batch slot was filled inline (Stats), by
-                // a step, or by a log writer's acknowledgement.
-                #[allow(clippy::expect_used)]
-                response.expect("every batch slot is answered")
+        // Two arms only, so that the pass compiles to a select on the
+        // request's kind, not a branch; a `Delete` or `Stats` position
+        // holds a placeholder here, which `others` always replaces.
+        let mut responses: Vec<ServerResponse> = batch
+            .iter()
+            .zip(self.hits)
+            .map(|(op, hit)| match op {
+                ServerRequest::Get { .. } => ServerResponse::Get { hit, data: None },
+                _ => ServerResponse::Put { hit },
             })
-            .collect()
+            .collect();
+        for (position, response) in self.others {
+            responses[position] = response;
+        }
+        responses
     }
 }
 
@@ -315,10 +372,8 @@ impl Instruments {
 struct Steps<'a> {
     cache: &'a ShardedClic,
     instruments: &'a Instruments,
-    reqs: Vec<Request>,
     outcomes: Vec<AccessOutcome>,
     data: Vec<Option<Vec<u8>>>,
-    results: Vec<Result<ShardOutcome, ErrorCode>>,
 }
 
 impl<'a> Steps<'a> {
@@ -326,22 +381,29 @@ impl<'a> Steps<'a> {
         Steps {
             cache,
             instruments,
-            reqs: Vec::with_capacity(REPLAY_CHUNK),
             outcomes: Vec::with_capacity(REPLAY_CHUNK),
             data: Vec::new(),
-            results: Vec::with_capacity(REPLAY_CHUNK),
         }
     }
 
-    /// Serves one shard sub-batch — `ops`, all routed to `shard`, none a
-    /// [`ServerRequest::Stats`] — one step at a time, in order, under one
+    /// Serves one shard sub-batch — `ops`, each naming its tag and its
+    /// request through `op`, all routed to `shard`, none a
+    /// [`ServerRequest::Stats`], with `reqs` the [`Request`]s of all but its
+    /// deletes, in order — one step at a time, in order, under one
     /// `ShardBatch` span (detail: operations served) and one service-time
     /// sample, then lowers [`QUEUE_DEPTH_GAUGE`] for it.
-    fn serve<R: Borrow<ServerRequest>>(
+    ///
+    /// After each step, `answers` reads the step's outcomes in place. With
+    /// a `log` writer, the step's reads are answered first and the
+    /// acknowledgements of its writes and deletes are then handed to the
+    /// writer as one message, so a read never waits for a sync.
+    fn serve<'r, T>(
         &mut self,
         shard: usize,
         log: Option<&mpsc::Sender<Ack>>,
-        ops: &[(usize, R)],
+        ops: &'r [T],
+        mut reqs: &[Request],
+        op: impl Fn(&'r T) -> (usize, &'r ServerRequest) + Copy,
         answers: &mut impl Answers,
     ) {
         let recorder = self.cache.recorder();
@@ -349,8 +411,21 @@ impl<'a> Steps<'a> {
         span.set_detail(ops.len() as u64);
         let mut rest = ops;
         while !rest.is_empty() {
-            let served = self.step(shard, log, rest, answers);
-            rest = &rest[served..];
+            let (count, mut served) = self.step(shard, rest, &mut reqs, op);
+            let mut acks = Vec::new();
+            for (i, item) in rest[..count].iter().enumerate() {
+                let (tag, request) = op(item);
+                if log.is_some() && !matches!(request, ServerRequest::Get { .. }) {
+                    acks.push((tag, served.reply(i, request)));
+                } else {
+                    answers.answer(tag, request, &mut served, i);
+                }
+            }
+            answers.end_step();
+            if let (Some(log), false) = (log, acks.is_empty()) {
+                let _ = log.send((answers.ack_sink(&acks), acks));
+            }
+            rest = &rest[count..];
         }
         if let (Some(hist), Some(start_ns), Some(clock)) = (
             self.instruments.service.as_deref(),
@@ -365,103 +440,84 @@ impl<'a> Steps<'a> {
     }
 
     /// The step routine: serves the step at the front of `ops` — a delete,
-    /// or up to [`REPLAY_CHUNK`] consecutive accesses through
-    /// [`ShardedClic::access_shard_batch_data`], one lock and one batched
-    /// policy call per step instead of one of each per request — and
-    /// returns how many operations it served. Splitting at the
-    /// workspace-wide chunk size keeps an oversized batch from monopolizing
-    /// the shard lock and replays at the granularity of the offline
-    /// `simulate()` driver.
+    /// or the first up to [`REPLAY_CHUNK`] consecutive accesses of `reqs`
+    /// through [`ShardedClic::access_shard_batch_data`], one lock and one
+    /// batched policy call per step instead of one of each per request —
+    /// moves `reqs` past the accesses it served, and returns how many
+    /// operations it served, with their outcomes to read in place.
+    /// Splitting at the workspace-wide chunk size keeps an oversized batch
+    /// from monopolizing the shard lock and replays at the granularity of
+    /// the offline `simulate()` driver.
     ///
-    /// A storage failure answers the step's requests with a typed error and
-    /// the sub-batch continues — one bad page does not poison the rest; a
-    /// client that gave up on its batch only loses the replies, the cache
-    /// still observes every dispatched operation. With a `log` writer, the
-    /// step's reads are answered first and the acknowledgements of its
-    /// writes and deletes are then handed to the writer as one message, so
-    /// a read never waits for a sync.
-    fn step<R: Borrow<ServerRequest>>(
+    /// A storage failure answers the step's operations with one typed error
+    /// and the sub-batch continues — one bad page does not poison the rest;
+    /// a client that gave up on its batch only loses the replies, the cache
+    /// still observes every dispatched operation.
+    fn step<'r, T>(
         &mut self,
         shard: usize,
-        log: Option<&mpsc::Sender<Ack>>,
-        ops: &[(usize, R)],
-        answers: &mut impl Answers,
-    ) -> usize {
+        ops: &'r [T],
+        reqs: &mut &[Request],
+        op: impl Fn(&'r T) -> (usize, &'r ServerRequest),
+    ) -> (usize, Served<'_>) {
         let Steps {
             cache,
-            reqs,
             outcomes,
             data,
-            results,
             ..
         } = self;
-        let (count, served) = match *ops[0].1.borrow() {
+        outcomes.clear();
+        data.clear();
+        let (count, served, delete) = match *op(&ops[0]).1 {
             ServerRequest::Delete { page } => (
                 1,
                 cache.delete(page).map(|existed| {
-                    results.push(Ok(ShardOutcome {
+                    outcomes.push(AccessOutcome {
                         hit: existed,
-                        data: None,
-                    }));
+                        evicted: 0,
+                        bypassed: false,
+                    });
                 }),
+                true,
             ),
             _ => {
-                reqs.clear();
-                reqs.extend(
+                // As many accesses left as operations: no delete to stop at.
+                let count = if reqs.len() == ops.len() {
+                    ops.len().min(REPLAY_CHUNK)
+                } else {
                     ops.iter()
                         .take(REPLAY_CHUNK)
-                        .map_while(|(_, op)| op.borrow().to_request()),
-                );
-                debug_assert!(!reqs.is_empty(), "a stats operation reached a shard");
+                        .take_while(|item| !matches!(op(item).1, ServerRequest::Delete { .. }))
+                        .count()
+                };
+                let (accesses, later) = reqs.split_at(count);
+                *reqs = later;
                 // Payloads are borrowed from the operations, and only a
                 // store reads them.
                 let payloads: Vec<Option<&[u8]>> = match cache.shard_store(shard) {
-                    Some(_) => ops[..reqs.len()]
+                    Some(_) => ops[..count]
                         .iter()
-                        .map(|(_, op)| match op.borrow() {
+                        .map(|item| match op(item).1 {
                             ServerRequest::Put { data, .. } => data.as_deref(),
                             _ => None,
                         })
                         .collect(),
                     None => Vec::new(),
                 };
-                outcomes.clear();
-                data.clear();
-                let served = cache
-                    .access_shard_batch_data(shard, reqs, &payloads, outcomes, data)
-                    .map(|()| {
-                        // `data` is empty without a store: every Get then
-                        // answers without bytes.
-                        let bytes = data.drain(..).chain(std::iter::repeat(None));
-                        results.extend(outcomes.iter().zip(bytes).map(|(outcome, data)| {
-                            Ok(ShardOutcome {
-                                hit: outcome.hit,
-                                data,
-                            })
-                        }));
-                    });
-                (reqs.len(), served)
+                (
+                    count,
+                    cache.access_shard_batch_data(shard, accesses, &payloads, outcomes, data),
+                    false,
+                )
             }
         };
-        if let Err(err) = served {
-            let code = ErrorCode::from_io_error(&err);
-            results.clear();
-            results.resize_with(count, || Err(code));
-        }
-        let mut acks = Vec::new();
-        for ((tag, op), result) in ops[..count].iter().zip(results.drain(..)) {
-            let logged = log.is_some() && !matches!(op.borrow(), ServerRequest::Get { .. });
-            if logged {
-                acks.push((*tag, result));
-            } else {
-                answers.answer((*tag, result));
-            }
-        }
-        answers.end_step();
-        if let (Some(log), false) = (log, acks.is_empty()) {
-            let _ = log.send((answers.ack_sink(), acks));
-        }
-        count
+        let served = Served {
+            result: served.map_err(|err| ErrorCode::from_io_error(&err)),
+            outcomes,
+            data,
+            delete,
+        };
+        (count, served)
     }
 }
 
@@ -475,12 +531,22 @@ fn serve_queued(
     log: Option<mpsc::Sender<Ack>>,
 ) {
     let mut steps = Steps::new(cache, instruments);
+    let mut reqs = Vec::with_capacity(REPLAY_CHUNK);
     while let Ok(job) = jobs.recv() {
+        reqs.clear();
+        reqs.extend(job.ops.iter().filter_map(|(_, op)| op.to_request()));
         let mut answers = QueuedAnswers {
             sink: &job.reply,
             replies: Vec::new(),
         };
-        steps.serve(shard, log.as_ref(), &job.ops, &mut answers);
+        steps.serve(
+            shard,
+            log.as_ref(),
+            &job.ops,
+            &reqs,
+            |(tag, op)| (*tag, op),
+            &mut answers,
+        );
     }
 }
 
@@ -504,8 +570,8 @@ fn write_log(store: &PageStore, acks: mpsc::Receiver<Ack>) {
         let mut released = held.drain(..).peekable();
         while let Some((sink, mut replies)) = released.next() {
             if failed {
-                for (_, outcome) in &mut replies {
-                    *outcome = Err(ErrorCode::Io);
+                for (_, reply) in &mut replies {
+                    *reply = Err(ErrorCode::Io);
                 }
             }
             // Wake a submitter after the last message of its run only.
@@ -615,45 +681,68 @@ impl Server {
     /// shard's log writer has synced it, after the whole batch is served. A
     /// [`ServerRequest::Stats`] operation is answered with a snapshot taken
     /// *before* the batch's own data requests are served.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch holds more than `u32::MAX` operations.
     pub fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerResponse> {
+        assert!(
+            u32::try_from(batch.len()).is_ok(),
+            "a batch holds at most u32::MAX operations"
+        );
+        // Each shard's batch positions and the requests of its accesses.
+        let mut routes: Vec<(Vec<u32>, Vec<Request>)> = (0..self.cache.shard_count())
+            .map(|_| {
+                (
+                    Vec::with_capacity(batch.len()),
+                    Vec::with_capacity(batch.len()),
+                )
+            })
+            .collect();
         let mut answers = InlineAnswers {
-            batch,
-            responses: batch.iter().map(|_| None).collect(),
+            hits: vec![false; batch.len()],
+            others: Vec::new(),
             acks: None,
         };
-        let mut per_shard: Vec<Vec<(usize, &ServerRequest)>> = (0..self.cache.shard_count())
-            .map(|_| Vec::with_capacity(batch.len()))
-            .collect();
         for (position, operation) in batch.iter().enumerate() {
-            match operation.page() {
-                Some(page) => per_shard[self.cache.shard_of(page)].push((position, operation)),
-                None => {
-                    answers.responses[position] =
-                        Some(ServerResponse::Stats(Box::new(StatsSnapshot {
-                            result: self.stats(),
-                            metrics: self.metrics(),
-                        })));
-                }
-            }
+            let Some(page) = operation.page() else {
+                let snapshot = StatsSnapshot {
+                    result: self.stats(),
+                    metrics: self.metrics(),
+                };
+                answers
+                    .others
+                    .push((position, ServerResponse::Stats(Box::new(snapshot))));
+                continue;
+            };
+            let (positions, reqs) = &mut routes[self.cache.shard_of(page)];
+            positions.push(position as u32);
+            reqs.extend(operation.to_request());
         }
         let mut steps = Steps::new(&self.cache, &self.instruments);
-        for (shard, ops) in per_shard.iter().enumerate() {
-            if ops.is_empty() {
+        for (shard, (positions, reqs)) in routes.iter().enumerate() {
+            if positions.is_empty() {
                 continue;
             }
             self.instruments.enqueue();
-            steps.serve(shard, self.logs[shard].as_ref(), ops, &mut answers);
+            steps.serve(
+                shard,
+                self.logs[shard].as_ref(),
+                positions,
+                reqs,
+                |&position| (position as usize, &batch[position as usize]),
+                &mut answers,
+            );
         }
-        answers.finish()
+        answers.finish(batch)
     }
 
     /// Queues operations for one shard's worker *without* waiting for the
     /// replies: each `(tag, operation)` pair is answered on `reply` as a
     /// [`ShardReply`] `(tag, outcome)`, in the one message that carries its
-    /// step's replies (see [`ReplySink`]); a successful `outcome`'s `hit` is
-    /// the cache hit flag for `Get`/`Put` and the existence flag for
-    /// `Delete`. Returns how many replies to expect (operations submitted),
-    /// not how many messages.
+    /// step's replies (see [`ReplySink`]); a successful `outcome` is the
+    /// operation's response. Returns how many replies to expect (operations
+    /// submitted), not how many messages.
     ///
     /// This is the submission seam of the event-driven network front-end:
     /// the event loop coalesces decoded requests per shard, submits them
@@ -1172,6 +1261,160 @@ mod tests {
         assert_eq!(read[0].data(), Some(&[7u8; 128][..]));
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A page on the other shard of a two-shard `server` than `page`.
+    fn page_on_other_shard(server: &Server, page: u64) -> u64 {
+        let shard = server.cache().shard_of(PageId(page));
+        (page + 1..)
+            .find(|&other| server.cache().shard_of(PageId(other)) != shard)
+            .unwrap()
+    }
+
+    #[test]
+    fn one_batch_of_every_kind_answers_in_batch_order() {
+        let dir =
+            std::env::temp_dir().join(format!("clic-server-every-kind-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServerConfig::new(8)
+            .with_shards(2)
+            .with_store(crate::StoreConfig::new(&dir, 16).with_page_size(128))
+            .with_durability(Durability::group_commit());
+        let server = Server::start(config);
+        let other = page_on_other_shard(&server, 1);
+        assert!(server.submit(&[put(1)])[0].hit().is_some());
+        let bytes = vec![0x5a; 128];
+        let batch = [
+            ServerRequest::Stats,
+            ServerRequest::Delete { page: PageId(1) },
+            ServerRequest::Put {
+                client: ClientId(0),
+                page: PageId(1),
+                hint: HintSetId(0),
+                write_hint: None,
+                data: Some(bytes.clone()),
+            },
+            get(1),
+            get(other),
+        ];
+        let responses = server.submit(&batch);
+        assert_eq!(responses.len(), batch.len());
+        let snapshot = responses[0]
+            .stats()
+            .expect("the stats response comes first");
+        assert_eq!(
+            snapshot.stats.requests(),
+            1,
+            "the snapshot counts none of its batch's requests"
+        );
+        assert_eq!(responses[1].existed(), Some(true), "the page was written");
+        assert!(matches!(responses[2], ServerResponse::Put { .. }));
+        assert!(matches!(responses[3], ServerResponse::Get { .. }));
+        assert_eq!(
+            responses[3].data(),
+            Some(&bytes[..]),
+            "the Get reads the Put"
+        );
+        assert!(matches!(
+            responses[4],
+            ServerResponse::Get { hit: false, .. }
+        ));
+        assert_eq!(responses[4].data(), Some(&[0u8; 128][..]));
+        let never = ServerRequest::Delete {
+            page: PageId(1_000),
+        };
+        assert_eq!(server.submit(&[never])[0].existed(), Some(false));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_disk_read_answers_only_its_shards_step() {
+        let dir =
+            std::env::temp_dir().join(format!("clic-server-disk-read-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::StoreConfig::new(&dir, 16).with_page_size(128);
+        let config =
+            |store: crate::StoreConfig| ServerConfig::new(8).with_shards(2).with_store(store);
+        // A clean shutdown leaves page 1 on disk, and nothing else.
+        let server = Server::start(config(store.clone()));
+        let other = page_on_other_shard(&server, 1);
+        assert!(server.submit(&[put(1)])[0].hit().is_some());
+        server.shutdown();
+        // Reopened with failing disk reads: only page 1 is read from disk.
+        let fault = FaultInjector::seeded(5).with_rate(FaultPoint::DiskRead, 1.0);
+        let server = Server::start(config(store.with_fault_injector(fault)));
+        let same_shard = page_on_other_shard(&server, other);
+        let responses = server.submit(&[get(other), get(1), get(same_shard), get(other)]);
+        let code = responses[1].error_code();
+        assert!(code.is_some(), "the disk read failed: {:?}", responses[1]);
+        assert_eq!(responses[2].error_code(), code, "one error for the step");
+        for response in [&responses[0], &responses[3]] {
+            assert!(
+                response.hit().is_some(),
+                "the other shard answers: {response:?}"
+            );
+            assert_eq!(response.data(), Some(&[0u8; 128][..]));
+        }
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_submitter_matches_access_shard_batch_in_shard_order() {
+        let config = ServerConfig::new(16).with_shards(2).with_merge_every(50);
+        let reference = ShardedClic::new(config.cache.clone());
+        let server = Server::start(config);
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 33
+        };
+        for _ in 0..60 {
+            let batch: Vec<ServerRequest> = (0..24)
+                .map(|_| {
+                    let (page, hint) = (next() % 40, HintSetId((next() % 3) as u32));
+                    if next() % 4 == 0 {
+                        ServerRequest::from_request(&Request::write(
+                            ClientId(0),
+                            PageId(page),
+                            None,
+                            hint,
+                        ))
+                    } else {
+                        ServerRequest::from_request(&Request::read(ClientId(0), PageId(page), hint))
+                    }
+                })
+                .collect();
+            let mut expected = vec![false; batch.len()];
+            for shard in 0..2 {
+                let (positions, reqs): (Vec<usize>, Vec<Request>) = batch
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(position, op)| op.to_request().map(|req| (position, req)))
+                    .filter(|(_, req)| reference.shard_of(req.page) == shard)
+                    .unzip();
+                let mut outcomes = Vec::new();
+                reference.access_shard_batch(shard, &reqs, &mut outcomes);
+                for (position, outcome) in positions.into_iter().zip(outcomes) {
+                    expected[position] = outcome.hit;
+                }
+            }
+            let hits: Vec<bool> = server
+                .submit(&batch)
+                .iter()
+                .map(|response| response.hit().expect("a Get or Put response"))
+                .collect();
+            assert_eq!(hits, expected);
+        }
+        assert!(server.stats().stats.read_hits > 0, "the stream hits");
+        assert_eq!(server.stats().stats, reference.snapshot().stats);
+        assert_eq!(
+            server.cache().merges_completed(),
+            reference.merges_completed()
+        );
     }
 
     /// Queues `batch` on the shard workers, split by shard and tagged with

@@ -16,7 +16,7 @@
 //! * [`presets`] — the eight trace configurations of Figure 5
 //!   (`DB2_C60` … `MY_H98`) with paper-scale and scaled-down variants,
 //! * [`noise`] — the useless-hint injection of Section 6.3,
-//! * [`interleave`] — the multi-client trace interleaving of Section 6.4,
+//! * [`interleave`](mod@interleave) — the multi-client trace interleaving of Section 6.4,
 //! * [`zipf`] — Zipf sampling used by the workloads and the noise injector.
 //!
 //! # Example

@@ -3,7 +3,8 @@
 #
 #   scripts/verify.sh                # tier-1, --smoke, examples, the
 #                                    # benchmark (built and run), the grep
-#                                    # gates, cargo fmt --check, clippy
+#                                    # gates, cargo doc, cargo fmt --check,
+#                                    # clippy
 #   scripts/verify.sh --quick        # tier-1 only:
 #                                    #   cargo build --release && cargo test -q
 #   scripts/verify.sh --smoke        # the smoke gates (part of a full run;
@@ -123,7 +124,7 @@ if [ "$smoke" -eq 1 ]; then
 fi
 
 if [ "$quick" -eq 1 ]; then
-    echo "verify: tier-1 OK (quick mode, examples/benchmark/fmt/clippy skipped)"
+    echo "verify: tier-1 OK (quick mode, examples/benchmark/doc/fmt/clippy skipped)"
     exit 0
 fi
 
@@ -290,6 +291,12 @@ if grep -n 'Duration::from_millis' crates/server/src/sys.rs; then
     echo "verify: FAILED (crates/server/src/sys.rs waits on a clock; its tests poll with Duration::ZERO or block untimed)" >&2
     exit 1
 fi
+
+# The facade and trace-gen deny broken intra-doc links, so a renamed or
+# ambiguous item fails here rather than on the first `cargo doc`. vendor/'s
+# stand-ins for rand and proptest are not documented.
+echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --exclude rand
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check

@@ -64,11 +64,12 @@
 //!
 //! # Serving requests online
 //!
-//! The same policy can run as a live, thread-safe service: a [`Server`]
-//! partitions the page space across independently locked CLIC shards and
-//! accepts batches of `Get`/`Put` requests from any number of client
-//! threads. With one shard its results are identical to [`simulate`]; see
-//! `examples/storage_server.rs` for the full multi-client load harness.
+//! The same policy can run as a live, thread-safe service: a
+//! [`Server`](server::Server) partitions the page space across independently
+//! locked CLIC shards and accepts batches of `Get`/`Put` requests from any
+//! number of client threads. With one shard its results are identical to
+//! [`simulate`](sim::simulate); see `examples/storage_server.rs` for the full
+//! multi-client load harness.
 //!
 //! ```
 //! use clic::prelude::*;
