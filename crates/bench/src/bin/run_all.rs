@@ -12,8 +12,8 @@
 use std::time::Instant;
 
 use clic_bench::experiments::{self, EXPERIMENTS};
-use clic_bench::json::JsonValue;
 use clic_bench::{ExperimentContext, Suite};
+use clic_obs::json::JsonValue;
 
 fn main() -> std::io::Result<()> {
     let (ctx, selected) = ExperimentContext::from_args("run_all", &experiments::names());

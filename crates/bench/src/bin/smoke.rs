@@ -79,10 +79,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use cache_sim::{BoxedPolicy, PageId, ThreadPool, REPLAY_CHUNK};
-use clic_bench::json::JsonValue;
 use clic_bench::{build_policy, window_for_trace, ExperimentContext};
 use clic_core::{ClicConfig, TrackingMode};
-use clic_obs::{json::validate, Clock, Recorder, SpanKind, TraceDump};
+use clic_obs::json::{validate, JsonValue};
+use clic_obs::{Clock, Recorder, SpanKind, TraceDump};
 use clic_server::net::{
     COMPLETION_WAKEUPS_COUNTER, LOOP_ITERATIONS_COUNTER, SOCKET_WAKEUPS_COUNTER,
 };

@@ -16,9 +16,10 @@ use std::io;
 
 use cache_sim::simulate;
 use clic_core::train_grouping_from_prefix;
+use clic_obs::json::JsonValue;
 use trace_gen::{inject_noise, NoiseConfig, TracePreset};
 
-use crate::{build_policy, json::JsonValue, window_for_trace, ResultTable, Suite};
+use crate::{build_policy, window_for_trace, ResultTable, Suite};
 
 const NOISE_LEVELS: [u32; 4] = [0, 1, 2, 3];
 const MAX_GROUPS: u32 = 64;

@@ -14,9 +14,10 @@ use std::io;
 
 use cache_sim::compare_policies;
 use clic_core::{analyze_trace, Clic, ClicConfig};
+use clic_obs::json::JsonValue;
 use trace_gen::TracePreset;
 
-use crate::{json::JsonValue, window_for_trace, ResultTable, Suite};
+use crate::{window_for_trace, ResultTable, Suite};
 
 pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
     let pool = suite.ctx.pool();

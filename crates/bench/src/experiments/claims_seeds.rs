@@ -13,9 +13,10 @@
 use std::io;
 
 use cache_sim::ThreadPool;
+use clic_obs::json::JsonValue;
 use trace_gen::{PresetScale, TracePreset};
 
-use crate::{json::JsonValue, run_policy_comparison, ResultTable, Suite};
+use crate::{run_policy_comparison, ResultTable, Suite};
 
 /// The trace seeds swept: the figures' seed first.
 const SEEDS: [u64; 8] = [42, 1, 2, 3, 4, 5, 6, 7];

@@ -6,9 +6,10 @@
 use std::io;
 
 use clic_core::analyze_trace;
+use clic_obs::json::JsonValue;
 use trace_gen::TracePreset;
 
-use crate::{json::JsonValue, ResultTable, Suite};
+use crate::{ResultTable, Suite};
 
 pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
     let trace = suite.preset(TracePreset::Db2C60);

@@ -8,9 +8,10 @@
 use std::io;
 
 use cache_sim::compare_policies;
+use clic_obs::json::JsonValue;
 use trace_gen::TracePreset;
 
-use crate::{build_policy, json::JsonValue, window_for_trace, ResultTable, Suite};
+use crate::{build_policy, window_for_trace, ResultTable, Suite};
 
 const K_VALUES: [usize; 8] = [1, 2, 5, 10, 20, 50, 100, usize::MAX];
 

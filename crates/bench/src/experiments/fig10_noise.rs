@@ -10,9 +10,10 @@
 use std::io;
 
 use cache_sim::simulate;
+use clic_obs::json::JsonValue;
 use trace_gen::{inject_noise, NoiseConfig, TracePreset};
 
-use crate::{json::JsonValue, top_k_clic, window_for_trace, ResultTable, Suite};
+use crate::{top_k_clic, window_for_trace, ResultTable, Suite};
 
 const NOISE_LEVELS: [u32; 4] = [0, 1, 2, 3];
 

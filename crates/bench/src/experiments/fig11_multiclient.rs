@@ -12,9 +12,10 @@ use std::io;
 use cache_sim::policy::PolicyFactory;
 use cache_sim::{compare_policies, BoxedPolicy, PartitionedCache};
 use clic_core::{Clic, ClicConfig, TrackingMode};
+use clic_obs::json::JsonValue;
 use trace_gen::TracePreset;
 
-use crate::{json::JsonValue, window_for_trace, ResultTable, Suite};
+use crate::{window_for_trace, ResultTable, Suite};
 
 struct ClicFactory {
     window: u64,

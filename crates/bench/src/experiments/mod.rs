@@ -8,7 +8,8 @@
 
 use std::io;
 
-use crate::json::JsonValue;
+use clic_obs::json::JsonValue;
+
 use crate::Suite;
 
 mod ablation_generalization;

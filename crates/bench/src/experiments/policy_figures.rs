@@ -6,12 +6,10 @@
 
 use std::io;
 
+use clic_obs::json::JsonValue;
 use trace_gen::TracePreset;
 
-use crate::{
-    comparison_metrics, comparison_table, json::JsonValue, run_policy_comparison, Suite,
-    PAPER_POLICIES,
-};
+use crate::{comparison_metrics, comparison_table, run_policy_comparison, Suite, PAPER_POLICIES};
 
 fn policy_figure(suite: &Suite, figure: u32, presets: &[TracePreset]) -> io::Result<JsonValue> {
     let pool = suite.ctx.pool();

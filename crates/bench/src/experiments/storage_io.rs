@@ -51,13 +51,14 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use cache_sim::{BoxedPolicy, IoStats};
+use clic_obs::json::JsonValue;
 use clic_store::{
     replay_storage, replay_storage_partitioned, Durability, PageStore, Recorder,
     StorageReplayReport, StoreConfig,
 };
 use trace_gen::TracePreset;
 
-use crate::{build_policy, json::JsonValue, window_for_trace, ResultTable, Suite};
+use crate::{build_policy, window_for_trace, ResultTable, Suite};
 
 /// Small pages keep the scratch files modest at paper scale; see the
 /// module docs for why this does not change the headline metrics.

@@ -6,9 +6,10 @@
 use std::collections::HashSet;
 use std::io;
 
+use clic_obs::json::JsonValue;
 use trace_gen::TracePreset;
 
-use crate::{json::JsonValue, ResultTable, Suite};
+use crate::{ResultTable, Suite};
 
 pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
     let mut table = ResultTable::new(

@@ -17,9 +17,10 @@
 //!   name and capacity,
 //! * [`ResultTable`] — plain-text / CSV result formatting, written both to
 //!   stdout and to the `results/` directory,
-//! * [`ExperimentContext`] — the command line both binaries share,
-//! * [`json`] — the dependency-free JSON writer behind the machine-readable
-//!   reports.
+//! * [`ExperimentContext`] — the command line both binaries share.
+//!
+//! Every machine-readable report is a [`clic_obs::json::JsonValue`], the
+//! workspace's one JSON writer.
 //!
 //! How fast the system is — nanoseconds per request at every layer,
 //! requests per second end to end — is measured by the repository's
@@ -95,7 +96,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod experiments;
-pub mod json;
 mod suite;
 
 pub use suite::{Suite, TraceKey};
@@ -110,7 +110,7 @@ use cache_sim::{
     compare_policies, BoxedPolicy, NextUseOracle, SimulationResult, ThreadPool, Trace,
 };
 use clic_core::{Clic, ClicConfig, TrackingMode};
-use json::JsonValue;
+use clic_obs::json::JsonValue;
 use trace_gen::PresetScale;
 
 /// The set of policies the paper compares in Figures 6-8, in plot order.

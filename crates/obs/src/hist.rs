@@ -26,6 +26,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::JsonValue;
+
 /// log2 of the number of linear sub-buckets per power-of-two group.
 const SUB_BITS: u32 = 5;
 /// Linear sub-buckets per power-of-two group (32).
@@ -287,21 +289,23 @@ impl HistogramSnapshot {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
+}
 
-    /// Renders the summary as a JSON object string:
-    /// `{"count":…,"sum":…,"max":…,"mean":…,"p50":…,"p95":…,"p99":…,"p999":…}`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\"p50\":{},\"p95\":{},\"p99\":{},\"p999\":{}}}",
-            self.count,
-            self.sum,
-            self.max,
-            self.mean(),
-            self.p50(),
-            self.p95(),
-            self.p99(),
-            self.p999()
-        )
+/// The summary as a JSON object:
+/// `{"count":…,"sum":…,"max":…,"mean":…,"p50":…,"p95":…,"p99":…,"p999":…}`,
+/// every field but the mean an exact integer.
+impl From<&HistogramSnapshot> for JsonValue {
+    fn from(hist: &HistogramSnapshot) -> JsonValue {
+        JsonValue::object([
+            ("count", JsonValue::int(hist.count)),
+            ("sum", JsonValue::int(hist.sum)),
+            ("max", JsonValue::int(hist.max)),
+            ("mean", JsonValue::num(hist.mean())),
+            ("p50", JsonValue::int(hist.p50())),
+            ("p95", JsonValue::int(hist.p95())),
+            ("p99", JsonValue::int(hist.p99())),
+            ("p999", JsonValue::int(hist.p999())),
+        ])
     }
 }
 
@@ -450,5 +454,13 @@ mod tests {
         assert_eq!(s.percentile(1, 10), 1, "p10 of 10 samples is the 1st");
         assert_eq!(s.percentile(0, 1), 1, "p0 clamps to the smallest sample");
         assert_eq!(s.percentile(1, 1), 10);
+        // Percentiles stay monotone even when every sample is identical.
+        let flat = LatencyHistogram::new();
+        for _ in 0..1_000 {
+            flat.record(42);
+        }
+        let s = flat.snapshot();
+        assert_eq!((s.p50(), s.p999(), s.max()), (42, 42, 42));
+        assert!((s.mean() - 42.0).abs() < 1e-9);
     }
 }

@@ -1,27 +1,110 @@
-//! Minimal JSON helpers: string escaping for the emitters in this crate
-//! and a strict validator for smoke tests.
+//! The workspace's one JSON writer, [`JsonValue`], and a strict validator,
+//! [`validate`].
 //!
-//! The workspace is dependency-free, so there is no serde; the trace dump
-//! and metrics snapshot build their JSON by hand and the `smoke obs`
-//! gate uses [`validate`] — a tiny recursive-descent checker — to prove the
+//! The workspace is dependency-free, so there is no serde. Every
+//! machine-readable report — the trace dump, the metrics snapshot, the
+//! figure runner's ledger and the smoke gate's counts — builds a
+//! [`JsonValue`] tree and renders it with [`std::fmt::Display`], so the
+//! escaping and number rules live here and nowhere else. The `smoke obs`
+//! gate uses [`validate`], a tiny recursive-descent checker, to prove the
 //! output actually parses.
 
-/// Appends `s` to `out` as a JSON string literal (with quotes), escaping
-/// control characters, quotes, and backslashes.
-pub fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+use std::fmt;
+
+/// A JSON value. Construct with the enum variants or the [`JsonValue::num`],
+/// [`JsonValue::int`] and [`JsonValue::str`] shorthands, render with
+/// `to_string()` / `{}`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonValue {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// An integer, rendered exactly: counts and nanosecond timestamps are
+    /// `u64` and would round above 2^53 as an `f64`.
+    Int(i128),
+    /// A number. Non-finite values render as `null` (JSON has no NaN).
+    Num(f64),
+    /// A string (escaped on render).
+    Str(String),
+    /// An ordered array.
+    Array(Vec<JsonValue>),
+    /// An object with insertion-ordered keys.
+    Object(Vec<(String, JsonValue)>),
+}
+
+impl JsonValue {
+    /// A number from anything convertible to `f64`.
+    pub fn num(value: impl Into<f64>) -> Self {
+        JsonValue::Num(value.into())
+    }
+
+    /// An exact integer from any `u64` or `i64` (or narrower).
+    pub fn int(value: impl Into<i128>) -> Self {
+        JsonValue::Int(value.into())
+    }
+
+    /// A string value.
+    pub fn str(value: impl Into<String>) -> Self {
+        JsonValue::Str(value.into())
+    }
+
+    /// An object from key/value pairs.
+    pub fn object<K: Into<String>>(pairs: impl IntoIterator<Item = (K, JsonValue)>) -> Self {
+        JsonValue::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonValue::Null => write!(f, "null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            JsonValue::Int(n) => write!(f, "{n}"),
+            JsonValue::Num(n) if n.is_finite() => write!(f, "{n}"),
+            JsonValue::Num(_) => write!(f, "null"),
+            JsonValue::Str(s) => escape_into(f, s),
+            JsonValue::Array(items) => {
+                write!(f, "[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ",")?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                write!(f, "]")
+            }
+            JsonValue::Object(pairs) => {
+                write!(f, "{{")?;
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ",")?;
+                    }
+                    escape_into(f, key)?;
+                    write!(f, ":{value}")?;
+                }
+                write!(f, "}}")
+            }
         }
     }
-    out.push('"');
+}
+
+/// Writes `s` to `out` as a JSON string literal (with quotes), escaping
+/// control characters, quotes, and backslashes.
+fn escape_into(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
 }
 
 /// Checks that `input` is one complete, syntactically valid JSON value
@@ -238,7 +321,70 @@ mod tests {
     #[test]
     fn escape_round_trips_through_validate() {
         let mut out = String::new();
-        escape_into(&mut out, "line\nbreak \"quoted\" back\\slash \u{1}");
+        escape_into(&mut out, "line\nbreak \"quoted\" back\\slash \u{1}")
+            .expect("writing to a String cannot fail");
         validate(&out).expect("escaped string must be valid JSON");
+    }
+
+    #[test]
+    fn renders_every_variant() {
+        let value = JsonValue::object([
+            ("null", JsonValue::Null),
+            ("flag", JsonValue::Bool(true)),
+            ("int", JsonValue::num(3u32)),
+            ("float", JsonValue::num(0.5)),
+            ("nan", JsonValue::Num(f64::NAN)),
+            ("count", JsonValue::int(-7i64)),
+            ("text", JsonValue::str("a\"b\\c\nd")),
+            (
+                "arr",
+                JsonValue::Array(vec![JsonValue::num(1u32), JsonValue::str("x")]),
+            ),
+        ]);
+        let rendered = value.to_string();
+        assert_eq!(
+            rendered,
+            "{\"null\":null,\"flag\":true,\"int\":3,\"float\":0.5,\"nan\":null,\"count\":-7,\
+             \"text\":\"a\\\"b\\\\c\\nd\",\"arr\":[1,\"x\"]}"
+        );
+        validate(&rendered).expect("the writer's output parses");
+    }
+
+    #[test]
+    fn control_characters_are_escaped() {
+        let rendered = JsonValue::str("a\u{1}b").to_string();
+        assert_eq!(rendered, "\"a\\u0001b\"");
+        validate(&rendered).expect("the writer's output parses");
+    }
+
+    #[test]
+    fn reports_render_integers_exactly() {
+        let mut metrics = crate::MetricsSnapshot::default();
+        metrics.counters.insert("requests".to_string(), u64::MAX);
+        let json = metrics.to_json();
+        assert_eq!(
+            json,
+            "{\"counters\":{\"requests\":18446744073709551615},\"gauges\":{},\"histograms\":{}}"
+        );
+        validate(&json).expect("snapshot JSON must parse");
+
+        let start_ns = (1u64 << 53) + 1;
+        let dump = crate::TraceDump {
+            events: vec![crate::TraceEvent {
+                kind: crate::SpanKind::WalFsync,
+                thread: 0,
+                start_ns,
+                end_ns: start_ns + 3,
+                detail: 1,
+            }],
+            dropped: 0,
+        };
+        let json = dump.to_json();
+        assert_eq!(
+            json,
+            "{\"dropped\":0,\"events\":[{\"kind\":\"wal_fsync\",\"thread\":0,\
+             \"start_ns\":9007199254740993,\"dur_ns\":3,\"detail\":1}]}"
+        );
+        validate(&json).expect("trace dump must parse");
     }
 }

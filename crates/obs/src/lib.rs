@@ -35,6 +35,12 @@
 //! production, an atomic counter under [`Clock::mock`] in tests — so trace
 //! dumps are byte-for-byte deterministic where tests need them to be.
 //!
+//! # One JSON writer
+//!
+//! Every machine-readable report in the workspace — trace dumps, metrics
+//! snapshots, the figure runner's ledger — is a [`json::JsonValue`] tree
+//! rendered by its `Display` impl; [`json::validate`] checks the result.
+//!
 //! # Example
 //!
 //! ```

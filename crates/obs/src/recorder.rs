@@ -149,6 +149,17 @@ struct SpanState<'a> {
     detail: u64,
 }
 
+impl SpanState<'_> {
+    /// Records the event, ending now, and returns its duration.
+    fn record(self) -> u64 {
+        let end_ns = self.inner.clock.now_nanos();
+        self.inner
+            .tracer
+            .record(self.kind, self.start_ns, end_ns, self.detail);
+        end_ns.saturating_sub(self.start_ns)
+    }
+}
+
 /// An in-flight trace span. Records its event — with the clock's current
 /// time as the end — when [`Span::finish`]ed or dropped. Inert (a `None`)
 /// when opened on a disabled recorder.
@@ -165,15 +176,13 @@ impl Span<'_> {
         }
     }
 
-    /// The span's start timestamp, if recording.
-    pub fn start_ns(&self) -> Option<u64> {
-        self.state.as_ref().map(|state| state.start_ns)
-    }
-
-    /// Ends the span now with `detail` and records the event.
-    pub fn finish(mut self, detail: u64) {
+    /// Ends the span now with `detail`, records the event, and returns the
+    /// span's duration in nanoseconds (`None` on a disabled recorder), so a
+    /// caller that also wants the interval in a histogram needs no second
+    /// clock read.
+    pub fn finish(mut self, detail: u64) -> Option<u64> {
         self.set_detail(detail);
-        // Drop does the recording.
+        self.state.take().map(SpanState::record)
     }
 
     /// Ends the span without recording anything (e.g. the guarded section
@@ -186,12 +195,7 @@ impl Span<'_> {
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some(state) = self.state.take() {
-            state.inner.tracer.record(
-                state.kind,
-                state.start_ns,
-                state.inner.clock.now_nanos(),
-                state.detail,
-            );
+            state.record();
         }
     }
 }
@@ -206,9 +210,7 @@ mod tests {
         assert!(!recorder.is_enabled());
         assert!(recorder.counter("x").is_none());
         assert!(recorder.histogram("x").is_none());
-        let span = recorder.span(SpanKind::WalAppend);
-        assert!(span.start_ns().is_none());
-        drop(span);
+        assert!(recorder.span(SpanKind::WalAppend).finish(0).is_none());
         assert_eq!(recorder.snapshot(), MetricsSnapshot::default());
         assert!(recorder.drain_trace().events.is_empty());
     }
@@ -219,7 +221,7 @@ mod tests {
         let recorder = Recorder::with_clock(clock.clone());
         let span = recorder.span(SpanKind::FlushPass);
         clock.advance(500);
-        span.finish(12);
+        assert_eq!(span.finish(12), Some(500));
         let cancelled = recorder.span(SpanKind::FlushPass);
         cancelled.cancel();
         let dump = recorder.drain_trace();

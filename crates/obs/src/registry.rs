@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
-use crate::json::escape_into;
+use crate::json::JsonValue;
 
 /// A monotonically increasing named counter. Cloning shares the cell.
 #[derive(Debug, Clone, Default)]
@@ -225,36 +225,27 @@ impl MetricsSnapshot {
     /// `{"counters":{…},"gauges":{name:{"value":…,"peak":…}},"histograms":{name:{…}}}`
     /// with keys in sorted (deterministic) order.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_into(&mut out, name);
-            out.push_str(&format!(":{value}"));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, gauge)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_into(&mut out, name);
-            out.push_str(&format!(
-                ":{{\"value\":{},\"peak\":{}}}",
-                gauge.value, gauge.peak
-            ));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, hist)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_into(&mut out, name);
-            out.push(':');
-            out.push_str(&hist.to_json());
-        }
-        out.push_str("}}");
-        out
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, &value)| (name.as_str(), JsonValue::int(value)));
+        let gauges = self.gauges.iter().map(|(name, gauge)| {
+            let gauge = JsonValue::object([
+                ("value", JsonValue::int(gauge.value)),
+                ("peak", JsonValue::int(gauge.peak)),
+            ]);
+            (name.as_str(), gauge)
+        });
+        let histograms = self
+            .histograms
+            .iter()
+            .map(|(name, hist)| (name.as_str(), JsonValue::from(hist)));
+        JsonValue::object([
+            ("counters", JsonValue::object(counters)),
+            ("gauges", JsonValue::object(gauges)),
+            ("histograms", JsonValue::object(histograms)),
+        ])
+        .to_string()
     }
 }
 

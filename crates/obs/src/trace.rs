@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use crate::clock::Clock;
-use crate::json::escape_into;
+use crate::json::JsonValue;
 
 /// What a trace span measured. One variant per instrumented section of the
 /// stack, WAL fsync to shard worker.
@@ -226,23 +226,20 @@ impl TraceDump {
     /// Renders the dump as a JSON object:
     /// `{"dropped":…,"events":[{"kind":…,"thread":…,"start_ns":…,"dur_ns":…,"detail":…},…]}`.
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"dropped\":{},\"events\":[", self.dropped);
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"kind\":");
-            escape_into(&mut out, event.kind.label());
-            out.push_str(&format!(
-                ",\"thread\":{},\"start_ns\":{},\"dur_ns\":{},\"detail\":{}}}",
-                event.thread,
-                event.start_ns,
-                event.duration_ns(),
-                event.detail
-            ));
-        }
-        out.push_str("]}");
-        out
+        let events = self.events.iter().map(|event| {
+            JsonValue::object([
+                ("kind", JsonValue::str(event.kind.label())),
+                ("thread", JsonValue::int(event.thread)),
+                ("start_ns", JsonValue::int(event.start_ns)),
+                ("dur_ns", JsonValue::int(event.duration_ns())),
+                ("detail", JsonValue::int(event.detail)),
+            ])
+        });
+        JsonValue::object([
+            ("dropped", JsonValue::int(self.dropped)),
+            ("events", JsonValue::Array(events.collect())),
+        ])
+        .to_string()
     }
 }
 

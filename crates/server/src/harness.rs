@@ -8,6 +8,11 @@
 //! submit the next batch. This is the *online* analogue of round-robin
 //! interleaving the traces offline — the actual request order at the server
 //! emerges from real thread scheduling instead of being scripted.
+//!
+//! Batch latencies come back as a [`HistogramSnapshot`], the workspace's one
+//! latency summary: read `count()`, `p50()` … `p999()`, `max()` and
+//! `mean()` from it, as for the store replay's and the open-loop
+//! generator's reports.
 
 use std::time::{Duration, Instant};
 
@@ -54,45 +59,6 @@ impl LoadConfig {
 /// [`clic_obs::Recorder`], when one is enabled.
 pub const CLIENT_BATCH_HISTOGRAM: &str = "server.client_batch_us";
 
-/// Batch-latency percentiles over one harness run, in microseconds: a plain
-/// projection of a [`HistogramSnapshot`] (see it for the nearest-rank
-/// percentile rule — exact below 64 µs, within 1/32 (~3%) above, `max_us`
-/// always exact), so the harness keeps O(1) memory per client thread no
-/// matter how many batches a run submits.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LatencySummary {
-    /// Number of batches measured.
-    pub batches: u64,
-    /// Mean batch latency (exact: the histogram keeps an exact sum).
-    pub mean_us: f64,
-    /// Median (50th percentile) batch latency.
-    pub p50_us: u64,
-    /// 95th percentile batch latency.
-    pub p95_us: u64,
-    /// 99th percentile batch latency.
-    pub p99_us: u64,
-    /// 99.9th percentile batch latency.
-    pub p999_us: u64,
-    /// Worst observed batch latency.
-    pub max_us: u64,
-}
-
-impl LatencySummary {
-    /// Summarizes a histogram snapshot: an empty one yields the all-zero
-    /// default, a single sample is every percentile.
-    pub fn from_histogram(snapshot: &HistogramSnapshot) -> Self {
-        LatencySummary {
-            batches: snapshot.count(),
-            mean_us: snapshot.mean(),
-            p50_us: snapshot.p50(),
-            p95_us: snapshot.p95(),
-            p99_us: snapshot.p99(),
-            p999_us: snapshot.p999(),
-            max_us: snapshot.max(),
-        }
-    }
-}
-
 /// What one client thread observed during a harness run.
 #[derive(Debug, Clone)]
 pub struct ClientLoad {
@@ -123,8 +89,12 @@ pub struct LoadReport {
     pub clients: Vec<ClientLoad>,
     /// Wall-clock duration of the load phase.
     pub elapsed: Duration,
-    /// Batch latency percentiles across all client threads.
-    pub latency: LatencySummary,
+    /// Client-observed batch latencies across all client threads, in
+    /// microseconds: one fixed-size histogram per client thread, merged
+    /// exactly, so the harness keeps O(1) memory per thread however many
+    /// batches a run submits (see [`HistogramSnapshot`] for the
+    /// nearest-rank percentile rule).
+    pub latency: HistogramSnapshot,
     /// Number of cross-shard priority merges the server performed.
     pub merges: u64,
     /// Byte-level I/O counters of the data plane, when the server ran over a
@@ -316,7 +286,7 @@ pub fn run_load(config: &LoadConfig, traces: &[Trace]) -> LoadReport {
         result,
         clients,
         elapsed,
-        latency: LatencySummary::from_histogram(&all_latencies),
+        latency: all_latencies,
         merges,
         io,
     }
@@ -373,11 +343,11 @@ mod tests {
         assert_eq!(report.requests(), total);
         assert!(report.throughput_rps() > 0.0);
         assert_eq!(report.clients.len(), 2);
-        assert_eq!(report.latency.batches, 2 * 800 * 3 / 32);
-        assert!(report.latency.p50_us <= report.latency.p95_us);
-        assert!(report.latency.p95_us <= report.latency.p99_us);
-        assert!(report.latency.p99_us <= report.latency.p999_us);
-        assert!(report.latency.p999_us <= report.latency.max_us);
+        assert_eq!(report.latency.count(), 2 * 800 * 3 / 32);
+        assert!(report.latency.p50() <= report.latency.p95());
+        assert!(report.latency.p95() <= report.latency.p99());
+        assert!(report.latency.p99() <= report.latency.p999());
+        assert!(report.latency.p999() <= report.latency.max());
         // Client-observed statistics agree with the server-side per-client
         // breakdown: both classify the same responses.
         for client_load in &report.clients {
@@ -416,52 +386,5 @@ mod tests {
         let io = report.io.expect("a store-backed run reports I/O");
         assert!(io.bytes_written > 0, "Puts moved bytes: {io:?}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn summarize(samples: impl IntoIterator<Item = u64>) -> LatencySummary {
-        let histogram = LatencyHistogram::new();
-        for sample in samples {
-            histogram.record(sample);
-        }
-        LatencySummary::from_histogram(&histogram.snapshot())
-    }
-
-    #[test]
-    fn latency_summary_handles_empty_and_singleton_inputs() {
-        let empty = summarize([]);
-        assert_eq!(empty.batches, 0);
-        assert_eq!(empty.max_us, 0);
-        assert_eq!(empty.p999_us, 0);
-        let one = summarize([7]);
-        assert_eq!(one.batches, 1);
-        assert_eq!(one.p50_us, 7);
-        assert_eq!(one.p99_us, 7);
-        assert_eq!(one.p999_us, 7);
-        assert_eq!(one.max_us, 7);
-        let spread = summarize(1..=100);
-        assert_eq!(spread.p50_us, 50);
-        assert_eq!(spread.p95_us, 95);
-        assert_eq!(spread.p99_us, 99);
-        assert_eq!(spread.p999_us, 100);
-        assert_eq!(spread.max_us, 100);
-        assert!((spread.mean_us - 50.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_summary_resolves_exact_rank_landings() {
-        // 10 samples: q·N lands exactly on an index for p50 (rank 5). The
-        // integer nearest-rank rule must pick the 5th smallest, not drift
-        // to rank 6 the way a floating-point ceil of 5.000…1 would.
-        let summary = summarize(1..=10);
-        assert_eq!(summary.batches, 10);
-        assert_eq!(summary.p50_us, 5);
-        assert_eq!(summary.p95_us, 10);
-        assert_eq!(summary.max_us, 10);
-        // Percentiles stay monotone even when every sample is identical.
-        let flat = summarize(vec![42; 1000]);
-        assert_eq!(flat.p50_us, 42);
-        assert_eq!(flat.p999_us, 42);
-        assert_eq!(flat.max_us, 42);
-        assert!((flat.mean_us - 42.0).abs() < 1e-9);
     }
 }

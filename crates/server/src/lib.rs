@@ -33,7 +33,7 @@
 //! * [`run_load`] — a closed-loop load harness that spawns one client thread
 //!   per input trace (typically [`trace_gen`] presets over disjoint page
 //!   ranges), drives them against a server concurrently, and reports
-//!   throughput (requests/s), batch latency percentiles, and per-client hit
+//!   throughput (requests/s), batch latencies as a [`HistogramSnapshot`], and per-client hit
 //!   ratios in the same shape as [`cache_sim::SimulationResult`].
 //! * An optional **data plane**: attach a disk-backed page store
 //!   ([`ServerConfig::with_store`], built on [`clic_store`]) and the server
@@ -194,8 +194,8 @@ pub mod sys;
 pub mod wire;
 
 pub use harness::{
-    merge_client_traces, preset_client_traces, run_load, ClientLoad, LatencySummary, LoadConfig,
-    LoadReport, CLIENT_BATCH_HISTOGRAM,
+    merge_client_traces, preset_client_traces, run_load, ClientLoad, LoadConfig, LoadReport,
+    CLIENT_BATCH_HISTOGRAM,
 };
 pub use net::{BlockingClient, NetOptions, NetServer, RetryPolicy};
 pub use openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport};
@@ -211,5 +211,6 @@ pub use clic_store::{
 };
 
 // Observability types appearing in this crate's public API
-// ([`ServerConfig::with_recorder`], [`StatsSnapshot::metrics`]).
-pub use clic_obs::{MetricsSnapshot, Recorder, SpanKind, TraceDump};
+// ([`ServerConfig::with_recorder`], [`StatsSnapshot::metrics`],
+// [`LoadReport::latency`]).
+pub use clic_obs::{HistogramSnapshot, MetricsSnapshot, Recorder, SpanKind, TraceDump};

@@ -36,12 +36,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use cache_sim::{ClientId, HintSetId, PageId};
-use clic_obs::LatencyHistogram;
+use clic_obs::{HistogramSnapshot, LatencyHistogram};
 use clic_store::page_payload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::harness::LatencySummary;
 use crate::protocol::ServerRequest;
 use crate::wire;
 
@@ -101,9 +100,9 @@ pub struct OpenLoopReport {
     pub errored: u64,
     /// Wall-clock duration from first scheduled send to last response.
     pub elapsed: Duration,
-    /// Coordinated-omission-safe latency percentiles, measured from each
-    /// request's *scheduled* send time (microseconds).
-    pub latency: LatencySummary,
+    /// Coordinated-omission-safe latencies, measured from each request's
+    /// *scheduled* send time (microseconds).
+    pub latency: HistogramSnapshot,
 }
 
 /// Draws the Poisson arrival schedule: `requests` offsets in nanoseconds
@@ -249,7 +248,7 @@ pub fn run_open_loop(addr: SocketAddr, config: &OpenLoopConfig) -> io::Result<Op
         completed,
         errored,
         elapsed,
-        latency: LatencySummary::from_histogram(&histogram.snapshot()),
+        latency: histogram.snapshot(),
     })
 }
 

@@ -406,9 +406,7 @@ impl<'a> Steps<'a> {
         op: impl Fn(&'r T) -> (usize, &'r ServerRequest) + Copy,
         answers: &mut impl Answers,
     ) {
-        let recorder = self.cache.recorder();
-        let mut span = recorder.span(SpanKind::ShardBatch);
-        span.set_detail(ops.len() as u64);
+        let span = self.cache.recorder().span(SpanKind::ShardBatch);
         let mut rest = ops;
         while !rest.is_empty() {
             let (count, mut served) = self.step(shard, rest, &mut reqs, op);
@@ -427,12 +425,11 @@ impl<'a> Steps<'a> {
             }
             rest = &rest[count..];
         }
-        if let (Some(hist), Some(start_ns), Some(clock)) = (
+        if let (Some(ns), Some(hist)) = (
+            span.finish(ops.len() as u64),
             self.instruments.service.as_deref(),
-            span.start_ns(),
-            recorder.clock(),
         ) {
-            hist.record(clock.now_nanos().saturating_sub(start_ns) / 1_000);
+            hist.record(ns / 1_000);
         }
         if let Some(gauge) = &self.instruments.queue_depth {
             gauge.dec();

@@ -112,10 +112,10 @@ fn main() -> std::io::Result<()> {
         "achieved {:.0} req/s; latency from scheduled send: p50 {} us, \
          p95 {} us, p99 {} us, max {} us",
         report.achieved_rps,
-        report.latency.p50_us,
-        report.latency.p95_us,
-        report.latency.p99_us,
-        report.latency.max_us
+        report.latency.p50(),
+        report.latency.p95(),
+        report.latency.p99(),
+        report.latency.max()
     );
 
     // Clean shutdown hands back the final simulation result.

@@ -19,33 +19,21 @@ fn main() {
     let cache_pages = 1_800;
     let window = suggested_window(trace.len() as u64);
 
-    let mut rows: Vec<(String, f64)> = Vec::new();
+    // The offline optimum (upper bound), every online baseline from the
+    // simulator crate, and CLIC with full and with bounded tracking.
+    let mut policies: Vec<(&str, Box<dyn CachePolicy>)> =
+        vec![("OPT", Box::new(Opt::from_trace(&trace, cache_pages)))];
+    policies.extend(BaselinePolicy::ALL.map(|kind| (kind.name(), kind.build(cache_pages))));
+    let config = ClicConfig::default().with_window(window);
+    let clic = Clic::new(cache_pages, config);
+    policies.push(("CLIC", Box::new(clic)));
+    let clic_topk = Clic::new(cache_pages, config.with_tracking(TrackingMode::TopK(10)));
+    policies.push(("CLIC(k=10)", Box::new(clic_topk)));
 
-    // Offline optimum (upper bound).
-    let mut opt = Opt::from_trace(&trace, cache_pages);
-    rows.push(("OPT".into(), simulate(&mut opt, &trace).read_hit_ratio()));
-
-    // Every online baseline from the simulator crate.
-    for kind in BaselinePolicy::ALL {
-        let mut policy = kind.build(cache_pages);
-        let ratio = simulate(policy.as_mut(), &trace).read_hit_ratio();
-        rows.push((kind.name().to_string(), ratio));
-    }
-
-    // CLIC, full tracking and bounded tracking.
-    let mut clic = Clic::new(cache_pages, ClicConfig::default().with_window(window));
-    rows.push(("CLIC".into(), simulate(&mut clic, &trace).read_hit_ratio()));
-    let mut clic_topk = Clic::new(
-        cache_pages,
-        ClicConfig::default()
-            .with_window(window)
-            .with_tracking(TrackingMode::TopK(10)),
-    );
-    rows.push((
-        "CLIC(k=10)".into(),
-        simulate(&mut clic_topk, &trace).read_hit_ratio(),
-    ));
-
+    let mut rows: Vec<(&str, f64)> = policies
+        .into_iter()
+        .map(|(name, mut policy)| (name, simulate(policy.as_mut(), &trace).read_hit_ratio()))
+        .collect();
     rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     println!("\n{:<12} {:>16}", "policy", "read hit ratio");
     for (name, ratio) in &rows {

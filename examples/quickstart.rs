@@ -9,6 +9,7 @@
 //! ```
 
 use clic::prelude::*;
+use clic::sim::policies::BaselinePolicy;
 
 fn main() {
     // 1. Generate a scaled-down version of the paper's DB2_C60 trace: a
@@ -23,32 +24,18 @@ fn main() {
     let cache_pages = 1_800;
     let window = suggested_window(trace.len() as u64);
 
-    let mut results: Vec<(String, f64)> = Vec::new();
-
-    let mut opt = Opt::from_trace(&trace, cache_pages);
-    results.push((
-        "OPT (offline bound)".into(),
-        simulate(&mut opt, &trace).read_hit_ratio(),
-    ));
-
-    let mut lru = Lru::new(cache_pages);
-    results.push(("LRU".into(), simulate(&mut lru, &trace).read_hit_ratio()));
-
-    let mut arc = Arc::new(cache_pages);
-    results.push(("ARC".into(), simulate(&mut arc, &trace).read_hit_ratio()));
-
-    let mut tq = Tq::new(cache_pages);
-    results.push((
-        "TQ (write hints)".into(),
-        simulate(&mut tq, &trace).read_hit_ratio(),
-    ));
-
-    let mut clic = Clic::new(cache_pages, ClicConfig::default().with_window(window));
-    results.push(("CLIC".into(), simulate(&mut clic, &trace).read_hit_ratio()));
+    let mut policies: Vec<(&str, Box<dyn CachePolicy>)> = vec![(
+        "OPT (offline bound)",
+        Box::new(Opt::from_trace(&trace, cache_pages)),
+    )];
+    policies.extend(BaselinePolicy::ALL.map(|kind| (kind.name(), kind.build(cache_pages))));
+    let clic = Clic::new(cache_pages, ClicConfig::default().with_window(window));
+    policies.push(("CLIC", Box::new(clic)));
 
     // 3. Report.
     println!("\nserver cache: {cache_pages} pages");
-    for (name, ratio) in &results {
+    for (name, mut policy) in policies {
+        let ratio = simulate(policy.as_mut(), &trace).read_hit_ratio();
         println!("  {name:<22} read hit ratio {:>5.1}%", ratio * 100.0);
     }
 

@@ -90,7 +90,10 @@ fn main() {
     );
     println!(
         "batch latency: p50 {} us, p95 {} us, p99 {} us, max {} us",
-        report.latency.p50_us, report.latency.p95_us, report.latency.p99_us, report.latency.max_us
+        report.latency.p50(),
+        report.latency.p95(),
+        report.latency.p99(),
+        report.latency.max()
     );
     println!("\n{:<10} {:>15}", "client", "read hit ratio");
     for client in &report.clients {

@@ -176,7 +176,7 @@ run_benchmark --seconds 3 --traced
 # and its logged acknowledgements still leave through ReplySink::deliver.
 # Server::submit serves on the caller's thread, so its body names no worker
 # queue (`senders[`) and does not go through submit_shard_tagged.
-echo "== single-owner gates (frame reader, policy->store mirror, WAL sync, reply delivery, inline submit, write-back) =="
+echo "== single-owner gates (frame reader, policy->store mirror, WAL sync, reply delivery, inline submit, write-back, JSON writer) =="
 if grep -rnF '.drain(..consumed)' crates/server/src; then
     echo "verify: FAILED (a hand-rolled frame reader is back; use wire::FrameBuf)" >&2
     exit 1
@@ -216,6 +216,26 @@ fi
 if grep -rnE 'thread::spawn|Flusher|flush_interval|ShutdownTimeout' \
         crates/store/src crates/server/src/sharded.rs; then
     echo "verify: FAILED (a background flusher is back; write-back runs inline through PageStore::flush_some)" >&2
+    exit 1
+fi
+
+# JSON has one writer: clic_obs::json::JsonValue, whose Display impl and
+# private string escaper are the only code that renders JSON text. Every
+# report builds a JsonValue tree; no other non-test code has an escaper or
+# writes an object key by hand (a string literal holding `{\"` or `,\"`).
+# Test modules (from `#[cfg(test)]` to the end of a file) may spell out the
+# JSON they expect.
+if grep -rnE 'fn escape_into|impl fmt::Display for JsonValue' crates src --include='*.rs' \
+        | grep -v '^crates/obs/src/json\.rs:'; then
+    echo "verify: FAILED (a second JSON writer: escape_into or Display for JsonValue outside crates/obs/src/json.rs)" >&2
+    exit 1
+fi
+hand_json="$(find crates/*/src src -name '*.rs' -not -path 'crates/obs/src/json.rs' | sort | while read -r f; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '[{,]\\"' | sed "s|^|$f:|" || true
+done)"
+if [ -n "$hand_json" ]; then
+    echo "$hand_json" >&2
+    echo "verify: FAILED (JSON written by hand; build a clic_obs::json::JsonValue instead)" >&2
     exit 1
 fi
 

@@ -31,8 +31,10 @@
 //!   `Put`/`Get` move real bytes and acknowledged writes survive a crash,
 //! * [`obs`] ([`clic_obs`]) — the observability layer threaded through the
 //!   store and server: an atomic metrics registry, log-scaled latency
-//!   histograms, and per-thread event tracing, all behind a
-//!   zero-when-disabled [`prelude::Recorder`].
+//!   histograms (a [`prelude::HistogramSnapshot`] is every report's latency
+//!   summary), and per-thread event tracing, all behind a
+//!   zero-when-disabled [`prelude::Recorder`], plus the one JSON writer
+//!   every machine-readable report renders through.
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper lives in the `clic-bench` crate (`crates/bench`): one `run_all`

@@ -154,8 +154,8 @@ fn open_loop_generator_completes_and_measures_latency() {
     .expect("open-loop run");
     assert_eq!(report.sent, 5_000);
     assert_eq!(report.completed, 5_000);
-    assert_eq!(report.latency.batches, 5_000);
-    assert!(report.latency.p99_us >= report.latency.p50_us);
+    assert_eq!(report.latency.count(), 5_000);
+    assert!(report.latency.p99() >= report.latency.p50());
     assert!(report.achieved_rps > 0.0);
     let result = net.shutdown().expect("clean shutdown");
     assert_eq!(result.stats.requests(), 5_000);
