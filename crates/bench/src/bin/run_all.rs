@@ -68,7 +68,7 @@ fn main() -> std::io::Result<()> {
 
     ctx.write_json(&JsonValue::object([
         ("suite", JsonValue::str("run_all")),
-        ("jobs", JsonValue::num(ctx.jobs as f64)),
+        ("jobs", JsonValue::int(ctx.jobs as u64)),
         ("total_wall_time_s", JsonValue::num(total_wall_time_s)),
         (
             "experiments",
@@ -98,8 +98,8 @@ fn main() -> std::io::Result<()> {
                     .map(|((preset, page_offset, seed), build_s)| {
                         JsonValue::object([
                             ("preset", JsonValue::str(preset.name())),
-                            ("page_offset", JsonValue::num(page_offset as f64)),
-                            ("seed", JsonValue::num(seed as f64)),
+                            ("page_offset", JsonValue::int(page_offset)),
+                            ("seed", JsonValue::int(seed)),
                             ("build_s", JsonValue::num(build_s)),
                         ])
                     })

@@ -109,11 +109,6 @@ const OBS_PAGE_SIZE: usize = 256;
 const CHAOS_PAGE_SIZE: usize = 64;
 const CHAOS_SEED: u64 = 0xC0FFEE;
 
-/// Counts in this gate fit `f64` exactly; the JSON writer wants one.
-fn num(value: u64) -> JsonValue {
-    JsonValue::num(value as f64)
-}
-
 /// A scratch directory for one store. Anything a killed run left there
 /// would be recovered into this run's counters; start from nothing.
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -335,16 +330,22 @@ fn obs(ctx: &ExperimentContext) -> io::Result<JsonValue> {
     );
 
     Ok(JsonValue::object([
-        ("requests", num(serial.result.stats.requests())),
-        ("read_hits", num(serial.result.stats.read_hits)),
-        ("evictions", num(serial.result.stats.evictions)),
-        ("wal_records", num(serial.io.wal_records)),
-        ("replay_trace_events", num(serial_trace.events.len() as u64)),
-        ("server_trace_events", num(server_trace.events.len() as u64)),
-        ("server_batches", num(total_batches)),
-        ("net_loop_iterations", num(iterations)),
-        ("net_completion_wakeups", num(completion_wakeups)),
-        ("net_socket_wakeups", num(socket_wakeups)),
+        ("requests", JsonValue::int(serial.result.stats.requests())),
+        ("read_hits", JsonValue::int(serial.result.stats.read_hits)),
+        ("evictions", JsonValue::int(serial.result.stats.evictions)),
+        ("wal_records", JsonValue::int(serial.io.wal_records)),
+        (
+            "replay_trace_events",
+            JsonValue::int(serial_trace.events.len() as u64),
+        ),
+        (
+            "server_trace_events",
+            JsonValue::int(server_trace.events.len() as u64),
+        ),
+        ("server_batches", JsonValue::int(total_batches)),
+        ("net_loop_iterations", JsonValue::int(iterations)),
+        ("net_completion_wakeups", JsonValue::int(completion_wakeups)),
+        ("net_socket_wakeups", JsonValue::int(socket_wakeups)),
     ]))
 }
 
@@ -928,30 +929,30 @@ fn chaos(ctx: &ExperimentContext) -> io::Result<JsonValue> {
     Ok(JsonValue::object([
         (
             "storm_acked",
-            num(first.acked.iter().filter(|&&a| a).count() as u64),
+            JsonValue::int(first.acked.iter().filter(|&&a| a).count() as u64),
         ),
-        ("storm_writes", num(ops.len() as u64)),
-        ("open_loop_sent", num(report.sent)),
-        ("open_loop_completed", num(report.completed)),
-        ("open_loop_errored", num(report.errored)),
-        ("burst_applied", num(burst_applied as u64)),
-        ("burst_failed", num(burst_failed as u64)),
+        ("storm_writes", JsonValue::int(ops.len() as u64)),
+        ("open_loop_sent", JsonValue::int(report.sent)),
+        ("open_loop_completed", JsonValue::int(report.completed)),
+        ("open_loop_errored", JsonValue::int(report.errored)),
+        ("burst_applied", JsonValue::int(burst_applied as u64)),
+        ("burst_failed", JsonValue::int(burst_failed as u64)),
         (
             "accept_drops",
-            num(net_fault.injected_at(FaultPoint::NetAccept)),
+            JsonValue::int(net_fault.injected_at(FaultPoint::NetAccept)),
         ),
         (
             "conn_resets",
-            num(net_fault.injected_at(FaultPoint::NetRecv)),
+            JsonValue::int(net_fault.injected_at(FaultPoint::NetRecv)),
         ),
         (
             "send_faults",
-            num(net_fault.injected_at(FaultPoint::NetSend)),
+            JsonValue::int(net_fault.injected_at(FaultPoint::NetSend)),
         ),
-        ("server_storm_applied", num(storm_applied)),
+        ("server_storm_applied", JsonValue::int(storm_applied)),
         (
             "server_storm_failed",
-            num(storm.applied.len() as u64 - storm_applied),
+            JsonValue::int(storm.applied.len() as u64 - storm_applied),
         ),
     ]))
 }

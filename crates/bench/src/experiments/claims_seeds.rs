@@ -108,12 +108,9 @@ pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
             metrics.push((
                 format!("{}@{size}", preset.name()),
                 JsonValue::Object(vec![
-                    ("seeds_held".to_string(), JsonValue::num(held as f64)),
+                    ("seeds_held".to_string(), JsonValue::int(held as u64)),
                     ("min_margin_points".to_string(), JsonValue::num(worst)),
-                    (
-                        "min_margin_seed".to_string(),
-                        JsonValue::num(worst_seed as f64),
-                    ),
+                    ("min_margin_seed".to_string(), JsonValue::int(worst_seed)),
                 ]),
             ));
         }

@@ -59,7 +59,7 @@ pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
         );
     }
     Ok(JsonValue::object([
-        ("hint_sets", JsonValue::num(reports.len() as f64)),
+        ("hint_sets", JsonValue::int(reports.len() as u64)),
         (
             "top_priority",
             reports

@@ -128,30 +128,24 @@ fn io_metrics(io: &IoStats, report: &StorageReplayReport) -> JsonValue {
             JsonValue::num(report.result.read_hit_ratio()),
         ),
         ("buffer_hit_ratio", JsonValue::num(io.buffer_hit_ratio())),
-        ("bytes_read", JsonValue::num(io.bytes_read as f64)),
-        ("bytes_written", JsonValue::num(io.bytes_written as f64)),
-        ("disk_reads", JsonValue::num(io.disk_reads as f64)),
-        ("disk_writes", JsonValue::num(io.disk_writes as f64)),
-        ("disk_bytes_read", JsonValue::num(io.disk_bytes_read as f64)),
-        (
-            "disk_bytes_written",
-            JsonValue::num(io.disk_bytes_written as f64),
-        ),
+        ("bytes_read", JsonValue::int(io.bytes_read)),
+        ("bytes_written", JsonValue::int(io.bytes_written)),
+        ("disk_reads", JsonValue::int(io.disk_reads)),
+        ("disk_writes", JsonValue::int(io.disk_writes)),
+        ("disk_bytes_read", JsonValue::int(io.disk_bytes_read)),
+        ("disk_bytes_written", JsonValue::int(io.disk_bytes_written)),
         (
             "disk_reads_per_request",
             JsonValue::num(report.disk_reads_per_request()),
         ),
-        ("pages_flushed", JsonValue::num(io.pages_flushed as f64)),
-        (
-            "eviction_flushes",
-            JsonValue::num(io.eviction_flushes as f64),
-        ),
-        ("wal_records", JsonValue::num(io.wal_records as f64)),
-        ("wal_bytes", JsonValue::num(io.wal_bytes as f64)),
-        ("data_syncs", JsonValue::num(io.data_syncs as f64)),
-        ("wal_syncs", JsonValue::num(io.wal_syncs as f64)),
-        ("group_commits", JsonValue::num(io.group_commits as f64)),
-        ("fsyncs", JsonValue::num(io.fsyncs() as f64)),
+        ("pages_flushed", JsonValue::int(io.pages_flushed)),
+        ("eviction_flushes", JsonValue::int(io.eviction_flushes)),
+        ("wal_records", JsonValue::int(io.wal_records)),
+        ("wal_bytes", JsonValue::int(io.wal_bytes)),
+        ("data_syncs", JsonValue::int(io.data_syncs)),
+        ("wal_syncs", JsonValue::int(io.wal_syncs)),
+        ("group_commits", JsonValue::int(io.group_commits)),
+        ("fsyncs", JsonValue::int(io.fsyncs())),
         // Per-chunk replay latency (one sample per REPLAY_CHUNK requests),
         // from the store's `store.replay_chunk_us` histogram. Wall-clock, so
         // JSON-only: the CSV table is byte-diffed across --jobs values.
@@ -161,12 +155,12 @@ fn io_metrics(io: &IoStats, report: &StorageReplayReport) -> JsonValue {
 
 fn latency_metrics(report: &StorageReplayReport) -> JsonValue {
     JsonValue::object([
-        ("p50", JsonValue::num(report.latency.p50() as f64)),
-        ("p95", JsonValue::num(report.latency.p95() as f64)),
-        ("p99", JsonValue::num(report.latency.p99() as f64)),
-        ("p999", JsonValue::num(report.latency.p999() as f64)),
-        ("max", JsonValue::num(report.latency.max() as f64)),
-        ("chunks", JsonValue::num(report.latency.count() as f64)),
+        ("p50", JsonValue::int(report.latency.p50())),
+        ("p95", JsonValue::int(report.latency.p95())),
+        ("p99", JsonValue::int(report.latency.p99())),
+        ("p999", JsonValue::int(report.latency.p999())),
+        ("max", JsonValue::int(report.latency.max())),
+        ("chunks", JsonValue::int(report.latency.count())),
     ])
 }
 
@@ -298,9 +292,9 @@ pub(super) fn run(suite: &Suite) -> std::io::Result<JsonValue> {
     );
 
     let mut metrics = vec![
-        ("page_size", JsonValue::num(PAGE_SIZE as f64)),
-        ("cache_pages", JsonValue::num(cache_pages as f64)),
-        ("requests", JsonValue::num(combined.len() as f64)),
+        ("page_size", JsonValue::int(PAGE_SIZE as u64)),
+        ("cache_pages", JsonValue::int(cache_pages as u64)),
+        ("requests", JsonValue::int(combined.len() as u64)),
     ];
     for (name, report) in &reports {
         metrics.push((*name, io_metrics(&report.io, report)));
@@ -323,11 +317,11 @@ pub(super) fn run(suite: &Suite) -> std::io::Result<JsonValue> {
     metrics.push(("shards", JsonValue::object(shard_obj)));
     metrics.push((
         "clic_vs_lru_disk_reads_saved",
-        JsonValue::num(lru_reads as f64 - clic_reads as f64),
+        JsonValue::int(i128::from(lru_reads) - i128::from(clic_reads)),
     ));
     metrics.push((
         "group_commit_vs_strict_fsyncs_saved",
-        JsonValue::num((strict_fsyncs - group_commit_fsyncs) as f64),
+        JsonValue::int(strict_fsyncs - group_commit_fsyncs),
     ));
     Ok(JsonValue::object(metrics))
 }

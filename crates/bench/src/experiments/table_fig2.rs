@@ -42,7 +42,7 @@ pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
     });
     let mut metrics = Vec::new();
     for (preset, rows) in presets.iter().zip(per_preset) {
-        metrics.push((preset.name().to_string(), JsonValue::num(rows.len() as f64)));
+        metrics.push((preset.name().to_string(), JsonValue::int(rows.len() as u64)));
         for row in rows {
             table.push_row(row);
         }

@@ -43,12 +43,9 @@ pub(super) fn run(suite: &Suite) -> io::Result<JsonValue> {
         metrics.push((
             preset.name().to_string(),
             JsonValue::object([
-                ("requests", JsonValue::num(s.requests as f64)),
-                (
-                    "distinct_hint_sets",
-                    JsonValue::num(s.distinct_hint_sets as f64),
-                ),
-                ("distinct_pages", JsonValue::num(s.distinct_pages as f64)),
+                ("requests", JsonValue::int(s.requests)),
+                ("distinct_hint_sets", JsonValue::int(s.distinct_hint_sets)),
+                ("distinct_pages", JsonValue::int(s.distinct_pages)),
             ]),
         ));
     }

@@ -395,7 +395,7 @@ pub fn comparison_metrics(
             JsonValue::Array(
                 cache_sizes
                     .iter()
-                    .map(|&s| JsonValue::num(s as f64))
+                    .map(|&s| JsonValue::int(s as u64))
                     .collect(),
             ),
         ),
@@ -536,7 +536,7 @@ impl ExperimentContext {
         JsonValue::object([
             ("experiment", JsonValue::str(experiment)),
             ("scale", JsonValue::str(self.scale_label())),
-            ("jobs", JsonValue::num(self.jobs as f64)),
+            ("jobs", JsonValue::int(self.jobs as u64)),
             ("wall_time_s", JsonValue::num(wall_time_s)),
             ("metrics", metrics),
         ])

@@ -36,11 +36,17 @@ impl fmt::Display for HintValue {
     }
 }
 
-/// Dense identifier of a distinct interned hint set.
+/// Dense identifier of a distinct interned hint set: an index into the
+/// catalog that interned it, handed out from 0 upwards.
 ///
 /// Hint sets from different clients always receive different ids, mirroring
 /// the paper's rule that hint types of different clients are distinct even if
 /// the clients run the same application.
+///
+/// Policies index their per-hint-set tables by this id (`clic-core` holds
+/// one entry per id up to the largest it has seen), so an id must come from
+/// an interner — a [`HintCatalog`], or the server's per-client table for
+/// hints that arrive on the wire — never straight from an untrusted source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct HintSetId(pub u32);
 
@@ -49,6 +55,13 @@ impl HintSetId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+impl From<HintSetId> for usize {
+    #[inline]
+    fn from(id: HintSetId) -> usize {
+        id.index()
     }
 }
 

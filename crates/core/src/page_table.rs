@@ -20,7 +20,9 @@
 //! * **intrusive per-hint lists**: cached slots are threaded into one doubly
 //!   linked list per hint set through their `prev`/`next` fields (front =
 //!   oldest sequence number), so "move to back", "remove", and "oldest page"
-//!   are pointer swaps with no auxiliary index;
+//!   are pointer swaps with no auxiliary index; the lists sit in a vector
+//!   indexed by the dense [`HintSetId`] (one per id up to the largest
+//!   seen), so a page's list is reached by its hint with no lookup;
 //! * **an intrusive outqueue FIFO**: uncached-but-remembered slots are
 //!   threaded into a single bounded insertion-ordered list through the same
 //!   link fields;
@@ -34,8 +36,8 @@
 //! The structure maintains, between any two public calls:
 //!
 //! 1. Every live slot is reachable from the bucket index under its page id,
-//!    and belongs to exactly one intrusive list: the hint list named by its
-//!    `list` field (cached) or the outqueue FIFO (`list == OUTQUEUE`).
+//!    and belongs to exactly one intrusive list: its hint set's list
+//!    (cached) or the outqueue FIFO (not cached).
 //! 2. Each hint list links its slots in ascending insertion order; because
 //!    the policy only ever appends with the current (monotone) sequence
 //!    number, the front of a list is the hint set's oldest cached page.
@@ -47,15 +49,14 @@
 //!    keys always match the live priority table.
 //! 5. `min_key` is the minimum `key` over occupied hint lists and `min_lists`
 //!    are exactly the occupied lists attaining it, ordered by ascending
-//!    [`HintSetId`] after a rebuild and by insertion order between rebuilds —
-//!    mirroring the retired ordered-index semantics bit for bit (the order
-//!    only matters for tie-breaks on equal sequence numbers, which cannot
-//!    occur under a monotone sequencer).
+//!    [`HintSetId`] after a rebuild (the lists' own order) and by insertion
+//!    order between rebuilds — mirroring the retired ordered-index semantics
+//!    bit for bit (the order only matters for tie-breaks on equal sequence
+//!    numbers, which cannot occur under a monotone sequencer).
 //!
 //! [`PageTable::validate`] checks all of the above and is exercised after
 //! every request by the differential property tests.
 
-use cache_sim::hash::FastHashMap;
 use cache_sim::{HintSetId, PageId};
 
 /// Metadata remembered for a page: the sequence number and hint set of its
@@ -88,8 +89,6 @@ fn prefetch_read<T>(ptr: *const T) {
 
 /// Sentinel for "no slot" in links, buckets, and free list.
 const NIL: u32 = u32::MAX;
-/// `Slot::list` value marking membership in the outqueue FIFO.
-const OUTQUEUE: u32 = u32::MAX;
 /// 64-bit golden-ratio constant for Fibonacci bucket hashing.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Largest bucket array allocated eagerly; bigger tables grow on demand.
@@ -101,22 +100,34 @@ struct Slot {
     page: PageId,
     seq: u64,
     hint: HintSetId,
-    /// Dense index of the hint list this slot is threaded into, or
-    /// [`OUTQUEUE`] when the slot sits in the outqueue FIFO.
-    list: u32,
     prev: u32,
     next: u32,
+    /// Whether the slot is cached, threaded into the list of `hint`;
+    /// otherwise it sits in the outqueue FIFO.
+    cached: bool,
 }
 
 /// Head/tail/length of one hint set's intrusive list, plus its cached
 /// priority key (valid while the list is occupied; see module invariant 4).
 #[derive(Debug, Clone, Copy)]
 struct HintList {
-    hint: HintSetId,
     head: u32,
     tail: u32,
     len: u32,
     key: u64,
+    /// Whether the list was ever used: an id below the largest seen may
+    /// never have been.
+    seen: bool,
+}
+
+impl HintList {
+    const UNSEEN: HintList = HintList {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+        key: 0,
+        seen: false,
+    };
 }
 
 /// A stable handle to a slot, returned by [`PageTable::find`]. Valid only
@@ -146,7 +157,7 @@ pub struct SearchWork {
     /// every list at the minimum priority key, per search.
     pub lists_visited: u64,
     /// Hint lists scanned by rebuilds of the minimum key: every hint list
-    /// the table has seen, per rebuild.
+    /// the table has used, per rebuild.
     pub lists_scanned: u64,
 }
 
@@ -162,9 +173,10 @@ pub struct PageTable {
     /// Live slots (cached + outqueue).
     entries: usize,
     cached_len: usize,
-    /// Hint set → dense index into `hint_lists`; entries are never removed.
-    hint_index: FastHashMap<HintSetId, u32>,
+    /// One list per hint-set id up to the largest seen, indexed by id.
     hint_lists: Vec<HintList>,
+    /// Lists ever used.
+    lists_seen: u64,
     outq_head: u32,
     outq_tail: u32,
     outq_len: usize,
@@ -191,8 +203,8 @@ impl PageTable {
             bucket_shift: 64 - buckets.trailing_zeros(),
             entries: 0,
             cached_len: 0,
-            hint_index: FastHashMap::default(),
             hint_lists: Vec::new(),
+            lists_seen: 0,
             outq_head: NIL,
             outq_tail: NIL,
             outq_len: 0,
@@ -244,7 +256,7 @@ impl PageTable {
                         seq: slot.seq,
                         hint: slot.hint,
                     },
-                    slot.list != OUTQUEUE,
+                    slot.cached,
                 ));
             }
             bucket = (bucket + 1) & mask;
@@ -300,9 +312,12 @@ impl PageTable {
         key: impl FnOnce() -> u64,
     ) {
         let idx = slot.0;
-        let old_list = self.slots[idx as usize].list;
-        debug_assert_ne!(old_list, OUTQUEUE, "record_hit on an uncached slot");
+        debug_assert!(
+            self.slots[idx as usize].cached,
+            "record_hit on an uncached slot"
+        );
         let slot_ref = &mut self.slots[idx as usize];
+        let old_list = slot_ref.hint.0;
         slot_ref.seq = seq;
         if slot_ref.hint == hint {
             // Same hint set: move to the back of its list.
@@ -313,7 +328,6 @@ impl PageTable {
             self.hint_unlink(old_list, idx);
             self.note_if_emptied(old_list);
             let new_list = self.list_of(hint);
-            self.slots[idx as usize].list = new_list;
             let was_empty = self.hint_lists[new_list as usize].len == 0;
             self.hint_link_back(new_list, idx);
             if was_empty {
@@ -353,7 +367,7 @@ impl PageTable {
                     self.slots[slot.0 as usize].page, page,
                     "stale slot handle passed to admit_resolved"
                 );
-                debug_assert_eq!(self.slots[slot.0 as usize].list, OUTQUEUE);
+                debug_assert!(!self.slots[slot.0 as usize].cached);
                 self.outq_unlink(slot.0);
                 slot.0
             }
@@ -364,7 +378,7 @@ impl PageTable {
             let slot = &mut self.slots[idx as usize];
             slot.seq = record.seq;
             slot.hint = record.hint;
-            slot.list = list;
+            slot.cached = true;
         }
         let was_empty = self.hint_lists[list as usize].len == 0;
         self.hint_link_back(list, idx);
@@ -393,8 +407,8 @@ impl PageTable {
     /// cached.
     pub fn evict_slot_to_outqueue(&mut self, slot: SlotRef) {
         let idx = slot.0;
-        let list = self.slots[idx as usize].list;
-        debug_assert_ne!(list, OUTQUEUE, "evicting an uncached slot");
+        debug_assert!(self.slots[idx as usize].cached, "evicting an uncached slot");
+        let list = self.slots[idx as usize].hint.0;
         self.hint_unlink(list, idx);
         self.cached_len -= 1;
         self.note_if_emptied(list);
@@ -405,7 +419,7 @@ impl PageTable {
         if self.outq_len >= self.outq_capacity {
             self.pop_outqueue_front();
         }
-        self.slots[idx as usize].list = OUTQUEUE;
+        self.slots[idx as usize].cached = false;
         self.outq_link_back(idx);
     }
 
@@ -421,7 +435,7 @@ impl PageTable {
         let (slot, _, cached) = self.find(page)?;
         let idx = slot.0;
         if cached {
-            let list = self.slots[idx as usize].list;
+            let list = self.slots[idx as usize].hint.0;
             self.hint_unlink(list, idx);
             self.cached_len -= 1;
             self.note_if_emptied(list);
@@ -470,7 +484,6 @@ impl PageTable {
                 let s = &mut self.slots[idx as usize];
                 s.seq = record.seq;
                 s.hint = record.hint;
-                s.list = OUTQUEUE;
                 self.outq_link_back(idx);
             }
         }
@@ -500,7 +513,7 @@ impl PageTable {
             let front = &self.slots[list.head as usize];
             match best {
                 Some((best_seq, ..)) if best_seq <= front.seq => {}
-                _ => best = Some((front.seq, list.head, front.page, list.hint)),
+                _ => best = Some((front.seq, list.head, front.page, HintSetId(list_idx))),
             }
         }
         best.map(|(_, slot, page, hint)| Victim {
@@ -515,9 +528,9 @@ impl PageTable {
     /// rebuilds the minimum memo. Called whenever hint-set priorities change
     /// (window re-evaluation, snapshot import).
     pub fn refresh_keys(&mut self, mut key_of: impl FnMut(HintSetId) -> u64) {
-        for list in &mut self.hint_lists {
+        for (i, list) in self.hint_lists.iter_mut().enumerate() {
             if list.len > 0 {
-                list.key = key_of(list.hint);
+                list.key = key_of(HintSetId(i as u32));
             }
         }
         self.rebuild_min();
@@ -529,13 +542,14 @@ impl PageTable {
     }
 
     /// Returns, for each hint set with at least one cached page, the number
-    /// of pages it holds, sorted by descending count.
+    /// of pages it holds, sorted by descending count (ties by ascending id).
     pub fn composition(&self) -> Vec<(HintSetId, usize)> {
         let mut out: Vec<(HintSetId, usize)> = self
             .hint_lists
             .iter()
-            .filter(|l| l.len > 0)
-            .map(|l| (l.hint, l.len as usize))
+            .enumerate()
+            .filter(|(_, l)| l.len > 0)
+            .map(|(i, l)| (HintSetId(i as u32), l.len as usize))
             .collect();
         out.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
         out
@@ -601,8 +615,8 @@ impl PageTable {
             let mut prev = NIL;
             while cursor != NIL {
                 let slot = &self.slots[cursor as usize];
-                assert_eq!(slot.list, list_idx as u32, "slot in the wrong hint list");
-                assert_eq!(slot.hint, list.hint, "slot hint disagrees with its list");
+                assert!(slot.cached, "outqueue slot in a hint list");
+                assert_eq!(slot.hint.index(), list_idx, "slot in the wrong hint list");
                 assert_eq!(slot.prev, prev, "broken prev link in hint list");
                 walked += 1;
                 prev = cursor;
@@ -610,9 +624,12 @@ impl PageTable {
             }
             assert_eq!(prev, list.tail, "hint list tail mismatch");
             assert_eq!(walked, list.len, "hint list length mismatch");
+            assert!(list.seen || list.len == 0, "an unseen list holds pages");
             cached += list.len as usize;
         }
         assert_eq!(cached, self.cached_len, "cached length mismatch");
+        let seen = self.hint_lists.iter().filter(|l| l.seen).count();
+        assert_eq!(seen as u64, self.lists_seen, "used list count mismatch");
 
         // Outqueue FIFO: consistent links and bounded length.
         let mut walked = 0usize;
@@ -620,7 +637,7 @@ impl PageTable {
         let mut prev = NIL;
         while cursor != NIL {
             let slot = &self.slots[cursor as usize];
-            assert_eq!(slot.list, OUTQUEUE, "outqueue slot tagged as cached");
+            assert!(!slot.cached, "outqueue slot tagged as cached");
             assert_eq!(slot.prev, prev, "broken prev link in outqueue");
             walked += 1;
             prev = cursor;
@@ -643,15 +660,14 @@ impl PageTable {
             .min();
         assert_eq!(self.min_key, scanned_min, "memoized minimum is stale");
         if let Some(min) = scanned_min {
-            let mut expected: Vec<u32> = (0..self.hint_lists.len() as u32)
+            let expected: Vec<u32> = (0..self.hint_lists.len() as u32)
                 .filter(|&i| {
                     let l = &self.hint_lists[i as usize];
                     l.len > 0 && l.key == min
                 })
                 .collect();
             let mut memoized = self.min_lists.clone();
-            expected.sort_by_key(|&i| self.hint_lists[i as usize].hint.0);
-            memoized.sort_by_key(|&i| self.hint_lists[i as usize].hint.0);
+            memoized.sort_unstable();
             assert_eq!(memoized, expected, "memoized minimum lists are stale");
         } else {
             assert!(self.min_lists.is_empty(), "min lists must be empty");
@@ -673,9 +689,9 @@ impl PageTable {
                 page,
                 seq: 0,
                 hint: HintSetId(0),
-                list: OUTQUEUE,
                 prev: NIL,
                 next: NIL,
+                cached: false,
             };
             idx
         } else {
@@ -684,9 +700,9 @@ impl PageTable {
                 page,
                 seq: 0,
                 hint: HintSetId(0),
-                list: OUTQUEUE,
                 prev: NIL,
                 next: NIL,
+                cached: false,
             });
             (self.slots.len() - 1) as u32
         };
@@ -788,21 +804,20 @@ impl PageTable {
 
     // ----- hint list internals -----------------------------------------
 
-    /// Dense index of `hint`'s list, creating an empty list on first use.
+    /// Index of `hint`'s list (its id), growing the lists up to it and
+    /// counting the list as used on first use.
+    #[inline]
     fn list_of(&mut self, hint: HintSetId) -> u32 {
-        if let Some(&idx) = self.hint_index.get(&hint) {
-            return idx;
+        let idx = hint.index();
+        if idx >= self.hint_lists.len() {
+            self.hint_lists.resize(idx + 1, HintList::UNSEEN);
         }
-        let idx = self.hint_lists.len() as u32;
-        self.hint_lists.push(HintList {
-            hint,
-            head: NIL,
-            tail: NIL,
-            len: 0,
-            key: 0,
-        });
-        self.hint_index.insert(hint, idx);
-        idx
+        let list = &mut self.hint_lists[idx];
+        if !list.seen {
+            list.seen = true;
+            self.lists_seen += 1;
+        }
+        hint.0
     }
 
     fn hint_link_back(&mut self, list_idx: u32, slot_idx: u32) {
@@ -927,7 +942,7 @@ impl PageTable {
     /// collect the indices attaining the minimum key in ascending
     /// [`HintSetId`] order (matching the retired ordered index).
     fn rebuild_min(&mut self) {
-        self.work.lists_scanned += self.hint_lists.len() as u64;
+        self.work.lists_scanned += self.lists_seen;
         self.min_lists.clear();
         self.min_key = self
             .hint_lists
@@ -941,8 +956,6 @@ impl PageTable {
                     let l = &self.hint_lists[i as usize];
                     l.len > 0 && l.key == min
                 }));
-            self.min_lists
-                .sort_by_key(|&i| self.hint_lists[i as usize].hint.0);
         }
     }
 }

@@ -42,6 +42,15 @@ impl Tracker {
 ///   common case,
 /// * optional top-k hint tracking (Section 5).
 ///
+/// Every per-hint-set table — priorities, window statistics, the top-k
+/// summary's index and the hint lists — is indexed by [`HintSetId`], so a
+/// request's hint-set state is read by index, never by hash. Hint-set ids
+/// must therefore be dense catalog indices, as a [`cache_sim::HintCatalog`]
+/// hands them out: each table holds one entry per id up to the largest it
+/// has seen, so a stray id of a billion costs a billion entries. Hints that
+/// arrive from untrusted clients are interned into such ids first; in this
+/// workspace only `clic-server`'s `Server` accepts wire hint ids.
+///
 /// The policy also overrides [`CachePolicy::access_batch`] so drivers can
 /// replay whole chunks with a single (statically dispatched) call. The
 /// batched path additionally warms the page table ahead of itself in small

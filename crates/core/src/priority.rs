@@ -12,7 +12,6 @@
 //! priority scaled by `(1 − r)` — with the paper's `r = 1` this means they
 //! drop to zero, i.e. priorities are based entirely on the latest window.
 
-use cache_sim::hash::FastHashMap;
 use cache_sim::HintSetId;
 
 use crate::stats::HintWindowStats;
@@ -30,11 +29,16 @@ pub fn priority_key(priority: f64) -> u64 {
 
 /// The current caching priority `Pr(H)` of every known hint set.
 ///
-/// Lookups sit on the policy's full-cache admission path (one per miss), so
-/// the table uses the workspace's fast trusted-key hasher.
+/// Lookups sit on the policy's per-request path, so the table is indexed by
+/// the dense [`HintSetId`]: one slot per id up to the largest recorded, an
+/// unrecorded id reading zero. Which ids hold a *recorded* priority (the
+/// ones [`PriorityTable::iter`] reports) is kept beside the priorities, off
+/// the lookup path.
 #[derive(Debug, Clone, Default)]
 pub struct PriorityTable {
-    priorities: FastHashMap<HintSetId, f64>,
+    priorities: Vec<f64>,
+    recorded: Vec<bool>,
+    recorded_len: usize,
     windows_completed: u64,
 }
 
@@ -47,7 +51,7 @@ impl PriorityTable {
     /// The current priority of `hint` (zero if never seen).
     #[inline]
     pub fn priority(&self, hint: HintSetId) -> f64 {
-        self.priorities.get(&hint).copied().unwrap_or(0.0)
+        self.priorities.get(hint.index()).copied().unwrap_or(0.0)
     }
 
     /// The current priority of `hint` as an order-preserving integer key
@@ -59,12 +63,12 @@ impl PriorityTable {
 
     /// Number of hint sets with a recorded (possibly zero) priority.
     pub fn len(&self) -> usize {
-        self.priorities.len()
+        self.recorded_len
     }
 
     /// Returns `true` if no priorities have been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.priorities.is_empty()
+        self.recorded_len == 0
     }
 
     /// Number of windows that have been folded into the table.
@@ -72,31 +76,49 @@ impl PriorityTable {
         self.windows_completed
     }
 
+    /// The priority slot of `hint`, recording it (at zero) if it was not.
+    fn slot(&mut self, hint: HintSetId) -> &mut f64 {
+        let i = hint.index();
+        if i >= self.priorities.len() {
+            self.priorities.resize(i + 1, 0.0);
+            self.recorded.resize(i + 1, false);
+        }
+        if !self.recorded[i] {
+            self.recorded[i] = true;
+            self.recorded_len += 1;
+        }
+        &mut self.priorities[i]
+    }
+
     /// Folds one window's statistics into the table using smoothing factor
     /// `r` (Equation 3). Hint sets absent from `window` decay by `(1 − r)`.
     pub fn apply_window(&mut self, window: &[(HintSetId, HintWindowStats)], r: f64) {
-        // First decay every existing priority; hint sets present in the new
-        // window will have the `r · P̂r` term added below.
+        // First decay every existing priority (an unrecorded slot holds
+        // zero and stays there); hint sets present in the new window will
+        // have the `r · P̂r` term added below.
         if (r - 1.0).abs() > f64::EPSILON {
-            for value in self.priorities.values_mut() {
+            for value in &mut self.priorities {
                 *value *= 1.0 - r;
             }
         } else {
-            for value in self.priorities.values_mut() {
-                *value = 0.0;
-            }
+            self.priorities.fill(0.0);
         }
         for (hint, stats) in window {
             let fresh = stats.priority();
-            let entry = self.priorities.entry(*hint).or_insert(0.0);
-            *entry += r * fresh;
+            *self.slot(*hint) += r * fresh;
         }
         self.windows_completed += 1;
     }
 
-    /// Iterates over `(hint set, priority)` pairs in arbitrary order.
+    /// Iterates over `(hint set, priority)` pairs of the recorded hint sets,
+    /// in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (HintSetId, f64)> + '_ {
-        self.priorities.iter().map(|(&h, &p)| (h, p))
+        self.priorities
+            .iter()
+            .zip(&self.recorded)
+            .enumerate()
+            .filter(|(_, (_, &recorded))| recorded)
+            .map(|(i, (&p, _))| (HintSetId(i as u32), p))
     }
 
     /// Replaces the table's contents with `snapshot`, leaving the window
@@ -113,13 +135,23 @@ impl PriorityTable {
     where
         I: IntoIterator<Item = (HintSetId, f64)>,
     {
-        self.priorities = snapshot.into_iter().collect();
+        self.forget();
+        for (hint, priority) in snapshot {
+            *self.slot(hint) = priority;
+        }
     }
 
     /// Clears all priorities and the window counter.
     pub fn clear(&mut self) {
-        self.priorities.clear();
+        self.forget();
         self.windows_completed = 0;
+    }
+
+    /// Drops every recorded priority.
+    fn forget(&mut self) {
+        self.priorities.clear();
+        self.recorded.clear();
+        self.recorded_len = 0;
     }
 }
 

@@ -4,19 +4,17 @@
 //! [`ReferenceClic`] is the policy exactly as it was implemented before the
 //! slab/intrusive-list storage layer landed: a `HashMap` of cached pages, one
 //! [`OrderedPageSet`] per hint set, a separate [`OutQueue`] map, and a
-//! `BTreeSet` victim index with a memoized minimum. Its per-page containers
-//! are deliberately left on the original (SipHash) standard-library maps so
-//! that:
+//! `BTreeSet` victim index with a memoized minimum. Its containers — the
+//! per-page ones, and the hint-set priorities and statistics trackers,
+//! which [`crate::Clic`] indexes densely by hint-set id — are deliberately
+//! left on the original (SipHash) standard-library maps so that:
 //!
 //! * the differential property tests can replay arbitrary hinted traces
 //!   through both implementations and assert *identical* hit/miss/eviction/
 //!   bypass sequences (the refactor's bit-exactness contract), and
 //! * the `access_hotpath` micro-benchmark can report the slab layout's
 //!   speed-up against the real pre-refactor baseline rather than against a
-//!   straw man. (One shared component did get faster in the same PR: the
-//!   [`PriorityTable`] both implementations use moved to FxHash, so the
-//!   baseline is, if anything, slightly *faster* than the true pre-refactor
-//!   code and the reported speed-ups are conservative.)
+//!   straw man.
 //!
 //! Keep this module boring: correctness first, no optimizations. Any change
 //! to observable policy behaviour must be made to [`crate::Clic`] and here in
@@ -27,24 +25,61 @@ use std::collections::{BTreeSet, HashMap};
 use cache_sim::policies::util::OrderedPageSet;
 use cache_sim::policy::{AccessOutcome, CachePolicy};
 use cache_sim::{HintSetId, PageId, Request};
+use stream_stats::SpaceSaving;
 
 use crate::config::{ClicConfig, TrackingMode};
 use crate::outqueue::OutQueue;
 use crate::page_table::PageRecord;
-use crate::priority::{priority_key, PriorityTable};
-use crate::tracker::{FullTracker, HintStatsTracker, TopKTracker};
+use crate::priority::priority_key;
+use crate::stats::HintWindowStats;
 
+/// The two statistics trackers on hashed tables: a map per window, or a
+/// Space-Saving summary on a SipHash index whose payload carries `Nr(H)`
+/// and `D(H)` (its `requests` field unused: `N(H)` is the summary's
+/// guaranteed count).
 #[derive(Debug)]
 enum Tracker {
-    Full(FullTracker),
-    TopK(TopKTracker),
+    Full(HashMap<HintSetId, HintWindowStats>),
+    TopK(SpaceSaving<HintSetId, HintWindowStats>),
 }
 
 impl Tracker {
-    fn as_dyn_mut(&mut self) -> &mut dyn HintStatsTracker {
+    fn record_request(&mut self, hint: HintSetId) {
         match self {
-            Tracker::Full(t) => t,
-            Tracker::TopK(t) => t,
+            Tracker::Full(table) => table.entry(hint).or_default().record_request(),
+            Tracker::TopK(summary) => summary.observe(hint),
+        }
+    }
+
+    fn record_read_rereference(&mut self, hint: HintSetId, distance: u64) {
+        match self {
+            Tracker::Full(table) => table
+                .entry(hint)
+                .or_default()
+                .record_read_rereference(distance),
+            Tracker::TopK(summary) => {
+                if let Some(stats) = summary.aux_mut(&hint) {
+                    stats.record_read_rereference(distance);
+                }
+            }
+        }
+    }
+
+    fn end_window(&mut self) -> Vec<(HintSetId, HintWindowStats)> {
+        match self {
+            Tracker::Full(table) => table.drain().collect(),
+            Tracker::TopK(summary) => {
+                let window = summary
+                    .entries()
+                    .into_iter()
+                    .map(|(hint, estimate, stats)| {
+                        let requests = estimate.guaranteed();
+                        (hint, HintWindowStats { requests, ..*stats })
+                    })
+                    .collect();
+                summary.clear();
+                window
+            }
         }
     }
 }
@@ -70,7 +105,9 @@ pub struct ReferenceClic {
     /// The hint sets whose priority key equals `min_key`.
     min_hints: Vec<HintSetId>,
     outqueue: OutQueue,
-    priorities: PriorityTable,
+    /// `Pr(H)` of every hint set with a recorded priority.
+    priorities: HashMap<HintSetId, f64>,
+    windows_completed: u64,
     tracker: Tracker,
     requests_seen: u64,
 }
@@ -86,8 +123,8 @@ impl ReferenceClic {
         assert!(capacity > 0, "cache capacity must be positive");
         let effective = config.effective_capacity(capacity);
         let tracker = match config.tracking {
-            TrackingMode::Full => Tracker::Full(FullTracker::new()),
-            TrackingMode::TopK(k) => Tracker::TopK(TopKTracker::new(k)),
+            TrackingMode::Full => Tracker::Full(HashMap::new()),
+            TrackingMode::TopK(k) => Tracker::TopK(SpaceSaving::new(k)),
         };
         ReferenceClic {
             nominal_capacity: capacity,
@@ -99,7 +136,8 @@ impl ReferenceClic {
             victim_index: BTreeSet::new(),
             min_key: None,
             min_hints: Vec::new(),
-            priorities: PriorityTable::new(),
+            priorities: HashMap::new(),
+            windows_completed: 0,
             tracker,
             requests_seen: 0,
         }
@@ -112,12 +150,12 @@ impl ReferenceClic {
 
     /// The current priority `Pr(H)` of a hint set (zero if unknown).
     pub fn priority_of(&self, hint: HintSetId) -> f64 {
-        self.priorities.priority(hint)
+        self.priorities.get(&hint).copied().unwrap_or(0.0)
     }
 
     /// Number of completed priority-evaluation windows.
     pub fn windows_completed(&self) -> u64 {
-        self.priorities.windows_completed()
+        self.windows_completed
     }
 
     /// Number of entries currently held in the outqueue.
@@ -147,13 +185,13 @@ impl ReferenceClic {
     where
         I: IntoIterator<Item = (HintSetId, f64)>,
     {
-        self.priorities.load_snapshot(snapshot);
+        self.priorities = snapshot.into_iter().collect();
         self.rebuild_victim_index();
     }
 
     /// Exports the current hint-set priorities as a snapshot.
     pub fn export_priorities(&self) -> Vec<(HintSetId, f64)> {
-        self.priorities.iter().collect()
+        self.priorities.iter().map(|(&h, &p)| (h, p)).collect()
     }
 
     fn list_push(&mut self, hint: HintSetId, page: PageId) {
@@ -161,7 +199,7 @@ impl ReferenceClic {
         let was_empty = list.is_empty();
         list.push_back(page);
         if was_empty {
-            let key = priority_key(self.priorities.priority(hint));
+            let key = priority_key(self.priority_of(hint));
             self.victim_index.insert((key, hint));
             match self.min_key {
                 Some(min) if key > min => {}
@@ -179,7 +217,7 @@ impl ReferenceClic {
         if let Some(list) = self.lists.get_mut(&hint) {
             list.remove(page);
             if list.is_empty() {
-                let key = priority_key(self.priorities.priority(hint));
+                let key = priority_key(self.priority_of(hint));
                 self.victim_index.remove(&(key, hint));
                 self.lists.remove(&hint);
                 if self.min_key == Some(key) {
@@ -196,7 +234,7 @@ impl ReferenceClic {
         self.victim_index = self
             .lists
             .keys()
-            .map(|&hint| (priority_key(self.priorities.priority(hint)), hint))
+            .map(|&hint| (priority_key(self.priority_of(hint)), hint))
             .collect();
         self.rebuild_min_hints();
     }
@@ -241,17 +279,28 @@ impl ReferenceClic {
                 .or_else(|| self.outqueue.get(req.page));
             if let Some(prev) = previous {
                 let distance = seq.saturating_sub(prev.seq);
-                self.tracker
-                    .as_dyn_mut()
-                    .record_read_rereference(prev.hint, distance);
+                self.tracker.record_read_rereference(prev.hint, distance);
             }
         }
-        self.tracker.as_dyn_mut().record_request(req.hint);
+        self.tracker.record_request(req.hint);
     }
 
+    /// Window boundary: Equations 2 and 3 over the window's statistics.
     fn end_window(&mut self) {
-        let window = self.tracker.as_dyn_mut().end_window();
-        self.priorities.apply_window(&window, self.config.smoothing);
+        let r = self.config.smoothing;
+        if (r - 1.0).abs() > f64::EPSILON {
+            for value in self.priorities.values_mut() {
+                *value *= 1.0 - r;
+            }
+        } else {
+            for value in self.priorities.values_mut() {
+                *value = 0.0;
+            }
+        }
+        for (hint, stats) in self.tracker.end_window() {
+            *self.priorities.entry(hint).or_insert(0.0) += r * stats.priority();
+        }
+        self.windows_completed += 1;
         self.rebuild_victim_index();
     }
 
@@ -307,7 +356,7 @@ impl CachePolicy for ReferenceClic {
             self.admit(req.page, record);
             AccessOutcome::miss(0)
         } else {
-            let new_priority = self.priorities.priority(req.hint);
+            let new_priority = self.priority_of(req.hint);
             match self.find_victim() {
                 Some((min_priority, victim_page, victim_hint)) if new_priority > min_priority => {
                     self.evict_to_outqueue(victim_page, victim_hint);

@@ -12,9 +12,8 @@
 //! Both implement [`HintStatsTracker`], so the policy and the experiments can
 //! switch between them with a configuration flag.
 
-use cache_sim::hash::{FastBuildHasher, FastHashMap};
 use cache_sim::HintSetId;
-use stream_stats::SpaceSaving;
+use stream_stats::{DenseIndex, SpaceSaving};
 
 use crate::stats::HintWindowStats;
 
@@ -47,13 +46,15 @@ pub trait HintStatsTracker {
 /// The unbounded hint table: one [`HintWindowStats`] entry per distinct hint
 /// set observed during the current window.
 ///
-/// The table sits on the per-request path and its keys are trusted hint-set
-/// ids, so it uses the workspace's fast hasher. Its iteration order reaches
-/// `end_window`'s output, which is harmless: each hint set's new priority
-/// depends on its own statistics only.
+/// The table sits on the per-request path, so it is indexed by the dense
+/// [`HintSetId`] (one entry per id up to the largest seen) and lists the
+/// ids it touched this window, which is what `end_window` reports and
+/// resets — in first-touch order, which is harmless: each hint set's new
+/// priority depends on its own statistics only.
 #[derive(Debug, Clone, Default)]
 pub struct FullTracker {
-    table: FastHashMap<HintSetId, HintWindowStats>,
+    table: Vec<HintWindowStats>,
+    touched: Vec<HintSetId>,
 }
 
 impl FullTracker {
@@ -61,29 +62,43 @@ impl FullTracker {
     pub fn new() -> Self {
         FullTracker::default()
     }
+
+    /// `hint`'s statistics this window, noting the hint as touched the
+    /// first time. An entry is untouched exactly while it is all zero:
+    /// every record raises a count.
+    #[inline]
+    fn entry(&mut self, hint: HintSetId) -> &mut HintWindowStats {
+        let i = hint.index();
+        if i >= self.table.len() {
+            self.table.resize(i + 1, HintWindowStats::default());
+        }
+        let stats = &mut self.table[i];
+        if stats.requests == 0 && stats.read_rereferences == 0 {
+            self.touched.push(hint);
+        }
+        stats
+    }
 }
 
 impl HintStatsTracker for FullTracker {
     fn record_request(&mut self, hint: HintSetId) {
-        self.table.entry(hint).or_default().record_request();
+        self.entry(hint).record_request();
     }
 
     fn record_read_rereference(&mut self, hint: HintSetId, distance: u64) {
-        self.table
-            .entry(hint)
-            .or_default()
-            .record_read_rereference(distance);
+        self.entry(hint).record_read_rereference(distance);
     }
 
     fn end_window(&mut self) -> Vec<(HintSetId, HintWindowStats)> {
-        let out: Vec<(HintSetId, HintWindowStats)> =
-            self.table.iter().map(|(&h, &s)| (h, s)).collect();
-        self.table.clear();
-        out
+        let table = &mut self.table;
+        self.touched
+            .drain(..)
+            .map(|hint| (hint, std::mem::take(&mut table[hint.index()])))
+            .collect()
     }
 
     fn tracked_len(&self) -> usize {
-        self.table.len()
+        self.touched.len()
     }
 
     fn space_bound(&self) -> usize {
@@ -91,7 +106,7 @@ impl HintStatsTracker for FullTracker {
     }
 
     fn clear(&mut self) {
-        self.table.clear();
+        self.end_window();
     }
 }
 
@@ -111,11 +126,11 @@ struct RereferenceAux {
 /// bound), `Nr(H)` and the distance sum are only accumulated while `H` is
 /// being monitored, and hint sets that are not monitored report no
 /// statistics at all (hence priority zero), all as described in the paper.
-/// The summary indexes hint sets with the workspace's fast hasher; its
-/// recycling tie rule does not depend on the hasher.
+/// The summary reaches a hint set's counter through a [`DenseIndex`] on its
+/// id; its recycling tie rule does not depend on the index.
 #[derive(Debug, Clone)]
 pub struct TopKTracker {
-    summary: SpaceSaving<HintSetId, RereferenceAux, FastBuildHasher>,
+    summary: SpaceSaving<HintSetId, RereferenceAux, DenseIndex>,
     k: usize,
 }
 
@@ -127,7 +142,7 @@ impl TopKTracker {
     /// Panics if `k` is zero.
     pub fn new(k: usize) -> Self {
         TopKTracker {
-            summary: SpaceSaving::with_hasher(k, FastBuildHasher::default()),
+            summary: SpaceSaving::with_index(k, DenseIndex::default()),
             k,
         }
     }

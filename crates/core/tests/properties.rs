@@ -4,7 +4,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use cache_sim::{
-    simulate, AccessKind, CachePolicy, ClientId, HintSetId, PageId, Trace, TraceBuilder, WriteHint,
+    simulate, AccessKind, CachePolicy, ClientId, HintSetId, PageId, Request, Trace, TraceBuilder,
+    WriteHint,
 };
 use clic_core::{
     analyze_trace, train_grouping_from_prefix, Clic, ClicConfig, OutQueue, PageRecord,
@@ -173,6 +174,58 @@ proptest! {
             let expected = reference_again.access(req, seq);
             prop_assert_eq!(got_outcomes[seq as usize], expected,
                 "batched outcome diverged at seq {}", seq);
+        }
+    }
+
+    /// The per-hint tables `Clic` indexes by id against the reference's
+    /// hashed ones, on hint ids scattered over 0..20 000, so most table
+    /// slots between two ids are never used: full tracking, and top-k with
+    /// k = 100, which a palette of more than 100 ids makes recycle. Every
+    /// outcome, the outqueue, and every id's final priority agree.
+    #[test]
+    fn dense_hint_tables_match_reference_on_sparse_ids(
+        palette in vec(0u32..20_000, 2..160),
+        picks in vec((0u64..120, any::<bool>(), 0usize..1_000), 1..800),
+        capacity in 4usize..24,
+        window in 20u64..150,
+    ) {
+        let reqs: Vec<Request> = picks
+            .iter()
+            .map(|&(page, write, pick)| {
+                let hint = HintSetId(palette[pick % palette.len()]);
+                if write {
+                    Request::write(ClientId(0), PageId(page), None, hint)
+                } else {
+                    Request::read(ClientId(0), PageId(page), hint)
+                }
+            })
+            .collect();
+        for tracking in [TrackingMode::Full, TrackingMode::TopK(100)] {
+            let config = ClicConfig::default()
+                .with_window(window)
+                .with_tracking(tracking)
+                .with_metadata_charging(false);
+            let mut dense = Clic::new(capacity, config);
+            let mut reference = ReferenceClic::new(capacity, config);
+            for (seq, req) in reqs.iter().enumerate() {
+                let seq = seq as u64;
+                prop_assert_eq!(dense.access(req, seq), reference.access(req, seq),
+                    "{:?}: outcome diverged at seq {}", tracking, seq);
+                prop_assert_eq!(dense.outqueue_snapshot(), reference.outqueue_snapshot());
+            }
+            prop_assert!(dense.windows_completed() > 0 || reqs.len() < window as usize);
+            for id in 0..20_000u32 {
+                prop_assert_eq!(
+                    dense.priority_of(HintSetId(id)).to_bits(),
+                    reference.priority_of(HintSetId(id)).to_bits(),
+                    "{:?}: priority of h{}", tracking, id
+                );
+            }
+            let mut got = dense.export_priorities();
+            let mut expected = reference.export_priorities();
+            got.sort_by_key(|(h, _)| h.0);
+            expected.sort_by_key(|(h, _)| h.0);
+            prop_assert_eq!(got, expected);
         }
     }
 

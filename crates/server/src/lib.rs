@@ -16,8 +16,9 @@
 //!   partitioning. With one shard it behaves *exactly* like a single
 //!   [`clic_core::Clic`] driven by [`cache_sim::simulate`].
 //! * [`Server`] — a long-running front-end that accepts *batches* of
-//!   [`ServerRequest`]s (`Get`/`Put`/`Stats`, carrying the existing opaque
-//!   hint sets). [`Server::submit`] serves a batch on the caller's thread:
+//!   [`ServerRequest`]s (`Get`/`Put`/`Stats`, each access carrying its
+//!   client's opaque wire hint, which the server interns per client into a
+//!   dense hint-set id). [`Server::submit`] serves a batch on the caller's thread:
 //!   one routing pass gives each shard its batch positions and requests,
 //!   then its shards are served in shard order, one *step* at a time (a
 //!   delete, or up to [`cache_sim::REPLAY_CHUNK`] accesses under the shard's
@@ -200,7 +201,9 @@ pub use harness::{
 pub use net::{BlockingClient, NetOptions, NetServer, RetryPolicy};
 pub use openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 pub use protocol::{ErrorCode, ServerRequest, ServerResponse, StatsSnapshot};
-pub use server::{Server, ServerConfig, BATCH_SERVICE_HISTOGRAM, QUEUE_DEPTH_GAUGE};
+pub use server::{
+    Server, ServerConfig, BATCH_SERVICE_HISTOGRAM, HINT_SETS_GAUGE, QUEUE_DEPTH_GAUGE,
+};
 pub use sharded::{ShardedClic, ShardedClicConfig};
 pub use wire::WireError;
 

@@ -38,12 +38,23 @@
 //! logged write is device-durable for the network front-end and
 //! [`Server::submit`] alike (the contract in [`clic_store::wal`]): its
 //! response vector is built only after every acknowledgement has arrived.
+//!
+//! A request's hint on the wire is the client's own label. Both paths that
+//! build [`Request`]s from operations — the routing pass of
+//! [`Server::submit`] and a worker taking up a queued job — intern each
+//! `(client, wire hint)` pair into a dense [`HintSetId`] through the
+//! server's one hint table, locked once per batch or job: the policy's
+//! per-hint tables are indexed by that id, so no wire value sizes them, and
+//! two clients' equal wire hints name distinct hint sets, as the paper
+//! requires. [`HINT_SETS_GAUGE`] counts the pairs.
 
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 
+use cache_sim::hash::FastHashMap;
 use cache_sim::policy::AccessOutcome;
-use cache_sim::{IoStats, Request, SimulationResult, REPLAY_CHUNK};
+use cache_sim::sync::recover_lock;
+use cache_sim::{HintSetId, IoStats, Request, SimulationResult, REPLAY_CHUNK};
 use clic_core::ClicConfig;
 use clic_obs::{Gauge, LatencyHistogram, MetricsSnapshot, Recorder, SpanKind};
 use clic_store::{Durability, PageStore, StoreConfig};
@@ -61,6 +72,10 @@ pub const QUEUE_DEPTH_GAUGE: &str = "server.queue_depth";
 /// Histogram name for per-sub-batch service time in microseconds (start of
 /// service to last reply handed on).
 pub const BATCH_SERVICE_HISTOGRAM: &str = "server.batch_service_us";
+
+/// Gauge name for the number of distinct `(client, wire hint)` pairs the
+/// server has interned into hint sets.
+pub const HINT_SETS_GAUGE: &str = "server.hint_sets";
 
 /// Bound of each shard worker's request queue, in sub-batches: enough to
 /// keep a worker busy while the next batch is being partitioned.
@@ -125,8 +140,9 @@ impl ServerConfig {
     }
 
     /// Sets the observability handle: an enabled [`Recorder`] gives the
-    /// server a queue-depth gauge ([`QUEUE_DEPTH_GAUGE`]), a per-batch
-    /// service-time histogram ([`BATCH_SERVICE_HISTOGRAM`]),
+    /// server a queue-depth gauge ([`QUEUE_DEPTH_GAUGE`]), a hint-set count
+    /// ([`HINT_SETS_GAUGE`]), a per-batch service-time histogram
+    /// ([`BATCH_SERVICE_HISTOGRAM`]),
     /// [`clic_obs::SpanKind::ShardBatch`]/[`clic_obs::SpanKind::PriorityMerge`]
     /// trace spans, and — on a store-backed server — the store-level spans
     /// too (the recorder is shared with every shard store). The default
@@ -348,6 +364,49 @@ impl InlineAnswers {
     }
 }
 
+/// The server's hint table: each distinct `(client, wire hint)` pair gets
+/// the next dense [`HintSetId`], counted in [`HINT_SETS_GAUGE`].
+#[derive(Debug)]
+struct HintTable {
+    /// Pair, packed as `client << 32 | wire hint`, to its hint set.
+    ids: Mutex<FastHashMap<u64, HintSetId>>,
+    gauge: Option<Gauge>,
+}
+
+/// A [`HintTable`] locked for one batch or job.
+struct Interning<'a> {
+    ids: MutexGuard<'a, FastHashMap<u64, HintSetId>>,
+    gauge: Option<&'a Gauge>,
+}
+
+impl HintTable {
+    fn lock(&self) -> Interning<'_> {
+        Interning {
+            ids: recover_lock(&self.ids),
+            gauge: self.gauge.as_ref(),
+        }
+    }
+}
+
+impl Interning<'_> {
+    /// `req` with its wire hint replaced by its client's hint set.
+    #[inline]
+    fn intern(&mut self, mut req: Request) -> Request {
+        let Interning { ids, gauge } = self;
+        // Ids are handed out in order; the table would need hundreds of
+        // GiB before one passed u32::MAX.
+        let next = HintSetId(ids.len() as u32);
+        let pair = u64::from(req.client.0) << 32 | u64::from(req.hint.0);
+        req.hint = *ids.entry(pair).or_insert_with(|| {
+            if let Some(gauge) = gauge {
+                gauge.inc();
+            }
+            next
+        });
+        req
+    }
+}
+
 /// The server's cached instrument handles; `None` on a disabled recorder.
 #[derive(Debug, Clone)]
 struct Instruments {
@@ -519,11 +578,13 @@ impl<'a> Steps<'a> {
 }
 
 /// The shard worker: serves `shard`'s queued jobs until every sender is
-/// gone, answering each step's replies as one message on the job's sink.
+/// gone, interning each job's hints in one pass and answering each step's
+/// replies as one message on the job's sink.
 fn serve_queued(
     shard: usize,
     cache: &ShardedClic,
     instruments: &Instruments,
+    hints: &HintTable,
     jobs: mpsc::Receiver<ShardJob>,
     log: Option<mpsc::Sender<Ack>>,
 ) {
@@ -531,7 +592,14 @@ fn serve_queued(
     let mut reqs = Vec::with_capacity(REPLAY_CHUNK);
     while let Ok(job) = jobs.recv() {
         reqs.clear();
-        reqs.extend(job.ops.iter().filter_map(|(_, op)| op.to_request()));
+        let mut interning = hints.lock();
+        reqs.extend(
+            job.ops
+                .iter()
+                .filter_map(|(_, op)| op.to_request())
+                .map(|req| interning.intern(req)),
+        );
+        drop(interning);
         let mut answers = QueuedAnswers {
             sink: &job.reply,
             replies: Vec::new(),
@@ -597,6 +665,7 @@ pub struct Server {
     logs: Vec<Option<mpsc::Sender<Ack>>>,
     workers: Vec<JoinHandle<()>>,
     instruments: Instruments,
+    hints: Arc<HintTable>,
 }
 
 impl Server {
@@ -624,6 +693,10 @@ impl Server {
             queue_depth: cache.recorder().gauge(QUEUE_DEPTH_GAUGE),
             service: cache.recorder().histogram(BATCH_SERVICE_HISTOGRAM),
         };
+        let hints = Arc::new(HintTable {
+            ids: Mutex::new(FastHashMap::default()),
+            gauge: cache.recorder().gauge(HINT_SETS_GAUGE),
+        });
         let mut senders = Vec::with_capacity(cache.shard_count());
         let mut logs = Vec::with_capacity(cache.shard_count());
         let mut workers = Vec::with_capacity(cache.shard_count());
@@ -646,11 +719,12 @@ impl Server {
             logs.push(writer.as_ref().map(|(log, _)| log.clone()));
             let cache = Arc::clone(&cache);
             let instruments = instruments.clone();
+            let hints = Arc::clone(&hints);
             let worker = thread::Builder::new()
                 .name(format!("clic-shard-{shard}"))
                 .spawn(move || {
                     let (log, writer) = writer.unzip();
-                    serve_queued(shard, &cache, &instruments, receiver, log);
+                    serve_queued(shard, &cache, &instruments, &hints, receiver, log);
                     if let Some(Err(panic)) = writer.map(JoinHandle::join) {
                         std::panic::resume_unwind(panic);
                     }
@@ -664,11 +738,15 @@ impl Server {
             logs,
             workers,
             instruments,
+            hints,
         })
     }
 
     /// Submits one batch, serves it on the calling thread and returns the
     /// responses in batch order.
+    ///
+    /// Each operation's wire hint is interned per client (see the module
+    /// documentation), in the same pass that routes the batch.
     ///
     /// `Get`/`Put`/`Delete` operations are split by their page's shard, and
     /// the shards' parts are served in shard order, each in batch order,
@@ -701,6 +779,7 @@ impl Server {
             others: Vec::new(),
             acks: None,
         };
+        let mut interning = self.hints.lock();
         for (position, operation) in batch.iter().enumerate() {
             let Some(page) = operation.page() else {
                 let snapshot = StatsSnapshot {
@@ -714,8 +793,9 @@ impl Server {
             };
             let (positions, reqs) = &mut routes[self.cache.shard_of(page)];
             positions.push(position as u32);
-            reqs.extend(operation.to_request());
+            reqs.extend(operation.to_request().map(|req| interning.intern(req)));
         }
+        drop(interning);
         let mut steps = Steps::new(&self.cache, &self.instruments);
         for (shard, (positions, reqs)) in routes.iter().enumerate() {
             if positions.is_empty() {
@@ -1357,11 +1437,60 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Two clients label their requests with the same wire hint, one
+    /// re-reading every page it writes and one never re-reading: interned
+    /// per client, they are two hint sets, one learned hot and one cold.
+    #[test]
+    fn equal_wire_hints_of_two_clients_are_distinct_hint_sets() {
+        let config = ServerConfig::new(64)
+            .with_clic(ClicConfig::default().with_window(200))
+            .with_recorder(Recorder::enabled());
+        let server = Server::start(config);
+        let op = |client: u16, page: u64, write: bool| {
+            let (client, page, hint) = (ClientId(client), PageId(page), HintSetId(7));
+            if write {
+                ServerRequest::from_request(&Request::write(client, page, None, hint))
+            } else {
+                ServerRequest::from_request(&Request::read(client, page, hint))
+            }
+        };
+        for round in 0..300 {
+            let page = round % 20;
+            server.submit(&[
+                op(0, page, true),
+                op(0, page, false),
+                op(1, 10_000 + round, false),
+            ]);
+        }
+        let priorities = server.cache().shard_priorities(0);
+        assert_eq!(
+            priorities.len(),
+            2,
+            "one hint set per client: {priorities:?}"
+        );
+        let (rereading, one_shot) = (priorities[0], priorities[1]);
+        assert_eq!((rereading.0, one_shot.0), (HintSetId(0), HintSetId(1)));
+        assert!(rereading.1 > 0.0, "client 0 re-reads: {rereading:?}");
+        assert_eq!(one_shot.1, 0.0, "client 1 never re-reads: {one_shot:?}");
+        assert_eq!(server.metrics().gauge(HINT_SETS_GAUGE).value, 2);
+    }
+
     #[test]
     fn one_submitter_matches_access_shard_batch_in_shard_order() {
         let config = ServerConfig::new(16).with_shards(2).with_merge_every(50);
         let reference = ShardedClic::new(config.cache.clone());
         let server = Server::start(config);
+        // The server numbers one client's wire hints in order of first
+        // appearance; the reference is fed the numbers it hands out.
+        let mut interned: Vec<HintSetId> = Vec::new();
+        let mut intern = move |mut req: Request| {
+            let position = interned.iter().position(|&hint| hint == req.hint);
+            req.hint = HintSetId(position.unwrap_or_else(|| {
+                interned.push(req.hint);
+                interned.len() - 1
+            }) as u32);
+            req
+        };
         let mut state = 7u64;
         let mut next = move || {
             state = state
@@ -1385,12 +1514,16 @@ mod tests {
                     }
                 })
                 .collect();
+            let batch_reqs: Vec<Request> = batch
+                .iter()
+                .map(|op| intern(op.to_request().expect("a Get or Put")))
+                .collect();
             let mut expected = vec![false; batch.len()];
             for shard in 0..2 {
-                let (positions, reqs): (Vec<usize>, Vec<Request>) = batch
+                let (positions, reqs): (Vec<usize>, Vec<Request>) = batch_reqs
                     .iter()
+                    .copied()
                     .enumerate()
-                    .filter_map(|(position, op)| op.to_request().map(|req| (position, req)))
                     .filter(|(_, req)| reference.shard_of(req.page) == shard)
                     .unzip();
                 let mut outcomes = Vec::new();

@@ -141,6 +141,12 @@ struct Shard {
 /// With `shards == 1` and a single caller, the access path is identical to
 /// driving a [`Clic`] through [`cache_sim::simulate`] — the correctness
 /// anchor `tests/server_concurrency.rs` asserts bit-exact statistics.
+///
+/// Requests must carry dense hint-set ids, as a
+/// [`cache_sim::HintCatalog`] hands them out: every shard's [`Clic`]
+/// indexes its per-hint tables by id, one entry per id up to the largest
+/// seen. Wire hints are interned into such ids by [`crate::Server`], the one
+/// type that accepts them.
 #[derive(Debug)]
 pub struct ShardedClic {
     shards: Vec<Mutex<Shard>>,
@@ -633,6 +639,12 @@ impl ShardedClic {
             shard.clic.import_priorities(snapshot.iter().copied());
         }
         self.merges_completed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Shard `shard`'s hint-set priorities, by ascending id.
+    #[cfg(test)]
+    pub(crate) fn shard_priorities(&self, shard: usize) -> Vec<(HintSetId, f64)> {
+        recover_lock(&self.shards[shard]).clic.export_priorities()
     }
 
     /// A point-in-time statistics snapshot in the shape of

@@ -8,9 +8,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`SpaceSaving`] — the Space-Saving algorithm, generic over the item type
-//!   and over an auxiliary payload attached to each monitored counter (the
-//!   CLIC adaptation),
+//! * [`SpaceSaving`] — the Space-Saving algorithm, generic over the item type,
+//!   over an auxiliary payload attached to each monitored counter (the CLIC
+//!   adaptation) and over the [`SlotIndex`] that finds an item's counter (a
+//!   hash map, or a [`DenseIndex`] for interned integer ids),
 //! * [`ExactCounter`] — exact frequency counting, the reference the
 //!   property tests check Space-Saving against.
 //!
@@ -36,7 +37,7 @@ pub mod exact;
 pub mod space_saving;
 
 pub use exact::ExactCounter;
-pub use space_saving::{Estimate, SpaceSaving};
+pub use space_saving::{DenseIndex, Estimate, SlotIndex, SpaceSaving};
 
 #[cfg(test)]
 mod tests {

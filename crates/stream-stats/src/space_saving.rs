@@ -21,15 +21,16 @@
 //!
 //! * `slots` — at most `k` counters in a flat vector, each holding its
 //!   item, count, error bound and payload;
-//! * `index` — a hash map from item to slot, built with the summary's
-//!   `BuildHasher` (`RandomState` unless [`SpaceSaving::with_hasher`] says
-//!   otherwise).
+//! * `index` — a [`SlotIndex`] from item to slot: a `HashMap` (`new` uses
+//!   one on `RandomState`), or a [`DenseIndex`] for items that are small
+//!   integer ids, which reaches a slot with one array read and no hash.
 //!
-//! The `S` parameter has one fast production value, the top-k tracker's
-//! hasher in `clic-core`; `new` keeps `RandomState` so that the
-//! `benchmark/` layer ladder, which builds its `stream-stats.topk_offer_ns`
-//! rung with `SpaceSaving::new`, compiles and measures what it always
-//! measured — a SipHash index no production path runs.
+//! The `I` parameter has one dense production value, the top-k tracker's
+//! [`DenseIndex`] over hint-set ids in `clic-core`; `new` keeps the SipHash
+//! map so that the `benchmark/` layer ladder, which builds its
+//! `stream-stats.topk_offer_ns` rung with `SpaceSaving::new`, compiles and
+//! measures what it always measured — a SipHash index no production path
+//! runs.
 //!
 //! # Cost
 //!
@@ -42,12 +43,72 @@
 //!
 //! Among the minimum-count items the *smallest* (by `Ord`) is recycled, so
 //! two summaries fed the same observation stream always evolve identically,
-//! whatever their hashers (the policy's differential and sharded-server
+//! whatever their indexes (the policy's differential and sharded-server
 //! bit-exactness tests rely on this).
 
-use std::collections::hash_map::{Entry as MapEntry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
+
+/// Maps each monitored item to its slot in a [`SpaceSaving`] summary.
+pub trait SlotIndex<T> {
+    /// The slot monitoring `item`, if any.
+    fn slot_of(&self, item: &T) -> Option<usize>;
+    /// Records that `slot` now monitors `item`.
+    fn assign(&mut self, item: &T, slot: usize);
+    /// Forgets `item`'s slot.
+    fn vacate(&mut self, item: &T);
+}
+
+impl<T: Hash + Eq + Clone, S: BuildHasher> SlotIndex<T> for HashMap<T, usize, S> {
+    #[inline]
+    fn slot_of(&self, item: &T) -> Option<usize> {
+        self.get(item).copied()
+    }
+
+    fn assign(&mut self, item: &T, slot: usize) {
+        self.insert(item.clone(), slot);
+    }
+
+    fn vacate(&mut self, item: &T) {
+        self.remove(item);
+    }
+}
+
+/// A [`SlotIndex`] for items that are small dense integer ids: one `u32`
+/// per id up to the largest id seen, so a lookup is one array read. Its
+/// size follows the largest id, not `k`, so it suits ids handed out by an
+/// interner, not arbitrary values.
+#[derive(Debug, Clone, Default)]
+pub struct DenseIndex {
+    slots: Vec<u32>,
+}
+
+/// [`DenseIndex`] entry of an unmonitored id.
+const VACANT: u32 = u32::MAX;
+
+impl<T: Copy + Into<usize>> SlotIndex<T> for DenseIndex {
+    #[inline]
+    fn slot_of(&self, item: &T) -> Option<usize> {
+        match self.slots.get((*item).into()) {
+            Some(&slot) if slot != VACANT => Some(slot as usize),
+            _ => None,
+        }
+    }
+
+    fn assign(&mut self, item: &T, slot: usize) {
+        let id = (*item).into();
+        if id >= self.slots.len() {
+            self.slots.resize(id + 1, VACANT);
+        }
+        self.slots[id] = slot as u32;
+    }
+
+    fn vacate(&mut self, item: &T) {
+        if let Some(slot) = self.slots.get_mut((*item).into()) {
+            *slot = VACANT;
+        }
+    }
+}
 
 /// Frequency estimate for a monitored item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,16 +141,12 @@ struct Slot<T, A> {
 /// auxiliary payload per monitored item.
 ///
 /// The default payload is `()`; CLIC instantiates `A` with its re-reference
-/// statistics. `S` hashes items into the slot index.
+/// statistics. `I` maps items to their slots.
 #[derive(Debug, Clone)]
-pub struct SpaceSaving<T, A = (), S = RandomState>
-where
-    T: Ord + Hash + Clone,
-    A: Default,
-{
+pub struct SpaceSaving<T, A = (), I = HashMap<T, usize>> {
     capacity: usize,
     slots: Vec<Slot<T, A>>,
-    index: HashMap<T, usize, S>,
+    index: I,
     observations: u64,
 }
 
@@ -98,34 +155,35 @@ where
     T: Ord + Hash + Clone,
     A: Default,
 {
-    /// Creates a summary monitoring at most `k` items.
+    /// Creates a summary monitoring at most `k` items, indexed by a
+    /// SipHash map.
     ///
     /// # Panics
     ///
     /// Panics if `k` is zero.
     pub fn new(k: usize) -> Self {
-        SpaceSaving::with_hasher(k, RandomState::new())
+        SpaceSaving::with_index(k, HashMap::with_capacity(k))
     }
 }
 
-impl<T, A, S> SpaceSaving<T, A, S>
+impl<T, A, I> SpaceSaving<T, A, I>
 where
-    T: Ord + Hash + Clone,
+    T: Ord + Clone,
     A: Default,
-    S: BuildHasher,
+    I: SlotIndex<T>,
 {
-    /// Creates a summary monitoring at most `k` items whose slot index
-    /// hashes with `hasher`.
+    /// Creates a summary monitoring at most `k` items whose slots are found
+    /// through `index`, which must be empty.
     ///
     /// # Panics
     ///
     /// Panics if `k` is zero.
-    pub fn with_hasher(k: usize, hasher: S) -> Self {
+    pub fn with_index(k: usize, index: I) -> Self {
         assert!(k > 0, "space-saving capacity must be positive");
         SpaceSaving {
             capacity: k,
             slots: Vec::with_capacity(k),
-            index: HashMap::with_capacity_and_hasher(k, hasher),
+            index,
             observations: 0,
         }
     }
@@ -154,7 +212,7 @@ where
 
     /// Returns `true` if `item` is currently monitored.
     pub fn is_monitored(&self, item: &T) -> bool {
-        self.index.contains_key(item)
+        self.index.slot_of(item).is_some()
     }
 
     /// Records one occurrence of `item`, returning a mutable reference to its
@@ -162,27 +220,23 @@ where
     /// be recycled, the payload starts fresh at `A::default()`.
     pub fn observe_mut(&mut self, item: T) -> &mut A {
         self.observations += 1;
-        let slot = match self.index.entry(item) {
-            MapEntry::Occupied(entry) => {
-                let slot = *entry.get();
+        let slot = match self.index.slot_of(&item) {
+            Some(slot) => {
                 self.slots[slot].count += 1;
                 slot
             }
-            MapEntry::Vacant(entry) if self.slots.len() < self.capacity => {
+            None if self.slots.len() < self.capacity => {
                 let slot = self.slots.len();
+                self.index.assign(&item, slot);
                 self.slots.push(Slot {
-                    item: entry.key().clone(),
+                    item,
                     count: 1,
                     error: 0,
                     aux: A::default(),
                 });
-                entry.insert(slot);
                 slot
             }
-            MapEntry::Vacant(entry) => {
-                let item = entry.into_key();
-                self.recycle(item)
-            }
+            None => self.recycle(item),
         };
         &mut self.slots[slot].aux
     }
@@ -195,19 +249,19 @@ where
     /// Returns the frequency estimate for `item`, if it is monitored.
     pub fn estimate(&self, item: &T) -> Option<Estimate> {
         self.index
-            .get(item)
-            .map(|&slot| Self::estimate_of(&self.slots[slot]))
+            .slot_of(item)
+            .map(|slot| Self::estimate_of(&self.slots[slot]))
     }
 
     /// Returns the auxiliary payload for `item`, if monitored.
     pub fn aux(&self, item: &T) -> Option<&A> {
-        self.index.get(item).map(|&slot| &self.slots[slot].aux)
+        self.index.slot_of(item).map(|slot| &self.slots[slot].aux)
     }
 
     /// Returns a mutable reference to the auxiliary payload for `item`
     /// without recording an observation.
     pub fn aux_mut(&mut self, item: &T) -> Option<&mut A> {
-        let slot = *self.index.get(item)?;
+        let slot = self.index.slot_of(item)?;
         Some(&mut self.slots[slot].aux)
     }
 
@@ -227,8 +281,9 @@ where
     /// Forgets all monitored items and resets the observation count. CLIC
     /// calls this at every window boundary (Section 5).
     pub fn clear(&mut self) {
-        self.slots.clear();
-        self.index.clear();
+        for slot in self.slots.drain(..) {
+            self.index.vacate(&slot.item);
+        }
         self.observations = 0;
     }
 
@@ -251,8 +306,8 @@ where
             .map(|(victim, _)| victim)
             .expect("a full summary has slots");
         let slot = &mut self.slots[victim];
-        self.index.remove(&slot.item);
-        self.index.insert(item.clone(), victim);
+        self.index.vacate(&slot.item);
+        self.index.assign(&item, victim);
         slot.item = item;
         slot.error = slot.count;
         slot.count += 1;
@@ -408,23 +463,21 @@ mod tests {
         let _: SpaceSaving<u8> = SpaceSaving::new(0);
     }
 
-    impl<T, A, S> SpaceSaving<T, A, S>
+    impl<T, A, I> SpaceSaving<T, A, I>
     where
-        T: Ord + Hash + Clone + std::fmt::Debug,
+        T: Ord + Clone + std::fmt::Debug,
         A: Default,
-        S: BuildHasher,
+        I: SlotIndex<T>,
     {
         /// Panics unless the summary is well formed: at most `k` slots,
-        /// every count above its error bound, and `index` ↔ `slots` a
-        /// bijection.
+        /// every count above its error bound, and every slot's item indexed
+        /// to that slot. (That no other item is indexed is checked by the
+        /// lockstep test's estimate of every item against the oracle.)
         fn validate(&self) {
             assert!(self.slots.len() <= self.capacity, "more slots than k");
-            for slot in &self.slots {
+            for (i, slot) in self.slots.iter().enumerate() {
                 assert!(slot.count > slot.error, "{:?}: count ≤ error", slot.item);
-            }
-            assert_eq!(self.index.len(), self.slots.len(), "index size");
-            for (item, &slot) in &self.index {
-                assert_eq!(&self.slots[slot].item, item, "index → slot");
+                assert_eq!(self.index.slot_of(&slot.item), Some(i), "index → slot");
             }
         }
     }
@@ -583,8 +636,8 @@ mod tests {
         }
     }
 
-    fn assert_same(
-        summary: &SpaceSaving<u16, u64>,
+    fn assert_same<I: SlotIndex<u16>>(
+        summary: &SpaceSaving<u16, u64, I>,
         oracle: &btree::BTreeSpaceSaving<u16, u64>,
         context: &str,
     ) {
@@ -605,49 +658,52 @@ mod tests {
         }
     }
 
-    /// The slot scan and the ordered-set summary it replaced, driven in
-    /// lockstep, agree on every observable after every call: k from 1 to 40,
-    /// three stream shapes, payload writes through both `observe_mut` and
-    /// `aux_mut`, and a `clear()` in the middle of each stream.
+    /// The slot scan, on a hashed and on a dense index, and the ordered-set
+    /// summary it replaced, driven in lockstep, agree on every observable
+    /// after every call: k from 1 to 40, three stream shapes, payload writes
+    /// through both `observe_mut` and `aux_mut`, and a `clear()` in the
+    /// middle of each stream.
     #[test]
     fn slot_scan_matches_the_ordered_set_summary_in_lockstep() {
         for k in 1..=40usize {
             for shape in [Shape::Uniform, Shape::Skewed, Shape::TieHeavy] {
                 let mut state = ((k as u64) << 8) | shape as u64;
                 let mut summary: SpaceSaving<u16, u64> = SpaceSaving::new(k);
+                let mut dense: SpaceSaving<u16, u64, DenseIndex> =
+                    SpaceSaving::with_index(k, DenseIndex::default());
                 let mut oracle = btree::BTreeSpaceSaving::<u16, u64>::new(k);
                 let steps = 600;
                 for step in 0..steps {
                     let context = format!("k {k}, {shape:?}, step {step}");
                     if step == steps / 2 {
                         summary.clear();
+                        dense.clear();
                         oracle.clear();
                     } else if step % 7 == 3 {
                         let item = draw(shape, k, step, &mut state);
-                        let ours = summary.aux_mut(&item).map(|aux| {
+                        let bump = |aux: &mut u64| {
                             *aux += 100;
                             *aux
-                        });
-                        let theirs = oracle.aux_mut(&item).map(|aux| {
-                            *aux += 100;
-                            *aux
-                        });
+                        };
+                        let ours = summary.aux_mut(&item).map(bump);
+                        let dense_ours = dense.aux_mut(&item).map(bump);
+                        let theirs = oracle.aux_mut(&item).map(bump);
                         assert_eq!(ours, theirs, "{context}: aux_mut of {item}");
+                        assert_eq!(dense_ours, theirs, "{context}: dense aux_mut of {item}");
                     } else {
                         let item = draw(shape, k, step, &mut state);
-                        let ours = {
-                            let aux = summary.observe_mut(item);
+                        let bump = |aux: &mut u64| {
                             *aux += 1;
                             *aux
                         };
-                        let theirs = {
-                            let aux = oracle.observe_mut(item);
-                            *aux += 1;
-                            *aux
-                        };
+                        let ours = bump(summary.observe_mut(item));
+                        let dense_ours = bump(dense.observe_mut(item));
+                        let theirs = bump(oracle.observe_mut(item));
                         assert_eq!(ours, theirs, "{context}: payload of {item}");
+                        assert_eq!(dense_ours, theirs, "{context}: dense payload of {item}");
                     }
                     assert_same(&summary, &oracle, &context);
+                    assert_same(&dense, &oracle, &context);
                 }
             }
         }
@@ -682,24 +738,28 @@ mod tests {
         assert_eq!(ss.estimate(&4), Some(Estimate { count: 3, error: 1 }));
     }
 
-    /// The tie rule does not depend on the hasher: a summary on a fixed
-    /// hasher evolves exactly like one on `RandomState`.
+    /// The tie rule does not depend on the index: a summary on a map with a
+    /// fixed hasher, or on a dense index, evolves exactly like one on
+    /// `RandomState`.
     #[test]
     fn with_hasher_behaves_like_new() {
         use std::hash::BuildHasherDefault;
+        type Fixed = BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
         let mut seeded: SpaceSaving<u16> = SpaceSaving::new(5);
-        let mut fixed: SpaceSaving<
-            u16,
-            (),
-            BuildHasherDefault<std::collections::hash_map::DefaultHasher>,
-        > = SpaceSaving::with_hasher(5, BuildHasherDefault::default());
+        let mut fixed: SpaceSaving<u16, (), HashMap<u16, usize, Fixed>> =
+            SpaceSaving::with_index(5, HashMap::with_hasher(Fixed::default()));
+        let mut dense: SpaceSaving<u16, (), DenseIndex> =
+            SpaceSaving::with_index(5, DenseIndex::default());
         let mut state = 7u64;
         for step in 0..2_000 {
             let item = draw(Shape::Skewed, 5, step, &mut state);
             seeded.observe(item);
             fixed.observe(item);
+            dense.observe(item);
         }
         fixed.validate();
+        dense.validate();
         assert_eq!(seeded.entries(), fixed.entries());
+        assert_eq!(seeded.entries(), dense.entries());
     }
 }

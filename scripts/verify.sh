@@ -176,7 +176,7 @@ run_benchmark --seconds 3 --traced
 # and its logged acknowledgements still leave through ReplySink::deliver.
 # Server::submit serves on the caller's thread, so its body names no worker
 # queue (`senders[`) and does not go through submit_shard_tagged.
-echo "== single-owner gates (frame reader, policy->store mirror, WAL sync, reply delivery, inline submit, write-back, JSON writer) =="
+echo "== single-owner gates (frame reader, policy->store mirror, WAL sync, reply delivery, inline submit, write-back, JSON writer, dense hint tables) =="
 if grep -rnF '.drain(..consumed)' crates/server/src; then
     echo "verify: FAILED (a hand-rolled frame reader is back; use wire::FrameBuf)" >&2
     exit 1
@@ -236,6 +236,15 @@ done)"
 if [ -n "$hand_json" ]; then
     echo "$hand_json" >&2
     echo "verify: FAILED (JSON written by hand; build a clic_obs::json::JsonValue instead)" >&2
+    exit 1
+fi
+
+# A request's hint-set state is read by index: the policy, its page table,
+# priority table and statistics trackers index their per-hint tables by the
+# dense HintSetId, and none of them is a map keyed by it (the hashed oracle,
+# ReferenceClic, keeps its maps in reference.rs).
+if grep -nE 'HashMap<HintSetId' crates/core/src/{policy,page_table,priority,tracker}.rs; then
+    echo "verify: FAILED (a per-hint table in clic-core is a hash map again; index it by HintSetId)" >&2
     exit 1
 fi
 

@@ -77,6 +77,41 @@ fn loopback_tcp_stats_match_run_load_bit_for_bit() {
     assert_eq!(over_wire, in_process.result);
 }
 
+/// A wire hint is its client's own label, whatever its value: requests
+/// whose hints sit at the top of the `u32` range are served in process and
+/// over the wire, and the `server.hint_sets` gauge, read over the wire as
+/// an operator reads it, counts one hint set per distinct (client, hint).
+#[test]
+fn extreme_wire_hints_are_served_and_counted_per_client() {
+    let hints = [u32::MAX, u32::MAX - 1, 1 << 31];
+    let read = |client: u16, page: u64| {
+        let hint = HintSetId(hints[page as usize % hints.len()]);
+        ServerRequest::from_request(&Request::read(ClientId(client), PageId(page), hint))
+    };
+    let config = ServerConfig::new(64)
+        .with_shards(2)
+        .with_recorder(Recorder::enabled());
+    let server = Server::start(config);
+    // In process: client 0 sends each hint twice.
+    let batch: Vec<ServerRequest> = (0..6).map(|page| read(0, page)).collect();
+    let responses = server.submit(&batch);
+    assert!(responses.iter().all(|r| r.hit() == Some(false)));
+    // Over the wire: client 0 again (no new pair), then client 1 (three).
+    let net = NetServer::start(server, NetOptions::default()).expect("front-end starts");
+    let mut client =
+        BlockingClient::connect_tcp(net.tcp_addr().expect("tcp enabled")).expect("connect");
+    let batch: Vec<ServerRequest> = (0..12).map(|i| read(i / 6, u64::from(i % 6))).collect();
+    let responses = client.call_batch(&batch).expect("batch served");
+    assert_eq!(responses.len(), batch.len());
+    assert!(responses.iter().all(|r| r.hit() == Some(true)));
+    let snapshot = client.stats().expect("stats over the wire");
+    let hint_sets = snapshot.metrics.gauge(clic::server::HINT_SETS_GAUGE);
+    assert_eq!(hint_sets.value, 6, "two clients times three hints");
+    assert_eq!(snapshot.result.stats.requests(), 18);
+    drop(client);
+    net.shutdown().expect("clean shutdown");
+}
+
 /// Deletes over the wire remove the page from cache *and* disk.
 #[test]
 fn wire_deletes_remove_pages_from_a_store_backed_server() {
